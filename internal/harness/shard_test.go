@@ -117,6 +117,32 @@ func TestShardedWorkerEquivalence(t *testing.T) {
 	}
 }
 
+// TestShardedCompactWorkerEquivalence is the same pin on the compact
+// topology with several clusters per shard — the configuration of the one
+// parallel tenant at scale. Every shard's first SetCoreBW lands at the same
+// virtual instant from a different goroutine, so under the race detector
+// this is what shows a shard writing topology state it does not own. It is
+// skipped in -short mode; CI names it in the sharded -race step.
+func TestShardedCompactWorkerEquivalence(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compact sharded equivalence is -short-exempt")
+	}
+	for _, seed := range []int64{1, 17, 20260808} {
+		spec := func(workers int) SweepSpec {
+			s := shardedSpec(seed, 4, workers)
+			s.TopoFn = ClusteredTopologyCompact(600, 25) // 6 clusters per shard
+			return s
+		}
+		serial := RunSpec(spec(1))
+		parallel := RunSpec(spec(0))
+		if !serial.Finished || len(serial.PerNode) != 600 {
+			t.Fatalf("seed %d: oracle finished=%v completions=%d, want all 600",
+				seed, serial.Finished, len(serial.PerNode))
+		}
+		assertSameResult(t, "compact, workers 1 vs N", serial, parallel)
+	}
+}
+
 // TestShardedShardCountChangesResults documents the contract: the shard
 // count is part of the experiment's identity (per-shard RNG streams and
 // recompute coalescing), so K=2 and K=4 are different experiments.

@@ -27,8 +27,10 @@ type compactCore struct {
 	crossDelayLo, crossDelayHi float64
 	crossLossHi                float64
 
-	// overlay[param][cluster] maps pair index → overridden value; maps are
-	// allocated lazily on first mutation within a cluster.
+	// overlay[param][cluster] maps pair index → overridden value. The outer
+	// slices are allocated with the topology, so that a shard's first
+	// mutation writes only its own cluster's entry; the maps are allocated
+	// lazily on first mutation within a cluster.
 	overlay [3][]map[int64]float64
 }
 
@@ -61,15 +63,7 @@ func (c *compactCore) key(src, dst NodeID) int64 {
 }
 
 func (c *compactCore) lookup(src, dst NodeID, param int) (float64, bool) {
-	maps := c.overlay[param]
-	if maps == nil {
-		return 0, false
-	}
-	m := maps[c.cluster(src)]
-	if m == nil {
-		return 0, false
-	}
-	v, ok := m[c.key(src, dst)]
+	v, ok := c.overlay[param][c.cluster(src)][c.key(src, dst)]
 	return v, ok
 }
 
@@ -78,9 +72,6 @@ func (c *compactCore) set(src, dst NodeID, param int, v float64) {
 	if cs != cd {
 		panic(fmt.Sprintf("netem: compact topology link %d→%d crosses clusters %d/%d; "+
 			"inter-cluster links are immutable", src, dst, cs, cd))
-	}
-	if c.overlay[param] == nil {
-		c.overlay[param] = make([]map[int64]float64, (c.n+c.clusterSize-1)/c.clusterSize)
 	}
 	m := c.overlay[param][cs]
 	if m == nil {
@@ -156,6 +147,9 @@ func CompactClusteredTopology(n, clusterSize int, seed int64) *Topology {
 			crossDelayHi: MS(200),
 			crossLossHi:  0.02,
 		},
+	}
+	for param := range t.compact.overlay {
+		t.compact.overlay[param] = make([]map[int64]float64, n/clusterSize)
 	}
 	t.SetUniformAccess(Mbps(6), Mbps(6), MS(1))
 	for i := 0; i < n; i++ {

@@ -47,7 +47,6 @@ type Network struct {
 	FullRecompute bool
 
 	rng     *sim.RNG
-	flows   map[int]*Flow
 	nextID  int
 	dirty   bool
 	lastRun sim.Time
@@ -59,17 +58,18 @@ type Network struct {
 	busyOut []int32
 	busyIn  []int32
 
-	// Incremental state: the cached flow↔resource sharing graph (partition
-	// into connected components) and the resource keys dirtied since the
-	// last recomputation. A key is one side of a node's access link; core
-	// links dirty the access endpoints of their flows, which places every
-	// affected flow in a dirty component.
-	part           *partition
-	partitionStale bool
-	dirtyOut       map[NodeID]struct{}
-	dirtyIn        map[NodeID]struct{}
-	dirtyAll       bool
-	dirtyMark      []bool // per-component scratch, reused across recomputations
+	// Incremental state: the maintained flow↔resource sharing graph
+	// (partition into connected components), the flows whose busy/open state
+	// changed since it was last brought up to date, and the resource keys
+	// dirtied since the last recomputation. A key is one side of a node's
+	// access link; core links dirty the access endpoints of their flows,
+	// which places every affected flow in a dirty component.
+	part       partition
+	churned    []*Flow
+	dirtyOut   endpointSet
+	dirtyIn    endpointSet
+	dirtyAll   bool
+	dirtyComps []int32 // dirty component slots, reused across recomputations
 
 	// Waterfiller scratch, reused across recomputations so the steady
 	// state allocates nothing (see fairShare).
@@ -80,7 +80,6 @@ type Network struct {
 	fsResIdx    map[int]int
 	fsFlowRes   [][]int
 	fsPairCount map[int]int
-	fsActive    []*Flow
 	fsCapOrder  []int32
 	fsGrp       []int32
 	fsSatHeap   []satEntry
@@ -105,12 +104,8 @@ func New(eng *sim.Engine, topo *Topology, rng *sim.RNG) *Network {
 		Topo:              topo,
 		RecomputeInterval: DefaultRecomputeInterval,
 		rng:               rng,
-		flows:             make(map[int]*Flow),
 		busyOut:           make([]int32, topo.N),
 		busyIn:            make([]int32, topo.N),
-		partitionStale:    true,
-		dirtyOut:          make(map[NodeID]struct{}),
-		dirtyIn:           make(map[NodeID]struct{}),
 		fsResIdx:          make(map[int]int),
 		fsPairCount:       make(map[int]int),
 	}
@@ -144,6 +139,9 @@ type Flow struct {
 	src  NodeID
 	dst  NodeID
 	open bool
+
+	inPart  bool // held by a component of net.part
+	churned bool // queued in net.churned
 
 	established sim.Time // connection birth, drives the slow-start ramp
 	ssBinding   bool     // slow-start cap was binding at last recompute
@@ -180,7 +178,6 @@ func (n *Network) NewFlow(src, dst NodeID) *Flow {
 		open:        true,
 		established: n.Eng.Now(),
 	}
-	n.flows[f.id] = f
 	return f
 }
 
@@ -224,7 +221,6 @@ func (f *Flow) Close() {
 	f.doneArg = nil
 	f.completion.Cancel()
 	f.completion = sim.EventRef{}
-	delete(f.net.flows, f.id)
 	f.net.flowChurn(f)
 }
 
@@ -408,14 +404,18 @@ func (n *Network) markDirty() {
 // touch marks the flow's access-link endpoints dirty: the next recomputation
 // re-waterfills every component reachable from them.
 func (n *Network) touch(f *Flow) {
-	n.dirtyOut[f.src] = struct{}{}
-	n.dirtyIn[f.dst] = struct{}{}
+	n.dirtyOut.add(n.Topo.N, f.src)
+	n.dirtyIn.add(n.Topo.N, f.dst)
 }
 
-// flowChurn records that f started, completed, or closed: the active-flow
-// set changed, so the cached partition is stale and f's component is dirty.
+// flowChurn records that f started, completed, or closed: the next
+// recomputation re-derives the components f belongs to or joins, and f's
+// component is dirty.
 func (n *Network) flowChurn(f *Flow) {
-	n.partitionStale = true
+	if !f.churned {
+		f.churned = true
+		n.churned = append(n.churned, f)
+	}
 	n.touch(f)
 	n.markDirty()
 }
@@ -432,8 +432,8 @@ func (n *Network) BandwidthChanged() {
 // either endpoint's access link) and schedules a recomputation of just the
 // components sharing capacity with that link.
 func (n *Network) LinkChanged(src, dst NodeID) {
-	n.dirtyOut[src] = struct{}{}
-	n.dirtyIn[dst] = struct{}{}
+	n.dirtyOut.add(n.Topo.N, src)
+	n.dirtyIn.add(n.Topo.N, dst)
 	n.markDirty()
 }
 
@@ -460,10 +460,10 @@ func (n *Network) LinksChanged(links []LinkRef) {
 	}
 	for _, l := range links {
 		if l.Src >= 0 {
-			n.dirtyOut[l.Src] = struct{}{}
+			n.dirtyOut.add(n.Topo.N, l.Src)
 		}
 		if l.Dst >= 0 {
-			n.dirtyIn[l.Dst] = struct{}{}
+			n.dirtyIn.add(n.Topo.N, l.Dst)
 		}
 	}
 	n.markDirty()
@@ -479,6 +479,9 @@ func (n *Network) recompute() {
 	n.lastRun = now
 	n.Recomputes++
 
+	n.part.update(n.Topo.N, n.churned)
+	clear(n.churned)
+	n.churned = n.churned[:0]
 	if n.FullRecompute || n.dirtyAll {
 		n.recomputeFull(now)
 		return
@@ -510,30 +513,14 @@ func (n *Network) waterfillGroup(flows []*Flow, now sim.Time) (anySS bool) {
 	return anySS
 }
 
-// activeFlows fills the reusable scratch slice with the open, busy flows
-// sorted by id. Map iteration order is randomized; sorting makes float
-// accumulation order (and therefore every downstream rate bit)
-// deterministic per seed.
-func (n *Network) activeFlows() []*Flow {
-	active := n.fsActive[:0]
-	for _, f := range n.flows {
-		if f.open && f.busy {
-			active = append(active, f)
-		}
-	}
-	slices.SortFunc(active, func(a, b *Flow) int { return a.id - b.id })
-	n.fsActive = active
-	return active
-}
-
 // recomputeFull is the original global pass: every active flow is advanced
 // and re-waterfilled, regardless of what changed.
 func (n *Network) recomputeFull(now sim.Time) {
 	n.dirtyAll = false
-	clear(n.dirtyOut)
-	clear(n.dirtyIn)
+	n.dirtyOut.reset()
+	n.dirtyIn.reset()
 
-	active := n.activeFlows()
+	active := n.part.allFlows()
 	if len(active) == 0 {
 		return
 	}
@@ -542,55 +529,78 @@ func (n *Network) recomputeFull(now sim.Time) {
 	}
 }
 
-// recomputeIncremental re-waterfills only the dirty components of the cached
+// recomputeIncremental re-waterfills only the dirty components of the
 // sharing graph. Flows in clean components keep their current rates and
 // completion events; max-min allocations decompose exactly over connected
 // components because no resource spans two of them.
 func (n *Network) recomputeIncremental(now sim.Time) {
-	if n.partitionStale || n.part == nil {
-		n.part = n.buildPartition()
-		n.partitionStale = false
-	}
-	part := n.part
-	if cap(n.dirtyMark) < len(part.comps) {
-		n.dirtyMark = make([]bool, len(part.comps))
-	}
-	mark := n.dirtyMark[:len(part.comps)]
-	for i := range mark {
-		mark[i] = false
-	}
+	part := &n.part
 	// The reverse index makes dirty detection O(|dirty endpoints|), not
 	// O(active flows); endpoints with no active flow resolve to -1.
-	for node := range n.dirtyOut {
-		if ci := part.bySrc[node]; ci >= 0 {
-			mark[ci] = true
+	dirty := n.dirtyComps[:0]
+	mark := func(ci int32) {
+		if ci >= 0 && !part.comps[ci].dirty {
+			part.comps[ci].dirty = true
+			dirty = append(dirty, ci)
 		}
 	}
-	for node := range n.dirtyIn {
-		if ci := part.byDst[node]; ci >= 0 {
-			mark[ci] = true
-		}
+	for _, node := range n.dirtyOut.ids {
+		mark(part.bySrc[node])
 	}
-	clear(n.dirtyOut)
-	clear(n.dirtyIn)
+	for _, node := range n.dirtyIn.ids {
+		mark(part.byDst[node])
+	}
+	n.dirtyOut.reset()
+	n.dirtyIn.reset()
+	// Ascending lowest flow id is the order a from-scratch partition lists
+	// its components in; waterfilling in it keeps the engine sequence
+	// numbers scheduleCompletion draws, and so same-instant event order,
+	// independent of which slots the components happen to occupy.
+	slices.SortFunc(dirty, func(a, b int32) int {
+		return part.comps[a].flows[0].id - part.comps[b].flows[0].id
+	})
 
 	anySS := false
 	recomputed := 0
-	for ci := range part.comps {
-		if !mark[ci] {
-			continue
-		}
-		flows := part.comps[ci].flows
-		recomputed += len(flows)
-		if n.waterfillGroup(flows, now) {
+	for _, ci := range dirty {
+		c := &part.comps[ci]
+		c.dirty = false
+		recomputed += len(c.flows)
+		if n.waterfillGroup(c.flows, now) {
 			anySS = true
 		}
 	}
+	n.dirtyComps = dirty[:0]
 	n.FlowRatesSkipped += uint64(part.total - recomputed)
 	if anySS {
 		// Keep the slow-start ramp advancing even without flow churn.
 		n.markDirty()
 	}
+}
+
+// endpointSet is a set of node ids that costs nothing to empty: a per-node
+// mark, allocated on first use, plus the list of marked ids that reset
+// walks.
+type endpointSet struct {
+	mark []bool
+	ids  []NodeID
+}
+
+func (s *endpointSet) add(nodes int, id NodeID) {
+	if s.mark == nil {
+		s.mark = make([]bool, nodes)
+	}
+	if !s.mark[id] {
+		s.mark[id] = true
+		s.ids = append(s.ids, id)
+	}
+}
+
+func (s *endpointSet) reset() {
+	for _, id := range s.ids {
+		s.mark[id] = false
+	}
+	s.ids = s.ids[:0]
 }
 
 // resource is a shared link (access in/out, or a core link carrying more

@@ -212,8 +212,8 @@ func TestIncrementalMatchesOracleUnderChurn(t *testing.T) {
 				// brute-force pass over all active flows.
 				net.recompute()
 				now := eng.Now()
-				active := make([]*Flow, 0, len(net.flows))
-				for _, fl := range net.flows {
+				active := make([]*Flow, 0, net.part.total)
+				for _, fl := range net.part.allFlows() {
 					if fl.open && fl.busy {
 						active = append(active, fl)
 					}
