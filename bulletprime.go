@@ -318,7 +318,7 @@ type RunConfig struct {
 	Trace *TraceOptions
 
 	// Bullet'-specific knobs (ignored by other protocols).
-	Strategy          RequestStrategy // default RarestRandom
+	Strategy          RequestStrategy // zero value FirstEncountered, passed through as is; ask for the paper's RarestRandom by name
 	StaticPeers       int             // pin peer-set size; 0 = adaptive
 	StaticOutstanding int             // pin outstanding window; 0 = adaptive
 	Encoded           bool            // source fountain-coding mode

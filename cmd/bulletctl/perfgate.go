@@ -58,10 +58,11 @@ func runPerfGate(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "bulletctl:", err)
 			return 1
 		}
-		// ns_ceiling values are hand-set relations, not measurements — carry
-		// them over from the baseline being replaced so -write does not
-		// silently drop the absolute bounds.
+		// ns_ceiling values are hand-set relations, not measurements, and
+		// the trajectory is hand-written history — carry both over from the
+		// baseline being replaced so -write does not silently drop them.
 		if old, err := lab.LoadPerfBaseline(*baseFile); err == nil {
+			base.Trajectory = old.Trajectory
 			for name, oe := range old.Benchmarks {
 				if oe.NsCeiling > 0 {
 					if ne, ok := base.Benchmarks[name]; ok {

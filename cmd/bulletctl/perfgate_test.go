@@ -63,16 +63,18 @@ func TestPerfGateInjectedRegression(t *testing.T) {
 	}
 }
 
-func TestPerfGateWriteKeepsCeilings(t *testing.T) {
+func TestPerfGateWriteKeepsCeilingsAndTrajectory(t *testing.T) {
 	inputPath, basePath := writePerfInputs(t)
 	// Hand-set a ceiling on one entry, as BENCH_PERF.json does for the
-	// sharded-vs-sequential wall-time bound, then regenerate via -write.
+	// sharded-vs-sequential wall-time bound, and a trajectory line, then
+	// regenerate via -write.
 	data, err := os.ReadFile(basePath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	edited := strings.Replace(string(data),
 		`"ns_per_op": 117482534,`, `"ns_per_op": 117482534, "ns_ceiling": 2e8,`, 1)
+	edited = strings.Replace(edited, `"benchmarks": {`, `"trajectory": ["PR 0: pinned"], "benchmarks": {`, 1)
 	if edited == string(data) {
 		t.Fatalf("baseline edit did not apply:\n%s", data)
 	}
@@ -90,6 +92,9 @@ func TestPerfGateWriteKeepsCeilings(t *testing.T) {
 	}
 	if !strings.Contains(string(rewritten), `"ns_ceiling": 200000000`) {
 		t.Fatalf("-write dropped the hand-set ns_ceiling:\n%s", rewritten)
+	}
+	if !strings.Contains(string(rewritten), `"PR 0: pinned"`) {
+		t.Fatalf("-write dropped the trajectory:\n%s", rewritten)
 	}
 }
 

@@ -8,8 +8,9 @@
 package bittorrent
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"bulletprime/internal/netem"
 	"bulletprime/internal/proto"
@@ -123,7 +124,7 @@ func (s *Session) DoneAt() sim.Time { return s.doneAt }
 
 func (s *Session) memberOrder() []netem.NodeID {
 	out := append([]netem.NodeID(nil), s.cfg.Members...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -460,7 +461,7 @@ func (p *btPeer) connOrder() []netem.NodeID {
 	for id := range p.conns {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 
@@ -502,7 +503,7 @@ func (p *btPeer) pickBlock(bc *btConn) (int, bool) {
 	for piece := range p.activePieces {
 		actives = append(actives, piece)
 	}
-	sort.Ints(actives)
+	slices.Sort(actives)
 	for _, piece := range actives {
 		if !bc.remotePieces.Get(piece) {
 			continue
@@ -577,12 +578,12 @@ func (p *btPeer) rechoke() {
 	}
 	// Rank: leechers reciprocate downloaders; seeds reward fast takers.
 	ids := p.connOrder()
-	sort.SliceStable(ids, func(i, j int) bool {
-		a, b := p.conns[ids[i]], p.conns[ids[j]]
+	slices.SortStableFunc(ids, func(i, j netem.NodeID) int {
+		a, b := p.conns[i], p.conns[j]
 		if p.seed {
-			return a.upRate > b.upRate
+			return cmp.Compare(b.upRate, a.upRate)
 		}
-		return a.downRate > b.downRate
+		return cmp.Compare(b.downRate, a.downRate)
 	})
 	unchoked := 0
 	for _, id := range ids {

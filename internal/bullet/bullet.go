@@ -10,8 +10,9 @@
 package bullet
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"bulletprime/internal/netem"
 	"bulletprime/internal/proto"
@@ -122,7 +123,7 @@ func (s *Session) Start() {
 	s.Tree.Walk(func(id netem.NodeID) {
 		p := s.peers[id]
 		kids := append([]netem.NodeID(nil), s.Tree.Children(id)...)
-		sort.Slice(kids, func(i, j int) bool { return kids[i] < kids[j] })
+		slices.Sort(kids)
 		for _, cid := range kids {
 			c := p.node.Dial(cid)
 			c.IsData = isDataKind
@@ -406,11 +407,9 @@ func (p *bPeer) onDistribute(epoch int, set []ransub.Candidate) {
 		}
 		cs = append(cs, scored{c.ID, u})
 	}
-	sort.Slice(cs, func(i, j int) bool {
-		if cs[i].u != cs[j].u {
-			return cs[i].u > cs[j].u
-		}
-		return cs[i].id < cs[j].id
+	// A total order (candidate ids are distinct), so any sort agrees.
+	slices.SortFunc(cs, func(a, b scored) int {
+		return cmp.Or(cmp.Compare(b.u, a.u), cmp.Compare(a.id, b.id))
 	})
 	for _, c := range cs {
 		if len(p.senders) >= SenderTarget {
@@ -425,7 +424,7 @@ func (p *bPeer) sortedSenders() []*sender {
 	for _, sp := range p.senders {
 		out = append(out, sp)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
+	slices.SortFunc(out, func(a, b *sender) int { return cmp.Compare(a.id, b.id) })
 	return out
 }
 

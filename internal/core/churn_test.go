@@ -58,19 +58,16 @@ func TestSenderFailureReclaimsClaims(t *testing.T) {
 
 	// Find a receiver with outstanding claims on some live sender.
 	var victim netem.NodeID = -1
-	for id, p := range r.sess.peers {
-		if id == 0 || p.complete {
+	for id := netem.NodeID(1); id < 10 && victim < 0; id++ {
+		p := r.sess.peers[id]
+		if p.complete {
 			continue
 		}
-		for sid, owner := range p.claimed {
-			_ = sid
-			if owner != 0 { // don't kill the source
-				victim = owner
+		for _, owner := range p.claimed {
+			if owner > 1 { // claimed, and not from the source (don't kill it)
+				victim = netem.NodeID(owner - 1)
 				break
 			}
-		}
-		if victim >= 0 {
-			break
 		}
 	}
 	if victim < 0 {
@@ -87,7 +84,7 @@ func TestSenderFailureReclaimsClaims(t *testing.T) {
 			t.Fatalf("node %d incomplete after sender %d failed", id, victim)
 		}
 		for b, owner := range p.claimed {
-			if owner == victim {
+			if owner == claimTag(victim) {
 				t.Fatalf("node %d still has block %d claimed on dead sender", id, b)
 			}
 		}

@@ -20,7 +20,11 @@ type rig struct {
 
 // buildRig creates an n-node uniform mesh topology and a session over it.
 func buildRig(n int, seed int64, mut func(*Config), topoMut func(*netem.Topology)) *rig {
-	eng := sim.NewEngine()
+	return buildRigOn(sim.NewEngine(), n, seed, mut, topoMut)
+}
+
+// buildRigOn is buildRig on a caller-chosen engine.
+func buildRigOn(eng *sim.Engine, n int, seed int64, mut func(*Config), topoMut func(*netem.Topology)) *rig {
 	topo := netem.NewTopology(n)
 	topo.SetUniformAccess(netem.Mbps(10), netem.Mbps(10), netem.MS(1))
 	for i := 0; i < n; i++ {
@@ -212,12 +216,11 @@ func testPeerForController(t *testing.T) (*peer, *senderPeer) {
 	t.Helper()
 	r := buildRig(4, 20, nil, nil)
 	p := r.sess.peers[1]
-	sp := &senderPeer{id: 2, desired: 3, markBlock: -2, advertised: make(map[int]bool)}
-	p.senders[2] = sp
-	p.meters[2] = trace.NewRateMeter(0.5, 24)
+	sp := &senderPeer{id: 2, desired: 3, markBlock: -2, meter: trace.NewRateMeter(0.5, 24)}
+	p.senders.insert(sp)
 	// Simulate measured bandwidth: 10 blocks over the last seconds.
 	for i := 0; i < 10; i++ {
-		p.meters[2].Add(r.eng.Now(), 16*1024)
+		sp.meter.Add(r.eng.Now(), 16*1024)
 	}
 	return p, sp
 }
@@ -228,7 +231,7 @@ func TestManageOutstandingIdleIncreases(t *testing.T) {
 	// idle 1 s: wasted = -1. Window should increase and be integral
 	// (ceiling on increase).
 	sp.outstanding = 2
-	p.manageOutstanding(sp, blockMsg{id: 0, inFront: 0, wasted: -1})
+	p.manageOutstanding(sp, &blockMsg{id: 0, inFront: 0, wasted: -1})
 	if sp.desired <= 3 {
 		t.Fatalf("desired = %v after idle report, want > 3", sp.desired)
 	}
@@ -245,7 +248,7 @@ func TestManageOutstandingQueueDecreases(t *testing.T) {
 	sp.desired = 10
 	sp.outstanding = 9
 	// Deep queue at sender: positive service time, 8 blocks in front.
-	p.manageOutstanding(sp, blockMsg{id: 0, inFront: 8, wasted: 2.0})
+	p.manageOutstanding(sp, &blockMsg{id: 0, inFront: 8, wasted: 2.0})
 	if sp.desired >= 10 {
 		t.Fatalf("desired = %v after deep-queue report, want < 10", sp.desired)
 	}
@@ -257,18 +260,18 @@ func TestManageOutstandingQueueDecreases(t *testing.T) {
 func TestManageOutstandingMarkFreezes(t *testing.T) {
 	p, sp := testPeerForController(t)
 	sp.outstanding = 2
-	p.manageOutstanding(sp, blockMsg{id: 0, inFront: 0, wasted: -1})
+	p.manageOutstanding(sp, &blockMsg{id: 0, inFront: 0, wasted: -1})
 	if !sp.markPending {
 		t.Fatal("no mark after adjustment")
 	}
 	sp.markBlock = 42 // pretend request 42 was marked
 	before := sp.desired
 	// Further reports must be ignored until block 42 arrives.
-	p.manageOutstanding(sp, blockMsg{id: 7, inFront: 0, wasted: -5})
+	p.manageOutstanding(sp, &blockMsg{id: 7, inFront: 0, wasted: -5})
 	if sp.desired != before {
 		t.Fatal("controller adjusted while mark pending")
 	}
-	p.manageOutstanding(sp, blockMsg{id: 42, inFront: 0, wasted: 0})
+	p.manageOutstanding(sp, &blockMsg{id: 42, inFront: 0, wasted: 0})
 	if sp.markPending {
 		t.Fatal("mark not released by marked block arrival")
 	}
@@ -277,10 +280,9 @@ func TestManageOutstandingMarkFreezes(t *testing.T) {
 func TestManageOutstandingStaticPinned(t *testing.T) {
 	r := buildRig(4, 21, func(c *Config) { c.StaticOutstanding = 7 }, nil)
 	p := r.sess.peers[1]
-	sp := &senderPeer{id: 2, desired: 7, markBlock: -2, advertised: make(map[int]bool)}
-	p.senders[2] = sp
-	p.meters[2] = trace.NewRateMeter(0.5, 24)
-	p.manageOutstanding(sp, blockMsg{id: 0, inFront: 0, wasted: -10})
+	sp := &senderPeer{id: 2, desired: 7, markBlock: -2, meter: trace.NewRateMeter(0.5, 24)}
+	p.senders.insert(sp)
+	p.manageOutstanding(sp, &blockMsg{id: 0, inFront: 0, wasted: -10})
 	if sp.desired != 7 {
 		t.Fatalf("static outstanding changed to %v", sp.desired)
 	}
@@ -308,7 +310,7 @@ func hillClimbPeer(t *testing.T) *peer {
 func fillSenders(p *peer, n int) {
 	for i := 0; i < n; i++ {
 		id := netem.NodeID(100 + i)
-		p.senders[id] = &senderPeer{id: id}
+		p.senders.insert(&senderPeer{id: id})
 	}
 }
 
@@ -371,7 +373,7 @@ func TestHillClimbClamped(t *testing.T) {
 		t.Fatalf("maxSenders = %d exceeded MaxPeers", p.maxSenders)
 	}
 	p.maxSenders = MinPeers
-	p.senders = make(map[netem.NodeID]*senderPeer)
+	p.senders = nil
 	fillSenders(p, MinPeers)
 	p.prevNumSenders = MinPeers + 1
 	p.prevInBW = 100
@@ -392,7 +394,7 @@ func TestHillClimbProbesWhenQuiescent(t *testing.T) {
 		t.Fatalf("maxSenders = %d, want upward probe to 11", p.maxSenders)
 	}
 	// A punished upward move flips probing downward.
-	p.senders = make(map[netem.NodeID]*senderPeer)
+	p.senders = nil
 	fillSenders(p, 11)
 	p.maxSenders = 11
 	p.prevNumSenders = 10
@@ -401,7 +403,7 @@ func TestHillClimbProbesWhenQuiescent(t *testing.T) {
 	if p.maxSenders != 10 || !p.probeSendersDown {
 		t.Fatalf("punished growth: max=%d probeDown=%v", p.maxSenders, p.probeSendersDown)
 	}
-	p.senders = make(map[netem.NodeID]*senderPeer)
+	p.senders = nil
 	fillSenders(p, 10)
 	p.prevNumSenders = 10
 	p.prevInBW = 150
@@ -417,7 +419,7 @@ func TestEnforcePeerTargetsSheds(t *testing.T) {
 	// Give each synthetic sender a conn so dropSender can close it.
 	for _, sp := range p.senders {
 		sp.conn = p.node.Dial(2)
-		sp.advertised = make(map[int]bool)
+		sp.advertised = proto.NewBitmap(p.s.maxBlockID())
 	}
 	p.maxSenders = 7
 	p.enforcePeerTargets()

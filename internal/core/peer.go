@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"bulletprime/internal/netem"
 	"bulletprime/internal/proto"
@@ -12,6 +13,10 @@ import (
 	"bulletprime/internal/stream"
 	"bulletprime/internal/trace"
 )
+
+// rarestSample bounds how many availability entries the rarest strategies
+// examine per pick (and so the length of the tie list).
+const rarestSample = 64
 
 // diffReqBackoff is how long a receiver waits before re-asking a sender for
 // a diff after receiving an empty one, bounding control chatter when a
@@ -28,15 +33,30 @@ type peer struct {
 
 	isSource bool
 
-	senders   map[netem.NodeID]*senderPeer
-	receivers map[netem.NodeID]*receiverPeer
+	// senders and receivers are kept in id order, the order every loop over
+	// them must take for the simulation to stay deterministic per seed. A
+	// loop that drops senders as it goes walks a snapshot (sweepSenders).
+	senders   idList[*senderPeer]
+	receivers idList[*receiverPeer]
 
+	// Per-block state is dense: one maxBlockID()-long slice each, sized
+	// once for the life of the peer.
+	//
 	// rarity[b] counts how many current senders advertise block b; the
 	// rarest strategies minimize it.
 	rarity []int
-	// claimed maps a block id to the sender it is currently requested
-	// from, preventing duplicate pulls (§2.4).
-	claimed map[int]netem.NodeID
+	// claimed[b] is 1 + the id of the sender block b is currently requested
+	// from, 0 when it is requested from nobody; it prevents duplicate pulls
+	// (§2.4).
+	claimed []int32
+
+	// Scratch reused for the life of the peer, so the per-message and
+	// per-epoch loops build no containers: pickBlock's tie list, the sender
+	// snapshot of the loops that drop as they go, and acquireSenders'
+	// ranking.
+	ties   []int
+	sweep  []*senderPeer
+	scored []scoredCandidate
 
 	maxSenders   int
 	maxReceivers int
@@ -59,10 +79,6 @@ type peer struct {
 	// candidates is the latest RanSub distribute set.
 	candidates []ransub.Candidate
 
-	// meters measures arrival bandwidth per sender for the flow-control
-	// formula ("bandwidth measured at the receiver", §3.3.3).
-	meters map[netem.NodeID]*trace.RateMeter
-
 	complete    bool
 	completedAt sim.Time
 	duplicates  int
@@ -84,11 +100,9 @@ func newPeer(s *Session, id netem.NodeID) *peer {
 		store:      proto.NewBlockStore(s.maxBlockID()),
 		rng:        s.rng.Stream(fmt.Sprintf("peer-%d", id)),
 		isSource:   id == s.cfg.Source,
-		senders:    make(map[netem.NodeID]*senderPeer),
-		receivers:  make(map[netem.NodeID]*receiverPeer),
 		rarity:     make([]int, s.maxBlockID()),
-		claimed:    make(map[int]netem.NodeID),
-		meters:     make(map[netem.NodeID]*trace.RateMeter),
+		claimed:    make([]int32, s.maxBlockID()),
+		ties:       make([]int, 0, rarestSample),
 		firstEpoch: true,
 	}
 	if s.cfg.StaticPeers > 0 {
@@ -131,24 +145,35 @@ func (p *peer) summarize() ransub.Candidate {
 	return ransub.Candidate{ID: p.node.ID, Summary: proto.NewSummary(p.store)}
 }
 
-// sortedSenders returns the sender set in id order: map iteration order is
-// randomized in Go, and the simulation must stay deterministic per seed.
-func (p *peer) sortedSenders() []*senderPeer {
-	out := make([]*senderPeer, 0, len(p.senders))
-	for _, sp := range p.senders {
-		out = append(out, sp)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	return out
+// idList is a set of mesh peers kept in node-id order.
+type idList[P interface{ nodeID() netem.NodeID }] []P
+
+// index returns where the peer with the given id is, or would be inserted.
+func (l idList[P]) index(id netem.NodeID) (int, bool) {
+	return slices.BinarySearchFunc(l, id, func(p P, id netem.NodeID) int { return cmp.Compare(p.nodeID(), id) })
 }
 
-func (p *peer) sortedReceivers() []*receiverPeer {
-	out := make([]*receiverPeer, 0, len(p.receivers))
-	for _, rp := range p.receivers {
-		out = append(out, rp)
+func (l idList[P]) has(id netem.NodeID) bool {
+	_, ok := l.index(id)
+	return ok
+}
+
+func (l *idList[P]) insert(p P) {
+	i, _ := l.index(p.nodeID())
+	*l = slices.Insert(*l, i, p)
+}
+
+func (l *idList[P]) remove(id netem.NodeID) {
+	if i, ok := l.index(id); ok {
+		*l = slices.Delete(*l, i, i+1)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	return out
+}
+
+// sweepSenders snapshots the sender list into peer-owned scratch for a loop
+// that drops senders as it goes; dropSender edits the live list in place.
+func (p *peer) sweepSenders() []*senderPeer {
+	p.sweep = append(p.sweep[:0], p.senders...)
+	return p.sweep
 }
 
 // ---------------------------------------------------------------------------
@@ -165,16 +190,34 @@ func (p *peer) onMessage(c *proto.Conn, m proto.Message) {
 	case kindReject:
 		p.onReject(c)
 	case kindDiff:
-		p.onDiff(c, m.Payload.(diffMsg))
+		d := delivered(m.Payload.(*diffMsg))
+		p.onDiff(c, d)
+		p.s.diffs.put(d)
 	case kindDiffReq:
 		p.onDiffReq(c)
 	case kindRequest:
-		p.onRequest(c, m.Payload.(reqMsg))
+		rm := delivered(m.Payload.(*reqMsg))
+		p.onRequest(c, rm)
+		p.s.reqs.put(rm)
 	case kindBlock:
-		p.onBlock(c, m)
+		bm := delivered(m.Payload.(*blockMsg))
+		p.onBlock(c, m, bm)
+		p.s.blocks.put(bm)
 	case kindPush:
-		p.onPush(c, m.Payload.(blockMsg))
+		bm := delivered(m.Payload.(*blockMsg))
+		p.onPush(c, bm)
+		p.s.blocks.put(bm)
 	}
+}
+
+// delivered checks a pooled payload on arrival: one that is not live went
+// back to its free list while still in flight, and may since have been
+// handed to another message.
+func delivered[P interface{ inFlight() *bool }](m P) P {
+	if !*m.inFlight() {
+		panic("core: payload delivered after it was returned to its free list")
+	}
+	return m
 }
 
 // ---------------------------------------------------------------------------
@@ -185,7 +228,7 @@ func (p *peer) addSender(id netem.NodeID) {
 	if id == p.node.ID {
 		return
 	}
-	if _, dup := p.senders[id]; dup {
+	if p.senders.has(id) {
 		return
 	}
 	c := p.node.Dial(id)
@@ -193,7 +236,8 @@ func (p *peer) addSender(id netem.NodeID) {
 	sp := &senderPeer{
 		id:          id,
 		conn:        c,
-		advertised:  make(map[int]bool),
+		advertised:  proto.NewBitmap(p.s.maxBlockID()),
+		meter:       trace.NewRateMeter(0.5, 24),
 		desired:     float64(InitialOutstanding),
 		markBlock:   -2,
 		lastArrival: p.s.rt.Now(),
@@ -206,8 +250,7 @@ func (p *peer) addSender(id netem.NodeID) {
 	if p.s.cfg.Selection == SelectDelay {
 		sp.est = new(stream.Estimator)
 	}
-	p.senders[id] = sp
-	p.meters[id] = trace.NewRateMeter(0.5, 24)
+	p.senders.insert(sp)
 	c.SetState(p.node, sp)
 	c.Send(p.node, proto.Message{Kind: kindHello, Size: 16})
 }
@@ -218,23 +261,26 @@ func (p *peer) dropSender(sp *senderPeer, closeConn bool) {
 		return
 	}
 	sp.closed = true
-	delete(p.senders, sp.id)
-	delete(p.meters, sp.id)
-	for id := range sp.advertised {
+	p.senders.remove(sp.id)
+	// A block is only ever claimed at a sender that advertised it, so one
+	// pass over the advertised bits hands back both rarity and claims.
+	owner := claimTag(sp.id)
+	for id := 0; id < sp.advertised.Len(); id++ {
+		if !sp.advertised.Get(id) {
+			continue
+		}
 		if p.rarity[id] > 0 {
 			p.rarity[id]--
 		}
-	}
-	for id, owner := range p.claimed {
-		if owner == sp.id {
-			delete(p.claimed, id)
+		if p.claimed[id] == owner {
+			p.claimed[id] = 0
 		}
 	}
 	if closeConn {
 		sp.conn.Close(p.node)
 	}
 	// Blocks freed from this sender may be requestable elsewhere.
-	for _, other := range p.sortedSenders() {
+	for _, other := range p.senders {
 		p.fillRequests(other)
 	}
 }
@@ -247,17 +293,16 @@ func (p *peer) onReject(c *proto.Conn) {
 }
 
 // onDiff merges newly advertised blocks into the sender's availability.
-func (p *peer) onDiff(c *proto.Conn, d diffMsg) {
+func (p *peer) onDiff(c *proto.Conn, d *diffMsg) {
 	sp, ok := c.State(p.node).(*senderPeer)
 	if !ok || sp.closed {
 		return
 	}
 	added := 0
 	for _, id := range d.ids {
-		if id >= p.store.NumBlocks() || sp.advertised[id] {
+		if id >= p.store.NumBlocks() || !sp.advertised.Set(id) {
 			continue
 		}
-		sp.advertised[id] = true
 		p.rarity[id]++
 		added++
 		if !p.store.Have(id) {
@@ -289,21 +334,17 @@ func (p *peer) fillRequests(sp *senderPeer) {
 		if !ok {
 			break
 		}
-		p.claimed[id] = sp.id
+		p.claimed[id] = claimTag(sp.id)
 		sp.outstanding++
 		p.s.RequestsSent++
 		if sp.markPending && sp.markBlock == -1 {
 			sp.markBlock = id // the marked request (§3.3.3 settling)
 		}
-		sp.conn.Send(p.node, proto.Message{
-			Kind: kindRequest,
-			Size: 24,
-			Payload: reqMsg{
-				id:          id,
-				totalInBW:   p.inRate(),
-				perSenderBW: p.meters[sp.id].Rate(now, 5),
-			},
-		})
+		rm := p.s.reqs.get()
+		rm.id = id
+		rm.totalInBW = p.inRate()
+		rm.perSenderBW = sp.meter.Rate(now, 5)
+		sp.conn.Send(p.node, proto.Message{Kind: kindRequest, Size: 24, Payload: rm})
 	}
 	// Nearly out of known blocks at this sender: ask for a fresh diff
 	// before going idle (§3.3.4 self-clocking).
@@ -317,13 +358,7 @@ func (p *peer) fillRequests(sp *senderPeer) {
 // session's request strategy. Blocks already held or claimed elsewhere are
 // skipped (and compacted out of the availability list as encountered).
 func (p *peer) pickBlock(sp *senderPeer) (int, bool) {
-	usable := func(id int) bool {
-		if p.store.Have(id) {
-			return false
-		}
-		_, taken := p.claimed[id]
-		return !taken
-	}
+	usable := func(id int) bool { return !p.store.Have(id) && p.claimed[id] == 0 }
 	avail := sp.avail
 
 	switch p.s.cfg.Strategy {
@@ -367,14 +402,13 @@ func (p *peer) pickBlock(sp *senderPeer) (int, bool) {
 		if len(avail) == 0 {
 			return 0, false
 		}
-		const rarestSample = 64
 		n := len(avail)
 		sampleN := n
 		if sampleN > rarestSample {
 			sampleN = rarestSample
 		}
 		bestRarity := math.MaxInt
-		var ties []int
+		ties := p.ties[:0]
 		for k := 0; k < sampleN; k++ {
 			i := k
 			if n > rarestSample {
@@ -390,6 +424,7 @@ func (p *peer) pickBlock(sp *senderPeer) (int, bool) {
 				ties = append(ties, i)
 			}
 		}
+		p.ties = ties
 		bestIdx := ties[0]
 		if p.s.cfg.Strategy == RarestRandom {
 			bestIdx = ties[p.rng.Pick(len(ties))]
@@ -409,8 +444,7 @@ func (p *peer) pickBlock(sp *senderPeer) (int, bool) {
 }
 
 // onBlock processes a pulled block arrival.
-func (p *peer) onBlock(c *proto.Conn, m proto.Message) {
-	bm := m.Payload.(blockMsg)
+func (p *peer) onBlock(c *proto.Conn, m proto.Message, bm *blockMsg) {
 	sp, ok := c.State(p.node).(*senderPeer)
 	if !ok || sp.closed {
 		return
@@ -420,8 +454,8 @@ func (p *peer) onBlock(c *proto.Conn, m proto.Message) {
 		sp.outstanding--
 	}
 	sp.lastArrival = now
-	delete(p.claimed, bm.id)
-	p.meters[sp.id].Add(now, p.s.cfg.BlockSize)
+	p.claimed[bm.id] = 0
+	sp.meter.Add(now, p.s.cfg.BlockSize)
 	if sp.est != nil && m.SentAt > 0 {
 		// One-way delay measured from the sender's enqueue time: it
 		// includes sender-side queueing, the delay-gradient signal.
@@ -445,7 +479,7 @@ func (p *peer) onBlock(c *proto.Conn, m proto.Message) {
 // term applies, avoiding the double count the paper warns about. Increases
 // take the ceiling (to actually saturate TCP); after any change the next
 // request is marked and adjustments freeze until it arrives.
-func (p *peer) manageOutstanding(sp *senderPeer, bm blockMsg) {
+func (p *peer) manageOutstanding(sp *senderPeer, bm *blockMsg) {
 	if p.s.cfg.StaticOutstanding > 0 {
 		return
 	}
@@ -456,7 +490,7 @@ func (p *peer) manageOutstanding(sp *senderPeer, bm blockMsg) {
 		}
 		return
 	}
-	bw := p.meters[sp.id].Rate(p.s.rt.Now(), 5)
+	bw := sp.meter.Rate(p.s.rt.Now(), 5)
 	desired := float64(sp.outstanding) + 1
 	if bm.wasted <= 0 || bm.inFront <= 1 {
 		desired -= AlphaWasted * bm.wasted * bw / p.s.cfg.BlockSize
@@ -495,7 +529,7 @@ func (p *peer) acceptBlock(id int) {
 		p.complete = true
 		p.completedAt = now
 		// Release claims; no further requests will be issued.
-		p.claimed = make(map[int]netem.NodeID)
+		clear(p.claimed)
 		p.s.nodeCompleted(p)
 	}
 	// Self-clocked diffs: receivers with nothing queued from us hear about
@@ -504,7 +538,7 @@ func (p *peer) acceptBlock(id int) {
 	if p.s.cfg.PeriodicDiffs > 0 {
 		return
 	}
-	for _, rp := range p.sortedReceivers() {
+	for _, rp := range p.receivers {
 		if rp.conn.QueueLen(p.node) == 0 {
 			p.sendDiff(rp, false)
 		}
@@ -526,12 +560,12 @@ func (p *peer) onHello(c *proto.Conn) {
 		return
 	}
 	peerID := c.Peer(p.node).ID
-	if old, dup := p.receivers[peerID]; dup {
+	if i, dup := p.receivers.index(peerID); dup {
 		// Stale peering replaced by a fresh dial.
-		p.dropReceiver(old, true)
+		p.dropReceiver(p.receivers[i], true)
 	}
 	rp := &receiverPeer{id: peerID, conn: c}
-	p.receivers[peerID] = rp
+	p.receivers.insert(rp)
 	c.SetState(p.node, rp)
 	p.sendDiff(rp, true)
 	if period := p.s.cfg.PeriodicDiffs; period > 0 {
@@ -580,14 +614,14 @@ func (p *peer) sendDiff(rp *receiverPeer, initial bool) {
 		return
 	}
 	rp.diffCursor = cursor
-	out := make([]int, len(ids))
-	copy(out, ids)
-	size := float64(len(out))*4 + 16
+	size := float64(len(ids))*4 + 16
 	if initial {
 		size = p.store.Bitmap().WireSize() + 16
 	}
 	p.s.DiffsSent++
-	rp.conn.Send(p.node, proto.Message{Kind: kindDiff, Size: size, Payload: diffMsg{ids: out, initial: initial}})
+	d := p.s.diffs.get()
+	d.ids, d.initial = ids[:len(ids):len(ids)], initial
+	rp.conn.Send(p.node, proto.Message{Kind: kindDiff, Size: size, Payload: d})
 }
 
 // onDiffReq answers an explicit diff request even when empty, so the
@@ -599,16 +633,16 @@ func (p *peer) onDiffReq(c *proto.Conn) {
 	}
 	ids, cursor := p.store.ArrivalsSince(rp.diffCursor)
 	rp.diffCursor = cursor
-	out := make([]int, len(ids))
-	copy(out, ids)
 	p.s.DiffsSent++
-	c.Send(p.node, proto.Message{Kind: kindDiff, Size: float64(len(out))*4 + 16, Payload: diffMsg{ids: out}})
+	d := p.s.diffs.get()
+	d.ids = ids[:len(ids):len(ids)]
+	c.Send(p.node, proto.Message{Kind: kindDiff, Size: float64(len(ids))*4 + 16, Payload: d})
 }
 
 // onRequest serves one block, measuring the in_front and wasted values the
 // receiver's controller consumes (§3.3.3: "with each block it sends,
 // sender measures and reports two values to the receiver").
-func (p *peer) onRequest(c *proto.Conn, rm reqMsg) {
+func (p *peer) onRequest(c *proto.Conn, rm *reqMsg) {
 	rp, ok := c.State(p.node).(*receiverPeer)
 	if !ok {
 		return
@@ -631,7 +665,8 @@ func (p *peer) onRequest(c *proto.Conn, rm reqMsg) {
 		}
 		wasted = c.QueueBytes(p.node) / rate
 	}
-	bm := blockMsg{id: rm.id, inFront: inFront, wasted: wasted}
+	bm := p.s.blocks.get()
+	bm.id, bm.inFront, bm.wasted = rm.id, inFront, wasted
 	c.Send(p.node, proto.Message{Kind: kindBlock, Size: p.s.cfg.BlockSize + 16, Payload: bm})
 }
 
@@ -641,7 +676,7 @@ func (p *peer) dropReceiver(rp *receiverPeer, closeConn bool) {
 		return
 	}
 	rp.closed = true
-	delete(p.receivers, rp.id)
+	p.receivers.remove(rp.id)
 	if closeConn {
 		rp.conn.Close(p.node)
 	}
@@ -808,7 +843,7 @@ func (p *peer) enforcePeerTargets() {
 	for len(p.senders) > p.maxSenders {
 		var worst *senderPeer
 		var worstSig float64
-		for _, sp := range p.sortedSenders() {
+		for _, sp := range p.senders {
 			if sig := p.senderSignal(sp); worst == nil || sig < worstSig {
 				worst, worstSig = sp, sig
 			}
@@ -820,7 +855,7 @@ func (p *peer) enforcePeerTargets() {
 	}
 	for len(p.receivers) > p.maxReceivers {
 		var worst *receiverPeer
-		for _, rp := range p.sortedReceivers() {
+		for _, rp := range p.receivers {
 			if worst == nil || rp.rate < worst.rate {
 				worst = rp
 			}
@@ -859,7 +894,7 @@ func (p *peer) trimSenders(now sim.Time) {
 		return
 	}
 	var st trace.Stats
-	for _, sp := range p.sortedSenders() {
+	for _, sp := range p.senders {
 		st.Add(p.senderSignal(sp))
 	}
 	if st.Std() <= 0 {
@@ -867,12 +902,12 @@ func (p *peer) trimSenders(now sim.Time) {
 	}
 	cut := st.Mean() - TrimSigma*st.Std()
 	var victims []*senderPeer
-	for _, sp := range p.sortedSenders() {
+	for _, sp := range p.senders {
 		if p.senderSignal(sp) < cut && float64(now-sp.addedAt) >= p.s.cfg.RanSubPeriod {
 			victims = append(victims, sp)
 		}
 	}
-	sort.SliceStable(victims, func(i, j int) bool { return p.senderSignal(victims[i]) < p.senderSignal(victims[j]) })
+	slices.SortStableFunc(victims, func(a, b *senderPeer) int { return cmp.Compare(p.senderSignal(a), p.senderSignal(b)) })
 	for _, sp := range victims {
 		if len(p.senders) <= p.trimFloor() {
 			break
@@ -911,7 +946,7 @@ func (p *peer) trimReceivers() {
 		return rp.rate / total
 	}
 	var st trace.Stats
-	for _, rp := range p.sortedReceivers() {
+	for _, rp := range p.receivers {
 		st.Add(ratio(rp))
 	}
 	if st.Std() <= 0 {
@@ -919,12 +954,12 @@ func (p *peer) trimReceivers() {
 	}
 	cut := st.Mean() - TrimSigma*st.Std()
 	var victims []*receiverPeer
-	for _, rp := range p.sortedReceivers() {
+	for _, rp := range p.receivers {
 		if ratio(rp) < cut {
 			victims = append(victims, rp)
 		}
 	}
-	sort.SliceStable(victims, func(i, j int) bool { return ratio(victims[i]) < ratio(victims[j]) })
+	slices.SortStableFunc(victims, func(a, b *receiverPeer) int { return cmp.Compare(ratio(a), ratio(b)) })
 	for _, rp := range victims {
 		if len(p.receivers) <= p.trimFloor() {
 			break
@@ -940,7 +975,7 @@ func (p *peer) trimReceivers() {
 // connection.
 func (p *peer) reapStaleSenders(now sim.Time) {
 	staleAfter := sim.Time(3 * p.s.cfg.RanSubPeriod)
-	for _, sp := range p.sortedSenders() {
+	for _, sp := range p.sweepSenders() {
 		if sp.outstanding > 0 && now-sp.lastArrival > staleAfter {
 			p.dropSender(sp, true)
 		}
@@ -962,7 +997,7 @@ func (p *peer) replaceExhaustedSenders(now sim.Time) {
 		if c.ID == p.node.ID || c.Summary == nil {
 			continue
 		}
-		if _, dup := p.senders[c.ID]; dup {
+		if p.senders.has(c.ID) {
 			continue
 		}
 		if c.Summary.UsefulTo(p.store, 64) > 0 {
@@ -974,7 +1009,7 @@ func (p *peer) replaceExhaustedSenders(now sim.Time) {
 		return
 	}
 	idleCut := sim.Time(2 * p.s.cfg.RanSubPeriod)
-	for _, sp := range p.sortedSenders() {
+	for _, sp := range p.sweepSenders() {
 		if len(sp.avail) == 0 && sp.outstanding == 0 && now-sp.lastUseful > idleCut {
 			p.dropSender(sp, true)
 		}
@@ -988,16 +1023,12 @@ func (p *peer) acquireSenders() {
 	if need <= 0 || len(p.candidates) == 0 {
 		return
 	}
-	type scored struct {
-		id     netem.NodeID
-		useful float64
-	}
-	var cands []scored
+	cands := p.scored[:0]
 	for _, c := range p.candidates {
 		if c.ID == p.node.ID {
 			continue
 		}
-		if _, dup := p.senders[c.ID]; dup {
+		if p.senders.has(c.ID) {
 			continue
 		}
 		if c.Summary == nil || c.Summary.Count == 0 {
@@ -1007,19 +1038,28 @@ func (p *peer) acquireSenders() {
 		if u <= 0 && p.store.Missing() > 0 {
 			continue
 		}
-		cands = append(cands, scored{c.ID, u})
+		cands = append(cands, scoredCandidate{c.ID, u})
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].useful != cands[j].useful {
-			return cands[i].useful > cands[j].useful
-		}
-		return cands[i].id < cands[j].id
+	p.scored = cands
+	// A total order (candidate ids are distinct), so any sort agrees.
+	slices.SortFunc(cands, func(a, b scoredCandidate) int {
+		return cmp.Or(cmp.Compare(b.useful, a.useful), cmp.Compare(a.id, b.id))
 	})
 	for i := 0; i < len(cands) && need > 0; i++ {
 		p.s.rt.Trace("promote", p.node.ID, cands[i].id, "sender")
 		p.addSender(cands[i].id)
 		need--
 	}
+}
+
+// claimTag is what claimed[b] holds while block b is requested from the
+// sender with the given id.
+func claimTag(id netem.NodeID) int32 { return int32(id) + 1 }
+
+// scoredCandidate is one acquireSenders ranking entry.
+type scoredCandidate struct {
+	id     netem.NodeID
+	useful float64
 }
 
 // inRate returns this node's total incoming bandwidth over a recent window.

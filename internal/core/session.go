@@ -7,6 +7,7 @@ import (
 	"bulletprime/internal/proto"
 	"bulletprime/internal/sim"
 	"bulletprime/internal/stream"
+	"bulletprime/internal/trace"
 	"bulletprime/internal/tree"
 )
 
@@ -22,13 +23,21 @@ const (
 	kindPush               // source→tree child: a pushed block
 )
 
+// The three per-block payloads travel as pointers drawn from the session's
+// free lists (see freeList): whoever sends one gets it from the list, and
+// peer.onMessage puts it back when the handler it was delivered to returns.
+
 type diffMsg struct {
+	// ids aliases the sender's append-only arrival log (capacity clipped to
+	// length), so a diff costs no copy; receivers only read it.
 	ids     []int
 	initial bool
+	live    bool
 }
 
 type reqMsg struct {
-	id int
+	live bool
+	id   int
 	// totalInBW is the receiver's total incoming bandwidth, piggybacked for
 	// the sender's ManageReceivers ratio rule (§3.3.1).
 	totalInBW float64
@@ -38,12 +47,54 @@ type reqMsg struct {
 }
 
 type blockMsg struct {
-	id int
+	live bool
+	id   int
 	// inFront and wasted are the sender-side measurements reported with
 	// every block (§3.3.3): queued blocks ahead of this one, and idle
 	// (negative) or queue-service (positive) time.
 	inFront int
 	wasted  float64
+}
+
+func (m *diffMsg) inFlight() *bool  { return &m.live }
+func (m *reqMsg) inFlight() *bool   { return &m.live }
+func (m *blockMsg) inFlight() *bool { return &m.live }
+
+// freeList recycles one payload type for the life of a session, so the
+// request → block → diff loop boxes no fresh object per message. A payload
+// is live from get until put. One that is never delivered — queued on a
+// connection that closed, addressed to a failed node, lost with a testbed
+// link — is simply never put back and falls to the collector; it cannot be
+// handed out again, so a dropped message never corrupts a later one.
+type freeList[T any, P interface {
+	*T
+	inFlight() *bool
+}] struct {
+	free []P
+}
+
+// get hands out a zeroed payload marked live.
+func (f *freeList[T, P]) get() P {
+	var m P
+	if n := len(f.free); n > 0 {
+		m = f.free[n-1]
+		f.free = f.free[:n-1]
+	} else {
+		m = new(T)
+	}
+	*m.inFlight() = true
+	return m
+}
+
+// put takes a delivered payload back. Returning one that is not live would
+// let two in-flight messages share it, so that panics.
+func (f *freeList[T, P]) put(m P) {
+	if !*m.inFlight() {
+		panic("core: payload returned to its free list twice")
+	}
+	var zero T
+	*m = zero // also drops a diff's reference into the sender's arrival log
+	f.free = append(f.free, m)
 }
 
 // Session is one Bullet' dissemination run over an existing proto.Runtime.
@@ -57,6 +108,10 @@ type Session struct {
 
 	completed int
 	doneAt    sim.Time
+
+	diffs  freeList[diffMsg, *diffMsg]
+	reqs   freeList[reqMsg, *reqMsg]
+	blocks freeList[blockMsg, *blockMsg]
 
 	// Stats aggregated across all nodes.
 	Duplicates   int // blocks received more than once
@@ -203,9 +258,12 @@ type senderPeer struct {
 	// hold; order is arrival order (FirstEncountered consumes from the
 	// head, other strategies swap-remove).
 	avail []int
-	// advertised tracks every id this sender ever advertised (for rarity
-	// bookkeeping on disconnect).
-	advertised map[int]bool
+	// advertised has a bit for every id this sender ever advertised (for
+	// rarity bookkeeping on disconnect): maxBlockID()/8 bytes per sender.
+	advertised *proto.Bitmap
+	// meter measures arrival bandwidth from this sender for the
+	// flow-control formula ("bandwidth measured at the receiver", §3.3.3).
+	meter *trace.RateMeter
 
 	outstanding int
 	// desired is the ManageOutstanding controller state (float; ceiling
@@ -240,6 +298,9 @@ type senderPeer struct {
 
 	closed bool
 }
+
+func (sp *senderPeer) nodeID() netem.NodeID   { return sp.id }
+func (rp *receiverPeer) nodeID() netem.NodeID { return rp.id }
 
 func (sp *senderPeer) limit() int {
 	l := int(sp.desired + 1e-9)

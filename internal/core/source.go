@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"bulletprime/internal/netem"
 	"bulletprime/internal/proto"
@@ -29,7 +29,7 @@ func (p *peer) initSource(children map[netem.NodeID]*proto.Conn) {
 	for id := range children {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	for _, id := range ids {
 		p.pushChildren = append(p.pushChildren, children[id])
 	}
@@ -69,7 +69,7 @@ func (p *peer) releaseStreamBlock() {
 	// Self-clocked diffs (§3.3.4): idle receivers hear about the new
 	// block immediately; in the periodic-diff ablation the timers do it.
 	if p.s.cfg.PeriodicDiffs <= 0 {
-		for _, rp := range p.sortedReceivers() {
+		for _, rp := range p.receivers {
 			if rp.conn.QueueLen(p.node) == 0 {
 				p.sendDiff(rp, false)
 			}
@@ -112,11 +112,9 @@ func (p *peer) pushPump() {
 			if p.s.cfg.Encoded && !p.store.Have(id) {
 				p.store.Add(id, p.s.rt.Now()) // generate on demand
 			}
-			c.Send(p.node, proto.Message{
-				Kind:    kindPush,
-				Size:    p.s.cfg.BlockSize + 16,
-				Payload: blockMsg{id: id},
-			})
+			bm := p.s.blocks.get()
+			bm.id = id
+			c.Send(p.node, proto.Message{Kind: kindPush, Size: p.s.cfg.BlockSize + 16, Payload: bm})
 			p.s.BlocksPushed++
 			p.nextPush++
 			sent = true
@@ -136,6 +134,6 @@ func (p *peer) pushPump() {
 }
 
 // onPush receives a source-pushed block at a control-tree child.
-func (p *peer) onPush(c *proto.Conn, bm blockMsg) {
+func (p *peer) onPush(c *proto.Conn, bm *blockMsg) {
 	p.acceptBlock(bm.id)
 }

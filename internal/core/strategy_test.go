@@ -18,16 +18,16 @@ func strategyPeer(t *testing.T, strat RequestStrategy) *peer {
 func newSyntheticSender(p *peer, id netem.NodeID, avail []int) *senderPeer {
 	sp := &senderPeer{
 		id:         id,
-		advertised: make(map[int]bool),
+		advertised: proto.NewBitmap(p.s.maxBlockID()),
 		desired:    3,
 		markBlock:  -2,
 		avail:      append([]int(nil), avail...),
 	}
 	for _, b := range avail {
-		sp.advertised[b] = true
+		sp.advertised.Set(b)
 		p.rarity[b]++
 	}
-	p.senders[id] = sp
+	p.senders.insert(sp)
 	return sp
 }
 
@@ -40,7 +40,7 @@ func TestFirstEncounteredTakesHeadOrder(t *testing.T) {
 			t.Fatalf("pickBlock = %d,%v, want %d", got, ok, want)
 		}
 		// Simulate the claim so the next pick skips it.
-		p.claimed[got] = sp.id
+		p.claimed[got] = claimTag(sp.id)
 	}
 	if _, ok := p.pickBlock(sp); ok {
 		t.Fatal("pick from exhausted avail succeeded")
@@ -50,8 +50,8 @@ func TestFirstEncounteredTakesHeadOrder(t *testing.T) {
 func TestFirstEncounteredSkipsHeldAndClaimed(t *testing.T) {
 	p := strategyPeer(t, FirstEncountered)
 	sp := newSyntheticSender(p, 2, []int{1, 2, 3})
-	p.store.Add(1, 0) // already held
-	p.claimed[2] = 3  // claimed at another sender
+	p.store.Add(1, 0)          // already held
+	p.claimed[2] = claimTag(3) // claimed at another sender
 	got, ok := p.pickBlock(sp)
 	if !ok || got != 3 {
 		t.Fatalf("pickBlock = %d,%v, want 3", got, ok)
@@ -94,7 +94,7 @@ func TestRarestRandomSpreadsTies(t *testing.T) {
 		for _, b := range []int{40, 41, 42, 43} {
 			p.rarity[b]--
 		}
-		delete(p.senders, sp.id)
+		p.senders.remove(sp.id)
 	}
 	if len(seen) < 2 {
 		t.Fatalf("rarest-random never varied its tie-break: %v", seen)
@@ -114,7 +114,7 @@ func TestRandomCoversAllBlocks(t *testing.T) {
 			t.Fatalf("block %d picked twice", b)
 		}
 		got[b] = true
-		p.claimed[b] = sp.id
+		p.claimed[b] = claimTag(sp.id)
 	}
 }
 
@@ -143,7 +143,7 @@ func TestDiffSelfClockingSkipsBusyReceivers(t *testing.T) {
 	_ = conn
 	c2 := p.node.Dial(2)
 	rp := &receiverPeer{id: 2, conn: c2}
-	p.receivers[2] = rp
+	p.receivers.insert(rp)
 	c2.SetState(p.node, rp)
 	// Make the queue busy with a large message.
 	c2.Send(p.node, proto.Message{Kind: 1, Size: 1e7})
@@ -159,7 +159,7 @@ func TestDiffGoesToIdleReceivers(t *testing.T) {
 	p := r.sess.peers[1]
 	c2 := p.node.Dial(2)
 	rp := &receiverPeer{id: 2, conn: c2}
-	p.receivers[2] = rp
+	p.receivers.insert(rp)
 	c2.SetState(p.node, rp)
 	diffsBefore := r.sess.DiffsSent
 	p.acceptBlock(7)
@@ -173,7 +173,7 @@ func TestIncrementalDiffNeverRepeats(t *testing.T) {
 	p := r.sess.peers[1]
 	c2 := p.node.Dial(2)
 	rp := &receiverPeer{id: 2, conn: c2}
-	p.receivers[2] = rp
+	p.receivers.insert(rp)
 	c2.SetState(p.node, rp)
 
 	p.store.Add(1, 0)

@@ -43,6 +43,10 @@ type PerfBaseline struct {
 	// Benchmarks maps the benchmark name (without the -cpu suffix) to its
 	// pinned entry.
 	Benchmarks map[string]PerfEntry `json:"benchmarks"`
+	// Trajectory is the file's history: one hand-written line per change
+	// that moved a pinned number (what moved, from what to what). The gate
+	// ignores it; `perfgate -write` carries it over.
+	Trajectory []string `json:"trajectory,omitempty"`
 }
 
 // ParseBenchOutput extracts per-benchmark metrics from `go test -bench

@@ -16,8 +16,19 @@
 // delivery), each half's queue is a reusable ring, and serialization and
 // delivery are typed engine events rather than closures. Ownership rule:
 // the runtime owns message nodes from Send until the delivery callback is
-// entered; handlers receive a value copy of the Message, and any Payload
-// object remains caller-owned throughout.
+// entered, and handlers receive a value copy of the Message. The runtime
+// never owns a Payload: it carries the reference from Send to the
+// receiver's OnMessage and then forgets it. A protocol that recycles its
+// payloads (core's request, block and diff messages come from a per-session
+// free list) therefore returns one in the receiving node's OnMessage, when
+// the handler it was delivered to is done with it, and nowhere else. A
+// message that is never delivered — still queued when Conn.Close runs,
+// arriving on a connection that closed meanwhile, addressed to a node whose
+// callbacks Fail cleared, or lost with a transport's link — has its
+// reference dropped with no callback at all, so its payload is never
+// returned and falls to the garbage collector: a recycling protocol must
+// not count on every payload coming back, and nothing it gets back can
+// still be in flight.
 package proto
 
 import (

@@ -16,7 +16,7 @@
 package ransub
 
 import (
-	"sort"
+	"slices"
 
 	"bulletprime/internal/netem"
 	"bulletprime/internal/proto"
@@ -70,12 +70,32 @@ type Agent struct {
 	isRoot   bool
 	parent   *proto.Conn
 	children map[netem.NodeID]*proto.Conn
+	// childIDs is the children's ids in ascending order, fixed by SetLinks:
+	// Go randomizes map iteration and the simulation must stay
+	// deterministic per seed.
+	childIDs []netem.NodeID
 
 	epoch        int
 	collectFrom  map[netem.NodeID]collectMsg
 	childSamples map[netem.NodeID][]Candidate // last completed collect, per child
 	pool         []Candidate                  // root: merged sample from last collect
 	started      bool
+
+	// Scratch for mixFor and mergeCollect, reused across epochs; nothing in it
+	// outlives the call that filled it. The candidate slices those two
+	// return ride in messages and are freshly allocated every time.
+	self    [1]Candidate
+	cands   []Candidate
+	byID    map[netem.NodeID]Candidate
+	order   []netem.NodeID
+	sources []collectSource
+	seen    map[netem.NodeID]bool
+}
+
+// collectSource is one weighted contributor to mergeCollect's sample.
+type collectSource struct {
+	sample []Candidate
+	size   int
 }
 
 // New creates an agent for node n. Wire up links with SetLinks and start the
@@ -95,6 +115,8 @@ func New(n *proto.Node, rng *sim.RNG, period float64, fanout int) *Agent {
 		children:     make(map[netem.NodeID]*proto.Conn),
 		collectFrom:  make(map[netem.NodeID]collectMsg),
 		childSamples: make(map[netem.NodeID][]Candidate),
+		byID:         make(map[netem.NodeID]Candidate),
+		seen:         make(map[netem.NodeID]bool),
 	}
 }
 
@@ -105,6 +127,11 @@ func (a *Agent) SetLinks(isRoot bool, parent *proto.Conn, children map[netem.Nod
 	a.isRoot = isRoot
 	a.parent = parent
 	a.children = children
+	a.childIDs = a.childIDs[:0]
+	for id := range children {
+		a.childIDs = append(a.childIDs, id)
+	}
+	slices.Sort(a.childIDs)
 }
 
 // Start begins periodic epochs; call at the root only.
@@ -116,31 +143,10 @@ func (a *Agent) Start() {
 	a.runEpoch()
 }
 
-// sortedChildIDs returns child ids in ascending order: Go randomizes map
-// iteration and the simulation must stay deterministic per seed.
-func (a *Agent) sortedChildIDs() []netem.NodeID {
-	ids := make([]netem.NodeID, 0, len(a.children))
-	for id := range a.children {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-// sortedSampleIDs returns childSamples keys in ascending order.
-func (a *Agent) sortedSampleIDs() []netem.NodeID {
-	ids := make([]netem.NodeID, 0, len(a.childSamples))
-	for id := range a.childSamples {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
 func (a *Agent) runEpoch() {
 	a.epoch++
-	a.collectFrom = make(map[netem.NodeID]collectMsg)
-	set := a.mixFor(-1, a.pool)
+	clear(a.collectFrom)
+	set := a.mixFor(-1, a.pool, nil)
 	if a.OnDistribute != nil {
 		a.OnDistribute(a.epoch, set)
 	}
@@ -148,16 +154,36 @@ func (a *Agent) runEpoch() {
 		// Degenerate single-node tree: collect completes immediately.
 		a.finishCollect()
 	}
-	for _, id := range a.sortedChildIDs() {
-		c := a.children[id]
-		msg := distributeMsg{epoch: a.epoch, set: a.mixFor(id, a.pool)}
-		c.Send(a.node, proto.Message{
+	a.forward(a.pool)
+	a.node.Runtime().After(a.period, a.runEpoch)
+}
+
+// forward sends every child its mix of the epoch's incoming set. The node's
+// own candidate is summarized once for all of them: nothing can change it
+// between one child's message and the next.
+func (a *Agent) forward(incoming []Candidate) {
+	if len(a.childIDs) == 0 {
+		return
+	}
+	own := a.own()
+	for _, id := range a.childIDs {
+		msg := distributeMsg{epoch: a.epoch, set: a.mixFor(id, incoming, own)}
+		a.children[id].Send(a.node, proto.Message{
 			Kind:    KindDistribute,
 			Size:    candidateWire(len(msg.set)),
 			Payload: msg,
 		})
 	}
-	a.node.Runtime().After(a.period, a.runEpoch)
+}
+
+// own returns this node's current candidate as a one-element slice in agent
+// scratch, or nil when the owner supplied no Summarize.
+func (a *Agent) own() []Candidate {
+	if a.Summarize == nil {
+		return nil
+	}
+	a.self[0] = a.Summarize()
+	return a.self[:]
 }
 
 // Handle processes a RanSub message; the owning protocol calls this for
@@ -176,7 +202,7 @@ func (a *Agent) Handle(c *proto.Conn, m proto.Message) bool {
 
 func (a *Agent) onDistribute(d distributeMsg) {
 	a.epoch = d.epoch
-	a.collectFrom = make(map[netem.NodeID]collectMsg)
+	clear(a.collectFrom)
 	if a.OnDistribute != nil {
 		a.OnDistribute(d.epoch, d.set)
 	}
@@ -184,15 +210,7 @@ func (a *Agent) onDistribute(d distributeMsg) {
 		a.sendCollect()
 		return
 	}
-	for _, id := range a.sortedChildIDs() {
-		c := a.children[id]
-		msg := distributeMsg{epoch: d.epoch, set: a.mixFor(id, d.set)}
-		c.Send(a.node, proto.Message{
-			Kind:    KindDistribute,
-			Size:    candidateWire(len(msg.set)),
-			Payload: msg,
-		})
-	}
+	a.forward(d.set)
 }
 
 func (a *Agent) onCollect(from netem.NodeID, cm collectMsg) {
@@ -233,32 +251,30 @@ func (a *Agent) finishCollect() {
 // mergeCollect draws a weighted uniform sample over this node's subtree:
 // each child contributes proportionally to its subtree size, plus self.
 func (a *Agent) mergeCollect() ([]Candidate, int) {
-	type src struct {
-		sample []Candidate
-		size   int
-	}
-	var sources []src
+	sources := a.sources[:0]
 	total := 1 // self
-	if a.Summarize != nil {
-		sources = append(sources, src{sample: []Candidate{a.Summarize()}, size: 1})
+	if own := a.own(); own != nil {
+		sources = append(sources, collectSource{sample: own, size: 1})
 	}
-	for _, id := range a.sortedChildIDs() {
+	for _, id := range a.childIDs {
 		cm, ok := a.collectFrom[id]
 		if !ok || len(cm.sample) == 0 {
 			continue
 		}
-		sources = append(sources, src{sample: cm.sample, size: cm.subtreeSize})
+		sources = append(sources, collectSource{sample: cm.sample, size: cm.subtreeSize})
 		total += cm.subtreeSize
 	}
+	a.sources = sources
 	out := make([]Candidate, 0, a.fanout)
-	seen := make(map[netem.NodeID]bool)
+	seen := a.seen
+	clear(seen)
 	// Weighted draws with rejection of duplicates; bounded attempts keep it
 	// cheap while approximating a uniform subtree sample.
 	attempts := a.fanout * 4
 	for len(out) < a.fanout && attempts > 0 && len(sources) > 0 {
 		attempts--
 		r := a.rng.Intn(total)
-		var chosen *src
+		var chosen *collectSource
 		for i := range sources {
 			if r < sources[i].size {
 				chosen = &sources[i]
@@ -281,27 +297,26 @@ func (a *Agent) mergeCollect() ([]Candidate, int) {
 
 // mixFor assembles the distribute set for one child (or for local delivery
 // when child == -1): the incoming set blended with samples from other
-// subtrees and self, excluding the child itself, compacted to fanout.
-func (a *Agent) mixFor(child netem.NodeID, incoming []Candidate) []Candidate {
-	var cands []Candidate
-	cands = append(cands, incoming...)
-	for _, id := range a.sortedSampleIDs() {
+// subtrees and own (this node's candidate; nil for local delivery),
+// excluding the child itself, compacted to fanout.
+func (a *Agent) mixFor(child netem.NodeID, incoming, own []Candidate) []Candidate {
+	cands := append(a.cands[:0], incoming...)
+	for _, id := range a.childIDs {
 		if id == child {
 			continue // non-descendants flavor
 		}
 		cands = append(cands, a.childSamples[id]...)
 	}
-	if a.Summarize != nil && child != -1 {
-		cands = append(cands, a.Summarize())
-	}
+	cands = append(cands, own...)
+	a.cands = cands
 	// De-duplicate by id keeping the freshest entry (later wins: the
 	// node's own just-built summary overrides stale pool copies). The
 	// receiving child is never advertised to itself; this node's own
 	// candidacy is excluded only from its local delivery (child == -1) —
 	// forwarded sets must keep it, or a node could never be discovered by
 	// its own subtree (in particular, the source by its tree children).
-	byID := make(map[netem.NodeID]Candidate, len(cands))
-	order := make([]netem.NodeID, 0, len(cands))
+	byID, order := a.byID, a.order[:0]
+	clear(byID)
 	for _, c := range cands {
 		if c.ID == child {
 			continue
@@ -314,6 +329,7 @@ func (a *Agent) mixFor(child netem.NodeID, incoming []Candidate) []Candidate {
 		}
 		byID[c.ID] = c
 	}
+	a.order = order
 	// Uniformly subsample to fanout.
 	a.rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 	if len(order) > a.fanout {

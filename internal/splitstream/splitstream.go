@@ -9,7 +9,7 @@
 package splitstream
 
 import (
-	"sort"
+	"slices"
 
 	"bulletprime/internal/netem"
 	"bulletprime/internal/proto"
@@ -120,7 +120,7 @@ func NewSession(rt *proto.Runtime, cfg Config, rng *sim.RNG) *Session {
 // other member as a leaf, balancing leaves across interior nodes.
 func (s *Session) buildTrees() {
 	members := append([]netem.NodeID(nil), s.cfg.Members...)
-	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
+	slices.Sort(members)
 	var nonSource []netem.NodeID
 	for _, id := range members {
 		if id != s.cfg.Source {
@@ -193,7 +193,7 @@ func (s *Session) Start() {
 			queue = queue[1:]
 			p := s.peers[id]
 			kids := append([]netem.NodeID(nil), t.children[id]...)
-			sort.Slice(kids, func(i, j int) bool { return kids[i] < kids[j] })
+			slices.Sort(kids)
 			for _, cid := range kids {
 				c := p.node.Dial(cid)
 				c.IsData = func(kind int) bool { return kind == kindBlock }
