@@ -592,11 +592,11 @@ func shardedBench5000(b *testing.B, workers int) {
 	for i := 0; i < b.N; i++ {
 		topo := harness.ClusteredTopologyCompact(5000, 25)(sim.NewRNG(7).Stream("topo"))
 		rig := harness.NewShardedRig(topo, 7, 8)
-		build, ok := harness.LookupShardedSystem("scalefill")
+		entry, ok := harness.LookupSystem("scalefill")
 		if !ok {
 			b.Fatal("scalefill not registered")
 		}
-		sys := build(harness.ShardBuildCtx{Rig: rig,
+		sys := entry.BuildSharded(harness.ShardBuildCtx{Rig: rig,
 			Workload: harness.Workload{FileBytes: 1.5e6, BlockSize: 16 * 1024}})
 		sys.Start()
 		rig.Group.Run(12, workers, nil)

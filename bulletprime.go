@@ -115,9 +115,9 @@ const (
 	EngineSequential = harness.EngineSequential
 	// EngineSharded partitions a run into per-cluster shards executing in
 	// parallel under a conservative lookahead clock (DESIGN.md §9). It
-	// requires a clustered network preset and a protocol registered for
-	// sharded execution (harness.RegisterShardedSystem), and does not
-	// support scenarios — sharded systems drive their own per-shard
+	// requires a clustered network preset and a protocol registered with a
+	// sharded builder (ProtocolScalefill), and excludes scenarios and
+	// DynamicBandwidth — sharded systems drive their own per-shard
 	// dynamics. Observers and the sampled time-series work: samples are
 	// merged from per-shard counters at horizon barriers (DESIGN.md §12),
 	// and an observed run stays bit-identical to an unobserved one.
@@ -324,32 +324,25 @@ type RunConfig struct {
 	Encoded           bool            // source fountain-coding mode
 }
 
-// normalized is the single place RunConfig defaults and seed-independent
-// validation live: every entry point (New, Run, Sweep cells) goes through
-// it, so a misconfiguration fails the same way everywhere instead of being
-// silently ignored by some paths.
+// normalized is the single place RunConfig defaults live, together with the
+// rules about fields only the façade has (Nodes, FileBytes, Parallel,
+// Encoded, Testbed option ranges, shard knobs without the sharded engine,
+// registry names). Which features combine is the harness's one rule table,
+// harness.SweepSpec.Check, which New runs on the lowered spec; every entry
+// point (New, Run, Sweep cells) goes through both, so a misconfiguration
+// fails the same way everywhere.
 func (cfg RunConfig) normalized() (RunConfig, error) {
 	if cfg.Nodes < 8 {
 		return cfg, fmt.Errorf("bulletprime: need at least 8 nodes, got %d", cfg.Nodes)
 	}
+	if cfg.BlockSize <= 0 {
+		cfg.BlockSize = 16 * 1024
+	}
 	if cfg.Stream != nil {
-		// Streaming validation and defaults live before the FileBytes check:
-		// a stream derives its content size from rate × duration.
+		// A stream derives its content size from rate × duration.
 		s := *cfg.Stream
-		if s.BitrateBps <= 0 {
-			return cfg, fmt.Errorf("bulletprime: Stream.BitrateBps must be positive, got %v", s.BitrateBps)
-		}
-		if s.Duration <= 0 {
-			return cfg, fmt.Errorf("bulletprime: Stream.Duration must be positive, got %v", s.Duration)
-		}
 		if cfg.FileBytes != 0 {
 			return cfg, fmt.Errorf("bulletprime: a streaming run derives FileBytes from BitrateBps × Duration; leave it zero")
-		}
-		if cfg.Engine == EngineSharded {
-			return cfg, fmt.Errorf("bulletprime: streaming runs require the sequential engine (the lag tracker samples one clock)")
-		}
-		if cfg.Network == NetworkTestbedUDP || cfg.Testbed != nil {
-			return cfg, fmt.Errorf("bulletprime: streaming runs do not support the testbed backend (lag tracking needs the deterministic emulated clock)")
 		}
 		if cfg.Encoded {
 			return cfg, fmt.Errorf("bulletprime: Stream and Encoded both redefine the source emission; pick one")
@@ -370,9 +363,6 @@ func (cfg RunConfig) normalized() (RunConfig, error) {
 			s.Drain = harness.DefaultDrain
 		}
 		cfg.Stream = &s
-		if cfg.BlockSize <= 0 {
-			cfg.BlockSize = 16 * 1024
-		}
 		blocks := math.Ceil(s.BitrateBps * s.Duration / cfg.BlockSize)
 		if blocks < 1 {
 			blocks = 1
@@ -391,9 +381,6 @@ func (cfg RunConfig) normalized() (RunConfig, error) {
 	if cfg.Network == "" {
 		cfg.Network = NetworkModelNet
 	}
-	if cfg.BlockSize <= 0 {
-		cfg.BlockSize = 16 * 1024
-	}
 	if cfg.Deadline <= 0 {
 		cfg.Deadline = 3600
 	}
@@ -406,18 +393,7 @@ func (cfg RunConfig) normalized() (RunConfig, error) {
 	if cfg.Trace != nil && cfg.Trace.Capacity < 0 {
 		return cfg, fmt.Errorf("bulletprime: Trace.Capacity must be >= 0, got %d", cfg.Trace.Capacity)
 	}
-	// The testbed combination rules live here, next to the sharded ones, so
-	// every entry point rejects a conflicted config with the same message.
 	if cfg.Network == NetworkTestbedUDP {
-		if cfg.Engine == EngineSharded {
-			return cfg, fmt.Errorf("bulletprime: testbed runs do not support the sharded engine (one wall clock cannot drive parallel shard clocks)")
-		}
-		if cfg.Scenario != nil {
-			return cfg, fmt.Errorf("bulletprime: testbed runs do not support scenarios (scenario programs drive the emulated network)")
-		}
-		if cfg.DynamicBandwidth {
-			return cfg, fmt.Errorf("bulletprime: testbed runs do not support DynamicBandwidth (there is no emulated bandwidth to change)")
-		}
 		if cfg.Testbed == nil {
 			cfg.Testbed = &TestbedOptions{}
 		}
@@ -430,30 +406,12 @@ func (cfg RunConfig) normalized() (RunConfig, error) {
 	} else if cfg.Testbed != nil {
 		return cfg, fmt.Errorf("bulletprime: Testbed options require Network: NetworkTestbedUDP, got %q", cfg.Network)
 	}
-	if cfg.Engine == EngineSharded {
-		if cfg.Scenario != nil {
-			return cfg, fmt.Errorf("bulletprime: sharded runs do not support scenarios; sharded systems drive their own per-shard dynamics")
-		}
-		if cfg.DynamicBandwidth {
-			return cfg, fmt.Errorf("bulletprime: sharded runs do not support DynamicBandwidth")
-		}
-		if _, ok := harness.LookupShardedSystem(string(cfg.Protocol)); !ok {
-			return cfg, fmt.Errorf("bulletprime: protocol %q is not registered for sharded execution (registered: %v)",
-				cfg.Protocol, harness.ShardedSystemNames())
-		}
-	} else {
-		if cfg.Shards != 0 || cfg.ShardWorkers != 0 {
-			return cfg, fmt.Errorf("bulletprime: Shards/ShardWorkers are sharded-engine knobs; set Engine: EngineSharded")
-		}
-		sysName, ok := lookupProtocol(cfg.Protocol)
-		if !ok {
-			return cfg, fmt.Errorf("bulletprime: unknown protocol %q (registered: %v)",
-				cfg.Protocol, Protocols())
-		}
-		if cfg.Stream != nil && !harness.StreamCapable(sysName) {
-			return cfg, fmt.Errorf("bulletprime: protocol %q does not support live streaming (its source cannot pace emission)",
-				cfg.Protocol)
-		}
+	if cfg.Engine != EngineSharded && (cfg.Shards != 0 || cfg.ShardWorkers != 0) {
+		return cfg, fmt.Errorf("bulletprime: Shards/ShardWorkers are sharded-engine knobs; set Engine: EngineSharded")
+	}
+	if _, ok := lookupProtocol(cfg.Protocol); !ok {
+		return cfg, fmt.Errorf("bulletprime: unknown protocol %q (registered: %v)",
+			cfg.Protocol, Protocols())
 	}
 	if _, ok := lookupNetwork(cfg.Network); !ok {
 		return cfg, fmt.Errorf("bulletprime: unknown network preset %q (registered: %v)",
@@ -462,19 +420,12 @@ func (cfg RunConfig) normalized() (RunConfig, error) {
 	return cfg, nil
 }
 
-// buildSpec lowers a normalized RunConfig into a harness spec; every
-// session and sweep cell shares it, so a sweep's rigs are bit-identical to
-// single runs.
+// buildSpec lowers a normalized RunConfig into a harness spec and runs the
+// harness's rule table on it; every session and sweep cell shares it, so a
+// sweep's rigs are bit-identical to single runs.
 func buildSpec(cfg RunConfig) (harness.SweepSpec, error) {
 	var spec harness.SweepSpec
 	systemName, _ := lookupProtocol(cfg.Protocol)
-	if cfg.Engine == EngineSharded {
-		// Sharded protocols resolve through the harness's sharded registry
-		// under their façade name; normalized() already vetted membership.
-		systemName = string(cfg.Protocol)
-	}
-	netBuild, _ := lookupNetwork(cfg.Network)
-	topoFn := netBuild(cfg.Nodes)
 
 	var dyn func(*harness.Rig)
 	if cfg.DynamicBandwidth {
@@ -515,10 +466,9 @@ func buildSpec(cfg RunConfig) (harness.SweepSpec, error) {
 		tracer = obs.NewTracer(cfg.Trace.Capacity)
 	}
 
-	return harness.SweepSpec{
+	spec = harness.SweepSpec{
 		Label:    fmt.Sprintf("%s/%s/seed%d", cfg.Protocol, cfg.Network, cfg.Seed),
 		Seed:     cfg.Seed,
-		TopoFn:   topoFn,
 		Dynamics: dyn,
 		System:   systemName,
 		Workload: harness.Workload{FileBytes: cfg.FileBytes, BlockSize: cfg.BlockSize},
@@ -531,7 +481,16 @@ func buildSpec(cfg RunConfig) (harness.SweepSpec, error) {
 		Testbed:  tb,
 		Stream:   streamSpec(cfg.Stream),
 		Tracer:   tracer,
-	}, nil
+	}
+	if err := spec.Check(); err != nil {
+		return spec, err
+	}
+	// The topology generator comes after the rules: a preset may refuse a
+	// node count outright (the clustered ones want whole clusters), and a
+	// config no backend could run should hear about that first.
+	netBuild, _ := lookupNetwork(cfg.Network)
+	spec.TopoFn = netBuild(cfg.Nodes)
+	return spec, nil
 }
 
 // streamSpec lowers the façade's (already-normalized) stream options to the

@@ -11,7 +11,6 @@ import (
 	"bulletprime/internal/lab"
 	"bulletprime/internal/netem"
 	"bulletprime/internal/proto"
-	"bulletprime/internal/sim"
 	"bulletprime/internal/trace"
 )
 
@@ -236,13 +235,17 @@ func (e *Experiment) run(ctx context.Context) {
 		rec = newRecorder(e)
 		hooks.TickEvery = rec.every
 		if e.cfg.Engine == EngineSharded {
-			// Sharded runs sample at horizon barriers through the sharded
-			// hook pair; the single-engine hooks stay nil.
-			hooks.OnShardStart = rec.onShardStart
-			hooks.OnShardTick = rec.shardTick
+			// The harness delivers the same two moments through the hook
+			// pair that takes a sharded rig, and refuses the rig-level ones.
+			hooks.OnShardStart = func(rig *harness.ShardedRig, sys harness.System) { rec.start(rig, sys) }
+			hooks.OnShardTick = func(*harness.ShardedRig, harness.System) { rec.tick() }
 		} else {
-			hooks.OnStart = rec.onStart
-			hooks.OnTick = rec.tick
+			hooks.OnStart = func(rig *harness.Rig, sys harness.System) {
+				rec.rig = rig
+				rec.gauger, _ = rig.RT.Transport.(proto.Gauger)
+				rec.start(rig, sys)
+			}
+			hooks.OnTick = func(*harness.Rig, harness.System) { rec.tick() }
 			hooks.Annotate = rec.annotate
 			if rec.perNode {
 				hooks.OnBlock = rec.onBlock
@@ -263,7 +266,7 @@ func (e *Experiment) run(ctx context.Context) {
 	hres := harness.RunSpec(spec)
 	res := toResult(hres)
 	if hres.Err != nil {
-		// The run never executed (testbed setup failure); surface it through
+		// The run never executed (its rig could not be built); surface it through
 		// Wait alongside the empty result, and never archive it.
 		e.res = res
 		e.recordErr = hres.Err
@@ -274,15 +277,11 @@ func (e *Experiment) run(ctx context.Context) {
 		close(e.done)
 		return
 	}
-	if rec != nil && (rec.rig != nil || rec.srig != nil) {
+	if rec != nil && rec.probe != nil {
 		// Flush a closing sample so the series covers the tail (or, for a
 		// cancelled run, the stop instant).
 		if n := len(rec.series); n == 0 || rec.series[n-1].Time < res.Elapsed {
-			if rec.srig != nil {
-				rec.shardTick(rec.srig, rec.ssys)
-			} else {
-				rec.tick(rec.rig, rec.sys)
-			}
+			rec.tick()
 		}
 		res.Series = rec.series
 		res.Annotations = rec.annotations
@@ -311,9 +310,18 @@ func (e *Experiment) run(ctx context.Context) {
 	close(e.done)
 }
 
+// rigProbe is what the recorder reads of a rig, whichever shape it has: a
+// coherent counter snapshot, and the data-rate meters it asked for (one on a
+// single rig, one per shard on a sharded one, summed in slot order).
+type rigProbe interface {
+	Counters() harness.Counters
+	InstallMeters(bucket float64, buckets int) []*trace.RateMeter
+}
+
 // recorder samples one run's metrics on the simulation's tick hook. All of
-// its methods execute on the run's event loop; observers receive copies
-// over channels.
+// its methods execute on the run's event loop — at horizon barriers on a
+// sharded run, with no shard worker active — and only read state; observers
+// receive copies over channels.
 type recorder struct {
 	every     float64
 	blockSize float64
@@ -324,22 +332,18 @@ type recorder struct {
 	// is negative and only subscribed streams want samples.
 	recordSeries bool
 
-	rig    *harness.Rig
+	probe  rigProbe
 	sys    harness.System
-	meter  *trace.RateMeter
+	meters []*trace.RateMeter
+	// rig is the single rig of a sequential or testbed run, where the
+	// stream tracker, per-node progress and the annotation clock live; nil
+	// on a sharded run.
+	rig    *harness.Rig
 	blocks []int
 	// gauger is the transport's live-state probe (testbed runs only); it
 	// is called from tick events on the run-loop goroutine, the only place
 	// transport state mutates.
 	gauger proto.Gauger
-
-	// Sharded-run state: the sharded rig/system pair plus one data-rate
-	// meter per shard, installed before the group starts. shardTick merges
-	// them at horizon barriers in ascending slot order, so float sums are
-	// deterministic.
-	srig        *harness.ShardedRig
-	ssys        harness.ShardSystem
-	shardMeters []*trace.RateMeter
 
 	pending     []Annotation
 	annotations []Annotation
@@ -364,9 +368,6 @@ func newRecorder(e *Experiment) *recorder {
 		observers:    e.observers,
 		perNode:      perNode,
 		recordSeries: e.cfg.SampleEvery > 0,
-		// The goodput meter resolves rates over windows up to ~4 sample
-		// periods at quarter-period granularity.
-		meter: trace.NewRateMeter(every/4, 16),
 	}
 	if perNode {
 		rec.blocks = make([]int, e.cfg.Nodes)
@@ -374,23 +375,13 @@ func newRecorder(e *Experiment) *recorder {
 	return rec
 }
 
-// onStart installs the goodput meter on the rig's runtime before the
-// protocol starts, and probes the transport (if any) for live gauges.
-func (rec *recorder) onStart(rig *harness.Rig, sys harness.System) {
-	rec.rig = rig
+// start runs before the protocol starts: it keeps the rig and system to
+// sample, and installs the goodput meters, which resolve rates over windows
+// up to ~4 sample periods at quarter-period granularity.
+func (rec *recorder) start(p rigProbe, sys harness.System) {
+	rec.probe = p
 	rec.sys = sys
-	rig.RT.DataMeter = rec.meter
-	if g, ok := rig.RT.Transport.(proto.Gauger); ok {
-		rec.gauger = g
-	}
-}
-
-// onShardStart is onStart's sharded counterpart: it stashes the rig/system
-// pair and hangs one data-rate meter on every shard's runtime.
-func (rec *recorder) onShardStart(rig *harness.ShardedRig, sys harness.ShardSystem) {
-	rec.srig = rig
-	rec.ssys = sys
-	rec.shardMeters = rig.InstallMeters(rec.every/4, 16)
+	rec.meters = p.InstallMeters(rec.every/4, 16)
 }
 
 // onBlock tracks per-node block counts (novel arrivals only).
@@ -440,30 +431,34 @@ func (rec *recorder) nodeProgress() []NodeProgress {
 	return out
 }
 
-// tick is the sampling clock: it assembles one Sample, appends it to the
-// series, and fans it out to every observer whose cadence is due.
-func (rec *recorder) tick(rig *harness.Rig, sys harness.System) {
-	now := float64(rig.Eng.Now())
-	dup := harness.SystemDuplicates(sys)
+// tick is the sampling clock: it assembles one Sample from the rig's
+// counter snapshot, appends it to the series, and fans it out to every
+// observer whose cadence is due.
+func (rec *recorder) tick() {
+	c := rec.probe.Counters()
+	now := float64(c.Now)
+	dup := harness.SystemDuplicates(rec.sys)
 	dupBytes := float64(dup) * rec.blockSize
-	useful := rig.RT.DataBytes - dupBytes
+	useful := c.DataBytes - dupBytes
 	if useful < 0 {
 		useful = 0
 	}
 	s := Sample{
 		Time:            now,
-		Completed:       len(rig.Done),
+		Completed:       c.Completed,
 		Receivers:       rec.receivers,
-		GoodputBps:      rec.meter.Rate(rig.Eng.Now(), rec.every),
-		ControlBytes:    rig.RT.ControlBytes,
-		DataBytes:       rig.RT.DataBytes,
+		ControlBytes:    c.ControlBytes,
+		DataBytes:       c.DataBytes,
 		DuplicateBlocks: dup,
 		DuplicateBytes:  dupBytes,
 		UsefulBytes:     useful,
 		Annotations:     rec.takePending(),
 	}
-	if rig.Stream != nil {
-		ls := rig.Stream.Sample(now)
+	for _, m := range rec.meters {
+		s.GoodputBps += m.Rate(c.Now, rec.every)
+	}
+	if rec.rig != nil && rec.rig.Stream != nil {
+		ls := rec.rig.Stream.Sample(now)
 		s.StreamLagP50 = ls.LagP50
 		s.StreamLagMax = ls.LagMax
 		s.Rebuffering = ls.Rebuffering
@@ -477,44 +472,6 @@ func (rec *recorder) tick(rig *harness.Rig, sys harness.System) {
 		s.TestbedUnackedBytes = g.UnackedBytes
 		s.TestbedRetransmits = g.Retransmits
 		s.TestbedInjectedDrops = g.InjectedDrops
-	}
-	rec.emit(s)
-}
-
-// shardTick is the sampling clock of a sharded run. It fires at horizon
-// barriers — every shard's clock sits at exactly the same instant, with no
-// worker goroutine active — and merges per-shard counters in ascending
-// slot order, so every float sum is performed in a deterministic order and
-// an observed run's samples are a pure read of state the unobserved run
-// also passes through.
-func (rec *recorder) shardTick(rig *harness.ShardedRig, sys harness.ShardSystem) {
-	var at sim.Time
-	for _, slot := range rig.Slots {
-		// All slot clocks agree at a barrier; max() also covers the final
-		// flush after a cancelled run, where they may not.
-		if t := slot.Eng.Now(); t > at {
-			at = t
-		}
-	}
-	s := Sample{
-		Time:      float64(at),
-		Receivers: rec.receivers,
-	}
-	for _, slot := range rig.Slots {
-		s.Completed += len(slot.Done)
-		s.ControlBytes += slot.RT.ControlBytes
-		s.DataBytes += slot.RT.DataBytes
-	}
-	for _, m := range rec.shardMeters {
-		s.GoodputBps += m.Rate(at, rec.every)
-	}
-	if d, ok := sys.(interface{ DuplicateBlocks() int }); ok {
-		s.DuplicateBlocks = d.DuplicateBlocks()
-	}
-	s.DuplicateBytes = float64(s.DuplicateBlocks) * rec.blockSize
-	s.UsefulBytes = s.DataBytes - s.DuplicateBytes
-	if s.UsefulBytes < 0 {
-		s.UsefulBytes = 0
 	}
 	rec.emit(s)
 }

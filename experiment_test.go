@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"bulletprime"
@@ -285,14 +286,18 @@ func TestThirdPartyRegistryRoundTrip(t *testing.T) {
 	if !res2.Finished {
 		t.Fatal("bulletprime on third-party network did not finish")
 	}
-	found := false
-	for _, p := range bulletprime.Protocols() {
-		if p == "test-oracle" {
-			found = true
+	// Protocols() is what the "unknown protocol" error prints: it must list
+	// every name New accepts, the sharded engine's workload included.
+	listed := bulletprime.Protocols()
+	for _, p := range []bulletprime.Protocol{"test-oracle", bulletprime.ProtocolBulletPrime,
+		bulletprime.ProtocolBullet, bulletprime.ProtocolBitTorrent, bulletprime.ProtocolSplitStream,
+		bulletprime.ProtocolStream, bulletprime.ProtocolScalefill} {
+		if !slices.Contains(listed, p) {
+			t.Errorf("Protocols() = %v does not list %q, which New accepts", listed, p)
 		}
 	}
-	if !found {
-		t.Fatal("Protocols() does not list the registered protocol")
+	if !slices.IsSorted(listed) {
+		t.Errorf("Protocols() = %v is not sorted", listed)
 	}
 }
 

@@ -129,32 +129,22 @@ func (k ProtoKind) String() string {
 	return "unknown"
 }
 
-// BuildSystem instantiates a protocol session over all rig members. The
-// coreMut hook lets figure generators tweak Bullet' config (strategies,
-// static peers, outstanding limits); it is ignored for the other systems.
+// BuildSystem instantiates a paper protocol's session over all rig members,
+// for callers that drive a rig by hand. The coreMut hook lets figure
+// generators tweak Bullet' config (strategies, static peers, outstanding
+// limits); it is ignored for the other systems.
 func (r *Rig) BuildSystem(kind ProtoKind, w Workload, coreMut func(*core.Config)) System {
-	return r.BuildSystemFor(kind, w, coreMut, r.Members, "")
+	e, _ := LookupSystem(kind.String()) // the four kinds register at init
+	return r.build(e.Build, w, coreMut, r.Members, "")
 }
 
-// BuildSystemFor instantiates a protocol session over one cohort of members;
-// the first member is the session source. streamSuffix distinguishes the RNG
-// streams of concurrent sessions (flash-crowd waves) on one rig; the empty
-// suffix is the classic single-session stream.
-func (r *Rig) BuildSystemFor(kind ProtoKind, w Workload, coreMut func(*core.Config),
-	members []netem.NodeID, streamSuffix string) System {
-	return r.BuildNamedSystem(kind.String(), w, coreMut, members, streamSuffix)
-}
-
-// BuildNamedSystem instantiates the registered system with the given name
-// over one cohort; see RegisterSystem for the open registry the four paper
-// protocols and third-party systems share.
-func (r *Rig) BuildNamedSystem(name string, w Workload, coreMut func(*core.Config),
+// build instantiates one session over one cohort of members; the first
+// member is the session source. streamSuffix distinguishes the RNG streams
+// of concurrent sessions (flash-crowd waves) on one rig; the empty suffix is
+// the classic single-session stream.
+func (r *Rig) build(b SystemBuilder, w Workload, coreMut func(*core.Config),
 	members []netem.NodeID, streamSuffix string) System {
 
-	b, ok := LookupSystem(name)
-	if !ok {
-		panic(fmt.Sprintf("harness: unknown system %q (registered: %v)", name, SystemNames()))
-	}
 	return b(BuildCtx{
 		Rig:          r,
 		Workload:     w,
@@ -181,9 +171,10 @@ type RunResult struct {
 	// Overheads from the runtime's accounting.
 	ControlBytes float64
 	DataBytes    float64
-	// Err reports a run that could not execute at all — a testbed setup
-	// failure (socket bind) or an unsupported spec combination. The other
-	// fields are then empty, never partial.
+	// Err reports a run that could not execute at all — a spec SweepSpec.Check
+	// refuses, or a rig that could not be built (socket bind, a topology the
+	// sharded engine cannot partition). The other fields are then empty,
+	// never partial or nil, and OnResult does not fire.
 	Err error
 	// Stream holds the live-streaming report of a stream-mode run
 	// (SweepSpec.Stream): per-viewer lag, jitter, rebuffer, and goodput
@@ -216,6 +207,10 @@ func RunOne(label string, seed int64, topoFn func(*sim.RNG) *netem.Topology,
 // callbacks execute on the run's event loop; they must only read rig and
 // system state (writing would break the bit-identity of observed and
 // unobserved runs).
+//
+// There are two start/tick pairs because there are two rig shapes and the
+// callbacks take the rig: benchmark/ is written against both signatures, so
+// they are the public surface. RunSpec treats them as one hook.
 type Hooks struct {
 	// OnStart fires once after the rig and system are built, immediately
 	// before System.Start.
@@ -231,15 +226,13 @@ type Hooks struct {
 	// construction; see the Rig fields of the same names.
 	OnBlock  func(node netem.NodeID, blockID, count int)
 	Annotate func(text string)
-	// OnShardStart and OnShardTick are the sharded-engine analogues of
-	// OnStart and OnTick: OnShardStart fires once after the sharded rig and
-	// per-shard systems are built, immediately before the systems start;
-	// OnShardTick fires every TickEvery virtual seconds at a horizon
-	// barrier, when every shard's clock has reached exactly the same
-	// instant — the only moments a cross-shard snapshot is coherent.
-	// Both run on the caller's goroutine while no shard worker is active,
-	// and must only read state. Ignored by the other engines, as OnStart,
-	// OnTick, OnBlock, and Annotate are ignored by the sharded engine.
+	// OnShardStart and OnShardTick are OnStart and OnTick on the sharded
+	// engine. OnShardTick fires at a horizon barrier, when every shard's
+	// clock has reached exactly the same instant — the only moments a
+	// cross-shard snapshot is coherent. Both run on the caller's goroutine
+	// while no shard worker is active. The other engines ignore them; the
+	// sharded engine refuses OnStart, OnTick, OnBlock, and Annotate
+	// (SweepSpec.Check).
 	OnShardStart func(*ShardedRig, ShardSystem)
 	OnShardTick  func(*ShardedRig, ShardSystem)
 	// OnResult fires once with the finished RunResult, just before RunSpec
@@ -250,35 +243,95 @@ type Hooks struct {
 	OnResult func(*RunResult)
 }
 
-// RunSpec executes one experiment spec: rig construction, the optional
-// compiled scenario (timeline events plus flash-crowd wave sessions), the
-// optional dynamics hook, then the run itself. Every sweep cell and RunOne
-// go through here, so a sweep's rigs are bit-identical to single runs.
-// Hooks only read state, so an observed run is bit-identical to an
-// unobserved one with the same spec.
+// Counters is one coherent reading of a run's clock and cumulative
+// counters. Both rig shapes produce it — a sharded rig by summing its slots
+// in slot order, so float sums are deterministic — and both RunResult and
+// observers' samples are made from it.
+type Counters struct {
+	// Now is the virtual clock: the furthest any shard has run.
+	Now sim.Time
+	// Completed counts nodes that have finished.
+	Completed int
+	// Delivered wire bytes from the runtime's accounting.
+	ControlBytes float64
+	DataBytes    float64
+}
+
+// Counters reads the rig's clock and cumulative counters.
+func (r *Rig) Counters() Counters {
+	return Counters{
+		Now:          r.Eng.Now(),
+		Completed:    len(r.Done),
+		ControlBytes: r.RT.ControlBytes,
+		DataBytes:    r.RT.DataBytes,
+	}
+}
+
+// InstallMeters hangs a data-rate meter on the rig's runtime and returns
+// it, in the slice shape ShardedRig.InstallMeters returns one per slot.
+func (r *Rig) InstallMeters(bucket float64, buckets int) []*trace.RateMeter {
+	r.RT.DataMeter = trace.NewRateMeter(bucket, buckets)
+	return []*trace.RateMeter{r.RT.DataMeter}
+}
+
+// backend is everything that differs between the three ways a spec
+// executes: the sequential engine, the same rig over real sockets, and the
+// shard group. RunSpec owns the order of the steps and the result.
+type backend interface {
+	// build constructs the spec's system on the rig.
+	build(s *SweepSpec, e SystemEntry) System
+	// observe fires the rig shape's start hook and arranges its tick hook
+	// every h.TickEvery up to the deadline: an engine event on one clock, a
+	// horizon barrier on many.
+	observe(h *Hooks, sys System, deadline sim.Time)
+	// advance runs until the system completes, the clock reaches the
+	// deadline, or stop reports true; it returns whether stop ended it.
+	advance(sys System, deadline sim.Time, stop func() bool) (stopped bool)
+	// collect fills the result's clock, counters and per-node outcome.
+	collect(res *RunResult)
+	// close releases what the rig holds outside the process's memory.
+	close()
+}
+
+// newBackend builds the spec's rig on the drawn topology and installs the
+// tracer and the rig-level hooks on it.
+func newBackend(s *SweepSpec, topo *netem.Topology, h *Hooks) (backend, error) {
+	switch {
+	case s.Engine == EngineSharded:
+		return newShardBackend(s, topo)
+	case s.Testbed != nil:
+		return newTestbedBackend(s, topo, h)
+	}
+	return newRigBackend(s, topo, h)
+}
+
+// errResult is the one shape of a run that never executed.
+func errResult(s *SweepSpec, err error) *RunResult {
+	return &RunResult{Label: s.Label, CDF: &trace.CDF{}, PerNode: map[netem.NodeID]sim.Time{}, Err: err}
+}
+
+// RunSpec executes one experiment spec, the same nine steps on every
+// backend: check the spec, settle the deadline, draw the topology, build
+// the rig with tracer and hooks installed, build the system (with the
+// scenario's sessions and the dynamics hook, where the rig has them), fire
+// the start hook and arrange ticks, start, advance to the deadline, and
+// assemble the result. Every sweep cell and RunOne go through here, so a
+// sweep's rigs are bit-identical to single runs. Hooks only read state, so
+// an observed run is bit-identical to an unobserved one with the same spec.
+// A spec that cannot run comes back as RunResult.Err, never as a panic.
 func RunSpec(s SweepSpec) *RunResult {
-	if s.Stream != nil && (s.Testbed != nil || s.Engine == EngineSharded) {
-		return &RunResult{Label: s.Label,
-			Err: fmt.Errorf("harness: stream mode requires the sequential emulated engine")}
+	entry, err := s.check()
+	if err != nil {
+		return errResult(&s, err)
 	}
-	if s.Testbed != nil {
-		return runSpecTestbed(s)
-	}
-	if s.Engine == EngineSharded {
-		return runSpecSharded(s)
+	h := s.Hooks
+	if h == nil {
+		h = &Hooks{}
 	}
 	deadline := s.Deadline
-	topo := s.TopoFn(sim.NewRNG(s.Seed).Stream("topo"))
-	rig := NewRig(topo, s.Seed)
-	rig.RT.Tracer = s.Tracer
-	var stop func() bool
-	if s.Hooks != nil {
-		rig.OnBlock = s.Hooks.OnBlock
-		rig.Annotate = s.Hooks.Annotate
-		stop = s.Hooks.Stop
-	}
 	if s.Stream != nil {
 		sp := s.Stream.normalized()
+		s.Stream = &sp
 		if end := sp.endTime(s.Scenario); end < deadline || deadline <= 0 {
 			deadline = end
 		}
@@ -287,50 +340,78 @@ func RunSpec(s SweepSpec) *RunResult {
 			// the stream geometry (the façade always sets it explicitly).
 			s.Workload.FileBytes = sp.config(s.Workload.BlockSize).ContentBytes()
 		}
-		installStream(rig, sp, s.Workload.BlockSize)
-		if tr := s.Tracer; tr != nil {
-			rig.Stream.Trace = func(at float64, node int, kind, note string) {
-				tr.Record(at, kind, node, -1, note)
-			}
-		}
 	}
-	var sys System
-	if s.Scenario != nil {
-		sys = buildScenarioSystem(rig, s)
-	} else {
-		joinViewers(rig, rig.Members, 0)
-		sys = rig.BuildNamedSystem(s.systemName(), s.Workload, s.CoreMut, rig.Members, "")
+	topo := s.TopoFn(sim.NewRNG(s.Seed).Stream("topo"))
+	b, err := newBackend(&s, topo, h)
+	if err != nil {
+		return errResult(&s, err)
 	}
-	if s.Dynamics != nil {
-		s.Dynamics(rig)
-	}
-	if s.Hooks != nil {
-		if s.Hooks.OnStart != nil {
-			s.Hooks.OnStart(rig, sys)
-		}
-		if s.Hooks.TickEvery > 0 && s.Hooks.OnTick != nil {
-			scheduleTicks(rig, sys, s.Hooks, deadline)
-		}
-	}
+	defer b.close()
+	sys := b.build(&s, entry)
+	b.observe(h, sys, deadline)
 	sys.Start()
-	stopped := runUntilComplete(rig, sys, deadline, stop)
-	res := &RunResult{
-		Label:        s.Label,
-		CDF:          rig.CDF(),
-		PerNode:      rig.Done,
-		Finished:     sys.Complete(),
-		Stopped:      stopped,
-		EndedAt:      rig.Eng.Now(),
-		ControlBytes: rig.RT.ControlBytes,
-		DataBytes:    rig.RT.DataBytes,
-	}
-	if rig.Stream != nil {
-		res.Stream = rig.Stream.Report(float64(rig.Eng.Now()))
-	}
-	if s.Hooks != nil && s.Hooks.OnResult != nil {
-		s.Hooks.OnResult(res)
+	stopped := b.advance(sys, deadline, h.Stop)
+	res := &RunResult{Label: s.Label, Finished: !stopped && sys.Complete(), Stopped: stopped}
+	b.collect(res)
+	if h.OnResult != nil {
+		h.OnResult(res)
 	}
 	return res
+}
+
+// rigBackend runs a spec on one Rig and one engine, flat out.
+type rigBackend struct{ rig *Rig }
+
+func newRigBackend(s *SweepSpec, topo *netem.Topology, h *Hooks) (rigBackend, error) {
+	if s.Scenario != nil && s.Scenario.N() != topo.N {
+		return rigBackend{}, fmt.Errorf("harness: scenario compiled for %d nodes applied to a %d-node topology: its link sets and cohorts name nodes by index",
+			s.Scenario.N(), topo.N)
+	}
+	rig := NewRig(topo, s.Seed)
+	rig.RT.Tracer = s.Tracer
+	rig.OnBlock = h.OnBlock
+	rig.Annotate = h.Annotate
+	return rigBackend{rig}, nil
+}
+
+func (b rigBackend) build(s *SweepSpec, e SystemEntry) System {
+	if s.Stream != nil {
+		installStream(b.rig, *s.Stream, s.Workload.BlockSize, s.Tracer)
+	}
+	sys := buildSessions(b.rig, s, e.Build)
+	if s.Dynamics != nil {
+		s.Dynamics(b.rig)
+	}
+	return sys
+}
+
+func (b rigBackend) observe(h *Hooks, sys System, deadline sim.Time) {
+	if h.OnStart != nil {
+		h.OnStart(b.rig, sys)
+	}
+	if h.TickEvery > 0 && h.OnTick != nil {
+		scheduleTicks(b.rig, sys, h, deadline)
+	}
+}
+
+func (b rigBackend) advance(sys System, deadline sim.Time, stop func() bool) bool {
+	return runUntilComplete(b.rig, sys, deadline, stop)
+}
+
+func (b rigBackend) collect(res *RunResult) {
+	res.setCounters(b.rig.Counters())
+	res.PerNode = b.rig.Done
+	res.CDF = b.rig.CDF()
+	if b.rig.Stream != nil {
+		res.Stream = b.rig.Stream.Report(float64(res.EndedAt))
+	}
+}
+
+func (b rigBackend) close() {}
+
+// setCounters copies a final reading into the result.
+func (r *RunResult) setCounters(c Counters) {
+	r.EndedAt, r.ControlBytes, r.DataBytes = c.Now, c.ControlBytes, c.DataBytes
 }
 
 // scheduleTicks runs the hook's sampling clock as a self-rescheduling

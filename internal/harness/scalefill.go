@@ -8,7 +8,7 @@ import (
 	"bulletprime/internal/sim"
 )
 
-// scalefill is the sharded registry's reference workload: every node pulls
+// scalefill is the sharded engine's reference workload: every node pulls
 // the file from its own cluster in fillRounds sequential intra-cluster
 // transfers, while per-shard dynamics halve and restore cluster links every
 // 200 ms (the same churn shape as the Scale5000 preset test). Two things
@@ -59,7 +59,7 @@ type fillNode struct {
 }
 
 func init() {
-	RegisterShardedSystem("scalefill", buildScalefill)
+	RegisterSystem("scalefill", SystemEntry{BuildSharded: buildScalefill})
 }
 
 func buildScalefill(ctx ShardBuildCtx) ShardSystem {

@@ -80,22 +80,21 @@ func ScenarioDynamics(s *scenario.Scenario) func(*Rig) {
 	}
 }
 
-// buildScenarioSystem wires a compiled scenario onto a fresh rig: the event
-// timeline is applied through a rigEnv, and flash-crowd waves (if any)
-// become staggered sessions wrapped in a waveSystem.
-func buildScenarioSystem(rig *Rig, s SweepSpec) System {
+// buildSessions builds the spec's system on a fresh rig and applies its
+// compiled scenario, if any: one session over every member, or — when the
+// scenario has flash-crowd waves — staggered sessions wrapped in a
+// waveSystem; then the event timeline, through a rigEnv.
+func buildSessions(rig *Rig, s *SweepSpec, build SystemBuilder) System {
 	prog := s.Scenario
-	if prog.N() != len(rig.Members) {
-		panic(fmt.Sprintf("harness: scenario compiled for %d nodes applied to a %d-node rig",
-			prog.N(), len(rig.Members)))
+	var cohorts [][]netem.NodeID
+	if prog != nil {
+		cohorts = prog.ResolveWaves(rig.Master.Stream("scenario/waves"))
 	}
-	cohorts := prog.ResolveWaves(rig.Master.Stream("scenario/waves"))
 	var sys System
 	env := &rigEnv{rig: rig}
-	name := s.systemName()
 	if cohorts == nil {
 		joinViewers(rig, rig.Members, 0)
-		sys = rig.BuildNamedSystem(name, s.Workload, s.CoreMut, rig.Members, "")
+		sys = rig.build(build, s.Workload, s.CoreMut, rig.Members, "")
 	} else {
 		ws := &waveSystem{rig: rig}
 		waves := prog.Waves()
@@ -112,13 +111,15 @@ func buildScenarioSystem(rig *Rig, s SweepSpec) System {
 			ws.waves = append(ws.waves, waveEntry{
 				at:   waves[i].At,
 				size: len(cohort),
-				sys:  rig.BuildNamedSystem(name, s.Workload, s.CoreMut, cohort, suffix),
+				sys:  rig.build(build, s.Workload, s.CoreMut, cohort, suffix),
 			})
 			env.sources = append(env.sources, cohort[0])
 		}
 		sys = ws
 	}
-	prog.Apply(env)
+	if prog != nil {
+		prog.Apply(env)
+	}
 	return sys
 }
 
@@ -141,26 +142,20 @@ type waveSystem struct {
 
 // Start launches wave 0 and schedules the rest.
 func (ws *waveSystem) Start() {
-	annotate := func(i int) {
-		if ws.rig.Annotate != nil {
-			ws.rig.Annotate(fmt.Sprintf("flash-crowd wave %d started (%d members)",
-				i, ws.waves[i].size))
-		}
-	}
 	for i := range ws.waves {
 		w := &ws.waves[i]
-		if w.at <= float64(ws.rig.Eng.Now()) {
+		start := func() {
 			w.started = true
 			w.sys.Start()
-			annotate(i)
-			continue
+			if ws.rig.Annotate != nil {
+				ws.rig.Annotate(fmt.Sprintf("flash-crowd wave %d started (%d members)", i, w.size))
+			}
 		}
-		i := i
-		ws.rig.Eng.Schedule(sim.Time(w.at), func() {
-			w.started = true
-			w.sys.Start()
-			annotate(i)
-		})
+		if w.at <= float64(ws.rig.Eng.Now()) {
+			start()
+		} else {
+			ws.rig.Eng.Schedule(sim.Time(w.at), start)
+		}
 	}
 }
 

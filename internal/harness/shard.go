@@ -1,9 +1,9 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
-	"sort"
-	"sync"
+	"slices"
 
 	"bulletprime/internal/netem"
 	"bulletprime/internal/obs"
@@ -22,8 +22,8 @@ const (
 	EngineSequential EngineMode = iota
 	// EngineSharded partitions the run into per-cluster shards executing
 	// in parallel under a conservative lookahead clock (see sim.Group and
-	// DESIGN.md §9). Requires a clustered topology and a system from the
-	// sharded registry.
+	// DESIGN.md §9). Requires a clustered topology and a system registered
+	// with a sharded builder.
 	EngineSharded
 )
 
@@ -56,27 +56,31 @@ type ShardPlan struct {
 	Lookahead    float64 // conservative clock lookahead (topology CrossLookahead)
 }
 
+// shardable reports why a topology cannot be split into shards, or nil:
+// shards are blocks of whole clusters, and the conservative clock needs a
+// latency floor between them.
+func shardable(topo *netem.Topology) error {
+	switch {
+	case len(topo.Clusters) == 0:
+		return errors.New("harness: the sharded engine needs a clustered topology " +
+			"(this network builds no cluster assignment; pick a clustered preset)")
+	case topo.CrossLookahead <= 0:
+		return errors.New("harness: the sharded engine needs topology.CrossLookahead > 0 (no cross-cluster latency floor)")
+	case !slices.IsSorted(topo.Clusters):
+		return errors.New("harness: the sharded engine needs a non-decreasing cluster assignment (contiguous cluster blocks)")
+	}
+	return nil
+}
+
 // PlanShards derives a shard plan from the topology's cluster assignment.
 // shards <= 0 picks DefaultShards; the count is capped at the cluster count
-// (a shard must own at least one whole cluster). Topologies without cluster
-// metadata (or without a cross-cluster latency floor) cannot be sharded and
-// panic.
+// (a shard must own at least one whole cluster). It panics on a topology
+// that is not shardable; RunSpec asks first and reports RunResult.Err.
 func PlanShards(topo *netem.Topology, shards int) ShardPlan {
-	if topo.Clusters == nil {
-		panic("harness: sharded run needs a clustered topology (topology has no cluster assignment)")
+	if err := shardable(topo); err != nil {
+		panic(err)
 	}
-	if topo.CrossLookahead <= 0 {
-		panic("harness: sharded run needs topology.CrossLookahead > 0 (no cross-cluster latency floor)")
-	}
-	numClusters := 0
-	for i, c := range topo.Clusters {
-		if int(c) >= numClusters {
-			numClusters = int(c) + 1
-		}
-		if i > 0 && c < topo.Clusters[i-1] {
-			panic("harness: cluster assignment must be non-decreasing (contiguous cluster blocks)")
-		}
-	}
+	numClusters := int(topo.Clusters[len(topo.Clusters)-1]) + 1
 	if shards <= 0 {
 		shards = DefaultShards
 	}
@@ -179,198 +183,115 @@ func (r *ShardedRig) InstallMeters(bucket float64, buckets int) []*trace.RateMet
 	return meters
 }
 
-// ShardSystem is the common face of one sharded protocol session. Start
-// seeds initial events on every shard's engine (it runs before the group
-// starts, with all engines at time zero); Complete and DoneAt are read
-// after the group run finishes.
-type ShardSystem interface {
-	Start()
-	Complete() bool
-	DoneAt() sim.Time
+// Counters sums the slots' counters in slot order. At a horizon barrier
+// all slot clocks agree; Now takes the furthest, which also covers a stopped
+// run, where they may not.
+func (r *ShardedRig) Counters() Counters {
+	var c Counters
+	for _, slot := range r.Slots {
+		c.Now = max(c.Now, slot.Eng.Now())
+		c.Completed += len(slot.Done)
+		c.ControlBytes += slot.RT.ControlBytes
+		c.DataBytes += slot.RT.DataBytes
+	}
+	return c
 }
 
-// ShardBuildCtx carries what a sharded protocol needs to construct one
-// session: the rig (slots, plan, group) and the workload.
-type ShardBuildCtx struct {
-	Rig      *ShardedRig
-	Workload Workload
+// ShardSystem is System on a sharded rig: Start seeds initial events on
+// every shard's engine (it runs before the group starts, with all engines at
+// time zero); Complete and DoneAt are read between group runs.
+type ShardSystem = System
+
+// shardBackend runs a spec on a ShardedRig, stepping the group from one
+// tick horizon to the next: between steps every shard clock sits at exactly
+// the same instant, so the tick hook reads a coherent cross-shard snapshot.
+// Horizon stepping re-partitions the conservative windows but never the
+// event order (the merge key is window-independent), and there is no
+// completion early-exit, so a run executes to the full deadline observed or
+// not and the two are bit-identical.
+type shardBackend struct {
+	rig     *ShardedRig
+	workers int
+	// Each shard records into a private tracer (no cross-shard
+	// synchronization on the hot path); collect merges them into tracer,
+	// ordered by (time, shard, shard-local sequence).
+	tracer       *obs.Tracer
+	shardTracers []*obs.Tracer
+	// tick, when set, fires at every horizon barrier, tickEvery apart.
+	tickEvery sim.Time
+	tick      func()
 }
 
-// ShardSystemBuilder constructs a sharded protocol session. Builders
-// register with RegisterShardedSystem; the registry is separate from the
-// sequential one because a sharded system is built against slots and
-// mailboxes rather than a single rig.
-type ShardSystemBuilder func(ShardBuildCtx) ShardSystem
-
-var (
-	shardSystemsMu sync.RWMutex
-	shardSystems   = make(map[string]ShardSystemBuilder)
-)
-
-// RegisterShardedSystem adds a named sharded protocol builder to the open
-// registry; same contract as RegisterSystem.
-func RegisterShardedSystem(name string, b ShardSystemBuilder) {
-	if name == "" {
-		panic("harness: RegisterShardedSystem with empty name")
-	}
-	if b == nil {
-		panic("harness: RegisterShardedSystem with nil builder")
-	}
-	shardSystemsMu.Lock()
-	defer shardSystemsMu.Unlock()
-	if _, dup := shardSystems[name]; dup {
-		panic(fmt.Sprintf("harness: sharded system %q already registered", name))
-	}
-	shardSystems[name] = b
-}
-
-// LookupShardedSystem returns the registered sharded builder for name.
-func LookupShardedSystem(name string) (ShardSystemBuilder, bool) {
-	shardSystemsMu.RLock()
-	defer shardSystemsMu.RUnlock()
-	b, ok := shardSystems[name]
-	return b, ok
-}
-
-// ShardedSystemNames lists every registered sharded system, sorted.
-func ShardedSystemNames() []string {
-	shardSystemsMu.RLock()
-	defer shardSystemsMu.RUnlock()
-	names := make([]string, 0, len(shardSystems))
-	for n := range shardSystems {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// runSpecSharded executes one spec on the sharded engine. The sequential
-// path's scenario programs, rig dynamics, and single-engine observation
-// hooks are built around one engine and are not supported here — sharded
-// systems own their dynamics per shard. Hooks.Stop (polled from shard
-// goroutines), Hooks.OnResult, and the sharded observation hooks
-// (OnShardStart, and OnShardTick with TickEvery) are honored.
-//
-// An observed run samples at horizon barriers: instead of one Group.Run to
-// the deadline, the group is stepped Run(t), Run(t+TickEvery), … — between
-// steps every shard clock sits at exactly t, so OnShardTick reads a
-// coherent cross-shard snapshot. Horizon stepping re-partitions the
-// conservative windows but never the event order (the merge key is
-// window-independent), and the stepped run still executes to the full
-// deadline, so an observed run is bit-identical to an unobserved one.
-func runSpecSharded(s SweepSpec) *RunResult {
-	if s.Scenario != nil {
-		panic("harness: sharded runs do not support scenario programs")
-	}
-	if s.Dynamics != nil {
-		panic("harness: sharded runs do not support rig dynamics; sharded systems drive their own per-shard dynamics")
-	}
-	var stop func() bool
-	var onShardStart, onShardTick func(*ShardedRig, ShardSystem)
-	tickEvery := 0.0
-	if s.Hooks != nil {
-		if s.Hooks.OnStart != nil || s.Hooks.OnTick != nil || s.Hooks.OnBlock != nil || s.Hooks.Annotate != nil {
-			panic("harness: sharded runs support only the Stop, OnResult, OnShardStart, and OnShardTick hooks")
-		}
-		stop = s.Hooks.Stop
-		onShardStart = s.Hooks.OnShardStart
-		onShardTick = s.Hooks.OnShardTick
-		tickEvery = s.Hooks.TickEvery
-	}
-	topo := s.TopoFn(sim.NewRNG(s.Seed).Stream("topo"))
+func newShardBackend(s *SweepSpec, topo *netem.Topology) (*shardBackend, error) {
 	// Only the topology itself knows whether it can shard, and the network
-	// registry is open — so sequential-only networks surface here as an
-	// error result rather than a PlanShards panic deep in the run.
-	if topo.Clusters == nil || topo.CrossLookahead <= 0 {
-		return &RunResult{
-			Label:   s.Label,
-			CDF:     &trace.CDF{},
-			PerNode: map[netem.NodeID]sim.Time{},
-			Err: fmt.Errorf("harness: the sharded engine needs a clustered topology " +
-				"(this network builds no cluster assignment; pick a clustered preset)"),
-		}
+	// registry is open, so sequential-only networks surface here.
+	if err := shardable(topo); err != nil {
+		return nil, err
 	}
-	rig := NewShardedRig(topo, s.Seed, s.Shards)
-	var shardTracers []*obs.Tracer
+	b := &shardBackend{rig: NewShardedRig(topo, s.Seed, s.Shards), workers: s.Workers, tracer: s.Tracer}
 	if s.Tracer != nil {
-		// Each shard records into a private tracer (no cross-shard
-		// synchronization on the hot path); the spans merge into s.Tracer
-		// after the run, ordered by (time, shard, shard-local sequence).
-		shardTracers = make([]*obs.Tracer, len(rig.Slots))
-		for k, slot := range rig.Slots {
-			shardTracers[k] = obs.NewTracer(s.Tracer.Capacity())
-			slot.RT.Tracer = shardTracers[k]
+		b.shardTracers = make([]*obs.Tracer, len(b.rig.Slots))
+		for k, slot := range b.rig.Slots {
+			b.shardTracers[k] = obs.NewTracer(s.Tracer.Capacity())
+			slot.RT.Tracer = b.shardTracers[k]
 		}
 	}
-	name := s.systemName()
-	b, ok := LookupShardedSystem(name)
-	if !ok {
-		panic(fmt.Sprintf("harness: unknown sharded system %q (registered: %v)", name, ShardedSystemNames()))
-	}
-	sys := b(ShardBuildCtx{Rig: rig, Workload: s.Workload})
-	if onShardStart != nil {
-		onShardStart(rig, sys)
-	}
-	sys.Start()
-	var stopped bool
-	if tickEvery > 0 && onShardTick != nil {
-		// Horizon-stepped run: advance every shard to the next sampling
-		// barrier, snapshot, repeat. No completion early-exit — the
-		// unobserved path below runs to the full deadline too, so EndedAt
-		// (and everything else) matches bit for bit.
-		for t := sim.Time(tickEvery); ; t += sim.Time(tickEvery) {
-			if t > s.Deadline {
-				t = s.Deadline
-			}
-			stopped = rig.Group.Run(t, s.Workers, stop)
-			if stopped {
-				break
-			}
-			onShardTick(rig, sys)
-			if t >= s.Deadline {
-				break
-			}
-		}
-	} else {
-		stopped = rig.Group.Run(s.Deadline, s.Workers, stop)
-	}
-	if s.Tracer != nil {
-		s.Tracer.Absorb(shardTracers...)
-	}
+	return b, nil
+}
 
-	// Merge per-shard results in shard order, so aggregates that sum
-	// floats are deterministic.
-	res := &RunResult{
-		Label:    s.Label,
-		PerNode:  make(map[netem.NodeID]sim.Time),
-		Finished: !stopped && sys.Complete(),
-		Stopped:  stopped,
+func (b *shardBackend) build(s *SweepSpec, e SystemEntry) System {
+	return e.BuildSharded(ShardBuildCtx{Rig: b.rig, Workload: s.Workload})
+}
+
+func (b *shardBackend) observe(h *Hooks, sys System, _ sim.Time) {
+	if h.OnShardStart != nil {
+		h.OnShardStart(b.rig, sys)
 	}
+	if h.TickEvery > 0 && h.OnShardTick != nil {
+		b.tickEvery = sim.Time(h.TickEvery)
+		b.tick = func() { h.OnShardTick(b.rig, sys) }
+	}
+}
+
+func (b *shardBackend) advance(_ System, deadline sim.Time, stop func() bool) bool {
+	if b.tick == nil {
+		return b.rig.Group.Run(deadline, b.workers, stop)
+	}
+	for t := b.tickEvery; ; t += b.tickEvery {
+		if t > deadline {
+			t = deadline
+		}
+		if b.rig.Group.Run(t, b.workers, stop) {
+			return true
+		}
+		b.tick()
+		if t >= deadline {
+			return false
+		}
+	}
+}
+
+// collect merges per-shard results in shard order, and node order within a
+// shard: CDF insertion order does not affect the curve, but this keeps even
+// the internal sample layout reproducible.
+func (b *shardBackend) collect(res *RunResult) {
+	if b.tracer != nil {
+		b.tracer.Absorb(b.shardTracers...)
+	}
+	res.setCounters(b.rig.Counters())
+	res.PerNode = make(map[netem.NodeID]sim.Time)
 	res.CDF = &trace.CDF{}
-	for _, slot := range rig.Slots {
-		for id, at := range slot.Done {
-			res.PerNode[id] = at
-		}
-		res.ControlBytes += slot.RT.ControlBytes
-		res.DataBytes += slot.RT.DataBytes
-		if now := slot.Eng.Now(); now > res.EndedAt {
-			res.EndedAt = now
-		}
-	}
-	// CDF insertion order does not affect the curve, but per-slot loops in
-	// shard order keep even the internal sample layout reproducible.
-	for _, slot := range rig.Slots {
+	for _, slot := range b.rig.Slots {
 		ids := make([]netem.NodeID, 0, len(slot.Done))
 		for id := range slot.Done {
 			ids = append(ids, id)
 		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		slices.Sort(ids)
 		for _, id := range ids {
+			res.PerNode[id] = slot.Done[id]
 			res.CDF.Add(float64(slot.Done[id]))
 		}
 	}
-	if s.Hooks != nil && s.Hooks.OnResult != nil {
-		s.Hooks.OnResult(res)
-	}
-	return res
 }
+
+func (b *shardBackend) close() {}

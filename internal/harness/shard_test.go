@@ -172,41 +172,25 @@ func TestShardedSingleShard(t *testing.T) {
 	}
 }
 
+// TestShardedRunRejectsSequentialFeatures: what the sharded engine cannot
+// run comes back as RunResult.Err, never as a panic.
 func TestShardedRunRejectsSequentialFeatures(t *testing.T) {
-	base := shardedSpec(1, 4, 1)
-
-	spec := base
-	spec.Dynamics = func(*Rig) {}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("sharded run with Dynamics did not panic")
-			}
-		}()
-		RunSpec(spec)
-	}()
-
-	spec = base
-	spec.Hooks = &Hooks{OnTick: func(*Rig, System) {}, TickEvery: 1}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("sharded run with OnTick did not panic")
-			}
-		}()
-		RunSpec(spec)
-	}()
-
-	spec = base
-	spec.System = "BulletPrime" // sequential registry only
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("sharded run with sequential-only system did not panic")
-			}
-		}()
-		RunSpec(spec)
-	}()
+	cases := []struct {
+		name   string
+		mutate func(*SweepSpec)
+	}{
+		{"Dynamics", func(s *SweepSpec) { s.Dynamics = func(*Rig) {} }},
+		{"OnTick", func(s *SweepSpec) { s.Hooks = &Hooks{OnTick: func(*Rig, System) {}, TickEvery: 1} }},
+		{"sequential-only system", func(s *SweepSpec) { s.System = "BulletPrime" }},
+	}
+	for _, tc := range cases {
+		spec := shardedSpec(1, 4, 1)
+		tc.mutate(&spec)
+		if res := RunSpec(spec); res.Err == nil || res.Finished || len(res.PerNode) != 0 {
+			t.Errorf("sharded run with %s: Err=%v Finished=%v completions=%d, want an error and nothing run",
+				tc.name, res.Err, res.Finished, len(res.PerNode))
+		}
+	}
 }
 
 // TestShardedStopHook checks cancellation plumbing: Hooks.Stop ends the run

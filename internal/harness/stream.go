@@ -1,10 +1,8 @@
 package harness
 
 import (
-	"fmt"
-	"sync"
-
 	"bulletprime/internal/netem"
+	"bulletprime/internal/obs"
 	"bulletprime/internal/scenario"
 	"bulletprime/internal/sim"
 	"bulletprime/internal/stream"
@@ -40,15 +38,9 @@ const (
 	DefaultDrain        = 15.0
 )
 
-// normalized returns the spec with defaults applied. It panics on a rate or
-// duration that cannot describe a stream — StreamSpec reaches RunSpec either
-// from the façade (which validated it) or from test code, where a loud
-// failure beats an empty run.
+// normalized returns the spec with defaults applied; SweepSpec.Check has
+// already refused a rate or duration that cannot describe a stream.
 func (sp StreamSpec) normalized() StreamSpec {
-	if sp.BitrateBps <= 0 || sp.Duration <= 0 {
-		panic(fmt.Sprintf("harness: StreamSpec needs positive BitrateBps and Duration (got %v, %v)",
-			sp.BitrateBps, sp.Duration))
-	}
 	if sp.PlayoutDepth <= 0 {
 		sp.PlayoutDepth = DefaultPlayoutDepth
 	}
@@ -92,25 +84,23 @@ func (sp StreamSpec) endTime(prog *scenario.Program) sim.Time {
 
 // installStream builds the run's tracker on the rig: viewers join as
 // sessions register them, every novel block arrival flows into the tracker
-// before any observer hook, and annotations ride the rig's annotation hook.
-// Must run after Hooks install OnBlock/Annotate and before system
-// construction (BuildCtx snapshots rig.OnBlock).
-func installStream(rig *Rig, sp StreamSpec, blockSize float64) {
+// before any observer hook, annotations ride the rig's annotation hook, and
+// rebuffer spans go to the tracer when there is one. Must run after Hooks
+// install OnBlock/Annotate and before system construction (BuildCtx
+// snapshots rig.OnBlock).
+func installStream(rig *Rig, sp StreamSpec, blockSize float64, tracer *obs.Tracer) {
 	tr := stream.NewTracker(sp.config(blockSize), func() float64 {
 		return float64(rig.Eng.Now())
 	})
 	tr.Annotate = rig.Annotate
-	rig.Stream = tr
-	rig.StreamBps = sp.BitrateBps
-	prev := rig.OnBlock
-	if prev == nil {
-		rig.OnBlock = tr.OnBlock
-	} else {
-		rig.OnBlock = func(node netem.NodeID, blockID, count int) {
-			tr.OnBlock(node, blockID, count)
-			prev(node, blockID, count)
+	if tracer != nil {
+		tr.Trace = func(at float64, node int, kind, note string) {
+			tracer.Record(at, kind, node, -1, note)
 		}
 	}
+	rig.Stream = tr
+	rig.StreamBps = sp.BitrateBps
+	rig.OnBlock = chainOnBlock(tr.OnBlock, rig.OnBlock)
 }
 
 // joinViewers registers one session cohort's receivers as viewers starting
@@ -123,29 +113,4 @@ func joinViewers(rig *Rig, cohort []netem.NodeID, at float64) {
 	for _, id := range cohort[1:] {
 		rig.Stream.Join(id, at)
 	}
-}
-
-// Stream-capable registry: systems whose builders honor BuildCtx.StreamBps
-// (live source pacing). The façade consults this before accepting a
-// streaming RunConfig, so a protocol that would silently run one-shot is
-// rejected up front instead of producing meaningless lag numbers.
-var (
-	streamCapableMu sync.RWMutex
-	streamCapable   = make(map[string]bool)
-)
-
-// RegisterStreamCapable marks a registered system as honoring
-// BuildCtx.StreamBps. Like RegisterSystem, it is an init-time act.
-func RegisterStreamCapable(name string) {
-	streamCapableMu.Lock()
-	defer streamCapableMu.Unlock()
-	streamCapable[name] = true
-}
-
-// StreamCapable reports whether the named system supports live-stream
-// pacing.
-func StreamCapable(name string) bool {
-	streamCapableMu.RLock()
-	defer streamCapableMu.RUnlock()
-	return streamCapable[name]
 }

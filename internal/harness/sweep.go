@@ -37,7 +37,8 @@ type SweepSpec struct {
 	// value) runs the classic single-threaded loop; EngineSharded
 	// partitions the run by topology cluster and executes shards in
 	// parallel under a conservative clock. Sharded runs require a clustered
-	// TopoFn, a system from the sharded registry, and no Scenario.
+	// TopoFn and a system with a sharded builder; Check lists what they
+	// exclude.
 	Engine EngineMode
 
 	// Shards is the shard count for EngineSharded; <= 0 picks the default
@@ -64,16 +65,14 @@ type SweepSpec struct {
 	// block emission at Stream.BitrateBps for Stream.Duration, every member
 	// becomes a tracked viewer, and RunResult.Stream reports lag, jitter,
 	// rebuffering, and goodput. The Workload's FileBytes may be left zero to
-	// derive the content size from the stream geometry. Incompatible with
-	// EngineSharded and Testbed; requires a stream-capable system
-	// (RegisterStreamCapable).
+	// derive the content size from the stream geometry. Check lists what a
+	// stream excludes.
 	Stream *StreamSpec
 
 	// Testbed, when non-nil, runs the spec over the real-socket UDP backend
 	// instead of the emulated network: same rig, same registered system,
-	// traffic on real sockets, wall-clock-driven virtual time. Incompatible
-	// with EngineSharded, Scenario, and Dynamics (RunResult.Err reports the
-	// conflict). See TestbedSpec.
+	// traffic on real sockets, wall-clock-driven virtual time. Check lists
+	// what the testbed excludes. See TestbedSpec.
 	Testbed *TestbedSpec
 
 	// Hooks optionally observe the run (sampling ticks, block callbacks,
@@ -98,6 +97,54 @@ func (s *SweepSpec) systemName() string {
 		return s.System
 	}
 	return s.Kind.String()
+}
+
+// Check is the one table of spec rules: which features combine, and why the
+// rest cannot. RunSpec returns its error as RunResult.Err before anything
+// is built, and the bulletprime façade's New returns it verbatim, so a
+// combination is refused with the same words at every entry point. The
+// first rule that applies wins.
+func (s *SweepSpec) Check() error {
+	_, err := s.check()
+	return err
+}
+
+// check is Check, also returning the registry entry the spec resolved to.
+func (s *SweepSpec) check() (SystemEntry, error) {
+	name := s.systemName()
+	e, known := LookupSystem(name)
+	sharded, testbed := s.Engine == EngineSharded, s.Testbed != nil
+	linkProgram := ""
+	switch {
+	case s.Scenario != nil:
+		linkProgram = "scenarios"
+	case s.Dynamics != nil:
+		linkProgram = "rig dynamics (the façade's DynamicBandwidth)"
+	}
+	rigHooks := s.Hooks != nil && (s.Hooks.OnStart != nil || s.Hooks.OnTick != nil || s.Hooks.OnBlock != nil || s.Hooks.Annotate != nil)
+	switch {
+	case !known:
+		return e, fmt.Errorf("harness: unknown system %q (registered: %v)", name, SystemNames())
+	case s.Stream != nil && (sharded || testbed):
+		return e, fmt.Errorf("harness: stream mode requires the sequential engine on the emulated network, not the sharded engine or the testbed: viewer lag is read against one deterministic virtual clock; shards have many, and sockets follow the wall clock")
+	case testbed && sharded:
+		return e, fmt.Errorf("harness: testbed runs do not support the sharded engine: one wall clock cannot drive parallel shard clocks")
+	case testbed && linkProgram != "":
+		return e, fmt.Errorf("harness: testbed runs do not support %s: they change netem link bandwidths, and a socket run has no emulated links", linkProgram)
+	case sharded && linkProgram != "":
+		return e, fmt.Errorf("harness: sharded runs do not support %s: they are written against one engine and one netem, and each shard has its own, so sharded systems drive their dynamics per shard", linkProgram)
+	case sharded && rigHooks:
+		return e, fmt.Errorf("harness: sharded runs support only the Stop, OnResult, OnShardStart and OnShardTick hooks: OnStart, OnTick, OnBlock and Annotate take or read the single Rig a sharded run does not have")
+	case sharded && e.BuildSharded == nil, !sharded && e.Build == nil:
+		return e, fmt.Errorf("harness: system %q is not registered for %s execution: it has no builder for that rig shape", name, s.Engine)
+	case s.Stream != nil && !e.Streams:
+		return e, fmt.Errorf("harness: system %q does not support live streaming: its source cannot pace emission, so it would run one-shot and report meaningless lag", name)
+	case s.Stream != nil && !(s.Stream.BitrateBps > 0): // NaN included
+		return e, fmt.Errorf("harness: StreamSpec.BitrateBps must be positive, got %v", s.Stream.BitrateBps)
+	case s.Stream != nil && !(s.Stream.Duration > 0):
+		return e, fmt.Errorf("harness: StreamSpec.Duration must be positive, got %v", s.Stream.Duration)
+	}
+	return e, nil
 }
 
 // Sweep runs every spec across a pool of parallel workers and returns the

@@ -2,7 +2,7 @@ package harness
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"bulletprime/internal/bittorrent"
@@ -36,8 +36,8 @@ type BuildCtx struct {
 	OnBlock func(node netem.NodeID, blockID, count int)
 	// StreamBps, when positive, asks the session to pace its source at this
 	// rate (live-streaming mode). Builders that honor it register with
-	// RegisterStreamCapable; others may ignore it — the façade rejects the
-	// combination before a rig is built.
+	// SystemEntry.Streams set; SweepSpec.Check keeps a stream away from the
+	// others, which would silently run one-shot.
 	StreamBps float64
 }
 
@@ -47,19 +47,44 @@ type BuildCtx struct {
 // without touching any switch statement.
 type SystemBuilder func(BuildCtx) System
 
+// ShardBuildCtx carries what a sharded protocol needs to construct one
+// session: the rig (slots, plan, group) and the workload.
+type ShardBuildCtx struct {
+	Rig      *ShardedRig
+	Workload Workload
+}
+
+// ShardSystemBuilder constructs a protocol session across a sharded rig's
+// slots and mailboxes rather than on a single rig.
+type ShardSystemBuilder func(ShardBuildCtx) ShardSystem
+
+// SystemEntry is one row of the system registry: how the system builds on
+// each rig shape, and what its builder honors. A nil builder means the
+// system does not exist on that rig shape; SweepSpec.Check turns the
+// mismatch into an error before anything is built.
+type SystemEntry struct {
+	// Build constructs a session on one Rig: the sequential engine and the
+	// testbed.
+	Build SystemBuilder
+	// BuildSharded constructs a session across a ShardedRig's slots.
+	BuildSharded ShardSystemBuilder
+	// Streams reports that Build honors BuildCtx.StreamBps.
+	Streams bool
+}
+
 var (
 	systemsMu sync.RWMutex
-	systems   = make(map[string]SystemBuilder)
+	systems   = make(map[string]SystemEntry)
 )
 
-// RegisterSystem adds a named protocol builder to the open registry. It
-// panics on an empty name, nil builder, or duplicate registration —
+// RegisterSystem adds a named protocol to the open registry. It panics on
+// an empty name, an entry without a builder, or duplicate registration —
 // registration is an init-time programming act, like http.Handle.
-func RegisterSystem(name string, b SystemBuilder) {
+func RegisterSystem(name string, e SystemEntry) {
 	if name == "" {
 		panic("harness: RegisterSystem with empty name")
 	}
-	if b == nil {
+	if e.Build == nil && e.BuildSharded == nil {
 		panic("harness: RegisterSystem with nil builder")
 	}
 	systemsMu.Lock()
@@ -67,15 +92,15 @@ func RegisterSystem(name string, b SystemBuilder) {
 	if _, dup := systems[name]; dup {
 		panic(fmt.Sprintf("harness: system %q already registered", name))
 	}
-	systems[name] = b
+	systems[name] = e
 }
 
-// LookupSystem returns the registered builder for name, or false.
-func LookupSystem(name string) (SystemBuilder, bool) {
+// LookupSystem returns the registry entry for name, or false.
+func LookupSystem(name string) (SystemEntry, bool) {
 	systemsMu.RLock()
 	defer systemsMu.RUnlock()
-	b, ok := systems[name]
-	return b, ok
+	e, ok := systems[name]
+	return e, ok
 }
 
 // SystemNames lists every registered system, sorted.
@@ -86,25 +111,22 @@ func SystemNames() []string {
 	for n := range systems {
 		names = append(names, n)
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	return names
 }
 
 // The four paper systems self-register under their ProtoKind.String()
-// names, so BuildSystemFor's kind-based callers resolve through the same
+// names, so BuildSystem's kind-based callers resolve through the same
 // registry as third-party protocols.
 func init() {
-	RegisterSystem(KindBulletPrime.String(), buildBulletPrime)
-	RegisterSystem(KindBullet.String(), buildBullet)
-	RegisterSystem(KindBitTorrent.String(), buildBitTorrent)
-	RegisterSystem(KindSplitStream.String(), buildSplitStream)
+	RegisterSystem(KindBulletPrime.String(), SystemEntry{Build: buildBulletPrime, Streams: true})
+	RegisterSystem(KindBullet.String(), SystemEntry{Build: buildBullet, Streams: true})
+	RegisterSystem(KindBitTorrent.String(), SystemEntry{Build: buildBitTorrent})
+	RegisterSystem(KindSplitStream.String(), SystemEntry{Build: buildSplitStream})
 	// Bullet' with delay-gradient sender selection (DESIGN.md §11): same
 	// session, Config.Selection flipped before CoreMut so experiments can
 	// still override it.
-	RegisterSystem("BulletPrimeDelay", buildBulletPrimeDelay)
-	RegisterStreamCapable(KindBulletPrime.String())
-	RegisterStreamCapable(KindBullet.String())
-	RegisterStreamCapable("BulletPrimeDelay")
+	RegisterSystem("BulletPrimeDelay", SystemEntry{Build: buildBulletPrimeDelay, Streams: true})
 }
 
 func buildBulletPrime(ctx BuildCtx) System {

@@ -1,13 +1,11 @@
 package harness
 
 import (
-	"fmt"
 	"time"
 
 	"bulletprime/internal/netem"
 	"bulletprime/internal/sim"
 	"bulletprime/internal/testbed"
-	"bulletprime/internal/trace"
 )
 
 // TestbedSpec switches a spec's run from the emulated network to the
@@ -35,34 +33,21 @@ type TestbedSpec struct {
 	DropSeed int64
 }
 
-// runSpecTestbed executes one spec over the UDP testbed. The spec's system
-// builds exactly as in an emulated run — same registry, same rig — but the
-// runtime's transport routes all traffic over real sockets, and
-// testbed.Run paces the engine against the wall clock instead of draining
-// the event queue flat out. Emulator-only features (sharded engine,
-// scenarios, netem dynamics) fail fast with RunResult.Err.
-func runSpecTestbed(s SweepSpec) *RunResult {
-	fail := func(err error) *RunResult {
-		return &RunResult{
-			Label:   s.Label,
-			CDF:     &trace.CDF{},
-			PerNode: map[netem.NodeID]sim.Time{},
-			Err:     err,
-		}
-	}
-	if s.Engine == EngineSharded {
-		return fail(fmt.Errorf("harness: testbed runs do not support the sharded engine"))
-	}
-	if s.Scenario != nil {
-		return fail(fmt.Errorf("harness: testbed runs do not support scenarios (scenario programs drive the emulated network)"))
-	}
-	if s.Dynamics != nil {
-		return fail(fmt.Errorf("harness: testbed runs do not support netem dynamics"))
-	}
+// testbedBackend is the rig backend with the runtime's transport routing
+// all traffic over real sockets, and testbed.Run pacing the engine against
+// the wall clock instead of draining the event queue flat out. The spec's
+// system builds exactly as in an emulated run: same registry, same rig.
+type testbedBackend struct {
+	rigBackend
+	tr    *testbed.Transport
+	clock *testbed.Clock
+}
 
-	topo := s.TopoFn(sim.NewRNG(s.Seed).Stream("topo"))
-	rig := NewRig(topo, s.Seed)
-	clock := testbed.NewClock(s.Testbed.Rate)
+func newTestbedBackend(s *SweepSpec, topo *netem.Topology, h *Hooks) (*testbedBackend, error) {
+	rb, err := newRigBackend(s, topo, h)
+	if err != nil {
+		return nil, err
+	}
 	cfg := testbed.Config{
 		ListenHost: s.Testbed.ListenHost,
 		RTO:        time.Duration(s.Testbed.RTO * float64(time.Second)),
@@ -76,49 +61,23 @@ func runSpecTestbed(s SweepSpec) *RunResult {
 			cfg.Peers[netem.NodeID(id)] = addr
 		}
 	}
-	tr, err := testbed.New(clock, cfg, rig.Members)
+	b := &testbedBackend{rigBackend: rb, clock: testbed.NewClock(s.Testbed.Rate)}
+	b.tr, err = testbed.New(b.clock, cfg, b.rig.Members)
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
-	defer tr.Stop()
-	rig.RT.Transport = tr
+	b.rig.RT.Transport = b.tr
 	if s.Tracer != nil {
-		rig.RT.Tracer = s.Tracer
 		// Retransmissions surface as trace spans; the transport invokes the
 		// callback on the run-loop goroutine, so it feeds the same tracer as
 		// the protocol-decision sites with no extra synchronization.
-		tr.Trace = rig.RT.Trace
+		b.tr.Trace = b.rig.RT.Trace
 	}
-
-	var stop func() bool
-	if s.Hooks != nil {
-		rig.OnBlock = s.Hooks.OnBlock
-		rig.Annotate = s.Hooks.Annotate
-		stop = s.Hooks.Stop
-	}
-	sys := rig.BuildNamedSystem(s.systemName(), s.Workload, s.CoreMut, rig.Members, "")
-	if s.Hooks != nil {
-		if s.Hooks.OnStart != nil {
-			s.Hooks.OnStart(rig, sys)
-		}
-		if s.Hooks.TickEvery > 0 && s.Hooks.OnTick != nil {
-			scheduleTicks(rig, sys, s.Hooks, s.Deadline)
-		}
-	}
-	sys.Start()
-	stopped := testbed.Run(rig.Eng, tr, clock, s.Deadline, sys.Complete, stop)
-	res := &RunResult{
-		Label:        s.Label,
-		CDF:          rig.CDF(),
-		PerNode:      rig.Done,
-		Finished:     sys.Complete(),
-		Stopped:      stopped,
-		EndedAt:      rig.Eng.Now(),
-		ControlBytes: rig.RT.ControlBytes,
-		DataBytes:    rig.RT.DataBytes,
-	}
-	if s.Hooks != nil && s.Hooks.OnResult != nil {
-		s.Hooks.OnResult(res)
-	}
-	return res
+	return b, nil
 }
+
+func (b *testbedBackend) advance(sys System, deadline sim.Time, stop func() bool) bool {
+	return testbed.Run(b.rig.Eng, b.tr, b.clock, deadline, sys.Complete, stop)
+}
+
+func (b *testbedBackend) close() { b.tr.Stop() }

@@ -2,7 +2,7 @@ package bulletprime
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"bulletprime/internal/harness"
@@ -61,7 +61,7 @@ func RegisterProtocol(name Protocol, build SystemBuilder) {
 		panic(fmt.Sprintf("bulletprime: protocol %q already registered", name))
 	}
 	// The harness registry rejects nil builders and duplicate system names.
-	harness.RegisterSystem(string(name), build)
+	harness.RegisterSystem(string(name), harness.SystemEntry{Build: build})
 	protocols[name] = string(name)
 }
 
@@ -82,7 +82,7 @@ func RegisterNetwork(name NetworkPreset, build NetworkBuilder) {
 	networks[name] = build
 }
 
-// Protocols lists every registered protocol, sorted.
+// Protocols lists every protocol name New accepts, sorted.
 func Protocols() []Protocol {
 	registryMu.RLock()
 	defer registryMu.RUnlock()
@@ -90,7 +90,7 @@ func Protocols() []Protocol {
 	for p := range protocols {
 		out = append(out, p)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -102,7 +102,7 @@ func Networks() []NetworkPreset {
 	for n := range networks {
 		out = append(out, n)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -139,6 +139,8 @@ func init() {
 	// harness registers the system itself (it is a core.Config flip, not a
 	// new session type).
 	protocols[ProtocolStream] = "BulletPrimeDelay"
+	// The sharded engine's reference workload keeps its harness name.
+	protocols[ProtocolScalefill] = string(ProtocolScalefill)
 	networks[NetworkModelNet] = func(n int) TopologyFn { return harness.ModelNetTopology(n) }
 	networks[NetworkModelNetClean] = func(n int) TopologyFn { return harness.LosslessModelNetTopology(n) }
 	networks[NetworkConstrained] = func(n int) TopologyFn { return harness.ConstrainedAccessTopology(n) }

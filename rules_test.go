@@ -1,0 +1,58 @@
+package bulletprime
+
+import (
+	"strings"
+	"testing"
+
+	"bulletprime/internal/harness"
+)
+
+// TestNewSurfacesHarnessRules is the façade twin of the harness's
+// TestRunSpecRules: for every feature combination no backend can run, New
+// must refuse with exactly the words harness.RunSpec returns for the lowered
+// spec, so the two layers state each rule once and cannot drift apart.
+func TestNewSurfacesHarnessRules(t *testing.T) {
+	emulated := RunConfig{Nodes: 8, FileBytes: 64 * 1024, Seed: 1}
+	stream := RunConfig{Nodes: 8, Seed: 1, Stream: &StreamOptions{BitrateBps: 64 * 1024, Duration: 10}}
+	testbed := RunConfig{Nodes: 8, FileBytes: 64 * 1024, Seed: 1, Network: NetworkTestbedUDP}
+	sharded := RunConfig{Nodes: 100, FileBytes: 1e6, Seed: 1, Protocol: ProtocolScalefill,
+		Network: NetworkClustered, Engine: EngineSharded}
+	cases := []struct {
+		name string
+		base RunConfig
+		mut  func(*RunConfig)
+		want string
+	}{
+		{"stream on shards", stream, func(c *RunConfig) { c.Engine = EngineSharded }, "sequential engine"},
+		{"stream on sockets", stream, func(c *RunConfig) { c.Network = NetworkTestbedUDP }, "testbed"},
+		{"stream on a one-shot protocol", stream, func(c *RunConfig) { c.Protocol = ProtocolBitTorrent }, "does not support live streaming"},
+		{"stream without a rate", stream, func(c *RunConfig) { c.Stream = &StreamOptions{Duration: 10} }, "BitrateBps must be positive"},
+		{"stream without a duration", stream, func(c *RunConfig) { c.Stream = &StreamOptions{BitrateBps: 1} }, "Duration must be positive"},
+		{"testbed on shards", testbed, func(c *RunConfig) { c.Engine = EngineSharded }, "sharded engine"},
+		{"testbed scenario", testbed, func(c *RunConfig) { c.Scenario = &Scenario{} }, "scenarios"},
+		{"testbed dynamics", testbed, func(c *RunConfig) { c.DynamicBandwidth = true }, "DynamicBandwidth"},
+		{"sharded scenario", sharded, func(c *RunConfig) { c.Scenario = &Scenario{} }, "scenarios"},
+		{"sharded dynamics", sharded, func(c *RunConfig) { c.DynamicBandwidth = true }, "DynamicBandwidth"},
+		{"single-rig protocol on shards", sharded, func(c *RunConfig) { c.Protocol = ProtocolBulletPrime }, "not registered for sharded"},
+		{"sharded protocol on one rig", emulated, func(c *RunConfig) { c.Protocol = ProtocolScalefill }, "not registered for sequential"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.base
+			tc.mut(&cfg)
+			_, err := New(cfg)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("New() error = %v, want a mention of %q", err, tc.want)
+			}
+			norm, nerr := cfg.normalized()
+			if nerr != nil {
+				t.Fatalf("the façade's own rules refused a harness-rule case: %v", nerr)
+			}
+			spec, _ := buildSpec(norm)
+			res := harness.RunSpec(spec)
+			if res.Err == nil || res.Err.Error() != err.Error() {
+				t.Fatalf("New() said %q, harness.RunSpec said %v", err, res.Err)
+			}
+		})
+	}
+}
