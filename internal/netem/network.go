@@ -76,11 +76,13 @@ type Network struct {
 	fsRates     []float64
 	fsCaps      []float64
 	fsFrozen    []bool
+	fsKeys      []int32 // 2N access keys, allocated by the first fill
 	fsResources []resource
-	fsResIdx    map[int]int
-	fsFlowRes   [][]int
-	fsPairCount map[int]int
-	fsCapOrder  []int32
+	fsFlowRes   []int32
+	fsResFlows  []int32
+	fsPairSeen  []pairMark
+	fsPairNext  []int32
+	fsCapOrder  []capEntry
 	fsGrp       []int32
 	fsSatHeap   []satEntry
 
@@ -106,8 +108,6 @@ func New(eng *sim.Engine, topo *Topology, rng *sim.RNG) *Network {
 		rng:               rng,
 		busyOut:           make([]int32, topo.N),
 		busyIn:            make([]int32, topo.N),
-		fsResIdx:          make(map[int]int),
-		fsPairCount:       make(map[int]int),
 	}
 }
 
@@ -134,19 +134,26 @@ type Completer interface {
 // transport layer queues messages and starts the next transfer from the done
 // callback.
 type Flow struct {
-	net  *Network
-	id   int
-	src  NodeID
-	dst  NodeID
-	open bool
+	net *Network
+	id  int
+	src NodeID
+	dst NodeID
 
-	inPart  bool // held by a component of net.part
-	churned bool // queued in net.churned
+	open      bool
+	busy      bool
+	inPart    bool // held by a component of net.part
+	churned   bool // queued in net.churned
+	ssBinding bool // slow-start cap was binding at last recompute
+
+	// Path constants, sampled from the topology when the flow opens and
+	// again whenever Topology.epoch has moved past pathEpoch (samplePath).
+	pathEpoch uint32
+	rtt       float64
+	loss      float64
+	mathis    float64 // MathisCap(rtt, loss)
 
 	established sim.Time // connection birth, drives the slow-start ramp
-	ssBinding   bool     // slow-start cap was binding at last recompute
 
-	busy       bool
 	remaining  float64
 	rate       float64
 	lastUpdate sim.Time
@@ -178,7 +185,17 @@ func (n *Network) NewFlow(src, dst NodeID) *Flow {
 		open:        true,
 		established: n.Eng.Now(),
 	}
+	f.samplePath()
 	return f
+}
+
+// samplePath reads the flow's path constants from the topology.
+func (f *Flow) samplePath() {
+	t := f.net.Topo
+	f.pathEpoch = t.epoch
+	f.rtt = t.RTT(f.src, f.dst)
+	f.loss = t.CoreLoss(f.src, f.dst)
+	f.mathis = MathisCap(f.rtt, f.loss)
 }
 
 // Src returns the sending endpoint.
@@ -269,29 +286,34 @@ func (f *Flow) start(bytes float64) {
 // given size on this flow's path, modelling TCP retransmission stalls: with
 // probability equal to the path loss rate the message waits one RTO.
 func (f *Flow) DeliveryJitter(bytes float64) float64 {
-	p := f.net.Topo.CoreLoss(f.src, f.dst)
-	if p <= 0 {
+	if f.pathEpoch != f.net.Topo.epoch {
+		f.samplePath()
+	}
+	if f.loss <= 0 {
 		return 0
 	}
-	if f.net.rng.Float64() < p {
-		return RTO(f.net.Topo.RTT(f.src, f.dst))
+	if f.net.rng.Float64() < f.loss {
+		return RTO(f.rtt)
 	}
 	return 0
 }
 
-// cap returns the flow's current per-flow rate cap: dedicated core link
-// bandwidth, Mathis loss cap, and slow-start ramp.
+// capNow returns the flow's current per-flow rate cap: dedicated core link
+// bandwidth (mutable at run time, so read per call), Mathis loss cap, and
+// slow-start ramp.
 func (f *Flow) capNow(now sim.Time) (cap float64, ssBinding bool) {
 	t := f.net.Topo
+	if f.pathEpoch != t.epoch {
+		f.samplePath()
+	}
 	cap = t.CoreBW(f.src, f.dst)
 	if cap <= 0 {
 		cap = math.Inf(1)
 	}
-	rtt := t.RTT(f.src, f.dst)
-	if m := MathisCap(rtt, t.CoreLoss(f.src, f.dst)); m < cap {
-		cap = m
+	if f.mathis < cap {
+		cap = f.mathis
 	}
-	if ss := SlowStartCap(float64(now-f.established), rtt); ss < cap {
+	if ss := SlowStartCap(float64(now-f.established), f.rtt); ss < cap {
 		cap = ss
 		ssBinding = true
 	}
@@ -603,231 +625,306 @@ func (s *endpointSet) reset() {
 	s.ids = s.ids[:0]
 }
 
-// resource is a shared link (access in/out, or a core link carrying more
-// than one flow) during fair-share computation.
+// resource is one shared link of a fill: an access link (out or in), or a
+// core link carrying two or more of the fill's flows.
 type resource struct {
 	cap       float64
-	nUnfrozen int
 	frozenUse float64
-	flows     []int // indices into the active-flow slice
+	sat       float64 // level at which it saturates now; see level
+	nUnfrozen int32
+	// ord ranks resources by first encounter over the fill's flows — flow i
+	// meets its out-access link (3i), its in-access link (3i+1), then its
+	// shared core link (3i+2) — and breaks ties between equal sats.
+	ord        int32
+	key        int32 // the access key it stands for; -1 for a core link
+	start, end int32 // its flows, ascending, are fsResFlows[start:end]
 }
 
-// fairShare computes max-min fair rates for the active flows using
-// progressive filling with per-flow caps: every unfrozen flow's rate rises
-// with a common water level; a flow freezes when the level reaches its cap,
-// and when a shared link saturates all its unfrozen flows freeze at the
-// current level. All working storage is engine-lifetime scratch reused
-// across calls; the returned slice is valid until the next call.
+// level is the water level at which the resource's remaining headroom is
+// used up by its unfrozen flows (nUnfrozen > 0).
+func (r *resource) level() float64 {
+	headroom := r.cap - r.frozenUse
+	if headroom < 0 {
+		headroom = 0
+	}
+	return headroom / float64(r.nUnfrozen)
+}
+
+// pairMark is the duplicate-destination detector of one out-access
+// resource's flow list: in-access resource b was last seen in group grp, on
+// flow last.
+type pairMark struct {
+	grp, last int32
+}
+
+// capEntry is one flow of the cap order.
+type capEntry struct {
+	cap float64
+	fi  int32
+}
+
+func capCmp(a, b capEntry) int {
+	switch {
+	case a.cap < b.cap:
+		return -1
+	case a.cap > b.cap:
+		return 1
+	}
+	return int(a.fi - b.fi)
+}
+
+// fillEps is the band within which the fill treats levels as equal: a cap
+// within fillEps above the next saturation level still freezes first, and
+// caps within fillEps of each other freeze together.
+const fillEps = 1e-9
+
+// fairShare computes max-min fair rates for the active flows by progressive
+// filling with per-flow caps: every unfrozen flow's rate rises with a common
+// water level; a flow freezes at its cap when the level reaches it, and when
+// a shared link saturates all its unfrozen flows freeze at the current
+// level. All working storage is engine-lifetime scratch reused across calls;
+// the returned slice is valid until the next call.
+//
+// The result is pinned bit for bit (scanFairShare in the tests is the
+// scan-per-round filler it must equal; DESIGN.md §3 has the contract): the
+// next cap event is the first unfrozen flow in (cap, index) order, and every
+// unfrozen flow within eps of it freezes with it in ascending index; the next
+// saturation event is the live resource with the lowest (sat, ord).
 func (n *Network) fairShare(active []*Flow, now sim.Time) (rates []float64, anySS bool) {
 	nf := len(active)
-	rates = sizeFloats(&n.fsRates, nf)
-	caps := sizeFloats(&n.fsCaps, nf)
-	frozen := sizeBools(&n.fsFrozen, nf)
+	topo := n.Topo
+	rates = sized(&n.fsRates, nf)
+	caps := sized(&n.fsCaps, nf)
+	frozen := sized(&n.fsFrozen, nf)
+	clear(frozen)
+	flowRes := sized(&n.fsFlowRes, 3*nf) // per flow: out, in, pair (or -1)
+	order := n.fsCapOrder[:0]
 
-	resources := n.fsResources[:0]
-	resIdx := n.fsResIdx
-	clear(resIdx)
-	if cap(n.fsFlowRes) < nf {
-		n.fsFlowRes = append(n.fsFlowRes[:cap(n.fsFlowRes)], make([][]int, nf-cap(n.fsFlowRes))...)
+	// keys maps an access key (node id for out-access, N + node id for
+	// in-access) to the fill's resource for it. An entry counts only if the
+	// resource it names is one of this fill's and names the key back, so
+	// whatever earlier fills left behind is never cleared.
+	if n.fsKeys == nil {
+		n.fsKeys = make([]int32, 2*topo.N)
 	}
-	flowRes := n.fsFlowRes[:nf] // resource indices per flow
-	for i := range flowRes {
-		flowRes[i] = flowRes[i][:0]
-	}
-
-	addToResource := func(key int, capacity float64, fi int) {
-		ri, ok := resIdx[key]
-		if !ok {
-			ri = len(resources)
-			if ri < cap(resources) {
-				resources = resources[:ri+1]
-				resources[ri] = resource{cap: capacity, flows: resources[ri].flows[:0]}
-			} else {
-				resources = append(resources, resource{cap: capacity})
-			}
-			resIdx[key] = ri
+	keys := n.fsKeys
+	res := n.fsResources[:0]
+	access := func(key int32, capacity float64, ord int) int32 {
+		if ri := keys[key]; int(ri) < len(res) && res[ri].key == key {
+			return ri
 		}
-		r := &resources[ri]
-		r.nUnfrozen++
-		r.flows = append(r.flows, fi)
-		flowRes[fi] = append(flowRes[fi], ri)
+		ri := int32(len(res))
+		keys[key] = ri
+		res = append(res, resource{cap: capacity, key: key, ord: int32(ord)})
+		return ri
 	}
 
-	// Group flows by ordered pair: a core link with 2+ flows becomes a
-	// shared resource; with a single flow it is just a cap (cheaper).
-	pairCount := n.fsPairCount
-	clear(pairCount)
-	for _, f := range active {
-		pairCount[int(f.src)*n.Topo.N+int(f.dst)]++
-	}
-
-	// Resource keys: [0,N) out-access, [N,2N) in-access, [2N,...) core pairs.
-	nn := n.Topo.N
+	// Access resources, in first-encounter order, and each flow's cap.
 	for i, f := range active {
 		c, ss := f.capNow(now)
 		f.ssBinding = ss
 		anySS = anySS || ss
 		caps[i] = c
-		addToResource(int(f.src), n.Topo.AccessOut[f.src], i)
-		addToResource(nn+int(f.dst), n.Topo.AccessIn[f.dst], i)
-		pair := int(f.src)*nn + int(f.dst)
-		if pairCount[pair] > 1 {
-			if bw := n.Topo.CoreBW(f.src, f.dst); bw > 0 {
-				addToResource(2*nn+pair, bw, i)
+		outCap, inCap := topo.AccessOut[f.src], topo.AccessIn[f.dst]
+		// A cap event needs cap <= minSat+eps, and it takes along the flows
+		// whose caps are within eps of the event's; no sat exceeds its
+		// link's capacity. A cap further than that above either access
+		// link never freezes its flow and stays out of the cap order.
+		if c <= max(0, min(outCap, inCap))+fillEps+fillEps {
+			order = append(order, capEntry{c, int32(i)})
+		}
+		out := access(int32(f.src), outCap, 3*i)
+		in := access(int32(topo.N)+int32(f.dst), inCap, 3*i+1)
+		res[out].nUnfrozen++
+		res[in].nUnfrozen++
+		flowRes[3*i], flowRes[3*i+1], flowRes[3*i+2] = out, in, -1
+	}
+	nAccess := len(res)
+
+	// Their flow lists: counts to offsets, then one scatter in flow order,
+	// which leaves every list ascending.
+	resFlows := sized(&n.fsResFlows, 3*nf)
+	pos := int32(0)
+	for ri := range res {
+		r := &res[ri]
+		r.start, r.end = pos, pos
+		pos += r.nUnfrozen
+	}
+	for i := range active {
+		for _, ri := range flowRes[3*i : 3*i+2] {
+			r := &res[ri]
+			resFlows[r.end] = int32(i)
+			r.end++
+		}
+	}
+
+	// A core link carrying two or more flows is a resource too; with one it
+	// is just a cap. Two flows share an ordered pair when they sit on the
+	// same out-access resource and have the same in-access resource, so each
+	// out-access list is scanned for repeated in-access resources. next
+	// chains a shared pair's flows in ascending order from its first.
+	seen := sized(&n.fsPairSeen, nAccess)
+	clear(seen)
+	next := sized(&n.fsPairNext, nf)
+	for a := 0; a < nAccess; a++ {
+		if res[a].ord%3 != 0 || res[a].nUnfrozen < 2 {
+			continue
+		}
+		grp := int32(a + 1)
+		for _, fi := range resFlows[res[a].start:res[a].end] {
+			m := &seen[flowRes[3*fi+1]]
+			if m.grp != grp {
+				*m = pairMark{grp, fi}
+				continue
 			}
+			prev := m.last
+			p := flowRes[3*prev+2]
+			if p < 0 { // prev was alone on the pair until now
+				bw := topo.CoreBW(active[fi].src, active[fi].dst)
+				if bw <= 0 {
+					continue // no bandwidth set: the pair is no resource
+				}
+				p = int32(len(res))
+				res = append(res, resource{cap: bw, key: -1, ord: 3*prev + 2, nUnfrozen: 1})
+				flowRes[3*prev+2] = p
+			}
+			flowRes[3*fi+2] = p
+			res[p].nUnfrozen++
+			next[prev] = fi
+			m.last = fi
 		}
 	}
-	n.fsResources = resources
+	for ri := nAccess; ri < len(res); ri++ {
+		r := &res[ri]
+		r.start = pos
+		for fi, k := r.ord/3, r.nUnfrozen; k > 0; fi, k = next[fi], k-1 {
+			resFlows[pos] = fi
+			pos++
+		}
+		r.end = pos
+	}
+	n.fsResources = res
 
-	// The progressive filling below is event-driven rather than
-	// scan-per-round, but it reproduces the original O(n²) scans
-	// bit-for-bit: the same freeze order, the same float accumulation
-	// order, the same tie-breaks.
-	//
-	//   - The next cap event is read from a (cap, flow-index)-sorted order
-	//     instead of a min-scan; the set of flows within the eps band and
-	//     their ascending-index freeze order are reconstructed exactly.
-	//   - The next saturation event comes from a lazy min-heap of
-	//     (sat, resource-index) entries. Every mutation of a resource
-	//     pushes a fresh entry, so the heap always contains each live
-	//     resource's current saturation level; stale entries are discarded
-	//     by recomputing sat (bit-identical floats) at pop time. The
-	//     lexicographic order reproduces the scan's lowest-index tie-break.
+	// The saturation heap holds one (sat, ord) entry per resource with the
+	// invariant stored sat <= the resource's current sat. A freeze at rate
+	// <= sat leaves the resource's sat no lower, so an ordinary freeze does
+	// not touch the heap: a stale entry is corrected when it surfaces. Only
+	// a freeze inside the eps band above sat, or one whose rounding goes the
+	// other way, lowers a sat; then a second, lower entry is pushed. Either
+	// way the top entry, once it matches its resource, is the lowest
+	// (sat, ord) among live resources.
+	heap := sized(&n.fsSatHeap, len(res))
+	for ri := range res {
+		r := &res[ri]
+		r.sat = r.level()
+		heap[ri] = satEntry{r.sat, r.ord, int32(ri)}
+	}
+	for i := len(heap)/2 - 1; i >= 0; i-- {
+		satDown(heap, i)
+	}
+
 	unfrozen := nf
-	level := 0.0
-
-	satHeap := n.fsSatHeap[:0]
-	pushSat := func(ri int32) {
-		r := &resources[ri]
-		if r.nUnfrozen == 0 {
-			return
-		}
-		headroom := r.cap - r.frozenUse
-		if headroom < 0 {
-			headroom = 0
-		}
-		satHeap = satHeapPush(satHeap, satEntry{sat: headroom / float64(r.nUnfrozen), ri: ri})
-	}
-	for ri := range resources {
-		pushSat(int32(ri))
-	}
-
-	freeze := func(fi int, rate float64) {
-		if frozen[fi] {
-			return
-		}
+	freeze := func(fi int32, rate float64) {
 		frozen[fi] = true
 		rates[fi] = rate
 		unfrozen--
-		for _, ri := range flowRes[fi] {
-			r := &resources[ri]
+		for _, ri := range flowRes[3*fi : 3*fi+3] {
+			if ri < 0 {
+				continue
+			}
+			r := &res[ri]
+			if r.nUnfrozen == 0 {
+				continue // the resource saturating in this event
+			}
 			r.nUnfrozen--
 			r.frozenUse += rate
-			pushSat(int32(ri))
+			if r.nUnfrozen == 0 {
+				continue // its entry is dropped when it surfaces
+			}
+			sat := r.level()
+			if sat < r.sat {
+				heap = satPush(heap, satEntry{sat, r.ord, ri})
+			}
+			r.sat = sat
 		}
 	}
 
-	capOrder := sizeInts(&n.fsCapOrder, nf)
-	for i := range capOrder {
-		capOrder[i] = int32(i)
-	}
-	slices.SortFunc(capOrder, func(a, b int32) int {
-		if caps[a] != caps[b] {
-			if caps[a] < caps[b] {
-				return -1
-			}
-			return 1
-		}
-		return int(a - b)
-	})
+	slices.SortFunc(order, capCmp)
+	n.fsCapOrder = order
 	capPtr := 0
 
-	const eps = 1e-9
 	for unfrozen > 0 {
 		// Next cap event: the first unfrozen flow in cap order.
-		for capPtr < nf && frozen[capOrder[capPtr]] {
+		for capPtr < len(order) && frozen[order[capPtr].fi] {
 			capPtr++
 		}
 		minCap := math.Inf(1)
-		if capPtr < nf {
-			minCap = caps[capOrder[capPtr]]
+		if capPtr < len(order) {
+			minCap = order[capPtr].cap
 		}
-		// Next resource saturation event: discard stale heap entries (the
-		// resource drained, or its sat moved since the entry was pushed).
-		minSat := math.Inf(1)
-		satRes := -1
-		for len(satHeap) > 0 {
-			top := satHeap[0]
-			r := &resources[top.ri]
+		// Next saturation event: the top entry, once it is neither dead nor
+		// behind its resource.
+		minSat, satRes := math.Inf(1), int32(-1)
+		for len(heap) > 0 {
+			top := &heap[0]
+			r := &res[top.ri]
 			if r.nUnfrozen == 0 {
-				satHeap = satHeapPop(satHeap)
+				heap = satPop(heap)
 				continue
 			}
-			headroom := r.cap - r.frozenUse
-			if headroom < 0 {
-				headroom = 0
-			}
-			if sat := headroom / float64(r.nUnfrozen); sat != top.sat {
-				satHeap = satHeapPop(satHeap)
+			if top.sat != r.sat {
+				top.sat = r.sat
+				satDown(heap, 0)
 				continue
 			}
-			minSat = top.sat
-			satRes = int(top.ri)
+			minSat, satRes = top.sat, top.ri
 			break
 		}
 
-		if minCap <= minSat+eps && !math.IsInf(minCap, 1) {
-			level = minCap
-			// Collect the unfrozen flows inside the eps band (contiguous
-			// in cap order) and freeze them in ascending flow index, as
-			// the original full scan did.
+		if minCap <= minSat+fillEps && !math.IsInf(minCap, 1) {
+			// The unfrozen flows inside the eps band are contiguous in cap
+			// order; they freeze in ascending flow index.
 			grp := n.fsGrp[:0]
-			for p := capPtr; p < nf; p++ {
-				fi := capOrder[p]
-				if frozen[fi] {
-					continue
+			for p := capPtr; p < len(order) && order[p].cap <= minCap+fillEps; p++ {
+				if fi := order[p].fi; !frozen[fi] {
+					grp = append(grp, fi)
 				}
-				if caps[fi] > minCap+eps {
-					break
-				}
-				grp = append(grp, fi)
 			}
-			insertionSortInts(grp)
+			slices.Sort(grp)
 			for _, fi := range grp {
-				freeze(int(fi), caps[fi])
+				freeze(fi, caps[fi])
 			}
 			n.fsGrp = grp[:0]
 			continue
 		}
 		if satRes >= 0 && !math.IsInf(minSat, 1) {
-			level = minSat
-			r := &resources[satRes]
-			for _, fi := range r.flows {
+			// Its flows all freeze at this level now. Marking it dead first
+			// keeps freeze off it: refreshing its sat per flow would be wasted,
+			// and rounding would lower that sat (and push) every other time.
+			r := &res[satRes]
+			r.nUnfrozen = 0
+			for _, fi := range resFlows[r.start:r.end] {
 				if !frozen[fi] {
-					rate := level
-					if caps[fi] < rate {
-						rate = caps[fi]
-					}
-					freeze(fi, rate)
+					freeze(fi, min(minSat, caps[fi]))
 				}
 			}
 			continue
 		}
 		// No finite cap and no saturable resource: unconstrained flows.
-		for i := 0; i < nf; i++ {
+		for i := range frozen {
 			if !frozen[i] {
-				freeze(i, 1e12)
+				freeze(int32(i), 1e12)
 			}
 		}
 	}
-	_ = level
-	n.fsSatHeap = satHeap[:0]
+	n.fsSatHeap = heap
 	return rates, anySS
 }
 
-// satEntry is one lazy saturation-heap entry; see fairShare.
+// satEntry is one saturation-heap entry; see fairShare.
 type satEntry struct {
 	sat float64
+	ord int32
 	ri  int32
 }
 
@@ -835,10 +932,10 @@ func satLess(a, b satEntry) bool {
 	if a.sat != b.sat {
 		return a.sat < b.sat
 	}
-	return a.ri < b.ri
+	return a.ord < b.ord
 }
 
-func satHeapPush(h []satEntry, e satEntry) []satEntry {
+func satPush(h []satEntry, e satEntry) []satEntry {
 	h = append(h, e)
 	i := len(h) - 1
 	for i > 0 {
@@ -852,74 +949,39 @@ func satHeapPush(h []satEntry, e satEntry) []satEntry {
 	return h
 }
 
-func satHeapPop(h []satEntry) []satEntry {
+func satPop(h []satEntry) []satEntry {
 	nh := len(h) - 1
 	h[0] = h[nh]
 	h = h[:nh]
-	i := 0
+	satDown(h, 0)
+	return h
+}
+
+// satDown restores the heap below entry i after its key rose.
+func satDown(h []satEntry, i int) {
 	for {
 		l, r := 2*i+1, 2*i+2
 		small := i
-		if l < nh && satLess(h[l], h[small]) {
+		if l < len(h) && satLess(h[l], h[small]) {
 			small = l
 		}
-		if r < nh && satLess(h[r], h[small]) {
+		if r < len(h) && satLess(h[r], h[small]) {
 			small = r
 		}
 		if small == i {
-			return h
+			return
 		}
 		h[i], h[small] = h[small], h[i]
 		i = small
 	}
 }
 
-// insertionSortInts sorts ascending without allocating; eps bands are tiny.
-func insertionSortInts(s []int32) {
-	for i := 1; i < len(s); i++ {
-		v := s[i]
-		j := i - 1
-		for j >= 0 && s[j] > v {
-			s[j+1] = s[j]
-			j--
-		}
-		s[j+1] = v
-	}
-}
-
-// sizeInts resizes a reusable int32 scratch slice without zeroing.
-func sizeInts(s *[]int32, n int) []int32 {
+// sized returns the reusable scratch slice *s resized to n elements, growing
+// it when needed; the contents are whatever the last use left.
+func sized[T any](s *[]T, n int) []T {
 	if cap(*s) < n {
-		*s = make([]int32, n)
+		*s = make([]T, n)
 	}
 	*s = (*s)[:n]
 	return *s
-}
-
-// sizeFloats resizes a reusable float scratch slice, zeroing the active
-// prefix.
-func sizeFloats(s *[]float64, n int) []float64 {
-	if cap(*s) < n {
-		*s = make([]float64, n)
-	}
-	out := (*s)[:n]
-	for i := range out {
-		out[i] = 0
-	}
-	*s = out
-	return out
-}
-
-// sizeBools resizes a reusable bool scratch slice, zeroing the active
-// prefix.
-func sizeBools(s *[]bool, n int) []bool {
-	if cap(*s) < n {
-		*s = make([]bool, n)
-	}
-	out := (*s)[:n]
-	for i := range out {
-		out[i] = false
-	}
-	*s = out
-	return out
 }

@@ -189,8 +189,8 @@ func mergeByID(out, a, b []*Flow) {
 // (dissolve reset them, and a fresh flow's endpoints were either unindexed
 // or indexed a component that was then dissolved).
 func (p *partition) build(active []*Flow) {
-	parent := sizeInts(&p.parent, len(active))
-	byRoot := sizeInts(&p.byRoot, len(active))
+	parent := sized(&p.parent, len(active))
+	byRoot := sized(&p.byRoot, len(active))
 	for i := range parent {
 		parent[i] = int32(i)
 		byRoot[i] = -1

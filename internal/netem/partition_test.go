@@ -354,6 +354,28 @@ func TestPartitionMatchesFromScratchUnderChurn(t *testing.T) {
 	}
 }
 
+// benchChurn returns the netem benchmarks' unit of work: finish one of the
+// flows (all mid-transfer, far from done), restart the one that finished an
+// interval earlier, and run the one recomputation that follows.
+func benchChurn(b *testing.B, eng *sim.Engine, net *Network, flows []*Flow) func(i int) {
+	var idle *Flow
+	return func(i int) {
+		f := flows[(i*7919)%len(flows)]
+		f.completion.Cancel()
+		f.remaining = 0
+		f.complete()
+		if idle != nil {
+			idle.Start(1e15, nil)
+		}
+		idle = f
+		before := net.Recomputes
+		eng.RunUntil(eng.Now() + sim.Time(net.RecomputeInterval))
+		if net.Recomputes != before+1 {
+			b.Fatalf("%d recomputations in one interval, want 1", net.Recomputes-before)
+		}
+	}
+}
+
 // BenchmarkPartitionChurn measures partition maintenance where it is the
 // whole cost: 250 disjoint components of 25 flows each (a 25-way fan-in per
 // receiver); every recomputation sees one flow finished and the flow that
@@ -375,22 +397,7 @@ func BenchmarkPartitionChurn(b *testing.B) {
 		}
 	}
 	eng.RunUntil(100) // past slow start: nothing re-dirties itself
-	var idle *Flow
-	churn := func(i int) {
-		f := flows[(i*7919)%len(flows)]
-		f.completion.Cancel()
-		f.remaining = 0
-		f.complete()
-		if idle != nil {
-			idle.Start(1e15, nil)
-		}
-		idle = f
-		before := net.Recomputes
-		eng.RunUntil(eng.Now() + sim.Time(net.RecomputeInterval))
-		if net.Recomputes != before+1 {
-			b.Fatalf("%d recomputations in one interval, want 1", net.Recomputes-before)
-		}
-	}
+	churn := benchChurn(b, eng, net, flows)
 	for i := 0; i < 4*comps; i++ {
 		churn(i) // let every scratch slice reach its steady size
 	}

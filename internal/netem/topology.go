@@ -63,6 +63,15 @@ type Topology struct {
 	coreDelay []float64
 	coreLoss  []float64
 
+	// epoch counts delay and loss mutations. A Flow samples its path's RTT,
+	// loss and Mathis cap when it opens and re-samples when epoch has moved,
+	// so the waterfill reads the flow instead of two N*N slices. Only
+	// topology builders set delays and losses today; the setters are not
+	// safe to call while shards are running. Writes to AccessDelay elements
+	// do not bump it: set access delays before opening flows, or through
+	// SetUniformAccess.
+	epoch uint32
+
 	// compact, when non-nil, replaces the dense N*N core slices with an
 	// O(N) procedural backend (hash-derived parameters plus per-cluster
 	// mutation overlays). Dense slices are nil in that case.
@@ -84,9 +93,21 @@ func NewTopology(n int) *Topology {
 
 func (t *Topology) idx(src, dst NodeID) int {
 	if src < 0 || int(src) >= t.N || dst < 0 || int(dst) >= t.N {
-		panic(fmt.Sprintf("netem: pair (%d,%d) out of range for %d nodes", src, dst, t.N))
+		panic(pairRangeError{src, dst, t.N})
 	}
 	return int(src)*t.N + int(dst)
+}
+
+// pairRangeError is idx's panic value. Formatting the message in Error, off
+// the accessors' path, is what lets idx inline into them: a fmt.Sprintf (or
+// any call) in its body puts it over the inliner's budget.
+type pairRangeError struct {
+	src, dst NodeID
+	n        int
+}
+
+func (e pairRangeError) Error() string {
+	return fmt.Sprintf("netem: pair (%d,%d) out of range for %d nodes", e.src, e.dst, e.n)
 }
 
 // CoreBW returns the core-link bandwidth for the ordered pair src→dst.
@@ -120,6 +141,7 @@ func (t *Topology) CoreDelay(src, dst NodeID) float64 {
 // SetCoreDelay sets the one-way core propagation delay for src→dst.
 func (t *Topology) SetCoreDelay(src, dst NodeID, d float64) {
 	i := t.idx(src, dst)
+	t.epoch++
 	if t.compact != nil {
 		t.compact.set(src, dst, overlayDelay, d)
 		return
@@ -139,6 +161,7 @@ func (t *Topology) CoreLoss(src, dst NodeID) float64 {
 // SetCoreLoss sets the random-loss probability on the core link src→dst.
 func (t *Topology) SetCoreLoss(src, dst NodeID, p float64) {
 	i := t.idx(src, dst)
+	t.epoch++
 	if t.compact != nil {
 		t.compact.set(src, dst, overlayLoss, p)
 		return
@@ -148,6 +171,7 @@ func (t *Topology) SetCoreLoss(src, dst NodeID, p float64) {
 
 // SetUniformAccess configures every node with the same access parameters.
 func (t *Topology) SetUniformAccess(in, out, delay float64) {
+	t.epoch++
 	for i := 0; i < t.N; i++ {
 		t.AccessIn[i] = in
 		t.AccessOut[i] = out
