@@ -30,7 +30,11 @@ type Network struct {
 	Eng  *sim.Engine
 	Topo *Topology
 
-	// RecomputeInterval throttles fair-share recomputation (seconds).
+	// RecomputeInterval throttles fair-share recomputation (seconds). It is
+	// also how far past a component's earliest completion a refill arms
+	// completion events (see armComponent), so it must not be raised while
+	// flows are in service: an event left unarmed under the old value could
+	// come due before the recomputation the new value allows.
 	RecomputeInterval float64
 
 	// Owns, when set, restricts NewFlow to endpoints this network instance
@@ -43,7 +47,8 @@ type Network struct {
 	// FullRecompute forces the original global waterfill over every active
 	// flow on each recomputation. The default (false) re-waterfills only the
 	// connected components of the flow-sharing graph touched since the last
-	// pass; flows in clean components keep their rates and completion events.
+	// pass; flows in clean components keep their rates and whatever
+	// completion events they have armed.
 	FullRecompute bool
 
 	rng     *sim.RNG
@@ -85,6 +90,8 @@ type Network struct {
 	fsCapOrder  []capEntry
 	fsGrp       []int32
 	fsSatHeap   []satEntry
+	fsDue       []sim.Time // per refilled flow: when it finishes at its new rate
+	fsFirst     []sim.Time // per component slot: its earliest due time (global pass)
 
 	// Recomputes counts fair-share recomputations, for tests and profiling.
 	Recomputes uint64
@@ -94,6 +101,11 @@ type Network struct {
 	// quantify how much work incremental recomputation avoids.
 	FlowRatesRecomputed uint64
 	FlowRatesSkipped    uint64
+	// CompletionsArmed counts the completion events refills scheduled;
+	// CompletionsDeferred counts the busy, unstarved flows a refill left
+	// without one because a later refill is certain to come first.
+	CompletionsArmed    uint64
+	CompletionsDeferred uint64
 	// BytesServed is the total payload bytes fully serialized by all flows.
 	BytesServed float64
 }
@@ -236,8 +248,7 @@ func (f *Flow) Close() {
 	f.done = nil
 	f.doneTo = nil
 	f.doneArg = nil
-	f.completion.Cancel()
-	f.completion = sim.EventRef{}
+	f.disarm()
 	f.net.flowChurn(f)
 }
 
@@ -327,18 +338,36 @@ func (f *Flow) capNow(now sim.Time) (cap float64, ssBinding bool) {
 // the same instant forever.
 const completeEps = 1e-3
 
-func (f *Flow) scheduleCompletion() {
+// never is the due time of a flow that is idle or starved: no completion to
+// arm until a later recomputation gives it a rate.
+const never = sim.Forever
+
+// dueAt returns when the segment in service finishes at the current rate,
+// now being the instant remaining was last brought up to date.
+func (f *Flow) dueAt(now sim.Time) sim.Time {
+	if !f.busy || f.rate <= 0 {
+		return never
+	}
+	return now + sim.Time(f.remaining/f.rate)
+}
+
+func (f *Flow) disarm() {
 	f.completion.Cancel()
 	f.completion = sim.EventRef{}
-	if !f.busy {
-		return
+}
+
+func (f *Flow) arm(due sim.Time) {
+	f.completion = f.net.Eng.ScheduleEvent(due, f.net, evFlowComplete, f)
+}
+
+// scheduleCompletion arms f's completion at its current rate, whatever the
+// rest of its component is doing: the provisional rate of a fresh start, or
+// the rest of a segment whose event fired early.
+func (f *Flow) scheduleCompletion() {
+	f.disarm()
+	if due := f.dueAt(f.net.Eng.Now()); due != never {
+		f.arm(due)
 	}
-	if f.rate <= 0 {
-		// Starved; a future recomputation will reschedule.
-		return
-	}
-	dt := f.remaining / f.rate
-	f.completion = f.net.Eng.AfterEvent(dt, f.net, evFlowComplete, f)
 }
 
 func (f *Flow) complete() {
@@ -348,8 +377,12 @@ func (f *Flow) complete() {
 	now := f.net.Eng.Now()
 	f.advance(now)
 	if f.remaining > completeEps {
-		// A recomputation moved the goalposts; reschedule.
+		// The event fired before the segment was through; reschedule. If it
+		// was its component's earliest, deferred flows were counting on the
+		// refill a completion brings (see armComponent), so ask for one.
 		f.scheduleCompletion()
+		f.net.touch(f)
+		f.net.markDirty()
 		return
 	}
 	f.setBusy(false)
@@ -514,16 +547,20 @@ func (n *Network) recompute() {
 // waterfillGroup advances and re-waterfills one group of flows — the whole
 // active set or a single component — and reports whether any slow-start cap
 // was binding. In incremental mode, ramping flows re-dirty their components
-// so the ramp keeps advancing even without flow churn.
-func (n *Network) waterfillGroup(flows []*Flow, now sim.Time) (anySS bool) {
+// so the ramp keeps advancing even without flow churn. Every flow is left
+// disarmed, its due time at the new rate in due (fill scratch, valid until
+// the next call); the caller arms, component by component.
+func (n *Network) waterfillGroup(flows []*Flow, now sim.Time) (due []sim.Time, anySS bool) {
 	for _, f := range flows {
 		f.advance(now)
 	}
 	rates, anySS := n.fairShare(flows, now)
 	n.FlowRatesRecomputed += uint64(len(flows))
+	due = sized(&n.fsDue, len(flows))
 	for i, f := range flows {
 		f.rate = rates[i]
-		f.scheduleCompletion()
+		f.disarm()
+		due[i] = f.dueAt(now)
 	}
 	if anySS && !n.FullRecompute {
 		for _, f := range flows {
@@ -532,7 +569,39 @@ func (n *Network) waterfillGroup(flows []*Flow, now sim.Time) (anySS bool) {
 			}
 		}
 	}
-	return anySS
+	return due, anySS
+}
+
+// armComponent schedules the completions of one freshly refilled component
+// that can fire before the component is refilled again: those due no later
+// than RecomputeInterval after its earliest. The rest get no engine event.
+// That is safe because the earliest completion — or any start, close or link
+// change that comes sooner — dirties an endpoint of the component, markDirty
+// then runs a recomputation no later than RecomputeInterval after it, and
+// that recomputation refills every flow the component still has (whichever
+// components they are in by then, each is reached from a dirtied endpoint).
+// DESIGN.md §3 has the contract.
+func (n *Network) armComponent(flows []*Flow, due []sim.Time) {
+	first := never
+	for _, d := range due {
+		first = min(first, d)
+	}
+	horizon := first + sim.Time(n.RecomputeInterval)
+	for i, f := range flows {
+		n.armWithin(f, due[i], horizon)
+	}
+}
+
+// armWithin arms f if it is due by the horizon of its component.
+func (n *Network) armWithin(f *Flow, due, horizon sim.Time) {
+	switch {
+	case due == never:
+	case due <= horizon:
+		f.arm(due)
+		n.CompletionsArmed++
+	default:
+		n.CompletionsDeferred++
+	}
 }
 
 // recomputeFull is the original global pass: every active flow is advanced
@@ -542,19 +611,37 @@ func (n *Network) recomputeFull(now sim.Time) {
 	n.dirtyOut.reset()
 	n.dirtyIn.reset()
 
-	active := n.part.allFlows()
+	part := &n.part
+	active := part.allFlows()
 	if len(active) == 0 {
 		return
 	}
-	if n.waterfillGroup(active, now) {
+	due, anySS := n.waterfillGroup(active, now)
+	// One fill, but still one horizon per component: the recomputation a
+	// completion brings may be an incremental one, which refills only that
+	// completion's component. Arming in the fill's own order keeps the
+	// engine's sequence draws in ascending flow id.
+	first := sized(&n.fsFirst, len(part.comps))
+	for ci := range first {
+		first[ci] = never
+	}
+	for i, f := range active {
+		ci := part.bySrc[f.src]
+		first[ci] = min(first[ci], due[i])
+	}
+	interval := sim.Time(n.RecomputeInterval)
+	for i, f := range active {
+		n.armWithin(f, due[i], first[part.bySrc[f.src]]+interval)
+	}
+	if anySS {
 		n.markDirty()
 	}
 }
 
 // recomputeIncremental re-waterfills only the dirty components of the
 // sharing graph. Flows in clean components keep their current rates and
-// completion events; max-min allocations decompose exactly over connected
-// components because no resource spans two of them.
+// whatever completion events they have armed; max-min allocations decompose
+// exactly over connected components because no resource spans two of them.
 func (n *Network) recomputeIncremental(now sim.Time) {
 	part := &n.part
 	// The reverse index makes dirty detection O(|dirty endpoints|), not
@@ -588,9 +675,9 @@ func (n *Network) recomputeIncremental(now sim.Time) {
 		c := &part.comps[ci]
 		c.dirty = false
 		recomputed += len(c.flows)
-		if n.waterfillGroup(c.flows, now) {
-			anySS = true
-		}
+		due, ss := n.waterfillGroup(c.flows, now)
+		n.armComponent(c.flows, due)
+		anySS = anySS || ss
 	}
 	n.dirtyComps = dirty[:0]
 	n.FlowRatesSkipped += uint64(part.total - recomputed)

@@ -131,18 +131,34 @@ type completion struct {
 // run on equal links with two transfer sizes, so that components finish
 // flows at the same instant and the order they were waterfilled in shows.
 type partitionChurn struct {
-	eng   *sim.Engine
-	net   *Network
-	rng   *sim.RNG
-	all   []*Flow // every flow ever opened, ascending id
-	log   []completion
-	n     int
+	eng *sim.Engine
+	net *Network
+	rng *sim.RNG
+	all []*Flow // every flow ever opened, ascending id
+	log []completion
+	n   int
+	// Nodes [0, giant) are one region, the rest islands of churnIsland
+	// nodes; a flow stays inside its source's region.
+	giant int
 	equal bool
-	step  func() // runs after every engine event
+
+	streams int    // flows kept restarting
+	chains  int    // independent tick chains
+	step    func() // runs after every engine event, if set
 }
 
+const churnIsland = 5
+
+// newPartitionChurn is the 14-node workload of the oracle tests: one region,
+// ten streams, one tick chain.
 func newPartitionChurn(seed int64) *partitionChurn {
-	w := &partitionChurn{eng: sim.NewEngine(), rng: sim.NewRNG(seed), n: 14, equal: seed%2 == 0}
+	w := newChurn(seed, 14, 14)
+	w.streams, w.chains = 10, 1
+	return w
+}
+
+func newChurn(seed int64, n, giant int) *partitionChurn {
+	w := &partitionChurn{eng: sim.NewEngine(), rng: sim.NewRNG(seed), n: n, giant: giant, equal: seed%2 == 0}
 	topo := NewTopology(w.n)
 	for i := 0; i < w.n; i++ {
 		topo.AccessIn[i] = w.rng.Uniform(2e5, 2e6)
@@ -166,11 +182,16 @@ func newPartitionChurn(seed int64) *partitionChurn {
 }
 
 func (w *partitionChurn) pair() (NodeID, NodeID) {
-	src, dst := NodeID(w.rng.Intn(w.n)), NodeID(w.rng.Intn(w.n))
-	if src == dst {
-		dst = (dst + 1) % NodeID(w.n)
+	src := w.rng.Intn(w.n)
+	lo, size := 0, w.giant
+	if src >= w.giant {
+		lo, size = src-(src-w.giant)%churnIsland, churnIsland
 	}
-	return src, dst
+	dst := lo + w.rng.Intn(size)
+	if src == dst {
+		dst = lo + (dst-lo+1)%size
+	}
+	return NodeID(src), NodeID(dst)
 }
 
 func (w *partitionChurn) open() *Flow {
@@ -211,8 +232,9 @@ func (w *partitionChurn) stream(f *Flow) {
 }
 
 // tick is the outside world: link changes with no churn at all, closes in
-// mid-transfer, and one-segment flows that start and finish between two
-// recomputations.
+// mid-transfer, an access link that drops to nothing (its flows starve) and
+// comes back, a change that names no link, and one-segment flows that start
+// and finish between two recomputations.
 func (w *partitionChurn) tick() {
 	topo := w.net.Topo
 	switch u := w.rng.Float64(); {
@@ -241,6 +263,18 @@ func (w *partitionChurn) tick() {
 			busy[w.rng.Intn(len(busy))].Close()
 			w.stream(w.open())
 		}
+	case u < 0.82:
+		i := NodeID(w.rng.Intn(w.n))
+		if bw := topo.AccessOut[i]; bw > 0 {
+			topo.AccessOut[i] = 0
+			w.net.LinksChanged([]LinkRef{OutAccess(i)})
+			w.eng.After(w.rng.Uniform(0.03, 0.2), func() {
+				topo.AccessOut[i] = bw
+				w.net.LinksChanged([]LinkRef{OutAccess(i)})
+			})
+		}
+	case u < 0.85:
+		w.net.BandwidthChanged()
 	default:
 		f := w.open()
 		f.Start(w.rng.Uniform(100, 1000), func() {
@@ -252,17 +286,27 @@ func (w *partitionChurn) tick() {
 }
 
 func (w *partitionChurn) run(until sim.Time) {
-	for k := 0; k < 10; k++ {
+	for k := 0; k < w.streams; k++ {
 		w.stream(w.open())
 	}
-	w.eng.After(0.05, w.tick)
+	for k := 0; k < w.chains; k++ {
+		w.eng.After(0.05, w.tick)
+	}
+	stepUntil(w.eng, until, w.step)
+}
+
+// stepUntil runs the engine's events up to until one at a time, calling
+// after (if set) once each has fired.
+func stepUntil(eng *sim.Engine, until sim.Time, after func()) {
 	for {
-		at, ok := w.eng.NextEventAt()
+		at, ok := eng.NextEventAt()
 		if !ok || at > until {
 			return
 		}
-		w.eng.Step()
-		w.step()
+		eng.Step()
+		if after != nil {
+			after()
+		}
 	}
 }
 

@@ -84,11 +84,12 @@ func BenchmarkWaterfillGiant(b *testing.B) {
 	for i := 0; i < 200; i++ {
 		churn(i) // let every scratch slice reach its steady size
 	}
-	recomputed := net.FlowRatesRecomputed
+	recomputed, armed := net.FlowRatesRecomputed, net.CompletionsArmed
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		churn(i)
 	}
 	b.ReportMetric(float64(net.FlowRatesRecomputed-recomputed)/float64(b.N), "flows/recompute")
+	b.ReportMetric(float64(net.CompletionsArmed-armed)/float64(b.N), "armed/recompute")
 }

@@ -3,6 +3,7 @@ package proto
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"bulletprime/internal/sim"
 )
@@ -24,15 +25,25 @@ func (b *Bitmap) Len() int { return b.n }
 // Get reports whether bit i is set.
 func (b *Bitmap) Get(i int) bool {
 	if i < 0 || i >= b.n {
-		panic(fmt.Sprintf("proto: bitmap index %d out of [0,%d)", i, b.n))
+		panic(rangeError{i, b.n})
 	}
 	return b.words[i>>6]&(1<<(uint(i)&63)) != 0
+}
+
+// rangeError is Get's and Set's panic value. Formatting the message in
+// Error, off their path, is what lets them inline (and BlockStore.Have into
+// the block-selection scans): a fmt.Sprintf in the body puts either over the
+// inliner's budget.
+type rangeError struct{ i, n int }
+
+func (e rangeError) Error() string {
+	return fmt.Sprintf("proto: bitmap index %d out of [0,%d)", e.i, e.n)
 }
 
 // Set sets bit i and reports whether it was previously clear.
 func (b *Bitmap) Set(i int) bool {
 	if i < 0 || i >= b.n {
-		panic(fmt.Sprintf("proto: bitmap index %d out of [0,%d)", i, b.n))
+		panic(rangeError{i, b.n})
 	}
 	w, m := i>>6, uint64(1)<<(uint(i)&63)
 	if b.words[w]&m != 0 {
@@ -129,9 +140,15 @@ func (s *BlockStore) Bitmap() *Bitmap { return s.bm }
 // ForEachMissing calls fn for every block not held, in index order, until
 // fn returns false.
 func (s *BlockStore) ForEachMissing(fn func(i int) bool) {
-	for i := 0; i < s.bm.Len(); i++ {
-		if !s.bm.Get(i) {
-			if !fn(i) {
+	for wi, w := range s.bm.words {
+		// The clear bits of the word, least significant first; positions
+		// past the last block read as held.
+		miss := ^w
+		if tail := s.bm.n - wi<<6; tail < 64 {
+			miss &= 1<<uint(tail) - 1
+		}
+		for ; miss != 0; miss &= miss - 1 {
+			if !fn(wi<<6 + bits.TrailingZeros64(miss)) {
 				return
 			}
 		}

@@ -1,7 +1,9 @@
 package proto
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -238,14 +240,17 @@ func TestBitmapBasics(t *testing.T) {
 func TestBitmapOutOfRangePanics(t *testing.T) {
 	b := NewBitmap(10)
 	for _, i := range []int{-1, 10} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Get(%d) did not panic", i)
-				}
+		for name, op := range map[string]func(int) bool{"Get": b.Get, "Set": b.Set} {
+			func() {
+				defer func() {
+					want := fmt.Sprintf("proto: bitmap index %d out of [0,10)", i)
+					if err, _ := recover().(error); err == nil || err.Error() != want {
+						t.Errorf("%s(%d) panicked with %v, want %q", name, i, err, want)
+					}
+				}()
+				op(i)
 			}()
-			b.Get(i)
-		}()
+		}
 	}
 }
 
@@ -295,6 +300,50 @@ func TestBlockStoreForEachMissing(t *testing.T) {
 	s.ForEachMissing(func(i int) bool { got = append(got, i); return false })
 	if len(got) != 1 {
 		t.Fatal("ForEachMissing ignored stop")
+	}
+}
+
+// TestForEachMissingMatchesIndexScan pins the word walk to the scan it
+// replaced — every index the store does not hold, ascending — on sizes either
+// side of a word boundary and at every fill level, and with it the set of
+// missing blocks UsefulTo samples (missing rank ≡ 0 mod stride).
+func TestForEachMissingMatchesIndexScan(t *testing.T) {
+	rng := sim.NewRNG(7)
+	for _, n := range []int{1, 5, 63, 64, 65, 127, 128, 130, 500} {
+		other := NewBlockStore(n)
+		for i := 0; i < n; i += 1 + rng.Intn(3) {
+			other.Add(i, 0)
+		}
+		sum := NewSummary(other)
+		s := NewBlockStore(n)
+		for _, b := range rng.Perm(n) {
+			var want []int
+			for i := 0; i < n; i++ {
+				if !s.Have(i) {
+					want = append(want, i)
+				}
+			}
+			var got []int
+			s.ForEachMissing(func(i int) bool { got = append(got, i); return true })
+			if !slices.Equal(got, want) {
+				t.Fatalf("n=%d held=%d: missing %v, index scan has %v", n, s.Count(), got, want)
+			}
+			const sampleMax = 8
+			stride, seen, hits := len(want)/sampleMax+1, 0, 0
+			for rank, i := range want {
+				if rank%stride == 0 {
+					seen++
+					if sum.MayHave(i) {
+						hits++
+					}
+				}
+			}
+			est := math.Min(float64(hits)/float64(seen)*float64(len(want)), float64(sum.Count))
+			if got := sum.UsefulTo(s, sampleMax); got != est {
+				t.Fatalf("n=%d held=%d: UsefulTo %v, sampling the index scan gives %v", n, s.Count(), got, est)
+			}
+			s.Add(b, 0)
+		}
 	}
 }
 
