@@ -18,7 +18,6 @@ import (
 	"bulletprime/internal/core"
 	"bulletprime/internal/fountain"
 	"bulletprime/internal/harness"
-	"bulletprime/internal/netcode"
 	"bulletprime/internal/netem"
 	"bulletprime/internal/proto"
 	"bulletprime/internal/rsyncx"
@@ -29,80 +28,60 @@ import (
 
 const benchSeed = 42
 
-// reportCDF attaches download-time metrics from the labelled series.
-func reportCDF(b *testing.B, fig *trace.Figure, label string) {
+// benchFigure regenerates one figure per iteration and attaches
+// download-time metrics from its labelled series.
+func benchFigure(b *testing.B, figure int, label string) {
 	b.Helper()
-	for _, s := range fig.Series {
-		if s.Label != label || len(s.Points) == 0 {
-			continue
+	for i := 0; i < b.N; i++ {
+		fig, err := harness.RunFigure(figure, harness.BenchScale, benchSeed)
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.ReportMetric(s.Points[len(s.Points)/2][0], "median_s")
-		b.ReportMetric(s.Points[len(s.Points)-1][0], "worst_s")
-		return
+		for _, s := range fig.Series {
+			if s.Label != label || len(s.Points) == 0 {
+				continue
+			}
+			b.ReportMetric(s.Points[len(s.Points)/2][0], "median_s")
+			b.ReportMetric(s.Points[len(s.Points)-1][0], "worst_s")
+			break
+		}
 	}
 }
 
 func BenchmarkFigure04StaticComparison(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig := harness.Figure4(harness.BenchScale, benchSeed)
-		reportCDF(b, fig, "BulletPrime")
-	}
+	benchFigure(b, 4, "BulletPrime")
 }
 
 func BenchmarkFigure05DynamicComparison(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig := harness.Figure5(harness.BenchScale, benchSeed)
-		reportCDF(b, fig, "BulletPrime")
-	}
+	benchFigure(b, 5, "BulletPrime")
 }
 
 func BenchmarkFigure06RequestStrategies(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig := harness.Figure6(harness.BenchScale, benchSeed)
-		reportCDF(b, fig, "BulletPrime rarest-random request strategy")
-	}
+	benchFigure(b, 6, "BulletPrime rarest-random request strategy")
 }
 
 func BenchmarkFigure07PeerSetStatic(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig := harness.Figure7(harness.BenchScale, benchSeed)
-		reportCDF(b, fig, "BulletPrime, dyn. #senders,#receivers")
-	}
+	benchFigure(b, 7, "BulletPrime, dyn. #senders,#receivers")
 }
 
 func BenchmarkFigure08PeerSetDynamic(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig := harness.Figure8(harness.BenchScale, benchSeed)
-		reportCDF(b, fig, "BulletPrime, dyn. #senders,#receivers")
-	}
+	benchFigure(b, 8, "BulletPrime, dyn. #senders,#receivers")
 }
 
 func BenchmarkFigure09ConstrainedAccess(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig := harness.Figure9(harness.BenchScale, benchSeed)
-		reportCDF(b, fig, "BulletPrime, dyn. #senders,#receivers")
-	}
+	benchFigure(b, 9, "BulletPrime, dyn. #senders,#receivers")
 }
 
 func BenchmarkFigure10OutstandingClean(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig := harness.Figure10(harness.BenchScale, benchSeed)
-		reportCDF(b, fig, "BulletPrime , dyn  outst")
-	}
+	benchFigure(b, 10, "BulletPrime , dyn  outst")
 }
 
 func BenchmarkFigure11OutstandingLossy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig := harness.Figure11(harness.BenchScale, benchSeed)
-		reportCDF(b, fig, "BulletPrime , dyn  outst")
-	}
+	benchFigure(b, 11, "BulletPrime , dyn  outst")
 }
 
 func BenchmarkFigure12OutstandingCascade(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig := harness.Figure12(harness.BenchScale, benchSeed)
-		reportCDF(b, fig, "BulletPrime , dyn  outst")
-	}
+	benchFigure(b, 12, "BulletPrime , dyn  outst")
 }
 
 func BenchmarkFigure13InterArrival(b *testing.B) {
@@ -114,28 +93,24 @@ func BenchmarkFigure13InterArrival(b *testing.B) {
 }
 
 func BenchmarkFigure14PlanetLab(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig := harness.Figure14(harness.BenchScale, benchSeed)
-		reportCDF(b, fig, "BulletPrime")
-	}
+	benchFigure(b, 14, "BulletPrime")
 }
 
 func BenchmarkFigure15Shotgun(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig := harness.Figure15(harness.BenchScale, benchSeed)
-		reportCDF(b, fig, "Shotgun (Download + Update)")
-	}
+	benchFigure(b, 15, "Shotgun (Download + Update)")
 }
 
 // --- Ablations (DESIGN.md §4) ----------------------------------------------
 
-// ablationRun runs Bullet' on the lossy ModelNet mesh with a config hook.
+// ablationSpec is Bullet' on the lossy ModelNet mesh with a config hook.
+func ablationSpec(seed int64, mut func(*core.Config)) harness.SweepSpec {
+	w := harness.Workload{FileBytes: harness.BenchScale.File * 100e6, BlockSize: 16 * 1024}
+	return harness.SweepSpec{Label: "ablation", Seed: seed, TopoFn: harness.ModelNetTopology(25),
+		Workload: w, CoreMut: mut, Deadline: 3600}
+}
+
 func ablationRun(seed int64, mut func(*core.Config)) *harness.RunResult {
-	sc := harness.BenchScale
-	w := harness.Workload{FileBytes: sc.File * 100e6, BlockSize: 16 * 1024}
-	n := 25
-	return harness.RunOne("ablation", seed, harness.ModelNetTopology(n), nil,
-		harness.KindBulletPrime, w, mut, 3600)
+	return harness.RunSpec(ablationSpec(seed, mut))
 }
 
 // BenchmarkAblationAlphaBeta compares the XCP-derived dynamic window
@@ -194,35 +169,29 @@ func BenchmarkExtensionChurnResilience(b *testing.B) {
 		calm := ablationRun(benchSeed, nil)
 		b.ReportMetric(calm.CDF.Median(), "calm_median_s")
 
-		// Churn run: rebuild the same scenario and fail leaves at t=15s.
-		sc := harness.BenchScale
-		w := harness.Workload{FileBytes: sc.File * 100e6, BlockSize: 16 * 1024}
-		topo := harness.ModelNetTopology(25)(sim.NewRNG(benchSeed).Stream("topo"))
-		rig := harness.NewRig(topo, benchSeed)
-		sys := rig.BuildSystem(harness.KindBulletPrime, w, nil)
-		sess := sys.(*core.Session)
-		rig.Eng.Schedule(15, func() {
-			failed := 0
-			sess.Tree.Walk(func(id netem.NodeID) {
-				if id != 0 && sess.Tree.IsLeaf(id) && failed < 5 {
-					rig.RT.Node(id).Fail()
-					failed++
-				}
+		// Churn run: the same spec, with five leaves failing at t=15s. The
+		// start hook steers here rather than observes: only it sees the
+		// session's control tree before the run begins.
+		churn := ablationSpec(benchSeed, nil)
+		churn.Hooks = &harness.Hooks{OnStart: func(rig *harness.Rig, sys harness.System) {
+			sess := sys.(*core.Session)
+			rig.Eng.Schedule(15, func() {
+				failed := 0
+				sess.Tree.Walk(func(id netem.NodeID) {
+					if id != 0 && sess.Tree.IsLeaf(id) && failed < 5 {
+						rig.RT.Node(id).Fail()
+						failed++
+					}
+				})
 			})
-		})
-		sys.Start()
-		rig.Eng.RunUntil(3600)
-		churn := &trace.CDF{}
-		for _, ts := range rig.Done {
-			churn.Add(float64(ts))
-		}
-		b.ReportMetric(churn.Median(), "churn_median_s")
+		}}
+		b.ReportMetric(harness.RunSpec(churn).CDF.Median(), "churn_median_s")
 	}
 }
 
-// BenchmarkCodecComparison contrasts the two coding substrates on the same
-// payload: LT (fountain) reception overhead vs network-coding rank overhead
-// and their decode costs — the §2.2 vs §5-Avalanche trade-off.
+// BenchmarkCodecComparison measures the LT (fountain) code's reception
+// overhead on a 1 MiB payload — the ε of §2.2's "any k(1+ε) distinct
+// blocks".
 func BenchmarkCodecComparison(b *testing.B) {
 	data := make([]byte, 1<<20)
 	rand.New(rand.NewSource(5)).Read(data)
@@ -234,14 +203,6 @@ func BenchmarkCodecComparison(b *testing.B) {
 			dec.Add(id, enc.Block(id))
 		}
 		b.ReportMetric(dec.Overhead()*100, "fountain_ovh_pct")
-
-		nenc := netcode.NewEncoder(data, bs)
-		ndec := netcode.NewDecoder(nenc.K(), bs)
-		rng := rand.New(rand.NewSource(9))
-		for !ndec.Complete() {
-			ndec.Add(nenc.Emit(rng))
-		}
-		b.ReportMetric(ndec.Overhead()*100, "netcode_ovh_pct")
 	}
 }
 
@@ -438,12 +399,15 @@ func benchSweep(b *testing.B, parallel int) {
 	for seed := int64(1); seed <= 4; seed++ {
 		specs = append(specs, harness.SweepSpec{
 			Label: "bench", Seed: seed, TopoFn: harness.ModelNetTopology(12),
-			Kind: harness.KindBulletPrime, Workload: w, Deadline: 3600,
+			Workload: w, Deadline: 3600,
 		})
 	}
 	for i := 0; i < b.N; i++ {
-		res := harness.Sweep(specs, parallel)
-		if harness.AggregateCDF(res).N() == 0 {
+		pooled := &trace.CDF{}
+		for _, r := range harness.Sweep(specs, parallel) {
+			pooled.Merge(r.CDF)
+		}
+		if pooled.N() == 0 {
 			b.Fatal("empty sweep")
 		}
 	}
@@ -824,7 +788,6 @@ func BenchmarkStream500(b *testing.B) {
 			Label:    "stream500",
 			Seed:     benchSeed,
 			TopoFn:   harness.LosslessModelNetTopology(500),
-			Kind:     harness.KindBulletPrime,
 			Workload: harness.Workload{BlockSize: 16 * 1024},
 			Deadline: 120,
 			Stream:   &harness.StreamSpec{BitrateBps: 64 * 1024, Duration: 30, Drain: 45},

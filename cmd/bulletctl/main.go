@@ -125,7 +125,7 @@ func parseFlags(fs *flag.FlagSet, args []string, stderr io.Writer) int {
 func runFigure(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("bulletctl", flag.ContinueOnError)
 	var (
-		figure    = fs.Int("figure", 4, "paper figure to regenerate (4..15)")
+		figure    = fs.Int("figure", 4, "paper figure to regenerate (see -list)")
 		scale     = fs.Float64("scale", 0.25, "experiment scale: 1 = paper scale (100 nodes, 100 MB)")
 		fileScale = fs.Float64("filescale", 0, "file-size scale override (defaults to -scale)")
 		seed      = fs.Int64("seed", 42, "master random seed (topology + protocol)")
@@ -144,13 +144,8 @@ func runFigure(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *list {
-		var nums []int
-		for n := range harness.AllFigures {
-			nums = append(nums, n)
-		}
-		sort.Ints(nums)
-		for _, n := range nums {
-			fmt.Fprintf(stdout, "  figure %2d: %s\n", n, harness.AllFigures[n])
+		for n, desc := range harness.Figures() {
+			fmt.Fprintf(stdout, "  figure %2d: %s\n", n, desc)
 		}
 		return 0
 	}
@@ -165,12 +160,7 @@ func runFigure(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "bulletctl:", err)
 			return 1
 		}
-		var nums []int
-		for n := range harness.AllFigures {
-			nums = append(nums, n)
-		}
-		sort.Ints(nums)
-		for _, n := range nums {
+		for n := range harness.Figures() {
 			t0 := time.Now()
 			out, err := harness.Render(n, sc, *seed)
 			if err != nil {
@@ -195,7 +185,7 @@ func runFigure(args []string, stdout, stderr io.Writer) int {
 	}
 	if *summary {
 		// The summary table ends at the first blank-line + '#' block.
-		for _, line := range splitKeep(out) {
+		for _, line := range strings.Split(out, "\n") {
 			if len(line) > 0 && line[0] == '#' {
 				break
 			}
@@ -789,18 +779,4 @@ func runSweep(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-func splitKeep(s string) []string {
-	var out []string
-	cur := make([]byte, 0, 128)
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			out = append(out, string(cur))
-			cur = cur[:0]
-			continue
-		}
-		cur = append(cur, s[i])
-	}
-	return append(out, string(cur))
 }

@@ -3,7 +3,6 @@ package harness
 import (
 	"bulletprime/internal/netem"
 	"bulletprime/internal/scenario"
-	"bulletprime/internal/sim"
 )
 
 // DegradationFloor bounds cumulative bandwidth halving at 1/64 of a link's
@@ -15,51 +14,29 @@ import (
 // core) while leaving the experiment solvable. Documented in DESIGN.md.
 const DegradationFloor = 1.0 / 64
 
-// SyntheticScenario is the §4.1 bandwidth-change process as a scenario
-// program: every period, 50% of the overlay participants are chosen
-// uniformly at random; for each, 50% of the *other* participants have the
-// core links from themselves toward the chosen node halved — without
-// touching the reverse direction. Changes are cumulative (an unlucky pair
-// sits at 25% of original bandwidth after two rounds), bounded below by
-// DegradationFloor. It draws from the master RNG's "dynamics" stream,
-// exactly like the closure it replaced, so runs are bit-identical.
-func SyntheticScenario(period float64) *scenario.Scenario {
-	return scenario.New("synthetic-bandwidth-changes",
-		scenario.Degrade(period, 0.5, 0.5, 0.5, DegradationFloor))
-}
-
-// SyntheticBandwidthChanges schedules the §4.1 bandwidth-change process on
-// a rig (see SyntheticScenario for the process itself).
+// SyntheticBandwidthChanges schedules the §4.1 bandwidth-change process on a
+// rig, as a one-event scenario program: every period, 50% of the overlay
+// participants are chosen uniformly at random; for each, 50% of the *other*
+// participants have the core links from themselves toward the chosen node
+// halved — without touching the reverse direction. Changes are cumulative
+// (an unlucky pair sits at 25% of original bandwidth after two rounds),
+// bounded below by DegradationFloor. It draws from the master RNG's
+// "dynamics" stream, exactly like the closure it replaced, so runs are
+// bit-identical.
 func SyntheticBandwidthChanges(period float64) func(*Rig) {
-	return ScenarioDynamics(SyntheticScenario(period))
+	return ScenarioDynamics(scenario.New("synthetic-bandwidth-changes",
+		scenario.Degrade(period, 0.5, 0.5, 0.5, DegradationFloor)))
 }
 
-// CascadeScenario is the Figure 12 schedule as a scenario program: every
-// interval (25 s in the paper), one more of the 8th node's six inbound
-// 5 Mbps links collapses to 100 Kbps, cumulatively, until all six are
-// degraded.
-func CascadeScenario(interval float64) *scenario.Scenario {
+// CascadeDynamics schedules the Figure 12 cascade on a rig, as a scenario
+// program: every interval (25 s in the paper), one more of the 8th node's
+// six inbound 5 Mbps links collapses to 100 Kbps, cumulatively, until all six
+// are degraded.
+func CascadeDynamics(interval float64) func(*Rig) {
 	s := scenario.New("figure12-cascade")
 	for k := 1; k <= 6; k++ {
 		s.Events = append(s.Events, scenario.SetBW(float64(k)*interval,
 			scenario.LinkSet{Pairs: [][2]int{{k, 7}}}, netem.Kbps(100)))
 	}
-	return s
-}
-
-// CascadeDynamics schedules the Figure 12 cascade on a rig (see
-// CascadeScenario).
-func CascadeDynamics(interval float64) func(*Rig) {
-	return ScenarioDynamics(CascadeScenario(interval))
-}
-
-// At schedules an arbitrary topology mutation at an absolute time, for
-// custom experiments beyond the declarative scenario vocabulary.
-func At(t sim.Time, mut func(*netem.Topology)) func(*Rig) {
-	return func(r *Rig) {
-		r.Eng.Schedule(t, func() {
-			mut(r.Net.Topo)
-			r.Net.BandwidthChanged()
-		})
-	}
+	return ScenarioDynamics(s)
 }

@@ -2,7 +2,7 @@ package harness
 
 import (
 	"fmt"
-	"sort"
+	"iter"
 
 	"bulletprime/internal/core"
 	"bulletprime/internal/netem"
@@ -11,368 +11,226 @@ import (
 	"bulletprime/internal/trace"
 )
 
-// Figure generators: one per figure of the paper's evaluation section.
-// Each builds the same series the paper plots, at a configurable scale.
-// Labels follow the paper's legends.
+// The paper's evaluation figures as data: figureTable has one row per
+// figure, and a row's series are labelled specs that RunSpec runs one after
+// another. Render, bulletctl's -list and -all, the façade's RenderFigure,
+// DESIGN.md §1 and the shape tests all read these rows. Labels follow the
+// paper's legends.
 
 // paperNodes/paperFile are the full-scale dimensions of the main ModelNet
 // experiments: 100 nodes and a 100 MB file in 16 KB blocks.
 const (
-	paperNodes    = 100
-	paperFileMB   = 100.0
-	paperBlock    = 16 * 1024
-	defaultDDL    = sim.Time(3600)
-	dynamicDDL    = sim.Time(10800) // non-adaptive systems crawl under dynamics
-	planetLabDDL  = sim.Time(3600)
-	rsyncBaseDDL  = sim.Time(36000)
-	planetNodes   = 41
-	planetFileMB  = 50.0
-	planetBlock   = 100 * 1024
-	shotgunNodes  = 40
-	shotgunFileMB = 24.0
+	paperNodes   = 100
+	paperFile    = 100e6
+	paperBlock   = 16 * 1024
+	defaultDDL   = sim.Time(3600)
+	dynamicDDL   = sim.Time(10800) // non-adaptive systems crawl under dynamics
+	rsyncBaseDDL = sim.Time(36000)
+
+	downloadTime = "download time (s)"
+	wallTime     = "time (s)"
+	nodeFraction = "fraction of nodes"
 )
 
-// Figure4 compares Bullet', Bullet, BitTorrent and SplitStream downloading
-// the file under random network packet losses (static conditions), plus the
-// two reference lines: optimal access-link time and TCP-feasible+startup.
-func Figure4(sc Scale, seed int64) *trace.Figure {
-	n := sc.nodes(paperNodes)
-	w := Workload{FileBytes: sc.file(paperFileMB * 1e6), BlockSize: paperBlock}
-	topo := ModelNetTopology(n)
-
-	fig := &trace.Figure{
-		Title:  "Figure 4: download time CDF, static losses",
-		XLabel: "download time (s)",
-		YLabel: "fraction of nodes",
-	}
-	fig.Series = append(fig.Series, referenceLines(n, w)...)
-	for _, kind := range []ProtoKind{KindBulletPrime, KindBullet, KindBitTorrent, KindSplitStream} {
-		res := RunOne(kind.String(), seed, topo, nil, kind, w, nil, defaultDDL)
-		fig.Series = append(fig.Series, trace.FromCDF(kind.String(), res.CDF))
-	}
-	return fig
+// figSeries is one curve of a figure: the spec whose run draws it, labelled
+// (SweepSpec.Label) with the curve's legend entry.
+type figSeries struct {
+	spec SweepSpec
+	// curve, when set, draws the series from what the spec's hooks saw
+	// instead of from the completion CDF (Figure 13).
+	curve func() trace.Series
 }
 
-// Figure5 repeats Figure 4 under the synthetic bandwidth-change process
-// (20 s period, cumulative halving) on top of random losses.
-func Figure5(sc Scale, seed int64) *trace.Figure {
-	n := sc.nodes(paperNodes)
-	w := Workload{FileBytes: sc.file(paperFileMB * 1e6), BlockSize: paperBlock}
-	topo := ModelNetTopology(n)
-	dyn := SyntheticBandwidthChanges(20)
-
-	fig := &trace.Figure{
-		Title:  "Figure 5: download time CDF, dynamic bandwidth + losses",
-		XLabel: "download time (s)",
-		YLabel: "fraction of nodes",
-	}
-	for _, kind := range []ProtoKind{KindBulletPrime, KindBullet, KindBitTorrent, KindSplitStream} {
-		res := RunOne(kind.String(), seed, topo, dyn, kind, w, nil, dynamicDDL)
-		fig.Series = append(fig.Series, trace.FromCDF(kind.String(), res.CDF))
-	}
-	return fig
+// figureRow is one figure of the paper's evaluation section.
+type figureRow struct {
+	num                   int
+	desc                  string // one line: bulletctl -list, DESIGN.md §1 "Experiment"
+	env                   string // DESIGN.md §1 "Environment"
+	title, xlabel, ylabel string
+	// series lists the figure's System runs in legend order; every run of one
+	// figure shares the seed, hence the topology draw.
+	series func(sc Scale, seed int64) []figSeries
+	// fixed draws the curves that are not System runs, ahead of the others:
+	// Figure 4's analytic reference lines, Figure 15's Shotgun and rsync.
+	fixed func(sc Scale, seed int64) []trace.Series
+	// note is the row's post-processing: text Render appends to the figure.
+	note func(fig *trace.Figure, sc Scale) string
 }
 
-// Figure6 compares Bullet' request strategies under random losses.
-func Figure6(sc Scale, seed int64) *trace.Figure {
-	n := sc.nodes(paperNodes)
-	w := Workload{FileBytes: sc.file(paperFileMB * 1e6), BlockSize: paperBlock}
-	topo := ModelNetTopology(n)
-
-	fig := &trace.Figure{
-		Title:  "Figure 6: request strategy comparison, static losses",
-		XLabel: "download time (s)",
-		YLabel: "fraction of nodes",
-	}
-	for _, strat := range []core.RequestStrategy{core.RarestRandom, core.Random, core.FirstEncountered} {
-		strat := strat
-		res := RunOne("BulletPrime "+strat.String(), seed, topo, nil, KindBulletPrime, w,
-			func(c *core.Config) { c.Strategy = strat }, defaultDDL)
-		fig.Series = append(fig.Series, trace.FromCDF("BulletPrime "+strat.String()+" request strategy", res.CDF))
-	}
-	return fig
+var figureTable = []figureRow{
+	{num: 4, desc: "systems comparison, static losses", env: "ModelNet mesh, static losses",
+		title: "download time CDF, static losses", xlabel: downloadTime, ylabel: nodeFraction,
+		fixed: func(sc Scale, _ int64) []trace.Series {
+			return referenceLines(sc.nodes(paperNodes), modelNet(sc, 0).Workload)
+		},
+		series: func(sc Scale, seed int64) []figSeries { return perSystem(modelNet(sc, seed), paperSystems...) }},
+	{num: 5, desc: "systems comparison, dynamic bandwidth", env: "ModelNet mesh + synthetic bandwidth changes (20 s period)",
+		title: "download time CDF, dynamic bandwidth + losses", xlabel: downloadTime, ylabel: nodeFraction,
+		series: func(sc Scale, seed int64) []figSeries {
+			return perSystem(changing(modelNet(sc, seed)), paperSystems...)
+		}},
+	{num: 6, desc: "request strategies", env: "ModelNet mesh, static losses",
+		title: "request strategy comparison, static losses", xlabel: downloadTime, ylabel: nodeFraction,
+		series: func(sc Scale, seed int64) (out []figSeries) {
+			for _, strat := range []core.RequestStrategy{core.RarestRandom, core.Random, core.FirstEncountered} {
+				out = append(out, variant(modelNet(sc, seed), "BulletPrime "+strat.String()+" request strategy",
+					func(c *core.Config) { c.Strategy = strat }))
+			}
+			return out
+		}},
+	{num: 7, desc: "peer set size, static losses", env: "ModelNet mesh, static losses",
+		title: "peer set size, static losses", xlabel: downloadTime, ylabel: nodeFraction,
+		series: func(sc Scale, seed int64) []figSeries { return peerSets(modelNet(sc, seed), 6, 10, 14) }},
+	{num: 8, desc: "peer set size, dynamic bandwidth", env: "ModelNet mesh + synthetic bandwidth changes (20 s period)",
+		title: "peer set size, dynamic bandwidth + losses", xlabel: downloadTime, ylabel: nodeFraction,
+		series: func(sc Scale, seed int64) []figSeries { return peerSets(changing(modelNet(sc, seed)), 6, 10, 14) }},
+	// More peers hurt behind a constrained access link.
+	{num: 9, desc: "peer set size, constrained access", env: "800 Kbps access links, clean 10 Mbps core, 10 MB file",
+		title: "peer set size, constrained access links (10 MB)", xlabel: downloadTime, ylabel: nodeFraction,
+		series: func(sc Scale, seed int64) []figSeries {
+			return peerSets(baseSpec(seed, ConstrainedAccessTopology(sc.nodes(paperNodes)), sc.file(10e6)), 10, 14)
+		}},
+	// Too few outstanding blocks cannot fill the bandwidth-delay product.
+	{num: 10, desc: "outstanding requests, clean high-BDP", env: "25 nodes, clean 10 Mbps / 100 ms paths",
+		title: "outstanding requests, clean high-BDP network", xlabel: downloadTime, ylabel: nodeFraction,
+		series: func(sc Scale, seed int64) []figSeries { return outstanding(highBDP(sc, seed, 0), 0, 3, 6, 9, 15, 50) }},
+	// TCP needs less data in flight under loss, so over-requesting (50)
+	// backfires and the dynamic window wins.
+	{num: 11, desc: "outstanding requests, lossy", env: "25 nodes, 10 Mbps / 100 ms paths, losses U[0,1.5%)",
+		title: "outstanding requests under random losses", xlabel: downloadTime, ylabel: nodeFraction,
+		series: func(sc Scale, seed int64) []figSeries { return outstanding(highBDP(sc, seed, 0.015), 0, 3, 6, 15, 50) }},
+	// The 8th node's six 5 Mbps inbound links collapse to 100 Kbps one by
+	// one; requesting too much from a suddenly slow sender strands blocks in
+	// its queue. The paper's 25 s between drops shrinks with the file, so a
+	// reduced-scale download is still in flight across the whole cascade.
+	{num: 12, desc: "outstanding requests, cascading drops", env: "8-node cascade topology, one link drop per 25 s",
+		title: "outstanding requests under cascading bandwidth drops", xlabel: downloadTime, ylabel: nodeFraction,
+		series: func(sc Scale, seed int64) []figSeries {
+			s := baseSpec(seed, CascadeTopology(), sc.file(paperFile))
+			s.Dynamics = CascadeDynamics(25 * s.Workload.FileBytes / paperFile)
+			return outstanding(s, 6, 9, 15, 50)
+		}},
+	{num: 13, desc: "block inter-arrival / last-block analysis", env: "ModelNet mesh, static losses",
+		title: "block inter-arrival times (unencoded)", xlabel: "block arrival index", ylabel: "inter-arrival time (s)",
+		series: interArrivals, note: lastBlockNote},
+	{num: 14, desc: "PlanetLab systems comparison", env: "PlanetLab-like WAN: 41 heterogeneous nodes, 50 MB in 100 KB blocks",
+		title: "PlanetLab download CDF (50 MB)", xlabel: wallTime, ylabel: nodeFraction,
+		series: func(sc Scale, seed int64) []figSeries {
+			s := baseSpec(seed, PlanetLabTopology(sc.nodes(41)), sc.file(50e6))
+			s.Workload.BlockSize = 100 * 1024
+			return perSystem(s, KindBulletPrime, KindSplitStream, KindBullet, KindBitTorrent)
+		}},
+	{num: 15, desc: "Shotgun vs parallel rsync", env: "PlanetLab-like WAN: 40 nodes, 24 MB of deltas",
+		title: "Shotgun vs parallel rsync (24 MB of deltas)", xlabel: wallTime, ylabel: nodeFraction,
+		fixed: shotgunVsRsync},
 }
 
-// peerSetSeries runs Bullet' with static peer-set sizes and the dynamic
-// sizing policy on the given topology/dynamics.
-func peerSetSeries(sc Scale, seed int64, topo func(*sim.RNG) *netem.Topology,
-	dyn func(*Rig), fileBytes float64, sizes []int) []trace.Series {
+// paperSystems are the four systems of Figures 4 and 5, in legend order.
+var paperSystems = []ProtoKind{KindBulletPrime, KindBullet, KindBitTorrent, KindSplitStream}
 
-	ddl := defaultDDL
-	if dyn != nil {
-		ddl = dynamicDDL
+// baseSpec is a static-conditions run of the default system (Bullet') on
+// topo: 16 KB blocks, one hour to finish.
+func baseSpec(seed int64, topo func(*sim.RNG) *netem.Topology, fileBytes float64) SweepSpec {
+	return SweepSpec{Seed: seed, TopoFn: topo, Deadline: defaultDDL,
+		Workload: Workload{FileBytes: fileBytes, BlockSize: paperBlock}}
+}
+
+// modelNet is the main ModelNet experiment at scale.
+func modelNet(sc Scale, seed int64) SweepSpec {
+	return baseSpec(seed, ModelNetTopology(sc.nodes(paperNodes)), sc.file(paperFile))
+}
+
+// highBDP is the 25-node 10 Mbps / 100 ms network of §4.5, with core losses
+// U[0, lossHi).
+func highBDP(sc Scale, seed int64, lossHi float64) SweepSpec {
+	return baseSpec(seed, HighBDPTopology(sc.nodes(25), 0, lossHi), sc.file(paperFile))
+}
+
+// changing puts the synthetic bandwidth-change process (20 s period,
+// cumulative halving) under a spec.
+func changing(s SweepSpec) SweepSpec {
+	s.Dynamics, s.Deadline = SyntheticBandwidthChanges(20), dynamicDDL
+	return s
+}
+
+// variant is base under a legend label with its own Bullet' config hook.
+func variant(base SweepSpec, label string, mut func(*core.Config)) figSeries {
+	base.Label, base.CoreMut = label, mut
+	return figSeries{spec: base}
+}
+
+// perSystem runs each kind under base's conditions.
+func perSystem(base SweepSpec, kinds ...ProtoKind) []figSeries {
+	var out []figSeries
+	for _, k := range kinds {
+		base.Label, base.System = k.String(), k.String()
+		out = append(out, figSeries{spec: base})
 	}
-	w := Workload{FileBytes: fileBytes, BlockSize: paperBlock}
-	var out []trace.Series
-	for _, size := range sizes {
-		size := size
-		label := fmt.Sprintf("BulletPrime, %d senders, %d receivers", size, size)
-		res := RunOne(label, seed, topo, dyn, KindBulletPrime, w,
-			func(c *core.Config) { c.StaticPeers = size }, ddl)
-		out = append(out, trace.FromCDF(label, res.CDF))
-	}
-	res := RunOne("dyn", seed, topo, dyn, KindBulletPrime, w, nil, ddl)
-	out = append(out, trace.FromCDF("BulletPrime, dyn. #senders,#receivers", res.CDF))
 	return out
 }
 
-// Figure7 sweeps static peer-set sizes 6/10/14 against dynamic sizing under
-// random losses.
-func Figure7(sc Scale, seed int64) *trace.Figure {
-	return &trace.Figure{
-		Title:  "Figure 7: peer set size, static losses",
-		XLabel: "download time (s)",
-		YLabel: "fraction of nodes",
-		Series: peerSetSeries(sc, seed, ModelNetTopology(sc.nodes(paperNodes)), nil,
-			sc.file(paperFileMB*1e6), []int{6, 10, 14}),
+// peerSets runs Bullet' with static peer-set sizes, then the dynamic sizing
+// policy.
+func peerSets(base SweepSpec, sizes ...int) []figSeries {
+	var out []figSeries
+	for _, size := range sizes {
+		out = append(out, variant(base, fmt.Sprintf("BulletPrime, %d senders, %d receivers", size, size),
+			func(c *core.Config) { c.StaticPeers = size }))
 	}
+	return append(out, variant(base, "BulletPrime, dyn. #senders,#receivers", nil))
 }
 
-// Figure8 repeats Figure 7 under synthetic bandwidth changes.
-func Figure8(sc Scale, seed int64) *trace.Figure {
-	return &trace.Figure{
-		Title:  "Figure 8: peer set size, dynamic bandwidth + losses",
-		XLabel: "download time (s)",
-		YLabel: "fraction of nodes",
-		Series: peerSetSeries(sc, seed, ModelNetTopology(sc.nodes(paperNodes)),
-			SyntheticBandwidthChanges(20), sc.file(paperFileMB*1e6), []int{6, 10, 14}),
-	}
-}
-
-// Figure9 runs the constrained-access topology (800 Kbps access, clean
-// 10 Mbps core) with a 10 MB file, where more peers hurt.
-func Figure9(sc Scale, seed int64) *trace.Figure {
-	return &trace.Figure{
-		Title:  "Figure 9: peer set size, constrained access links (10 MB)",
-		XLabel: "download time (s)",
-		YLabel: "fraction of nodes",
-		Series: peerSetSeries(sc, seed, ConstrainedAccessTopology(sc.nodes(paperNodes)), nil,
-			sc.file(10*1e6), []int{10, 14}),
-	}
-}
-
-// outstandingSeries sweeps fixed per-peer outstanding-request limits plus
-// the dynamic controller on the given topology.
-func outstandingSeries(seed int64, topo func(*sim.RNG) *netem.Topology,
-	dyn func(*Rig), fileBytes float64, fixed []int, staticPeers int) []trace.Series {
-
-	w := Workload{FileBytes: fileBytes, BlockSize: 8 * 1024} // 8 KB blocks (§4.5)
+// outstanding sweeps fixed per-peer outstanding-request limits, then the
+// dynamic controller, over 8 KB blocks (§4.5).
+func outstanding(base SweepSpec, staticPeers int, fixed ...int) []figSeries {
+	base.Workload.BlockSize = 8 * 1024
 	mut := func(out int) func(*core.Config) {
 		return func(c *core.Config) {
-			c.StaticOutstanding = out
-			c.BlockSize = 8 * 1024
-			if staticPeers > 0 {
-				c.StaticPeers = staticPeers
-			} else {
+			c.StaticOutstanding, c.StaticPeers = out, staticPeers
+			if staticPeers == 0 {
 				c.MaxSendersCap = 5 // "up to 5 senders" (§4.5)
 			}
 		}
 	}
-	var out []trace.Series
+	var out []figSeries
 	for _, o := range fixed {
-		o := o
-		label := fmt.Sprintf("BulletPrime , %d    outst", o)
-		res := RunOne(label, seed, topo, dyn, KindBulletPrime, w, mut(o), defaultDDL)
-		out = append(out, trace.FromCDF(label, res.CDF))
+		out = append(out, variant(base, fmt.Sprintf("BulletPrime , %d    outst", o), mut(o)))
 	}
-	res := RunOne("dyn", seed, topo, dyn, KindBulletPrime, w, mut(0), defaultDDL)
-	out = append(out, trace.FromCDF("BulletPrime , dyn  outst", res.CDF))
-	return out
+	return append(out, variant(base, "BulletPrime , dyn  outst", mut(0)))
 }
 
-// Figure10 sweeps outstanding limits on the clean high-BDP topology
-// (25 nodes, 10 Mbps / 100 ms): too few outstanding blocks cannot fill the
-// bandwidth-delay product.
-func Figure10(sc Scale, seed int64) *trace.Figure {
-	n := sc.nodes(25)
-	return &trace.Figure{
-		Title:  "Figure 10: outstanding requests, clean high-BDP network",
-		XLabel: "download time (s)",
-		YLabel: "fraction of nodes",
-		Series: outstandingSeries(seed, HighBDPTopology(n, 0, 0), nil,
-			sc.file(paperFileMB*1e6), []int{3, 6, 9, 15, 50}, 0),
-	}
-}
-
-// Figure11 repeats Figure 10 with random losses U[0,1.5%): TCP needs less
-// data in flight, so over-requesting (50) backfires and dynamic wins.
-func Figure11(sc Scale, seed int64) *trace.Figure {
-	n := sc.nodes(25)
-	return &trace.Figure{
-		Title:  "Figure 11: outstanding requests under random losses",
-		XLabel: "download time (s)",
-		YLabel: "fraction of nodes",
-		Series: outstandingSeries(seed, HighBDPTopology(n, 0, 0.015), nil,
-			sc.file(paperFileMB*1e6), []int{3, 6, 15, 50}, 0),
-	}
-}
-
-// Figure12 runs the 8-node cascade: the 8th node's six 5 Mbps inbound
-// links collapse to 100 Kbps one by one; requesting too much from a
-// suddenly slow sender strands blocks in its queue.
-func Figure12(sc Scale, seed int64) *trace.Figure {
-	fileBytes := sc.file(paperFileMB * 1e6)
-	return &trace.Figure{
-		Title:  "Figure 12: outstanding requests under cascading bandwidth drops",
-		XLabel: "download time (s)",
-		YLabel: "fraction of nodes",
-		Series: outstandingSeries(seed, CascadeTopology(), CascadeDynamics(25),
-			fileBytes, []int{9, 15, 50}, 6),
-	}
-}
-
-// Figure13Result carries the last-block analysis of §4.6 alongside the
-// inter-arrival curve.
-type Figure13Result struct {
-	Fig *trace.Figure
-	// AvgInterArrival is the overall mean block inter-arrival time tb.
-	AvgInterArrival float64
-	// LastBlocksOverage is the cumulative overage of the last 20 blocks'
-	// mean inter-arrival above tb (the "last-block problem" cost).
-	LastBlocksOverage float64
-	// EncodingCost is the download-time increase a fixed 4% source-coding
-	// overhead would impose (the alternative being weighed).
-	EncodingCost float64
-}
-
-// Figure13 measures average block inter-arrival times across receivers for
-// an unencoded Bullet' run and quantifies whether source encoding would
-// pay for itself.
-func Figure13(sc Scale, seed int64) *Figure13Result {
-	n := sc.nodes(paperNodes)
-	w := Workload{FileBytes: sc.file(paperFileMB * 1e6), BlockSize: paperBlock}
-	numBlocks := w.NumBlocks()
-
-	topo := ModelNetTopology(n)(sim.NewRNG(seed).Stream("topo"))
-	rig := NewRig(topo, seed)
-
-	// arrival[k] accumulates the k-th inter-arrival gap across receivers.
-	sum := make([]float64, numBlocks)
-	cnt := make([]int, numBlocks)
-	perNodePrev := make(map[netem.NodeID]sim.Time)
-	perNodeIdx := make(map[netem.NodeID]int)
-
-	cfg := core.Config{
-		Source:    0,
-		Members:   rig.Members,
-		NumBlocks: numBlocks,
-		BlockSize: w.BlockSize,
-		Strategy:  core.RarestRandom,
-		OnBlock: func(id netem.NodeID, blockID, count int) {
-			now := rig.Eng.Now()
-			k := perNodeIdx[id]
-			if k > 0 && k < numBlocks {
-				sum[k] += float64(now - perNodePrev[id])
-				cnt[k]++
-			}
-			perNodePrev[id] = now
-			perNodeIdx[id] = k + 1
-		},
-		OnComplete: rig.record(),
-	}
-	sess := core.NewSession(rig.RT, cfg, rig.Master.Stream("bulletprime"))
-	sess.Start()
-	runUntilComplete(rig, sess, defaultDDL, nil)
-
-	series := trace.Series{Label: "Average"}
-	var all float64
-	var allN int
-	for k := 1; k < numBlocks; k++ {
-		if cnt[k] == 0 {
-			continue
-		}
-		mean := sum[k] / float64(cnt[k])
-		series.Points = append(series.Points, [2]float64{float64(k), mean})
-		all += mean
-		allN++
-	}
-	res := &Figure13Result{
-		Fig: &trace.Figure{
-			Title:  "Figure 13: block inter-arrival times (unencoded)",
-			XLabel: "block arrival index",
-			YLabel: "inter-arrival time (s)",
-			Series: []trace.Series{series},
-		},
-	}
-	if allN == 0 {
-		return res
-	}
-	tb := all / float64(allN)
-	res.AvgInterArrival = tb
-	last := 20
-	if last > len(series.Points) {
-		last = len(series.Points)
-	}
-	for _, p := range series.Points[len(series.Points)-last:] {
-		if over := p[1] - tb; over > 0 {
-			res.LastBlocksOverage += over
-		}
-	}
-	// 4% more blocks at the average pace tb per block.
-	res.EncodingCost = 0.04 * float64(numBlocks) * tb
-	return res
-}
-
-// Figure14 is the PlanetLab comparison: 41 heterogeneous wide-area nodes,
-// 50 MB file, 100 KB blocks, all four systems.
-func Figure14(sc Scale, seed int64) *trace.Figure {
-	n := sc.nodes(planetNodes)
-	w := Workload{FileBytes: sc.file(planetFileMB * 1e6), BlockSize: planetBlock}
-	topo := PlanetLabTopology(n)
-
-	fig := &trace.Figure{
-		Title:  "Figure 14: PlanetLab download CDF (50 MB)",
-		XLabel: "time (s)",
-		YLabel: "fraction of nodes",
-	}
-	for _, kind := range []ProtoKind{KindBulletPrime, KindSplitStream, KindBullet, KindBitTorrent} {
-		res := RunOne(kind.String(), seed, topo, nil, kind, w, nil, planetLabDDL)
-		fig.Series = append(fig.Series, trace.FromCDF(kind.String(), res.CDF))
-	}
-	return fig
-}
-
-// Figure15 compares Shotgun dissemination of an update bundle against
-// staggered parallel rsync from the central server, on the PlanetLab-like
-// topology (40 nodes, 24 MB of deltas).
-func Figure15(sc Scale, seed int64) *trace.Figure {
-	n := sc.nodes(shotgunNodes)
-	bundle := sc.file(shotgunFileMB * 1e6)
-
-	fig := &trace.Figure{
-		Title:  "Figure 15: Shotgun vs parallel rsync (24 MB of deltas)",
-		XLabel: "time (s)",
-		YLabel: "fraction of nodes",
+// shotgunVsRsync compares Shotgun dissemination of an update bundle against
+// staggered parallel rsync from the central server. These runs are not
+// Systems, so the figure drives its rigs itself.
+func shotgunVsRsync(sc Scale, seed int64) []trace.Series {
+	bundle := sc.file(24e6)
+	newRig := func() *Rig {
+		return NewRig(PlanetLabTopology(sc.nodes(40))(sim.NewRNG(seed).Stream("topo")), seed)
 	}
 
 	// Shotgun: download-only and download+update lines.
-	topo := PlanetLabTopology(n)(sim.NewRNG(seed).Stream("topo"))
-	rig := NewRig(topo, seed)
+	rig := newRig()
 	res := shotgun.RunShotgun(rig.Eng, rig.RT, rig.Members, 0, bundle, 16*1024,
 		rig.Master.Stream("shotgun"), rsyncBaseDDL)
-	fig.Series = append(fig.Series,
+	out := []trace.Series{
 		cdfSeries("Shotgun (Download Only)", res.Times(false)),
 		cdfSeries("Shotgun (Download + Update)", res.Times(true)),
-	)
-
-	for _, parallel := range []int{2, 4, 8, 16} {
-		topoR := PlanetLabTopology(n)(sim.NewRNG(seed).Stream("topo"))
-		rigR := NewRig(topoR, seed)
-		rr := shotgun.RunParallelRsync(rigR.Eng, rigR.Net, rigR.Members, 0, bundle, parallel, rsyncBaseDDL)
-		fig.Series = append(fig.Series,
-			cdfSeries(fmt.Sprintf("%d parallel rsync", parallel), rr.Times(true)))
 	}
-	return fig
+	for _, parallel := range []int{2, 4, 8, 16} {
+		rig := newRig()
+		rr := shotgun.RunParallelRsync(rig.Eng, rig.Net, rig.Members, 0, bundle, parallel, rsyncBaseDDL)
+		out = append(out, cdfSeries(fmt.Sprintf("%d parallel rsync", parallel), rr.Times(true)))
+	}
+	return out
 }
 
-// cdfSeries converts sorted completion times to a CDF series.
+// cdfSeries draws completion times as a CDF series.
 func cdfSeries(label string, times []float64) trace.Series {
-	s := trace.Series{Label: label}
-	sort.Float64s(times)
-	for i, t := range times {
-		s.Points = append(s.Points, [2]float64{t, float64(i+1) / float64(len(times))})
+	c := &trace.CDF{}
+	for _, t := range times {
+		c.Add(t)
 	}
-	return s
+	return trace.FromCDF(label, c)
 }
 
 // referenceLines computes the two baseline curves of Figure 4.
@@ -402,58 +260,67 @@ func referenceLines(n int, w Workload) []trace.Series {
 	}
 }
 
-// AllFigures enumerates every figure generator for CLI listing.
-var AllFigures = map[int]string{
-	4:  "systems comparison, static losses",
-	5:  "systems comparison, dynamic bandwidth",
-	6:  "request strategies",
-	7:  "peer set size, static losses",
-	8:  "peer set size, dynamic bandwidth",
-	9:  "peer set size, constrained access",
-	10: "outstanding requests, clean high-BDP",
-	11: "outstanding requests, lossy",
-	12: "outstanding requests, cascading drops",
-	13: "block inter-arrival / last-block analysis",
-	14: "PlanetLab systems comparison",
-	15: "Shotgun vs parallel rsync",
+// Figures iterates the figure index in paper order: number and one-line
+// description.
+func Figures() iter.Seq2[int, string] {
+	return func(yield func(int, string) bool) {
+		for i := range figureTable {
+			if !yield(figureTable[i].num, figureTable[i].desc) {
+				return
+			}
+		}
+	}
+}
+
+// figureRowFor finds a figure's row by number.
+func figureRowFor(figure int) (*figureRow, error) {
+	for i := range figureTable {
+		if figureTable[i].num == figure {
+			return &figureTable[i], nil
+		}
+	}
+	return nil, fmt.Errorf("harness: unknown figure %d (have %d..%d)", figure,
+		figureTable[0].num, figureTable[len(figureTable)-1].num)
+}
+
+// RunFigure runs one figure by number at the given scale: the row's fixed
+// curves, then each of its specs through RunSpec in legend order.
+func RunFigure(figure int, sc Scale, seed int64) (*trace.Figure, error) {
+	row, err := figureRowFor(figure)
+	if err != nil {
+		return nil, err
+	}
+	fig := &trace.Figure{Title: fmt.Sprintf("Figure %d: %s", row.num, row.title), XLabel: row.xlabel, YLabel: row.ylabel}
+	if row.fixed != nil {
+		fig.Series = row.fixed(sc, seed)
+	}
+	if row.series == nil {
+		return fig, nil
+	}
+	for _, s := range row.series(sc, seed) {
+		res := RunSpec(s.spec)
+		if res.Err != nil {
+			return nil, fmt.Errorf("figure %d, %q: %w", row.num, s.spec.Label, res.Err)
+		}
+		if s.curve != nil {
+			fig.Series = append(fig.Series, s.curve())
+		} else {
+			fig.Series = append(fig.Series, trace.FromCDF(s.spec.Label, res.CDF))
+		}
+	}
+	return fig, nil
 }
 
 // Render runs one figure by number at the given scale and returns its
-// rendered text (data + summary). Figure 13 appends its overage analysis.
+// rendered text (data + summary), with the row's note appended.
 func Render(figure int, sc Scale, seed int64) (string, error) {
-	var fig *trace.Figure
-	switch figure {
-	case 4:
-		fig = Figure4(sc, seed)
-	case 5:
-		fig = Figure5(sc, seed)
-	case 6:
-		fig = Figure6(sc, seed)
-	case 7:
-		fig = Figure7(sc, seed)
-	case 8:
-		fig = Figure8(sc, seed)
-	case 9:
-		fig = Figure9(sc, seed)
-	case 10:
-		fig = Figure10(sc, seed)
-	case 11:
-		fig = Figure11(sc, seed)
-	case 12:
-		fig = Figure12(sc, seed)
-	case 13:
-		r := Figure13(sc, seed)
-		extra := fmt.Sprintf(
-			"\n# avg inter-arrival tb = %.3fs\n# last-20-block overage = %.2fs\n# 4%% encoding cost     = %.2fs\n# encoding clearly beneficial: %v\n",
-			r.AvgInterArrival, r.LastBlocksOverage, r.EncodingCost,
-			r.LastBlocksOverage > r.EncodingCost*1.5)
-		return r.Fig.Summary() + r.Fig.Render() + extra, nil
-	case 14:
-		fig = Figure14(sc, seed)
-	case 15:
-		fig = Figure15(sc, seed)
-	default:
-		return "", fmt.Errorf("harness: unknown figure %d (have 4..15)", figure)
+	fig, err := RunFigure(figure, sc, seed)
+	if err != nil {
+		return "", err
 	}
-	return fig.Summary() + fig.Render(), nil
+	out := fig.Summary() + fig.Render()
+	if row, _ := figureRowFor(figure); row.note != nil { // RunFigure found the row
+		out += row.note(fig, sc)
+	}
+	return out, nil
 }

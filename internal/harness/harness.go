@@ -1,8 +1,8 @@
 // Package harness builds and runs the paper's experiments: it assembles a
 // topology, dynamics schedule, and protocol sessions on one simulation
 // engine, runs to completion, and renders the same curves the paper plots.
-// Every figure of the evaluation section (Figures 4-15) has a generator
-// here; bench_test.go and cmd/bulletctl call them.
+// Every figure of the evaluation section is a row of figures.go's table;
+// bench_test.go and cmd/bulletctl run the rows.
 package harness
 
 import (
@@ -129,15 +129,6 @@ func (k ProtoKind) String() string {
 	return "unknown"
 }
 
-// BuildSystem instantiates a paper protocol's session over all rig members,
-// for callers that drive a rig by hand. The coreMut hook lets figure
-// generators tweak Bullet' config (strategies, static peers, outstanding
-// limits); it is ignored for the other systems.
-func (r *Rig) BuildSystem(kind ProtoKind, w Workload, coreMut func(*core.Config)) System {
-	e, _ := LookupSystem(kind.String()) // the four kinds register at init
-	return r.build(e.Build, w, coreMut, r.Members, "")
-}
-
 // build instantiates one session over one cohort of members; the first
 // member is the session source. streamSuffix distinguishes the RNG streams
 // of concurrent sessions (flash-crowd waves) on one rig; the empty suffix is
@@ -189,18 +180,6 @@ func (r *RunResult) ControlOverhead() float64 {
 		return 0
 	}
 	return r.ControlBytes / total
-}
-
-// RunOne builds a fresh rig on topoFn's topology, applies dynamics (may be
-// nil), runs the system until all nodes finish or deadline passes.
-func RunOne(label string, seed int64, topoFn func(*sim.RNG) *netem.Topology,
-	dynamics func(*Rig), kind ProtoKind, w Workload, coreMut func(*core.Config),
-	deadline sim.Time) *RunResult {
-
-	return RunSpec(SweepSpec{
-		Label: label, Seed: seed, TopoFn: topoFn, Dynamics: dynamics,
-		Kind: kind, Workload: w, CoreMut: coreMut, Deadline: deadline,
-	})
 }
 
 // Hooks are optional observation and steering points for one run. All
@@ -315,10 +294,11 @@ func errResult(s *SweepSpec, err error) *RunResult {
 // the rig with tracer and hooks installed, build the system (with the
 // scenario's sessions and the dynamics hook, where the rig has them), fire
 // the start hook and arrange ticks, start, advance to the deadline, and
-// assemble the result. Every sweep cell and RunOne go through here, so a
-// sweep's rigs are bit-identical to single runs. Hooks only read state, so
-// an observed run is bit-identical to an unobserved one with the same spec.
-// A spec that cannot run comes back as RunResult.Err, never as a panic.
+// assemble the result. Every sweep cell and every figure series go through
+// here, so a sweep's rigs are bit-identical to single runs. Hooks only read
+// state, so an observed run is bit-identical to an unobserved one with the
+// same spec. A spec that cannot run comes back as RunResult.Err, never as a
+// panic.
 func RunSpec(s SweepSpec) *RunResult {
 	entry, err := s.check()
 	if err != nil {

@@ -74,7 +74,7 @@ func TestTopologyBuilders(t *testing.T) {
 func TestRunOneCompletes(t *testing.T) {
 	w := Workload{FileBytes: 1e6, BlockSize: 16 * 1024}
 	for _, kind := range []ProtoKind{KindBulletPrime, KindBullet, KindBitTorrent, KindSplitStream} {
-		res := RunOne(kind.String(), 3, ModelNetTopology(10), nil, kind, w, nil, 1200)
+		res := RunSpec(SweepSpec{Seed: 3, TopoFn: ModelNetTopology(10), System: kind.String(), Workload: w, Deadline: 1200})
 		if !res.Finished {
 			t.Fatalf("%v did not finish", kind)
 		}
@@ -89,8 +89,8 @@ func TestRunOneCompletes(t *testing.T) {
 
 func TestRunOneIdenticalSeedsShareTopology(t *testing.T) {
 	w := Workload{FileBytes: 1e6, BlockSize: 16 * 1024}
-	a := RunOne("a", 9, ModelNetTopology(10), nil, KindBulletPrime, w, nil, 1200)
-	b := RunOne("b", 9, ModelNetTopology(10), nil, KindBulletPrime, w, nil, 1200)
+	spec := SweepSpec{Seed: 9, TopoFn: ModelNetTopology(10), Workload: w, Deadline: 1200}
+	a, b := RunSpec(spec), RunSpec(spec)
 	if a.CDF.Worst() != b.CDF.Worst() || a.CDF.Median() != b.CDF.Median() {
 		t.Fatal("identical seeds produced different results")
 	}
@@ -149,11 +149,11 @@ func TestFigure13Analysis(t *testing.T) {
 	}
 }
 
-func TestRenderAllFigures(t *testing.T) {
+func TestRenderEveryFigure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("rendering all figures is slow")
 	}
-	for num := range AllFigures {
+	for num := range Figures() {
 		out, err := Render(num, TestScale, 11)
 		if err != nil {
 			t.Fatalf("figure %d: %v", num, err)
@@ -187,8 +187,8 @@ func TestProtoKindString(t *testing.T) {
 
 func TestCoreMutApplied(t *testing.T) {
 	w := Workload{FileBytes: 1e6, BlockSize: 16 * 1024}
-	res := RunOne("strategies", 12, ModelNetTopology(10), nil, KindBulletPrime, w,
-		func(c *core.Config) { c.Strategy = core.FirstEncountered }, 1200)
+	res := RunSpec(SweepSpec{Seed: 12, TopoFn: ModelNetTopology(10), Workload: w, Deadline: 1200,
+		CoreMut: func(c *core.Config) { c.Strategy = core.FirstEncountered }})
 	if !res.Finished {
 		t.Fatal("mutated config did not finish")
 	}

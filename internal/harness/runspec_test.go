@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"bulletprime/internal/core"
 	"bulletprime/internal/netem"
 	"bulletprime/internal/scenario"
 	"bulletprime/internal/sim"
@@ -148,6 +149,21 @@ func TestRunSpecRules(t *testing.T) {
 			}
 		})
 	}
+	// The one default the table has: no System named means Bullet'.
+	t.Run("sequential/empty system", func(t *testing.T) {
+		spec := sequentialSpec(1)
+		spec.System = ""
+		var built System
+		spec.Hooks = &Hooks{OnStart: func(_ *Rig, sys System) { built = sys }}
+		res := RunSpec(spec)
+		if _, ok := built.(*core.Session); res.Err != nil || !ok {
+			t.Fatalf("empty System built %T (Err %v), want Bullet's *core.Session", built, res.Err)
+		}
+		if named := RunSpec(sequentialSpec(1)); !res.Finished || res.DataBytes != named.DataBytes || res.EndedAt != named.EndedAt {
+			t.Fatalf("empty System ran differently from %q: ended %v with %v bytes, want %v with %v",
+				KindBulletPrime, res.EndedAt, res.DataBytes, named.EndedAt, named.DataBytes)
+		}
+	})
 }
 
 // startProbe wraps a system to report when Start is called.

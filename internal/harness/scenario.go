@@ -63,7 +63,7 @@ func (e *rigEnv) Annotate(text string) {
 
 // ScenarioDynamics compiles a scenario and returns it in the harness's
 // dynamics-hook shape, so declarative scenarios slot anywhere a hardcoded
-// schedule used to (RunOne, figure generators, benchmarks). The scenario
+// schedule used to (SweepSpec.Dynamics: the figure table, benchmarks). The scenario
 // must not contain flash-crowd waves — those need session construction and
 // only run through SweepSpec.Scenario / RunSpec. Compilation errors panic:
 // a builder-made scenario that fails to compile is a programming error.

@@ -91,10 +91,11 @@ func requireIdenticalRuns(t *testing.T, a, b *RunResult) {
 func TestScenarioMatchesLegacySynthetic(t *testing.T) {
 	w := Workload{FileBytes: 1.5e6, BlockSize: 16 * 1024}
 	for _, seed := range []int64{3, 11} {
-		legacy := RunOne("legacy", seed, ModelNetTopology(12),
-			legacySyntheticBandwidthChanges(5), KindBulletPrime, w, nil, 3600)
-		scen := RunOne("scenario", seed, ModelNetTopology(12),
-			SyntheticBandwidthChanges(5), KindBulletPrime, w, nil, 3600)
+		spec := SweepSpec{Seed: seed, TopoFn: ModelNetTopology(12), Workload: w, Deadline: 3600}
+		spec.Dynamics = legacySyntheticBandwidthChanges(5)
+		legacy := RunSpec(spec)
+		spec.Dynamics = SyntheticBandwidthChanges(5)
+		scen := RunSpec(spec)
 		requireIdenticalRuns(t, legacy, scen)
 		if len(legacy.PerNode) == 0 {
 			t.Fatalf("seed %d: no completions to compare", seed)
@@ -105,11 +106,12 @@ func TestScenarioMatchesLegacySynthetic(t *testing.T) {
 // TestScenarioMatchesLegacyCascade checks the Figure 12 schedule the same
 // way on its dedicated 8-node topology.
 func TestScenarioMatchesLegacyCascade(t *testing.T) {
-	w := Workload{FileBytes: 2e6, BlockSize: 16 * 1024}
-	legacy := RunOne("legacy", 23, CascadeTopology(), legacyCascadeDynamics(15),
-		KindBulletPrime, w, nil, 7200)
-	scen := RunOne("scenario", 23, CascadeTopology(), CascadeDynamics(15),
-		KindBulletPrime, w, nil, 7200)
+	spec := SweepSpec{Seed: 23, TopoFn: CascadeTopology(), Deadline: 7200,
+		Workload: Workload{FileBytes: 2e6, BlockSize: 16 * 1024}}
+	spec.Dynamics = legacyCascadeDynamics(15)
+	legacy := RunSpec(spec)
+	spec.Dynamics = CascadeDynamics(15)
+	scen := RunSpec(spec)
 	requireIdenticalRuns(t, legacy, scen)
 }
 
@@ -131,7 +133,7 @@ func TestRunSpecScenarioDeterministic(t *testing.T) {
 	}
 	spec := SweepSpec{
 		Label: "mixed", Seed: 5, TopoFn: ModelNetTopology(14),
-		Kind: KindBulletPrime, Workload: Workload{FileBytes: 1e6, BlockSize: 16 * 1024},
+		Workload: Workload{FileBytes: 1e6, BlockSize: 16 * 1024},
 		Deadline: 900, Scenario: prog,
 	}
 	a := RunSpec(spec)
@@ -169,7 +171,7 @@ func TestWaveSystemStaggersSessions(t *testing.T) {
 	}
 	res := RunSpec(SweepSpec{
 		Label: "crowd", Seed: 9, TopoFn: LosslessModelNetTopology(12),
-		Kind: KindBulletPrime, Workload: Workload{FileBytes: 1e6, BlockSize: 16 * 1024},
+		Workload: Workload{FileBytes: 1e6, BlockSize: 16 * 1024},
 		Deadline: 1200, Scenario: prog,
 	})
 	if !res.Finished {
@@ -191,12 +193,12 @@ func TestWaveSystemStaggersSessions(t *testing.T) {
 // run with heavy churn must record strictly fewer completions than the calm
 // run and must not finish.
 func TestScenarioChurnKillsDownloads(t *testing.T) {
-	w := Workload{FileBytes: 1e6, BlockSize: 16 * 1024}
-	calm := RunOne("calm", 4, ModelNetTopology(12), nil, KindBulletPrime, w, nil, 900)
-	churny := RunOne("churn", 4, ModelNetTopology(12),
-		ScenarioDynamics(scenario.New("churn",
-			scenario.Churn(1, 0.4, scenario.Dist{Kind: "exp", Mean: 5}))),
-		KindBulletPrime, w, nil, 900)
+	spec := SweepSpec{Seed: 4, TopoFn: ModelNetTopology(12), Deadline: 900,
+		Workload: Workload{FileBytes: 1e6, BlockSize: 16 * 1024}}
+	calm := RunSpec(spec)
+	spec.Dynamics = ScenarioDynamics(scenario.New("churn",
+		scenario.Churn(1, 0.4, scenario.Dist{Kind: "exp", Mean: 5})))
+	churny := RunSpec(spec)
 	if churny.Finished {
 		t.Fatal("run finished despite 40% of members crashing")
 	}

@@ -1,14 +1,27 @@
 package harness
 
-import (
-	"testing"
-
-	"bulletprime/internal/core"
-)
+import "testing"
 
 // Shape tests: the paper's qualitative claims asserted as invariants at
-// moderate scale. They are skipped under -short (each runs multi-system
-// experiments taking tens of wall seconds).
+// moderate scale, on specs drawn from the figure table by legend label.
+// They are skipped under -short (each runs multi-system experiments taking
+// tens of wall seconds).
+
+// figureSpec returns the spec behind one labelled series of a figure.
+func figureSpec(t *testing.T, figure int, sc Scale, seed int64, label string) SweepSpec {
+	t.Helper()
+	row, err := figureRowFor(figure)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range row.series(sc, seed) {
+		if s.spec.Label == label {
+			return s.spec
+		}
+	}
+	t.Fatalf("figure %d has no series %q", figure, label)
+	return SweepSpec{}
+}
 
 // TestShapeBulletPrimeBeatsBulletAndBT asserts the Figure 4 ordering that
 // holds at every scale: Bullet' finishes ahead of Bullet and BitTorrent on
@@ -17,11 +30,10 @@ func TestShapeBulletPrimeBeatsBulletAndBT(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-system comparison is slow")
 	}
-	w := Workload{FileBytes: 10e6, BlockSize: 16 * 1024}
-	topo := ModelNetTopology(30)
-	bp := RunOne("bp", 21, topo, nil, KindBulletPrime, w, nil, 3600)
-	bl := RunOne("bl", 21, topo, nil, KindBullet, w, nil, 3600)
-	bt := RunOne("bt", 21, topo, nil, KindBitTorrent, w, nil, 3600)
+	sc := Scale{Nodes: 0.30, File: 0.10} // 30 nodes, 10 MB
+	bp := RunSpec(figureSpec(t, 4, sc, 21, "BulletPrime"))
+	bl := RunSpec(figureSpec(t, 4, sc, 21, "Bullet"))
+	bt := RunSpec(figureSpec(t, 4, sc, 21, "BitTorrent"))
 	if !bp.Finished || !bl.Finished || !bt.Finished {
 		t.Fatal("a system did not finish")
 	}
@@ -42,12 +54,9 @@ func TestShapeFirstEncounteredLoses(t *testing.T) {
 	if testing.Short() {
 		t.Skip("strategy comparison is slow")
 	}
-	w := Workload{FileBytes: 8e6, BlockSize: 16 * 1024}
-	topo := ModelNetTopology(25)
-	rr := RunOne("rr", 22, topo, nil, KindBulletPrime, w,
-		func(c *core.Config) { c.Strategy = core.RarestRandom }, 3600)
-	fe := RunOne("fe", 22, topo, nil, KindBulletPrime, w,
-		func(c *core.Config) { c.Strategy = core.FirstEncountered }, 3600)
+	sc := Scale{Nodes: 0.25, File: 0.08} // 25 nodes, 8 MB
+	rr := RunSpec(figureSpec(t, 6, sc, 22, "BulletPrime rarest-random request strategy"))
+	fe := RunSpec(figureSpec(t, 6, sc, 22, "BulletPrime first request strategy"))
 	if !rr.Finished || !fe.Finished {
 		t.Fatal("a strategy did not finish")
 	}
@@ -64,21 +73,18 @@ func TestShapeDynamicOutstandingHandlesCascade(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cascade comparison is slow")
 	}
-	// A 60 MB file with 15 s drop intervals keeps the download in flight
-	// across the whole cascade (the full figure uses 100 MB and 25 s;
-	// the proportions are the same). Each drop strands a fixed-50 window
-	// of ~400 KB on the newly slow link; the dynamic window keeps only a
-	// couple of blocks exposed.
-	w := Workload{FileBytes: 60e6, BlockSize: 8 * 1024}
-	mut := func(out int) func(*core.Config) {
-		return func(c *core.Config) {
-			c.StaticOutstanding = out
-			c.BlockSize = 8 * 1024
-			c.StaticPeers = 6
-		}
+	// At 0.6 of the file the figure runs 60 MB with 15 s between drops (100 MB
+	// and 25 s at full scale; the drop interval shrinks with the file), which
+	// keeps the download in flight across the whole cascade. Each drop
+	// strands a fixed-50 window of ~400 KB on the newly slow link; the
+	// dynamic window keeps only a couple of blocks exposed.
+	run := func(label string) *RunResult {
+		s := figureSpec(t, 12, Scale{File: 0.6}, 23, label)
+		s.Deadline = 7200
+		return RunSpec(s)
 	}
-	dyn := RunOne("dyn", 23, CascadeTopology(), CascadeDynamics(15), KindBulletPrime, w, mut(0), 7200)
-	big := RunOne("50", 23, CascadeTopology(), CascadeDynamics(15), KindBulletPrime, w, mut(50), 7200)
+	dyn := run("BulletPrime , dyn  outst")
+	big := run("BulletPrime , 50    outst")
 	if !dyn.Finished {
 		t.Fatal("dynamic run did not finish")
 	}
@@ -96,8 +102,7 @@ func TestShapeControlOverheadModest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("overhead measurement is slow")
 	}
-	w := Workload{FileBytes: 8e6, BlockSize: 16 * 1024}
-	res := RunOne("bp", 24, ModelNetTopology(25), nil, KindBulletPrime, w, nil, 3600)
+	res := RunSpec(figureSpec(t, 4, Scale{Nodes: 0.25, File: 0.08}, 24, "BulletPrime")) // 25 nodes, 8 MB
 	if !res.Finished {
 		t.Fatal("did not finish")
 	}

@@ -7,30 +7,27 @@ import (
 	"sync/atomic"
 
 	"bulletprime/internal/core"
-	"bulletprime/internal/lab"
 	"bulletprime/internal/netem"
 	"bulletprime/internal/obs"
 	"bulletprime/internal/scenario"
 	"bulletprime/internal/sim"
-	"bulletprime/internal/trace"
 )
 
-// SweepSpec describes one independent rig of a sweep: the same inputs RunOne
-// takes, bundled so a seeds × protocols × presets cross product can be built
-// up front and fanned across workers.
+// SweepSpec describes one independent rig: everything RunSpec needs to run
+// it, bundled so a seeds × protocols × presets cross product can be built up
+// front and fanned across workers.
 type SweepSpec struct {
 	Label    string
 	Seed     int64
 	TopoFn   func(*sim.RNG) *netem.Topology
 	Dynamics func(*Rig)
-	Kind     ProtoKind
 	Workload Workload
 	CoreMut  func(*core.Config)
 	Deadline sim.Time
 
-	// System names a protocol from the open registry (RegisterSystem) and
-	// takes precedence over Kind; empty means Kind.String(). The façade's
-	// registered third-party protocols arrive through this field.
+	// System names a protocol from the open registry (RegisterSystem): a
+	// ProtoKind's String() or a third-party name registered through the
+	// façade. Empty means Bullet'.
 	System string
 
 	// Engine selects the execution engine. EngineSequential (the zero
@@ -91,14 +88,6 @@ type SweepSpec struct {
 	Tracer *obs.Tracer
 }
 
-// systemName resolves the registry name this spec's sessions build under.
-func (s *SweepSpec) systemName() string {
-	if s.System != "" {
-		return s.System
-	}
-	return s.Kind.String()
-}
-
 // Check is the one table of spec rules: which features combine, and why the
 // rest cannot. RunSpec returns its error as RunResult.Err before anything
 // is built, and the bulletprime façade's New returns it verbatim, so a
@@ -111,7 +100,10 @@ func (s *SweepSpec) Check() error {
 
 // check is Check, also returning the registry entry the spec resolved to.
 func (s *SweepSpec) check() (SystemEntry, error) {
-	name := s.systemName()
+	name := s.System
+	if name == "" {
+		name = KindBulletPrime.String()
+	}
 	e, known := LookupSystem(name)
 	sharded, testbed := s.Engine == EngineSharded, s.Testbed != nil
 	linkProgram := ""
@@ -149,7 +141,7 @@ func (s *SweepSpec) check() (SystemEntry, error) {
 
 // Sweep runs every spec across a pool of parallel workers and returns the
 // results in spec order. Each worker owns one rig at a time — one engine per
-// goroutine — so every run is bit-identical to a sequential RunOne with the
+// goroutine — so every run is bit-identical to a sequential RunSpec of the
 // same spec: determinism is per seed, not per schedule. parallel <= 0 uses
 // GOMAXPROCS.
 func Sweep(specs []SweepSpec, parallel int) []*RunResult {
@@ -182,43 +174,4 @@ func Sweep(specs []SweepSpec, parallel int) []*RunResult {
 	}
 	wg.Wait()
 	return results
-}
-
-// ExpandReps fans each spec out into reps repetitions with
-// lab.RepSeed-derived master seeds, in spec-major order (all repetitions
-// of spec 0, then spec 1, …). Repetition 0 keeps the spec verbatim, so
-// ExpandReps(specs, 1) is the identity; higher repetitions get "#repN"
-// appended to non-empty labels. Everything else about a repetition —
-// topology builder, scenario program, hooks — is shared by value, which
-// is safe for the same reason sweeps already fan one compiled scenario
-// across seeds: specs only carry immutable inputs plus per-rig state
-// derived from the seed. reps <= 1 returns specs unchanged.
-func ExpandReps(specs []SweepSpec, reps int) []SweepSpec {
-	if reps <= 1 {
-		return specs
-	}
-	out := make([]SweepSpec, 0, len(specs)*reps)
-	for _, s := range specs {
-		for r := 0; r < reps; r++ {
-			rs := s
-			rs.Seed = lab.RepSeed(s.Seed, r)
-			if r > 0 && rs.Label != "" {
-				rs.Label = fmt.Sprintf("%s#rep%d", s.Label, r)
-			}
-			out = append(out, rs)
-		}
-	}
-	return out
-}
-
-// AggregateCDF merges the completion-time CDFs of every result into one,
-// e.g. pooling all seeds of one protocol into a single curve.
-func AggregateCDF(results []*RunResult) *trace.CDF {
-	out := &trace.CDF{}
-	for _, r := range results {
-		if r != nil {
-			out.Merge(r.CDF)
-		}
-	}
-	return out
 }

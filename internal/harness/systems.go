@@ -116,8 +116,8 @@ func SystemNames() []string {
 }
 
 // The four paper systems self-register under their ProtoKind.String()
-// names, so BuildSystem's kind-based callers resolve through the same
-// registry as third-party protocols.
+// names, so the figure table's kinds resolve through the same registry as
+// third-party protocols.
 func init() {
 	RegisterSystem(KindBulletPrime.String(), SystemEntry{Build: buildBulletPrime, Streams: true})
 	RegisterSystem(KindBullet.String(), SystemEntry{Build: buildBullet, Streams: true})

@@ -8,7 +8,7 @@ import (
 )
 
 // Topology builders for the paper's experiment environments. Each returns a
-// closure suitable for RunOne so topology draws are reproducible per seed.
+// closure for SweepSpec.TopoFn so topology draws are reproducible per seed.
 
 // Scale multiplies node counts and file sizes so the full paper-scale
 // sweeps (100 nodes x 100 MB) can be shrunk for tests and benches without
