@@ -289,9 +289,14 @@ func BenchmarkFairShareRecompute(b *testing.B) {
 		net.NewFlow(src, dst).Start(1e12, nil)
 	}
 	eng.RunUntil(0.1)
+	// Dirty every node, as a caller that cannot name what changed does.
+	every := make([]netem.LinkRef, 0, 2*n)
+	for i := 0; i < n; i++ {
+		every = append(every, netem.OutAccess(netem.NodeID(i)), netem.InAccess(netem.NodeID(i)))
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.BandwidthChanged()
+		net.LinksChanged(every)
 		eng.RunUntil(eng.Now() + 0.05)
 	}
 }
@@ -301,7 +306,7 @@ func BenchmarkFairShareRecompute(b *testing.B) {
 // per node restarting on completion, and a bandwidth-halving/restore cycle
 // hitting one cluster's links every 100 ms of virtual time. It returns the
 // network so callers can read the recomputation counters.
-func fairShareDynamicScenario(n int, full bool, horizon float64) (*sim.Engine, *netem.Network) {
+func fairShareDynamicScenario(n int, horizon float64) (*sim.Engine, *netem.Network) {
 	const clusterSize = 10
 	eng := sim.NewEngine()
 	rng := sim.NewRNG(7)
@@ -319,7 +324,6 @@ func fairShareDynamicScenario(n int, full bool, horizon float64) (*sim.Engine, *
 		}
 	}
 	net := netem.New(eng, topo, rng.Stream("net"))
-	net.FullRecompute = full
 
 	// Per cluster: 15 flows between random distinct members, each a stream
 	// of ~5 s transfers restarting on completion (the churn source).
@@ -369,13 +373,13 @@ func fairShareDynamicScenario(n int, full bool, horizon float64) (*sim.Engine, *
 	return eng, net
 }
 
-// benchFairShareDynamic reports the per-mode cost of the 30-virtual-second
-// scenario: wall time per op plus the recomputed-flow-rate counters that the
-// incremental scheme exists to shrink.
-func benchFairShareDynamic(b *testing.B, n int, full bool) {
+// benchFairShareDynamic reports the cost of the 30-virtual-second scenario:
+// wall time per op plus the recomputed-flow-rate counters that refilling
+// only dirty components exists to shrink.
+func benchFairShareDynamic(b *testing.B, n int) {
 	var recomputed, skipped uint64
 	for i := 0; i < b.N; i++ {
-		_, net := fairShareDynamicScenario(n, full, 30)
+		_, net := fairShareDynamicScenario(n, 30)
 		recomputed = net.FlowRatesRecomputed
 		skipped = net.FlowRatesSkipped
 	}
@@ -383,12 +387,9 @@ func benchFairShareDynamic(b *testing.B, n int, full bool) {
 	b.ReportMetric(float64(skipped), "rates_skipped")
 }
 
-func BenchmarkFairShareIncremental100(b *testing.B)  { benchFairShareDynamic(b, 100, false) }
-func BenchmarkFairShareFull100(b *testing.B)         { benchFairShareDynamic(b, 100, true) }
-func BenchmarkFairShareIncremental500(b *testing.B)  { benchFairShareDynamic(b, 500, false) }
-func BenchmarkFairShareFull500(b *testing.B)         { benchFairShareDynamic(b, 500, true) }
-func BenchmarkFairShareIncremental1000(b *testing.B) { benchFairShareDynamic(b, 1000, false) }
-func BenchmarkFairShareFull1000(b *testing.B)        { benchFairShareDynamic(b, 1000, true) }
+func BenchmarkFairShareIncremental100(b *testing.B)  { benchFairShareDynamic(b, 100) }
+func BenchmarkFairShareIncremental500(b *testing.B)  { benchFairShareDynamic(b, 500) }
+func BenchmarkFairShareIncremental1000(b *testing.B) { benchFairShareDynamic(b, 1000) }
 
 // BenchmarkSweepParallel measures the parallel experiment driver against
 // the same four seeds run back-to-back (BenchmarkSweepSequential).

@@ -343,9 +343,10 @@ func RunSpec(s SweepSpec) *RunResult {
 type rigBackend struct{ rig *Rig }
 
 func newRigBackend(s *SweepSpec, topo *netem.Topology, h *Hooks) (rigBackend, error) {
-	if s.Scenario != nil && s.Scenario.N() != topo.N {
-		return rigBackend{}, fmt.Errorf("harness: scenario compiled for %d nodes applied to a %d-node topology: its link sets and cohorts name nodes by index",
-			s.Scenario.N(), topo.N)
+	if s.Scenario != nil {
+		if err := s.Scenario.Fits(topo); err != nil {
+			return rigBackend{}, fmt.Errorf("harness: %w", err)
+		}
 	}
 	rig := NewRig(topo, s.Seed)
 	rig.RT.Tracer = s.Tracer

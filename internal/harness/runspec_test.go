@@ -43,8 +43,8 @@ func openFiles() int {
 // naming the conflict — never a panic — in one shape, with nothing run and,
 // on the testbed rows, no goroutine or socket left behind.
 func TestRunSpecRules(t *testing.T) {
-	prog := func(n int) *scenario.Program {
-		p, err := scenario.New("rules").Compile(n)
+	prog := func(n int, events ...scenario.Event) *scenario.Program {
+		p, err := scenario.New("rules", events...).Compile(n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,6 +94,12 @@ func TestRunSpecRules(t *testing.T) {
 		{"testbed", "sharded-only system", func(s *SweepSpec) { s.System = "scalefill" }, "not registered for sequential", false},
 
 		{"sequential", "scenario for another overlay", func(s *SweepSpec) { s.Scenario = prog(12) }, "compiled for 12 nodes", true},
+		// A frac selector's core links span members, so on two compact
+		// clusters it would write an inter-cluster link mid-run and panic.
+		{"sequential", "core links across immutable clusters", func(s *SweepSpec) {
+			s.TopoFn = ClusteredTopologyCompact(10, 5)
+			s.Scenario = prog(10, scenario.ScaleBW(1, scenario.LinkSet{Frac: 0.1, Dir: "in"}, 0.5))
+		}, "event 0 (scale_bw at t=1s) changes core link 5→0, and this topology's inter-cluster links are immutable", true},
 		{"sharded", "unclustered topology", func(s *SweepSpec) { s.TopoFn = ModelNetTopology(50) }, "clustered topology", true},
 		// Node 3's address cannot be bound, after nodes 0-2 have sockets and
 		// reader goroutines: the rig build must take those down again.

@@ -70,6 +70,8 @@ func (c *compactCore) lookup(src, dst NodeID, param int) (float64, bool) {
 func (c *compactCore) set(src, dst NodeID, param int, v float64) {
 	cs, cd := c.cluster(src), c.cluster(dst)
 	if cs != cd {
+		// The guard for hand callers; a scenario is refused before it runs
+		// (Topology.CoreLinkFixed).
 		panic(fmt.Sprintf("netem: compact topology link %d→%d crosses clusters %d/%d; "+
 			"inter-cluster links are immutable", src, dst, cs, cd))
 	}

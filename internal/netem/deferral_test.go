@@ -30,7 +30,7 @@ func checkDeferral(net *Network, all []*Flow) error {
 	}
 	marked := func(s *endpointSet, id NodeID) bool { return s.mark != nil && s.mark[id] }
 	for ci := range net.part.comps {
-		waiting, covered := false, net.dirty && (net.FullRecompute || net.dirtyAll)
+		waiting, covered := false, false
 		for _, f := range net.part.comps[ci].flows {
 			waiting = waiting || deferred(f)
 			covered = covered || f.completion.Pending() ||
@@ -46,24 +46,20 @@ func checkDeferral(net *Network, all []*Flow) error {
 // TestNoDeferredCompletionOverdue runs the partition oracle's churn workload
 // — starts, closes, link changes, access links dropping to zero and coming
 // back, slow-start ramps on every replaced flow — and checks the deferral
-// contract after every engine event, in incremental mode and under
-// FullRecompute. Taking RecomputeInterval out of armComponent's horizon
-// fails it.
+// contract after every engine event. Taking RecomputeInterval out of
+// armComponent's horizon fails it.
 func TestNoDeferredCompletionOverdue(t *testing.T) {
-	for _, full := range []bool{false, true} {
-		for seed := int64(1); seed <= 12; seed++ {
-			w := newPartitionChurn(seed)
-			w.net.FullRecompute = full
-			w.step = func() {
-				if err := checkDeferral(w.net, w.all); err != nil {
-					t.Fatalf("seed %d full=%v t=%v: %v", seed, full, w.eng.Now(), err)
-				}
+	for seed := int64(1); seed <= 12; seed++ {
+		w := newPartitionChurn(seed)
+		w.step = func() {
+			if err := checkDeferral(w.net, w.all); err != nil {
+				t.Fatalf("seed %d t=%v: %v", seed, w.eng.Now(), err)
 			}
-			w.run(6)
-			if w.net.CompletionsDeferred == 0 || w.net.CompletionsArmed < uint64(len(w.log)) {
-				t.Fatalf("seed %d full=%v: %d completions armed and %d deferred for %d fired; the run does not exercise deferral",
-					seed, full, w.net.CompletionsArmed, w.net.CompletionsDeferred, len(w.log))
-			}
+		}
+		w.run(6)
+		if w.net.CompletionsDeferred == 0 || w.net.CompletionsArmed < uint64(len(w.log)) {
+			t.Fatalf("seed %d: %d completions armed and %d deferred for %d fired; the run does not exercise deferral",
+				seed, w.net.CompletionsArmed, w.net.CompletionsDeferred, len(w.log))
 		}
 	}
 }

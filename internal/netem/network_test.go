@@ -159,7 +159,7 @@ func TestBandwidthChangeMidTransfer(t *testing.T) {
 	f.Start(2e6, func() { done = eng.Now() })
 	eng.Schedule(1.0, func() {
 		net.Topo.SetCoreBW(0, 1, Mbps(0.8))
-		net.BandwidthChanged()
+		net.LinkChanged(0, 1)
 	})
 	eng.Run()
 	if done < 9 || done > 13 {
@@ -327,7 +327,7 @@ func TestPropertyFairShareFeasible(t *testing.T) {
 			if fl.Rate() <= 0 {
 				return false
 			}
-			cap, _ := fl.capNow(eng.Now())
+			cap, _, _ := fl.capNow(eng.Now())
 			if fl.Rate() > cap*tol {
 				return false
 			}

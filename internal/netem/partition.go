@@ -9,9 +9,9 @@ import "slices"
 // src or dst endpoint of the flows using it, so the sharing graph's
 // connected components are exactly the components of the bipartite
 // src/dst graph. Waterfilling a component in isolation yields bit-identical
-// rates to the global pass restricted to it: the per-resource accumulation
-// (frozenUse sums, headroom divisions) only ever involves flows of one
-// component, and freeze order within a component is the same in both.
+// rates to one fill over every flow, restricted to it: the per-resource
+// accumulation (frozenUse sums, headroom divisions) only ever involves flows
+// of one component, and freeze order within a component is the same in both.
 //
 // The partition into components is maintained, not rebuilt. Between two
 // recomputations the network only queues the flows whose open-and-busy
@@ -26,15 +26,16 @@ import "slices"
 // update the partition is what a from-scratch build over the current
 // open-and-busy set would produce — the same components, each holding its
 // flows in ascending id. Slot numbers are the one thing that differs, which
-// is why recomputeIncremental orders dirty components by their lowest flow
-// id rather than by slot: that is the order a from-scratch build lists
-// them in, it fixes the order in which scheduleCompletion draws engine
-// sequence numbers at one instant, and so it fixes the order of
-// same-instant completions in every run.
+// is why recompute orders dirty components by their lowest flow id rather
+// than by slot: that is the order a from-scratch build lists them in, it
+// fixes the order in which armComponent draws engine sequence numbers at one
+// instant, and so it fixes the order of same-instant completions in every
+// run.
 
 // component is one connected component of the flow-sharing graph. Flows are
 // kept sorted by id so per-component waterfills accumulate floats in the
-// same order as a global pass. An empty flows slice marks a free slot.
+// same order as one fill over every flow. An empty flows slice marks a free
+// slot.
 type component struct {
 	flows []*Flow
 	dirty bool // queued in Network.dirtyComps for the current recomputation
@@ -134,7 +135,7 @@ func (p *partition) dissolve(ci int32) {
 
 // mergeRuns merges the id-sorted runs of buf into one id-sorted list by
 // bottom-up pairwise merging, ping-ponging between buf and tmp. The result
-// is valid until the next update or allFlows.
+// is valid until the next update.
 func (p *partition) mergeRuns() []*Flow {
 	src, ends := p.buf, p.ends
 	if len(ends) <= 1 {
@@ -251,17 +252,4 @@ func (p *partition) build(active []*Flow) {
 		p.bySrc[f.src] = ci
 		p.byDst[f.dst] = ci
 	}
-}
-
-// allFlows returns every flow of the partition in ascending id, for the
-// global pass. The slice is valid until the next update or allFlows.
-func (p *partition) allFlows() []*Flow {
-	p.buf, p.ends = p.buf[:0], p.ends[:0]
-	for i := range p.comps {
-		if flows := p.comps[i].flows; len(flows) > 0 {
-			p.buf = append(p.buf, flows...)
-			p.ends = append(p.ends, int32(len(p.buf)))
-		}
-	}
-	return p.mergeRuns()
 }

@@ -233,8 +233,9 @@ func (w *partitionChurn) stream(f *Flow) {
 
 // tick is the outside world: link changes with no churn at all, closes in
 // mid-transfer, an access link that drops to nothing (its flows starve) and
-// comes back, a change that names no link, and one-segment flows that start
-// and finish between two recomputations.
+// comes back, a change that names every access link (what a caller that
+// cannot name a link reports), and one-segment flows that start and finish
+// between two recomputations.
 func (w *partitionChurn) tick() {
 	topo := w.net.Topo
 	switch u := w.rng.Float64(); {
@@ -274,7 +275,11 @@ func (w *partitionChurn) tick() {
 			})
 		}
 	case u < 0.85:
-		w.net.BandwidthChanged()
+		every := make([]LinkRef, 0, 2*w.n)
+		for i := 0; i < w.n; i++ {
+			every = append(every, OutAccess(NodeID(i)), InAccess(NodeID(i)))
+		}
+		w.net.LinksChanged(every)
 	default:
 		f := w.open()
 		f.Start(w.rng.Uniform(100, 1000), func() {

@@ -129,6 +129,12 @@ func (t *Topology) SetCoreBW(src, dst NodeID, bw float64) {
 	t.coreBW[i] = bw
 }
 
+// CoreLinkFixed reports whether the core link src→dst cannot be changed: on
+// a compact topology, Set* on an inter-cluster link panics.
+func (t *Topology) CoreLinkFixed(src, dst NodeID) bool {
+	return t.compact != nil && t.compact.cluster(src) != t.compact.cluster(dst)
+}
+
 // CoreDelay returns the one-way core propagation delay for src→dst.
 func (t *Topology) CoreDelay(src, dst NodeID) float64 {
 	i := t.idx(src, dst)

@@ -1,9 +1,7 @@
 package netem
 
 import (
-	"fmt"
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -20,7 +18,7 @@ func referenceFairShare(topo *Topology, flows []*Flow, now sim.Time) []float64 {
 	frozen := make([]bool, n)
 	caps := make([]float64, n)
 	for i, f := range flows {
-		caps[i], _ = f.capNow(now)
+		caps[i], _, _ = f.capNow(now)
 	}
 	// Count flows per ordered pair: dedicated core links shared by 2+
 	// flows act as joint resources.
@@ -123,11 +121,11 @@ func TestWaterfillMatchesReference(t *testing.T) {
 
 // TestIncrementalMatchesOracleUnderChurn drives a randomized churn workload
 // — transfers of random size restarting on completion, plus periodic core
-// bandwidth changes reported through LinkChanged — in incremental mode, and
-// at checkpoints asserts every active flow's rate equals the brute-force
-// global waterfill bit-for-bit. This is the contract the component
-// partitioning rests on: clean components must already hold the rates the
-// full pass would assign.
+// bandwidth changes reported through LinkChanged — and at checkpoints
+// asserts every active flow's rate equals one global fill over all of them
+// bit-for-bit. This is the contract the component
+// partitioning rests on: clean components must already hold the rates a
+// fill over everything would assign.
 func TestIncrementalMatchesOracleUnderChurn(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := sim.NewRNG(seed)
@@ -145,12 +143,10 @@ func TestIncrementalMatchesOracleUnderChurn(t *testing.T) {
 			}
 		}
 		net := New(eng, topo, rng.Stream("net"))
-		if net.FullRecompute {
-			t.Fatal("incremental mode must be the default")
-		}
 
 		// Churn: 20 flow streams restarting with fresh random sizes, so
 		// completions and starts dirty different components over time.
+		var streams []*Flow // ascending id
 		for k := 0; k < 20; k++ {
 			src := NodeID(rng.Intn(n))
 			dst := NodeID(rng.Intn(n))
@@ -158,6 +154,7 @@ func TestIncrementalMatchesOracleUnderChurn(t *testing.T) {
 				dst = (dst + 1) % NodeID(n)
 			}
 			fl := net.NewFlow(src, dst)
+			streams = append(streams, fl)
 			var restart func()
 			restart = func() { fl.Start(rng.Uniform(5e4, 5e5), restart) }
 			restart()
@@ -209,17 +206,16 @@ func TestIncrementalMatchesOracleUnderChurn(t *testing.T) {
 		ok := true
 		for _, at := range []sim.Time{0.8, 2.1, 4.4, 7.9} {
 			eng.Schedule(at, func() {
-				// Settle pending dirt, then compare against the global
-				// brute-force pass over all active flows.
+				// Settle pending dirt, then compare against one global fill
+				// over every open-and-busy flow.
 				net.recompute()
 				now := eng.Now()
-				active := make([]*Flow, 0, net.part.total)
-				for _, fl := range net.part.allFlows() {
+				var active []*Flow
+				for _, fl := range streams {
 					if fl.open && fl.busy {
 						active = append(active, fl)
 					}
 				}
-				sort.Slice(active, func(i, j int) bool { return active[i].id < active[j].id })
 				if len(active) == 0 {
 					return
 				}
@@ -366,270 +362,6 @@ func TestIncrementalKeepsCleanComponentsUntouched(t *testing.T) {
 	}
 }
 
-// scanFairShare is the scan-per-round filler the production fairShare must
-// equal bit for bit: resources numbered on first encounter over the flows
-// (out-access, in-access, then a core link shared by two or more flows), a
-// min-scan for the next cap, a min-scan for the next saturation that keeps
-// the lowest resource number on ties, the eps band frozen in ascending flow
-// index, and frozenUse accumulated in freeze order.
-func scanFairShare(topo *Topology, active []*Flow, now sim.Time) []float64 {
-	type scanResource struct {
-		cap, frozenUse float64
-		nUnfrozen      int
-		flows          []int
-	}
-	nf := len(active)
-	rates := make([]float64, nf)
-	caps := make([]float64, nf)
-	frozen := make([]bool, nf)
-	flowRes := make([][]int, nf)
-	var resources []*scanResource
-	resIdx := make(map[int]int)
-	add := func(key int, capacity float64, fi int) {
-		ri, ok := resIdx[key]
-		if !ok {
-			ri = len(resources)
-			resources = append(resources, &scanResource{cap: capacity})
-			resIdx[key] = ri
-		}
-		resources[ri].nUnfrozen++
-		resources[ri].flows = append(resources[ri].flows, fi)
-		flowRes[fi] = append(flowRes[fi], ri)
-	}
-	nn := topo.N
-	pairCount := make(map[int]int)
-	for _, f := range active {
-		pairCount[int(f.src)*nn+int(f.dst)]++
-	}
-	for i, f := range active {
-		caps[i], _ = f.capNow(now)
-		add(int(f.src), topo.AccessOut[f.src], i)
-		add(nn+int(f.dst), topo.AccessIn[f.dst], i)
-		if pair := int(f.src)*nn + int(f.dst); pairCount[pair] > 1 {
-			if bw := topo.CoreBW(f.src, f.dst); bw > 0 {
-				add(2*nn+pair, bw, i)
-			}
-		}
-	}
-	unfrozen := nf
-	freeze := func(fi int, rate float64) {
-		frozen[fi] = true
-		rates[fi] = rate
-		unfrozen--
-		for _, ri := range flowRes[fi] {
-			resources[ri].nUnfrozen--
-			resources[ri].frozenUse += rate
-		}
-	}
-	const eps = 1e-9
-	for unfrozen > 0 {
-		minCap := math.Inf(1)
-		for i := range caps {
-			if !frozen[i] && caps[i] < minCap {
-				minCap = caps[i]
-			}
-		}
-		minSat, satRes := math.Inf(1), -1
-		for ri, r := range resources {
-			if r.nUnfrozen == 0 {
-				continue
-			}
-			headroom := r.cap - r.frozenUse
-			if headroom < 0 {
-				headroom = 0
-			}
-			if sat := headroom / float64(r.nUnfrozen); satRes < 0 || sat < minSat {
-				minSat, satRes = sat, ri
-			}
-		}
-		switch {
-		case minCap <= minSat+eps && !math.IsInf(minCap, 1):
-			for i := range caps {
-				if !frozen[i] && caps[i] <= minCap+eps {
-					freeze(i, caps[i])
-				}
-			}
-		case satRes >= 0 && !math.IsInf(minSat, 1):
-			for _, fi := range resources[satRes].flows {
-				if !frozen[fi] {
-					freeze(fi, math.Min(minSat, caps[fi]))
-				}
-			}
-		default:
-			for i := range frozen {
-				if !frozen[i] {
-					freeze(i, 1e12)
-				}
-			}
-		}
-	}
-	return rates
-}
-
-// fillCase is one generated input of TestFillMatchesScanBitForBit.
-type fillCase struct {
-	net   *Network
-	flows []*Flow
-	now   sim.Time
-}
-
-// genFillCase draws a fill that crowds the places where bit-exactness is
-// decided. Access capacities come from a handful of values (so saturation
-// levels tie exactly across links), now and then scaled to zero or below;
-// core bandwidths are unset (an infinite cap), drawn from the same handful
-// of fractions, or placed within a few 1e-10 of a level some link saturates
-// at, on either side — a cap just above a level freezes first and lowers a
-// neighbour's saturation level, the case the production heap must push for;
-// nodes are few, so ordered pairs repeat; a third of the cases run inside the
-// slow-start ramp, and a third have lossy links.
-func genFillCase(seed int64) fillCase {
-	rng := sim.NewRNG(seed)
-	nFlows := 2 + rng.Intn(399)
-	if seed%3 == 0 {
-		nFlows = 2 + rng.Intn(30)
-	}
-	n := 3 + rng.Intn(3+nFlows/4)
-	topo := NewTopology(n)
-	bases := []float64{600000, 750000, 1e6, 1e6 / 3}
-	uniform := rng.Float64() < 0.5
-	base := bases[rng.Intn(len(bases))]
-	pick := func() float64 {
-		if uniform {
-			return base
-		}
-		return bases[rng.Intn(len(bases))]
-	}
-	nudges := []float64{0, 0, 3e-10, -3e-10, 8e-10, -8e-10, 1.5e-9, -1.5e-9}
-	lossy := seed%3 == 1
-	for i := 0; i < n; i++ {
-		topo.AccessIn[i], topo.AccessOut[i] = pick(), pick()
-		switch rng.Intn(25) {
-		case 0:
-			topo.AccessIn[i] = 0
-		case 1:
-			topo.AccessOut[i] = 0
-		case 2:
-			topo.AccessOut[i] = -1
-		}
-		topo.AccessDelay[i] = MS(rng.Uniform(0, 2))
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			src, dst := NodeID(i), NodeID(j)
-			switch rng.Intn(4) {
-			case 0: // unset: no core cap
-			case 1:
-				topo.SetCoreBW(src, dst, pick()/float64(1+rng.Intn(6)))
-			default:
-				topo.SetCoreBW(src, dst, pick()/float64(1+rng.Intn(6))+nudges[rng.Intn(len(nudges))])
-			}
-			topo.SetCoreDelay(src, dst, MS(rng.Uniform(1, 150)))
-			if lossy && rng.Float64() < 0.4 {
-				topo.SetCoreLoss(src, dst, rng.Uniform(0, 0.03))
-			}
-		}
-	}
-	eng := sim.NewEngine()
-	net := New(eng, topo, rng.Stream("net"))
-	flows := make([]*Flow, nFlows)
-	for k := range flows {
-		src := NodeID(rng.Intn(n))
-		dst := NodeID(rng.Intn(n))
-		if src == dst {
-			dst = (dst + 1) % NodeID(n)
-		}
-		flows[k] = net.NewFlow(src, dst)
-	}
-	now := sim.Time(1000) // past every slow start
-	if seed%3 == 2 {
-		now = sim.Time(rng.Uniform(0.05, 1.5)) // inside the ramp on the longer paths
-	}
-	return fillCase{net, flows, now}
-}
-
-// craftedFillCase builds flows src→dst over uniform 600 kB/s access links with
-// the given core bandwidths, past slow start and without loss, so each
-// flow's cap is exactly its bandwidth.
-func craftedFillCase(pairs [][2]NodeID, bw []float64) fillCase {
-	const n = 8
-	topo := NewTopology(n)
-	topo.SetUniformAccess(600000, 600000, MS(1))
-	net := New(sim.NewEngine(), topo, sim.NewRNG(1).Stream("net"))
-	flows := make([]*Flow, len(pairs))
-	for k, p := range pairs {
-		topo.SetCoreBW(p[0], p[1], bw[k])
-		topo.SetCoreDelay(p[0], p[1], MS(10))
-		flows[k] = net.NewFlow(p[0], p[1])
-	}
-	return fillCase{net, flows, 1000}
-}
-
-// TestFillMatchesScanBitForBit pins the production fill to the scan-per-round
-// filler: every rate has the same bits, on inputs built to tie, to sit inside
-// the eps band, to share core links, to starve and to be uncapped. Dropping
-// the heap push for a lowered saturation level, ranking resources by node id,
-// freezing a band in cap order, or leaving a cap out of the cap order that
-// is less than two eps above its access links each fail it.
-func TestFillMatchesScanBitForBit(t *testing.T) {
-	type namedCase struct {
-		name string
-		fillCase
-	}
-	cases := []namedCase{
-		// Alone on both links, the cap a hair above them: the cap event
-		// comes first (cap <= sat+eps) and the flow runs at its cap.
-		{"cap within eps above its links", craftedFillCase(
-			[][2]NodeID{{0, 1}}, []float64{600000 + 5e-10})},
-		// The second cap is more than eps above its own links but within eps
-		// of the first, so the first's cap event takes it along.
-		{"cap within two eps above its links", craftedFillCase(
-			[][2]NodeID{{0, 1}, {2, 3}}, []float64{600000 + 9e-10, 600000 + 1.7e-9})},
-		// Beyond that a cap cannot bind: the links saturate at 600000.
-		{"cap three eps above its links", craftedFillCase(
-			[][2]NodeID{{0, 1}, {2, 3}}, []float64{600000 + 9e-10, 600000 + 3e-9})},
-	}
-	for seed := int64(1); seed <= 60; seed++ {
-		cases = append(cases, namedCase{fmt.Sprintf("seed %d", seed), genFillCase(seed)})
-	}
-	var ssCases, sharedPairs, infCaps int
-	for _, c := range cases {
-		want := scanFairShare(c.net.Topo, c.flows, c.now)
-		got, anySS := c.net.fairShare(c.flows, c.now)
-		for i, f := range c.flows {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("%s (%d flows, %d nodes): flow %d (%d→%d): fill %v (%#x), scan %v (%#x)",
-					c.name, len(c.flows), c.net.Topo.N, i, f.src, f.dst,
-					got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
-			}
-		}
-		// A second fill over the same scratch must not remember the first.
-		again, _ := c.net.fairShare(c.flows, c.now)
-		for i := range again {
-			if math.Float64bits(again[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("%s: flow %d changed on refill: %v then %v", c.name, i, want[i], again[i])
-			}
-		}
-		if anySS {
-			ssCases++
-		}
-		seen := make(map[[2]NodeID]bool)
-		for _, f := range c.flows {
-			if seen[[2]NodeID{f.src, f.dst}] {
-				sharedPairs++
-			}
-			seen[[2]NodeID{f.src, f.dst}] = true
-			if cp, _ := f.capNow(c.now); math.IsInf(cp, 1) {
-				infCaps++
-			}
-		}
-	}
-	if ssCases == 0 || sharedPairs == 0 || infCaps == 0 {
-		t.Fatalf("generator lost coverage: %d slow-start cases, %d flows on an already used pair, %d uncapped flows",
-			ssCases, sharedPairs, infCaps)
-	}
-}
-
 // TestFillSteadyStateAllocatesNothing refills one 500-flow component: once
 // the scratch has reached its size, a fill allocates nothing.
 func TestFillSteadyStateAllocatesNothing(t *testing.T) {
@@ -707,9 +439,9 @@ func TestPathConstantsFollowTopology(t *testing.T) {
 		check := func(step string) {
 			t.Helper()
 			for _, now := range []sim.Time{0.05, 0.4, 1000} {
-				got, gotSS := f.capNow(now)
+				got, bw, gotSS := f.capNow(now)
 				want, wantSS := parentCapNow(topo, f, now)
-				if math.Float64bits(got) != math.Float64bits(want) || gotSS != wantSS {
+				if math.Float64bits(got) != math.Float64bits(want) || gotSS != wantSS || bw != topo.CoreBW(f.src, f.dst) {
 					t.Fatalf("%s, %s, now=%v: cap %v (ss %v), want %v (ss %v)", tc.name, step, now, got, gotSS, want, wantSS)
 				}
 			}

@@ -114,10 +114,6 @@ func (s *BlockStore) Add(i int, t sim.Time) bool {
 	return true
 }
 
-// ArrivalLogLen returns the length of the arrival log, used as the cursor
-// base for incremental diffs.
-func (s *BlockStore) ArrivalLogLen() int { return len(s.arrivals) }
-
 // ArrivalsSince returns block ids received since the given cursor, and the
 // new cursor. The slice aliases internal storage; callers must not mutate.
 func (s *BlockStore) ArrivalsSince(cursor int) ([]int, int) {

@@ -361,12 +361,6 @@ func (c *Conn) OnEvent(kind int32, payload any) {
 	}
 }
 
-// Dialer returns the node that opened the connection.
-func (c *Conn) Dialer() *Node { return c.dialer }
-
-// Target returns the node that was dialed.
-func (c *Conn) Target() *Node { return c.target }
-
 // Peer returns the other endpoint relative to n.
 func (c *Conn) Peer(n *Node) *Node {
 	if n == c.dialer {

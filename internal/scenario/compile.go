@@ -121,8 +121,59 @@ func cloneEvent(ev Event) Event {
 // Name returns the scenario name.
 func (p *Program) Name() string { return p.name }
 
-// N returns the overlay size the program was compiled for.
-func (p *Program) N() int { return p.n }
+// Fits reports why the program cannot run on topo, or nil. It was compiled
+// for another overlay size, or one of its events writes a core link the
+// topology holds fixed (netem.Topology.CoreLinkFixed) — found here, before
+// the run, because there the write panics inside an engine event.
+func (p *Program) Fits(topo *netem.Topology) error {
+	if p.n != topo.N {
+		return fmt.Errorf("scenario compiled for %d nodes applied to a %d-node topology: its link sets and cohorts name nodes by index",
+			p.n, topo.N)
+	}
+	for i := range p.events {
+		ev := &p.events[i]
+		if src, dst, ok := ev.fixedLink(topo); ok {
+			return fmt.Errorf("scenario %q event %d (%s at t=%vs) changes core link %d→%d, and this topology's inter-cluster links are immutable: "+
+				"select access links (\"access\": \"in\", \"out\" or \"both\") or run on the dense clustered preset",
+				p.name, i, ev.Kind, ev.At, src, dst)
+		}
+	}
+	return nil
+}
+
+// fixedLink names a core link the event writes that topo holds fixed, if
+// there is one: among its explicit pairs, or — for degrade and for a nodes,
+// frac or all selector without access, which reach from the chosen nodes to
+// every member — among one chosen node's links.
+func (ev *Event) fixedLink(topo *netem.Topology) (src, dst netem.NodeID, found bool) {
+	ls := ev.Links
+	if ev.Kind == KindDegrade {
+		ls = &LinkSet{All: true, Dir: "in"} // every member's link toward a victim
+	}
+	if ls == nil || ls.Access != "" {
+		return
+	}
+	pairs := ls.Pairs
+	if len(pairs) == 0 {
+		v := 0 // frac and all: any member stands for the chosen ones
+		if len(ls.Nodes) > 0 {
+			v = ls.Nodes[0]
+		}
+		for o := 0; o < topo.N; o++ {
+			if ls.Dir == "out" {
+				pairs = append(pairs, [2]int{v, o})
+			} else {
+				pairs = append(pairs, [2]int{o, v})
+			}
+		}
+	}
+	for _, p := range pairs {
+		if s, d := netem.NodeID(p[0]), netem.NodeID(p[1]); s != d && topo.CoreLinkFixed(s, d) {
+			return s, d, true
+		}
+	}
+	return
+}
 
 // normalizeEvent validates one event and fills kind-specific defaults.
 func normalizeEvent(ev *Event, n int) error {

@@ -29,17 +29,3 @@ func LiveChurn(at, frac, meanLife float64) *Scenario {
 		Churn(at, frac, Dist{Kind: "exp", Mean: meanLife}),
 	)
 }
-
-// LiveEvent combines both stresses: a flash crowd of crowdFrac joins the
-// stream at joinAt, then from churnAt a churnFrac slice of the overlay
-// departs under exponential lifetimes — the shape of a real broadcast
-// (audience surge at the start of the event, drift away during it).
-func LiveEvent(joinAt, crowdFrac, churnAt, churnFrac, meanLife float64) *Scenario {
-	return New("live-event",
-		FlashCrowd(
-			Wave{At: 0, Frac: 1 - crowdFrac},
-			Wave{At: joinAt, Frac: crowdFrac},
-		),
-		Churn(churnAt, churnFrac, Dist{Kind: "exp", Mean: meanLife}),
-	)
-}

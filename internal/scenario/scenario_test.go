@@ -423,3 +423,46 @@ func TestAccessLinkSelection(t *testing.T) {
 		t.Fatal("access selection leaked onto other links")
 	}
 }
+
+// TestFitsRefusesWritesToFixedLinks walks the selectors over two compact
+// clusters of five, whose inter-cluster links cannot be written: a selector
+// whose core links span members, and a pair that crosses, are refused with
+// the event and a link named; same-cluster pairs and access selectors fit,
+// and so does everything on one cluster or on a dense topology.
+func TestFitsRefusesWritesToFixedLinks(t *testing.T) {
+	two := netem.CompactClusteredTopology(10, 5, 1)
+	one := netem.CompactClusteredTopology(10, 10, 1)
+	dense := netem.NewTopology(10)
+	for _, tc := range []struct {
+		name string
+		ev   Event
+		link string // the fixed link named on the two-cluster topology; "" when the event fits
+	}{
+		{"frac in", ScaleBW(1, LinkSet{Frac: 0.1, Dir: "in"}, 0.5), "5→0"},
+		{"all", SetBW(0, LinkSet{All: true}, 1e5), "5→0"},
+		{"nodes out", ScaleBW(2, LinkSet{Nodes: []int{7, 8}, Dir: "out"}, 0.5), "7→0"},
+		{"degrade", Degrade(5, 0.5, 0.5, 0.5, 0), "5→0"},
+		{"crossing pair", SetBW(0, LinkSet{Pairs: [][2]int{{1, 2}, {3, 8}}}, 1e5), "3→8"},
+		{"same-cluster pairs", SetBW(0, LinkSet{Pairs: [][2]int{{1, 2}, {8, 6}}}, 1e5), ""},
+		{"frac access", ScaleBW(1, LinkSet{Frac: 0.5, Access: "in"}, 0.5), ""},
+		{"all access", ScaleBW(1, LinkSet{All: true, Access: "both"}, 0.5), ""},
+		{"churn", Churn(0, 0.5, Dist{Kind: "exp", Mean: 30}), ""},
+	} {
+		p := compileOn(t, New("fits", tc.ev), 10)
+		err := p.Fits(two)
+		if tc.link == "" && err != nil {
+			t.Errorf("%s: refused on two clusters: %v", tc.name, err)
+		}
+		if tc.link != "" && (err == nil || !strings.Contains(err.Error(), "event 0 ("+tc.ev.Kind) || !strings.Contains(err.Error(), "core link "+tc.link)) {
+			t.Errorf("%s: Fits = %v, want event 0 and core link %s named", tc.name, err, tc.link)
+		}
+		for name, topo := range map[string]*netem.Topology{"one compact cluster": one, "dense": dense} {
+			if err := p.Fits(topo); err != nil {
+				t.Errorf("%s on %s: %v", tc.name, name, err)
+			}
+		}
+	}
+	if err := compileOn(t, New("fits"), 12).Fits(two); err == nil || !strings.Contains(err.Error(), "compiled for 12 nodes") {
+		t.Errorf("size mismatch: Fits = %v", err)
+	}
+}
