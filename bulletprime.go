@@ -52,6 +52,7 @@
 package bulletprime
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -324,6 +325,11 @@ type RunConfig struct {
 	Encoded           bool            // source fountain-coding mode
 }
 
+// errStaticPeersRange is normalized's error for a StaticPeers outside the
+// range core.Config accepts: a Bullet' peer counts the senders advertising
+// a block in one byte.
+var errStaticPeersRange = errors.New("bulletprime: StaticPeers must be in [0, 255]")
+
 // normalized is the single place RunConfig defaults live, together with the
 // rules about fields only the façade has (Nodes, FileBytes, Parallel,
 // Encoded, Testbed option ranges, shard knobs without the sharded engine,
@@ -374,6 +380,9 @@ func (cfg RunConfig) normalized() (RunConfig, error) {
 	}
 	if cfg.Parallel < 0 {
 		return cfg, fmt.Errorf("bulletprime: Parallel must be >= 0, got %d", cfg.Parallel)
+	}
+	if cfg.StaticPeers < 0 || cfg.StaticPeers > 255 {
+		return cfg, fmt.Errorf("%w, got %d", errStaticPeersRange, cfg.StaticPeers)
 	}
 	if cfg.Protocol == "" {
 		cfg.Protocol = ProtocolBulletPrime

@@ -8,8 +8,8 @@ import (
 
 // TestPickBlockDoesNotAllocate pins the dense-state contract where it is
 // paid most often: choosing the next block touches the availability list,
-// the store bitmap, the claimed and rarity slices and the peer's tie
-// scratch, and builds nothing.
+// the want bitset, the rarity bytes and the peer's tie scratch, and builds
+// nothing.
 func TestPickBlockDoesNotAllocate(t *testing.T) {
 	for _, strat := range []RequestStrategy{FirstEncountered, Random, Rarest, RarestRandom} {
 		t.Run(strat.String(), func(t *testing.T) {
@@ -22,14 +22,14 @@ func TestPickBlockDoesNotAllocate(t *testing.T) {
 			newSyntheticSender(p, 3, avail[:512]) // some blocks less rare than others
 			sp := newSyntheticSender(p, 2, avail)
 			for b := 0; b < 1024; b += 5 {
-				p.claimed[b] = claimTag(3) // and some unusable, to be compacted out
+				p.claim(b, 3) // and some unusable, to be compacted out
 			}
 			allocs := testing.AllocsPerRun(200, func() {
 				id, ok := p.pickBlock(sp)
 				if !ok {
 					t.Fatal("availability list ran out")
 				}
-				p.claimed[id] = claimTag(sp.id)
+				p.claim(id, sp.id)
 			})
 			if allocs != 0 {
 				t.Fatalf("pickBlock allocates %v objects per call, want 0", allocs)

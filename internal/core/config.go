@@ -23,6 +23,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"bulletprime/internal/netem"
@@ -128,7 +129,8 @@ type Config struct {
 
 	// StaticPeers, when > 0, disables adaptive peer-set sizing and pins
 	// MAX_SENDERS = MAX_RECEIVERS = StaticPeers (the paper's fixed-peer
-	// comparison runs). MinPeers/MaxPeers clamping is also bypassed.
+	// comparison runs). MinPeers/MaxPeers clamping is also bypassed; the
+	// value itself must be in [0, 255].
 	StaticPeers int
 
 	// StaticOutstanding, when > 0, disables the ManageOutstanding
@@ -176,8 +178,19 @@ type Config struct {
 	OnComplete func(node netem.NodeID)
 }
 
-// withDefaults fills unset fields.
-func (c Config) withDefaults() Config {
+// maxStaticPeers bounds Config.StaticPeers: a peer counts the senders
+// advertising each block in one byte (peer.rarity).
+const maxStaticPeers = 255
+
+// errStaticPeersRange is withDefaults' error for a StaticPeers outside
+// [0, maxStaticPeers].
+var errStaticPeersRange = errors.New("core: StaticPeers must be in [0, 255]")
+
+// withDefaults fills unset fields and rejects values no session can run.
+func (c Config) withDefaults() (Config, error) {
+	if c.StaticPeers < 0 || c.StaticPeers > maxStaticPeers {
+		return c, fmt.Errorf("%w, got %d", errStaticPeersRange, c.StaticPeers)
+	}
 	if c.RanSubPeriod <= 0 {
 		c.RanSubPeriod = 5.0
 	}
@@ -190,7 +203,7 @@ func (c Config) withDefaults() Config {
 	if c.EncodingOverhead <= 0 {
 		c.EncodingOverhead = 0.04
 	}
-	return c
+	return c, nil
 }
 
 // goalBlocks returns the number of distinct blocks a receiver needs.

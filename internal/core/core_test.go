@@ -449,7 +449,10 @@ func TestPeriodicDiffsComplete(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	c := Config{NumBlocks: 100}.withDefaults()
+	c, err := Config{NumBlocks: 100}.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if c.RanSubPeriod != 5 || c.TreeDegree != 10 || c.BlockSize != 16*1024 {
 		t.Fatalf("defaults wrong: %+v", c)
 	}

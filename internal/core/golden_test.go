@@ -52,7 +52,13 @@ func goldenDigest(t *testing.T, mut func(*Config), during func(*rig), deadline s
 	if during != nil {
 		during(r)
 	}
-	r.eng.RunUntil(deadline)
+	// The want invariant is checked while requests are in flight and once
+	// everything has settled. Pausing the engine schedules nothing, so the
+	// digest cannot see the pauses.
+	for _, at := range []sim.Time{deadline / 60, deadline / 20, deadline / 8, deadline / 3, deadline} {
+		r.eng.RunUntil(at)
+		checkWant(t, r.sess)
+	}
 	for id := 0; id < 40; id++ {
 		pi := r.sess.Peer(netem.NodeID(id))
 		complete := uint64(0)

@@ -40,15 +40,23 @@ type peer struct {
 	receivers idList[*receiverPeer]
 
 	// Per-block state is dense: one maxBlockID()-long slice each, sized
-	// once for the life of the peer.
+	// once for the life of the peer, and as narrow as its values allow —
+	// block selection scans these at random, so what matters is whether
+	// they stay in L1.
 	//
 	// rarity[b] counts how many current senders advertise block b; the
-	// rarest strategies minimize it.
-	rarity []int
+	// rarest strategies minimize it. A byte is enough: the sender set is at
+	// most MaxPeers, or Config.StaticPeers ≤ maxStaticPeers.
+	rarity []uint8
 	// claimed[b] is 1 + the id of the sender block b is currently requested
 	// from, 0 when it is requested from nobody; it prevents duplicate pulls
-	// (§2.4).
+	// (§2.4). Block selection reads want instead; dropSender needs the
+	// owner.
 	claimed []int32
+	// want has bit b set iff block b is neither held nor claimed — the one
+	// test block selection makes per candidate. It changes only where they
+	// do: in claim, unclaim, hold and releaseClaims.
+	want []uint64
 
 	// Scratch reused for the life of the peer, so the per-message and
 	// per-epoch loops build no containers: pickBlock's tie list, the sender
@@ -100,8 +108,9 @@ func newPeer(s *Session, id netem.NodeID) *peer {
 		store:      proto.NewBlockStore(s.maxBlockID()),
 		rng:        s.rng.Stream(fmt.Sprintf("peer-%d", id)),
 		isSource:   id == s.cfg.Source,
-		rarity:     make([]int, s.maxBlockID()),
+		rarity:     make([]uint8, s.maxBlockID()),
 		claimed:    make([]int32, s.maxBlockID()),
+		want:       make([]uint64, (s.maxBlockID()+63)/64),
 		ties:       make([]int, 0, rarestSample),
 		firstEpoch: true,
 	}
@@ -126,6 +135,7 @@ func newPeer(s *Session, id netem.NodeID) *peer {
 		}
 		p.complete = true
 	}
+	p.releaseClaims() // nothing is claimed yet: want starts as the blocks not held
 
 	p.rs = ransub.New(p.node, s.rng.Stream(fmt.Sprintf("ransub-%d", id)), s.cfg.RanSubPeriod, ransub.DefaultFanout)
 	p.rs.Summarize = p.summarize
@@ -265,17 +275,14 @@ func (p *peer) dropSender(sp *senderPeer, closeConn bool) {
 	// A block is only ever claimed at a sender that advertised it, so one
 	// pass over the advertised bits hands back both rarity and claims.
 	owner := claimTag(sp.id)
-	for id := 0; id < sp.advertised.Len(); id++ {
-		if !sp.advertised.Get(id) {
-			continue
-		}
+	sp.advertised.ForEachSet(func(id int) {
 		if p.rarity[id] > 0 {
 			p.rarity[id]--
 		}
 		if p.claimed[id] == owner {
-			p.claimed[id] = 0
+			p.unclaim(id)
 		}
-	}
+	})
 	if closeConn {
 		sp.conn.Close(p.node)
 	}
@@ -303,10 +310,15 @@ func (p *peer) onDiff(c *proto.Conn, d *diffMsg) {
 		if id >= p.store.NumBlocks() || !sp.advertised.Set(id) {
 			continue
 		}
+		if p.rarity[id] == math.MaxUint8 {
+			// Unreachable from configuration: a block is counted once per
+			// live sender, and Config caps the sender set below this.
+			panic(fmt.Sprintf("core: block %d advertised by more than %d senders", id, math.MaxUint8))
+		}
 		p.rarity[id]++
 		added++
 		if !p.store.Have(id) {
-			sp.avail = append(sp.avail, id)
+			sp.avail = append(sp.avail, int32(id))
 		}
 	}
 	if added > 0 {
@@ -334,7 +346,7 @@ func (p *peer) fillRequests(sp *senderPeer) {
 		if !ok {
 			break
 		}
-		p.claimed[id] = claimTag(sp.id)
+		p.claim(id, sp.id)
 		sp.outstanding++
 		p.s.RequestsSent++
 		if sp.markPending && sp.markBlock == -1 {
@@ -354,11 +366,51 @@ func (p *peer) fillRequests(sp *senderPeer) {
 	}
 }
 
+// claim marks block id requested from the given sender.
+func (p *peer) claim(id int, sender netem.NodeID) {
+	p.claimed[id] = claimTag(sender)
+	p.want[id>>6] &^= 1 << (uint(id) & 63)
+}
+
+// unclaim marks block id requested from nobody.
+func (p *peer) unclaim(id int) {
+	p.claimed[id] = 0
+	if !p.store.Have(id) {
+		p.want[id>>6] |= 1 << (uint(id) & 63)
+	}
+}
+
+// hold records block id in the store, reporting whether it was new.
+func (p *peer) hold(id int, now sim.Time) bool {
+	if !p.store.Add(id, now) {
+		return false
+	}
+	p.want[id>>6] &^= 1 << (uint(id) & 63)
+	return true
+}
+
+// releaseClaims forgets every claim at once, which leaves wanted exactly
+// the blocks not held.
+func (p *peer) releaseClaims() {
+	clear(p.claimed)
+	for i := range p.want {
+		p.want[i] = ^uint64(0)
+	}
+	if tail := len(p.claimed) & 63; tail != 0 {
+		p.want[len(p.want)-1] = 1<<uint(tail) - 1
+	}
+	held, _ := p.store.ArrivalsSince(0)
+	for _, id := range held {
+		p.want[id>>6] &^= 1 << (uint(id) & 63)
+	}
+}
+
 // pickBlock selects and removes the next block to request from sp per the
 // session's request strategy. Blocks already held or claimed elsewhere are
 // skipped (and compacted out of the availability list as encountered).
 func (p *peer) pickBlock(sp *senderPeer) (int, bool) {
-	usable := func(id int) bool { return !p.store.Have(id) && p.claimed[id] == 0 }
+	want := p.want
+	usable := func(id int32) bool { return want[id>>6]&(1<<(uint32(id)&63)) != 0 }
 	avail := sp.avail
 
 	switch p.s.cfg.Strategy {
@@ -368,7 +420,7 @@ func (p *peer) pickBlock(sp *senderPeer) (int, bool) {
 			avail = avail[1:]
 			if usable(id) {
 				sp.avail = avail
-				return id, true
+				return int(id), true
 			}
 		}
 		sp.avail = avail
@@ -382,7 +434,7 @@ func (p *peer) pickBlock(sp *senderPeer) (int, bool) {
 			avail = avail[:len(avail)-1]
 			if usable(id) {
 				sp.avail = avail
-				return id, true
+				return int(id), true
 			}
 		}
 		sp.avail = avail
@@ -414,7 +466,7 @@ func (p *peer) pickBlock(sp *senderPeer) (int, bool) {
 			if n > rarestSample {
 				i = p.rng.Pick(n)
 			}
-			r := p.rarity[avail[i]]
+			r := int(p.rarity[avail[i]])
 			switch {
 			case r < bestRarity:
 				bestRarity = r
@@ -438,7 +490,7 @@ func (p *peer) pickBlock(sp *senderPeer) (int, bool) {
 		id := avail[bestIdx]
 		avail[bestIdx] = avail[len(avail)-1]
 		sp.avail = avail[:len(avail)-1]
-		return id, true
+		return int(id), true
 	}
 	return 0, false
 }
@@ -454,7 +506,7 @@ func (p *peer) onBlock(c *proto.Conn, m proto.Message, bm *blockMsg) {
 		sp.outstanding--
 	}
 	sp.lastArrival = now
-	p.claimed[bm.id] = 0
+	p.unclaim(bm.id)
 	sp.meter.Add(now, p.s.cfg.BlockSize)
 	if sp.est != nil && m.SentAt > 0 {
 		// One-way delay measured from the sender's enqueue time: it
@@ -517,7 +569,7 @@ func (p *peer) manageOutstanding(sp *senderPeer, bm *blockMsg) {
 // triggers diff propagation to receivers.
 func (p *peer) acceptBlock(id int) {
 	now := p.s.rt.Now()
-	if !p.store.Add(id, now) {
+	if !p.hold(id, now) {
 		p.duplicates++
 		p.s.Duplicates++
 		return
@@ -529,7 +581,7 @@ func (p *peer) acceptBlock(id int) {
 		p.complete = true
 		p.completedAt = now
 		// Release claims; no further requests will be issued.
-		clear(p.claimed)
+		p.releaseClaims()
 		p.s.nodeCompleted(p)
 	}
 	// Self-clocked diffs: receivers with nothing queued from us hear about

@@ -126,7 +126,10 @@ type Session struct {
 // Call Start to begin dissemination. All members must already exist in the
 // runtime's topology; the session registers proto nodes for them.
 func NewSession(rt *proto.Runtime, cfg Config, rng *sim.RNG) *Session {
-	cfg = cfg.withDefaults()
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		panic(err)
+	}
 	if cfg.NumBlocks <= 0 {
 		panic("core: NumBlocks must be positive")
 	}
@@ -256,8 +259,9 @@ type senderPeer struct {
 
 	// avail holds block ids advertised by this sender that we do not yet
 	// hold; order is arrival order (FirstEncountered consumes from the
-	// head, other strategies swap-remove).
-	avail []int
+	// head, other strategies swap-remove). Four bytes an entry: the list is
+	// re-scanned on every pick.
+	avail []int32
 	// advertised has a bit for every id this sender ever advertised (for
 	// rarity bookkeeping on disconnect): maxBlockID()/8 bytes per sender.
 	advertised *proto.Bitmap

@@ -65,7 +65,7 @@ func (p *peer) releaseStreamBlock() {
 	now := p.s.rt.Now()
 	id := p.released
 	p.released++
-	p.store.Add(id, now)
+	p.hold(id, now)
 	// Self-clocked diffs (§3.3.4): idle receivers hear about the new
 	// block immediately; in the periodic-diff ablation the timers do it.
 	if p.s.cfg.PeriodicDiffs <= 0 {
@@ -110,7 +110,7 @@ func (p *peer) pushPump() {
 			}
 			id := p.nextPush
 			if p.s.cfg.Encoded && !p.store.Have(id) {
-				p.store.Add(id, p.s.rt.Now()) // generate on demand
+				p.hold(id, p.s.rt.Now()) // generate on demand
 			}
 			bm := p.s.blocks.get()
 			bm.id = id

@@ -21,9 +21,9 @@ func newSyntheticSender(p *peer, id netem.NodeID, avail []int) *senderPeer {
 		advertised: proto.NewBitmap(p.s.maxBlockID()),
 		desired:    3,
 		markBlock:  -2,
-		avail:      append([]int(nil), avail...),
 	}
 	for _, b := range avail {
+		sp.avail = append(sp.avail, int32(b))
 		sp.advertised.Set(b)
 		p.rarity[b]++
 	}
@@ -39,8 +39,8 @@ func TestFirstEncounteredTakesHeadOrder(t *testing.T) {
 		if !ok || got != want {
 			t.Fatalf("pickBlock = %d,%v, want %d", got, ok, want)
 		}
-		// Simulate the claim so the next pick skips it.
-		p.claimed[got] = claimTag(sp.id)
+		// Claim it, as fillRequests does, so the next pick skips it.
+		p.claim(got, sp.id)
 	}
 	if _, ok := p.pickBlock(sp); ok {
 		t.Fatal("pick from exhausted avail succeeded")
@@ -50,8 +50,8 @@ func TestFirstEncounteredTakesHeadOrder(t *testing.T) {
 func TestFirstEncounteredSkipsHeldAndClaimed(t *testing.T) {
 	p := strategyPeer(t, FirstEncountered)
 	sp := newSyntheticSender(p, 2, []int{1, 2, 3})
-	p.store.Add(1, 0)          // already held
-	p.claimed[2] = claimTag(3) // claimed at another sender
+	p.acceptBlock(1) // already held
+	p.claim(2, 3)    // claimed at another sender
 	got, ok := p.pickBlock(sp)
 	if !ok || got != 3 {
 		t.Fatalf("pickBlock = %d,%v, want 3", got, ok)
@@ -114,7 +114,7 @@ func TestRandomCoversAllBlocks(t *testing.T) {
 			t.Fatalf("block %d picked twice", b)
 		}
 		got[b] = true
-		p.claimed[b] = claimTag(sp.id)
+		p.claim(b, sp.id)
 	}
 }
 
@@ -122,7 +122,7 @@ func TestPickBlockCompactsStaleAvail(t *testing.T) {
 	p := strategyPeer(t, RarestRandom)
 	sp := newSyntheticSender(p, 2, []int{1, 2, 3, 4})
 	for _, b := range []int{1, 2, 3} {
-		p.store.Add(b, 0)
+		p.acceptBlock(b)
 	}
 	got, ok := p.pickBlock(sp)
 	if !ok || got != 4 {
@@ -176,8 +176,8 @@ func TestIncrementalDiffNeverRepeats(t *testing.T) {
 	p.receivers.insert(rp)
 	c2.SetState(p.node, rp)
 
-	p.store.Add(1, 0)
-	p.store.Add(2, 0)
+	p.hold(1, 0)
+	p.hold(2, 0)
 	p.sendDiff(rp, false)
 	cursorAfterFirst := rp.diffCursor
 	if cursorAfterFirst != 2 {
@@ -188,7 +188,7 @@ func TestIncrementalDiffNeverRepeats(t *testing.T) {
 	if rp.diffCursor != 2 {
 		t.Fatal("cursor moved without new blocks")
 	}
-	p.store.Add(3, 0)
+	p.hold(3, 0)
 	p.sendDiff(rp, false)
 	if rp.diffCursor != 3 {
 		t.Fatalf("cursor = %d after third block, want 3", rp.diffCursor)

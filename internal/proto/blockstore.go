@@ -64,6 +64,15 @@ func (b *Bitmap) Count() int {
 	return c
 }
 
+// ForEachSet calls fn for every set bit, in index order.
+func (b *Bitmap) ForEachSet(fn func(i int)) {
+	for wi, w := range b.words {
+		for ; w != 0; w &= w - 1 {
+			fn(wi<<6 + bits.TrailingZeros64(w))
+		}
+	}
+}
+
 // Clone returns a copy.
 func (b *Bitmap) Clone() *Bitmap {
 	w := make([]uint64, len(b.words))
@@ -133,24 +142,6 @@ func (s *BlockStore) ArrivalTimes() []sim.Time { return s.times }
 // Bitmap returns the underlying availability bitmap (not a copy).
 func (s *BlockStore) Bitmap() *Bitmap { return s.bm }
 
-// ForEachMissing calls fn for every block not held, in index order, until
-// fn returns false.
-func (s *BlockStore) ForEachMissing(fn func(i int) bool) {
-	for wi, w := range s.bm.words {
-		// The clear bits of the word, least significant first; positions
-		// past the last block read as held.
-		miss := ^w
-		if tail := s.bm.n - wi<<6; tail < 64 {
-			miss &= 1<<uint(tail) - 1
-		}
-		for ; miss != 0; miss &= miss - 1 {
-			if !fn(wi<<6 + bits.TrailingZeros64(miss)) {
-				return
-			}
-		}
-	}
-}
-
 // Summary is the compact availability sketch a node advertises through
 // RanSub (§3.1 "file info"): the node's identity is carried alongside, the
 // sketch is a small Bloom filter over held block ids plus the exact count.
@@ -209,8 +200,10 @@ func (s *Summary) MayHave(b int) bool {
 }
 
 // UsefulTo estimates how many blocks missing from store the summarized
-// node could supply, by sampling up to sampleMax missing blocks against the
-// Bloom filter and scaling.
+// node could supply, by testing every stride-th missing block — about
+// sampleMax of them — against the Bloom filter and scaling. The sampled
+// blocks are found by rank: a word's missing blocks are counted, not
+// visited, unless a sample falls among them.
 func (s *Summary) UsefulTo(store *BlockStore, sampleMax int) float64 {
 	missing := store.Missing()
 	if missing == 0 || s.Count == 0 {
@@ -220,19 +213,28 @@ func (s *Summary) UsefulTo(store *BlockStore, sampleMax int) float64 {
 		sampleMax = 64
 	}
 	stride := missing/sampleMax + 1
-	seen, hits, idx := 0, 0, 0
-	store.ForEachMissing(func(i int) bool {
-		if idx%stride == 0 {
+	seen, hits := 0, 0
+	// rank is the number of missing blocks below miss's lowest set bit,
+	// next the rank of the next block to sample.
+	rank, next := 0, 0
+	for wi, w := range store.bm.words {
+		// The clear bits of the word; positions past the last block read
+		// as held.
+		miss := ^w
+		if tail := store.bm.n - wi<<6; tail < 64 {
+			miss &= 1<<uint(tail) - 1
+		}
+		end := rank + bits.OnesCount64(miss)
+		for ; next < end; next += stride {
+			for ; rank < next; rank++ {
+				miss &= miss - 1
+			}
 			seen++
-			if s.MayHave(i) {
+			if s.MayHave(wi<<6 + bits.TrailingZeros64(miss)) {
 				hits++
 			}
 		}
-		idx++
-		return true
-	})
-	if seen == 0 {
-		return 0
+		rank = end
 	}
 	est := float64(hits) / float64(seen) * float64(missing)
 	// A summary can never be more useful than the blocks it contains.

@@ -303,6 +303,28 @@ func TestBlockStoreForEachMissing(t *testing.T) {
 	}
 }
 
+// TestBitmapForEachSetMatchesGet pins the word walk to the per-index scan:
+// every set bit, ascending, on sizes either side of a word boundary.
+func TestBitmapForEachSetMatchesGet(t *testing.T) {
+	rng := sim.NewRNG(11)
+	for _, n := range []int{1, 63, 64, 65, 128, 130, 500} {
+		b := NewBitmap(n)
+		for _, i := range rng.Perm(n)[:(n+1)/2] {
+			b.Set(i)
+		}
+		var want, got []int
+		for i := 0; i < n; i++ {
+			if b.Get(i) {
+				want = append(want, i)
+			}
+		}
+		b.ForEachSet(func(i int) { got = append(got, i) })
+		if !slices.Equal(got, want) {
+			t.Fatalf("n=%d: ForEachSet visits %v, Get scan has %v", n, got, want)
+		}
+	}
+}
+
 // TestForEachMissingMatchesIndexScan pins the word walk to the scan it
 // replaced — every index the store does not hold, ascending — on sizes either
 // side of a word boundary and at every fill level, and with it the set of

@@ -1,6 +1,7 @@
 package bulletprime
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -54,5 +55,27 @@ func TestNewSurfacesHarnessRules(t *testing.T) {
 				t.Fatalf("New() said %q, harness.RunSpec said %v", err, res.Err)
 			}
 		})
+	}
+}
+
+// TestStaticPeersOutOfRange: a pinned peer-set size a Bullet' peer cannot
+// count in its per-block byte is refused by name at every entry point, never
+// left to wrap inside the run.
+func TestStaticPeersOutOfRange(t *testing.T) {
+	base := RunConfig{Nodes: 8, FileBytes: 64 * 1024, Seed: 1}
+	for _, n := range []int{-1, 256} {
+		cfg := base
+		cfg.StaticPeers = n
+		if _, err := New(cfg); !errors.Is(err, errStaticPeersRange) {
+			t.Fatalf("New(StaticPeers: %d) error = %v, want errStaticPeersRange", n, err)
+		}
+		if _, err := Run(cfg); !errors.Is(err, errStaticPeersRange) {
+			t.Fatalf("Run(StaticPeers: %d) error = %v, want errStaticPeersRange", n, err)
+		}
+	}
+	cfg := base
+	cfg.StaticPeers = 255
+	if _, err := cfg.normalized(); err != nil {
+		t.Fatalf("StaticPeers: 255 refused: %v", err)
 	}
 }
