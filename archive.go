@@ -74,34 +74,15 @@ type configFingerprint struct {
 	// omitempty keeps every pre-sharding sequential record's id stable.
 	Engine EngineMode `json:"engine,omitempty"`
 	Shards int        `json:"shards,omitempty"`
-	// Testbed captures the result-shaping knobs of a real-socket run; nil
-	// for emulated runs, keeping every pre-testbed record's id stable.
-	// Address knobs (ListenHost, Peers) are execution details and excluded.
-	Testbed *testbedFingerprint `json:"testbed,omitempty"`
-	// Stream captures a streaming run's normalized pacing knobs; nil for
-	// one-shot runs, keeping every pre-streaming record's id stable — and
-	// making a streamed run's id always differ from the one-shot run of
-	// the same derived FileBytes.
-	Stream *streamFingerprint `json:"stream,omitempty"`
-}
-
-// testbedFingerprint is the identity-bearing slice of TestbedOptions.
-type testbedFingerprint struct {
-	Rate       float64 `json:"rate,omitempty"`
-	RTO        float64 `json:"rto,omitempty"`
-	MaxRetries int     `json:"max_retries,omitempty"`
-	DropProb   float64 `json:"drop_prob,omitempty"`
-	DropSeed   int64   `json:"drop_seed,omitempty"`
-}
-
-// streamFingerprint is the identity-bearing slice of StreamOptions
-// (post-normalization, so defaults hash the same as their explicit values).
-type streamFingerprint struct {
-	BitrateBps   float64 `json:"bitrate_bps,omitempty"`
-	Duration     float64 `json:"duration,omitempty"`
-	PlayoutDepth float64 `json:"playout_depth,omitempty"`
-	Warmup       float64 `json:"warmup,omitempty"`
-	Drain        float64 `json:"drain,omitempty"`
+	// Testbed is a real-socket run's options, whose JSON form keeps the
+	// result-shaping knobs and drops the address ones (execution details);
+	// nil for emulated runs, keeping every pre-testbed record's id stable.
+	Testbed *TestbedOptions `json:"testbed,omitempty"`
+	// Stream is a streaming run's normalized pacing knobs (so defaults hash
+	// the same as their explicit values); nil for one-shot runs, keeping
+	// every pre-streaming record's id stable — and making a streamed run's
+	// id always differ from the one-shot run of the same derived FileBytes.
+	Stream *StreamOptions `json:"stream,omitempty"`
 }
 
 // fingerprint renders a normalized config's canonical JSON plus the
@@ -134,24 +115,8 @@ func fingerprint(cfg RunConfig, seriesEvery float64) (configJSON []byte, scenari
 		Encoded:           cfg.Encoded,
 		Engine:            cfg.Engine,
 		Shards:            cfg.Shards,
-	}
-	if cfg.Network == NetworkTestbedUDP && cfg.Testbed != nil {
-		fp.Testbed = &testbedFingerprint{
-			Rate:       cfg.Testbed.Rate,
-			RTO:        cfg.Testbed.RTO,
-			MaxRetries: cfg.Testbed.MaxRetries,
-			DropProb:   cfg.Testbed.DropProb,
-			DropSeed:   cfg.Testbed.DropSeed,
-		}
-	}
-	if cfg.Stream != nil {
-		fp.Stream = &streamFingerprint{
-			BitrateBps:   cfg.Stream.BitrateBps,
-			Duration:     cfg.Stream.Duration,
-			PlayoutDepth: cfg.Stream.PlayoutDepth,
-			Warmup:       cfg.Stream.Warmup,
-			Drain:        cfg.Stream.Drain,
-		}
+		Testbed:           cfg.Testbed, // non-nil exactly on NetworkTestbedUDP
+		Stream:            cfg.Stream,
 	}
 	configJSON, err = json.Marshal(fp)
 	if err != nil {
@@ -181,39 +146,8 @@ func recordRun(a *Archive, cfg RunConfig, res *Result, seriesEvery float64) (str
 			ControlOverhead: res.ControlOverhead,
 		},
 		CompletionTimes: res.CompletionTimes,
-	}
-	if len(res.Series) > 0 {
-		run.Series = make([]lab.Sample, len(res.Series))
-		for i, s := range res.Series {
-			run.Series[i] = lab.Sample{
-				Time:             s.Time,
-				Completed:        s.Completed,
-				Receivers:        s.Receivers,
-				GoodputBps:       s.GoodputBps,
-				ControlBytes:     s.ControlBytes,
-				DataBytes:        s.DataBytes,
-				DuplicateBlocks:  s.DuplicateBlocks,
-				DuplicateBytes:   s.DuplicateBytes,
-				UsefulBytes:      s.UsefulBytes,
-				StreamLagP50:     s.StreamLagP50,
-				StreamLagMax:     s.StreamLagMax,
-				Rebuffering:      s.Rebuffering,
-				RebufferEvents:   s.RebufferEvents,
-				StreamGoodputBps: s.StreamGoodputBps,
-
-				TestbedRTTp50:        s.TestbedRTTp50,
-				TestbedRTTMax:        s.TestbedRTTMax,
-				TestbedUnackedBytes:  s.TestbedUnackedBytes,
-				TestbedRetransmits:   s.TestbedRetransmits,
-				TestbedInjectedDrops: s.TestbedInjectedDrops,
-			}
-		}
-	}
-	if len(res.Annotations) > 0 {
-		run.Annotations = make([]lab.Annotation, len(res.Annotations))
-		for i, an := range res.Annotations {
-			run.Annotations[i] = lab.Annotation{At: an.At, Text: an.Text}
-		}
+		Series:          res.Series,
+		Annotations:     res.Annotations,
 	}
 	id, _, err := a.Put(run)
 	return id, err

@@ -58,6 +58,7 @@ import (
 
 	"bulletprime/internal/core"
 	"bulletprime/internal/harness"
+	"bulletprime/internal/lab"
 	"bulletprime/internal/obs"
 	"bulletprime/internal/scenario"
 	"bulletprime/internal/sim"
@@ -165,29 +166,9 @@ const (
 
 // TestbedOptions tunes a NetworkTestbedUDP run; the zero value is the
 // loopback default (127.0.0.1, real-time clock, 50 ms RTO, 8 retries, no
-// injected loss).
-type TestbedOptions struct {
-	// ListenHost is the bind address for nodes without a Peers entry;
-	// empty means 127.0.0.1 with auto-assigned ports.
-	ListenHost string
-	// Peers pins listen addresses ("host:port") per node id — the address
-	// table of a multi-host deployment.
-	Peers map[int]string
-	// Rate is virtual seconds per wall second; 0 means 1 (real time).
-	// Raising it accelerates the protocols' periodic timers against the
-	// wall clock.
-	Rate float64
-	// RTO is the wall-clock retransmission timeout in seconds before the
-	// first resend (each retry doubles it); 0 picks the default 50 ms.
-	RTO float64
-	// MaxRetries bounds resends per frame before the node pair is declared
-	// dead; 0 picks the default 8.
-	MaxRetries int
-	// DropProb injects deterministic uniform packet loss on every
-	// transmission attempt (a test hook; DropSeed seeds the injector).
-	DropProb float64
-	DropSeed int64
-}
+// injected loss). It re-exports harness.TestbedSpec: the option a caller
+// sets is the spec the testbed backend reads.
+type TestbedOptions = harness.TestbedSpec
 
 // TraceOptions enables structured event tracing for a run: typed spans are
 // recorded for protocol decisions (sender trims and promotions, rechokes,
@@ -213,20 +194,27 @@ type TraceOptions struct {
 // streaming requires a stream-capable protocol (ProtocolBulletPrime,
 // ProtocolBullet, ProtocolStream) on the sequential emulated engine. See
 // DESIGN.md §11.
+//
+// The fields are harness.StreamSpec's, in its order, so a normalized
+// StreamOptions converts to one; it is a type of its own because Warmup reads
+// differently here (0 picks the default, negative switches it off) than in
+// the harness (negative picks the default, 0 is off — the form that
+// normalizing twice leaves alone). The JSON names are the archive's: a
+// normalized StreamOptions is the "stream" block of a run's fingerprint.
 type StreamOptions struct {
 	// BitrateBps is the source emission rate in bytes per second.
-	BitrateBps float64
+	BitrateBps float64 `json:"bitrate_bps,omitempty"`
 	// Duration is how long the source emits, in virtual seconds.
-	Duration float64
+	Duration float64 `json:"duration,omitempty"`
 	// PlayoutDepth is the viewer buffer depth in seconds of content a
 	// viewer must accumulate before (re)starting playback; 0 picks 4.
-	PlayoutDepth float64
+	PlayoutDepth float64 `json:"playout_depth,omitempty"`
 	// Warmup excludes the startup transient from steady-state goodput:
 	// 0 picks min(Duration/4, 10), negative disables the warmup window.
-	Warmup float64
+	Warmup float64 `json:"warmup,omitempty"`
 	// Drain is how long the run may continue past the last block's emission
 	// so trailing viewers catch up; 0 picks 15.
-	Drain float64
+	Drain float64 `json:"drain,omitempty"`
 }
 
 // RequestStrategy re-exports the §3.3.2 request orderings.
@@ -275,8 +263,8 @@ type RunConfig struct {
 	// (default 1). An Experiment samples Result.Series at this rate — or
 	// finer, when an observer subscribes with a smaller Every. Negative
 	// disables Result.Series entirely (subscribed observers still stream
-	// at their own cadence). The one-shot Run/Sweep wrappers do not
-	// sample.
+	// at their own cadence). The one-shot Run/Sweep wrappers set it
+	// negative.
 	SampleEvery float64
 	// Engine selects the execution engine: EngineSequential (the zero
 	// value) or EngineSharded. Sharded runs execute per-cluster shards in
@@ -457,19 +445,6 @@ func buildSpec(cfg RunConfig) (harness.SweepSpec, error) {
 		c.Encoded = cfg.Encoded
 	}
 
-	var tb *harness.TestbedSpec
-	if cfg.Network == NetworkTestbedUDP {
-		tb = &harness.TestbedSpec{
-			ListenHost: cfg.Testbed.ListenHost,
-			Peers:      cfg.Testbed.Peers,
-			Rate:       cfg.Testbed.Rate,
-			RTO:        cfg.Testbed.RTO,
-			MaxRetries: cfg.Testbed.MaxRetries,
-			DropProb:   cfg.Testbed.DropProb,
-			DropSeed:   cfg.Testbed.DropSeed,
-		}
-	}
-
 	var tracer *obs.Tracer
 	if cfg.Trace != nil {
 		tracer = obs.NewTracer(cfg.Trace.Capacity)
@@ -487,8 +462,8 @@ func buildSpec(cfg RunConfig) (harness.SweepSpec, error) {
 		Engine:   cfg.Engine,
 		Shards:   cfg.Shards,
 		Workers:  cfg.ShardWorkers,
-		Testbed:  tb,
-		Stream:   streamSpec(cfg.Stream),
+		Testbed:  cfg.Testbed, // non-nil exactly on NetworkTestbedUDP (normalized)
+		Stream:   (*harness.StreamSpec)(cfg.Stream),
 		Tracer:   tracer,
 	}
 	if err := spec.Check(); err != nil {
@@ -497,94 +472,34 @@ func buildSpec(cfg RunConfig) (harness.SweepSpec, error) {
 	// The topology generator comes after the rules: a preset may refuse a
 	// node count outright (the clustered ones want whole clusters), and a
 	// config no backend could run should hear about that first.
-	netBuild, _ := lookupNetwork(cfg.Network)
-	spec.TopoFn = netBuild(cfg.Nodes)
-	return spec, nil
+	var err error
+	spec.TopoFn, err = topologyFor(cfg)
+	return spec, err
 }
 
-// streamSpec lowers the façade's (already-normalized) stream options to the
-// harness spec.
-func streamSpec(s *StreamOptions) *harness.StreamSpec {
-	if s == nil {
-		return nil
-	}
-	return &harness.StreamSpec{
-		BitrateBps:   s.BitrateBps,
-		Duration:     s.Duration,
-		PlayoutDepth: s.PlayoutDepth,
-		Warmup:       s.Warmup,
-		Drain:        s.Drain,
-	}
+// topologyFor asks the config's network preset for its topology generator. A
+// NetworkBuilder returns no error, so a preset that cannot build the node
+// count it is given panics; that refusal is New's error, not the caller's
+// stack trace.
+func topologyFor(cfg RunConfig) (fn TopologyFn, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("bulletprime: network preset %q refuses %d nodes: %v", cfg.Network, cfg.Nodes, r)
+		}
+	}()
+	build, _ := lookupNetwork(cfg.Network)
+	return build(cfg.Nodes), nil
 }
 
-// Annotation is a timestamped timeline marker: a scenario event firing, a
-// flash-crowd wave starting, a node failing.
-type Annotation struct {
-	// At is the virtual time of the event in seconds.
-	At float64
-	// Text is the human-readable event description.
-	Text string
-}
-
-// NodeProgress is one node's download state at a sample instant.
-type NodeProgress struct {
-	// Node is the topology address (the source holds everything and never
-	// appears in CompletionTimes).
-	Node int
-	// Blocks is the number of distinct blocks the node holds.
-	Blocks int
-	// Bps is the node's delivered incoming byte rate over the last sample
-	// window (wire bytes, control included).
-	Bps float64
-	// Done reports the node finished its download.
-	Done bool
-}
-
-// Sample is one tick of an experiment's metric stream.
-type Sample struct {
-	// Time is the virtual clock in seconds.
-	Time float64
-	// Completed counts receivers that have finished; Receivers is the
-	// total expected (session sources excluded).
-	Completed int
-	Receivers int
-	// GoodputBps is the overlay's instantaneous aggregate delivered data
-	// rate in bytes per second, measured over the last sample window.
-	GoodputBps float64
-	// ControlBytes and DataBytes are cumulative delivered wire bytes.
-	ControlBytes float64
-	DataBytes    float64
-	// DuplicateBlocks counts blocks delivered to nodes that already held
-	// them; DuplicateBytes ≈ DuplicateBlocks × BlockSize, and UsefulBytes
-	// is DataBytes minus that waste.
-	DuplicateBlocks int
-	DuplicateBytes  float64
-	UsefulBytes     float64
-	// Live-streaming fields, populated only on streaming runs
-	// (RunConfig.Stream): viewer lag behind the live edge (median and
-	// worst, seconds), viewers currently rebuffering, cumulative rebuffer
-	// events, and aggregate viewer goodput. See DESIGN.md §11.
-	StreamLagP50     float64
-	StreamLagMax     float64
-	Rebuffering      int
-	RebufferEvents   int
-	StreamGoodputBps float64
-	// Testbed transport gauges, populated only on NetworkTestbedUDP runs:
-	// measured per-pair RTT (median and worst across active pairs, virtual
-	// seconds), bytes sent but not yet acknowledged, and the cumulative
-	// retransmission and injected-loss counters. See DESIGN.md §10, §12.
-	TestbedRTTp50        float64
-	TestbedRTTMax        float64
-	TestbedUnackedBytes  float64
-	TestbedRetransmits   int
-	TestbedInjectedDrops int
-	// Nodes holds per-node progress, only on streams subscribed with
-	// ObserverConfig.PerNode (Result.Series omits it).
-	Nodes []NodeProgress
-	// Annotations lists the scenario events that fired since the previous
-	// sample.
-	Annotations []Annotation
-}
+// Sample is one tick of an experiment's metric stream, Annotation a
+// timestamped timeline marker inside it, NodeProgress one node's download
+// state at the sample instant. They re-export the archive layer's types: the
+// sample an observer receives is the sample a record stores.
+type (
+	Sample       = lab.Sample
+	Annotation   = lab.Annotation
+	NodeProgress = lab.NodeProgress
+)
 
 // Result reports a run's outcome.
 type Result struct {
@@ -621,14 +536,9 @@ type Result struct {
 
 // TraceSpan is one recorded protocol-decision event: what happened (Kind),
 // when (virtual seconds), where (Node, and the Peer it concerned — -1 when
-// the event has no counterpart node), and a short free-form Note.
-type TraceSpan struct {
-	At   float64 `json:"at"`
-	Kind string  `json:"kind"`
-	Node int     `json:"node"`
-	Peer int     `json:"peer"`
-	Note string  `json:"note,omitempty"`
-}
+// the event has no counterpart node), a short free-form Note, and its
+// position in the report (Seq). It re-exports obs.Span.
+type TraceSpan = obs.Span
 
 // TraceReport is a traced run's structured event record: the retained
 // spans, ordered by (time, shard, record order); per-kind totals over
@@ -640,18 +550,15 @@ type TraceReport struct {
 	Dropped int            `json:"dropped,omitempty"`
 }
 
-// traceReport converts the tracer's final state into the public report.
+// traceReport reads the tracer's final state into the public report.
 func traceReport(t *obs.Tracer) *TraceReport {
-	spans := t.Spans()
+	counts := t.Counts()
 	rep := &TraceReport{
-		Spans:   make([]TraceSpan, len(spans)),
-		Counts:  make(map[string]int, len(t.Counts())),
+		Spans:   t.Spans(),
+		Counts:  make(map[string]int, len(counts)),
 		Dropped: int(t.Dropped()),
 	}
-	for i, s := range spans {
-		rep.Spans[i] = TraceSpan{At: s.At, Kind: s.Kind, Node: s.Node, Peer: s.Peer, Note: s.Note}
-	}
-	for k, n := range t.Counts() {
+	for k, n := range counts {
 		rep.Counts[k] = int(n)
 	}
 	return rep
@@ -728,11 +635,11 @@ func toResult(res *harness.RunResult) *Result {
 // the one-shot compatibility wrapper over an unobserved session. Use New
 // for live observation, cancellation, and the sampled time-series.
 func Run(cfg RunConfig) (*Result, error) {
+	cfg.SampleEvery = -1
 	exp, err := New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	exp.noSample = true
 	return exp.Run(nil)
 }
 

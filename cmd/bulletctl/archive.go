@@ -52,18 +52,30 @@ func selectRuns(arch *lab.Archive, selector string, stderr io.Writer) ([]*lab.Ru
 	return runs, -1
 }
 
+// selectOne resolves a run id (or unambiguous id prefix) to its run.
+func selectOne(arch *lab.Archive, id string, stderr io.Writer) (*lab.Run, int) {
+	runs, code := selectRuns(arch, "id="+id, stderr)
+	switch {
+	case code >= 0:
+		return nil, code
+	case len(runs) == 0:
+		fmt.Fprintf(stderr, "bulletctl: no run matches id %q\n", id)
+		return nil, 1
+	case len(runs) > 1:
+		fmt.Fprintf(stderr, "bulletctl: id prefix %q is ambiguous (%d runs)\n", id, len(runs))
+		return nil, 1
+	}
+	return runs[0], -1
+}
+
 // runLs lists archived runs, one row each, in the archive's deterministic
 // catalog order.
 func runLs(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ls", flag.ContinueOnError)
 	archDir := fs.String("archive", "", "experiment archive directory")
 	filter := fs.String("filter", "", "selector, e.g. protocol=bulletprime,seed=1+2")
-	if code := parseFlags(fs, args, stderr); code >= 0 {
+	if code := parseOnlyFlags(fs, args, stderr); code >= 0 {
 		return code
-	}
-	if fs.NArg() > 0 {
-		fmt.Fprintf(stderr, "bulletctl ls: unexpected argument %q\n", fs.Arg(0))
-		return 2
 	}
 	arch, code := openArchiveArg(*archDir, stderr)
 	if code >= 0 {
@@ -114,19 +126,10 @@ func runShow(args []string, stdout, stderr io.Writer) int {
 	if code >= 0 {
 		return code
 	}
-	runs, code := selectRuns(arch, "id="+fs.Arg(0), stderr)
+	r, code := selectOne(arch, fs.Arg(0), stderr)
 	if code >= 0 {
 		return code
 	}
-	if len(runs) == 0 {
-		fmt.Fprintf(stderr, "bulletctl: no run matches id %q\n", fs.Arg(0))
-		return 1
-	}
-	if len(runs) > 1 {
-		fmt.Fprintf(stderr, "bulletctl: id prefix %q is ambiguous (%d runs)\n", fs.Arg(0), len(runs))
-		return 1
-	}
-	r := runs[0]
 	m := r.Meta
 	fmt.Fprintf(stdout, "run %s\n", m.ID)
 	fmt.Fprintf(stdout, "  protocol:  %s\n", m.Protocol)
@@ -223,12 +226,8 @@ func runCompare(args []string, stdout, stderr io.Writer) int {
 	selB := fs.String("b", "", "selector for side B, e.g. protocol=bittorrent")
 	labelA := fs.String("label-a", "", "label for side A (default: the -a selector)")
 	labelB := fs.String("label-b", "", "label for side B (default: the -b selector)")
-	if code := parseFlags(fs, args, stderr); code >= 0 {
+	if code := parseOnlyFlags(fs, args, stderr); code >= 0 {
 		return code
-	}
-	if fs.NArg() > 0 {
-		fmt.Fprintf(stderr, "bulletctl compare: unexpected argument %q\n", fs.Arg(0))
-		return 2
 	}
 	if *selA == "" || *selB == "" {
 		fmt.Fprintln(stderr, "usage: bulletctl compare -archive DIR -a SELECTOR -b SELECTOR")
@@ -268,12 +267,8 @@ func runReport(args []string, stdout, stderr io.Writer) int {
 	archDir := fs.String("archive", "", "experiment archive directory")
 	filter := fs.String("filter", "", "selector restricting the reported runs")
 	outFile := fs.String("o", "", "write the report to this file instead of stdout")
-	if code := parseFlags(fs, args, stderr); code >= 0 {
+	if code := parseOnlyFlags(fs, args, stderr); code >= 0 {
 		return code
-	}
-	if fs.NArg() > 0 {
-		fmt.Fprintf(stderr, "bulletctl report: unexpected argument %q\n", fs.Arg(0))
-		return 2
 	}
 	arch, code := openArchiveArg(*archDir, stderr)
 	if code >= 0 {
@@ -311,12 +306,8 @@ func runGate(args []string, stdout, stderr io.Writer) int {
 	stats := fs.Bool("stats", false, "with -write: also record per-run samples and arm the statistical gate")
 	alpha := fs.Float64("alpha", 0.05, "with -write -stats: one-sided significance level for the rank test")
 	minReps := fs.Int("minreps", 4, "with -write -stats: minimum per-side repetitions before the rank test applies")
-	if code := parseFlags(fs, args, stderr); code >= 0 {
+	if code := parseOnlyFlags(fs, args, stderr); code >= 0 {
 		return code
-	}
-	if fs.NArg() > 0 {
-		fmt.Fprintf(stderr, "bulletctl gate: unexpected argument %q\n", fs.Arg(0))
-		return 2
 	}
 	if *baseFile == "" {
 		fmt.Fprintln(stderr, "usage: bulletctl gate -archive DIR -baseline FILE [-write]")

@@ -21,7 +21,6 @@ import (
 	"net/http"
 	"os"
 	"sort"
-	"strings"
 	"time"
 
 	"bulletprime"
@@ -46,42 +45,16 @@ func runFarm(args []string, stdout, stderr io.Writer) int {
 	return 2
 }
 
-// farmSpecFlags registers the sweep-geometry flags and returns a closure
-// assembling the FarmSpec after parsing.
-func farmSpecFlags(fs *flag.FlagSet) func() lab.FarmSpec {
-	var (
-		nodes     = fs.Int("nodes", 8, "overlay size including the source")
-		fileMB    = fs.Float64("filemb", 1, "file size in MB")
-		protocols = fs.String("protocols", "bulletprime", "comma-separated protocols (any registered)")
-		networks  = fs.String("networks", "modelnet", "comma-separated network presets (any registered)")
-		seeds     = fs.Int("seeds", 2, "number of base seeds (1..n)")
-		reps      = fs.Int("reps", 1, "repetitions per cell with derived seeds")
-		deadline  = fs.Float64("deadline", 3600, "virtual-time deadline in seconds for every cell")
-	)
-	return func() lab.FarmSpec {
-		spec := lab.FarmSpec{
-			Nodes:     *nodes,
-			FileMB:    *fileMB,
-			Protocols: splitList(*protocols),
-			Networks:  splitList(*networks),
-			Reps:      *reps,
-			Deadline:  *deadline,
-		}
-		for s := int64(1); s <= int64(*seeds); s++ {
-			spec.Seeds = append(spec.Seeds, s)
-		}
-		return spec
-	}
-}
-
-func splitList(s string) []string {
-	var out []string
-	for _, v := range strings.Split(s, ",") {
-		if v = strings.TrimSpace(v); v != "" {
-			out = append(out, v)
-		}
-	}
-	return out
+// farmGeometry registers the sweep-geometry group with the farm's defaults
+// and wording; a farm's cells run on the sequential engine.
+func farmGeometry(fs *flag.FlagSet) *sweepFlags {
+	geom := &sweepFlags{sizeFlags: sizeFlags{nodes: 8, fileMB: 1, deadline: 3600}, seeds: 2}
+	geom.register(fs, helpText{
+		"seeds":    "number of base seeds (1..n)",
+		"deadline": "virtual-time deadline in seconds for every cell",
+		"engine":   "",
+	})
+	return geom
 }
 
 // farmCoordinate serves the claim protocol until every cell is settled.
@@ -90,7 +63,7 @@ func splitList(s string) []string {
 // over a partially-filled archive the entire resume story.
 func farmCoordinate(verb string, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("farm "+verb, flag.ContinueOnError)
-	buildSpec := farmSpecFlags(fs)
+	geom := farmGeometry(fs)
 	var (
 		addr    = fs.String("addr", "127.0.0.1:0", "address to serve the claim protocol on")
 		archDir = fs.String("archive", "", "shared experiment archive directory (required)")
@@ -98,12 +71,8 @@ func farmCoordinate(verb string, args []string, stdout, stderr io.Writer) int {
 		wall    = fs.Float64("wall", 0, "wall-clock bound in seconds; on expiry the farm stops and exits 1 (0 = none)")
 		linger  = fs.Float64("linger", 1.5, "seconds to keep serving after completion so workers see the done verdict")
 	)
-	if code := parseFlags(fs, args, stderr); code >= 0 {
+	if code := parseOnlyFlags(fs, args, stderr); code >= 0 {
 		return code
-	}
-	if fs.NArg() > 0 {
-		fmt.Fprintf(stderr, "bulletctl farm %s: unexpected argument %q\n", verb, fs.Arg(0))
-		return 2
 	}
 	if *archDir == "" {
 		fmt.Fprintf(stderr, "usage: bulletctl farm %s -archive DIR [flags]\n", verb)
@@ -114,8 +83,7 @@ func farmCoordinate(verb string, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "bulletctl:", err)
 		return 1
 	}
-	spec := buildSpec()
-	farm, err := lab.NewFarm(spec, time.Duration(*ttl*float64(time.Second)))
+	farm, err := lab.NewFarm(geom.farmSpec(), time.Duration(*ttl*float64(time.Second)))
 	if err != nil {
 		fmt.Fprintln(stderr, "bulletctl:", err)
 		return 1
@@ -223,12 +191,8 @@ func farmWork(args []string, stdout, stderr io.Writer) int {
 		archDir = fs.String("archive", "", "shared experiment archive directory (required)")
 		version = fs.String("version", "", "code version stamped onto archived runs")
 	)
-	if code := parseFlags(fs, args, stderr); code >= 0 {
+	if code := parseOnlyFlags(fs, args, stderr); code >= 0 {
 		return code
-	}
-	if fs.NArg() > 0 {
-		fmt.Fprintf(stderr, "bulletctl farm work: unexpected argument %q\n", fs.Arg(0))
-		return 2
 	}
 	if *coord == "" || *archDir == "" {
 		fmt.Fprintln(stderr, "usage: bulletctl farm work -coordinator URL -archive DIR [flags]")
@@ -384,17 +348,13 @@ func runFarmCell(ctx context.Context, cl *lab.FarmClient, arch *bulletprime.Arch
 // expanding the same spec and counting which cells it already holds.
 func farmStatus(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("farm status", flag.ContinueOnError)
-	buildSpec := farmSpecFlags(fs)
+	geom := farmGeometry(fs)
 	var (
 		coord   = fs.String("coordinator", "", "coordinator URL to query (live status)")
 		archDir = fs.String("archive", "", "archive directory for offline status (with the spec flags)")
 	)
-	if code := parseFlags(fs, args, stderr); code >= 0 {
+	if code := parseOnlyFlags(fs, args, stderr); code >= 0 {
 		return code
-	}
-	if fs.NArg() > 0 {
-		fmt.Fprintf(stderr, "bulletctl farm status: unexpected argument %q\n", fs.Arg(0))
-		return 2
 	}
 	if (*coord == "") == (*archDir == "") {
 		fmt.Fprintln(stderr, "usage: bulletctl farm status (-coordinator URL | -archive DIR [spec flags])")
@@ -414,7 +374,7 @@ func farmStatus(args []string, stdout, stderr io.Writer) int {
 	if code >= 0 {
 		return code
 	}
-	farm, err := lab.NewFarm(buildSpec(), 0)
+	farm, err := lab.NewFarm(geom.farmSpec(), 0)
 	if err != nil {
 		fmt.Fprintln(stderr, "bulletctl:", err)
 		return 1

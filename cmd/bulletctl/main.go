@@ -121,6 +121,19 @@ func parseFlags(fs *flag.FlagSet, args []string, stderr io.Writer) int {
 	return -1
 }
 
+// parseOnlyFlags is parseFlags for a command that takes no positional
+// arguments: one left over after the flags is a usage error.
+func parseOnlyFlags(fs *flag.FlagSet, args []string, stderr io.Writer) int {
+	if code := parseFlags(fs, args, stderr); code >= 0 {
+		return code
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "bulletctl %s: unexpected argument %q\n", fs.Name(), fs.Arg(0))
+		return 2
+	}
+	return -1
+}
+
 // runFigure is the default mode: regenerate one paper figure (or all).
 func runFigure(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("bulletctl", flag.ContinueOnError)
@@ -245,22 +258,20 @@ func interruptContext() (context.Context, context.CancelFunc) {
 // ctrl-C returning partial results.
 func runSingle(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("run", flag.ContinueOnError)
+	run := runFlags{sizeFlags: sizeFlags{nodes: 30, fileMB: 10, deadline: 3600}}
+	run.register(fs, helpText{
+		"protocol": "protocol (any registered; see bulletprime.Protocols)",
+		"engine":   "execution engine: sequential or sharded (sharded needs a clustered network and a sharded protocol, e.g. scalefill)",
+		"shards":   "shard count for -engine sharded (0 = default; part of the experiment's identity)",
+	})
 	var (
-		nodes    = fs.Int("nodes", 30, "overlay size including the source")
-		fileMB   = fs.Float64("filemb", 10, "file size in MB")
-		protocol = fs.String("protocol", "bulletprime", "protocol (any registered; see bulletprime.Protocols)")
-		network  = fs.String("network", "modelnet", "network preset (any registered)")
 		scenFile = fs.String("scenario", "", "JSON scenario file to apply")
 		dynamic  = fs.Bool("dynamic", false, "enable the synthetic bandwidth-change process")
-		seed     = fs.Int64("seed", 1, "master random seed")
-		deadline = fs.Float64("deadline", 3600, "virtual-time deadline in seconds")
 		progress = fs.Bool("progress", false, "stream live samples to stderr while running")
 		every    = fs.Float64("every", 5, "sample cadence in virtual seconds (progress lines, live metrics, archived series)")
 		metrics  = fs.String("metrics-addr", "", "serve the run's live metrics on this address (/metrics Prometheus, /metrics.json; :0 picks a port)")
 		archDir  = fs.String("archive", "", "record the completed run into this experiment archive")
 		version  = fs.String("version", "", "code version stamped onto archived runs (default: binary VCS revision, or dev)")
-		engine   = fs.String("engine", "sequential", "execution engine: sequential or sharded (sharded needs a clustered network and a sharded protocol, e.g. scalefill)")
-		shards   = fs.Int("shards", 0, "shard count for -engine sharded (0 = default; part of the experiment's identity)")
 		timeout  = fs.Float64("timeout", 0, "wall-clock bound in seconds; on expiry the run stops, prints partial results, and exits 1")
 		stream   = fs.Bool("stream", false, "live-streaming run: the source paces emission at -bitrate for -duration and viewers are tracked for lag/rebuffering")
 		bitrate  = fs.Float64("bitrate", 2, "stream: source bitrate in Mbps")
@@ -273,20 +284,15 @@ func runSingle(args []string, stdout, stderr io.Writer) int {
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf  = fs.String("memprofile", "", "write an allocation profile of the run to this file")
 	)
-	if code := parseFlags(fs, args, stderr); code >= 0 {
+	if code := parseOnlyFlags(fs, args, stderr); code >= 0 {
 		return code
 	}
-	if fs.NArg() > 0 {
-		fmt.Fprintf(stderr, "bulletctl run: unexpected argument %q\n", fs.Arg(0))
-		return 2
-	}
-	mode, ok := parseEngine(*engine, stderr)
+	cfg, ok := run.config(stderr)
 	if !ok {
 		return 2
 	}
-	var testbed *bulletprime.TestbedOptions
-	if bulletprime.NetworkPreset(*network) == bulletprime.NetworkTestbedUDP {
-		testbed = &bulletprime.TestbedOptions{Rate: *rate, RTO: *rto, DropProb: *drop, DropSeed: *dropseed}
+	if cfg.Network == bulletprime.NetworkTestbedUDP {
+		cfg.Testbed = &bulletprime.TestbedOptions{Rate: *rate, RTO: *rto, DropProb: *drop, DropSeed: *dropseed}
 	} else if *rate != 0 || *rto != 0 || *drop != 0 || *dropseed != 0 {
 		fmt.Fprintln(stderr, "bulletctl run: -rate/-rto/-drop/-dropseed require -network testbed-udp")
 		return 2
@@ -304,45 +310,31 @@ func runSingle(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "bulletctl run: -stream derives the content size from -bitrate and -duration; drop -filemb")
 		return 2
 	}
-	fileBytes := *fileMB * 1e6
-	var streamOpts *bulletprime.StreamOptions
 	if *stream {
-		fileBytes = 0
-		streamOpts = &bulletprime.StreamOptions{
+		cfg.FileBytes = 0
+		cfg.Stream = &bulletprime.StreamOptions{
 			BitrateBps:   *bitrate * 1e6 / 8,
 			Duration:     *duration,
 			PlayoutDepth: *playout,
 		}
 	}
-	scen, ok := loadScenario(*scenFile, stderr)
-	if !ok {
+	cfg.DynamicBandwidth = *dynamic
+	if cfg.Scenario, ok = loadScenario(*scenFile, stderr); !ok {
 		return 1
 	}
-	arch, ok := openArchiveFlag(*archDir, *version, stderr)
-	if !ok {
+	if cfg.Archive, ok = openArchiveFlag(*archDir, *version, stderr); !ok {
 		return 1
+	}
+	// The CLI prints aggregates and streams -progress through an observer,
+	// never Result.Series — but an archived run records a series at the
+	// -every cadence so show/metrics can render it later.
+	cfg.SampleEvery = -1
+	if cfg.Archive != nil {
+		cfg.SampleEvery = *every
 	}
 
 	start := time.Now()
-	exp, err := bulletprime.New(bulletprime.RunConfig{
-		Protocol:         bulletprime.Protocol(*protocol),
-		Nodes:            *nodes,
-		FileBytes:        fileBytes,
-		Network:          bulletprime.NetworkPreset(*network),
-		DynamicBandwidth: *dynamic,
-		Scenario:         scen,
-		Seed:             *seed,
-		Deadline:         *deadline,
-		Engine:           mode,
-		Shards:           *shards,
-		Testbed:          testbed,
-		Stream:           streamOpts,
-		// The CLI prints aggregates and streams -progress through an
-		// observer, never Result.Series — but an archived run records a
-		// series at the -every cadence so show/metrics can render it later.
-		SampleEvery: seriesEvery(arch != nil, *every),
-		Archive:     arch,
-	})
+	exp, err := bulletprime.New(cfg)
 	if err != nil {
 		fmt.Fprintln(stderr, "bulletctl:", err)
 		return 1
@@ -390,9 +382,9 @@ func runSingle(args []string, stdout, stderr io.Writer) int {
 	var msrv *metricsServer
 	if *metrics != "" {
 		labels := map[string]string{
-			"protocol": *protocol,
-			"network":  *network,
-			"seed":     fmt.Sprintf("%d", *seed),
+			"protocol": run.protocol,
+			"network":  run.network,
+			"seed":     fmt.Sprintf("%d", run.seed),
 		}
 		msrv, err = serveMetrics(*metrics, exp, labels, *every, stderr)
 		if err != nil {
@@ -420,7 +412,7 @@ func runSingle(args []string, stdout, stderr io.Writer) int {
 			"protocol", "network", "seed", "lag_p50_s", "lag_p90_s", "lag_max_s",
 			"jitter_p50", "rebuffers", "stall_s", "goodput_mbps")
 		fmt.Fprintf(stdout, "%-14s %-12s %6d %9.2f %9.2f %9.2f %10.3f %9d %9.1f %11.2f\n",
-			*protocol, *network, *seed, rep.LagP50, rep.LagP90, rep.LagMax,
+			run.protocol, run.network, run.seed, rep.LagP50, rep.LagP90, rep.LagMax,
 			rep.JitterP50, rep.Rebuffers, rep.StallS, rep.GoodputBps*8/1e6)
 		fmt.Fprintf(stdout, "target %.2f Mbps for %.0fs; %d/%d viewers live, startup p50 %.2fs\n",
 			rep.TargetBps*8/1e6, rep.Duration, rep.Live, rep.Live+rep.Dead, rep.StartupP50)
@@ -428,7 +420,7 @@ func runSingle(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "%-14s %-12s %6s %10s %10s %10s %9s %11s\n",
 			"protocol", "network", "seed", "best_s", "median_s", "worst_s", "finished", "completions")
 		fmt.Fprintf(stdout, "%-14s %-12s %6d %10.1f %10.1f %10.1f %9v %11d\n",
-			*protocol, *network, *seed, res.Best(), res.Median(), res.Worst(),
+			run.protocol, run.network, run.seed, res.Best(), res.Median(), res.Worst(),
 			res.Finished, len(res.CompletionTimes))
 	}
 	if res.Cancelled {
@@ -458,38 +450,26 @@ func runSingle(args []string, stdout, stderr io.Writer) int {
 // own content address) before the report prints.
 func runCrosscheck(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("crosscheck", flag.ContinueOnError)
+	run := runFlags{sizeFlags: sizeFlags{nodes: 8, fileMB: 0.25, deadline: 1800}}
+	// Both networks are the command's to pick, and the testbed has one engine.
+	run.register(fs, helpText{"seed": "master random seed (shared by both runs)", "network": "", "engine": ""})
 	var (
-		nodes    = fs.Int("nodes", 8, "overlay size including the source")
-		fileMB   = fs.Float64("filemb", 0.25, "file size in MB")
-		protocol = fs.String("protocol", "bulletprime", "protocol (any registered)")
-		seed     = fs.Int64("seed", 1, "master random seed (shared by both runs)")
-		deadline = fs.Float64("deadline", 1800, "virtual-time deadline in seconds")
 		rate     = fs.Float64("rate", 25, "testbed clock rate: virtual seconds per wall second")
 		drop     = fs.Float64("drop", 0, "testbed injected uniform packet-loss probability")
 		dropseed = fs.Int64("dropseed", 0, "testbed loss-injector seed")
 		archDir  = fs.String("archive", "", "record both runs into this experiment archive")
 		version  = fs.String("version", "", "code version stamped onto archived runs")
 	)
-	if code := parseFlags(fs, args, stderr); code >= 0 {
+	if code := parseOnlyFlags(fs, args, stderr); code >= 0 {
 		return code
 	}
-	if fs.NArg() > 0 {
-		fmt.Fprintf(stderr, "bulletctl crosscheck: unexpected argument %q\n", fs.Arg(0))
+	base, ok := run.config(stderr)
+	if !ok {
 		return 2
 	}
-	arch, ok := openArchiveFlag(*archDir, *version, stderr)
-	if !ok {
+	base.SampleEvery = -1
+	if base.Archive, ok = openArchiveFlag(*archDir, *version, stderr); !ok {
 		return 1
-	}
-
-	base := bulletprime.RunConfig{
-		Protocol:    bulletprime.Protocol(*protocol),
-		Nodes:       *nodes,
-		FileBytes:   *fileMB * 1e6,
-		Seed:        *seed,
-		Deadline:    *deadline,
-		SampleEvery: -1,
-		Archive:     arch,
 	}
 	simCfg := base
 	// The emulated twin of the testbed preset's neutral overlay topology.
@@ -558,15 +538,6 @@ func runCrosscheck(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// seriesEvery picks the run's recorded-series cadence: archived runs keep a
-// series so show/metrics can render them; unarchived CLI runs record none.
-func seriesEvery(archived bool, every float64) float64 {
-	if archived {
-		return every
-	}
-	return -1
-}
-
 func max1(x float64) float64 {
 	if x <= 0 {
 		return 1
@@ -612,71 +583,35 @@ func runScenario(args []string, stdout, stderr io.Writer) int {
 // each completed cell is recorded as it finishes.
 func runSweep(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+	geom := sweepFlags{sizeFlags: sizeFlags{nodes: 100, fileMB: 10, deadline: 3600}, seeds: 4}
+	geom.register(fs, helpText{
+		"reps":   "repetitions per cell with derived seeds (feeds the statistical gate)",
+		"engine": "execution engine for every cell: sequential or sharded",
+	})
 	var (
-		nodes     = fs.Int("nodes", 100, "overlay size including the source")
-		fileMB    = fs.Float64("filemb", 10, "file size in MB")
-		seeds     = fs.Int("seeds", 4, "number of seeds (1..n)")
-		reps      = fs.Int("reps", 1, "repetitions per cell with derived seeds (feeds the statistical gate)")
-		protocols = fs.String("protocols", "bulletprime", "comma-separated protocols (any registered)")
-		networks  = fs.String("networks", "modelnet", "comma-separated network presets (any registered)")
-		dynamic   = fs.Bool("dynamic", false, "enable the synthetic bandwidth-change process")
-		scenFile  = fs.String("scenario", "", "JSON scenario file applied to every cell")
-		parallel  = fs.Int("parallel", 0, "worker-pool size (0 = one per CPU)")
-		deadline  = fs.Float64("deadline", 3600, "virtual-time deadline in seconds")
-		progress  = fs.Bool("progress", false, "report each cell on stderr as it completes")
-		archDir   = fs.String("archive", "", "record every completed cell into this experiment archive")
-		version   = fs.String("version", "", "code version stamped onto archived runs (default: binary VCS revision, or dev)")
-		engine    = fs.String("engine", "sequential", "execution engine for every cell: sequential or sharded")
-		shards    = fs.Int("shards", 0, "shard count for -engine sharded (0 = default)")
-		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
-		memProf   = fs.String("memprofile", "", "write an allocation profile of the sweep to this file")
+		dynamic  = fs.Bool("dynamic", false, "enable the synthetic bandwidth-change process")
+		scenFile = fs.String("scenario", "", "JSON scenario file applied to every cell")
+		parallel = fs.Int("parallel", 0, "worker-pool size (0 = one per CPU)")
+		progress = fs.Bool("progress", false, "report each cell on stderr as it completes")
+		archDir  = fs.String("archive", "", "record every completed cell into this experiment archive")
+		version  = fs.String("version", "", "code version stamped onto archived runs (default: binary VCS revision, or dev)")
+		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
+		memProf  = fs.String("memprofile", "", "write an allocation profile of the sweep to this file")
 	)
-	if code := parseFlags(fs, args, stderr); code >= 0 {
+	if code := parseOnlyFlags(fs, args, stderr); code >= 0 {
 		return code
 	}
-	if fs.NArg() > 0 {
-		fmt.Fprintf(stderr, "bulletctl sweep: unexpected argument %q\n", fs.Arg(0))
-		return 2
-	}
-	mode, ok := parseEngine(*engine, stderr)
+	cfg, ok := geom.config(stderr)
 	if !ok {
 		return 2
 	}
-	scen, ok := loadScenario(*scenFile, stderr)
-	if !ok {
+	cfg.Base.DynamicBandwidth = *dynamic
+	cfg.Base.Parallel = *parallel
+	if cfg.Base.Scenario, ok = loadScenario(*scenFile, stderr); !ok {
 		return 1
 	}
-	arch, ok := openArchiveFlag(*archDir, *version, stderr)
-	if !ok {
+	if cfg.Base.Archive, ok = openArchiveFlag(*archDir, *version, stderr); !ok {
 		return 1
-	}
-
-	cfg := bulletprime.SweepConfig{
-		Reps: *reps,
-		Base: bulletprime.RunConfig{
-			Nodes:            *nodes,
-			FileBytes:        *fileMB * 1e6,
-			DynamicBandwidth: *dynamic,
-			Scenario:         scen,
-			Deadline:         *deadline,
-			Parallel:         *parallel,
-			Engine:           mode,
-			Shards:           *shards,
-			Archive:          arch,
-		},
-	}
-	for s := int64(1); s <= int64(*seeds); s++ {
-		cfg.Seeds = append(cfg.Seeds, s)
-	}
-	for _, p := range strings.Split(*protocols, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			cfg.Protocols = append(cfg.Protocols, bulletprime.Protocol(p))
-		}
-	}
-	for _, nw := range strings.Split(*networks, ",") {
-		if nw = strings.TrimSpace(nw); nw != "" {
-			cfg.Networks = append(cfg.Networks, bulletprime.NetworkPreset(nw))
-		}
 	}
 
 	prof, ok := startProfiles(*cpuProf, *memProf, stderr)
@@ -684,55 +619,38 @@ func runSweep(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	start := time.Now()
-	var runs []bulletprime.SweepRun
-	total, cancelled := 0, 0
-	archErrs := 0
+	// One session per cell either way, and the summary tables read aggregates
+	// only, so no cell keeps a time-series. -progress reports each cell the
+	// moment it finishes and lets SIGINT stop the sweep with partial results.
+	ctx := context.Background()
 	if *progress {
-		// The streaming path: per-cell sessions sampled while they run,
-		// reported the moment they finish, SIGINT returning partial results.
-		ctx, stop := interruptContext()
+		var stop context.CancelFunc
+		ctx, stop = interruptContext()
 		defer stop()
-		// The summary tables only need aggregates; no cell subscribes an
-		// observer, so turn per-cell time-series recording off.
-		cfg.Base.SampleEvery = -1
-		ch, err := bulletprime.SweepStream(ctx, cfg, nil)
-		if err != nil {
-			prof.stop(stderr)
-			fmt.Fprintln(stderr, "bulletctl:", err)
-			return 1
+	}
+	cfg.Base.SampleEvery = -1
+	ch, err := bulletprime.SweepStream(ctx, cfg, nil)
+	if err != nil {
+		prof.stop(stderr)
+		fmt.Fprintln(stderr, "bulletctl:", err)
+		return 1
+	}
+	var runs []bulletprime.SweepRun
+	cancelled, archErrs := 0, 0
+	for r := range ch {
+		runs = append(runs, r)
+		if r.Err != nil {
+			archErrs++
+			fmt.Fprintln(stderr, "bulletctl:", r.Err)
 		}
-		for r := range ch {
-			runs = append(runs, r)
-			total++
-			if r.Err != nil {
-				archErrs++
-				fmt.Fprintln(stderr, "bulletctl:", r.Err)
-			}
-			if r.Result.Cancelled {
-				cancelled++
-				continue
-			}
+		if r.Result.Cancelled {
+			cancelled++
+		} else if *progress {
 			fmt.Fprintf(stderr, "[%3d done] %-14s %-12s seed %-3d median %8.1fs worst %8.1fs\n",
-				total, r.Protocol, r.Network, r.Seed, r.Result.Median(), r.Result.Worst())
-		}
-		sort.Slice(runs, func(i, j int) bool { return runs[i].Index < runs[j].Index })
-	} else {
-		// Unobserved cells skip the sampling hooks entirely.
-		var err error
-		runs, err = bulletprime.Sweep(cfg)
-		if err != nil {
-			prof.stop(stderr)
-			fmt.Fprintln(stderr, "bulletctl:", err)
-			return 1
-		}
-		total = len(runs)
-		for _, r := range runs {
-			if r.Err != nil {
-				archErrs++
-				fmt.Fprintln(stderr, "bulletctl:", r.Err)
-			}
+				len(runs), r.Protocol, r.Network, r.Seed, r.Result.Median(), r.Result.Worst())
 		}
 	}
+	sort.Slice(runs, func(i, j int) bool { return runs[i].Index < runs[j].Index })
 
 	if !prof.stop(stderr) {
 		return 1
@@ -763,7 +681,7 @@ func runSweep(args []string, stdout, stderr io.Writer) int {
 	}
 	if cancelled > 0 {
 		fmt.Fprintf(stdout, "%d of %d cells cancelled; pooled statistics cover completed cells only\n",
-			cancelled, total)
+			cancelled, len(runs))
 	}
 	fmt.Fprintln(stdout)
 	for _, k := range order {

@@ -123,3 +123,18 @@ func TestRunStreamSmall(t *testing.T) {
 		}
 	}
 }
+
+// TestRunPresetRefusesNodeCount: a node count the network preset cannot build
+// is one line on stderr and exit 1, not a goroutine trace.
+func TestRunPresetRefusesNodeCount(t *testing.T) {
+	for _, network := range []string{"clustered", "clustered-compact"} {
+		code, _, stderr := ctl(t, "run", "-network", network, "-nodes", "30", "-filemb", "1")
+		if code != 1 {
+			t.Fatalf("-network %s -nodes 30: exit %d, want 1", network, code)
+		}
+		if strings.Contains(stderr, "goroutine") || strings.Count(stderr, "\n") != 1 ||
+			!strings.Contains(stderr, network) || !strings.Contains(stderr, "30 nodes") {
+			t.Fatalf("-network %s -nodes 30: stderr %q, want one line naming the preset and the count", network, stderr)
+		}
+	}
+}

@@ -22,34 +22,6 @@ import (
 	"bulletprime/internal/obs"
 )
 
-// labSample converts a façade sample to the archive layer's form — the
-// shared input of every metrics rendering path (live scrape and archived
-// re-export).
-func labSample(s bulletprime.Sample) lab.Sample {
-	return lab.Sample{
-		Time:             s.Time,
-		Completed:        s.Completed,
-		Receivers:        s.Receivers,
-		GoodputBps:       s.GoodputBps,
-		ControlBytes:     s.ControlBytes,
-		DataBytes:        s.DataBytes,
-		DuplicateBlocks:  s.DuplicateBlocks,
-		DuplicateBytes:   s.DuplicateBytes,
-		UsefulBytes:      s.UsefulBytes,
-		StreamLagP50:     s.StreamLagP50,
-		StreamLagMax:     s.StreamLagMax,
-		Rebuffering:      s.Rebuffering,
-		RebufferEvents:   s.RebufferEvents,
-		StreamGoodputBps: s.StreamGoodputBps,
-
-		TestbedRTTp50:        s.TestbedRTTp50,
-		TestbedRTTMax:        s.TestbedRTTMax,
-		TestbedUnackedBytes:  s.TestbedUnackedBytes,
-		TestbedRetransmits:   s.TestbedRetransmits,
-		TestbedInjectedDrops: s.TestbedInjectedDrops,
-	}
-}
-
 // runMetrics implements the metrics subcommand: render one archived run as
 // Prometheus text exposition format (the default) or JSON. Equal runs
 // render byte-equal output, so the exposition is diffable.
@@ -72,19 +44,11 @@ func runMetrics(args []string, stdout, stderr io.Writer) int {
 	if code >= 0 {
 		return code
 	}
-	runs, code := selectRuns(arch, "id="+fs.Arg(0), stderr)
+	run, code := selectOne(arch, fs.Arg(0), stderr)
 	if code >= 0 {
 		return code
 	}
-	if len(runs) == 0 {
-		fmt.Fprintf(stderr, "bulletctl: no run matches id %q\n", fs.Arg(0))
-		return 1
-	}
-	if len(runs) > 1 {
-		fmt.Fprintf(stderr, "bulletctl: id prefix %q is ambiguous (%d runs)\n", fs.Arg(0), len(runs))
-		return 1
-	}
-	reg := lab.Metrics(runs[0])
+	reg := lab.Metrics(run)
 	var err error
 	if *format == "json" {
 		err = reg.RenderJSON(stdout)
@@ -104,49 +68,29 @@ func runMetrics(args []string, stdout, stderr io.Writer) int {
 // `bulletctl trace ... > run.trace` always yields a loadable file.
 func runTrace(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("trace", flag.ContinueOnError)
+	run := runFlags{sizeFlags: sizeFlags{nodes: 30, fileMB: 10, deadline: 3600}}
+	run.register(fs, nil)
 	var (
-		nodes    = fs.Int("nodes", 30, "overlay size including the source")
-		fileMB   = fs.Float64("filemb", 10, "file size in MB")
-		protocol = fs.String("protocol", "bulletprime", "protocol (any registered)")
-		network  = fs.String("network", "modelnet", "network preset (any registered)")
-		seed     = fs.Int64("seed", 1, "master random seed")
-		deadline = fs.Float64("deadline", 3600, "virtual-time deadline in seconds")
-		engine   = fs.String("engine", "sequential", "execution engine: sequential or sharded")
-		shards   = fs.Int("shards", 0, "shard count for -engine sharded (0 = default)")
-		capac    = fs.Int("capacity", 0, "span ring bound (0 = default 16384; oldest spans evicted beyond it)")
-		format   = fs.String("format", "chrome", "export format: chrome (trace_event JSON for chrome://tracing) or jsonl")
-		outFile  = fs.String("o", "", "write the trace to this file instead of stdout")
+		capac   = fs.Int("capacity", 0, "span ring bound (0 = default 16384; oldest spans evicted beyond it)")
+		format  = fs.String("format", "chrome", "export format: chrome (trace_event JSON for chrome://tracing) or jsonl")
+		outFile = fs.String("o", "", "write the trace to this file instead of stdout")
 	)
-	if code := parseFlags(fs, args, stderr); code >= 0 {
+	if code := parseOnlyFlags(fs, args, stderr); code >= 0 {
 		return code
-	}
-	if fs.NArg() > 0 {
-		fmt.Fprintf(stderr, "bulletctl trace: unexpected argument %q\n", fs.Arg(0))
-		return 2
 	}
 	if *format != "chrome" && *format != "jsonl" {
 		fmt.Fprintf(stderr, "bulletctl trace: unknown format %q (chrome or jsonl)\n", *format)
 		return 2
 	}
-	mode, ok := parseEngine(*engine, stderr)
+	cfg, ok := run.config(stderr)
 	if !ok {
 		return 2
 	}
+	cfg.Trace = &bulletprime.TraceOptions{Capacity: *capac}
+	cfg.SampleEvery = -1 // tracing needs no time-series
 
 	start := time.Now()
-	exp, err := bulletprime.New(bulletprime.RunConfig{
-		Protocol:  bulletprime.Protocol(*protocol),
-		Nodes:     *nodes,
-		FileBytes: *fileMB * 1e6,
-		Network:   bulletprime.NetworkPreset(*network),
-		Seed:      *seed,
-		Deadline:  *deadline,
-		Engine:    mode,
-		Shards:    *shards,
-		Trace:     &bulletprime.TraceOptions{Capacity: *capac},
-		// Tracing needs no time-series.
-		SampleEvery: -1,
-	})
+	exp, err := bulletprime.New(cfg)
 	if err != nil {
 		fmt.Fprintln(stderr, "bulletctl:", err)
 		return 1
@@ -164,11 +108,7 @@ func runTrace(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	// Report order is the deterministic merge order; carry it as Seq.
-	spans := make([]obs.Span, len(rep.Spans))
-	for i, s := range rep.Spans {
-		spans[i] = obs.Span{At: s.At, Kind: s.Kind, Node: s.Node, Peer: s.Peer, Note: s.Note, Seq: uint64(i)}
-	}
+	spans := rep.Spans
 	out := stdout
 	if *outFile != "" {
 		f, err := os.Create(*outFile)
@@ -191,11 +131,7 @@ func runTrace(args []string, stdout, stderr io.Writer) int {
 	if *outFile != "" {
 		fmt.Fprintf(stderr, "wrote %s (%d spans)\n", *outFile, len(spans))
 	}
-	counts := make(map[string]uint64, len(rep.Counts))
-	for k, n := range rep.Counts {
-		counts[k] = uint64(n)
-	}
-	obs.FormatCounts(stderr, counts)
+	obs.FormatCounts(stderr, rep.Counts)
 	if rep.Dropped > 0 {
 		fmt.Fprintf(stderr, "%d span(s) evicted from the ring (raise -capacity to keep more)\n", rep.Dropped)
 	}
@@ -242,7 +178,7 @@ func serveMetrics(addr string, exp *bulletprime.Experiment, labels map[string]st
 	registry := func() *obs.Registry {
 		r := &obs.Registry{}
 		if s := latest.Load(); s != nil {
-			lab.SampleMetrics(r, labels, labSample(*s))
+			lab.SampleMetrics(r, labels, *s)
 		}
 		return r
 	}

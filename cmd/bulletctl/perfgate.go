@@ -24,12 +24,8 @@ func runPerfGate(args []string, stdout, stderr io.Writer) int {
 	baseFile := fs.String("baseline", "", "perf baseline JSON file (e.g. BENCH_PERF.json)")
 	tol := fs.Float64("tol", 1.0, "fractional ns/op tolerance for -write, e.g. 1.0 = +100%")
 	write := fs.Bool("write", false, "capture the input as the new baseline and exit")
-	if code := parseFlags(fs, args, stderr); code >= 0 {
+	if code := parseOnlyFlags(fs, args, stderr); code >= 0 {
 		return code
-	}
-	if fs.NArg() > 0 {
-		fmt.Fprintf(stderr, "bulletctl perfgate: unexpected argument %q\n", fs.Arg(0))
-		return 2
 	}
 	if *baseFile == "" {
 		fmt.Fprintln(stderr, "usage: go test -run '^$' -bench ... -benchmem ./... | bulletctl perfgate -baseline BENCH_PERF.json [-write]")

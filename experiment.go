@@ -33,10 +33,6 @@ type Experiment struct {
 	observers []*Observer
 	started   bool
 	cancel    context.CancelFunc
-	// noSample suppresses the default time-series sampling; the Run/Sweep
-	// compatibility wrappers set it so an unobserved wrapper run carries
-	// no hooks at all.
-	noSample bool
 
 	done chan struct{}
 	res  *Result
@@ -228,10 +224,21 @@ func (e *Experiment) Run(ctx context.Context) (*Result, error) {
 // spec, and publishes the result.
 func (e *Experiment) run(ctx context.Context) {
 	defer e.cancel()
+	// Whatever the outcome, publishing it ends every stream and then the
+	// session; seriesEvery stays -1 unless a series was recorded.
+	e.seriesEvery = -1
+	defer func() {
+		for _, o := range e.observers {
+			close(o.ch)
+		}
+		close(e.done)
+	}()
 	spec := e.spec
 	var rec *recorder
 	var hooks harness.Hooks
-	if len(e.observers) > 0 || (!e.noSample && e.cfg.SampleEvery > 0) {
+	// A run nobody samples — SampleEvery < 0 and no observer, which is what the
+	// Run/Sweep wrappers are — carries no sampling hooks at all.
+	if len(e.observers) > 0 || e.cfg.SampleEvery > 0 {
 		rec = newRecorder(e)
 		hooks.TickEvery = rec.every
 		if e.cfg.Engine == EngineSharded {
@@ -265,16 +272,11 @@ func (e *Experiment) run(ctx context.Context) {
 	spec.Hooks = &hooks
 	hres := harness.RunSpec(spec)
 	res := toResult(hres)
+	e.res = res
 	if hres.Err != nil {
 		// The run never executed (its rig could not be built); surface it through
 		// Wait alongside the empty result, and never archive it.
-		e.res = res
 		e.recordErr = hres.Err
-		e.seriesEvery = -1
-		for _, o := range e.observers {
-			close(o.ch)
-		}
-		close(e.done)
 		return
 	}
 	if rec != nil && rec.probe != nil {
@@ -289,12 +291,10 @@ func (e *Experiment) run(ctx context.Context) {
 	if e.spec.Tracer != nil {
 		res.Trace = traceReport(e.spec.Tracer)
 	}
-	e.res = res
 	// The archive key covers what was actually persisted: a run that kept
 	// a time-series (possibly at an observer-refined cadence) must never
 	// share an id — and thus dedupe — with an unobserved run of the same
 	// config whose record has no series.
-	e.seriesEvery = -1
 	if rec != nil && rec.recordSeries {
 		e.seriesEvery = rec.every
 	}
@@ -304,10 +304,6 @@ func (e *Experiment) run(ctx context.Context) {
 	if e.cfg.Archive != nil && !res.Cancelled {
 		e.runID, e.recordErr = recordRun(e.cfg.Archive, e.cfg, res, e.seriesEvery)
 	}
-	for _, o := range e.observers {
-		close(o.ch)
-	}
-	close(e.done)
 }
 
 // rigProbe is what the recorder reads of a rig, whichever shape it has: a
@@ -532,16 +528,10 @@ type SweepCell struct {
 	Rep int
 }
 
-// SweepRun is one completed cell of a sweep.
+// SweepRun is one completed cell of a sweep: the cell (Index, Protocol,
+// Network, Seed, Rep) and what running it produced.
 type SweepRun struct {
-	Protocol Protocol
-	Network  NetworkPreset
-	Seed     int64
-	// Rep is the cell's repetition index (always 0 when SweepConfig.Reps
-	// was <= 1).
-	Rep int
-	// Index is the cell's position in the sweep's deterministic order.
-	Index  int
+	SweepCell
 	Result *Result
 	// RunID is the archive id the cell recorded under when
 	// Base.Archive is set (empty otherwise, and for cancelled cells).
@@ -552,7 +542,7 @@ type SweepRun struct {
 }
 
 // expandSweep normalizes the base config and builds the cross product in
-// protocol-major, then network, then seed order.
+// lab.Cross order: protocol-major, then network, then seed, then repetition.
 func expandSweep(cfg SweepConfig) ([]SweepCell, []RunConfig, error) {
 	base, err := cfg.Base.normalized()
 	if err != nil {
@@ -570,26 +560,15 @@ func expandSweep(cfg SweepConfig) ([]SweepCell, []RunConfig, error) {
 	if len(networks) == 0 {
 		networks = []NetworkPreset{base.Network}
 	}
-	reps := cfg.Reps
-	if reps < 1 {
-		reps = 1
-	}
 	var cells []SweepCell
 	var cfgs []RunConfig
-	for _, p := range protocols {
-		for _, nw := range networks {
-			for _, seed := range seeds {
-				for rep := 0; rep < reps; rep++ {
-					rc := base
-					rc.Protocol = p
-					rc.Network = nw
-					rc.Seed = lab.RepSeed(seed, rep)
-					cells = append(cells, SweepCell{Index: len(cells), Protocol: p, Network: nw, Seed: seed, Rep: rep})
-					cfgs = append(cfgs, rc)
-				}
-			}
-		}
-	}
+	lab.Cross(len(protocols), len(networks), seeds, cfg.Reps,
+		func(index, p, n int, seed int64, rep int, runSeed int64) {
+			rc := base
+			rc.Protocol, rc.Network, rc.Seed = protocols[p], networks[n], runSeed
+			cells = append(cells, SweepCell{Index: index, Protocol: protocols[p], Network: networks[n], Seed: seed, Rep: rep})
+			cfgs = append(cfgs, rc)
+		})
 	return cells, cfgs, nil
 }
 
@@ -606,10 +585,6 @@ func expandSweep(cfg SweepConfig) ([]SweepCell, []RunConfig, error) {
 // closes. Every completed cell is bit-identical to Run with the same
 // single config.
 func SweepStream(ctx context.Context, cfg SweepConfig, observe func(SweepCell, *Experiment)) (<-chan SweepRun, error) {
-	return sweepStream(ctx, cfg, observe, false)
-}
-
-func sweepStream(ctx context.Context, cfg SweepConfig, observe func(SweepCell, *Experiment), noSample bool) (<-chan SweepRun, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -628,7 +603,6 @@ func sweepStream(ctx context.Context, cfg SweepConfig, observe func(SweepCell, *
 		if err != nil {
 			return nil, err
 		}
-		exps[i].noSample = noSample
 	}
 	parallel := cfgs[0].Parallel // expandSweep always yields at least one cell
 	if parallel <= 0 {
@@ -682,16 +656,7 @@ func sweepStream(ctx context.Context, cfg SweepConfig, observe func(SweepCell, *
 					// Delivery blocks: the consumer contract is to drain
 					// until close, and a cancelled run's partial result is
 					// exactly what the consumer cancelled to get.
-					out <- SweepRun{
-						Protocol: cells[i].Protocol,
-						Network:  cells[i].Network,
-						Seed:     cells[i].Seed,
-						Rep:      cells[i].Rep,
-						Index:    i,
-						Result:   res,
-						RunID:    runID,
-						Err:      recErr,
-					}
+					out <- SweepRun{SweepCell: cells[i], Result: res, RunID: runID, Err: recErr}
 				}
 			}()
 		}
@@ -705,7 +670,8 @@ func sweepStream(ctx context.Context, cfg SweepConfig, observe func(SweepCell, *
 // network, then seed: the one-shot compatibility wrapper over SweepStream.
 // Every cell is bit-identical to Run with the same single config.
 func Sweep(cfg SweepConfig) ([]SweepRun, error) {
-	ch, err := sweepStream(context.Background(), cfg, nil, true)
+	cfg.Base.SampleEvery = -1
+	ch, err := SweepStream(context.Background(), cfg, nil)
 	if err != nil {
 		return nil, err
 	}

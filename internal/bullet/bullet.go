@@ -119,30 +119,11 @@ func NewSession(rt *proto.Runtime, cfg Config, rng *sim.RNG) *Session {
 
 // Start wires tree links and begins pushing and reconciliation.
 func (s *Session) Start() {
-	conns := make(map[[2]netem.NodeID]*proto.Conn)
-	s.Tree.Walk(func(id netem.NodeID) {
-		p := s.peers[id]
-		kids := append([]netem.NodeID(nil), s.Tree.Children(id)...)
-		slices.Sort(kids)
-		for _, cid := range kids {
-			c := p.node.Dial(cid)
-			c.IsData = isDataKind
-			conns[[2]netem.NodeID{id, cid}] = c
-			p.treeChildren = append(p.treeChildren, c)
-		}
-	})
-	s.Tree.Walk(func(id netem.NodeID) {
-		p := s.peers[id]
-		children := make(map[netem.NodeID]*proto.Conn)
-		for _, cid := range s.Tree.Children(id) {
-			children[cid] = conns[[2]netem.NodeID{id, cid}]
-		}
-		var parent *proto.Conn
-		if id != s.Tree.Root() {
-			parent = conns[[2]netem.NodeID{s.Tree.Parent(id), id}]
-		}
-		p.rs.SetLinks(id == s.Tree.Root(), parent, children)
-	})
+	// Bullet dials a node's children in ascending id order and forwards
+	// pushed blocks over them in that order.
+	ransub.WireTree(s.Tree, true, isDataKind,
+		func(id netem.NodeID) *ransub.Agent { return s.peers[id].rs },
+		func(id netem.NodeID, children []*proto.Conn) { s.peers[id].treeChildren = children })
 	src := s.peers[s.cfg.Source]
 	src.rs.Start()
 	if s.cfg.StreamBps > 0 {

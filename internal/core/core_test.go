@@ -316,100 +316,100 @@ func fillSenders(p *peer, n int) {
 
 func TestHillClimbGrowsOnImprovement(t *testing.T) {
 	p := hillClimbPeer(t)
-	p.maxSenders = 10
+	p.maxSenders.n = 10
 	fillSenders(p, 10)
-	p.prevNumSenders = 9 // grew last epoch
-	p.prevInBW = 100
-	p.manageSenders(150) // and bandwidth improved
-	if p.maxSenders != 11 {
-		t.Fatalf("maxSenders = %d, want 11 (reward growth)", p.maxSenders)
+	p.maxSenders.prevNum = 9 // grew last epoch
+	p.maxSenders.prevBW = 100
+	p.maxSenders.climb(len(p.senders), 150, MaxPeers) // and bandwidth improved
+	if p.maxSenders.n != 11 {
+		t.Fatalf("maxSenders = %d, want 11 (reward growth)", p.maxSenders.n)
 	}
 }
 
 func TestHillClimbBacksOffOnRegression(t *testing.T) {
 	p := hillClimbPeer(t)
-	p.maxSenders = 10
+	p.maxSenders.n = 10
 	fillSenders(p, 10)
-	p.prevNumSenders = 9
-	p.prevInBW = 200
-	p.manageSenders(150) // adding a sender hurt
-	if p.maxSenders != 9 {
-		t.Fatalf("maxSenders = %d, want 9 (punish growth)", p.maxSenders)
+	p.maxSenders.prevNum = 9
+	p.maxSenders.prevBW = 200
+	p.maxSenders.climb(len(p.senders), 150, MaxPeers) // adding a sender hurt
+	if p.maxSenders.n != 9 {
+		t.Fatalf("maxSenders = %d, want 9 (punish growth)", p.maxSenders.n)
 	}
 }
 
 func TestHillClimbShrinkImproved(t *testing.T) {
 	p := hillClimbPeer(t)
-	p.maxSenders = 10
+	p.maxSenders.n = 10
 	fillSenders(p, 10)
-	p.prevNumSenders = 11 // shrank last epoch
-	p.prevInBW = 100
-	p.manageSenders(150) // and got faster: shrink more
-	if p.maxSenders != 9 {
-		t.Fatalf("maxSenders = %d, want 9", p.maxSenders)
+	p.maxSenders.prevNum = 11 // shrank last epoch
+	p.maxSenders.prevBW = 100
+	p.maxSenders.climb(len(p.senders), 150, MaxPeers) // and got faster: shrink more
+	if p.maxSenders.n != 9 {
+		t.Fatalf("maxSenders = %d, want 9", p.maxSenders.n)
 	}
 }
 
 func TestHillClimbOnlyAtTarget(t *testing.T) {
 	p := hillClimbPeer(t)
-	p.maxSenders = 10
+	p.maxSenders.n = 10
 	fillSenders(p, 7) // not at target: no adjustment
-	p.prevNumSenders = 6
-	p.prevInBW = 0
-	p.manageSenders(100)
-	if p.maxSenders != 10 {
-		t.Fatalf("maxSenders = %d, want 10 (no adjustment off target)", p.maxSenders)
+	p.maxSenders.prevNum = 6
+	p.maxSenders.prevBW = 0
+	p.maxSenders.climb(len(p.senders), 100, MaxPeers)
+	if p.maxSenders.n != 10 {
+		t.Fatalf("maxSenders = %d, want 10 (no adjustment off target)", p.maxSenders.n)
 	}
 }
 
 func TestHillClimbClamped(t *testing.T) {
 	p := hillClimbPeer(t)
-	p.maxSenders = MaxPeers
+	p.maxSenders.n = MaxPeers
 	fillSenders(p, MaxPeers)
-	p.prevNumSenders = MaxPeers - 1
-	p.prevInBW = 100
-	p.manageSenders(200)
-	if p.maxSenders != MaxPeers {
-		t.Fatalf("maxSenders = %d exceeded MaxPeers", p.maxSenders)
+	p.maxSenders.prevNum = MaxPeers - 1
+	p.maxSenders.prevBW = 100
+	p.maxSenders.climb(len(p.senders), 200, MaxPeers)
+	if p.maxSenders.n != MaxPeers {
+		t.Fatalf("maxSenders = %d exceeded MaxPeers", p.maxSenders.n)
 	}
-	p.maxSenders = MinPeers
+	p.maxSenders.n = MinPeers
 	p.senders = nil
 	fillSenders(p, MinPeers)
-	p.prevNumSenders = MinPeers + 1
-	p.prevInBW = 100
-	p.manageSenders(200) // shrink rewarded, but clamped at MinPeers
-	if p.maxSenders != MinPeers {
-		t.Fatalf("maxSenders = %d fell below MinPeers", p.maxSenders)
+	p.maxSenders.prevNum = MinPeers + 1
+	p.maxSenders.prevBW = 100
+	p.maxSenders.climb(len(p.senders), 200, MaxPeers) // shrink rewarded, but clamped at MinPeers
+	if p.maxSenders.n != MinPeers {
+		t.Fatalf("maxSenders = %d fell below MinPeers", p.maxSenders.n)
 	}
 }
 
 func TestHillClimbProbesWhenQuiescent(t *testing.T) {
 	p := hillClimbPeer(t)
-	p.maxSenders = 10
+	p.maxSenders.n = 10
 	fillSenders(p, 10)
-	p.prevNumSenders = 10 // stable at target: no gradient
-	p.prevInBW = 100
-	p.manageSenders(100)
-	if p.maxSenders != 11 {
-		t.Fatalf("maxSenders = %d, want upward probe to 11", p.maxSenders)
+	p.maxSenders.prevNum = 10 // stable at target: no gradient
+	p.maxSenders.prevBW = 100
+	p.maxSenders.climb(len(p.senders), 100, MaxPeers)
+	if p.maxSenders.n != 11 {
+		t.Fatalf("maxSenders = %d, want upward probe to 11", p.maxSenders.n)
 	}
 	// A punished upward move flips probing downward.
 	p.senders = nil
 	fillSenders(p, 11)
-	p.maxSenders = 11
-	p.prevNumSenders = 10
-	p.prevInBW = 200
-	p.manageSenders(150) // grew and got slower
-	if p.maxSenders != 10 || !p.probeSendersDown {
-		t.Fatalf("punished growth: max=%d probeDown=%v", p.maxSenders, p.probeSendersDown)
+	p.maxSenders.n = 11
+	p.maxSenders.prevNum = 10
+	p.maxSenders.prevBW = 200
+	p.maxSenders.climb(len(p.senders), 150, MaxPeers) // grew and got slower
+	if p.maxSenders.n != 10 || !p.maxSenders.probeDown {
+		t.Fatalf("punished growth: max=%d probeDown=%v", p.maxSenders.n, p.maxSenders.probeDown)
 	}
 	p.senders = nil
 	fillSenders(p, 10)
-	p.prevNumSenders = 10
-	p.prevInBW = 150
-	p.manageSenders(150) // quiescent again: now probes downward
-	if p.maxSenders != 9 {
-		t.Fatalf("maxSenders = %d, want downward probe to 9", p.maxSenders)
+	p.maxSenders.prevNum = 10
+	p.maxSenders.prevBW = 150
+	p.maxSenders.climb(len(p.senders), 150, MaxPeers) // quiescent again: now probes downward
+	if p.maxSenders.n != 9 {
+		t.Fatalf("maxSenders = %d, want downward probe to 9", p.maxSenders.n)
 	}
 }
 
@@ -421,7 +421,7 @@ func TestEnforcePeerTargetsSheds(t *testing.T) {
 		sp.conn = p.node.Dial(2)
 		sp.advertised = proto.NewBitmap(p.s.maxBlockID())
 	}
-	p.maxSenders = 7
+	p.maxSenders.n = 7
 	p.enforcePeerTargets()
 	if len(p.senders) != 7 {
 		t.Fatalf("senders = %d after enforcement, want 7", len(p.senders))

@@ -66,23 +66,13 @@ type peer struct {
 	sweep  []*senderPeer
 	scored []scoredCandidate
 
-	maxSenders   int
-	maxReceivers int
-
-	// Previous-epoch observations for the Figure 2 hill climb.
-	prevNumSenders   int
-	prevNumReceivers int
-	prevInBW         float64
-	prevOutBW        float64
-	lastInTotal      float64
-	lastOutTotal     float64
-	firstEpoch       bool
-	// probeSendersDown / probeReceiversDown steer the "try out a new
-	// connection or close a current connection" exploration (§3.3.1) when
-	// the hill climb is otherwise quiescent: a punished upward probe
-	// flips to downward probing and vice versa.
-	probeSendersDown   bool
-	probeReceiversDown bool
+	// The Figure 2 hill climb, once per side: MAX_SENDERS climbs on
+	// incoming bandwidth, MAX_RECEIVERS on outgoing.
+	maxSenders   peerTarget
+	maxReceivers peerTarget
+	lastInTotal  float64
+	lastOutTotal float64
+	firstEpoch   bool
 
 	// candidates is the latest RanSub distribute set.
 	candidates []ransub.Candidate
@@ -114,15 +104,13 @@ func newPeer(s *Session, id netem.NodeID) *peer {
 		ties:       make([]int, 0, rarestSample),
 		firstEpoch: true,
 	}
+	target := DefaultPeerTarget
 	if s.cfg.StaticPeers > 0 {
-		p.maxSenders = s.cfg.StaticPeers
-		p.maxReceivers = s.cfg.StaticPeers
-	} else {
-		p.maxSenders = DefaultPeerTarget
-		p.maxReceivers = DefaultPeerTarget
+		target = s.cfg.StaticPeers
 	}
-	if s.cfg.MaxSendersCap > 0 && p.maxSenders > s.cfg.MaxSendersCap {
-		p.maxSenders = s.cfg.MaxSendersCap
+	p.maxSenders.n, p.maxReceivers.n = target, target
+	if s.cfg.MaxSendersCap > 0 && target > s.cfg.MaxSendersCap {
+		p.maxSenders.n = s.cfg.MaxSendersCap
 	}
 	if p.isSource {
 		// The source holds the whole file; in encoded mode blocks are
@@ -548,7 +536,7 @@ func (p *peer) manageOutstanding(sp *senderPeer, bm *blockMsg) {
 		desired -= AlphaWasted * bm.wasted * bw / p.s.cfg.BlockSize
 	}
 	if bm.wasted > 0 && bm.inFront > 1 {
-		desired -= BetaQueued * float64(bm.inFront-1)
+		desired -= float64(BetaQueued * float64(bm.inFront-1)) // one rounding per operation on every CPU: no fused multiply-add
 	}
 	if desired < 1 {
 		desired = 1
@@ -666,7 +654,7 @@ func (p *peer) sendDiff(rp *receiverPeer, initial bool) {
 		return
 	}
 	rp.diffCursor = cursor
-	size := float64(len(ids))*4 + 16
+	size := float64(float64(len(ids))*4) + 16
 	if initial {
 		size = p.store.Bitmap().WireSize() + 16
 	}
@@ -688,7 +676,7 @@ func (p *peer) onDiffReq(c *proto.Conn) {
 	p.s.DiffsSent++
 	d := p.s.diffs.get()
 	d.ids = ids[:len(ids):len(ids)]
-	c.Send(p.node, proto.Message{Kind: kindDiff, Size: float64(len(ids))*4 + 16, Payload: d})
+	c.Send(p.node, proto.Message{Kind: kindDiff, Size: float64(float64(len(ids))*4) + 16, Payload: d})
 }
 
 // onRequest serves one block, measuring the in_front and wasted values the
@@ -785,8 +773,12 @@ func (p *peer) onDistribute(epoch int, set []ransub.Candidate) {
 	// in both modes — without rotation a statically-sized peer set locks
 	// into whatever it first connected to.
 	if p.s.cfg.StaticPeers == 0 && !p.firstEpoch {
-		p.manageSenders(inBW)
-		p.manageReceivers(outBW)
+		sendersCap := MaxPeers
+		if c := p.s.cfg.MaxSendersCap; c > 0 && c < MaxPeers {
+			sendersCap = c
+		}
+		p.maxSenders.climb(len(p.senders), inBW, sendersCap)
+		p.maxReceivers.climb(len(p.receivers), outBW, MaxPeers)
 		p.enforcePeerTargets()
 	}
 	p.trimSenders(now)
@@ -795,85 +787,54 @@ func (p *peer) onDistribute(epoch int, set []ransub.Candidate) {
 		p.acquireSenders()
 	}
 
-	p.prevNumSenders = len(p.senders)
-	p.prevNumReceivers = len(p.receivers)
-	p.prevInBW = inBW
-	p.prevOutBW = outBW
+	p.maxSenders.prevNum, p.maxSenders.prevBW = len(p.senders), inBW
+	p.maxReceivers.prevNum, p.maxReceivers.prevBW = len(p.receivers), outBW
 	p.firstEpoch = false
 }
 
-// manageSenders implements the Figure 2 hill climb on MAX_SENDERS, plus
-// the exploration the prose describes: when the set size has been stable
-// at the target for a whole epoch (no gradient to follow), the node probes
-// — trying out one more connection by default, or closing one if upward
-// probes keep getting punished.
-func (p *peer) manageSenders(inBW float64) {
-	if len(p.senders) != p.maxSenders {
-		return
-	}
-	switch {
-	case p.prevNumSenders == 0:
-		p.maxSenders++ // try to add a new peer by default
-	case len(p.senders) > p.prevNumSenders:
-		if inBW > p.prevInBW {
-			p.maxSenders++ // bandwidth went up: try adding a sender
-			p.probeSendersDown = false
-		} else {
-			p.maxSenders-- // adding a new sender was bad
-			p.probeSendersDown = true
-		}
-	case len(p.senders) < p.prevNumSenders:
-		if inBW > p.prevInBW {
-			p.maxSenders-- // losing a sender made us faster: lose another
-			p.probeSendersDown = true
-		} else {
-			p.maxSenders++ // losing a sender was bad
-			p.probeSendersDown = false
-		}
-	default:
-		// Quiescent at target: probe.
-		if p.probeSendersDown {
-			p.maxSenders--
-		} else {
-			p.maxSenders++
-		}
-	}
-	p.clampPeerTargets()
+// peerTarget is one side of the Figure 2 hill climb: the adaptive bound n on
+// a peer set's size (MAX_SENDERS or MAX_RECEIVERS), the previous epoch's
+// observation it climbs from, and the exploration the prose describes.
+type peerTarget struct {
+	n       int
+	prevNum int
+	prevBW  float64
+	// probeDown steers the "try out a new connection or close a current
+	// connection" exploration (§3.3.1) when the climb has no gradient to
+	// follow: a punished upward move flips it to downward probing and vice
+	// versa.
+	probeDown bool
 }
 
-// manageReceivers runs the same hill climb on MAX_RECEIVERS with outgoing
-// bandwidth.
-func (p *peer) manageReceivers(outBW float64) {
-	if len(p.receivers) != p.maxReceivers {
+// climb moves the bound one step, given the set's size now and the
+// bandwidth the epoch saw on its side, and keeps it inside [MinPeers, hi]
+// (hi wins where a configured cap sits below MinPeers). The bound moves only
+// when the set is at it: a set whose size changed last epoch keeps going the
+// way that made it faster, and one that has been stable at the bound for a
+// whole epoch probes — one more connection by default, one fewer if upward
+// moves keep getting punished.
+func (t *peerTarget) climb(size int, bw float64, hi int) {
+	if size != t.n {
 		return
 	}
 	switch {
-	case p.prevNumReceivers == 0:
-		p.maxReceivers++
-	case len(p.receivers) > p.prevNumReceivers:
-		if outBW > p.prevOutBW {
-			p.maxReceivers++
-			p.probeReceiversDown = false
-		} else {
-			p.maxReceivers--
-			p.probeReceiversDown = true
-		}
-	case len(p.receivers) < p.prevNumReceivers:
-		if outBW > p.prevOutBW {
-			p.maxReceivers--
-			p.probeReceiversDown = true
-		} else {
-			p.maxReceivers++
-			p.probeReceiversDown = false
-		}
+	case t.prevNum == 0:
+		t.n++ // try to add a new peer by default
+	case size == t.prevNum:
+		t.n += t.step()
 	default:
-		if p.probeReceiversDown {
-			p.maxReceivers--
-		} else {
-			p.maxReceivers++
-		}
+		// Growing and faster, or shrinking and no faster: up. Otherwise down.
+		t.probeDown = (size > t.prevNum) != (bw > t.prevBW)
+		t.n += t.step()
 	}
-	p.clampPeerTargets()
+	t.n = min(max(t.n, MinPeers), hi)
+}
+
+func (t *peerTarget) step() int {
+	if t.probeDown {
+		return -1
+	}
+	return 1
 }
 
 // senderSignal is the bandwidth score a sender is ranked by: the realized
@@ -892,7 +853,7 @@ func (p *peer) senderSignal(sp *senderPeer) float64 {
 // current set size: without this, a lowered MAX_SENDERS would never take
 // effect. The slowest sender / lowest-ratio receiver goes first.
 func (p *peer) enforcePeerTargets() {
-	for len(p.senders) > p.maxSenders {
+	for len(p.senders) > p.maxSenders.n {
 		var worst *senderPeer
 		var worstSig float64
 		for _, sp := range p.senders {
@@ -905,7 +866,7 @@ func (p *peer) enforcePeerTargets() {
 		}
 		p.dropSender(worst, true)
 	}
-	for len(p.receivers) > p.maxReceivers {
+	for len(p.receivers) > p.maxReceivers.n {
 		var worst *receiverPeer
 		for _, rp := range p.receivers {
 			if worst == nil || rp.rate < worst.rate {
@@ -919,48 +880,39 @@ func (p *peer) enforcePeerTargets() {
 	}
 }
 
-func (p *peer) clampPeerTargets() {
-	if p.maxSenders < MinPeers {
-		p.maxSenders = MinPeers
-	}
-	if p.maxSenders > MaxPeers {
-		p.maxSenders = MaxPeers
-	}
-	if c := p.s.cfg.MaxSendersCap; c > 0 && p.maxSenders > c {
-		p.maxSenders = c
-	}
-	if p.maxReceivers < MinPeers {
-		p.maxReceivers = MinPeers
-	}
-	if p.maxReceivers > MaxPeers {
-		p.maxReceivers = MaxPeers
-	}
-}
-
-// trimSenders disconnects senders more than TrimSigma standard deviations
-// below the mean received bandwidth (§3.3.1), never dropping below
-// MinPeers. Senders younger than one epoch are exempt: their partial-epoch
-// rates are not comparable yet.
-func (p *peer) trimSenders(now sim.Time) {
-	if len(p.senders) <= p.trimFloor() {
-		return
+// sigmaOutliers is the §3.3.1 trimming rule: the members of a peer set
+// scoring more than TrimSigma standard deviations below the set's mean,
+// lowest score first, exempt members (when there is such a rule) left out;
+// nobody when the set is already at its floor or the scores are all
+// approximately equal.
+func sigmaOutliers[P interface{ nodeID() netem.NodeID }](set idList[P], floor int, score func(P) float64, exempt func(P) bool) []P {
+	if len(set) <= floor {
+		return nil
 	}
 	var st trace.Stats
-	for _, sp := range p.senders {
-		st.Add(p.senderSignal(sp))
+	for _, x := range set {
+		st.Add(score(x))
 	}
 	if st.Std() <= 0 {
-		return // all approximately equal: close nobody
+		return nil
 	}
-	cut := st.Mean() - TrimSigma*st.Std()
-	var victims []*senderPeer
-	for _, sp := range p.senders {
-		if p.senderSignal(sp) < cut && float64(now-sp.addedAt) >= p.s.cfg.RanSubPeriod {
-			victims = append(victims, sp)
+	cut := st.Mean() - float64(TrimSigma*st.Std())
+	var out []P
+	for _, x := range set {
+		if score(x) < cut && (exempt == nil || !exempt(x)) {
+			out = append(out, x)
 		}
 	}
-	slices.SortStableFunc(victims, func(a, b *senderPeer) int { return cmp.Compare(p.senderSignal(a), p.senderSignal(b)) })
-	for _, sp := range victims {
+	slices.SortStableFunc(out, func(a, b P) int { return cmp.Compare(score(a), score(b)) })
+	return out
+}
+
+// trimSenders disconnects the outliers in received bandwidth, never dropping
+// below the trim floor. Senders younger than one epoch are exempt: their
+// partial-epoch rates are not comparable yet.
+func (p *peer) trimSenders(now sim.Time) {
+	young := func(sp *senderPeer) bool { return float64(now-sp.addedAt) < p.s.cfg.RanSubPeriod }
+	for _, sp := range sigmaOutliers(p.senders, p.trimFloor(), p.senderSignal, young) {
 		if len(p.senders) <= p.trimFloor() {
 			break
 		}
@@ -987,9 +939,6 @@ func (p *peer) trimFloor() int {
 // receiving the smallest fraction of their total incoming bandwidth from
 // us are the least harmed by a disconnect.
 func (p *peer) trimReceivers() {
-	if len(p.receivers) <= p.trimFloor() {
-		return
-	}
 	ratio := func(rp *receiverPeer) float64 {
 		total := rp.totalInBW
 		if total <= 0 {
@@ -997,22 +946,7 @@ func (p *peer) trimReceivers() {
 		}
 		return rp.rate / total
 	}
-	var st trace.Stats
-	for _, rp := range p.receivers {
-		st.Add(ratio(rp))
-	}
-	if st.Std() <= 0 {
-		return
-	}
-	cut := st.Mean() - TrimSigma*st.Std()
-	var victims []*receiverPeer
-	for _, rp := range p.receivers {
-		if ratio(rp) < cut {
-			victims = append(victims, rp)
-		}
-	}
-	slices.SortStableFunc(victims, func(a, b *receiverPeer) int { return cmp.Compare(ratio(a), ratio(b)) })
-	for _, rp := range victims {
+	for _, rp := range sigmaOutliers(p.receivers, p.trimFloor(), ratio, nil) {
 		if len(p.receivers) <= p.trimFloor() {
 			break
 		}
@@ -1071,7 +1005,7 @@ func (p *peer) replaceExhaustedSenders(now sim.Time) {
 // acquireSenders fills the sender set up to MAX_SENDERS from the current
 // candidate set, preferring candidates with the most useful blocks.
 func (p *peer) acquireSenders() {
-	need := p.maxSenders - len(p.senders)
+	need := p.maxSenders.n - len(p.senders)
 	if need <= 0 || len(p.candidates) == 0 {
 		return
 	}

@@ -5,6 +5,7 @@ import (
 
 	"bulletprime/internal/netem"
 	"bulletprime/internal/proto"
+	"bulletprime/internal/ransub"
 	"bulletprime/internal/sim"
 	"bulletprime/internal/stream"
 	"bulletprime/internal/trace"
@@ -154,31 +155,13 @@ func NewSession(rt *proto.Runtime, cfg Config, rng *sim.RNG) *Session {
 
 // Start wires the control tree and begins pushing and epoch processing.
 func (s *Session) Start() {
-	// Dial tree links parent→child and hand them to the RanSub agents.
-	conns := make(map[[2]netem.NodeID]*proto.Conn)
-	s.Tree.Walk(func(id netem.NodeID) {
-		p := s.peers[id]
-		for _, cid := range s.Tree.Children(id) {
-			c := p.node.Dial(cid)
-			c.IsData = isDataKind
-			conns[[2]netem.NodeID{id, cid}] = c
-		}
-	})
-	s.Tree.Walk(func(id netem.NodeID) {
-		p := s.peers[id]
-		children := make(map[netem.NodeID]*proto.Conn)
-		for _, cid := range s.Tree.Children(id) {
-			children[cid] = conns[[2]netem.NodeID{id, cid}]
-		}
-		var parent *proto.Conn
-		if id != s.Tree.Root() {
-			parent = conns[[2]netem.NodeID{s.Tree.Parent(id), id}]
-		}
-		p.rs.SetLinks(id == s.Tree.Root(), parent, children)
-		if id == s.cfg.Source {
-			p.initSource(children)
-		}
-	})
+	ransub.WireTree(s.Tree, false, isDataKind,
+		func(id netem.NodeID) *ransub.Agent { return s.peers[id].rs },
+		func(id netem.NodeID, children []*proto.Conn) {
+			if id == s.cfg.Source {
+				s.peers[id].pushChildren = children
+			}
+		})
 	s.peers[s.cfg.Source].rs.Start()
 	s.peers[s.cfg.Source].startPushing()
 }
@@ -204,8 +187,8 @@ func (s *Session) Peer(id netem.NodeID) *PeerInfo {
 		Complete:       p.complete,
 		Senders:        len(p.senders),
 		Receivers:      len(p.receivers),
-		MaxSenders:     p.maxSenders,
-		MaxReceivers:   p.maxReceivers,
+		MaxSenders:     p.maxSenders.n,
+		MaxReceivers:   p.maxReceivers.n,
 		CompletedAt:    p.completedAt,
 		ArrivalTimes:   p.store.ArrivalTimes(),
 		DuplicateCount: p.duplicates,

@@ -1,11 +1,6 @@
 package core
 
-import (
-	"slices"
-
-	"bulletprime/internal/netem"
-	"bulletprime/internal/proto"
-)
+import "bulletprime/internal/proto"
 
 // Source sending strategy (§3.3.5): the source iterates over file blocks,
 // sending each block once to one of its control-tree children, round-robin,
@@ -21,19 +16,6 @@ const pushQueueDepth = 3
 
 // pushPumpInterval is how often the source tops up child queues (seconds).
 const pushPumpInterval = 0.05
-
-// initSource stores the control-tree child connections in deterministic
-// child-id order.
-func (p *peer) initSource(children map[netem.NodeID]*proto.Conn) {
-	ids := make([]netem.NodeID, 0, len(children))
-	for id := range children {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	for _, id := range ids {
-		p.pushChildren = append(p.pushChildren, children[id])
-	}
-}
 
 // startPushing begins the periodic push pump. A live-stream source
 // (Config.StreamBps) first starts the pacing timer that releases blocks at

@@ -1,6 +1,10 @@
 package harness
 
-import "testing"
+import (
+	"testing"
+
+	"bulletprime/internal/lab"
+)
 
 // Shape tests: the paper's qualitative claims asserted as invariants at
 // moderate scale, on specs drawn from the figure table by legend label.
@@ -108,5 +112,45 @@ func TestShapeControlOverheadModest(t *testing.T) {
 	}
 	if ov := res.ControlOverhead(); ov > 0.10 {
 		t.Fatalf("control overhead %.1f%% exceeds 10%%", ov*100)
+	}
+}
+
+// TestShapeDynamicBandwidthOrdering pins the paper's title claim, Figure 5:
+// under the §4.1 bandwidth-change process (every 20 s, cumulative halving)
+// Bullet' finishes ahead of BitTorrent and ahead of Bullet. One run proves
+// nothing about a stochastic process, so the claim is held the way the
+// repeated-trial comparisons of congestion-control schemes hold theirs: five
+// seeds — five topology draws and five change sequences — of each system at
+// 25 nodes / 8 MB, the per-seed median download times compared by a one-sided
+// Mann-Whitney rank-sum test at α = 0.05. With five against five the test can
+// reach p ≈ 0.006 (exactly 1/252), and only when every Bullet' median is
+// below every median of the other system.
+func TestShapeDynamicBandwidthOrdering(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fifteen runs")
+	}
+	const alpha = 0.05
+	seeds := []int64{51, 52, 53, 54, 55}
+	labels := []string{"BulletPrime", "Bullet", "BitTorrent"}
+	var specs []SweepSpec
+	for _, label := range labels {
+		for _, seed := range seeds {
+			specs = append(specs, figureSpec(t, 5, Scale{Nodes: 0.25, File: 0.08}, seed, label))
+		}
+	}
+	medians := make(map[string][]float64)
+	for i, res := range Sweep(specs, 0) {
+		if !res.Finished {
+			t.Fatalf("%s at seed %d did not finish", specs[i].Label, specs[i].Seed)
+		}
+		medians[specs[i].Label] = append(medians[specs[i].Label], res.CDF.Median())
+	}
+	for _, slower := range labels[1:] {
+		mw := lab.MannWhitney(medians["BulletPrime"], medians[slower])
+		t.Logf("Bullet' %.1f vs %s %.1f: one-sided p = %.4f", medians["BulletPrime"], slower, medians[slower], mw.POneSided)
+		if mw.POneSided >= alpha {
+			t.Errorf("Bullet' is not ahead of %s under dynamic bandwidth: per-seed medians %.1f vs %.1f, one-sided p = %.4f ≥ %v",
+				slower, medians["BulletPrime"], medians[slower], mw.POneSided, alpha)
+		}
 	}
 }

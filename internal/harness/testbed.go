@@ -12,25 +12,34 @@ import (
 // real-socket UDP backend (internal/testbed): the topology still shapes the
 // overlay (node count, membership), but every connection's traffic rides
 // UDP datagrams on real sockets, and the engine's virtual clock is driven
-// by the wall clock at Rate. See DESIGN.md §10.
+// by the wall clock at Rate. The zero value is the loopback default
+// (127.0.0.1, real-time clock, 50 ms RTO, 8 retries, no injected loss). It
+// is declared here once; the façade's TestbedOptions is this type, and its
+// JSON form is the "testbed" block of an archived run's fingerprint: the
+// knobs that shape results, not the addresses a run happened to bind. See
+// DESIGN.md §10.
 type TestbedSpec struct {
 	// ListenHost is the bind address for nodes without a Peers entry;
-	// default 127.0.0.1 with auto-assigned ports (loopback mode).
-	ListenHost string
-	// Peers pins listen addresses ("host:port") per node — the address
+	// empty means 127.0.0.1 with auto-assigned ports (loopback mode).
+	ListenHost string `json:"-"`
+	// Peers pins listen addresses ("host:port") per node id — the address
 	// table of a multi-host deployment.
-	Peers map[int]string
+	Peers map[int]string `json:"-"`
 	// Rate is virtual seconds per wall second; <= 0 means 1 (real time).
-	Rate float64
+	// Raising it accelerates the protocols' periodic timers against the
+	// wall clock.
+	Rate float64 `json:"rate,omitempty"`
 	// RTO is the wall-clock retransmission timeout in seconds before the
-	// first resend; <= 0 picks the transport default (50 ms).
-	RTO float64
-	// MaxRetries bounds resends per frame; <= 0 picks the default (8).
-	MaxRetries int
-	// DropProb injects deterministic uniform loss on every transmission
-	// attempt (test hook); DropSeed seeds the injector.
-	DropProb float64
-	DropSeed int64
+	// first resend (each retry doubles it); <= 0 picks the transport
+	// default (50 ms).
+	RTO float64 `json:"rto,omitempty"`
+	// MaxRetries bounds resends per frame before the node pair is declared
+	// dead; <= 0 picks the default (8).
+	MaxRetries int `json:"max_retries,omitempty"`
+	// DropProb injects deterministic uniform packet loss on every
+	// transmission attempt (a test hook); DropSeed seeds the injector.
+	DropProb float64 `json:"drop_prob,omitempty"`
+	DropSeed int64   `json:"drop_seed,omitempty"`
 }
 
 // testbedBackend is the rig backend with the runtime's transport routing

@@ -167,7 +167,9 @@ func defaultClusterSize(n, clusterSize int) int {
 // validateClustered rejects degenerate cluster shapes up front: a cluster
 // needs at least 2 nodes to contain a flow, and a lopsided final cluster
 // (n not divisible by clusterSize) would silently skew both the workload
-// and the shard balance.
+// and the shard balance. It panics because the builders' signature has no
+// error to return; the façade, where a user's node count arrives, recovers
+// the refusal into New's error.
 func validateClustered(n, clusterSize int) {
 	if clusterSize < 2 {
 		panic(fmt.Sprintf("harness: clustered topology needs clusterSize >= 2, got %d", clusterSize))

@@ -95,29 +95,35 @@ type Cell struct {
 	Rep      int    `json:"rep"`
 }
 
-// Cells expands the spec in protocol-major, then network, seed, rep
-// order — the same deterministic order the facade's sweeps use.
-func (s *FarmSpec) Cells() []Cell {
-	reps := s.Reps
-	if reps < 1 {
-		reps = 1
-	}
-	var out []Cell
-	for _, p := range s.Protocols {
-		for _, nw := range s.Networks {
-			for _, seed := range s.Seeds {
-				for r := 0; r < reps; r++ {
-					out = append(out, Cell{
-						Index:    len(out),
-						Protocol: p,
-						Network:  nw,
-						Seed:     RepSeed(seed, r),
-						Rep:      r,
-					})
+// Cross visits the cross product of a sweep — protocols × networks × seeds
+// × reps — in protocol-major, then network, seed, rep order: the one order
+// the façade's sweeps, the farm's cells and the archive's listings agree
+// on. Protocols and networks are counts, visited by position, so callers
+// keep their own name types; seed is the listed seed and runSeed the
+// RepSeed-derived one the cell runs with. reps < 1 means one repetition.
+func Cross(protocols, networks int, seeds []int64, reps int,
+	visit func(index, protocol, network int, seed int64, rep int, runSeed int64)) {
+	reps = max(reps, 1)
+	index := 0
+	for p := 0; p < protocols; p++ {
+		for n := 0; n < networks; n++ {
+			for _, seed := range seeds {
+				for rep := 0; rep < reps; rep++ {
+					visit(index, p, n, seed, rep, RepSeed(seed, rep))
+					index++
 				}
 			}
 		}
 	}
+}
+
+// Cells expands the spec into its Cross order.
+func (s *FarmSpec) Cells() []Cell {
+	var out []Cell
+	Cross(len(s.Protocols), len(s.Networks), s.Seeds, s.Reps,
+		func(index, p, n int, _ int64, rep int, runSeed int64) {
+			out = append(out, Cell{Index: index, Protocol: s.Protocols[p], Network: s.Networks[n], Seed: runSeed, Rep: rep})
+		})
 	return out
 }
 

@@ -81,38 +81,81 @@ type Meta struct {
 	CreatedAt string `json:"created_at"`
 }
 
-// Sample is one archived time-series tick, mirroring the façade's sample
-// fields (per-node detail is never part of a recorded series).
+// Sample is one tick of a run's metric stream: what an observer receives
+// live, what Result.Series holds, and — through its JSON form — one sample
+// line of an archived record. It is declared here once; the façade's Sample
+// is this type.
 type Sample struct {
-	Time            float64 `json:"time"`
-	Completed       int     `json:"completed"`
-	Receivers       int     `json:"receivers"`
-	GoodputBps      float64 `json:"goodput_bps"`
-	ControlBytes    float64 `json:"control_bytes"`
-	DataBytes       float64 `json:"data_bytes"`
+	// Time is the virtual clock in seconds.
+	Time float64 `json:"time"`
+	// Completed counts receivers that have finished; Receivers is the
+	// total expected (session sources excluded).
+	Completed int `json:"completed"`
+	Receivers int `json:"receivers"`
+	// GoodputBps is the overlay's instantaneous aggregate delivered data
+	// rate in bytes per second, measured over the last sample window.
+	GoodputBps float64 `json:"goodput_bps"`
+	// ControlBytes and DataBytes are cumulative delivered wire bytes.
+	ControlBytes float64 `json:"control_bytes"`
+	DataBytes    float64 `json:"data_bytes"`
+	// DuplicateBlocks counts blocks delivered to nodes that already held
+	// them; DuplicateBytes ≈ DuplicateBlocks × BlockSize, and UsefulBytes
+	// is DataBytes minus that waste.
 	DuplicateBlocks int     `json:"duplicate_blocks"`
 	DuplicateBytes  float64 `json:"duplicate_bytes"`
 	UsefulBytes     float64 `json:"useful_bytes"`
-	// Live-streaming fields; omitempty keeps every one-shot record's
-	// payload (and thus its content hash) byte-stable.
+	// Live-streaming fields, populated only on streaming runs: viewer lag
+	// behind the live edge (median and worst, seconds), viewers currently
+	// rebuffering, cumulative rebuffer events, and aggregate viewer goodput
+	// (DESIGN.md §11). omitempty keeps every one-shot record's payload (and
+	// thus its content hash) byte-stable.
 	StreamLagP50     float64 `json:"stream_lag_p50,omitempty"`
 	StreamLagMax     float64 `json:"stream_lag_max,omitempty"`
 	Rebuffering      int     `json:"rebuffering,omitempty"`
 	RebufferEvents   int     `json:"rebuffer_events,omitempty"`
 	StreamGoodputBps float64 `json:"stream_goodput_bps,omitempty"`
-	// Testbed transport gauges; omitempty for the same hash-stability
-	// reason (only NetworkTestbedUDP runs populate them).
+	// Testbed transport gauges, populated only on real-socket runs: measured
+	// per-pair RTT (median and worst across active pairs, virtual seconds),
+	// bytes sent but not yet acknowledged, and the cumulative retransmission
+	// and injected-loss counters (DESIGN.md §10, §12); omitempty for the
+	// same hash-stability reason.
 	TestbedRTTp50        float64 `json:"testbed_rtt_p50,omitempty"`
 	TestbedRTTMax        float64 `json:"testbed_rtt_max,omitempty"`
 	TestbedUnackedBytes  float64 `json:"testbed_unacked_bytes,omitempty"`
 	TestbedRetransmits   int     `json:"testbed_retransmits,omitempty"`
 	TestbedInjectedDrops int     `json:"testbed_injected_drops,omitempty"`
+	// Nodes holds per-node progress, only on streams subscribed with
+	// ObserverConfig.PerNode (Result.Series omits it). Annotations lists
+	// the scenario events that fired since the previous sample. Both are
+	// live-only: a record keeps a run's annotations as lines of their own
+	// and no per-node detail, so neither is part of a sample's JSON form —
+	// record.jsonl, RecordSHA and every archive id are what they were
+	// before these fields existed.
+	Nodes       []NodeProgress `json:"-"`
+	Annotations []Annotation   `json:"-"`
 }
 
-// Annotation is one archived timeline marker (a scenario event firing).
+// NodeProgress is one node's download state at a sample instant.
+type NodeProgress struct {
+	// Node is the topology address (the source holds everything and never
+	// appears in CompletionTimes).
+	Node int
+	// Blocks is the number of distinct blocks the node holds.
+	Blocks int
+	// Bps is the node's delivered incoming byte rate over the last sample
+	// window (wire bytes, control included).
+	Bps float64
+	// Done reports the node finished its download.
+	Done bool
+}
+
+// Annotation is a timestamped timeline marker: a scenario event firing, a
+// flash-crowd wave starting, a node failing.
 type Annotation struct {
-	At   float64 `json:"at"`
-	Text string  `json:"text"`
+	// At is the virtual time of the event in seconds.
+	At float64 `json:"at"`
+	// Text is the human-readable event description.
+	Text string `json:"text"`
 }
 
 // Run is one archived run: manifest plus the full payload.

@@ -99,9 +99,9 @@ func (c *compactCore) delay(src, dst NodeID) float64 {
 	}
 	u := unit(pairHash(c.seed, src, dst))
 	if c.cluster(src) == c.cluster(dst) {
-		return c.intraDelayLo + (c.intraDelayHi-c.intraDelayLo)*u
+		return c.intraDelayLo + float64((c.intraDelayHi-c.intraDelayLo)*u)
 	}
-	return c.crossDelayLo + (c.crossDelayHi-c.crossDelayLo)*u
+	return c.crossDelayLo + float64((c.crossDelayHi-c.crossDelayLo)*u)
 }
 
 func (c *compactCore) loss(src, dst NodeID) float64 {

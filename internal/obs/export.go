@@ -60,7 +60,7 @@ func WriteChromeTrace(w io.Writer, spans []Span) error {
 
 // FormatCounts renders per-kind span counts as stable "kind=N" lines,
 // sorted by kind — the summary bulletctl trace prints.
-func FormatCounts(w io.Writer, counts map[string]uint64) {
+func FormatCounts[N int | uint64](w io.Writer, counts map[string]N) {
 	for _, kind := range sortedKeys(counts) {
 		fmt.Fprintf(w, "%s=%d\n", kind, counts[kind])
 	}

@@ -17,7 +17,9 @@ import "sort"
 // capacity <= 0.
 const DefaultCapacity = 16384
 
-// Span is one recorded protocol decision.
+// Span is one recorded protocol decision: what happened (Kind), when (At),
+// where (Node, and the Peer it concerned) and a short free-form Note. It is
+// declared here once; the façade's TraceSpan is this type.
 type Span struct {
 	// At is the virtual time of the decision in seconds.
 	At float64 `json:"at"`
@@ -32,6 +34,7 @@ type Span struct {
 	Note string `json:"note,omitempty"`
 	// Seq is the span's record order within its tracer: the tiebreak that
 	// keeps same-instant spans (and the cross-shard merge) deterministic.
+	// Spans reports it counted from the oldest span still held.
 	Seq uint64 `json:"seq"`
 }
 
@@ -102,11 +105,15 @@ func (t *Tracer) Counts() map[string]uint64 {
 	return out
 }
 
-// Spans returns the held spans oldest-first, as a copy.
+// Spans returns the held spans oldest-first, as a copy, with Seq counting
+// from 0: an export's seq is a span's position in it, whether or not the
+// ring evicted anything before.
 func (t *Tracer) Spans() []Span {
 	out := make([]Span, 0, t.n)
 	for i := 0; i < t.n; i++ {
-		out = append(out, t.ring[(t.start+i)%len(t.ring)])
+		s := t.ring[(t.start+i)%len(t.ring)]
+		s.Seq = uint64(i)
+		out = append(out, s)
 	}
 	return out
 }

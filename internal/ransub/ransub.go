@@ -21,6 +21,7 @@ import (
 	"bulletprime/internal/netem"
 	"bulletprime/internal/proto"
 	"bulletprime/internal/sim"
+	"bulletprime/internal/tree"
 )
 
 // Message kinds, allocated in a range protocols leave to RanSub.
@@ -132,6 +133,46 @@ func (a *Agent) SetLinks(isRoot bool, parent *proto.Conn, children map[netem.Nod
 		a.childIDs = append(a.childIDs, id)
 	}
 	slices.Sort(a.childIDs)
+}
+
+// WireTree builds the control tree's connections and hands every agent its
+// links: it dials each link parent→child — nodes in tr.Walk order, a node's
+// children in tree order, or in ascending id order when sortDial is set —
+// marks which message kinds count as data on it, calls SetLinks on the agent
+// at(id) of every node, and reports each node's child connections in
+// ascending child-id order, the order a pusher round-robins over.
+func WireTree(tr *tree.Tree, sortDial bool, isData func(kind int) bool,
+	at func(netem.NodeID) *Agent, linked func(id netem.NodeID, children []*proto.Conn)) {
+	type link [2]netem.NodeID
+	conns := make(map[link]*proto.Conn)
+	tr.Walk(func(id netem.NodeID) {
+		kids := tr.Children(id)
+		if sortDial {
+			kids = slices.Sorted(slices.Values(kids))
+		}
+		for _, cid := range kids {
+			c := at(id).node.Dial(cid)
+			c.IsData = isData
+			conns[link{id, cid}] = c
+		}
+	})
+	tr.Walk(func(id netem.NodeID) {
+		a := at(id)
+		children := make(map[netem.NodeID]*proto.Conn)
+		for _, cid := range tr.Children(id) {
+			children[cid] = conns[link{id, cid}]
+		}
+		var parent *proto.Conn
+		if id != tr.Root() {
+			parent = conns[link{tr.Parent(id), id}]
+		}
+		a.SetLinks(id == tr.Root(), parent, children)
+		ordered := make([]*proto.Conn, len(a.childIDs))
+		for i, cid := range a.childIDs {
+			ordered[i] = children[cid]
+		}
+		linked(id, ordered)
+	})
 }
 
 // Start begins periodic epochs; call at the root only.
@@ -345,5 +386,5 @@ func (a *Agent) mixFor(child netem.NodeID, incoming, own []Candidate) []Candidat
 // candidateWire returns the wire size of a message carrying n candidates.
 func candidateWire(n int) float64 {
 	per := 8.0 + (&proto.Summary{}).WireSize()
-	return float64(n)*per + 16
+	return float64(float64(n)*per) + 16
 }

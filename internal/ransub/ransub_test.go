@@ -67,24 +67,9 @@ func newRig(t *testing.T, n int, period float64) *rig {
 			ag.Handle(c, m)
 		}
 	}
-	// Dial tree links parent->child and wire agents.
-	conns := make(map[[2]netem.NodeID]*proto.Conn)
-	r.tr.Walk(func(id netem.NodeID) {
-		for _, c := range r.tr.Children(id) {
-			conns[[2]netem.NodeID{id, c}] = rt.Node(id).Dial(c)
-		}
-	})
-	r.tr.Walk(func(id netem.NodeID) {
-		children := make(map[netem.NodeID]*proto.Conn)
-		for _, c := range r.tr.Children(id) {
-			children[c] = conns[[2]netem.NodeID{id, c}]
-		}
-		var parent *proto.Conn
-		if id != r.tr.Root() {
-			parent = conns[[2]netem.NodeID{r.tr.Parent(id), id}]
-		}
-		r.agents[id].SetLinks(id == r.tr.Root(), parent, children)
-	})
+	WireTree(r.tr, false, nil,
+		func(id netem.NodeID) *Agent { return r.agents[id] },
+		func(netem.NodeID, []*proto.Conn) {})
 	r.agents[r.tr.Root()].Start()
 	return r
 }

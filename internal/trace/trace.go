@@ -105,7 +105,7 @@ func (s *Stats) Add(x float64) {
 	s.N++
 	d := x - s.mean
 	s.mean += d / float64(s.N)
-	s.m2 += d * (x - s.mean)
+	s.m2 += float64(d * (x - s.mean))
 }
 
 // Mean returns the sample mean (0 when empty).

@@ -2,6 +2,7 @@ package bulletprime
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 
@@ -83,27 +84,15 @@ func RegisterNetwork(name NetworkPreset, build NetworkBuilder) {
 }
 
 // Protocols lists every protocol name New accepts, sorted.
-func Protocols() []Protocol {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	out := make([]Protocol, 0, len(protocols))
-	for p := range protocols {
-		out = append(out, p)
-	}
-	slices.Sort(out)
-	return out
-}
+func Protocols() []Protocol { return registered(protocols) }
 
 // Networks lists every registered network preset, sorted.
-func Networks() []NetworkPreset {
+func Networks() []NetworkPreset { return registered(networks) }
+
+func registered[K ~string, V any](registry map[K]V) []K {
 	registryMu.RLock()
 	defer registryMu.RUnlock()
-	out := make([]NetworkPreset, 0, len(networks))
-	for n := range networks {
-		out = append(out, n)
-	}
-	slices.Sort(out)
-	return out
+	return slices.Sorted(maps.Keys(registry))
 }
 
 // lookupProtocol resolves a façade protocol name to its harness system

@@ -2,6 +2,7 @@ package bulletprime
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -77,5 +78,44 @@ func TestStaticPeersOutOfRange(t *testing.T) {
 	cfg.StaticPeers = 255
 	if _, err := cfg.normalized(); err != nil {
 		t.Fatalf("StaticPeers: 255 refused: %v", err)
+	}
+}
+
+// TestPresetRefusingNodeCount: a network preset that cannot build the node
+// count it is given — the clustered ones want whole clusters of 25 — makes New
+// return an error naming the preset, the count and the reason. A
+// NetworkBuilder has no error to return and panics; so may a registered one.
+func TestPresetRefusingNodeCount(t *testing.T) {
+	RegisterNetwork("test-even-only", func(n int) TopologyFn {
+		if n%2 != 0 {
+			panic("even node counts only")
+		}
+		return harness.ModelNetTopology(n)
+	})
+	for _, tc := range []struct {
+		network NetworkPreset
+		nodes   int
+		reason  string
+	}{
+		{NetworkClustered, 30, "30 % 25 = 5"},
+		{NetworkClusteredCompact, 30, "30 % 25 = 5"},
+		{"test-even-only", 9, "even node counts only"},
+	} {
+		cfg := RunConfig{Network: tc.network, Nodes: tc.nodes, FileBytes: 1e6, Seed: 1}
+		_, err := New(cfg)
+		if err == nil {
+			t.Fatalf("New(%s, %d nodes) succeeded", tc.network, tc.nodes)
+		}
+		for _, want := range []string{string(tc.network), fmt.Sprint(tc.nodes, " nodes"), tc.reason} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("New(%s, %d nodes) error %q does not mention %q", tc.network, tc.nodes, err, want)
+			}
+		}
+		if _, err := Sweep(SweepConfig{Base: cfg}); err == nil {
+			t.Errorf("Sweep(%s, %d nodes) succeeded", tc.network, tc.nodes)
+		}
+	}
+	if _, err := New(RunConfig{Network: "test-even-only", Nodes: 10, FileBytes: 1e6}); err != nil {
+		t.Fatalf("the preset's own node counts are refused too: %v", err)
 	}
 }
