@@ -3,7 +3,6 @@ package bulletprime
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -604,63 +603,40 @@ func SweepStream(ctx context.Context, cfg SweepConfig, observe func(SweepCell, *
 			return nil, err
 		}
 	}
-	parallel := cfgs[0].Parallel // expandSweep always yields at least one cell
-	if parallel <= 0 {
-		parallel = runtime.GOMAXPROCS(0)
-	}
-	if parallel > len(exps) {
-		parallel = len(exps)
-	}
 	out := make(chan SweepRun)
 	go func() {
 		defer close(out)
-		if len(exps) == 0 {
-			return
-		}
-		var next atomic.Int64
-		next.Store(-1)
-		var wg sync.WaitGroup
-		for w := 0; w < parallel; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1))
-					if i >= len(exps) {
-						return
-					}
-					var res *Result
-					var runID string
-					var recErr error
-					if ctx.Err() != nil {
-						// The sweep was cancelled before this cell started;
-						// report it without paying for rig construction.
-						res = &Result{CompletionTimes: map[int]float64{}, Cancelled: true}
-					} else {
-						if observe != nil {
-							observe(cells[i], exps[i])
-						}
-						// Start may fail only when the observe callback
-						// already started the cell itself; Wait covers both.
-						_ = exps[i].Start(ctx)
-						// Wait's error is the cell's archival failure (when
-						// Base.Archive is set); it rides along in SweepRun.Err.
-						res, recErr = exps[i].Wait()
-						runID = exps[i].RunID()
-						if res == nil {
-							// Unreachable after a Start attempt, but a nil
-							// Result must never reach the stream's consumers.
-							res, recErr = &Result{CompletionTimes: map[int]float64{}, Cancelled: true}, nil
-						}
-					}
-					// Delivery blocks: the consumer contract is to drain
-					// until close, and a cancelled run's partial result is
-					// exactly what the consumer cancelled to get.
-					out <- SweepRun{SweepCell: cells[i], Result: res, RunID: runID, Err: recErr}
+		// expandSweep always yields at least one cell.
+		harness.Parallel(len(exps), cfgs[0].Parallel, func(i int) {
+			var res *Result
+			var runID string
+			var recErr error
+			if ctx.Err() != nil {
+				// The sweep was cancelled before this cell started; report
+				// it without paying for rig construction.
+				res = &Result{CompletionTimes: map[int]float64{}, Cancelled: true}
+			} else {
+				if observe != nil {
+					observe(cells[i], exps[i])
 				}
-			}()
-		}
-		wg.Wait()
+				// Start may fail only when the observe callback already
+				// started the cell itself; Wait covers both.
+				_ = exps[i].Start(ctx)
+				// Wait's error is the cell's archival failure (when
+				// Base.Archive is set); it rides along in SweepRun.Err.
+				res, recErr = exps[i].Wait()
+				runID = exps[i].RunID()
+				if res == nil {
+					// Unreachable after a Start attempt, but a nil Result
+					// must never reach the stream's consumers.
+					res, recErr = &Result{CompletionTimes: map[int]float64{}, Cancelled: true}, nil
+				}
+			}
+			// Delivery blocks: the consumer contract is to drain until
+			// close, and a cancelled run's partial result is exactly what
+			// the consumer cancelled to get.
+			out <- SweepRun{SweepCell: cells[i], Result: res, RunID: runID, Err: recErr}
+		})
 	}()
 	return out, nil
 }

@@ -57,17 +57,14 @@ type pieceMsg struct{ block int }
 
 // Config parameterizes a BitTorrent swarm.
 type Config struct {
-	Source    netem.NodeID
-	Members   []netem.NodeID
-	NumBlocks int
-	BlockSize float64
-
-	OnBlock    func(node netem.NodeID, blockID int, count int)
-	OnComplete func(node netem.NodeID)
+	// Swarm is the cohort, the file and the progress callbacks.
+	proto.Swarm
 }
 
 // Session is one BitTorrent swarm.
 type Session struct {
+	*proto.Swarm // cfg.Swarm, with its accounting: Complete, DoneAt, Duplicates
+
 	rt  *proto.Runtime
 	cfg Config
 	rng *sim.RNG
@@ -76,11 +73,7 @@ type Session struct {
 	peers     map[netem.NodeID]*btPeer
 	numPieces int
 
-	completed int
-	doneAt    sim.Time
-
 	// Stats.
-	Duplicates   int
 	RequestsSent int
 }
 
@@ -96,6 +89,7 @@ func NewSession(rt *proto.Runtime, cfg Config, rng *sim.RNG) *Session {
 		peers:     make(map[netem.NodeID]*btPeer),
 		numPieces: (cfg.NumBlocks + BlocksPerPiece - 1) / BlocksPerPiece,
 	}
+	s.Swarm = &s.cfg.Swarm
 	s.tracker = &tracker{rng: rng.Stream("tracker")}
 	for _, id := range cfg.Members {
 		s.peers[id] = newBTPeer(s, id)
@@ -112,16 +106,6 @@ func (s *Session) Start() {
 	}
 }
 
-// Complete reports whether every non-source member finished.
-func (s *Session) Complete() bool { return s.completed >= len(s.cfg.Members)-1 }
-
-// DuplicateBlocks reports duplicate block deliveries across all nodes
-// (harness.DuplicateCounter).
-func (s *Session) DuplicateBlocks() int { return s.Duplicates }
-
-// DoneAt returns the completion time of the last node.
-func (s *Session) DoneAt() sim.Time { return s.doneAt }
-
 func (s *Session) memberOrder() []netem.NodeID {
 	out := append([]netem.NodeID(nil), s.cfg.Members...)
 	slices.Sort(out)
@@ -137,16 +121,6 @@ func (s *Session) pieceBlocks(piece int) (lo, hi int) {
 		hi = s.cfg.NumBlocks
 	}
 	return lo, hi
-}
-
-func (s *Session) nodeCompleted(p *btPeer) {
-	s.completed++
-	if s.cfg.OnComplete != nil {
-		s.cfg.OnComplete(p.node.ID)
-	}
-	if s.Complete() {
-		s.doneAt = s.rt.Now()
-	}
 }
 
 // tracker is the centralized coordination point: it knows every announced
@@ -316,7 +290,7 @@ func (p *btPeer) attach(c *proto.Conn, id netem.NodeID) *btConn {
 	c.IsData = func(kind int) bool { return kind == kindPiece }
 	c.Send(p.node, proto.Message{
 		Kind:    kindHandshake,
-		Size:    float64(p.s.numPieces)/8 + 68,
+		Size:    float64(float64(p.s.numPieces)/8) + 68,
 		Payload: handshakeMsg{pieces: p.pieces.Clone()},
 	})
 	return bc
@@ -418,13 +392,10 @@ func (p *btPeer) onPiece(bc *btConn, block int) {
 		bc.outstanding--
 	}
 	delete(p.claimed, block)
-	if !p.blocks.Add(block, p.s.rt.Now()) {
-		p.s.Duplicates++
+	now := p.s.rt.Now()
+	if !p.s.Arrived(p.node.ID, block, p.blocks, p.blocks.Add(block, now)) {
 		p.requestMore(bc)
 		return
-	}
-	if p.s.cfg.OnBlock != nil {
-		p.s.cfg.OnBlock(p.node.ID, block, p.blocks.Count())
 	}
 	piece := p.s.pieceOf(block)
 	p.activePieces[piece] = true
@@ -440,7 +411,7 @@ func (p *btPeer) onPiece(bc *btConn, block int) {
 	if !p.complete && p.blocks.Complete() {
 		p.complete = true
 		p.seed = true
-		p.s.nodeCompleted(p)
+		p.s.Completed(p.node.ID, now)
 	}
 	p.requestMore(bc)
 }

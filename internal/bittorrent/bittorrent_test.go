@@ -27,10 +27,10 @@ func buildSwarm(n, numBlocks int, seed int64) (*sim.Engine, *Session) {
 	for i := range members {
 		members[i] = netem.NodeID(i)
 	}
-	s := NewSession(rt, Config{
+	s := NewSession(rt, Config{Swarm: proto.Swarm{
 		Source: 0, Members: members,
 		NumBlocks: numBlocks, BlockSize: 16 * 1024,
-	}, master.Stream("bt"))
+	}}, master.Stream("bt"))
 	return eng, s
 }
 
@@ -180,7 +180,7 @@ func TestLossySwarmCompletes(t *testing.T) {
 	for i := range members {
 		members[i] = netem.NodeID(i)
 	}
-	s := NewSession(rt, Config{Source: 0, Members: members, NumBlocks: 48, BlockSize: 16 * 1024}, rng.Stream("bt"))
+	s := NewSession(rt, Config{Swarm: proto.Swarm{Source: 0, Members: members, NumBlocks: 48, BlockSize: 16 * 1024}}, rng.Stream("bt"))
 	s.Start()
 	eng.RunUntil(900)
 	if !s.Complete() {

@@ -56,10 +56,8 @@ type blockMsg struct{ id int }
 
 // Config parameterizes a Bullet session.
 type Config struct {
-	Source    netem.NodeID
-	Members   []netem.NodeID
-	NumBlocks int
-	BlockSize float64
+	// Swarm is the cohort, the file and the progress callbacks.
+	proto.Swarm
 
 	TreeDegree   int
 	RanSubPeriod float64
@@ -69,13 +67,12 @@ type Config struct {
 	// existing at t=0. The tree push and mesh reconciliation never run
 	// ahead of the released prefix.
 	StreamBps float64
-
-	OnBlock    func(node netem.NodeID, blockID int, count int)
-	OnComplete func(node netem.NodeID)
 }
 
 // Session is one Bullet dissemination run.
 type Session struct {
+	*proto.Swarm // cfg.Swarm, with its accounting: Complete, DoneAt, Duplicates
+
 	rt  *proto.Runtime
 	cfg Config
 	rng *sim.RNG
@@ -83,11 +80,7 @@ type Session struct {
 	Tree  *tree.Tree
 	peers map[netem.NodeID]*bPeer
 
-	comp   int
-	doneAt sim.Time
-
 	// Stats.
-	Duplicates   int
 	RequestsSent int
 	TreeDropped  int // pushed blocks dropped for lack of child capacity
 	PushesSent   int // push transmissions (source + interior forwards)
@@ -110,6 +103,7 @@ func NewSession(rt *proto.Runtime, cfg Config, rng *sim.RNG) *Session {
 		rng:   rng,
 		peers: make(map[netem.NodeID]*bPeer),
 	}
+	s.Swarm = &s.cfg.Swarm
 	s.Tree = tree.Build(cfg.Members, cfg.Source, cfg.TreeDegree, rng.Stream("tree"))
 	for _, id := range cfg.Members {
 		s.peers[id] = newBPeer(s, id)
@@ -130,26 +124,6 @@ func (s *Session) Start() {
 		src.releaseStreamBlock()
 	} else {
 		src.pushPump()
-	}
-}
-
-// Complete reports whether every non-source member finished.
-func (s *Session) Complete() bool { return s.comp >= len(s.cfg.Members)-1 }
-
-// DuplicateBlocks reports duplicate block deliveries across all nodes
-// (harness.DuplicateCounter).
-func (s *Session) DuplicateBlocks() int { return s.Duplicates }
-
-// DoneAt returns the completion time of the last node.
-func (s *Session) DoneAt() sim.Time { return s.doneAt }
-
-func (s *Session) nodeCompleted(p *bPeer) {
-	s.comp++
-	if s.cfg.OnComplete != nil {
-		s.cfg.OnComplete(p.node.ID)
-	}
-	if s.Complete() {
-		s.doneAt = s.rt.Now()
 	}
 }
 
@@ -277,7 +251,7 @@ func (p *bPeer) onMessage(c *proto.Conn, m proto.Message) {
 		p.onHello(c)
 	case kindReject:
 		if sp, ok := c.State(p.node).(*sender); ok {
-			p.dropSender(sp)
+			p.dropSender(sp, true)
 		}
 	case kindRecon:
 		p.onRecon(c, m.Payload.(reconMsg))
@@ -366,7 +340,7 @@ func (p *bPeer) onDistribute(epoch int, set []ransub.Candidate) {
 	now := p.s.rt.Now()
 	for _, sp := range p.sortedSenders() {
 		if now-sp.gotUseful > sim.Time(2*p.s.cfg.RanSubPeriod) {
-			p.dropSender(sp)
+			p.dropSender(sp, true)
 		}
 	}
 	// Fill up to the fixed target, preferring useful candidates.
@@ -424,7 +398,9 @@ func (p *bPeer) addSender(id netem.NodeID) {
 	})
 }
 
-func (p *bPeer) dropSender(sp *sender) {
+// dropSender ends a mesh peering and releases the blocks claimed from the
+// sender; closeConn is false when the connection is already closing.
+func (p *bPeer) dropSender(sp *sender, closeConn bool) {
 	if sp.closed {
 		return
 	}
@@ -435,7 +411,9 @@ func (p *bPeer) dropSender(sp *sender) {
 			delete(p.claimed, id)
 		}
 	}
-	sp.conn.Close(p.node)
+	if closeConn {
+		sp.conn.Close(p.node)
+	}
 }
 
 // reconcile runs the periodic pull: send our bitmap to every sender; their
@@ -478,7 +456,8 @@ func (p *bPeer) onHello(c *proto.Conn) {
 func (p *bPeer) onRecon(c *proto.Conn, rm reconMsg) {
 	var ids []int
 	limit := 4 * MaxOutstanding * int(ReconcilePeriod) // plenty per period
-	for _, b := range append([]int(nil), p.storeArrivals()...) {
+	held, _ := p.store.ArrivalsSince(0)
+	for _, b := range held {
 		if b < rm.have.Len() && !rm.have.Get(b) {
 			ids = append(ids, b)
 			if len(ids) >= limit {
@@ -486,12 +465,7 @@ func (p *bPeer) onRecon(c *proto.Conn, rm reconMsg) {
 			}
 		}
 	}
-	c.Send(p.node, proto.Message{Kind: kindAvail, Size: float64(len(ids))*4 + 16, Payload: availMsg{ids: ids}})
-}
-
-func (p *bPeer) storeArrivals() []int {
-	ids, _ := p.store.ArrivalsSince(0)
-	return ids
+	c.Send(p.node, proto.Message{Kind: kindAvail, Size: float64(float64(len(ids))*4) + 16, Payload: availMsg{ids: ids}})
 }
 
 // onAvail merges an availability answer and issues requests.
@@ -557,18 +531,16 @@ func (p *bPeer) onBlockArrival(c *proto.Conn, bm blockMsg) {
 	p.fill(sp)
 }
 
-// accept stores a block; returns whether it was novel.
+// accept stores a block through the session's arrival step; returns whether
+// it was novel.
 func (p *bPeer) accept(id int) bool {
-	if !p.store.Add(id, p.s.rt.Now()) {
-		p.s.Duplicates++
+	now := p.s.rt.Now()
+	if !p.s.Arrived(p.node.ID, id, p.store, p.store.Add(id, now)) {
 		return false
-	}
-	if p.s.cfg.OnBlock != nil {
-		p.s.cfg.OnBlock(p.node.ID, id, p.store.Count())
 	}
 	if !p.complete && p.store.Complete() {
 		p.complete = true
-		p.s.nodeCompleted(p)
+		p.s.Completed(p.node.ID, now)
 	}
 	return true
 }
@@ -576,15 +548,7 @@ func (p *bPeer) accept(id int) bool {
 func (p *bPeer) onConnClose(c *proto.Conn) {
 	switch st := c.State(p.node).(type) {
 	case *sender:
-		if !st.closed {
-			st.closed = true
-			delete(p.senders, st.id)
-			for id, owner := range p.claimed {
-				if owner == st.id {
-					delete(p.claimed, id)
-				}
-			}
-		}
+		p.dropSender(st, false)
 	case *receiver:
 		if !st.closed {
 			st.closed = true

@@ -27,10 +27,10 @@ func buildB(n, numBlocks int, seed int64) (*sim.Engine, *Session) {
 	for i := range members {
 		members[i] = netem.NodeID(i)
 	}
-	s := NewSession(rt, Config{
+	s := NewSession(rt, Config{Swarm: proto.Swarm{
 		Source: 0, Members: members,
 		NumBlocks: numBlocks, BlockSize: 16 * 1024,
-	}, master.Stream("bullet"))
+	}}, master.Stream("bullet"))
 	return eng, s
 }
 
@@ -77,8 +77,8 @@ func TestTreePushIsDisjoint(t *testing.T) {
 		members[i] = netem.NodeID(i)
 	}
 	s := NewSession(rt, Config{
-		Source: 0, Members: members,
-		NumBlocks: 64, BlockSize: 16 * 1024,
+		Swarm: proto.Swarm{Source: 0, Members: members,
+			NumBlocks: 64, BlockSize: 16 * 1024},
 		RanSubPeriod: 1e6,
 	}, master.Stream("bullet"))
 	s.Start()
@@ -172,7 +172,7 @@ func TestLossyCompletes(t *testing.T) {
 	for i := range members {
 		members[i] = netem.NodeID(i)
 	}
-	s := NewSession(rt, Config{Source: 0, Members: members, NumBlocks: 48, BlockSize: 16 * 1024}, rng.Stream("bullet"))
+	s := NewSession(rt, Config{Swarm: proto.Swarm{Source: 0, Members: members, NumBlocks: 48, BlockSize: 16 * 1024}}, rng.Stream("bullet"))
 	s.Start()
 	eng.RunUntil(900)
 	if !s.Complete() {

@@ -26,7 +26,7 @@ import (
 	"errors"
 	"fmt"
 
-	"bulletprime/internal/netem"
+	"bulletprime/internal/proto"
 )
 
 // RequestStrategy selects the order in which known-available blocks are
@@ -115,14 +115,8 @@ func (s SenderSelection) String() string {
 
 // Config parameterizes one Bullet' session.
 type Config struct {
-	// Source is the node that initially holds the file.
-	Source netem.NodeID
-	// Members lists every participant including the source.
-	Members []netem.NodeID
-	// NumBlocks and BlockSize define the file. BlockSize is 16 KB in the
-	// paper's ModelNet runs and 100 KB on PlanetLab.
-	NumBlocks int
-	BlockSize float64
+	// Swarm is the cohort, the file and the progress callbacks.
+	proto.Swarm
 
 	// Strategy is the request ordering policy; Bullet' uses RarestRandom.
 	Strategy RequestStrategy
@@ -171,11 +165,6 @@ type Config struct {
 	// SelectDelay the REMB-style delay-gradient bandwidth estimate
 	// (DESIGN.md §11).
 	Selection SenderSelection
-
-	// OnBlock, if set, fires for every novel block arrival at a node.
-	OnBlock func(node netem.NodeID, blockID int, count int)
-	// OnComplete fires once per node when its download finishes.
-	OnComplete func(node netem.NodeID)
 }
 
 // maxStaticPeers bounds Config.StaticPeers: a peer counts the senders

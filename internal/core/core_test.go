@@ -48,14 +48,16 @@ func buildRigOn(eng *sim.Engine, n int, seed int64, mut func(*Config), topoMut f
 	}
 	r := &rig{eng: eng, net: net, rt: rt, done: make(map[netem.NodeID]sim.Time)}
 	cfg := Config{
-		Source:    0,
-		Members:   members,
-		NumBlocks: 64,
-		BlockSize: 16 * 1024,
-		Strategy:  RarestRandom,
-		OnComplete: func(id netem.NodeID) {
-			r.done[id] = eng.Now()
+		Swarm: proto.Swarm{
+			Source:    0,
+			Members:   members,
+			NumBlocks: 64,
+			BlockSize: 16 * 1024,
+			OnComplete: func(id netem.NodeID) {
+				r.done[id] = eng.Now()
+			},
 		},
+		Strategy: RarestRandom,
 	}
 	if mut != nil {
 		mut(&cfg)
@@ -449,7 +451,7 @@ func TestPeriodicDiffsComplete(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	c, err := Config{NumBlocks: 100}.withDefaults()
+	c, err := Config{Swarm: proto.Swarm{NumBlocks: 100}}.withDefaults()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -181,12 +181,13 @@ func TestFreeListOverTestbedTokenTable(t *testing.T) {
 	rt.Transport = tr
 	done := 0
 	sess := NewSession(rt, Config{
-		Source: 0, Members: members, NumBlocks: 16, BlockSize: 1024, Strategy: RarestRandom,
-		OnComplete: func(id netem.NodeID) {
-			if id != 5 { // node 5 is the one that fails
-				done++
-			}
-		},
+		Swarm: proto.Swarm{Source: 0, Members: members, NumBlocks: 16, BlockSize: 1024,
+			OnComplete: func(id netem.NodeID) {
+				if id != 5 { // node 5 is the one that fails
+					done++
+				}
+			}},
+		Strategy: RarestRandom,
 	}, sim.NewRNG(81).Stream("session"))
 	auditFreeLists(t, sess)
 

@@ -553,24 +553,21 @@ func (p *peer) manageOutstanding(sp *senderPeer, bm *blockMsg) {
 	sp.markBlock = -1 // adopt the next request sent as the marked one
 }
 
-// acceptBlock stores a novel block, updates stats, fires hooks, and
-// triggers diff propagation to receivers.
+// acceptBlock holds a received block and passes it through the session's
+// arrival step, completes the node at its goal, and triggers diff
+// propagation to receivers.
 func (p *peer) acceptBlock(id int) {
 	now := p.s.rt.Now()
-	if !p.hold(id, now) {
+	if !p.s.Arrived(p.node.ID, id, p.store, p.hold(id, now)) {
 		p.duplicates++
-		p.s.Duplicates++
 		return
-	}
-	if p.s.cfg.OnBlock != nil {
-		p.s.cfg.OnBlock(p.node.ID, id, p.store.Count())
 	}
 	if !p.complete && p.store.Count() >= p.s.cfg.goalBlocks() {
 		p.complete = true
 		p.completedAt = now
 		// Release claims; no further requests will be issued.
 		p.releaseClaims()
-		p.s.nodeCompleted(p)
+		p.s.Completed(p.node.ID, now)
 	}
 	// Self-clocked diffs: receivers with nothing queued from us hear about
 	// new blocks immediately (§3.3.4). In the periodic-diff ablation the

@@ -100,6 +100,8 @@ func (f *freeList[T, P]) put(m P) {
 
 // Session is one Bullet' dissemination run over an existing proto.Runtime.
 type Session struct {
+	*proto.Swarm // cfg.Swarm, with its accounting: Complete, DoneAt, Duplicates
+
 	rt  *proto.Runtime
 	cfg Config
 	rng *sim.RNG
@@ -107,15 +109,11 @@ type Session struct {
 	Tree  *tree.Tree
 	peers map[netem.NodeID]*peer
 
-	completed int
-	doneAt    sim.Time
-
 	diffs  freeList[diffMsg, *diffMsg]
 	reqs   freeList[reqMsg, *reqMsg]
 	blocks freeList[blockMsg, *blockMsg]
 
 	// Stats aggregated across all nodes.
-	Duplicates   int // blocks received more than once
 	RequestsSent int
 	DiffsSent    int
 	BlocksPulled int
@@ -146,6 +144,7 @@ func NewSession(rt *proto.Runtime, cfg Config, rng *sim.RNG) *Session {
 		rng:   rng,
 		peers: make(map[netem.NodeID]*peer),
 	}
+	s.Swarm = &s.cfg.Swarm
 	s.Tree = tree.Build(cfg.Members, cfg.Source, cfg.TreeDegree, rng.Stream("tree"))
 	for _, id := range cfg.Members {
 		s.peers[id] = newPeer(s, id)
@@ -165,16 +164,6 @@ func (s *Session) Start() {
 	s.peers[s.cfg.Source].rs.Start()
 	s.peers[s.cfg.Source].startPushing()
 }
-
-// Complete reports whether every non-source member has finished.
-func (s *Session) Complete() bool { return s.completed >= len(s.cfg.Members)-1 }
-
-// DuplicateBlocks reports duplicate block deliveries across all nodes
-// (harness.DuplicateCounter).
-func (s *Session) DuplicateBlocks() int { return s.Duplicates }
-
-// DoneAt returns the time the last node completed (zero until Complete).
-func (s *Session) DoneAt() sim.Time { return s.doneAt }
 
 // Peer returns the session state for one member (for tests and harness).
 func (s *Session) Peer(id netem.NodeID) *PeerInfo {
@@ -206,16 +195,6 @@ type PeerInfo struct {
 	CompletedAt    sim.Time
 	ArrivalTimes   []sim.Time
 	DuplicateCount int
-}
-
-func (s *Session) nodeCompleted(p *peer) {
-	s.completed++
-	if s.cfg.OnComplete != nil {
-		s.cfg.OnComplete(p.node.ID)
-	}
-	if s.Complete() {
-		s.doneAt = s.rt.Now()
-	}
 }
 
 func isDataKind(kind int) bool { return kind == kindBlock || kind == kindPush }

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 
-	"bulletprime/internal/core"
 	"bulletprime/internal/netem"
 	"bulletprime/internal/proto"
 	"bulletprime/internal/sim"
@@ -35,21 +34,20 @@ type Rig struct {
 	// Done records per-node completion times as sessions call back.
 	Done map[netem.NodeID]sim.Time
 
-	// OnBlock, when set before system construction, receives every novel
-	// block arrival on any member. Observers use it to sample per-node
-	// block progress; it must only read state, never mutate it.
-	OnBlock func(node netem.NodeID, blockID, count int)
 	// Annotate, when set, receives human-readable timeline annotations as
 	// scenario events fire and flash-crowd waves start.
 	Annotate func(text string)
 
 	// Stream is the live-streaming tracker of a stream-mode run
-	// (SweepSpec.Stream): it observes block arrivals through OnBlock and
-	// aggregates lag/jitter/rebuffer metrics. Nil for one-shot runs.
+	// (SweepSpec.Stream): it sees every block arrival first (blockArrived)
+	// and aggregates lag/jitter/rebuffer metrics. Nil for one-shot runs.
 	Stream *stream.Tracker
 	// StreamBps is the live source pacing rate handed to stream-capable
 	// system builders via BuildCtx; 0 for one-shot runs.
 	StreamBps float64
+
+	// onBlock is Hooks.OnBlock, the observer's view of block arrivals.
+	onBlock func(node netem.NodeID, blockID, count int)
 }
 
 // NewRig creates a rig over the given topology. The master RNG seeds every
@@ -74,9 +72,19 @@ func NewRig(topo *netem.Topology, seed int64) *Rig {
 	}
 }
 
-// record returns an OnComplete callback capturing completion times.
-func (r *Rig) record() func(netem.NodeID) {
-	return func(id netem.NodeID) { r.Done[id] = r.Eng.Now() }
+// completed is every session's OnComplete: it records the node's
+// completion time.
+func (r *Rig) completed(id netem.NodeID) { r.Done[id] = r.Eng.Now() }
+
+// blockArrived is every session's OnBlock, the rig's one door for block
+// arrivals: the stream tracker sees a novel block first, then Hooks.OnBlock.
+func (r *Rig) blockArrived(node netem.NodeID, blockID, count int) {
+	if r.Stream != nil {
+		r.Stream.OnBlock(node, blockID, count)
+	}
+	if r.onBlock != nil {
+		r.onBlock(node, blockID, count)
+	}
 }
 
 // CDF converts recorded completion times to a CDF.
@@ -129,21 +137,26 @@ func (k ProtoKind) String() string {
 	return "unknown"
 }
 
-// build instantiates one session over one cohort of members; the first
-// member is the session source. streamSuffix distinguishes the RNG streams
-// of concurrent sessions (flash-crowd waves) on one rig; the empty suffix is
-// the classic single-session stream.
-func (r *Rig) build(b SystemBuilder, w Workload, coreMut func(*core.Config),
-	members []netem.NodeID, streamSuffix string) System {
-
+// build instantiates the spec's system over one cohort of members, the first
+// of which is the session source. The session starts at virtual time at, so
+// that is when its receivers join the stream tracker as viewers, if the run
+// has one. streamSuffix distinguishes the RNG streams of concurrent sessions
+// (flash-crowd waves) on one rig; the empty suffix is the classic
+// single-session stream.
+func (r *Rig) build(b SystemBuilder, s *SweepSpec, cohort []netem.NodeID, at float64, streamSuffix string) System {
+	if r.Stream != nil {
+		for _, id := range cohort[1:] {
+			r.Stream.Join(id, at)
+		}
+	}
+	w := s.Workload
 	return b(BuildCtx{
-		Rig:          r,
-		Workload:     w,
-		CoreMut:      coreMut,
-		Members:      members,
+		Rig:      r,
+		Workload: w,
+		CoreMut:  s.CoreMut,
+		Swarm: proto.Swarm{Source: cohort[0], Members: cohort, NumBlocks: w.NumBlocks(), BlockSize: w.BlockSize,
+			OnBlock: r.blockArrived, OnComplete: r.completed},
 		StreamSuffix: streamSuffix,
-		OnComplete:   r.record(),
-		OnBlock:      r.OnBlock,
 		StreamBps:    r.StreamBps,
 	})
 }
@@ -201,9 +214,11 @@ type Hooks struct {
 	// Stop is polled between event batches; returning true ends the run
 	// early. RunResult.Stopped reports that it fired.
 	Stop func() bool
-	// OnBlock and Annotate are installed on the rig before system
-	// construction; see the Rig fields of the same names.
-	OnBlock  func(node netem.NodeID, blockID, count int)
+	// OnBlock receives every novel block arrival on any member (node, block
+	// id, blocks now held), after the stream tracker. Observers use it to
+	// sample per-node block progress.
+	OnBlock func(node netem.NodeID, blockID, count int)
+	// Annotate is installed as the rig's Annotate.
 	Annotate func(text string)
 	// OnShardStart and OnShardTick are OnStart and OnTick on the sharded
 	// engine. OnShardTick fires at a horizon barrier, when every shard's
@@ -350,7 +365,7 @@ func newRigBackend(s *SweepSpec, topo *netem.Topology, h *Hooks) (rigBackend, er
 	}
 	rig := NewRig(topo, s.Seed)
 	rig.RT.Tracer = s.Tracer
-	rig.OnBlock = h.OnBlock
+	rig.onBlock = h.OnBlock
 	rig.Annotate = h.Annotate
 	return rigBackend{rig}, nil
 }

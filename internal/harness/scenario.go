@@ -93,8 +93,7 @@ func buildSessions(rig *Rig, s *SweepSpec, build SystemBuilder) System {
 	var sys System
 	env := &rigEnv{rig: rig}
 	if cohorts == nil {
-		joinViewers(rig, rig.Members, 0)
-		sys = rig.build(build, s.Workload, s.CoreMut, rig.Members, "")
+		sys = rig.build(build, s, rig.Members, 0, "")
 	} else {
 		ws := &waveSystem{rig: rig}
 		waves := prog.Waves()
@@ -107,11 +106,10 @@ func buildSessions(rig *Rig, s *SweepSpec, build SystemBuilder) System {
 			// churn can hit future-wave members — and started at wave time.
 			// Wave viewers lag their own wave's live edge, so they join the
 			// stream tracker at wave time, not t=0.
-			joinViewers(rig, cohort, waves[i].At)
 			ws.waves = append(ws.waves, waveEntry{
 				at:   waves[i].At,
 				size: len(cohort),
-				sys:  rig.build(build, s.Workload, s.CoreMut, cohort, suffix),
+				sys:  rig.build(build, s, cohort, waves[i].At, suffix),
 			})
 			env.sources = append(env.sources, cohort[0])
 		}

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"bulletprime/internal/netem"
 	"bulletprime/internal/obs"
 	"bulletprime/internal/scenario"
 	"bulletprime/internal/sim"
@@ -82,12 +81,10 @@ func (sp StreamSpec) endTime(prog *scenario.Program) sim.Time {
 	return sim.Time(end)
 }
 
-// installStream builds the run's tracker on the rig: viewers join as
-// sessions register them, every novel block arrival flows into the tracker
-// before any observer hook, annotations ride the rig's annotation hook, and
-// rebuffer spans go to the tracer when there is one. Must run after Hooks
-// install OnBlock/Annotate and before system construction (BuildCtx
-// snapshots rig.OnBlock).
+// installStream builds the run's tracker on the rig: viewers join as the rig
+// builds each session, the rig's block door feeds it every novel block
+// arrival, annotations ride the rig's annotation hook, and rebuffer spans go
+// to the tracer when there is one.
 func installStream(rig *Rig, sp StreamSpec, blockSize float64, tracer *obs.Tracer) {
 	tr := stream.NewTracker(sp.config(blockSize), func() float64 {
 		return float64(rig.Eng.Now())
@@ -100,17 +97,4 @@ func installStream(rig *Rig, sp StreamSpec, blockSize float64, tracer *obs.Trace
 	}
 	rig.Stream = tr
 	rig.StreamBps = sp.BitrateBps
-	rig.OnBlock = chainOnBlock(tr.OnBlock, rig.OnBlock)
-}
-
-// joinViewers registers one session cohort's receivers as viewers starting
-// at the given time; the cohort's first member is its source, which emits
-// rather than watches.
-func joinViewers(rig *Rig, cohort []netem.NodeID, at float64) {
-	if rig.Stream == nil {
-		return
-	}
-	for _, id := range cohort[1:] {
-		rig.Stream.Join(id, at)
-	}
 }

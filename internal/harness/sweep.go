@@ -145,33 +145,30 @@ func (s *SweepSpec) check() (SystemEntry, error) {
 // same spec: determinism is per seed, not per schedule. parallel <= 0 uses
 // GOMAXPROCS.
 func Sweep(specs []SweepSpec, parallel int) []*RunResult {
+	results := make([]*RunResult, len(specs))
+	// Workers write disjoint slots; Parallel's return publishes them.
+	Parallel(len(specs), parallel, func(i int) { results[i] = RunSpec(specs[i]) })
+	return results
+}
+
+// Parallel is the worker pool of every sweep: it runs job(0), …, job(n-1)
+// on min(parallel, n) goroutines, handing out indices in order, and returns
+// once every job has. parallel <= 0 uses GOMAXPROCS.
+func Parallel(n, parallel int, job func(i int)) {
 	if parallel <= 0 {
 		parallel = runtime.GOMAXPROCS(0)
-	}
-	if parallel > len(specs) {
-		parallel = len(specs)
-	}
-	results := make([]*RunResult, len(specs))
-	if len(specs) == 0 {
-		return results
 	}
 	var next atomic.Int64
 	next.Store(-1)
 	var wg sync.WaitGroup
-	for w := 0; w < parallel; w++ {
+	for range min(parallel, n) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= len(specs) {
-					return
-				}
-				// Workers write disjoint slots; the WaitGroup publishes them.
-				results[i] = RunSpec(specs[i])
+			for i := int(next.Add(1)); i < n; i = int(next.Add(1)) {
+				job(i)
 			}
 		}()
 	}
 	wg.Wait()
-	return results
 }

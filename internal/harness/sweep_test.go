@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -65,6 +66,41 @@ func TestSweepRepeatable(t *testing.T) {
 			if b[i].PerNode[id] != at {
 				t.Fatalf("spec %d node %d: %v vs %v across sweeps", i, id, at, b[i].PerNode[id])
 			}
+		}
+	}
+}
+
+// TestParallelRunsEachJobOnce pins the worker pool every sweep shares: each
+// index runs exactly once, never on more than min(parallel, n) goroutines at
+// a time, and Parallel returns only after the last job has.
+func TestParallelRunsEachJobOnce(t *testing.T) {
+	for _, tc := range []struct{ n, parallel int }{{0, 4}, {1, 4}, {3, 8}, {50, 3}, {50, 1}, {50, 0}} {
+		limit := tc.parallel
+		if limit <= 0 {
+			limit = runtime.GOMAXPROCS(0)
+		}
+		limit = min(limit, tc.n)
+		var mu sync.Mutex
+		runs := make([]int, tc.n)
+		busy, peak := 0, 0
+		Parallel(tc.n, tc.parallel, func(i int) {
+			mu.Lock()
+			runs[i]++
+			busy++
+			peak = max(peak, busy)
+			mu.Unlock()
+			mu.Lock()
+			busy--
+			mu.Unlock()
+		})
+		for i, r := range runs {
+			if r != 1 {
+				t.Errorf("n=%d parallel=%d: job %d ran %d times", tc.n, tc.parallel, i, r)
+			}
+		}
+		if busy != 0 || peak > limit {
+			t.Errorf("n=%d parallel=%d: %d jobs still running at return, %d at once, want 0 and at most %d",
+				tc.n, tc.parallel, busy, peak, limit)
 		}
 	}
 }

@@ -8,32 +8,29 @@ import (
 	"bulletprime/internal/bittorrent"
 	"bulletprime/internal/bullet"
 	"bulletprime/internal/core"
-	"bulletprime/internal/netem"
+	"bulletprime/internal/proto"
 	"bulletprime/internal/splitstream"
 )
 
 // BuildCtx carries everything a protocol needs to construct one session on
-// a rig: the cohort, workload, and the harness's observation callbacks. A
-// builder must wire OnComplete (completion-time recording depends on it)
-// and should wire OnBlock when its protocol can report per-node block
-// arrivals.
+// a rig: the session contract, the workload, and per-system knobs. A builder
+// hands Swarm to its session whole (the four paper systems embed it in their
+// Config): completion-time recording depends on its OnComplete, and
+// observers see block arrivals only through its OnBlock.
 type BuildCtx struct {
 	Rig      *Rig
 	Workload Workload
 	// CoreMut tweaks Bullet' config (strategies, static peers, outstanding
 	// limits); builders for other systems may ignore it.
 	CoreMut func(*core.Config)
-	// Members is the session cohort; the first member is the source.
-	Members []netem.NodeID
+	// Swarm is the session contract, filled by the harness: Members is the
+	// session cohort and Source its first member, the file comes from
+	// Workload, OnComplete records a node's completion time on the rig, and
+	// OnBlock is the rig's door for novel block arrivals.
+	proto.Swarm
 	// StreamSuffix distinguishes the RNG streams of concurrent sessions
 	// (flash-crowd waves) on one rig; empty for the classic single session.
 	StreamSuffix string
-	// OnComplete records a node's completion time; never nil.
-	OnComplete func(netem.NodeID)
-	// OnBlock, when non-nil, wants every novel block arrival
-	// (node, block id, blocks held). Builders chain it after any
-	// CoreMut-installed callback rather than replacing one.
-	OnBlock func(node netem.NodeID, blockID, count int)
 	// StreamBps, when positive, asks the session to pace its source at this
 	// rate (live-streaming mode). Builders that honor it register with
 	// SystemEntry.Streams set; SweepSpec.Check keeps a stream away from the
@@ -130,19 +127,10 @@ func init() {
 }
 
 func buildBulletPrime(ctx BuildCtx) System {
-	cfg := core.Config{
-		Source:     ctx.Members[0],
-		Members:    ctx.Members,
-		NumBlocks:  ctx.Workload.NumBlocks(),
-		BlockSize:  ctx.Workload.BlockSize,
-		Strategy:   core.RarestRandom,
-		StreamBps:  ctx.StreamBps,
-		OnComplete: ctx.OnComplete,
-	}
+	cfg := core.Config{Swarm: ctx.Swarm, Strategy: core.RarestRandom, StreamBps: ctx.StreamBps}
 	if ctx.CoreMut != nil {
 		ctx.CoreMut(&cfg)
 	}
-	cfg.OnBlock = chainOnBlock(cfg.OnBlock, ctx.OnBlock)
 	return core.NewSession(ctx.Rig.RT, cfg, ctx.Rig.Master.Stream("bulletprime"+ctx.StreamSuffix))
 }
 
@@ -158,51 +146,18 @@ func buildBulletPrimeDelay(ctx BuildCtx) System {
 }
 
 func buildBullet(ctx BuildCtx) System {
-	return bullet.NewSession(ctx.Rig.RT, bullet.Config{
-		Source:     ctx.Members[0],
-		Members:    ctx.Members,
-		NumBlocks:  ctx.Workload.NumBlocks(),
-		BlockSize:  ctx.Workload.BlockSize,
-		StreamBps:  ctx.StreamBps,
-		OnBlock:    ctx.OnBlock,
-		OnComplete: ctx.OnComplete,
-	}, ctx.Rig.Master.Stream("bullet"+ctx.StreamSuffix))
+	return bullet.NewSession(ctx.Rig.RT, bullet.Config{Swarm: ctx.Swarm, StreamBps: ctx.StreamBps},
+		ctx.Rig.Master.Stream("bullet"+ctx.StreamSuffix))
 }
 
 func buildBitTorrent(ctx BuildCtx) System {
-	return bittorrent.NewSession(ctx.Rig.RT, bittorrent.Config{
-		Source:     ctx.Members[0],
-		Members:    ctx.Members,
-		NumBlocks:  ctx.Workload.NumBlocks(),
-		BlockSize:  ctx.Workload.BlockSize,
-		OnBlock:    ctx.OnBlock,
-		OnComplete: ctx.OnComplete,
-	}, ctx.Rig.Master.Stream("bittorrent"+ctx.StreamSuffix))
+	return bittorrent.NewSession(ctx.Rig.RT, bittorrent.Config{Swarm: ctx.Swarm},
+		ctx.Rig.Master.Stream("bittorrent"+ctx.StreamSuffix))
 }
 
 func buildSplitStream(ctx BuildCtx) System {
-	return splitstream.NewSession(ctx.Rig.RT, splitstream.Config{
-		Source:     ctx.Members[0],
-		Members:    ctx.Members,
-		NumBlocks:  ctx.Workload.NumBlocks(),
-		BlockSize:  ctx.Workload.BlockSize,
-		OnBlock:    ctx.OnBlock,
-		OnComplete: ctx.OnComplete,
-	}, ctx.Rig.Master.Stream("splitstream"+ctx.StreamSuffix))
-}
-
-// chainOnBlock composes two block callbacks, either of which may be nil.
-func chainOnBlock(a, b func(netem.NodeID, int, int)) func(netem.NodeID, int, int) {
-	switch {
-	case a == nil:
-		return b
-	case b == nil:
-		return a
-	}
-	return func(id netem.NodeID, blockID, count int) {
-		a(id, blockID, count)
-		b(id, blockID, count)
-	}
+	return splitstream.NewSession(ctx.Rig.RT, splitstream.Config{Swarm: ctx.Swarm},
+		ctx.Rig.Master.Stream("splitstream"+ctx.StreamSuffix))
 }
 
 // DuplicateCounter is an optional System extension: sessions that track

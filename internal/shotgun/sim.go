@@ -54,12 +54,11 @@ func RunShotgun(eng *sim.Engine, rt *proto.Runtime, members []netem.NodeID, sour
 		UpdateDone:   make(map[netem.NodeID]sim.Time),
 	}
 	numBlocks := int(bundleBytes/blockSize) + 1
-	cfg := core.Config{
+	cfg := core.Config{Swarm: proto.Swarm{
 		Source:    source,
 		Members:   members,
 		NumBlocks: numBlocks,
 		BlockSize: blockSize,
-		Strategy:  core.RarestRandom,
 		OnComplete: func(id netem.NodeID) {
 			now := eng.Now()
 			res.DownloadDone[id] = now
@@ -73,7 +72,7 @@ func RunShotgun(eng *sim.Engine, rt *proto.Runtime, members []netem.NodeID, sour
 				res.UpdateDone[id] = eng.Now()
 			})
 		},
-	}
+	}, Strategy: core.RarestRandom}
 	sess := core.NewSession(rt, cfg, rng)
 	sess.Start()
 	eng.RunUntil(deadline)

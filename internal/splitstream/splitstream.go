@@ -36,11 +36,11 @@ type blockMsg struct {
 
 // Config parameterizes a SplitStream session.
 type Config struct {
-	Source    netem.NodeID
-	Members   []netem.NodeID
-	NumBlocks int
-	BlockSize float64
-	Stripes   int
+	// Swarm is the cohort, the file and the progress callbacks.
+	proto.Swarm
+
+	// Stripes is the stripe count k; 0 means DefaultStripes.
+	Stripes int
 
 	// MaxSkew bounds how many blocks ahead of the slowest sibling a child
 	// may be served within one stripe, modelling the finite per-child
@@ -50,9 +50,6 @@ type Config struct {
 	// (DefaultMaxSkew); negative means unbounded (an idealized
 	// SplitStream with infinite forwarding buffers).
 	MaxSkew int
-
-	OnBlock    func(node netem.NodeID, blockID int, count int)
-	OnComplete func(node netem.NodeID)
 }
 
 // DefaultMaxSkew is the default per-stripe inter-sibling skew bound in
@@ -61,26 +58,20 @@ const DefaultMaxSkew = 8
 
 // Session is one SplitStream dissemination run.
 type Session struct {
+	// Stripe trees deliver each block along exactly one path, so Duplicates
+	// stays zero unless tree repair ever introduces overlap.
+	*proto.Swarm // cfg.Swarm, with its accounting: Complete, DoneAt, Duplicates
+
 	rt  *proto.Runtime
 	cfg Config
 	rng *sim.RNG
 
-	peers  map[netem.NodeID]*ssPeer
-	trees  []*stripeTree
-	comp   int
-	doneAt sim.Time
+	peers map[netem.NodeID]*ssPeer
+	trees []*stripeTree
 
 	// BlocksForwarded counts interior-node forwards (stats).
 	BlocksForwarded int
-	// Duplicates counts blocks delivered to a node that already held them.
-	// Stripe trees deliver each block along exactly one path, so this stays
-	// zero unless tree repair ever introduces overlap.
-	Duplicates int
 }
-
-// DuplicateBlocks reports duplicate block deliveries across all nodes
-// (harness.DuplicateCounter).
-func (s *Session) DuplicateBlocks() int { return s.Duplicates }
 
 // stripeTree is one stripe's dissemination tree: parent/children maps with
 // interior nodes drawn only from the stripe's assigned interior group.
@@ -107,6 +98,7 @@ func NewSession(rt *proto.Runtime, cfg Config, rng *sim.RNG) *Session {
 		rng:   rng,
 		peers: make(map[netem.NodeID]*ssPeer),
 	}
+	s.Swarm = &s.cfg.Swarm
 	s.buildTrees()
 	for _, id := range cfg.Members {
 		s.peers[id] = newSSPeer(s, id)
@@ -205,22 +197,6 @@ func (s *Session) Start() {
 	s.peers[s.cfg.Source].startSource()
 }
 
-// Complete reports whether every non-source member finished.
-func (s *Session) Complete() bool { return s.comp >= len(s.cfg.Members)-1 }
-
-// DoneAt returns the completion time of the last node.
-func (s *Session) DoneAt() sim.Time { return s.doneAt }
-
-func (s *Session) nodeCompleted(p *ssPeer) {
-	s.comp++
-	if s.cfg.OnComplete != nil {
-		s.cfg.OnComplete(p.node.ID)
-	}
-	if s.Complete() {
-		s.doneAt = s.rt.Now()
-	}
-}
-
 // stripeOf maps a block to its stripe (blocks striped round-robin).
 func (s *Session) stripeOf(block int) int { return block % s.cfg.Stripes }
 
@@ -273,16 +249,10 @@ func (p *ssPeer) onMessage(c *proto.Conn, m proto.Message) {
 		return
 	}
 	bm := m.Payload.(blockMsg)
-	if p.store.Add(bm.id, p.s.rt.Now()) {
-		if p.s.cfg.OnBlock != nil {
-			p.s.cfg.OnBlock(p.node.ID, bm.id, p.store.Count())
-		}
-		if !p.complete && p.store.Complete() {
-			p.complete = true
-			p.s.nodeCompleted(p)
-		}
-	} else {
-		p.s.Duplicates++
+	now := p.s.rt.Now()
+	if p.s.Arrived(p.node.ID, bm.id, p.store, p.store.Add(bm.id, now)) && !p.complete && p.store.Complete() {
+		p.complete = true
+		p.s.Completed(p.node.ID, now)
 	}
 	// Forward down this stripe's tree if we are interior in it.
 	if len(p.out[bm.stripe]) > 0 {

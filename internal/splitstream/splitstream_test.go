@@ -28,8 +28,8 @@ func buildSS(n, numBlocks, stripes int, seed int64) (*sim.Engine, *Session) {
 		members[i] = netem.NodeID(i)
 	}
 	s := NewSession(rt, Config{
-		Source: 0, Members: members,
-		NumBlocks: numBlocks, BlockSize: 16 * 1024, Stripes: stripes,
+		Swarm:   proto.Swarm{Source: 0, Members: members, NumBlocks: numBlocks, BlockSize: 16 * 1024},
+		Stripes: stripes,
 	}, master.Stream("ss"))
 	return eng, s
 }
@@ -158,7 +158,7 @@ func TestSlowChildDoesNotBlockSiblings(t *testing.T) {
 		members[i] = netem.NodeID(i)
 	}
 	// Unbounded skew (idealized SplitStream): siblings must not stall.
-	s := NewSession(rt, Config{Source: 0, Members: members, NumBlocks: 48, BlockSize: 16 * 1024, Stripes: 4, MaxSkew: -1}, master.Stream("ss"))
+	s := NewSession(rt, Config{Swarm: proto.Swarm{Source: 0, Members: members, NumBlocks: 48, BlockSize: 16 * 1024}, Stripes: 4, MaxSkew: -1}, master.Stream("ss"))
 	var fastDone int
 	s.cfg.OnComplete = func(id netem.NodeID) {
 		if id != 1 {
@@ -195,8 +195,8 @@ func TestBoundedSkewStallsSiblings(t *testing.T) {
 		net := netem.New(eng, topo, master.Stream("net"))
 		rt := proto.NewRuntime(eng, net)
 		members := []netem.NodeID{0, 1, 2, 3}
-		s := NewSession(rt, Config{Source: 0, Members: members, NumBlocks: 32,
-			BlockSize: 16 * 1024, Stripes: 1, MaxSkew: maxSkew}, master.Stream("ss"))
+		s := NewSession(rt, Config{Swarm: proto.Swarm{Source: 0, Members: members, NumBlocks: 32,
+			BlockSize: 16 * 1024}, Stripes: 1, MaxSkew: maxSkew}, master.Stream("ss"))
 		// Surgery: source feeds all three children directly in stripe 0.
 		src := s.peers[0]
 		src.out = map[int][]*childLink{}

@@ -26,8 +26,10 @@ type System = harness.System
 
 // BuildContext carries what a protocol builder needs to construct a
 // session: the rig (engine, emulated network, runtime, seeded RNG), the
-// cohort, the workload, and the harness's observation callbacks. Builders
-// must wire OnComplete into their session and should wire OnBlock.
+// workload, and the session contract — the cohort (Members, Source), the
+// file, and the OnComplete and OnBlock callbacks. Builders must call
+// OnComplete once per finished receiver and should call OnBlock for every
+// novel block.
 type BuildContext = harness.BuildCtx
 
 // SystemBuilder constructs a protocol session from a build context.
