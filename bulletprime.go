@@ -54,7 +54,6 @@ package bulletprime
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"bulletprime/internal/core"
 	"bulletprime/internal/harness"
@@ -166,8 +165,8 @@ const (
 
 // TestbedOptions tunes a NetworkTestbedUDP run; the zero value is the
 // loopback default (127.0.0.1, real-time clock, 50 ms RTO, 8 retries, no
-// injected loss). It re-exports harness.TestbedSpec: the option a caller
-// sets is the spec the testbed backend reads.
+// injected loss). It re-exports testbed.Config (harness.TestbedSpec): the
+// option a caller sets is the config the UDP transport reads.
 type TestbedOptions = harness.TestbedSpec
 
 // TraceOptions enables structured event tracing for a run: typed spans are
@@ -333,35 +332,24 @@ func (cfg RunConfig) normalized() (RunConfig, error) {
 		cfg.BlockSize = 16 * 1024
 	}
 	if cfg.Stream != nil {
-		// A stream derives its content size from rate × duration.
-		s := *cfg.Stream
 		if cfg.FileBytes != 0 {
 			return cfg, fmt.Errorf("bulletprime: a streaming run derives FileBytes from BitrateBps × Duration; leave it zero")
 		}
 		if cfg.Encoded {
 			return cfg, fmt.Errorf("bulletprime: Stream and Encoded both redefine the source emission; pick one")
 		}
-		if s.PlayoutDepth <= 0 {
-			s.PlayoutDepth = harness.DefaultPlayoutDepth
-		}
+		// The harness applies the defaults; only Warmup's reading differs.
+		sp := harness.StreamSpec(*cfg.Stream)
 		switch {
-		case s.Warmup == 0:
-			s.Warmup = s.Duration / 4
-			if s.Warmup > harness.DefaultWarmupCap {
-				s.Warmup = harness.DefaultWarmupCap
-			}
-		case s.Warmup < 0:
-			s.Warmup = 0
+		case sp.Warmup == 0:
+			sp.Warmup = -1
+		case sp.Warmup < 0:
+			sp.Warmup = 0
 		}
-		if s.Drain <= 0 {
-			s.Drain = harness.DefaultDrain
-		}
+		s := StreamOptions(sp.Normalized())
 		cfg.Stream = &s
-		blocks := math.Ceil(s.BitrateBps * s.Duration / cfg.BlockSize)
-		if blocks < 1 {
-			blocks = 1
-		}
-		cfg.FileBytes = blocks * cfg.BlockSize
+		// A stream derives its content size from rate × duration.
+		cfg.FileBytes = stream.Config{BitrateBps: s.BitrateBps, BlockSize: cfg.BlockSize, Duration: s.Duration}.ContentBytes()
 	}
 	if cfg.FileBytes <= 0 {
 		return cfg, fmt.Errorf("bulletprime: FileBytes must be positive")

@@ -56,17 +56,13 @@ type blockMsg struct{ id int }
 
 // Config parameterizes a Bullet session.
 type Config struct {
-	// Swarm is the cohort, the file and the progress callbacks.
+	// Swarm is the cohort, the file, the live stream's rate and the
+	// progress callbacks. The tree push and mesh reconciliation of a live
+	// stream never run ahead of the released prefix.
 	proto.Swarm
 
 	TreeDegree   int
 	RanSubPeriod float64
-
-	// StreamBps, when > 0, turns the source into a live stream: block i
-	// is released at i*BlockSize/StreamBps instead of the whole file
-	// existing at t=0. The tree push and mesh reconciliation never run
-	// ahead of the released prefix.
-	StreamBps float64
 }
 
 // Session is one Bullet dissemination run.
@@ -166,7 +162,6 @@ type bPeer struct {
 	srcNext      int  // source: next block to push
 	fwdChild     int  // interior: round-robin forward pointer
 	pumpPending  bool // source pump scheduled
-	released     int  // live-stream source: blocks emitted so far
 
 	complete bool
 }
@@ -225,16 +220,15 @@ func (p *bPeer) OnEvent(kind int32, _ any) {
 }
 
 // releaseStreamBlock emits the next live block at the source
-// (Config.StreamBps pacing) and lets the tree push catch up.
+// (proto.Swarm.Release) and lets the tree push catch up.
 func (p *bPeer) releaseStreamBlock() {
-	if p.released >= p.s.cfg.NumBlocks {
+	id, next := p.s.Release()
+	if id < 0 {
 		return
 	}
-	id := p.released
-	p.released++
 	p.store.Add(id, p.s.rt.Now())
-	if p.released < p.s.cfg.NumBlocks {
-		p.s.rt.AfterEvent(p.s.cfg.BlockSize/p.s.cfg.StreamBps, p, evStreamRelease, nil)
+	if next > 0 {
+		p.s.rt.AfterEvent(next, p, evStreamRelease, nil)
 	}
 	p.pushPump()
 }
@@ -274,10 +268,7 @@ func (p *bPeer) pushPump() {
 	if p.s.Complete() {
 		return
 	}
-	total := p.s.cfg.NumBlocks
-	if p.s.cfg.StreamBps > 0 {
-		total = p.released
-	}
+	total := p.s.Pushable()
 	for p.srcNext < total {
 		if !p.forwardToOneChild(p.srcNext) {
 			break

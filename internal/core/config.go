@@ -115,7 +115,8 @@ func (s SenderSelection) String() string {
 
 // Config parameterizes one Bullet' session.
 type Config struct {
-	// Swarm is the cohort, the file and the progress callbacks.
+	// Swarm is the cohort, the file, the live stream's rate (StreamBps,
+	// incompatible with Encoded) and the progress callbacks.
 	proto.Swarm
 
 	// Strategy is the request ordering policy; Bullet' uses RarestRandom.
@@ -151,14 +152,6 @@ type Config struct {
 	// §4.6 methodology, matching the paper's fixed 4% overhead accounting).
 	Encoded          bool
 	EncodingOverhead float64
-
-	// StreamBps, when > 0, turns the source into a live stream: instead
-	// of holding the whole file at t=0, block i is released (and becomes
-	// pushable/advertisable) at i*BlockSize/StreamBps seconds after the
-	// session starts. The pushed-entire-file RanSub gate (§3.3.5) does
-	// not apply — a live source is always at the live edge, so it
-	// advertises from the start. Incompatible with Encoded.
-	StreamBps float64
 
 	// Selection picks the signal senders are ranked (and trimmed) by:
 	// SelectLoss is the paper's realized per-epoch delivery rate,

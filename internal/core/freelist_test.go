@@ -3,7 +3,6 @@ package core
 import (
 	"slices"
 	"testing"
-	"time"
 
 	"bulletprime/internal/netem"
 	"bulletprime/internal/proto"
@@ -173,7 +172,7 @@ func TestFreeListOverTestbedTokenTable(t *testing.T) {
 	rt := proto.NewRuntime(eng, nil)
 	members := []netem.NodeID{0, 1, 2, 3, 4, 5}
 	clock := testbed.NewClock(50)
-	tr, err := testbed.New(clock, testbed.Config{RTO: 10 * time.Millisecond}, members)
+	tr, err := testbed.New(clock, testbed.Config{RTO: 0.01}, members)
 	if err != nil {
 		t.Fatalf("testbed.New: %v", err)
 	}

@@ -86,9 +86,6 @@ type peer struct {
 	nextPush     int
 	pushedOnce   bool
 	pushEvent    sim.EventRef
-	// released counts the blocks a live-stream source (Config.StreamBps)
-	// has emitted so far; the push pump and diffs never run ahead of it.
-	released int
 }
 
 func newPeer(s *Session, id netem.NodeID) *peer {

@@ -36,18 +36,16 @@ func (p *peer) startPushing() {
 	p.pushPump()
 }
 
-// releaseStreamBlock emits the next live block: block i enters the source
-// store at i*BlockSize/StreamBps. Receivers hear about it through the
-// normal self-clocked diff path, and the push pump may now hand it to a
-// tree child.
+// releaseStreamBlock emits the next live block (proto.Swarm.Release): block
+// i enters the source store at i*BlockSize/StreamBps. Receivers hear about
+// it through the normal self-clocked diff path, and the push pump may now
+// hand it to a tree child.
 func (p *peer) releaseStreamBlock() {
-	if p.released >= p.s.cfg.NumBlocks {
+	id, next := p.s.Release()
+	if id < 0 {
 		return
 	}
-	now := p.s.rt.Now()
-	id := p.released
-	p.released++
-	p.hold(id, now)
+	p.hold(id, p.s.rt.Now())
 	// Self-clocked diffs (§3.3.4): idle receivers hear about the new
 	// block immediately; in the periodic-diff ablation the timers do it.
 	if p.s.cfg.PeriodicDiffs <= 0 {
@@ -57,8 +55,8 @@ func (p *peer) releaseStreamBlock() {
 			}
 		}
 	}
-	if p.released < p.s.cfg.NumBlocks {
-		p.s.rt.AfterEvent(p.s.cfg.BlockSize/p.s.cfg.StreamBps, p, evStreamRelease, nil)
+	if next > 0 {
+		p.s.rt.AfterEvent(next, p, evStreamRelease, nil)
 	}
 	p.pushPump()
 }
@@ -71,15 +69,11 @@ func (p *peer) pushPump() {
 	if len(p.pushChildren) == 0 {
 		return
 	}
-	total := p.s.cfg.NumBlocks
-	switch {
-	case p.s.cfg.Encoded:
+	total := p.s.Pushable()
+	if p.s.cfg.Encoded {
 		// Encoded mode: a continuous stream of fresh block ids, bounded
 		// only by store capacity (§2.2 digital-fountain behaviour).
 		total = p.s.maxBlockID()
-	case p.s.cfg.StreamBps > 0:
-		// Live mode: only released blocks exist.
-		total = p.released
 	}
 	child := 0
 	for p.nextPush < total {

@@ -42,9 +42,6 @@ type Rig struct {
 	// (SweepSpec.Stream): it sees every block arrival first (blockArrived)
 	// and aggregates lag/jitter/rebuffer metrics. Nil for one-shot runs.
 	Stream *stream.Tracker
-	// StreamBps is the live source pacing rate handed to stream-capable
-	// system builders via BuildCtx; 0 for one-shot runs.
-	StreamBps float64
 
 	// onBlock is Hooks.OnBlock, the observer's view of block arrivals.
 	onBlock func(node netem.NodeID, blockID, count int)
@@ -142,23 +139,19 @@ func (k ProtoKind) String() string {
 // that is when its receivers join the stream tracker as viewers, if the run
 // has one. streamSuffix distinguishes the RNG streams of concurrent sessions
 // (flash-crowd waves) on one rig; the empty suffix is the classic
-// single-session stream.
+// single-session stream. On a stream run the session's source is paced at
+// the tracked stream's bitrate.
 func (r *Rig) build(b SystemBuilder, s *SweepSpec, cohort []netem.NodeID, at float64, streamSuffix string) System {
+	w := s.Workload
+	swarm := proto.Swarm{Source: cohort[0], Members: cohort, NumBlocks: w.NumBlocks(), BlockSize: w.BlockSize,
+		OnBlock: r.blockArrived, OnComplete: r.completed}
 	if r.Stream != nil {
 		for _, id := range cohort[1:] {
 			r.Stream.Join(id, at)
 		}
+		swarm.StreamBps = r.Stream.Config().BitrateBps
 	}
-	w := s.Workload
-	return b(BuildCtx{
-		Rig:      r,
-		Workload: w,
-		CoreMut:  s.CoreMut,
-		Swarm: proto.Swarm{Source: cohort[0], Members: cohort, NumBlocks: w.NumBlocks(), BlockSize: w.BlockSize,
-			OnBlock: r.blockArrived, OnComplete: r.completed},
-		StreamSuffix: streamSuffix,
-		StreamBps:    r.StreamBps,
-	})
+	return b(BuildCtx{Rig: r, Workload: w, CoreMut: s.CoreMut, Swarm: swarm, StreamSuffix: streamSuffix})
 }
 
 // RunResult captures one session's outcome.
@@ -325,7 +318,7 @@ func RunSpec(s SweepSpec) *RunResult {
 	}
 	deadline := s.Deadline
 	if s.Stream != nil {
-		sp := s.Stream.normalized()
+		sp := s.Stream.Normalized()
 		s.Stream = &sp
 		if end := sp.endTime(s.Scenario); end < deadline || deadline <= 0 {
 			deadline = end

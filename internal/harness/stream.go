@@ -20,37 +20,38 @@ type StreamSpec struct {
 	// Duration is how long the source emits, in virtual seconds.
 	Duration float64
 	// PlayoutDepth is the viewer buffer depth in seconds of content;
-	// <= 0 picks DefaultPlayoutDepth.
+	// <= 0 picks defaultPlayoutDepth.
 	PlayoutDepth float64
 	// Warmup excludes the startup transient from steady-state goodput;
-	// < 0 picks min(Duration/4, DefaultWarmupCap). 0 means no warmup.
+	// < 0 picks min(Duration/4, defaultWarmupCap). 0 means no warmup.
 	Warmup float64
 	// Drain is how long the run may continue past the last block's emission
-	// so trailing viewers catch up; <= 0 picks DefaultDrain.
+	// so trailing viewers catch up; <= 0 picks defaultDrain.
 	Drain float64
 }
 
 // Streaming defaults; see StreamSpec field docs.
 const (
-	DefaultPlayoutDepth = 4.0
-	DefaultWarmupCap    = 10.0
-	DefaultDrain        = 15.0
+	defaultPlayoutDepth = 4.0
+	defaultWarmupCap    = 10.0
+	defaultDrain        = 15.0
 )
 
-// normalized returns the spec with defaults applied; SweepSpec.Check has
-// already refused a rate or duration that cannot describe a stream.
-func (sp StreamSpec) normalized() StreamSpec {
+// Normalized returns the spec with defaults applied, the one place they
+// live; normalizing twice changes nothing. SweepSpec.Check refuses a rate
+// or duration that cannot describe a stream.
+func (sp StreamSpec) Normalized() StreamSpec {
 	if sp.PlayoutDepth <= 0 {
-		sp.PlayoutDepth = DefaultPlayoutDepth
+		sp.PlayoutDepth = defaultPlayoutDepth
 	}
 	if sp.Warmup < 0 {
 		sp.Warmup = sp.Duration / 4
-		if sp.Warmup > DefaultWarmupCap {
-			sp.Warmup = DefaultWarmupCap
+		if sp.Warmup > defaultWarmupCap {
+			sp.Warmup = defaultWarmupCap
 		}
 	}
 	if sp.Drain <= 0 {
-		sp.Drain = DefaultDrain
+		sp.Drain = defaultDrain
 	}
 	return sp
 }
@@ -96,5 +97,4 @@ func installStream(rig *Rig, sp StreamSpec, blockSize float64, tracer *obs.Trace
 		}
 	}
 	rig.Stream = tr
-	rig.StreamBps = sp.BitrateBps
 }

@@ -25,17 +25,16 @@ type BuildCtx struct {
 	CoreMut func(*core.Config)
 	// Swarm is the session contract, filled by the harness: Members is the
 	// session cohort and Source its first member, the file comes from
-	// Workload, OnComplete records a node's completion time on the rig, and
-	// OnBlock is the rig's door for novel block arrivals.
+	// Workload, StreamBps is the live source's pacing rate on a stream run
+	// (0 otherwise), OnComplete records a node's completion time on the
+	// rig, and OnBlock is the rig's door for novel block arrivals. Builders
+	// that honor StreamBps register with SystemEntry.Streams set;
+	// SweepSpec.Check keeps a stream away from the others, which would
+	// silently run one-shot.
 	proto.Swarm
 	// StreamSuffix distinguishes the RNG streams of concurrent sessions
 	// (flash-crowd waves) on one rig; empty for the classic single session.
 	StreamSuffix string
-	// StreamBps, when positive, asks the session to pace its source at this
-	// rate (live-streaming mode). Builders that honor it register with
-	// SystemEntry.Streams set; SweepSpec.Check keeps a stream away from the
-	// others, which would silently run one-shot.
-	StreamBps float64
 }
 
 // SystemBuilder constructs a protocol session from a build context. Third
@@ -127,7 +126,7 @@ func init() {
 }
 
 func buildBulletPrime(ctx BuildCtx) System {
-	cfg := core.Config{Swarm: ctx.Swarm, Strategy: core.RarestRandom, StreamBps: ctx.StreamBps}
+	cfg := core.Config{Swarm: ctx.Swarm, Strategy: core.RarestRandom}
 	if ctx.CoreMut != nil {
 		ctx.CoreMut(&cfg)
 	}
@@ -146,7 +145,7 @@ func buildBulletPrimeDelay(ctx BuildCtx) System {
 }
 
 func buildBullet(ctx BuildCtx) System {
-	return bullet.NewSession(ctx.Rig.RT, bullet.Config{Swarm: ctx.Swarm, StreamBps: ctx.StreamBps},
+	return bullet.NewSession(ctx.Rig.RT, bullet.Config{Swarm: ctx.Swarm},
 		ctx.Rig.Master.Stream("bullet"+ctx.StreamSuffix))
 }
 

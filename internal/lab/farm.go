@@ -186,11 +186,13 @@ func NewFarm(spec FarmSpec, ttl time.Duration) (*Farm, error) {
 func (f *Farm) Spec() FarmSpec { return f.spec }
 
 // ResumeFromArchive marks every cell already present in the archive as
-// done, keyed by (protocol, network, seed, nodes) — the denormalized
-// manifest columns a cell pins. Returns how many cells were skipped.
-// This is the whole resume story: re-running a coordinator over the same
-// archive re-serves only the missing cells, and even a stale worker
-// re-executing a done cell merely dedupes.
+// done, keyed by (protocol, network, seed) among the records run at the
+// spec's geometry: its node count, file size and deadline, with no
+// scenario and no synthetic bandwidth changes, as a farm cell runs.
+// Returns how many cells were skipped. This is the whole resume story:
+// re-running a coordinator over the same archive re-serves only the
+// missing cells, and even a stale worker re-executing a done cell merely
+// dedupes.
 func (f *Farm) ResumeFromArchive(a *Archive) (int, error) {
 	metas, err := a.List()
 	if err != nil {
@@ -202,7 +204,7 @@ func (f *Farm) ResumeFromArchive(a *Archive) (int, error) {
 	}
 	have := map[doneKey]string{}
 	for _, m := range metas {
-		if m.Nodes == f.spec.Nodes {
+		if f.ranCell(&m) {
 			have[doneKey{m.Protocol, m.Network, m.Seed}] = m.ID
 		}
 	}
@@ -219,6 +221,23 @@ func (f *Farm) ResumeFromArchive(a *Archive) (int, error) {
 		}
 	}
 	return n, nil
+}
+
+// ranCell reports whether an archived run has the settings every cell of
+// the spec runs with; only its protocol, network and seed are left to name
+// the cell.
+func (f *Farm) ranCell(m *Meta) bool {
+	if m.Nodes != f.spec.Nodes || m.FileBytes != f.spec.FileMB*1e6 || m.Scenario != "" {
+		return false
+	}
+	var cfg struct {
+		Deadline         float64 `json:"deadline"`
+		DynamicBandwidth bool    `json:"dynamic_bandwidth"`
+	}
+	if json.Unmarshal(m.Config, &cfg) != nil {
+		return false
+	}
+	return cfg.Deadline == f.spec.Deadline && !cfg.DynamicBandwidth
 }
 
 // ClaimVerdict is the outcome of a claim attempt.

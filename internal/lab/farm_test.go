@@ -169,6 +169,7 @@ func TestFarmResumeFromArchive(t *testing.T) {
 	run := mkRun("bulletprime", "modelnet", "", 1, 10, 20, 30)
 	run.Meta.Config = []byte(`{"protocol":"bulletprime"}`)
 	run.Meta.Nodes = spec.Nodes
+	run.Meta.FileBytes = spec.FileMB * 1e6
 	if _, _, err := arch.Put(run); err != nil {
 		t.Fatal(err)
 	}
@@ -191,6 +192,57 @@ func TestFarmResumeFromArchive(t *testing.T) {
 	st := f.Status()
 	if st.Done != 1 || st.Pending != len(f.cells)-1 {
 		t.Fatalf("status after resume %+v", st)
+	}
+}
+
+// TestFarmResumeIgnoresOtherSettings pins that a record of a cell's
+// protocol, network and seed resumes it only when it ran with the cell's
+// settings: a different file size or deadline, a scenario, or synthetic
+// bandwidth changes leave the cell pending.
+func TestFarmResumeIgnoresOtherSettings(t *testing.T) {
+	spec := testSpec()
+	spec.Reps = 1
+	spec.Deadline = 600
+	put := func(arch *Archive, mut func(*Run)) {
+		t.Helper()
+		run := mkRun("bulletprime", "modelnet", "", 1, 10, 20, 30)
+		run.Meta.Config = []byte(`{"protocol":"bulletprime","deadline":600}`)
+		run.Meta.Nodes = spec.Nodes
+		run.Meta.FileBytes = spec.FileMB * 1e6
+		mut(run)
+		if _, _, err := arch.Put(run); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cases := []struct {
+		name string
+		mut  func(*Run)
+		want int
+	}{
+		{"same settings", func(*Run) {}, 1},
+		{"twice the file", func(r *Run) { r.Meta.FileBytes = 2e6 }, 0},
+		{"a scenario", func(r *Run) { r.Meta.Scenario, r.Meta.ScenarioName = "d1g3st", "outage" }, 0},
+		{"another deadline", func(r *Run) { r.Meta.Config = []byte(`{"protocol":"bulletprime","deadline":3600}`) }, 0},
+		{"dynamic bandwidth", func(r *Run) {
+			r.Meta.Config = []byte(`{"protocol":"bulletprime","dynamic_bandwidth":true,"deadline":600}`)
+		}, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			arch, err := Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			put(arch, tc.mut)
+			f, _ := farmAt(t, spec, time.Minute)
+			n, err := f.ResumeFromArchive(arch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != tc.want {
+				t.Fatalf("resumed %d cells, want %d", n, tc.want)
+			}
+		})
 	}
 }
 

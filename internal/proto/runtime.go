@@ -326,38 +326,34 @@ func (n *Node) Dial(to netem.NodeID) *Conn {
 		c := &Conn{rt: n.rt, dialer: n, target: remote, closed: true}
 		return c
 	}
-	if n.rt.Transport != nil {
-		return n.transportDial(remote)
-	}
 	now := n.rt.Eng.Now()
-	c := &Conn{
-		rt:      n.rt,
-		dialer:  n,
-		target:  remote,
-		readyAt: now + sim.Time(n.rt.Net.Topo.RTT(n.ID, to)),
-	}
-	c.h[0] = half{conn: c, from: n, to: remote, flow: n.rt.Net.NewFlow(n.ID, to), idleSince: now}
-	c.h[1] = half{conn: c, from: remote, to: n, flow: n.rt.Net.NewFlow(to, n.ID), idleSince: now}
+	c := &Conn{rt: n.rt, dialer: n, target: remote, readyAt: now}
+	c.h[0] = half{conn: c, from: n, to: remote, idleSince: now}
+	c.h[1] = half{conn: c, from: remote, to: n, idleSince: now}
 	n.conns[c] = struct{}{}
 	remote.conns[c] = struct{}{}
-	oneWay := n.rt.Net.Topo.OneWayDelay(n.ID, to)
-	n.rt.Eng.AfterEvent(oneWay, c, evAccept, nil)
+	if tr := n.rt.Transport; tr != nil {
+		// No flows and no handshake gate: the transport's reliable link
+		// orders everything, and the SYN fires WireAccept on arrival.
+		tr.Open(c, n.ID, to)
+		return c
+	}
+	c.readyAt += sim.Time(n.rt.Net.Topo.RTT(n.ID, to))
+	c.h[0].flow = n.rt.Net.NewFlow(n.ID, to)
+	c.h[1].flow = n.rt.Net.NewFlow(to, n.ID)
+	n.rt.Eng.AfterEvent(n.rt.Net.Topo.OneWayDelay(n.ID, to), c, evAccept, nil)
 	return c
 }
 
 // OnEvent dispatches the connection-level typed events (accept and remote
-// close notification); engine plumbing, not public API.
+// close notification) to the steps a transport calls as WireAccept and
+// WirePeerClose; engine plumbing, not public API.
 func (c *Conn) OnEvent(kind int32, payload any) {
 	switch kind {
 	case evAccept:
-		if !c.closed && c.target.OnAccept != nil {
-			c.target.OnAccept(c)
-		}
+		c.WireAccept()
 	case evPeerClose:
-		other := payload.(*Node)
-		if other.OnClose != nil {
-			other.OnClose(c)
-		}
+		c.WirePeerClose(payload.(*Node).ID)
 	}
 }
 
@@ -410,13 +406,19 @@ func (c *Conn) Send(n *Node, m Message) {
 		m.Size += MsgOverhead
 	}
 	m.SentAt = c.rt.Eng.Now()
-	if c.rt.Transport != nil {
-		c.transportSend(n, m)
+	h := c.dir(n)
+	h.queuedBytes += m.Size
+	if tr := c.rt.Transport; tr != nil {
+		// The transport's per-pair link is the serialization queue: the
+		// message is handed over now and stays counted against the
+		// direction until the peer acknowledges it (WireAcked).
+		h.inflight++
+		h.idleSince = -1
+		n.OutMeter.Add(m.SentAt, m.Size)
+		tr.Send(c, n.ID, c.Peer(n).ID, m)
 		return
 	}
-	h := c.dir(n)
 	h.pushMsg(c.rt.getMsg(m))
-	h.queuedBytes += m.Size
 	h.pump()
 }
 
@@ -483,8 +485,8 @@ func (c *Conn) DeliveredFrom(n *Node) float64 { return c.dir(n).delivered }
 // topology's configured RTT under emulation, the transport's measured
 // estimate in transport mode.
 func (c *Conn) RTT() float64 {
-	if c.rt.Transport != nil {
-		return c.transportRTT()
+	if tr := c.rt.Transport; tr != nil {
+		return tr.RTT(c.dialer.ID, c.target.ID)
 	}
 	return c.rt.Net.Topo.RTT(c.dialer.ID, c.target.ID)
 }
@@ -493,27 +495,42 @@ func (c *Conn) RTT() float64 {
 // dropped (their pooled nodes are reclaimed). Each side's OnClose fires
 // exactly once: the closing side immediately, the remote side after the
 // one-way delay.
+//
+// In transport mode the CLOSE rides the transport's reliable link instead,
+// and the remote callback fires at real arrival time via WirePeerClose.
 func (c *Conn) Close(by *Node) {
-	if c.closed {
+	if !c.teardown() {
 		return
+	}
+	other := c.Peer(by)
+	tr := c.rt.Transport
+	if tr == nil {
+		c.h[0].flow.Close()
+		c.h[1].flow.Close()
+	}
+	if by.OnClose != nil {
+		by.OnClose(c)
+	}
+	if tr != nil {
+		tr.Close(c, by.ID, other.ID)
+		return
+	}
+	c.rt.Eng.AfterEvent(c.rt.Net.Topo.OneWayDelay(by.ID, other.ID), c, evPeerClose, other)
+}
+
+// teardown is the local half of both ways a connection ends, Close and
+// WireAbort: queued messages are reclaimed and both endpoints forget the
+// connection. It reports false when c was already closed.
+func (c *Conn) teardown() bool {
+	if c.closed {
+		return false
 	}
 	c.closed = true
 	c.h[0].drainQueue()
 	c.h[1].drainQueue()
 	delete(c.dialer.conns, c)
 	delete(c.target.conns, c)
-	if c.rt.Transport != nil {
-		c.transportClose(by)
-		return
-	}
-	c.h[0].flow.Close()
-	c.h[1].flow.Close()
-	other := c.Peer(by)
-	if by.OnClose != nil {
-		by.OnClose(c)
-	}
-	oneWay := c.rt.Net.Topo.OneWayDelay(by.ID, other.ID)
-	c.rt.Eng.AfterEvent(oneWay, c, evPeerClose, other)
+	return true
 }
 
 // drainQueue reclaims the pooled nodes of all queued messages.
@@ -586,13 +603,20 @@ func (h *half) serialized(n *msgNode) {
 // here — delivery transfers ownership of the Message value to the handler,
 // while the node goes back to the runtime.
 func (h *half) deliver(n *msgNode) {
-	c := h.conn
-	rt := c.rt
 	m := n.m
-	rt.putMsg(n)
+	h.conn.rt.putMsg(n)
+	h.receive(m)
+}
+
+// receive is the delivery step of every backend, emulated or transported: a
+// message that raced a close is dropped; any other is metered, counted as
+// control or data, and handed to the receiver's OnMessage.
+func (h *half) receive(m Message) {
+	c := h.conn
 	if c.closed {
 		return
 	}
+	rt := c.rt
 	at := rt.Eng.Now()
 	h.delivered += m.Size
 	h.to.InMeter.Add(at, m.Size)

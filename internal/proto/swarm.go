@@ -22,6 +22,11 @@ type Swarm struct {
 	// paper's ModelNet runs and 100 KB on PlanetLab.
 	NumBlocks int
 	BlockSize float64
+	// StreamBps, when > 0, makes the source a live stream: block i is
+	// released (and becomes pushable and advertisable) at
+	// i*BlockSize/StreamBps seconds after the session starts instead of
+	// the whole file existing at t=0. See Release.
+	StreamBps float64
 
 	// OnBlock, if set, fires for every novel block arrival at a node, with
 	// the number of blocks the node now holds.
@@ -35,6 +40,32 @@ type Swarm struct {
 	Duplicates int
 	completed  int
 	doneAt     sim.Time
+	released   int // live blocks the source has emitted
+}
+
+// Release is a live source's release step. It emits the next block of the
+// stream and returns its id, with the delay after which the source calls
+// it again: one block interval, BlockSize/StreamBps, or 0 after the last
+// block. Once the whole stream is out it returns id -1.
+func (s *Swarm) Release() (id int, next float64) {
+	if s.released >= s.NumBlocks {
+		return -1, 0
+	}
+	id = s.released
+	s.released++
+	if s.released < s.NumBlocks {
+		next = s.BlockSize / s.StreamBps
+	}
+	return id, next
+}
+
+// Pushable returns how many blocks, from id 0 up, the source may push: the
+// whole file, or for a live stream only the blocks released so far.
+func (s *Swarm) Pushable() int {
+	if s.StreamBps > 0 {
+		return s.released
+	}
+	return s.NumBlocks
 }
 
 // Arrived is the arrival step. novel reports whether node's store took

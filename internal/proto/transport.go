@@ -1,9 +1,6 @@
 package proto
 
-import (
-	"bulletprime/internal/netem"
-	"bulletprime/internal/sim"
-)
+import "bulletprime/internal/netem"
 
 // Transport is the real-network backend contract: when Runtime.Transport is
 // set, connections route their traffic through it instead of the emulated
@@ -67,39 +64,22 @@ func (c *Conn) dirFrom(from netem.NodeID) *half {
 }
 
 // WireAccept fires the target's accept callback: the transport calls it
-// when the connection's SYN envelope arrives over the real network. It is
-// the wire analogue of the emulator's evAccept event.
+// when the connection's SYN envelope arrives over the real network, and the
+// emulator's evAccept event when the SYN's one-way delay has passed.
 func (c *Conn) WireAccept() {
 	if !c.closed && c.target.OnAccept != nil {
 		c.target.OnAccept(c)
 	}
 }
 
-// WireDeliver delivers one transported message sent by the node 'from':
-// meters, control/data accounting, and the receiver's OnMessage fire
-// exactly as on the emulated delivery path. Deliveries to a closed
+// WireDeliver delivers one transported message sent by the node 'from'
+// through the emulator's delivery step (half.receive): meters, control/data
+// accounting, and the receiver's OnMessage. Deliveries to a closed
 // connection or a non-endpoint id are dropped, as the emulator drops
 // deliveries that race a close.
 func (c *Conn) WireDeliver(from netem.NodeID, m Message) {
-	h := c.dirFrom(from)
-	if h == nil || c.closed {
-		return
-	}
-	rt := c.rt
-	at := rt.Eng.Now()
-	h.delivered += m.Size
-	h.to.InMeter.Add(at, m.Size)
-	rt.MessagesDelivered++
-	if c.IsData != nil && c.IsData(m.Kind) {
-		rt.DataBytes += m.Size
-		if rt.DataMeter != nil {
-			rt.DataMeter.Add(at, m.Size)
-		}
-	} else {
-		rt.ControlBytes += m.Size
-	}
-	if h.to.OnMessage != nil {
-		h.to.OnMessage(c, m)
+	if h := c.dirFrom(from); h != nil {
+		h.receive(m)
 	}
 }
 
@@ -123,20 +103,11 @@ func (c *Conn) WireAcked(from netem.NodeID, size float64) {
 }
 
 // WirePeerClose fires the close callback of the endpoint at 'to' — the
-// remote side of a Close carried over the network. The emulator's
-// evPeerClose analogue.
+// remote side of a Close, carried over the network by a transport or
+// delayed by the emulator's evPeerClose event.
 func (c *Conn) WirePeerClose(to netem.NodeID) {
-	var n *Node
-	switch to {
-	case c.dialer.ID:
-		n = c.dialer
-	case c.target.ID:
-		n = c.target
-	default:
-		return
-	}
-	if n.OnClose != nil {
-		n.OnClose(c)
+	if h := c.dirFrom(to); h != nil && h.from.OnClose != nil {
+		h.from.OnClose(c)
 	}
 }
 
@@ -145,65 +116,8 @@ func (c *Conn) WirePeerClose(to netem.NodeID) {
 // same signal a crashed peer produces, so the protocols' churn handling
 // takes over.
 func (c *Conn) WireAbort() {
-	if c.closed {
-		return
+	if c.teardown() {
+		c.WirePeerClose(c.dialer.ID)
+		c.WirePeerClose(c.target.ID)
 	}
-	c.closed = true
-	c.h[0].drainQueue()
-	c.h[1].drainQueue()
-	delete(c.dialer.conns, c)
-	delete(c.target.conns, c)
-	if c.dialer.OnClose != nil {
-		c.dialer.OnClose(c)
-	}
-	if c.target.OnClose != nil {
-		c.target.OnClose(c)
-	}
-}
-
-// transportDial is Dial's transport-mode tail: no flows, no emulated
-// handshake gate — the transport's reliable link orders everything, and the
-// SYN envelope fires WireAccept at real arrival time.
-func (n *Node) transportDial(remote *Node) *Conn {
-	now := n.rt.Eng.Now()
-	c := &Conn{
-		rt:      n.rt,
-		dialer:  n,
-		target:  remote,
-		readyAt: now,
-	}
-	c.h[0] = half{conn: c, from: n, to: remote, idleSince: now}
-	c.h[1] = half{conn: c, from: remote, to: n, idleSince: now}
-	n.conns[c] = struct{}{}
-	remote.conns[c] = struct{}{}
-	n.rt.Transport.Open(c, n.ID, remote.ID)
-	return c
-}
-
-// transportSend is Send's transport-mode tail: the message is handed to the
-// transport immediately (its per-pair link is the serialization queue), and
-// stays counted against the direction until the peer acknowledges it.
-func (c *Conn) transportSend(n *Node, m Message) {
-	h := c.dir(n)
-	h.queuedBytes += m.Size
-	h.inflight++
-	h.idleSince = -1
-	n.OutMeter.Add(c.rt.Eng.Now(), m.Size)
-	c.rt.Transport.Send(c, n.ID, c.Peer(n).ID, m)
-}
-
-// transportClose is Close's transport-mode tail: local teardown is
-// immediate, the CLOSE envelope rides the reliable link, and the remote
-// close callback fires at real arrival time via WirePeerClose.
-func (c *Conn) transportClose(by *Node) {
-	other := c.Peer(by)
-	if by.OnClose != nil {
-		by.OnClose(c)
-	}
-	c.rt.Transport.Close(c, by.ID, other.ID)
-}
-
-// transportRTT is Conn.RTT in transport mode: a measured estimate.
-func (c *Conn) transportRTT() sim.Duration {
-	return c.rt.Transport.RTT(c.dialer.ID, c.target.ID)
 }

@@ -10,6 +10,7 @@
 package shotgun
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 
@@ -60,12 +61,10 @@ func BuildBundle(version int, old, new map[string][]byte, blockSize int) Bundle 
 			b.Files = append(b.Files, FileDelta{Path: p, Delta: d, Create: true})
 			continue
 		}
-		sig := rsyncx.ComputeSignature(oldData, blockSize)
-		d := rsyncx.ComputeDelta(sig, new[p])
-		// Skip unchanged files: a delta that is pure whole-file copy.
-		if len(new[p]) == len(oldData) && isIdentity(d, len(oldData), blockSize) {
-			continue
+		if bytes.Equal(oldData, new[p]) {
+			continue // unchanged files have no delta
 		}
+		d := rsyncx.ComputeDelta(rsyncx.ComputeSignature(oldData, blockSize), new[p])
 		b.Files = append(b.Files, FileDelta{Path: p, Delta: d})
 	}
 	var deleted []string
@@ -77,29 +76,6 @@ func BuildBundle(version int, old, new map[string][]byte, blockSize int) Bundle 
 	sort.Strings(deleted)
 	b.Deleted = deleted
 	return b
-}
-
-// isIdentity reports whether d reproduces the old file unchanged: all
-// whole-block copies in order (plus a literal tail matching block math).
-func isIdentity(d rsyncx.Delta, oldLen, blockSize int) bool {
-	off := 0
-	for _, op := range d.Ops {
-		switch op.Kind {
-		case rsyncx.OpCopy:
-			if op.Index*blockSize != off {
-				return false
-			}
-			off += blockSize
-		case rsyncx.OpLiteral:
-			// The trailing partial block arrives as a literal; anything
-			// before the tail means a real change.
-			if off+len(op.Data) != oldLen {
-				return false
-			}
-			off += len(op.Data)
-		}
-	}
-	return off == oldLen
 }
 
 // ApplyBundle replays a bundle on an old image, returning the new image.

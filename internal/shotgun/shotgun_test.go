@@ -77,6 +77,36 @@ func TestBundleSkipsUnchanged(t *testing.T) {
 	}
 }
 
+// TestBundleCarriesSameSizeEdits pins the edits whose delta ends in a
+// literal of the old tail's length: a file smaller than one block, and a
+// change confined to a file's trailing partial block. Both keep the file's
+// size and must still ride the bundle.
+func TestBundleCarriesSameSizeEdits(t *testing.T) {
+	old := image(6, 2, 5*1024+100)
+	old["small"] = []byte("version 1\n")
+	new := map[string][]byte{"small": []byte("version 2\n")}
+	for p, d := range old {
+		if p != "small" {
+			d = bytes.Clone(d)
+			d[len(d)-1] ^= 1 // inside the 100-byte tail past the last whole block
+			new[p] = d
+		}
+	}
+	b := BuildBundle(1, old, new, 2048)
+	if len(b.Files) != len(new) {
+		t.Fatalf("bundle carries %d of %d edited files", len(b.Files), len(new))
+	}
+	got, err := ApplyBundle(old, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p, want := range new {
+		if !bytes.Equal(got[p], want) {
+			t.Fatalf("file %s mismatch after apply", p)
+		}
+	}
+}
+
 func TestBundleWireSizeTracksChanges(t *testing.T) {
 	old := image(4, 6, 32*1024)
 	same := BuildBundle(1, old, old, 2048)
@@ -178,24 +208,5 @@ func TestTimesSorted(t *testing.T) {
 	u := r.Times(true)
 	if u[0] != 6 || u[2] != 18 {
 		t.Fatalf("update times unsorted: %v", u)
-	}
-}
-
-func TestIsIdentity(t *testing.T) {
-	old := image(9, 1, 10*1024)
-	var data []byte
-	for _, d := range old {
-		data = d
-	}
-	sig := ComputeSignatureForTest(data, 2048)
-	d := ComputeDeltaForTest(sig, data)
-	if !isIdentity(d, len(data), 2048) {
-		t.Fatal("identity delta not recognized")
-	}
-	changed := append([]byte(nil), data...)
-	changed[0] ^= 1
-	d2 := ComputeDeltaForTest(sig, changed)
-	if isIdentity(d2, len(data), 2048) {
-		t.Fatal("changed delta misclassified as identity")
 	}
 }

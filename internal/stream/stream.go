@@ -32,8 +32,8 @@ type Config struct {
 	BitrateBps float64
 	// BlockSize is the stream block size in bytes.
 	BlockSize float64
-	// Duration is the length of the live content in seconds; the source
-	// emits Blocks() = ceil(Duration/Interval()) blocks and stops.
+	// Duration is how long the source emits, in seconds; it emits Blocks()
+	// blocks and stops.
 	Duration float64
 	// PlayoutDepth is the playout buffer depth in seconds: playback
 	// starts (and resumes after a stall) once this much contiguous
@@ -49,9 +49,11 @@ type Config struct {
 // carries Interval seconds of content.
 func (c Config) Interval() float64 { return c.BlockSize / c.BitrateBps }
 
-// Blocks is the total number of content blocks the source emits.
+// Blocks is the total number of content blocks the source emits,
+// ⌈BitrateBps·Duration/BlockSize⌉ and at least one: the one block-count
+// formula, from which the session's file (ContentBytes) is derived too.
 func (c Config) Blocks() int {
-	n := int(math.Ceil(c.Duration / c.Interval()))
+	n := int(math.Ceil(c.BitrateBps * c.Duration / c.BlockSize))
 	if n < 1 {
 		n = 1
 	}

@@ -78,7 +78,7 @@ func TestLoopbackDeliveryInOrder(t *testing.T) {
 func TestLossRecoveryDeterministicSeed(t *testing.T) {
 	// 20% injected loss on every transmission attempt; the reliable link
 	// must still deliver everything, through retransmission.
-	cfg := Config{DropProb: 0.2, DropSeed: 42, RTO: 10 * time.Millisecond}
+	cfg := Config{DropProb: 0.2, DropSeed: 42, RTO: 0.01}
 	eng, rt, tr, clock := rig(t, 2, cfg, 1)
 	a, b := rt.Node(0), rt.Node(1)
 	var got []int
@@ -107,7 +107,7 @@ func TestLossRecoveryDeterministicSeed(t *testing.T) {
 func TestRetryExhaustionAbortsConn(t *testing.T) {
 	// Total loss: every transmission is dropped, so retries exhaust and
 	// both endpoints observe the crashed-peer signal.
-	cfg := Config{DropProb: 1.0, DropSeed: 1, RTO: 2 * time.Millisecond, MaxRetries: 3}
+	cfg := Config{DropProb: 1.0, DropSeed: 1, RTO: 0.002, MaxRetries: 3}
 	eng, rt, tr, clock := rig(t, 2, cfg, 1)
 	a, b := rt.Node(0), rt.Node(1)
 	var aClosed, bClosed bool

@@ -13,29 +13,38 @@ import (
 	"bulletprime/internal/wire"
 )
 
-// Config parameterizes the UDP transport.
+// Config is the testbed's options; the zero value is the loopback default
+// (127.0.0.1, real-time clock, 50 ms RTO, 8 retries, no injected loss). It
+// is declared here once: the harness's TestbedSpec and the façade's
+// TestbedOptions are this type, and its JSON form is the "testbed" block of
+// an archived run's fingerprint — the knobs that shape results, not the
+// addresses a run happened to bind. See DESIGN.md §10.
 type Config struct {
 	// ListenHost is the address every node binds on when Peers has no entry
 	// for it; default "127.0.0.1" (ports auto-assigned — the loopback
 	// single-process mode).
-	ListenHost string
-	// Peers optionally pins listen addresses ("host:port") per node — the
+	ListenHost string `json:"-"`
+	// Peers optionally pins listen addresses ("host:port") per node id — the
 	// address table of a multi-host deployment. Nodes absent from the table
 	// bind ListenHost with an ephemeral port.
-	Peers map[netem.NodeID]string
-	// RTO is the wall-clock retransmission timeout before the first resend;
-	// each retry doubles it. Default 50 ms.
-	RTO time.Duration
+	Peers map[int]string `json:"-"`
+	// Rate is the run Clock's virtual seconds per wall second
+	// (NewClock(Rate)); <= 0 means 1 (real time). Raising it accelerates the
+	// protocols' periodic timers against the wall clock.
+	Rate float64 `json:"rate,omitempty"`
+	// RTO is the wall-clock retransmission timeout in seconds before the
+	// first resend; each retry doubles it. <= 0 means 50 ms.
+	RTO float64 `json:"rto,omitempty"`
 	// MaxRetries bounds resends per frame; exhaustion declares the node pair
-	// dead and aborts its in-flight connections. Default 8.
-	MaxRetries int
+	// dead and aborts its in-flight connections. <= 0 means 8.
+	MaxRetries int `json:"max_retries,omitempty"`
 	// DropProb injects uniform loss: every transmission attempt (data and
 	// acks, retransmits included) is dropped with this probability. A test
 	// hook — real loss comes from the network underneath.
-	DropProb float64
+	DropProb float64 `json:"drop_prob,omitempty"`
 	// DropSeed seeds the loss injector; equal seeds drop the same
 	// transmission attempts, making loss-tolerance tests deterministic.
-	DropSeed int64
+	DropSeed int64 `json:"drop_seed,omitempty"`
 }
 
 // withDefaults fills the zero values.
@@ -44,7 +53,7 @@ func (c Config) withDefaults() Config {
 		c.ListenHost = "127.0.0.1"
 	}
 	if c.RTO <= 0 {
-		c.RTO = 50 * time.Millisecond
+		c.RTO = 0.05
 	}
 	if c.MaxRetries <= 0 {
 		c.MaxRetries = 8
@@ -102,6 +111,7 @@ type recvLink struct {
 // no locks.
 type Transport struct {
 	cfg   Config
+	rto   time.Duration // cfg.RTO on the wall clock
 	clock *Clock
 
 	socks map[netem.NodeID]*net.UDPConn
@@ -144,6 +154,7 @@ func New(clock *Clock, cfg Config, nodes []netem.NodeID) (*Transport, error) {
 	cfg = cfg.withDefaults()
 	t := &Transport{
 		cfg:      cfg,
+		rto:      time.Duration(cfg.RTO * float64(time.Second)),
 		clock:    clock,
 		socks:    make(map[netem.NodeID]*net.UDPConn, len(nodes)),
 		addrs:    make(map[netem.NodeID]*net.UDPAddr, len(nodes)),
@@ -160,7 +171,7 @@ func New(clock *Clock, cfg Config, nodes []netem.NodeID) (*Transport, error) {
 	}
 	for _, id := range nodes {
 		listen := net.JoinHostPort(cfg.ListenHost, "0")
-		if a, ok := cfg.Peers[id]; ok {
+		if a, ok := cfg.Peers[int(id)]; ok {
 			listen = a
 		}
 		addr, err := net.ResolveUDPAddr("udp", listen)
@@ -257,7 +268,7 @@ func (t *Transport) RTT(a, b netem.NodeID) float64 {
 	if l, ok := t.links[pair{a, b}]; ok && l.srtt > 0 {
 		return t.clock.Virtual(l.srtt)
 	}
-	return t.clock.Virtual(t.cfg.RTO)
+	return t.clock.Virtual(t.rto)
 }
 
 // Gauges implements proto.Gauger: a snapshot of the live link state for the
@@ -307,7 +318,7 @@ func (t *Transport) sendEnvelope(from, to netem.NodeID, env wire.Msg, c *proto.C
 	now := time.Now()
 	l.pending = append(l.pending, &pending{
 		seq: seq, frame: enc, conn: c, op: env.Op, size: size,
-		sentAt: now, retryAt: now.Add(t.cfg.RTO), backoff: t.cfg.RTO,
+		sentAt: now, retryAt: now.Add(t.rto), backoff: t.rto,
 	})
 	t.transmit(from, to, enc)
 }

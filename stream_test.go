@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"bulletprime/internal/scenario"
+	"bulletprime/internal/stream"
 )
 
 // TestStreamRunBasics drives a small live-stream session end to end: the
@@ -92,6 +93,62 @@ func TestStreamValidation(t *testing.T) {
 	}
 	if norm.Stream.PlayoutDepth != 4 || norm.Stream.Drain != 15 || norm.Stream.Warmup != 2.5 {
 		t.Errorf("stream defaults = %+v, want depth 4, drain 15, warmup 2.5", *norm.Stream)
+	}
+}
+
+// TestStreamBlockCountOneFormula pins that the blocks a streaming session
+// sends and the blocks its tracker models are one number across stream
+// geometries, including two where ⌈Duration/Interval⌉ rounds up past
+// ⌈BitrateBps·Duration/BlockSize⌉.
+func TestStreamBlockCountOneFormula(t *testing.T) {
+	check := func(rate, duration float64) int {
+		t.Helper()
+		norm, err := RunConfig{Nodes: 8, Stream: &StreamOptions{BitrateBps: rate, Duration: duration}}.normalized()
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := buildSpec(norm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		session := spec.Workload.NumBlocks()
+		model := stream.Config{BitrateBps: spec.Stream.BitrateBps, BlockSize: spec.Workload.BlockSize,
+			Duration: spec.Stream.Duration}.Blocks()
+		if session != model {
+			t.Fatalf("%v B/s × %v s: the session sends %d blocks, the tracker models %d", rate, duration, session, model)
+		}
+		return session
+	}
+	if n := check(50176, 16); n != 49 {
+		t.Errorf("50176 B/s × 16 s = %d blocks, want 49", n)
+	}
+	if n := check(7.2*1e6/8, 512); n != 28125 { // bulletctl run -stream -bitrate 7.2 -duration 512
+		t.Errorf("900000 B/s × 512 s = %d blocks, want 28125", n)
+	}
+	for _, rate := range []float64{1000, 12345.6, 50176, 64 * 1024, 100000, 300000, 7.2 * 1e6 / 8, 2.5e6} {
+		for duration := 0.5; duration <= 64; duration += 0.5 {
+			check(rate, duration)
+		}
+	}
+}
+
+// TestStreamViewerBlocksMatchModel runs a stream whose two old block counts
+// disagreed: every viewer of the finished run holds exactly the blocks the
+// tracker's model says the stream has.
+func TestStreamViewerBlocksMatchModel(t *testing.T) {
+	opts := StreamOptions{BitrateBps: 50176, Duration: 16}
+	res, err := Run(RunConfig{Nodes: 8, Network: NetworkModelNetClean, Seed: 3, Stream: &opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Finished || res.Stream == nil {
+		t.Fatalf("stream did not finish (elapsed %.1fs)", res.Elapsed)
+	}
+	model := stream.Config{BitrateBps: opts.BitrateBps, BlockSize: 16 * 1024, Duration: opts.Duration}.Blocks()
+	for _, v := range res.Stream.Nodes {
+		if v.Blocks != model {
+			t.Errorf("viewer %d reports %d blocks, the model %d", v.Node, v.Blocks, model)
+		}
 	}
 }
 
