@@ -434,6 +434,15 @@ func scenarioBenchRig(seed int64) *harness.Rig {
 	return scenarioBenchRigN(seed, 500)
 }
 
+// benchProgram compiles a benchmark's scenario for an n-node rig.
+func benchProgram(b *testing.B, s *scenario.Scenario, n int) *scenario.Program {
+	p, err := s.Compile(n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return p
+}
+
 // scenarioBenchRigN is the same load at an arbitrary clustered scale.
 func scenarioBenchRigN(seed int64, n int) *harness.Rig {
 	const clusterSize = 25
@@ -466,10 +475,11 @@ func BenchmarkScenarioTraceReplay500(b *testing.B) {
 	}
 	sc := scenario.New("bench-trace",
 		scenario.TraceReplay(1, scenario.LinkSet{Frac: 0.1, Dir: "in"}, tr, true))
+	prog := benchProgram(b, sc, 500)
 	var recomputes, rates uint64
 	for i := 0; i < b.N; i++ {
 		rig := scenarioBenchRig(7)
-		harness.ScenarioDynamics(sc)(rig)
+		rig.ApplyScenario(prog)
 		rig.Eng.RunUntil(30)
 		recomputes = rig.Net.Recomputes
 		rates = rig.Net.FlowRatesRecomputed
@@ -481,6 +491,7 @@ func BenchmarkScenarioTraceReplay500(b *testing.B) {
 func BenchmarkScenarioChurn500(b *testing.B) {
 	sc := scenario.New("bench-churn",
 		scenario.Churn(0, 0.5, scenario.Dist{Kind: "exp", Mean: 10}))
+	prog := benchProgram(b, sc, 500)
 	var recomputes, rates uint64
 	for i := 0; i < b.N; i++ {
 		rig := scenarioBenchRig(8)
@@ -499,7 +510,7 @@ func BenchmarkScenarioChurn500(b *testing.B) {
 			conn := rig.RT.Node(a).Dial(c)
 			conn.Send(rig.RT.Node(a), proto.Message{Kind: 1, Size: 50e6})
 		}
-		harness.ScenarioDynamics(sc)(rig)
+		rig.ApplyScenario(prog)
 		rig.Eng.RunUntil(30)
 		recomputes = rig.Net.Recomputes
 		rates = rig.Net.FlowRatesRecomputed
@@ -523,11 +534,12 @@ func BenchmarkScenarioTraceReplay5000(b *testing.B) {
 	}
 	sc := scenario.New("bench-trace-5000",
 		scenario.TraceReplay(1, scenario.LinkSet{Frac: 0.02, Dir: "in"}, tr, true))
+	prog := benchProgram(b, sc, 5000)
 	var executed uint64
 	var wallPerVirtual float64
 	for i := 0; i < b.N; i++ {
 		rig := scenarioBenchRigN(7, 5000)
-		harness.ScenarioDynamics(sc)(rig)
+		rig.ApplyScenario(prog)
 		start := time.Now()
 		rig.Eng.RunUntil(10)
 		wallPerVirtual = time.Since(start).Seconds() / 10

@@ -412,11 +412,6 @@ func buildSpec(cfg RunConfig) (harness.SweepSpec, error) {
 	var spec harness.SweepSpec
 	systemName, _ := lookupProtocol(cfg.Protocol)
 
-	var dyn func(*harness.Rig)
-	if cfg.DynamicBandwidth {
-		dyn = harness.SyntheticBandwidthChanges(20)
-	}
-
 	var prog *scenario.Program
 	if cfg.Scenario != nil {
 		var err error
@@ -441,7 +436,6 @@ func buildSpec(cfg RunConfig) (harness.SweepSpec, error) {
 	spec = harness.SweepSpec{
 		Label:    fmt.Sprintf("%s/%s/seed%d", cfg.Protocol, cfg.Network, cfg.Seed),
 		Seed:     cfg.Seed,
-		Dynamics: dyn,
 		System:   systemName,
 		Workload: harness.Workload{FileBytes: cfg.FileBytes, BlockSize: cfg.BlockSize},
 		CoreMut:  coreMut,
@@ -453,6 +447,9 @@ func buildSpec(cfg RunConfig) (harness.SweepSpec, error) {
 		Testbed:  cfg.Testbed, // non-nil exactly on NetworkTestbedUDP (normalized)
 		Stream:   (*harness.StreamSpec)(cfg.Stream),
 		Tracer:   tracer,
+	}
+	if cfg.DynamicBandwidth {
+		spec.Dynamics = harness.SyntheticBandwidthChanges(20)
 	}
 	if err := spec.Check(); err != nil {
 		return spec, err

@@ -50,6 +50,18 @@ func TestScenarioLintExitCodes(t *testing.T) {
 		t.Fatalf("invalid scenario: exit %d, want 1", code)
 	}
 
+	// 1: a process that would fire again every 1e-300 s, and so never let a
+	// run's clock advance.
+	hang := filepath.Join(dir, "hang.json")
+	if err := os.WriteFile(hang, []byte(`{"name": "hang", "events": [
+		{"kind":"scale_bw","at":1,"period":1e-300,"factor":0.999,"links":{"pairs":[[1,2]]}}
+	]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code, _, stderr := lint(t, "lint", hang); code != 1 || !strings.Contains(stderr, "period 1e-300s is below the 0.001s floor") {
+		t.Fatalf("period 1e-300: exit %d (stderr %q), want 1 naming the floor", code, stderr)
+	}
+
 	// 0: explicit help is not a usage error.
 	if code, _, stderr := lint(t, "lint", "-h"); code != 0 || !strings.Contains(stderr, "-nodes") {
 		t.Fatalf("-h: exit %d (stderr %q), want 0 with usage text", code, stderr)
@@ -136,5 +148,24 @@ func TestRunPresetRefusesNodeCount(t *testing.T) {
 			!strings.Contains(stderr, network) || !strings.Contains(stderr, "30 nodes") {
 			t.Fatalf("-network %s -nodes 30: stderr %q, want one line naming the preset and the count", network, stderr)
 		}
+	}
+}
+
+// TestRunDynamicOnCompactClusters: -dynamic degrades core links toward its
+// victims from every member, and the compact preset holds inter-cluster
+// links fixed, so the run is one line naming the event and a link on stderr
+// and exit 1, not a goroutine trace. On the dense clustered preset the same
+// command prints the table it always has.
+func TestRunDynamicOnCompactClusters(t *testing.T) {
+	code, _, stderr := ctl(t, "run", "-nodes", "100", "-filemb", "1", "-dynamic", "-network", "clustered-compact")
+	if code != 1 || strings.Contains(stderr, "goroutine") || strings.Count(stderr, "\n") != 1 ||
+		!strings.Contains(stderr, `"synthetic-bandwidth-changes" event 0 (degrade at t=0s) changes core link 25→0`) {
+		t.Fatalf("clustered-compact: exit %d, stderr %q, want 1 and one line naming the degrade and a fixed link", code, stderr)
+	}
+	code, stdout, stderr := ctl(t, "run", "-nodes", "100", "-filemb", "1", "-dynamic", "-network", "clustered")
+	const want = "protocol       network        seed     best_s   median_s    worst_s  finished completions\n" +
+		"bulletprime    clustered         1       13.1       16.7       19.0      true          99\n"
+	if code != 0 || stdout != want {
+		t.Fatalf("clustered: exit %d (stderr %q), stdout\n%s\nwant\n%s", code, stderr, stdout, want)
 	}
 }

@@ -245,7 +245,7 @@ func referenceLines(n int, w Workload) []trace.Series {
 	for rate := 2 * netem.MSS / rtt; rate < access; rate *= 2 {
 		rampRTTs++
 	}
-	feasible := w.FileBytes/(access*framing) + rampRTTs*rtt
+	feasible := w.FileBytes/(access*framing) + float64(rampRTTs*rtt)
 
 	vertical := func(label string, t float64) trace.Series {
 		s := trace.Series{Label: label}

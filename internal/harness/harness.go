@@ -11,6 +11,7 @@ import (
 
 	"bulletprime/internal/netem"
 	"bulletprime/internal/proto"
+	"bulletprime/internal/scenario"
 	"bulletprime/internal/sim"
 	"bulletprime/internal/stream"
 	"bulletprime/internal/trace"
@@ -300,9 +301,9 @@ func errResult(s *SweepSpec, err error) *RunResult {
 // RunSpec executes one experiment spec, the same nine steps on every
 // backend: check the spec, settle the deadline, draw the topology, build
 // the rig with tracer and hooks installed, build the system (with the
-// scenario's sessions and the dynamics hook, where the rig has them), fire
-// the start hook and arrange ticks, start, advance to the deadline, and
-// assemble the result. Every sweep cell and every figure series go through
+// scenario's sessions and events, then the dynamics, where the rig has
+// them), fire the start hook and arrange ticks, start, advance to the
+// deadline, and assemble the result. Every sweep cell and every figure series go through
 // here, so a sweep's rigs are bit-identical to single runs. Hooks only read
 // state, so an observed run is bit-identical to an unobserved one with the
 // same spec. A spec that cannot run comes back as RunResult.Err, never as a
@@ -348,11 +349,28 @@ func RunSpec(s SweepSpec) *RunResult {
 }
 
 // rigBackend runs a spec on one Rig and one engine, flat out.
-type rigBackend struct{ rig *Rig }
+type rigBackend struct {
+	rig *Rig
+	// dynamics is SweepSpec.Dynamics compiled for the rig, or nil.
+	dynamics *scenario.Program
+}
 
 func newRigBackend(s *SweepSpec, topo *netem.Topology, h *Hooks) (rigBackend, error) {
-	if s.Scenario != nil {
-		if err := s.Scenario.Fits(topo); err != nil {
+	var dyn *scenario.Program
+	if s.Dynamics != nil {
+		var err error
+		if dyn, err = s.Dynamics.Compile(topo.N); err != nil {
+			return rigBackend{}, fmt.Errorf("harness: dynamics: %w", err)
+		}
+		if dyn.Waves() != nil {
+			return rigBackend{}, fmt.Errorf("harness: dynamics scenario %q has flash-crowd waves: a wave is a session, and sessions are built from SweepSpec.Scenario", dyn.Name())
+		}
+	}
+	for _, p := range []*scenario.Program{s.Scenario, dyn} {
+		if p == nil {
+			continue
+		}
+		if err := p.Fits(topo); err != nil {
 			return rigBackend{}, fmt.Errorf("harness: %w", err)
 		}
 	}
@@ -360,7 +378,7 @@ func newRigBackend(s *SweepSpec, topo *netem.Topology, h *Hooks) (rigBackend, er
 	rig.RT.Tracer = s.Tracer
 	rig.onBlock = h.OnBlock
 	rig.Annotate = h.Annotate
-	return rigBackend{rig}, nil
+	return rigBackend{rig, dyn}, nil
 }
 
 func (b rigBackend) build(s *SweepSpec, e SystemEntry) System {
@@ -368,8 +386,8 @@ func (b rigBackend) build(s *SweepSpec, e SystemEntry) System {
 		installStream(b.rig, *s.Stream, s.Workload.BlockSize, s.Tracer)
 	}
 	sys := buildSessions(b.rig, s, e.Build)
-	if s.Dynamics != nil {
-		s.Dynamics(b.rig)
+	if b.dynamics != nil {
+		b.rig.ApplyScenario(b.dynamics)
 	}
 	return sys
 }

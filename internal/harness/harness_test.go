@@ -6,8 +6,19 @@ import (
 
 	"bulletprime/internal/core"
 	"bulletprime/internal/netem"
+	"bulletprime/internal/scenario"
 	"bulletprime/internal/sim"
 )
+
+// applyOn compiles s for the rig and applies it through the rig's door.
+func applyOn(t *testing.T, rig *Rig, s *scenario.Scenario) {
+	t.Helper()
+	p, err := s.Compile(len(rig.Members))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rig.ApplyScenario(p)
+}
 
 func TestScaleBounds(t *testing.T) {
 	sc := Scale{Nodes: 0.01, File: 0.0001}
@@ -100,7 +111,7 @@ func TestSyntheticBandwidthChangesCumulative(t *testing.T) {
 	topo := ModelNetTopology(10)(sim.NewRNG(5).Stream("topo"))
 	orig := topo.CoreBW(1, 2)
 	rig := NewRig(topo, 5)
-	SyntheticBandwidthChanges(1.0)(rig)
+	applyOn(t, rig, SyntheticBandwidthChanges(1.0))
 	rig.Eng.RunUntil(10.5)
 	// After 10 rounds of halving 25% of directed pairs, total core
 	// bandwidth must be strictly below the original.
@@ -120,7 +131,7 @@ func TestSyntheticBandwidthChangesCumulative(t *testing.T) {
 func TestCascadeDynamicsSchedule(t *testing.T) {
 	topo := CascadeTopology()(sim.NewRNG(6).Stream("topo"))
 	rig := NewRig(topo, 6)
-	CascadeDynamics(25)(rig)
+	applyOn(t, rig, CascadeDynamics(25))
 	rig.Eng.RunUntil(30)
 	if got := topo.CoreBW(1, 7); got != netem.Kbps(100) {
 		t.Fatalf("first link not degraded at t=30: %v", got)

@@ -80,9 +80,9 @@ func TestRunSpecRules(t *testing.T) {
 
 		{"testbed", "sharded", func(s *SweepSpec) { s.Engine = EngineSharded }, "sharded engine", false},
 		{"testbed", "scenario", func(s *SweepSpec) { s.Scenario = prog(8) }, "scenarios", false},
-		{"testbed", "dynamics", func(s *SweepSpec) { s.Dynamics = func(*Rig) {} }, "DynamicBandwidth", false},
+		{"testbed", "dynamics", func(s *SweepSpec) { s.Dynamics = SyntheticBandwidthChanges(20) }, "DynamicBandwidth", false},
 		{"sharded", "scenario", func(s *SweepSpec) { s.Scenario = prog(200) }, "scenarios", false},
-		{"sharded", "dynamics", func(s *SweepSpec) { s.Dynamics = func(*Rig) {} }, "DynamicBandwidth", false},
+		{"sharded", "dynamics", func(s *SweepSpec) { s.Dynamics = SyntheticBandwidthChanges(20) }, "DynamicBandwidth", false},
 
 		{"sharded", "OnStart", func(s *SweepSpec) { s.Hooks = &Hooks{OnStart: func(*Rig, System) {}} }, "OnShardStart", false},
 		{"sharded", "OnTick", func(s *SweepSpec) { s.Hooks = &Hooks{OnTick: func(*Rig, System) {}} }, "OnShardTick", false},
@@ -100,6 +100,12 @@ func TestRunSpecRules(t *testing.T) {
 			s.TopoFn = ClusteredTopologyCompact(10, 5)
 			s.Scenario = prog(10, scenario.ScaleBW(1, scenario.LinkSet{Frac: 0.1, Dir: "in"}, 0.5))
 		}, "event 0 (scale_bw at t=1s) changes core link 5→0, and this topology's inter-cluster links are immutable", true},
+		// The façade's DynamicBandwidth is a degrade, whose victims' inbound
+		// core links span members: the same refusal, through Dynamics.
+		{"sequential", "dynamics across immutable clusters", func(s *SweepSpec) {
+			s.TopoFn = ClusteredTopologyCompact(10, 5)
+			s.Dynamics = SyntheticBandwidthChanges(20)
+		}, `scenario "synthetic-bandwidth-changes" event 0 (degrade at t=0s) changes core link 5→0`, true},
 		{"sharded", "unclustered topology", func(s *SweepSpec) { s.TopoFn = ModelNetTopology(50) }, "clustered topology", true},
 		// Node 3's address cannot be bound, after nodes 0-2 have sockets and
 		// reader goroutines: the rig build must take those down again.

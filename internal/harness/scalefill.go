@@ -142,7 +142,7 @@ func (fs *fillShard) OnEvent(kind int32, payload any) {
 // cross-event merge wrong and every downstream round changes size.
 func (n *fillNode) startRound() {
 	fs := n.fs
-	size := (fs.sys.w.FileBytes / fillRounds) * (1 + float64(fs.tokens%8)*0.05)
+	size := (fs.sys.w.FileBytes / fillRounds) * (1 + float64(float64(fs.tokens%8)*0.05))
 	src := netem.NodeID(n.base + fs.rng.Intn(n.size))
 	if src == n.id {
 		src = netem.NodeID(n.base + (int(src)-n.base+1)%n.size)

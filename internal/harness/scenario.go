@@ -61,29 +61,22 @@ func (e *rigEnv) Annotate(text string) {
 	}
 }
 
-// ScenarioDynamics compiles a scenario and returns it in the harness's
-// dynamics-hook shape, so declarative scenarios slot anywhere a hardcoded
-// schedule used to (SweepSpec.Dynamics: the figure table, benchmarks). The scenario
-// must not contain flash-crowd waves — those need session construction and
-// only run through SweepSpec.Scenario / RunSpec. Compilation errors panic:
-// a builder-made scenario that fails to compile is a programming error.
-func ScenarioDynamics(s *scenario.Scenario) func(*Rig) {
-	return func(r *Rig) {
-		prog, err := s.Compile(len(r.Members))
-		if err != nil {
-			panic(fmt.Sprintf("harness: %v", err))
-		}
-		if prog.Waves() != nil {
-			panic("harness: flash-crowd scenarios must run via SweepSpec.Scenario, not the dynamics hook")
-		}
-		prog.Apply(&rigEnv{rig: r})
-	}
+// ApplyScenario binds a compiled program's event timeline to the rig: its
+// events schedule on the rig's engine, draw from its master RNG, and report
+// link changes to its emulator in per-tick batches. sources are exempt from
+// churn (the first member when there are none). It is the one door from a
+// scenario to a rig: RunSpec applies SweepSpec.Scenario and SweepSpec.Dynamics
+// through it, and a bare rig (a benchmark) may call it before running. The
+// program's flash-crowd waves are not applied here; RunSpec builds their
+// sessions.
+func (r *Rig) ApplyScenario(p *scenario.Program, sources ...netem.NodeID) {
+	p.Apply(&rigEnv{rig: r, sources: sources})
 }
 
 // buildSessions builds the spec's system on a fresh rig and applies its
 // compiled scenario, if any: one session over every member, or — when the
 // scenario has flash-crowd waves — staggered sessions wrapped in a
-// waveSystem; then the event timeline, through a rigEnv.
+// waveSystem; then the event timeline, with the wave sources spared churn.
 func buildSessions(rig *Rig, s *SweepSpec, build SystemBuilder) System {
 	prog := s.Scenario
 	var cohorts [][]netem.NodeID
@@ -91,7 +84,7 @@ func buildSessions(rig *Rig, s *SweepSpec, build SystemBuilder) System {
 		cohorts = prog.ResolveWaves(rig.Master.Stream("scenario/waves"))
 	}
 	var sys System
-	env := &rigEnv{rig: rig}
+	var sources []netem.NodeID
 	if cohorts == nil {
 		sys = rig.build(build, s, rig.Members, 0, "")
 	} else {
@@ -111,12 +104,12 @@ func buildSessions(rig *Rig, s *SweepSpec, build SystemBuilder) System {
 				size: len(cohort),
 				sys:  rig.build(build, s, cohort, waves[i].At, suffix),
 			})
-			env.sources = append(env.sources, cohort[0])
+			sources = append(sources, cohort[0])
 		}
 		sys = ws
 	}
 	if prog != nil {
-		prog.Apply(env)
+		rig.ApplyScenario(prog, sources...)
 	}
 	return sys
 }

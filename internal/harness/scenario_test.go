@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"strings"
 	"testing"
 
 	"bulletprime/internal/netem"
@@ -65,6 +66,14 @@ func legacyCascadeDynamics(interval float64) func(*Rig) {
 	}
 }
 
+// withLegacy runs a legacy closure from Hooks.OnStart, which fires right
+// after the build, where RunSpec applies SweepSpec.Dynamics: the closure
+// schedules its events in the same engine order the scenario does.
+func withLegacy(spec SweepSpec, dynamics func(*Rig)) SweepSpec {
+	spec.Hooks = &Hooks{OnStart: func(r *Rig, _ System) { dynamics(r) }}
+	return spec
+}
+
 func requireIdenticalRuns(t *testing.T, a, b *RunResult) {
 	t.Helper()
 	if len(a.PerNode) != len(b.PerNode) {
@@ -92,8 +101,7 @@ func TestScenarioMatchesLegacySynthetic(t *testing.T) {
 	w := Workload{FileBytes: 1.5e6, BlockSize: 16 * 1024}
 	for _, seed := range []int64{3, 11} {
 		spec := SweepSpec{Seed: seed, TopoFn: ModelNetTopology(12), Workload: w, Deadline: 3600}
-		spec.Dynamics = legacySyntheticBandwidthChanges(5)
-		legacy := RunSpec(spec)
+		legacy := RunSpec(withLegacy(spec, legacySyntheticBandwidthChanges(5)))
 		spec.Dynamics = SyntheticBandwidthChanges(5)
 		scen := RunSpec(spec)
 		requireIdenticalRuns(t, legacy, scen)
@@ -108,8 +116,7 @@ func TestScenarioMatchesLegacySynthetic(t *testing.T) {
 func TestScenarioMatchesLegacyCascade(t *testing.T) {
 	spec := SweepSpec{Seed: 23, TopoFn: CascadeTopology(), Deadline: 7200,
 		Workload: Workload{FileBytes: 2e6, BlockSize: 16 * 1024}}
-	spec.Dynamics = legacyCascadeDynamics(15)
-	legacy := RunSpec(spec)
+	legacy := RunSpec(withLegacy(spec, legacyCascadeDynamics(15)))
 	spec.Dynamics = CascadeDynamics(15)
 	scen := RunSpec(spec)
 	requireIdenticalRuns(t, legacy, scen)
@@ -196,8 +203,8 @@ func TestScenarioChurnKillsDownloads(t *testing.T) {
 	spec := SweepSpec{Seed: 4, TopoFn: ModelNetTopology(12), Deadline: 900,
 		Workload: Workload{FileBytes: 1e6, BlockSize: 16 * 1024}}
 	calm := RunSpec(spec)
-	spec.Dynamics = ScenarioDynamics(scenario.New("churn",
-		scenario.Churn(1, 0.4, scenario.Dist{Kind: "exp", Mean: 5})))
+	spec.Dynamics = scenario.New("churn",
+		scenario.Churn(1, 0.4, scenario.Dist{Kind: "exp", Mean: 5}))
 	churny := RunSpec(spec)
 	if churny.Finished {
 		t.Fatal("run finished despite 40% of members crashing")
@@ -207,16 +214,17 @@ func TestScenarioChurnKillsDownloads(t *testing.T) {
 	}
 }
 
-// TestScenarioDynamicsRejectsWaves pins the guard: flash-crowd scenarios
-// need session construction and cannot ride the plain dynamics hook.
+// TestScenarioDynamicsRejectsWaves pins the guard: flash-crowd waves need
+// session construction, so a Dynamics scenario that has them is refused by
+// name, and nothing runs.
 func TestScenarioDynamicsRejectsWaves(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	topo := ModelNetTopology(8)(sim.NewRNG(1).Stream("topo"))
-	rig := NewRig(topo, 1)
-	ScenarioDynamics(scenario.New("w",
-		scenario.FlashCrowd(scenario.Wave{At: 0, Frac: 1})))(rig)
+	spec := sequentialSpec(1)
+	spec.Dynamics = scenario.New("w", scenario.FlashCrowd(scenario.Wave{At: 0, Frac: 1}))
+	res := RunSpec(spec)
+	if res.Err == nil || !strings.Contains(res.Err.Error(), `dynamics scenario "w" has flash-crowd waves`) {
+		t.Fatalf("Err = %v, want the flash-crowd waves named", res.Err)
+	}
+	if res.EndedAt != 0 || len(res.PerNode) != 0 {
+		t.Fatalf("a refused spec ran: %+v", res)
+	}
 }

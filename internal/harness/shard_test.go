@@ -179,7 +179,7 @@ func TestShardedRunRejectsSequentialFeatures(t *testing.T) {
 		name   string
 		mutate func(*SweepSpec)
 	}{
-		{"Dynamics", func(s *SweepSpec) { s.Dynamics = func(*Rig) {} }},
+		{"Dynamics", func(s *SweepSpec) { s.Dynamics = SyntheticBandwidthChanges(20) }},
 		{"OnTick", func(s *SweepSpec) { s.Hooks = &Hooks{OnTick: func(*Rig, System) {}, TickEvery: 1} }},
 		{"sequential-only system", func(s *SweepSpec) { s.System = "BulletPrime" }},
 	}

@@ -17,10 +17,14 @@ import (
 // it, bundled so a seeds × protocols × presets cross product can be built up
 // front and fanned across workers.
 type SweepSpec struct {
-	Label    string
-	Seed     int64
-	TopoFn   func(*sim.RNG) *netem.Topology
-	Dynamics func(*Rig)
+	Label  string
+	Seed   int64
+	TopoFn func(*sim.RNG) *netem.Topology
+	// Dynamics is a link-dynamics scenario (SyntheticBandwidthChanges, the
+	// façade's DynamicBandwidth; CascadeDynamics). RunSpec compiles it for
+	// the drawn topology, checks it fits, and applies it after Scenario's
+	// events. It cannot hold flash-crowd waves: sessions come from Scenario.
+	Dynamics *scenario.Scenario
 	Workload Workload
 	CoreMut  func(*core.Config)
 	Deadline sim.Time

@@ -95,7 +95,7 @@ func TestTestbedRejectsEmulatorOnlyFeatures(t *testing.T) {
 	}{
 		{"sharded", func(s *SweepSpec) { s.Engine = EngineSharded }},
 		{"scenario", func(s *SweepSpec) { s.Scenario = &scenario.Program{} }},
-		{"dynamics", func(s *SweepSpec) { s.Dynamics = func(*Rig) {} }},
+		{"dynamics", func(s *SweepSpec) { s.Dynamics = SyntheticBandwidthChanges(20) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -29,7 +29,7 @@ var BenchScale = Scale{Nodes: 0.25, File: 0.05}
 var TestScale = Scale{Nodes: 0.12, File: 0.01}
 
 func (s Scale) nodes(full int) int {
-	n := int(float64(full)*s.Nodes + 0.5)
+	n := int(float64(float64(full)*s.Nodes) + 0.5)
 	if n < 8 {
 		n = 8
 	}

@@ -467,9 +467,10 @@ func (n *Network) LinkChanged(src, dst NodeID) {
 	n.markDirty()
 }
 
-// LinkRef names one mutated link for batched change reporting. A core link
-// is (Src, Dst); an access link leaves the far side negative: {Src: i,
-// Dst: -1} is node i's outbound access link, {Src: -1, Dst: i} its inbound.
+// LinkRef names one link: for batched change reporting, and for reading and
+// writing its bandwidth (Topology.LinkBW, SetLinkBW). A core link is (Src,
+// Dst); an access link leaves the far side negative: {Src: i, Dst: -1} is
+// node i's outbound access link, {Src: -1, Dst: i} its inbound.
 type LinkRef struct {
 	Src, Dst NodeID
 }

@@ -129,6 +129,30 @@ func (t *Topology) SetCoreBW(src, dst NodeID, bw float64) {
 	t.coreBW[i] = bw
 }
 
+// LinkBW returns the bandwidth of the link l names: a core link, or one of a
+// node's access links.
+func (t *Topology) LinkBW(l LinkRef) float64 {
+	switch {
+	case l.Src < 0:
+		return t.AccessIn[l.Dst]
+	case l.Dst < 0:
+		return t.AccessOut[l.Src]
+	}
+	return t.CoreBW(l.Src, l.Dst)
+}
+
+// SetLinkBW sets the bandwidth of the link l names.
+func (t *Topology) SetLinkBW(l LinkRef, bw float64) {
+	switch {
+	case l.Src < 0:
+		t.AccessIn[l.Dst] = bw
+	case l.Dst < 0:
+		t.AccessOut[l.Src] = bw
+	default:
+		t.SetCoreBW(l.Src, l.Dst, bw)
+	}
+}
+
 // CoreLinkFixed reports whether the core link src→dst cannot be changed: on
 // a compact topology, Set* on an inter-cluster link panics.
 func (t *Topology) CoreLinkFixed(src, dst NodeID) bool {

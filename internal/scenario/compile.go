@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -130,49 +131,34 @@ func (p *Program) Fits(topo *netem.Topology) error {
 		return fmt.Errorf("scenario compiled for %d nodes applied to a %d-node topology: its link sets and cohorts name nodes by index",
 			p.n, topo.N)
 	}
+	members := make([]netem.NodeID, topo.N)
+	for i := range members {
+		members[i] = netem.NodeID(i)
+	}
 	for i := range p.events {
 		ev := &p.events[i]
-		if src, dst, ok := ev.fixedLink(topo); ok {
-			return fmt.Errorf("scenario %q event %d (%s at t=%vs) changes core link %d→%d, and this topology's inter-cluster links are immutable: "+
-				"select access links (\"access\": \"in\", \"out\" or \"both\") or run on the dense clustered preset",
-				p.name, i, ev.Kind, ev.At, src, dst)
+		ls := ev.Links
+		if ev.Kind == KindDegrade {
+			ls = &LinkSet{All: true, Dir: "in"} // every member's link toward a victim
 		}
-	}
-	return nil
-}
-
-// fixedLink names a core link the event writes that topo holds fixed, if
-// there is one: among its explicit pairs, or — for degrade and for a nodes,
-// frac or all selector without access, which reach from the chosen nodes to
-// every member — among one chosen node's links.
-func (ev *Event) fixedLink(topo *netem.Topology) (src, dst netem.NodeID, found bool) {
-	ls := ev.Links
-	if ev.Kind == KindDegrade {
-		ls = &LinkSet{All: true, Dir: "in"} // every member's link toward a victim
-	}
-	if ls == nil || ls.Access != "" {
-		return
-	}
-	pairs := ls.Pairs
-	if len(pairs) == 0 {
-		v := 0 // frac and all: any member stands for the chosen ones
+		if ls == nil {
+			continue
+		}
+		// A nodes, frac or all selector reaches from each chosen node to every
+		// member, so one chosen node's links stand for all of theirs.
+		v := 0
 		if len(ls.Nodes) > 0 {
 			v = ls.Nodes[0]
 		}
-		for o := 0; o < topo.N; o++ {
-			if ls.Dir == "out" {
-				pairs = append(pairs, [2]int{v, o})
-			} else {
-				pairs = append(pairs, [2]int{o, v})
+		for _, l := range ls.links([]netem.NodeID{netem.NodeID(v)}, members) {
+			if l.Src >= 0 && l.Dst >= 0 && topo.CoreLinkFixed(l.Src, l.Dst) {
+				return fmt.Errorf("scenario %q event %d (%s at t=%vs) changes core link %d→%d, and this topology's inter-cluster links are immutable: "+
+					"select access links (\"access\": \"in\", \"out\" or \"both\") or run on the dense clustered preset",
+					p.name, i, ev.Kind, ev.At, l.Src, l.Dst)
 			}
 		}
 	}
-	for _, p := range pairs {
-		if s, d := netem.NodeID(p[0]), netem.NodeID(p[1]); s != d && topo.CoreLinkFixed(s, d) {
-			return s, d, true
-		}
-	}
-	return
+	return nil
 }
 
 // normalizeEvent validates one event and fills kind-specific defaults.
@@ -193,32 +179,28 @@ func normalizeEvent(ev *Event, n int) error {
 		return nil
 	}
 	switch ev.Kind {
-	case KindSetBW:
+	case KindSetBW, KindScaleBW:
 		if err := needLinks(); err != nil {
 			return err
 		}
-		if ev.BWKbps <= 0 {
+		if ev.Kind == KindSetBW && ev.BWKbps <= 0 {
 			return fmt.Errorf("bw_kbps must be positive, got %v", ev.BWKbps)
 		}
-		if ev.Count > 0 && ev.Period <= 0 {
-			return fmt.Errorf("count %d needs a positive period", ev.Count)
-		}
-	case KindScaleBW:
-		if err := needLinks(); err != nil {
-			return err
-		}
-		if ev.Factor <= 0 {
+		if ev.Kind == KindScaleBW && ev.Factor <= 0 {
 			return fmt.Errorf("factor must be positive, got %v", ev.Factor)
 		}
-		if ev.Floor < 0 || ev.Floor >= 1 {
+		if ev.Kind == KindScaleBW && (ev.Floor < 0 || ev.Floor >= 1) {
 			return fmt.Errorf("floor %v outside [0,1)", ev.Floor)
 		}
 		if ev.Count > 0 && ev.Period <= 0 {
 			return fmt.Errorf("count %d needs a positive period", ev.Count)
 		}
+		if ev.Period > 0 {
+			return repeatsAtLeast("period", ev.Period)
+		}
 	case KindDegrade:
-		if ev.Period <= 0 {
-			return fmt.Errorf("degrade needs a positive period")
+		if err := repeatsAtLeast("period", ev.Period); err != nil {
+			return err
 		}
 		if ev.VictimFrac == 0 {
 			ev.VictimFrac = 0.5
@@ -269,12 +251,18 @@ func normalizeEvent(ev *Event, n int) error {
 		if err := ev.Trace.validate(ev.Loop); err != nil {
 			return err
 		}
+		if ev.Loop {
+			return repeatsAtLeast("loop period (stretch × duration)", ev.Stretch*ev.Trace.Duration)
+		}
 	case KindOutage:
 		if err := needLinks(); err != nil {
 			return err
 		}
-		if ev.MeanUp <= 0 || ev.MeanDown <= 0 {
-			return fmt.Errorf("outage needs positive mean_up and mean_down")
+		if err := repeatsAtLeast("mean_up", ev.MeanUp); err != nil {
+			return err
+		}
+		if err := repeatsAtLeast("mean_down", ev.MeanDown); err != nil {
+			return err
 		}
 		if ev.DownKbps == 0 {
 			ev.DownKbps = 8 // ~1 KB/s: nearly, but not exactly, dead
@@ -311,6 +299,21 @@ func normalizeEvent(ev *Event, n int) error {
 		return normalizeWaves(ev, n)
 	default:
 		return fmt.Errorf("unknown kind %q", ev.Kind)
+	}
+	return nil
+}
+
+// minPeriod is the shortest interval, in virtual seconds, at which Compile
+// lets a process fire again (DESIGN.md §5): one bucket of the engine's timer
+// wheel, about a millisecond. A shorter one floods the event queue, and one
+// too small to move the clock (1e-300 s) would never let the run end.
+const minPeriod = 1e-3
+
+// repeatsAtLeast refuses a quantity that sets how often a process fires
+// again when it is below minPeriod.
+func repeatsAtLeast(name string, v float64) error {
+	if !(v >= minPeriod) { // NaN included
+		return fmt.Errorf("%s %vs is below the %vs floor on how often a process repeats", name, v, minPeriod)
 	}
 	return nil
 }
@@ -390,7 +393,7 @@ func normalizeWaves(ev *Event, n int) error {
 // an epsilon so binary-exact fractions (0.5 of 10) land on the intuitive
 // value. Matches the paper's "50% of participants" = n/2.
 func frcount(k int, frac float64) int {
-	c := int(float64(k)*frac + 1e-9)
+	c := int(float64(float64(k)*frac) + 1e-9)
 	if c > k {
 		c = k
 	}
@@ -486,10 +489,8 @@ func (p *Program) Apply(env Env) {
 	for i := range p.events {
 		ev := &p.events[i]
 		switch ev.Kind {
-		case KindSetBW:
-			p.applySetBW(env, ev)
-		case KindScaleBW:
-			p.applyScaleBW(env, ev)
+		case KindSetBW, KindScaleBW:
+			p.applyBW(env, ev)
 		case KindDegrade:
 			p.applyDegrade(env, ev)
 		case KindTrace:
@@ -517,17 +518,11 @@ func (p *Program) Apply(env Env) {
 // node choices from the event's stream (or "links" when the event has none),
 // at Apply time, so the resolved set is fixed for the run and deterministic
 // per seed.
-func resolveLinkSet(ls *LinkSet, env Env, stream string) resolvedLinks {
+func resolveLinkSet(ls *LinkSet, env Env, stream string) []netem.LinkRef {
 	members := env.Members()
-	var r resolvedLinks
-	if len(ls.Pairs) > 0 {
-		for _, pr := range ls.Pairs {
-			r.core = append(r.core, netem.LinkRef{Src: netem.NodeID(pr[0]), Dst: netem.NodeID(pr[1])})
-		}
-		return r
-	}
 	var nodes []netem.NodeID
 	switch {
+	case len(ls.Pairs) > 0: // the pairs are the links
 	case len(ls.Nodes) > 0:
 		for _, v := range ls.Nodes {
 			nodes = append(nodes, netem.NodeID(v))
@@ -540,27 +535,44 @@ func resolveLinkSet(ls *LinkSet, env Env, stream string) resolvedLinks {
 		for _, i := range rng.SampleInts(len(members), frcount(len(members), ls.Frac)) {
 			nodes = append(nodes, members[i])
 		}
-		sort.Slice(nodes, func(a, b int) bool { return nodes[a] < nodes[b] })
+		slices.Sort(nodes)
 	default: // All
 		nodes = append(nodes, members...)
 	}
+	return ls.links(nodes, members)
+}
+
+// links lists the selector's links once its nodes are chosen: the explicit
+// pairs; or the chosen nodes' access links, every inbound one before every
+// outbound one; or each core link between a chosen node and a member, in
+// Dir, once.
+func (ls *LinkSet) links(nodes, members []netem.NodeID) []netem.LinkRef {
+	var out []netem.LinkRef
+	if len(ls.Pairs) > 0 {
+		for _, pr := range ls.Pairs {
+			out = append(out, netem.LinkRef{Src: netem.NodeID(pr[0]), Dst: netem.NodeID(pr[1])})
+		}
+		return out
+	}
 	if ls.Access != "" {
-		for _, v := range nodes {
-			if ls.Access == "in" || ls.Access == "both" {
-				r.accessIn = append(r.accessIn, v)
-			}
-			if ls.Access == "out" || ls.Access == "both" {
-				r.accessOut = append(r.accessOut, v)
+		if ls.Access != "out" {
+			for _, v := range nodes {
+				out = append(out, netem.InAccess(v))
 			}
 		}
-		return r
+		if ls.Access != "in" {
+			for _, v := range nodes {
+				out = append(out, netem.OutAccess(v))
+			}
+		}
+		return out
 	}
 	seen := make(map[netem.LinkRef]bool)
 	add := func(src, dst netem.NodeID) {
 		ref := netem.LinkRef{Src: src, Dst: dst}
 		if src != dst && !seen[ref] {
 			seen[ref] = true
-			r.core = append(r.core, ref)
+			out = append(out, ref)
 		}
 	}
 	for _, v := range nodes {
@@ -573,7 +585,23 @@ func resolveLinkSet(ls *LinkSet, env Env, stream string) resolvedLinks {
 			}
 		}
 	}
-	return r
+	return out
+}
+
+// snapshot reads the current bandwidth of every link, in order.
+func snapshot(topo *netem.Topology, links []netem.LinkRef) []float64 {
+	bws := make([]float64, len(links))
+	for i, l := range links {
+		bws[i] = topo.LinkBW(l)
+	}
+	return bws
+}
+
+// setAll assigns bw to every link.
+func setAll(topo *netem.Topology, links []netem.LinkRef, bw float64) {
+	for _, l := range links {
+		topo.SetLinkBW(l, bw)
+	}
 }
 
 // repeat schedules fn at start, then every period (count times total;
@@ -591,45 +619,44 @@ func repeat(env Env, start, period float64, count int, fn func()) {
 	env.Schedule(start, tick)
 }
 
-func (p *Program) applySetBW(env Env, ev *Event) {
-	links := resolveLinkSet(ev.Links, env, ev.Stream)
-	bw := netem.Kbps(ev.BWKbps)
-	topo := env.Topo()
-	refs := links.refs()
-	count := ev.Count
-	if ev.Period <= 0 {
-		count = 1
-	}
-	lset := ev.Links
-	kbps := ev.BWKbps
-	repeat(env, ev.At, ev.Period, count, func() {
-		links.setAll(topo, bw)
-		env.LinksChanged(refs)
-		annotate(env, "set %s to %.0f Kbps", lset, kbps)
-	})
-}
-
-func (p *Program) applyScaleBW(env Env, ev *Event) {
+// applyBW runs set_bw and scale_bw, which differ only in what a tick does to
+// the selected links: at At, then every Period (Count times, 0 = forever),
+// the tick rewrites them and reports them as one batch.
+func (p *Program) applyBW(env Env, ev *Event) {
 	links := resolveLinkSet(ev.Links, env, ev.Stream)
 	topo := env.Topo()
-	var floors []float64
-	if ev.Floor > 0 {
-		floors = links.snapshot(topo)
-		for i := range floors {
-			floors[i] *= ev.Floor
+	var tick func()
+	format, arg := "set %s to %.0f Kbps", ev.BWKbps
+	if ev.Kind == KindSetBW {
+		bw := netem.Kbps(ev.BWKbps)
+		tick = func() { setAll(topo, links, bw) }
+	} else {
+		format, arg = "scale %s by %.3g", ev.Factor
+		var floors []float64
+		if ev.Floor > 0 {
+			floors = snapshot(topo, links)
+			for i := range floors {
+				floors[i] *= ev.Floor
+			}
+		}
+		tick = func() {
+			for i, l := range links {
+				bw := topo.LinkBW(l) * ev.Factor
+				if floors != nil && bw < floors[i] {
+					bw = floors[i]
+				}
+				topo.SetLinkBW(l, bw)
+			}
 		}
 	}
-	factor := ev.Factor
-	refs := links.refs()
 	count := ev.Count
 	if ev.Period <= 0 {
 		count = 1
 	}
-	lset := ev.Links
 	repeat(env, ev.At, ev.Period, count, func() {
-		links.scaleAll(topo, factor, floors)
-		env.LinksChanged(refs)
-		annotate(env, "scale %s by %.3g", lset, factor)
+		tick()
+		env.LinksChanged(links)
+		annotate(env, format, ev.Links, arg)
 	})
 }
 
@@ -642,23 +669,21 @@ func (p *Program) applyDegrade(env Env, ev *Event) {
 	members := env.Members()
 	topo := env.Topo()
 	n := len(members)
-	var floor map[int]float64
+	var floor []float64 // floor[s*n+d] bounds the link members[s]→members[d]
 	if ev.Floor > 0 {
-		floor = make(map[int]float64, n*(n-1))
-		for vi, src := range members {
-			for oi, dst := range members {
+		floor = make([]float64, n*n)
+		for s, src := range members {
+			for d, dst := range members {
 				if src != dst {
-					floor[vi*n+oi] = topo.CoreBW(src, dst) * ev.Floor
+					floor[s*n+d] = topo.CoreBW(src, dst) * ev.Floor
 				}
 			}
 		}
 	}
 	victims := frcount(n, ev.VictimFrac)
 	srcs := frcount(n, ev.SourceFrac)
-	factor := ev.Factor
 	rounds := 0
-	var round func()
-	round = func() {
+	repeat(env, ev.At+ev.Period, ev.Period, ev.Count, func() {
 		var batch []netem.LinkRef
 		for _, vi := range rng.SampleInts(n, victims) {
 			victim := members[vi]
@@ -667,11 +692,9 @@ func (p *Program) applyDegrade(env Env, ev *Event) {
 				if src == victim {
 					continue
 				}
-				bw := topo.CoreBW(src, victim) * factor
-				if floor != nil {
-					if f := floor[oi*n+vi]; bw < f {
-						bw = f
-					}
+				bw := topo.CoreBW(src, victim) * ev.Factor
+				if floor != nil && bw < floor[oi*n+vi] {
+					bw = floor[oi*n+vi]
 				}
 				topo.SetCoreBW(src, victim, bw)
 				batch = append(batch, netem.LinkRef{Src: src, Dst: victim})
@@ -679,12 +702,8 @@ func (p *Program) applyDegrade(env Env, ev *Event) {
 		}
 		env.LinksChanged(batch)
 		rounds++
-		annotate(env, "degrade round %d: %d links ×%.3g", rounds, len(batch), factor)
-		if ev.Count == 0 || rounds < ev.Count {
-			env.Schedule(env.Now()+ev.Period, round)
-		}
-	}
-	env.Schedule(ev.At+ev.Period, round)
+		annotate(env, "degrade round %d: %d links ×%.3g", rounds, len(batch), ev.Factor)
+	})
 }
 
 func (p *Program) applyTrace(env Env, ev *Event) {
@@ -693,32 +712,27 @@ func (p *Program) applyTrace(env Env, ev *Event) {
 	tr := ev.Trace
 	var base []float64
 	if ev.Mode == "scale" {
-		base = links.snapshot(topo)
+		base = snapshot(topo, links)
 	}
-	scaled := make([]float64, links.size())
-	refs := links.refs()
-	lset := ev.Links
-	mode := ev.Mode
 	apply := func(v float64) {
-		if mode == "scale" {
-			for i := range base {
-				scaled[i] = base[i] * v * ev.Scale
+		if ev.Mode == "scale" {
+			for i, l := range links {
+				topo.SetLinkBW(l, base[i]*v*ev.Scale)
 			}
-			links.setEach(topo, scaled)
-			annotate(env, "trace step on %s: ×%.3g", lset, v*ev.Scale)
+			annotate(env, "trace step on %s: ×%.3g", ev.Links, v*ev.Scale)
 		} else {
-			links.setAll(topo, netem.Kbps(v*ev.Scale))
-			annotate(env, "trace step on %s: %.0f Kbps", lset, v*ev.Scale)
+			setAll(topo, links, netem.Kbps(v*ev.Scale))
+			annotate(env, "trace step on %s: %.0f Kbps", ev.Links, v*ev.Scale)
 		}
-		env.LinksChanged(refs)
+		env.LinksChanged(links)
 	}
 	var fire func(i int, cycleStart float64)
 	fire = func(i int, cycleStart float64) {
 		apply(tr.Values[i])
 		if i+1 < len(tr.Times) {
-			env.Schedule(cycleStart+ev.Stretch*tr.Times[i+1], func() { fire(i+1, cycleStart) })
+			env.Schedule(cycleStart+float64(ev.Stretch*tr.Times[i+1]), func() { fire(i+1, cycleStart) })
 		} else if ev.Loop {
-			next := cycleStart + ev.Stretch*tr.Duration
+			next := cycleStart + float64(ev.Stretch*tr.Duration)
 			env.Schedule(next, func() { fire(0, next) })
 		}
 	}
@@ -730,27 +744,26 @@ func (p *Program) applyOutage(env Env, ev *Event) {
 	links := resolveLinkSet(ev.Links, env, ev.Stream)
 	topo := env.Topo()
 	downBW := netem.Kbps(ev.DownKbps)
-	refs := links.refs()
 	up := Dist{Kind: "exp", Mean: ev.MeanUp}
 	down := Dist{Kind: "exp", Mean: ev.MeanDown}
 	// Recovery restores the bandwidth each link had when the outage began,
 	// not a t=0 snapshot, so outages compose with degrade/trace mutations
 	// on overlapping links instead of silently undoing them.
-	lset := ev.Links
-	downKbps := ev.DownKbps
 	var restore []float64
 	var goDown, goUp func()
 	goDown = func() {
-		restore = links.snapshot(topo)
-		links.setAll(topo, downBW)
-		env.LinksChanged(refs)
-		annotate(env, "outage on %s: down to %.0f Kbps", lset, downKbps)
+		restore = snapshot(topo, links)
+		setAll(topo, links, downBW)
+		env.LinksChanged(links)
+		annotate(env, "outage on %s: down to %.0f Kbps", ev.Links, ev.DownKbps)
 		env.Schedule(env.Now()+down.Sample(rng), goUp)
 	}
 	goUp = func() {
-		links.setEach(topo, restore)
-		env.LinksChanged(refs)
-		annotate(env, "outage on %s: restored", lset)
+		for i, l := range links {
+			topo.SetLinkBW(l, restore[i])
+		}
+		env.LinksChanged(links)
+		annotate(env, "outage on %s: restored", ev.Links)
 		env.Schedule(env.Now()+up.Sample(rng), goDown)
 	}
 	env.Schedule(ev.At+up.Sample(rng), goDown)
@@ -793,38 +806,31 @@ func (p *Program) Timeline() string {
 		entries = append(entries, entry{at, fmt.Sprintf("t=%8.2fs  %s", at, fmt.Sprintf(format, args...))})
 	}
 	for _, ev := range p.events {
-		switch ev.Kind {
-		case KindSetBW:
-			if ev.Period > 0 {
-				every := "forever"
-				if ev.Count > 0 {
-					every = fmt.Sprintf("%d times", ev.Count)
-				}
-				add(ev.At, "set %s to %.0f Kbps, every %.1fs %s", ev.Links, ev.BWKbps, ev.Period, every)
-			} else {
-				add(ev.At, "set %s to %.0f Kbps", ev.Links, ev.BWKbps)
+		// every renders a repeating event's schedule.
+		every := func(unit string) string {
+			if ev.Count > 0 {
+				return fmt.Sprintf("every %.1fs %d %s", ev.Period, ev.Count, unit)
 			}
-		case KindScaleBW:
+			return fmt.Sprintf("every %.1fs forever", ev.Period)
+		}
+		switch ev.Kind {
+		case KindSetBW, KindScaleBW:
 			suffix := ""
 			if ev.Period > 0 {
-				every := "forever"
-				if ev.Count > 0 {
-					every = fmt.Sprintf("%d times", ev.Count)
-				}
-				suffix = fmt.Sprintf(", every %.1fs %s", ev.Period, every)
+				suffix = ", " + every("times")
+			}
+			if ev.Kind == KindSetBW {
+				add(ev.At, "set %s to %.0f Kbps%s", ev.Links, ev.BWKbps, suffix)
+				break
 			}
 			if ev.Floor > 0 {
 				suffix += fmt.Sprintf(", floor %.3g× original", ev.Floor)
 			}
 			add(ev.At, "scale %s by %.3g%s", ev.Links, ev.Factor, suffix)
 		case KindDegrade:
-			every := "forever"
-			if ev.Count > 0 {
-				every = fmt.Sprintf("%d rounds", ev.Count)
-			}
 			add(ev.At+ev.Period,
-				"degrade: every %.1fs %s, %.0f%% victims × %.0f%% sources, ×%.3g cumulative, floor %.3g (stream %q)",
-				ev.Period, every, ev.VictimFrac*100, ev.SourceFrac*100, ev.Factor, ev.Floor, ev.Stream)
+				"degrade: %s, %.0f%% victims × %.0f%% sources, ×%.3g cumulative, floor %.3g (stream %q)",
+				every("rounds"), ev.VictimFrac*100, ev.SourceFrac*100, ev.Factor, ev.Floor, ev.Stream)
 		case KindTrace:
 			src := "inline trace"
 			if ev.TraceFile != "" {

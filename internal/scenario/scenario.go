@@ -19,8 +19,6 @@ package scenario
 import (
 	"fmt"
 	"math"
-
-	"bulletprime/internal/netem"
 )
 
 // Event kinds.
@@ -145,25 +143,19 @@ type Dist struct {
 	Min   float64 `json:"min,omitempty"`
 }
 
-// Sample draws one lifetime from the distribution.
+// Sample draws one lifetime from the distribution: "pareto", or else "exp",
+// the only other kind Compile accepts. Inverse-CDF sampling keeps the draw a
+// single Float64 call, so a scenario's stream consumption is easy to reason
+// about.
 func (d *Dist) Sample(rng interface{ Float64() float64 }) float64 {
-	switch d.Kind {
-	case "exp":
-		// Inverse-CDF sampling keeps the draw a single Float64 call, so a
-		// scenario's stream consumption is easy to reason about.
-		u := rng.Float64()
-		if u >= 1 {
-			u = math.Nextafter(1, 0)
-		}
-		return -d.Mean * math.Log(1-u)
-	case "pareto":
-		u := rng.Float64()
-		if u >= 1 {
-			u = math.Nextafter(1, 0)
-		}
+	u := rng.Float64()
+	if u >= 1 {
+		u = math.Nextafter(1, 0)
+	}
+	if d.Kind == "pareto" {
 		return d.Min * math.Pow(1-u, -1/d.Alpha)
 	}
-	panic(fmt.Sprintf("scenario: unvalidated distribution %q", d.Kind))
+	return -d.Mean * math.Log(1-u)
 }
 
 func (d *Dist) validate() error {
@@ -257,104 +249,6 @@ func Fail(at float64, nodes ...int) Event {
 // FlashCrowd staggers the overlay into session-start waves.
 func FlashCrowd(waves ...Wave) Event {
 	return Event{Kind: KindFlashCrowd, Waves: waves}
-}
-
-// resolvedLinks is a LinkSet resolved against a concrete overlay: explicit
-// core pairs plus access-link sides.
-type resolvedLinks struct {
-	core      []netem.LinkRef
-	accessIn  []netem.NodeID
-	accessOut []netem.NodeID
-}
-
-func (r *resolvedLinks) empty() bool {
-	return len(r.core) == 0 && len(r.accessIn) == 0 && len(r.accessOut) == 0
-}
-
-func (r *resolvedLinks) size() int {
-	return len(r.core) + len(r.accessIn) + len(r.accessOut)
-}
-
-// refs returns the batched change-report for the whole set.
-func (r *resolvedLinks) refs() []netem.LinkRef {
-	out := make([]netem.LinkRef, 0, r.size())
-	out = append(out, r.core...)
-	for _, i := range r.accessIn {
-		out = append(out, netem.InAccess(i))
-	}
-	for _, i := range r.accessOut {
-		out = append(out, netem.OutAccess(i))
-	}
-	return out
-}
-
-// snapshot captures the current bandwidth of every link in the set, in the
-// same order each() visits them.
-func (r *resolvedLinks) snapshot(t *netem.Topology) []float64 {
-	out := make([]float64, 0, r.size())
-	for _, l := range r.core {
-		out = append(out, t.CoreBW(l.Src, l.Dst))
-	}
-	for _, i := range r.accessIn {
-		out = append(out, t.AccessIn[i])
-	}
-	for _, i := range r.accessOut {
-		out = append(out, t.AccessOut[i])
-	}
-	return out
-}
-
-// setAll assigns bw to every link in the set.
-func (r *resolvedLinks) setAll(t *netem.Topology, bw float64) {
-	for _, l := range r.core {
-		t.SetCoreBW(l.Src, l.Dst, bw)
-	}
-	for _, i := range r.accessIn {
-		t.AccessIn[i] = bw
-	}
-	for _, i := range r.accessOut {
-		t.AccessOut[i] = bw
-	}
-}
-
-// setEach assigns bws[i] to the i-th link (snapshot order).
-func (r *resolvedLinks) setEach(t *netem.Topology, bws []float64) {
-	k := 0
-	for _, l := range r.core {
-		t.SetCoreBW(l.Src, l.Dst, bws[k])
-		k++
-	}
-	for _, i := range r.accessIn {
-		t.AccessIn[i] = bws[k]
-		k++
-	}
-	for _, i := range r.accessOut {
-		t.AccessOut[i] = bws[k]
-		k++
-	}
-}
-
-// scaleAll multiplies every link by factor, clamping at floors (floor ×
-// original bandwidth) when floors is non-nil.
-func (r *resolvedLinks) scaleAll(t *netem.Topology, factor float64, floors []float64) {
-	k := 0
-	apply := func(cur float64) float64 {
-		bw := cur * factor
-		if floors != nil && bw < floors[k] {
-			bw = floors[k]
-		}
-		k++
-		return bw
-	}
-	for _, l := range r.core {
-		t.SetCoreBW(l.Src, l.Dst, apply(t.CoreBW(l.Src, l.Dst)))
-	}
-	for _, i := range r.accessIn {
-		t.AccessIn[i] = apply(t.AccessIn[i])
-	}
-	for _, i := range r.accessOut {
-		t.AccessOut[i] = apply(t.AccessOut[i])
-	}
 }
 
 func (ls *LinkSet) validate(n int) error {

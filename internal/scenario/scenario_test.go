@@ -143,6 +143,17 @@ func TestCompileRejectsInvalid(t *testing.T) {
 			Wave{At: 10, Nodes: []int{2, 3}}))},
 		{"two flashcrowds", New("x", FlashCrowd(Wave{At: 0, Frac: 1}),
 			FlashCrowd(Wave{At: 0, Frac: 1}))},
+		// A process that fires again faster than minPeriod floods the queue,
+		// or, at 1e-300 s, never lets the clock move.
+		{"scale_bw period below the floor", New("x", Event{Kind: KindScaleBW, At: 1, Period: 1e-300, Factor: 0.999,
+			Links: &LinkSet{Pairs: [][2]int{{1, 2}}}})},
+		{"set_bw period below the floor", New("x", Event{Kind: KindSetBW, Period: 1e-4, BWKbps: 1,
+			Links: &LinkSet{All: true}})},
+		{"degrade period below the floor", New("x", Degrade(1e-4, 0.5, 0.5, 0.5, 0))},
+		{"outage mean_up below the floor", New("x", Outage(0, LinkSet{All: true}, 1e-4, 1, 1e3))},
+		{"outage mean_down below the floor", New("x", Outage(0, LinkSet{All: true}, 1, 1e-4, 1e3))},
+		{"looped trace cycle below the floor", New("x", Event{Kind: KindTrace, Loop: true, Stretch: 1e-4,
+			Trace: &Trace{Times: []float64{0}, Values: []float64{1}, Duration: 1}, Links: &LinkSet{All: true}})},
 	}
 	for _, c := range cases {
 		if _, err := c.s.Compile(8); err == nil {
@@ -400,12 +411,12 @@ func TestLinkSetFracSampling(t *testing.T) {
 	ls := &LinkSet{Frac: 0.3, Dir: "in"}
 	r := resolveLinkSet(ls, env, "")
 	// 3 sampled nodes × 9 inbound links each.
-	if len(r.core) != 27 {
-		t.Fatalf("resolved %d core links, want 27", len(r.core))
+	if len(r) != 27 {
+		t.Fatalf("resolved %d core links, want 27", len(r))
 	}
 	r2 := resolveLinkSet(ls, newTestEnv(10, 5), "")
-	for i := range r.core {
-		if r.core[i] != r2.core[i] {
+	for i := range r {
+		if r[i] != r2[i] {
 			t.Fatal("frac link sampling not deterministic per seed")
 		}
 	}
