@@ -553,7 +553,7 @@ func BenchmarkScenarioTraceReplay5000(b *testing.B) {
 //
 // The sharded benchmarks run the Scale5000 sharded preset — 200 clusters of
 // 25 on the O(N)-memory compact clustered topology, the scalefill reference
-// workload with per-shard link churn — through the conservative shard group.
+// workload with per-shard link churn — through the shard group's lockstep windows.
 // The Serial variant drives all 8 shards cooperatively on one goroutine (the
 // bit-exact oracle mode); the parallel variant runs one goroutine per shard.
 // Both execute the identical event sequence, so their wall-time ratio is pure
@@ -568,7 +568,10 @@ func shardedBench5000(b *testing.B, workers int) {
 	var events uint64
 	for i := 0; i < b.N; i++ {
 		topo := harness.ClusteredTopologyCompact(5000, 25)(sim.NewRNG(7).Stream("topo"))
-		rig := harness.NewShardedRig(topo, 7, 8)
+		rig, err := harness.NewShardedRig(topo, 7, 8)
+		if err != nil {
+			b.Fatal(err)
+		}
 		entry, ok := harness.LookupSystem("scalefill")
 		if !ok {
 			b.Fatal("scalefill not registered")
@@ -718,7 +721,7 @@ func BenchmarkObserverOverhead(b *testing.B) {
 // at Scale5000: the scalefill preset (200 compact clusters of 25, 8 shards,
 // per-shard link churn) run unobserved in one Group.Run versus observed —
 // horizon-stepped every virtual second with a subscribed channel draining
-// the merged samples. The barrier walk re-partitions the conservative
+// the merged samples. The barrier walk re-partitions the lockstep
 // windows without reordering events, so the wall-time ratio is pure
 // sampling overhead; the same 1.5 smoke ceiling applies.
 func BenchmarkObserverOverheadSharded(b *testing.B) {

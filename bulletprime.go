@@ -115,7 +115,7 @@ const (
 	// bit-exact oracle every other mode is pinned against.
 	EngineSequential = harness.EngineSequential
 	// EngineSharded partitions a run into per-cluster shards executing in
-	// parallel under a conservative lookahead clock (DESIGN.md §9). It
+	// parallel in lockstep lookahead windows (DESIGN.md §9). It
 	// requires a clustered network preset and a protocol registered with a
 	// sharded builder (ProtocolScalefill), and excludes scenarios and
 	// DynamicBandwidth — sharded systems drive their own per-shard

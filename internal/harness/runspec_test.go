@@ -278,7 +278,7 @@ func TestBackendContract(t *testing.T) {
 				t.Errorf("last tick at t=%v, after EndedAt %v", last, res.EndedAt)
 			}
 
-			var polls atomic.Int64 // shard workers poll Stop concurrently
+			var polls atomic.Int64 // whichever goroutine a backend polls Stop from
 			started = false
 			hooks.Stop = func() bool { return polls.Add(1) > tc.stopAfter }
 			res = RunSpec(spec)

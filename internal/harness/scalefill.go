@@ -133,6 +133,7 @@ func (fs *fillShard) OnEvent(kind int32, payload any) {
 	case fkToken:
 		fs.tokens++
 	default:
+		// Only this file schedules events on fs, with the three kinds above.
 		panic(fmt.Sprintf("scalefill: unknown event kind %d", kind))
 	}
 }

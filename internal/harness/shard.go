@@ -3,6 +3,7 @@ package harness
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"bulletprime/internal/netem"
@@ -21,7 +22,7 @@ const (
 	// one goroutine, the bit-exact oracle every other mode is pinned to.
 	EngineSequential EngineMode = iota
 	// EngineSharded partitions the run into per-cluster shards executing
-	// in parallel under a conservative lookahead clock (see sim.Group and
+	// in parallel in lockstep lookahead windows (see sim.Group and
 	// DESIGN.md §9). Requires a clustered topology and a system registered
 	// with a sharded builder.
 	EngineSharded
@@ -53,19 +54,19 @@ type ShardPlan struct {
 	Shards       int
 	NodeShard    []int32 // owning shard per node
 	ClusterShard []int32 // owning shard per cluster
-	Lookahead    float64 // conservative clock lookahead (topology CrossLookahead)
+	Lookahead    float64 // window length and Post floor (topology CrossLookahead)
 }
 
 // shardable reports why a topology cannot be split into shards, or nil:
-// shards are blocks of whole clusters, and the conservative clock needs a
+// shards are blocks of whole clusters, and the lockstep windows need a
 // latency floor between them.
 func shardable(topo *netem.Topology) error {
 	switch {
 	case len(topo.Clusters) == 0:
 		return errors.New("harness: the sharded engine needs a clustered topology " +
 			"(this network builds no cluster assignment; pick a clustered preset)")
-	case topo.CrossLookahead <= 0:
-		return errors.New("harness: the sharded engine needs topology.CrossLookahead > 0 (no cross-cluster latency floor)")
+	case !(topo.CrossLookahead > 0) || math.IsInf(topo.CrossLookahead, 1):
+		return errors.New("harness: the sharded engine needs a positive finite topology.CrossLookahead (the cross-cluster latency floor)")
 	case !slices.IsSorted(topo.Clusters):
 		return errors.New("harness: the sharded engine needs a non-decreasing cluster assignment (contiguous cluster blocks)")
 	}
@@ -74,11 +75,11 @@ func shardable(topo *netem.Topology) error {
 
 // PlanShards derives a shard plan from the topology's cluster assignment.
 // shards <= 0 picks DefaultShards; the count is capped at the cluster count
-// (a shard must own at least one whole cluster). It panics on a topology
-// that is not shardable; RunSpec asks first and reports RunResult.Err.
-func PlanShards(topo *netem.Topology, shards int) ShardPlan {
+// (a shard must own at least one whole cluster). A topology that cannot be
+// sharded is an error.
+func PlanShards(topo *netem.Topology, shards int) (ShardPlan, error) {
 	if err := shardable(topo); err != nil {
-		panic(err)
+		return ShardPlan{}, err
 	}
 	numClusters := int(topo.Clusters[len(topo.Clusters)-1]) + 1
 	if shards <= 0 {
@@ -99,13 +100,13 @@ func PlanShards(topo *netem.Topology, shards int) ShardPlan {
 	for i, c := range topo.Clusters {
 		p.NodeShard[i] = p.ClusterShard[c]
 	}
-	return p
+	return p, nil
 }
 
 // ShardSlot is one shard's private rig: its own engine, network emulator
 // instance, and protocol runtime over the shared read-mostly topology. All
 // flows and connections on a slot stay within its owned nodes (the Owns
-// guard enforces it); the only cross-shard channel is the shard's mailbox.
+// guard enforces it); the only cross-shard channel is the shard's Post.
 type ShardSlot struct {
 	ID       int
 	Shard    *sim.Shard
@@ -130,9 +131,12 @@ type ShardedRig struct {
 // NewShardedRig builds a sharded rig over the topology. Each slot's network
 // gets its own RNG stream ("net#<shard>") so results are a function of
 // (seed, shard count) and nothing else — in particular not of worker
-// goroutine interleaving.
-func NewShardedRig(topo *netem.Topology, seed int64, shards int) *ShardedRig {
-	plan := PlanShards(topo, shards)
+// goroutine interleaving. A topology that cannot be sharded is an error.
+func NewShardedRig(topo *netem.Topology, seed int64, shards int) (*ShardedRig, error) {
+	plan, err := PlanShards(topo, shards)
+	if err != nil {
+		return nil, err
+	}
 	master := sim.NewRNG(seed)
 	engines := make([]*sim.Engine, plan.Shards)
 	for k := range engines {
@@ -167,7 +171,7 @@ func NewShardedRig(topo *netem.Topology, seed int64, shards int) *ShardedRig {
 		slot := rig.Slots[s]
 		slot.Clusters = append(slot.Clusters, int32(c))
 	}
-	return rig
+	return rig, nil
 }
 
 // InstallMeters hangs one data-rate meter on every slot's runtime and
@@ -183,9 +187,9 @@ func (r *ShardedRig) InstallMeters(bucket float64, buckets int) []*trace.RateMet
 	return meters
 }
 
-// Counters sums the slots' counters in slot order. At a horizon barrier
-// all slot clocks agree; Now takes the furthest, which also covers a stopped
-// run, where they may not.
+// Counters sums the slots' counters in slot order. After a completed
+// Group.Run all slot clocks sit at its horizon; Now takes the furthest,
+// which also covers a stopped run, where they may not.
 func (r *ShardedRig) Counters() Counters {
 	var c Counters
 	for _, slot := range r.Slots {
@@ -205,8 +209,8 @@ type ShardSystem = System
 // shardBackend runs a spec on a ShardedRig, stepping the group from one
 // tick horizon to the next: between steps every shard clock sits at exactly
 // the same instant, so the tick hook reads a coherent cross-shard snapshot.
-// Horizon stepping re-partitions the conservative windows but never the
-// event order (the merge key is window-independent), and there is no
+// Horizon stepping re-partitions the lockstep windows but never the event
+// order (the merge key is window-independent), and there is no
 // completion early-exit, so a run executes to the full deadline observed or
 // not and the two are bit-identical.
 type shardBackend struct {
@@ -225,10 +229,11 @@ type shardBackend struct {
 func newShardBackend(s *SweepSpec, topo *netem.Topology) (*shardBackend, error) {
 	// Only the topology itself knows whether it can shard, and the network
 	// registry is open, so sequential-only networks surface here.
-	if err := shardable(topo); err != nil {
+	rig, err := NewShardedRig(topo, s.Seed, s.Shards)
+	if err != nil {
 		return nil, err
 	}
-	b := &shardBackend{rig: NewShardedRig(topo, s.Seed, s.Shards), workers: s.Workers, tracer: s.Tracer}
+	b := &shardBackend{rig: rig, workers: s.Workers, tracer: s.Tracer}
 	if s.Tracer != nil {
 		b.shardTracers = make([]*obs.Tracer, len(b.rig.Slots))
 		for k, slot := range b.rig.Slots {

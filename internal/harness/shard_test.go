@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"bulletprime/internal/netem"
@@ -9,7 +11,10 @@ import (
 
 func TestPlanShards(t *testing.T) {
 	topo := ClusteredTopology(200, 25)(sim.NewRNG(1).Stream("topo")) // 8 clusters
-	p := PlanShards(topo, 4)
+	p, err := PlanShards(topo, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if p.Shards != 4 {
 		t.Fatalf("Shards = %d, want 4", p.Shards)
 	}
@@ -28,24 +33,30 @@ func TestPlanShards(t *testing.T) {
 		}
 	}
 	// More shards than clusters caps at the cluster count.
-	if got := PlanShards(topo, 100).Shards; got != 8 {
-		t.Fatalf("shard cap = %d, want 8", got)
+	if got, _ := PlanShards(topo, 100); got.Shards != 8 {
+		t.Fatalf("shard cap = %d, want 8", got.Shards)
 	}
 	// Unset count picks the fixed default.
-	if got := PlanShards(topo, 0).Shards; got != DefaultShards {
-		t.Fatalf("default shards = %d, want %d", got, DefaultShards)
+	if got, _ := PlanShards(topo, 0); got.Shards != DefaultShards {
+		t.Fatalf("default shards = %d, want %d", got.Shards, DefaultShards)
 	}
 
 	// Topologies without cluster metadata cannot be sharded.
 	flat := ModelNetTopology(50)(sim.NewRNG(1).Stream("topo"))
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("PlanShards on unclustered topology did not panic")
-			}
-		}()
-		PlanShards(flat, 4)
-	}()
+	if _, err := PlanShards(flat, 4); err == nil || !strings.Contains(err.Error(), "clustered topology") {
+		t.Errorf("PlanShards on unclustered topology: err = %v, want the clustered-topology error", err)
+	}
+	if _, err := NewShardedRig(flat, 1, 4); err == nil {
+		t.Error("NewShardedRig on unclustered topology returned no error")
+	}
+	// The lookahead is the window length: it must be positive and finite.
+	for _, la := range []float64{0, math.NaN(), math.Inf(1)} {
+		bad := ClusteredTopology(200, 25)(sim.NewRNG(1).Stream("topo"))
+		bad.CrossLookahead = la
+		if _, err := PlanShards(bad, 4); err == nil {
+			t.Errorf("PlanShards with CrossLookahead %v returned no error", la)
+		}
+	}
 }
 
 func TestClusteredTopologyValidation(t *testing.T) {
@@ -102,7 +113,7 @@ func assertSameResult(t *testing.T, tag string, a, b *RunResult) {
 // link churn, cross-shard tokens) executed cooperatively on one goroutine
 // (Workers=1) must be bit-identical to the same run on one goroutine per
 // shard (Workers=0). It runs in -short mode on purpose — the CI race job
-// uses it to catch memory-ordering bugs in the mailbox/clock protocol.
+// uses it to catch a shard touching state outside its own window.
 func TestShardedWorkerEquivalence(t *testing.T) {
 	for _, seed := range []int64{1, 17, 20260808} {
 		serial := RunSpec(shardedSpec(seed, 4, 1))
@@ -209,7 +220,10 @@ func TestShardedStopHook(t *testing.T) {
 // flow between nodes of different shards must refuse to build.
 func TestShardedCrossShardFlowPanics(t *testing.T) {
 	topo := ClusteredTopology(200, 25)(sim.NewRNG(1).Stream("topo"))
-	rig := NewShardedRig(topo, 1, 4)
+	rig, err := NewShardedRig(topo, 1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("cross-shard NewFlow did not panic")

@@ -37,7 +37,7 @@ type SweepSpec struct {
 	// Engine selects the execution engine. EngineSequential (the zero
 	// value) runs the classic single-threaded loop; EngineSharded
 	// partitions the run by topology cluster and executes shards in
-	// parallel under a conservative clock. Sharded runs require a clustered
+	// parallel in lockstep windows. Sharded runs require a clustered
 	// TopoFn and a system with a sharded builder; Check lists what they
 	// exclude.
 	Engine EngineMode

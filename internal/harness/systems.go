@@ -51,7 +51,8 @@ type ShardBuildCtx struct {
 }
 
 // ShardSystemBuilder constructs a protocol session across a sharded rig's
-// slots and mailboxes rather than on a single rig.
+// slots rather than on a single rig; shards reach each other only through
+// sim.Shard.Post.
 type ShardSystemBuilder func(ShardBuildCtx) ShardSystem
 
 // SystemEntry is one row of the system registry: how the system builds on

@@ -1,0 +1,65 @@
+package lab
+
+import (
+	"math"
+	"strings"
+	"testing"
+)
+
+// FuzzParseFilter: a selector string the process did not write gives an
+// error or a filter, never a panic, and the filter it gives is one that can
+// match — a manifest carrying the filter's own values passes it.
+func FuzzParseFilter(f *testing.F) {
+	for _, s := range []string{
+		"", " ", "protocol=bittorrent, seeds=1+3", "id=ab12", "network=clustered,version=v1",
+		"scenario=flash", "seed=-7", "seed=1,seed=2", "bogus=1", "seed=abc", "protocol", ",,", "seeds=1++2",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		flt, err := ParseFilter(s)
+		if err != nil {
+			return
+		}
+		for _, v := range []string{flt.ID, flt.Protocol, flt.Network, flt.Version, flt.Scenario} {
+			if strings.Contains(v, ",") || strings.TrimSpace(v) != v {
+				t.Fatalf("ParseFilter(%q) kept an untrimmed or unsplit value %q", s, v)
+			}
+		}
+		m := Meta{ID: flt.ID, Protocol: flt.Protocol, Network: flt.Network, Version: flt.Version, Scenario: flt.Scenario}
+		if len(flt.Seeds) > 0 {
+			m.Seed = flt.Seeds[len(flt.Seeds)-1]
+		}
+		if !flt.Match(m) {
+			t.Fatalf("ParseFilter(%q) = %+v matches no manifest, not even its own values", s, flt)
+		}
+	})
+}
+
+// FuzzParseBenchOutput: `go test -bench` text the process did not write
+// gives an error or a non-empty result, never a panic, and every entry it
+// accepts has a finite, non-negative ns/op and allocs/op.
+func FuzzParseBenchOutput(f *testing.F) {
+	f.Add(sampleBenchOutput)
+	for _, s := range []string{
+		"", "PASS\nok x 0.1s\n", "BenchmarkX-4 100 50.0 ns/op\n",
+		"BenchmarkX-4 100 NaN ns/op 0 allocs/op\n", "BenchmarkX 1 -5 ns/op 0 allocs/op\n",
+		"BenchmarkX 1 1 ns/op +Inf allocs/op\n", "Benchmark- 1 2 ns/op 3 allocs/op 4\n",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, err := ParseBenchOutput(strings.NewReader(s))
+		if err != nil {
+			return
+		}
+		if len(got) == 0 {
+			t.Fatalf("ParseBenchOutput(%q) accepted an input with no results", s)
+		}
+		for name, e := range got {
+			if !(e.NsPerOp >= 0 && e.AllocsPerOp >= 0) || math.IsInf(e.NsPerOp, 1) || math.IsInf(e.AllocsPerOp, 1) {
+				t.Fatalf("ParseBenchOutput(%q) accepted %s = %+v", s, name, e)
+			}
+		}
+	})
+}

@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -82,11 +83,11 @@ func ParseBenchOutput(r io.Reader) (map[string]PerfEntry, error) {
 				entry.AllocsPerOp = v
 			}
 		}
-		if entry.NsPerOp < 0 {
-			return nil, fmt.Errorf("lab: bench line %q: no ns/op", sc.Text())
+		if !isCost(entry.NsPerOp) {
+			return nil, fmt.Errorf("lab: bench line %q: no finite, non-negative ns/op", sc.Text())
 		}
-		if entry.AllocsPerOp < 0 {
-			return nil, fmt.Errorf("lab: bench line %q: no allocs/op (run with -benchmem)", sc.Text())
+		if !isCost(entry.AllocsPerOp) {
+			return nil, fmt.Errorf("lab: bench line %q: no finite, non-negative allocs/op (run with -benchmem)", sc.Text())
 		}
 		out[name] = entry
 	}
@@ -98,6 +99,10 @@ func ParseBenchOutput(r io.Reader) (map[string]PerfEntry, error) {
 	}
 	return out, nil
 }
+
+// isCost reports whether v can be a pinned ns/op or allocs/op. ParseFloat
+// accepts "NaN" and "Inf", which no gate comparison can judge.
+func isCost(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
 
 // PerfBaselineFrom captures measured results as a new baseline.
 func PerfBaselineFrom(measured map[string]PerfEntry, nsTolerance float64) (*PerfBaseline, error) {

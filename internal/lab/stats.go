@@ -109,7 +109,7 @@ func BootstrapMedianCI(samples []float64, level float64, iters int) CI {
 		stats[i] = sortedMedian(resample)
 	}
 	sort.Float64s(stats)
-	alpha := (1 - level) / 2
+	alpha := float64((1 - level) / 2)
 	lo := stats[int(alpha*float64(iters))]
 	hiIdx := int((1 - alpha) * float64(iters))
 	if hiIdx >= iters {
@@ -171,17 +171,17 @@ func MannWhitney(a, b []float64) MWResult {
 			j++
 		}
 		t := float64(j - i)
-		avgRank := (float64(i+1) + float64(j)) / 2
+		avgRank := float64((float64(i+1) + float64(j)) / 2)
 		for k := i; k < j; k++ {
 			if all[k].b {
 				rankB += avgRank
 			}
 		}
-		tieTerm += t*t*t - t
+		tieTerm += float64(t*t*t) - t
 		i = j
 	}
-	res.U = rankB - nb*(nb+1)/2
-	mean := na * nb / 2
+	res.U = rankB - float64(nb*(nb+1)/2)
+	mean := float64(na * nb / 2)
 	variance := na * nb / 12 * ((n + 1) - tieTerm/(n*(n-1)))
 	if variance <= 0 {
 		// Every observation tied: no evidence of any shift.

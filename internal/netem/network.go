@@ -41,7 +41,7 @@ type Network struct {
 	// is responsible for. Sharded runs give each shard its own Network over
 	// a shared topology; every flow must stay inside one shard, because the
 	// waterfill only sees the flows of its own instance. Cross-shard
-	// endpoints panic — such traffic belongs in mailbox posts.
+	// endpoints panic — such traffic belongs in sim.Shard posts.
 	Owns func(NodeID) bool
 
 	rng     *sim.RNG
@@ -167,7 +167,7 @@ func (n *Network) NewFlow(src, dst NodeID) *Flow {
 	}
 	if n.Owns != nil && (!n.Owns(src) || !n.Owns(dst)) {
 		panic(fmt.Sprintf("netem: flow %d→%d crosses a shard boundary; "+
-			"cross-shard traffic must travel as timestamped mailbox posts, not flows", src, dst))
+			"cross-shard traffic must travel as timestamped shard posts, not flows", src, dst))
 	}
 	n.nextID++
 	f := &Flow{

@@ -54,9 +54,9 @@ type Topology struct {
 	Clusters []int32
 
 	// CrossLookahead is a lower bound on the end-to-end latency of any
-	// inter-cluster interaction, in seconds. It is the lookahead of the
-	// conservative sharded clock: no event on one cluster can affect another
-	// cluster sooner than this. Zero means "unknown" and disables sharding.
+	// inter-cluster interaction, in seconds. It is the window length of the
+	// sharded engine: no event on one cluster can affect another cluster
+	// sooner than this. Zero means "unknown" and disables sharding.
 	CrossLookahead float64
 
 	coreBW    []float64 // N*N, indexed [src*N+dst]

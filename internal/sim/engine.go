@@ -332,8 +332,8 @@ func (e *Engine) ScheduleEvent(at Time, target Handler, kind int32, payload any)
 }
 
 // Dispatch executes target.OnEvent(kind, payload) immediately, advancing
-// the clock to at. It is the delivery half of cross-shard mailboxes: a
-// timestamped event that arrived from another shard's engine is injected
+// the clock to at. It is the delivery half of Shard.Post: a timestamped
+// event that arrived from another shard's engine is injected
 // here without ever entering this engine's queue, so it costs no node and
 // participates in Executed accounting like any local event. Dispatching
 // before Now or at NaN panics, same as scheduling.

@@ -1,75 +1,50 @@
 // Conservative parallel discrete-event simulation over sharded engines.
 //
 // A Group runs K independent Engines ("shards") against one virtual
-// timeline. Each shard owns a disjoint set of handlers and advances through
-// windows of virtual time that are provably safe: shard i may execute every
-// event with timestamp strictly below
+// timeline in lockstep windows. Every cross-shard interaction is a Post
+// stamped with a delivery time at least lookahead after the sender's Now(),
+// so an event executed in the window [now, now+lookahead) can only post
+// deliveries at or beyond the window's end. Each window therefore lets every
+// shard execute its events strictly below now+lookahead without hearing from
+// any peer; between windows, on the calling goroutine, the group moves the
+// events posted during the window into their destinations' pending heaps.
+// Shards meet only between windows, so nothing here needs atomics.
 //
-//	safe_i = min over j != i of clock_j + lookahead
-//
-// where clock_j is shard j's published progress and lookahead is the
-// minimum virtual latency of any cross-shard interaction. Cross-shard
-// events travel through single-producer single-consumer mailboxes stamped
-// with their delivery time; Post enforces delivery >= sender's Now() +
-// lookahead, which is what makes the bound above safe. The schedule of
-// executed events per shard is a pure function of the inputs — it does not
-// depend on how windows are partitioned, so running the shards one per
-// goroutine is bit-identical to running them cooperatively on one
-// goroutine. See DESIGN.md §9 for the full argument.
-//
-// Nothing here makes a single Engine goroutine-safe: each shard's engine is
-// still touched by exactly one goroutine at a time. The only shared state
-// is the published clocks (atomics) and the mailboxes (SPSC).
+// Each shard merges its local events with its pending cross events by the
+// total key (at, origin, seq), so the executed sequence per shard is a pure
+// function of the inputs: it does not depend on how windows are partitioned,
+// and running the shards one per goroutine is bit-identical to running them
+// in turn on one goroutine. See DESIGN.md §9 for the full argument.
 package sim
 
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 )
 
-// Group couples a set of shard engines into one conservatively synchronized
-// simulation.
+// Group couples a set of shard engines into one simulation advanced in
+// lockstep windows of lookahead.
 type Group struct {
 	shards    []*Shard
 	lookahead float64
-
-	mu   sync.Mutex
-	cond *sync.Cond
-	stop atomic.Bool
-	// waiters counts shards parked on cond. publish skips the lock +
-	// broadcast entirely when it is zero — the common case under load,
-	// where every peer is busy executing rather than parked. The Dekker
-	// ordering that makes the skip safe: a waiter increments waiters
-	// before re-checking peer clocks under the lock, and a publisher
-	// stores its clock before loading waiters.
-	waiters atomic.Int32
-	// panicked holds the first panic recovered from a shard goroutine so
-	// Run can re-raise it on the caller's goroutine; guarded by mu.
-	panicked any
+	// now is the group's clock: every event strictly below it has executed
+	// on every shard, and no cross event still to be exchanged is due
+	// below it.
+	now Time
 }
 
-// Shard is one engine's seat in a Group: its published clock, its inbound
-// mailboxes (one per peer shard), and the handler that receives cross-shard
-// events. All methods except the atomically read clock must be called from
-// the shard's own execution context.
+// Shard is one engine's seat in a Group: its outbound events of the current
+// window, its pending inbound cross events, and the handler that receives
+// them. All methods must be called from the shard's own execution context.
 type Shard struct {
 	id  int32
 	g   *Group
 	eng *Engine
 
-	// clock is the published progress bound, stored as Float64bits. A
-	// published value c promises: every event this shard executes from now
-	// on has timestamp >= c, hence every future Post from this shard has
-	// delivery time >= c + lookahead.
-	clock atomic.Uint64
-
-	inbox   []*mailbox // indexed by sender shard id; inbox[id] is nil
-	pending crossHeap  // drained but not yet executed cross events
-	handler Handler    // receiver for cross events
-	sendSeq uint64     // per-origin sequence, assigned in execution order
+	out     [][]crossEvent // posted this window, indexed by destination shard id
+	pending crossHeap      // exchanged but not yet executed cross events
+	handler Handler        // receiver for cross events
+	sendSeq uint64         // per-origin sequence, assigned in execution order
 
 	// Posted and CrossExecuted count outbound posts and executed inbound
 	// cross events. Both are deterministic for a given (inputs, K).
@@ -78,33 +53,24 @@ type Shard struct {
 }
 
 // NewGroup builds a shard group over the given engines. Each engine must be
-// fresh to the group (one seat per engine) and is still owned by exactly
-// one goroutine at a time. lookahead is the minimum virtual latency of any
-// cross-shard event, in the same unit as Time; it must be positive and
-// finite — it is both the safety margin of the conservative clock and the
-// floor Post enforces on delivery times.
+// fresh to the group (one seat per engine). lookahead is the minimum virtual
+// latency of any cross-shard event, in the same unit as Time; it must be
+// positive and finite — it is both the window length and the floor Post
+// enforces on delivery times.
 func NewGroup(engines []*Engine, lookahead float64) *Group {
+	// Configuration cannot reach these panics: harness.PlanShards refuses such topologies.
 	if len(engines) == 0 {
 		panic("sim: NewGroup with no engines")
 	}
 	if math.IsNaN(lookahead) || math.IsInf(lookahead, 0) || lookahead <= 0 {
 		panic(fmt.Sprintf("sim: NewGroup lookahead %v must be positive and finite", lookahead))
 	}
-	g := &Group{lookahead: lookahead}
-	g.cond = sync.NewCond(&g.mu)
-	g.shards = make([]*Shard, len(engines))
+	g := &Group{lookahead: lookahead, shards: make([]*Shard, len(engines))}
 	for i, eng := range engines {
 		if eng == nil {
 			panic("sim: NewGroup with nil engine")
 		}
-		s := &Shard{id: int32(i), g: g, eng: eng}
-		s.inbox = make([]*mailbox, len(engines))
-		for j := range engines {
-			if j != i {
-				s.inbox[j] = newMailbox()
-			}
-		}
-		g.shards[i] = s
+		g.shards[i] = &Shard{id: int32(i), g: g, eng: eng, out: make([][]crossEvent, len(engines))}
 	}
 	return g
 }
@@ -118,6 +84,10 @@ func (g *Group) Shard(i int) *Shard { return g.shards[i] }
 // Lookahead returns the group's lookahead.
 func (g *Group) Lookahead() float64 { return g.lookahead }
 
+// Now returns the group's clock: the horizon of the last completed Run, or
+// where a stopped Run wound down.
+func (g *Group) Now() Time { return g.now }
+
 // ID returns the shard's index within its group.
 func (s *Shard) ID() int { return int(s.id) }
 
@@ -128,18 +98,11 @@ func (s *Shard) Engine() *Engine { return s.eng }
 // posted to this shard. It must be set before Run if any peer posts here.
 func (s *Shard) SetHandler(h Handler) { s.handler = h }
 
-// Clock returns the shard's published progress bound. Safe to read from
-// any goroutine.
-func (s *Shard) Clock() Time {
-	return Time(math.Float64frombits(s.clock.Load()))
-}
-
 // Post sends a cross-shard event for delivery to shard dst at virtual time
-// at. It must be called from within this shard's own event execution (it is
-// the single producer of the dst<-src mailbox). Delivery must respect the
-// group's lookahead: at >= Now() + lookahead, or the conservative clock
-// would be unsound — violations panic. Posting to the own shard panics;
-// schedule locally instead.
+// at. It must be called from within this shard's own event execution.
+// Delivery must respect the group's lookahead: at >= Now() + lookahead, or
+// the event could be due inside the window that posts it — violations
+// panic. Posting to the own shard panics; schedule locally instead.
 func (s *Shard) Post(dst int, at Time, kind int32, payload any) {
 	if dst == int(s.id) {
 		panic("sim: Post to own shard; use ScheduleEvent")
@@ -153,48 +116,9 @@ func (s *Shard) Post(dst int, at Time, kind int32, payload any) {
 	}
 	s.sendSeq++
 	s.Posted++
-	s.g.shards[dst].inbox[s.id].push(crossEvent{
+	s.out[dst] = append(s.out[dst], crossEvent{
 		at: at, origin: s.id, kind: kind, seq: s.sendSeq, payload: payload,
 	})
-}
-
-// clockTime reads the shard's own published clock without atomics overhead
-// concerns (it is only written by this shard's execution context).
-func (s *Shard) clockTime() Time { return s.Clock() }
-
-// safeTime computes how far this shard may execute: the minimum published
-// peer clock plus lookahead, capped at horizon. With a single shard there
-// are no peers and the whole horizon is safe.
-func (s *Shard) safeTime(horizon Time) Time {
-	min := math.Inf(1)
-	for _, p := range s.g.shards {
-		if p == s {
-			continue
-		}
-		if c := float64(p.Clock()); c < min {
-			min = c
-		}
-	}
-	safe := Time(min + s.g.lookahead)
-	if safe > horizon || math.IsInf(min, 1) {
-		safe = horizon
-	}
-	return safe
-}
-
-// drainInboxes moves every visible mailbox event into the pending heap.
-// The caller must have read peer clocks (safeTime) BEFORE draining: the
-// sender stores mailbox state before publishing its clock, so reading the
-// clock first guarantees every message sent below that clock is visible —
-// anything still in flight has delivery >= that clock + lookahead, i.e. at
-// or beyond this shard's safe bound.
-func (s *Shard) drainInboxes() {
-	for _, q := range s.inbox {
-		if q == nil {
-			continue
-		}
-		q.drain(func(e crossEvent) { s.pending.push(e) })
-	}
 }
 
 // execute runs the merged stream of local engine events and pending cross
@@ -243,139 +167,35 @@ func (s *Shard) execute(limit Time, inclusive bool) {
 	}
 }
 
-// window attempts one conservative step toward horizon: compute the safe
-// bound from peer clocks, drain mailboxes, execute everything strictly
-// below the bound, and publish the bound as the new clock. It reports
-// whether the clock advanced.
-func (s *Shard) window(horizon Time) bool {
-	safe := s.safeTime(horizon)
-	if safe <= s.clockTime() {
-		return false
-	}
-	s.drainInboxes()
-	s.execute(safe, false)
-	s.publish(safe)
-	return true
-}
-
-// final runs the inclusive boundary pass. It must only run after every
-// shard's clock reached horizon: an event at exactly horizon-lookahead on a
-// peer may post a delivery at exactly horizon, so the boundary is only
-// complete once all peers are done producing. Events generated here have
-// delivery >= horizon + lookahead and are beyond the run by construction.
-func (s *Shard) final(horizon Time) {
-	s.drainInboxes()
-	s.execute(horizon, true)
-	s.eng.RunUntil(horizon) // cascades at exactly horizon, then clock lands on horizon
-}
-
-// publish stores the new progress bound and wakes peers blocked on it.
-// The atomic clock store strictly precedes the waiters load (sequentially
-// consistent), so either this publisher sees the parked waiter and
-// broadcasts, or the waiter's own re-check under the lock sees the new
-// clock and never parks — no lost wakeups either way.
-func (s *Shard) publish(t Time) {
-	s.clock.Store(math.Float64bits(float64(t)))
-	g := s.g
-	if g.waiters.Load() > 0 {
-		g.mu.Lock()
-		g.cond.Broadcast()
-		g.mu.Unlock()
-	}
-}
-
-// requestStop makes every shard wind down at its next check.
-func (g *Group) requestStop() {
-	g.stop.Store(true)
-	g.mu.Lock()
-	g.cond.Broadcast()
-	g.mu.Unlock()
-}
-
-// spinRounds bounds the busy-wait before a shard parks on the condition
-// variable. Under load, peers publish new clocks within microseconds of
-// each other — lookahead windows are short, so parking on every stall
-// turns the whole group into a futex wakeup chain. Spinning a bounded
-// number of scheduler yields first lets the common case stay in user
-// space; a genuinely idle shard still parks and costs nothing.
-const spinRounds = 128
-
-// waitProgress waits until a peer clock publication makes this shard's
-// safe bound move, or the group stops: a bounded spin first, then parked
-// on cond.
-func (g *Group) waitProgress(s *Shard, horizon Time) {
-	for i := 0; i < spinRounds; i++ {
-		if g.stop.Load() || s.safeTime(horizon) > s.clockTime() {
-			return
-		}
-		runtime.Gosched()
-	}
-	g.mu.Lock()
-	g.waiters.Add(1)
-	for !g.stop.Load() && s.safeTime(horizon) <= s.clockTime() {
-		g.cond.Wait()
-	}
-	g.waiters.Add(-1)
-	g.mu.Unlock()
-}
-
-// waitAllAt waits until every shard's clock reached horizon (the barrier
-// before the inclusive boundary pass), or the group stops.
-func (g *Group) waitAllAt(horizon Time) {
-	allAt := func() bool {
-		for _, p := range g.shards {
-			if p.Clock() < horizon {
-				return false
+// exchange moves every cross event posted since the last exchange into its
+// destination's pending heap. It runs between windows, when no shard is
+// executing. Heap order is the total merge key, so the order in which
+// senders are visited does not matter.
+func (g *Group) exchange() {
+	for _, s := range g.shards {
+		for dst, evs := range s.out {
+			for _, e := range evs {
+				g.shards[dst].pending.push(e)
 			}
-		}
-		return true
-	}
-	for i := 0; i < spinRounds; i++ {
-		if g.stop.Load() || allAt() {
-			return
-		}
-		runtime.Gosched()
-	}
-	g.mu.Lock()
-	g.waiters.Add(1)
-	for !g.stop.Load() && !allAt() {
-		g.cond.Wait()
-	}
-	g.waiters.Add(-1)
-	g.mu.Unlock()
-}
-
-// runLoop is one shard's life on its own goroutine: windows until the
-// published clock reaches horizon, barrier, then the inclusive boundary
-// pass.
-func (s *Shard) runLoop(horizon Time, stop func() bool) {
-	g := s.g
-	for s.clockTime() < horizon {
-		if stop != nil && stop() {
-			g.requestStop()
-		}
-		if g.stop.Load() {
-			return
-		}
-		if !s.window(horizon) {
-			g.waitProgress(s, horizon)
+			clear(evs) // drop payload references
+			s.out[dst] = evs[:0]
 		}
 	}
-	g.waitAllAt(horizon)
-	if g.stop.Load() {
-		return
-	}
-	s.final(horizon)
 }
 
 // Run advances every shard to horizon, executing all events with timestamps
-// <= horizon exactly once across the group. workers selects the execution
-// mode: 1 runs all shards cooperatively on the calling goroutine (the
-// deterministic oracle mode), any other value runs one goroutine per shard.
-// Both modes execute the identical event sequence per shard. stop, if
-// non-nil, is polled between windows (it must be safe to call from multiple
-// goroutines); when it reports true the run winds down early and Run
-// returns true, leaving the group in a consistent but incomplete state.
+// <= horizon exactly once across the group. Each pass polls stop, exchanges
+// the last window's cross events, and has every shard execute strictly
+// below limit = min(now + lookahead, horizon); after the last window an
+// inclusive pass at horizon delivers what peers posted for exactly horizon.
+//
+// workers selects the execution mode: 1 runs each window's shards in turn
+// on the calling goroutine (the deterministic oracle mode); any other value
+// runs each shard on its own goroutine for the length of the call. Both
+// modes execute the identical event sequence per shard, and a panic on a
+// shard is re-raised on the caller. stop, if non-nil, is polled on the
+// caller between windows; when it reports true Run returns true, leaving
+// the group in a consistent but incomplete state.
 //
 // Run may be called again with a larger horizon to continue the same
 // simulation.
@@ -383,77 +203,159 @@ func (g *Group) Run(horizon Time, workers int, stop func() bool) bool {
 	if math.IsNaN(float64(horizon)) {
 		panic("sim: Run to NaN horizon")
 	}
-	g.stop.Store(false)
-	g.mu.Lock()
-	g.panicked = nil
-	g.mu.Unlock()
-	if workers == 1 {
-		return g.runSerial(horizon, stop)
+	window := g.executeInTurn
+	if workers != 1 && g.now < horizon {
+		c := g.startCrew()
+		defer c.stop()
+		window = c.execute
 	}
-	return g.runParallel(horizon, stop)
-}
-
-// runSerial drives all shards round-robin on the caller's goroutine. The
-// shard with the minimum clock can always advance (its safe bound is its
-// own clock + lookahead), so a full round with no progress is a bug, not a
-// livelock — it panics rather than spinning.
-func (g *Group) runSerial(horizon Time, stop func() bool) bool {
-	for {
+	for g.now < horizon {
 		if stop != nil && stop() {
-			g.stop.Store(true)
 			return true
 		}
-		progressed := false
-		done := true
-		for _, s := range g.shards {
-			if s.clockTime() >= horizon {
-				continue
-			}
-			done = false
-			if s.window(horizon) {
-				progressed = true
-			}
-		}
-		if done {
-			break
-		}
-		if !progressed {
-			panic("sim: shard group stalled with no shard able to advance")
-		}
+		g.exchange()
+		limit := min(g.now+Time(g.lookahead), horizon)
+		window(limit)
+		g.now = limit
 	}
+	g.exchange()
 	for _, s := range g.shards {
-		s.final(horizon)
+		s.execute(horizon, true)
+		s.eng.RunUntil(horizon) // cascades at exactly horizon, then clock lands on horizon
 	}
 	return false
 }
 
-// runParallel launches one goroutine per shard. A panic on any shard stops
-// the group and is re-raised on the caller's goroutine.
-func (g *Group) runParallel(horizon Time, stop func() bool) bool {
-	var wg sync.WaitGroup
+// executeInTurn runs one window's shards one after another on the caller.
+func (g *Group) executeInTurn(limit Time) {
 	for _, s := range g.shards {
-		wg.Add(1)
-		go func(s *Shard) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					g.mu.Lock()
-					if g.panicked == nil {
-						g.panicked = r
-					}
-					g.mu.Unlock()
-					g.requestStop()
-				}
-			}()
-			s.runLoop(horizon, stop)
-		}(s)
+		s.execute(limit, false)
 	}
-	wg.Wait()
-	g.mu.Lock()
-	p := g.panicked
-	g.mu.Unlock()
-	if p != nil {
-		panic(p)
+}
+
+// crew is one goroutine per shard for the length of a Run call: each takes
+// window limits from its own channel and answers on done with the panic it
+// recovered, or nil; once its channel closes it sends a last nil and exits.
+type crew struct {
+	windows []chan Time
+	done    chan any
+}
+
+func (g *Group) startCrew() *crew {
+	c := &crew{windows: make([]chan Time, len(g.shards)), done: make(chan any, len(g.shards))}
+	for i, s := range g.shards {
+		c.windows[i] = make(chan Time)
+		go func(s *Shard, windows <-chan Time) {
+			for limit := range windows {
+				c.done <- s.executeRecovered(limit)
+			}
+			c.done <- nil
+		}(s, c.windows[i])
 	}
-	return g.stop.Load()
+	return c
+}
+
+// execute runs one window on every shard at once and waits for all of
+// them; the first panic recovered is re-raised on the caller.
+func (c *crew) execute(limit Time) {
+	for _, w := range c.windows {
+		w <- limit
+	}
+	var first any
+	for range c.windows {
+		if p := <-c.done; p != nil && first == nil {
+			first = p
+		}
+	}
+	if first != nil {
+		panic(first)
+	}
+}
+
+// stop ends the crew and returns once every goroutine has exited.
+func (c *crew) stop() {
+	for _, w := range c.windows {
+		close(w)
+	}
+	for range c.windows {
+		<-c.done
+	}
+}
+
+// executeRecovered is execute for a crew goroutine: a panic comes back as
+// a value for the caller to re-raise.
+func (s *Shard) executeRecovered(limit Time) (p any) {
+	defer func() { p = recover() }()
+	s.execute(limit, false)
+	return nil
+}
+
+// crossEvent is one cross-shard event in flight: a typed event stamped with
+// its delivery time and a deterministic total-order key (origin shard id,
+// per-origin send sequence). The key is assigned by the sender's
+// single-threaded event loop, so it is independent of goroutine
+// interleaving; receivers merge cross events with their local queue by
+// (at, origin, seq).
+type crossEvent struct {
+	at      Time
+	origin  int32
+	kind    int32
+	seq     uint64
+	payload any
+}
+
+// crossHeap is a min-heap of pending cross events ordered by the global
+// merge key (at, origin, seq): delivery time first, then origin shard id,
+// then the origin's send sequence. The key is strictly total — one origin
+// never reuses a sequence number — so heap order is deterministic.
+type crossHeap []crossEvent
+
+func crossLess(a, b crossEvent) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	if a.origin != b.origin {
+		return a.origin < b.origin
+	}
+	return a.seq < b.seq
+}
+
+func (h *crossHeap) push(e crossEvent) {
+	s := append(*h, e)
+	i := len(s) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !crossLess(s[i], s[parent]) {
+			break
+		}
+		s[i], s[parent] = s[parent], s[i]
+		i = parent
+	}
+	*h = s
+}
+
+func (h *crossHeap) pop() crossEvent {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	s[0] = s[n]
+	s[n] = crossEvent{}
+	s = s[:n]
+	for i := 0; ; {
+		l, r := 2*i+1, 2*i+2
+		small := i
+		if l < n && crossLess(s[l], s[small]) {
+			small = l
+		}
+		if r < n && crossLess(s[r], s[small]) {
+			small = r
+		}
+		if small == i {
+			break
+		}
+		s[i], s[small] = s[small], s[i]
+		i = small
+	}
+	*h = s
+	return top
 }

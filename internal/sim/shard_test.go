@@ -2,64 +2,10 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 )
-
-// --- mailbox ---
-
-func TestMailboxFIFOAcrossChunks(t *testing.T) {
-	q := newMailbox()
-	const total = 3*mchunkCap + 17 // force several chunk advances
-	next := uint64(0)
-	pushed := 0
-	for pushed < total {
-		// Interleave pushes and drains so the consumer crosses chunk
-		// boundaries both mid-chunk and exactly at capacity.
-		burst := 100 + pushed%57
-		for i := 0; i < burst && pushed < total; i++ {
-			q.push(crossEvent{at: Time(pushed), seq: uint64(pushed)})
-			pushed++
-		}
-		q.drain(func(e crossEvent) {
-			if e.seq != next {
-				t.Fatalf("drain out of order: got seq %d want %d", e.seq, next)
-			}
-			next++
-		})
-	}
-	q.drain(func(e crossEvent) {
-		if e.seq != next {
-			t.Fatalf("drain out of order: got seq %d want %d", e.seq, next)
-		}
-		next++
-	})
-	if next != total {
-		t.Fatalf("drained %d events, want %d", next, total)
-	}
-}
-
-func TestMailboxConcurrentProducerConsumer(t *testing.T) {
-	q := newMailbox()
-	const total = 10000
-	done := make(chan struct{})
-	go func() {
-		for i := 0; i < total; i++ {
-			q.push(crossEvent{seq: uint64(i)})
-		}
-		close(done)
-	}()
-	next := uint64(0)
-	for next < total {
-		q.drain(func(e crossEvent) {
-			if e.seq != next {
-				t.Errorf("out of order: got %d want %d", e.seq, next)
-			}
-			next++
-		})
-	}
-	<-done
-}
 
 // --- shard program: a deterministic adversarial workload ---
 
@@ -222,7 +168,7 @@ func TestGroupSingleShardMatchesEngine(t *testing.T) {
 // cooperatively on one goroutine (workers=1, the oracle) must be
 // bit-identical to one goroutine per shard (workers=0), across seeds and
 // shard counts, despite arbitrary goroutine interleavings. Run under -race
-// this also checks the mailbox/clock memory ordering.
+// this also checks that shards share nothing within a window.
 func TestGroupWorkerEquivalence(t *testing.T) {
 	const horizon = Time(2.0)
 	for _, k := range []int{2, 4, 7} {
@@ -274,10 +220,8 @@ func TestGroupStop(t *testing.T) {
 	if !g.Run(1000.0, 0, stop) {
 		t.Fatal("Run did not report stop")
 	}
-	for i := 0; i < g.Len(); i++ {
-		if c := g.Shard(i).Clock(); c >= 1000.0 {
-			t.Fatalf("shard %d ran to horizon despite stop", i)
-		}
+	if now := g.Now(); now >= 1000.0 {
+		t.Fatalf("group clock %v reached the horizon despite stop", now)
 	}
 }
 
@@ -346,7 +290,7 @@ func TestShardPostAtExactFloor(t *testing.T) {
 // TestGroupBoundaryDelivery pins the final-pass correctness case that a
 // naive implementation misses: an event at exactly horizon-lookahead posts
 // a delivery at exactly horizon, which must execute even though every
-// shard's conservative window stops strictly before the horizon.
+// lockstep window stops strictly before the horizon.
 func TestGroupBoundaryDelivery(t *testing.T) {
 	const horizon = Time(1.0)
 	const L = 0.01
@@ -368,4 +312,73 @@ func TestGroupBoundaryDelivery(t *testing.T) {
 			t.Fatalf("workers=%d: delivery at exactly the horizon was dropped", workers)
 		}
 	}
+}
+
+// progCounters is every per-shard number a run can be compared by.
+func progCounters(g *Group, progs []*shardProg) [][6]uint64 {
+	out := make([][6]uint64, len(progs))
+	for i, p := range progs {
+		s := g.Shard(i)
+		out[i] = [6]uint64{p.hash, p.count, s.Engine().Executed, s.Posted, s.CrossExecuted, s.Engine().Compactions}
+	}
+	return out
+}
+
+// FuzzGroupEquivalence drives shardProg through four ways of reaching the
+// same horizon and requires identical per-shard counters from all of them:
+// workers=1, workers=0, a run split at up to three points (alternating the
+// mode), and a workers=0 run stopped after n polls of stop and resumed with
+// workers=1. Bytes choose K in [1, 8], a lookahead in [1, 50] ms, the seed,
+// a horizon up to 3 s, the split points and n (0 means no stop).
+func FuzzGroupEquivalence(f *testing.F) {
+	f.Add([]byte{3, 4, 0, 11, 0x07, 0xd0, 2, 0x40, 0xa0, 5})
+	f.Add([]byte{7, 0, 0x30, 0x39, 0x0b, 0xb8, 3, 1, 2, 3, 40})
+	f.Add([]byte{0, 49, 1, 2, 0xff, 0xff, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		k := 1 + next()%8
+		lookahead := float64(1+next()%50) / 1000
+		seed := int64(next()<<8 | next())
+		horizon := Time(float64((next()<<8|next())%3001) / 1000)
+		splits := make([]Time, next()%4)
+		for i := range splits {
+			splits[i] = horizon * Time(next()) / 256
+		}
+		slices.Sort(splits)
+		stopAfter := next()
+
+		run := func(drive func(*Group)) [][6]uint64 {
+			g, progs := buildProgGroup(seed, k, lookahead)
+			drive(g)
+			return progCounters(g, progs)
+		}
+		want := run(func(g *Group) { g.Run(horizon, 1, nil) })
+		check := func(name string, got [][6]uint64) {
+			if !slices.Equal(got, want) {
+				t.Fatalf("K=%d lookahead=%v seed=%d horizon=%v splits=%v stop=%d: %s diverged from workers=1:\n got %v\nwant %v",
+					k, lookahead, seed, horizon, splits, stopAfter, name, got, want)
+			}
+		}
+		check("workers=0", run(func(g *Group) { g.Run(horizon, 0, nil) }))
+		check("split", run(func(g *Group) {
+			for i, at := range splits {
+				g.Run(at, i%2, nil)
+			}
+			g.Run(horizon, len(splits)%2, nil)
+		}))
+		if stopAfter > 0 {
+			check("stopped and resumed", run(func(g *Group) {
+				polls := 0
+				g.Run(horizon, 0, func() bool { polls++; return polls > stopAfter })
+				g.Run(horizon, 1, nil)
+			}))
+		}
+	})
 }

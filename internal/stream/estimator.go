@@ -94,8 +94,8 @@ func (e *Estimator) Gradient() float64 {
 	var num, den float64
 	for i := 0; i < e.n; i++ {
 		s := &e.win[(e.head-e.n+i+estWindow)%estWindow]
-		num += (s.at - meanT) * (s.owd - meanD)
-		den += (s.at - meanT) * (s.at - meanT)
+		num += float64((s.at - meanT) * (s.owd - meanD))
+		den += float64((s.at - meanT) * (s.at - meanT))
 	}
 	if den <= 0 {
 		return 0

@@ -64,7 +64,7 @@ func (c Config) Blocks() int {
 func (c Config) ContentBytes() float64 { return float64(c.Blocks()) * c.BlockSize }
 
 // ContentSeconds is the playable length of the full stream.
-func (c Config) ContentSeconds() float64 { return float64(c.Blocks()) * c.Interval() }
+func (c Config) ContentSeconds() float64 { return float64(float64(c.Blocks()) * c.Interval()) }
 
 // LiveEdge returns the content seconds a source that started sinceStart
 // seconds ago has emitted: block i is released at i*Interval and adds
@@ -122,7 +122,7 @@ type Receiver struct {
 	deadAt float64
 }
 
-func (r *Receiver) frontierSec() float64 { return float64(r.frontier) * r.cfg.Interval() }
+func (r *Receiver) frontierSec() float64 { return float64(float64(r.frontier) * r.cfg.Interval()) }
 
 // lag is the receiver's distance behind its live edge, in content seconds.
 func (r *Receiver) lag(now float64) float64 {

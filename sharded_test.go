@@ -111,7 +111,7 @@ func TestShardedConfigValidation(t *testing.T) {
 // Scale1000: an observed sharded session — time-series sampling on, an
 // observer subscribed — must return results bit-identical to the unobserved
 // one-shot wrapper, because horizon-stepped sampling re-partitions the
-// conservative windows without reordering any event. The CI race job runs
+// lockstep windows without reordering any event. The CI race job runs
 // this test by name.
 func TestShardedObserverEquivalence(t *testing.T) {
 	cfg := shardedCfg(5, 0)
