@@ -91,14 +91,6 @@ const (
 	ProtocolSplitStream Protocol = "splitstream"
 )
 
-// ProtocolStream is Bullet' with delay-gradient sender selection
-// (DESIGN.md §11): senders are ranked by a receiver-side one-way-delay
-// bandwidth estimate instead of realized epoch throughput, so a congesting
-// sender is demoted before loss shows up in its rate. It resolves to the
-// harness's "BulletPrimeDelay" system and pairs naturally with
-// RunConfig.Stream, but also runs one-shot workloads.
-const ProtocolStream Protocol = "stream"
-
 // ProtocolScalefill is the sharded engine's reference workload: every node
 // pulls the file through intra-cluster transfers under per-shard link
 // churn, with cross-shard token coupling. It requires EngineSharded and a
@@ -190,8 +182,8 @@ type TraceOptions struct {
 // the stream behind the live edge — Sample gains lag/rebuffer fields and
 // Result.Stream reports per-viewer aggregates. FileBytes must be left zero
 // (it is derived as BitrateBps × Duration rounded up to whole blocks);
-// streaming requires a stream-capable protocol (ProtocolBulletPrime,
-// ProtocolBullet, ProtocolStream) on the sequential emulated engine. See
+// streaming requires a stream-capable protocol (ProtocolBulletPrime or
+// ProtocolBullet) on the sequential emulated engine. See
 // DESIGN.md §11.
 //
 // The fields are harness.StreamSpec's, in its order, so a normalized

@@ -43,12 +43,12 @@ func TestGoldenHelp(t *testing.T) {
 }
 
 // TestGoldenTrace pins `bulletctl trace` exports byte for byte on the CI
-// stream-smoke overlay (8 nodes, modelnet-clean, protocol stream, seed 7):
-// both formats, and a ring small enough to evict, where the exported seq
+// stream-smoke overlay (8 nodes, modelnet-clean, protocol bulletprime, seed
+// 7): both formats, and a ring small enough to evict, where the exported seq
 // still counts from 0 over the spans that were kept.
 func TestGoldenTrace(t *testing.T) {
 	base := []string{"trace", "-nodes", "8", "-filemb", "4", "-network", "modelnet-clean",
-		"-protocol", "stream", "-seed", "7"}
+		"-protocol", "bulletprime", "-seed", "7"}
 	for _, g := range []struct {
 		file string
 		args []string

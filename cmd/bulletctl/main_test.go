@@ -125,7 +125,7 @@ func TestRunStreamFlagExitCodes(t *testing.T) {
 func TestRunStreamSmall(t *testing.T) {
 	code, stdout, stderr := runRun(t,
 		"-stream", "-bitrate", "0.25", "-duration", "10",
-		"-nodes", "8", "-network", "modelnet-clean", "-protocol", "stream", "-seed", "7")
+		"-nodes", "8", "-network", "modelnet-clean", "-protocol", "bulletprime", "-seed", "7")
 	if code != 0 {
 		t.Fatalf("exit %d, stderr %q", code, stderr)
 	}

@@ -2,11 +2,9 @@
 // source emits a 1 Mbps stream for two virtual minutes while a flash crowd
 // joins mid-broadcast: 60% of the overlay watches from the start, the rest
 // piles in at t=30s and has to catch up to its own live edge through the
-// mesh. Both sender-selection signals run on the identical topology and
-// scenario draws — realized epoch throughput (loss-driven, the paper's
-// §3.3.1 rule) versus the delay-gradient bandwidth estimator — and each
-// prints the viewer experience: lag quantiles, startup delay, and rebuffer
-// counts from the playout-buffer model.
+// mesh. Bullet' and Bullet run on the identical topology and scenario
+// draws, and each prints the viewer experience: lag quantiles, startup
+// delay, and rebuffer counts from the playout-buffer model.
 //
 //	go run ./examples/livestream
 package main
@@ -32,10 +30,7 @@ func main() {
 	crowd := scenario.LiveFlashCrowd(30, 0.4)
 
 	ctx := context.Background()
-	for _, p := range []bulletprime.Protocol{
-		bulletprime.ProtocolBulletPrime, // loss-driven sender selection
-		bulletprime.ProtocolStream,      // delay-gradient sender selection
-	} {
+	for _, p := range []bulletprime.Protocol{bulletprime.ProtocolBulletPrime, bulletprime.ProtocolBullet} {
 		exp, err := bulletprime.New(bulletprime.RunConfig{
 			Protocol: p,
 			Nodes:    nodes,

@@ -291,7 +291,7 @@ func TestThirdPartyRegistryRoundTrip(t *testing.T) {
 	listed := bulletprime.Protocols()
 	for _, p := range []bulletprime.Protocol{"test-oracle", bulletprime.ProtocolBulletPrime,
 		bulletprime.ProtocolBullet, bulletprime.ProtocolBitTorrent, bulletprime.ProtocolSplitStream,
-		bulletprime.ProtocolStream, bulletprime.ProtocolScalefill} {
+		bulletprime.ProtocolScalefill} {
 		if !slices.Contains(listed, p) {
 			t.Errorf("Protocols() = %v does not list %q, which New accepts", listed, p)
 		}

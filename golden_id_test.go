@@ -41,10 +41,10 @@ var goldenRecords = []struct {
 	{
 		name: "streamed",
 		cfg: RunConfig{
-			Protocol: ProtocolStream, Nodes: 8, Network: NetworkModelNetClean, Seed: 7,
+			Protocol: ProtocolBulletPrime, Nodes: 8, Network: NetworkModelNetClean, Seed: 7,
 			SampleEvery: 2, Stream: &StreamOptions{BitrateBps: 64 * 1024, Duration: 16},
 		},
-		id:      "1beb90a8be84673c",
+		id:      "c5688a2d5d12b217",
 		sha:     "b5b656cc9bd89c92e5a3922ba6e043fbe97c6e95be1a2d57bfc46937ffda05cd",
 		samples: 9,
 	},

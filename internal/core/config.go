@@ -88,31 +88,6 @@ const (
 	InitialOutstanding = 3
 )
 
-// SenderSelection selects the bandwidth signal Bullet' ranks its senders
-// by when trimming and shedding peers.
-type SenderSelection int
-
-const (
-	// SelectLoss ranks senders by realized per-epoch delivery rate — the
-	// paper's throughput/loss-driven signal (a congested sender shows up
-	// only after its rate collapses).
-	SelectLoss SenderSelection = iota
-	// SelectDelay ranks senders by a receiver-side delay-gradient
-	// bandwidth estimate (stream.Estimator): rising one-way delay backs
-	// a sender's score off before loss shows it.
-	SelectDelay
-)
-
-func (s SenderSelection) String() string {
-	switch s {
-	case SelectLoss:
-		return "loss"
-	case SelectDelay:
-		return "delay"
-	}
-	return fmt.Sprintf("SenderSelection(%d)", int(s))
-}
-
 // Config parameterizes one Bullet' session.
 type Config struct {
 	// Swarm is the cohort, the file, the live stream's rate (StreamBps,
@@ -152,12 +127,6 @@ type Config struct {
 	// §4.6 methodology, matching the paper's fixed 4% overhead accounting).
 	Encoded          bool
 	EncodingOverhead float64
-
-	// Selection picks the signal senders are ranked (and trimmed) by:
-	// SelectLoss is the paper's realized per-epoch delivery rate,
-	// SelectDelay the REMB-style delay-gradient bandwidth estimate
-	// (DESIGN.md §11).
-	Selection SenderSelection
 }
 
 // maxStaticPeers bounds Config.StaticPeers: a peer counts the senders

@@ -10,7 +10,6 @@ import (
 	"bulletprime/internal/proto"
 	"bulletprime/internal/ransub"
 	"bulletprime/internal/sim"
-	"bulletprime/internal/stream"
 	"bulletprime/internal/trace"
 )
 
@@ -196,7 +195,7 @@ func (p *peer) onMessage(c *proto.Conn, m proto.Message) {
 		p.s.reqs.put(rm)
 	case kindBlock:
 		bm := delivered(m.Payload.(*blockMsg))
-		p.onBlock(c, m, bm)
+		p.onBlock(c, bm)
 		p.s.blocks.put(bm)
 	case kindPush:
 		bm := delivered(m.Payload.(*blockMsg))
@@ -241,9 +240,6 @@ func (p *peer) addSender(id netem.NodeID) {
 	}
 	if p.s.cfg.StaticOutstanding > 0 {
 		sp.desired = float64(p.s.cfg.StaticOutstanding)
-	}
-	if p.s.cfg.Selection == SelectDelay {
-		sp.est = new(stream.Estimator)
 	}
 	p.senders.insert(sp)
 	c.SetState(p.node, sp)
@@ -481,7 +477,7 @@ func (p *peer) pickBlock(sp *senderPeer) (int, bool) {
 }
 
 // onBlock processes a pulled block arrival.
-func (p *peer) onBlock(c *proto.Conn, m proto.Message, bm *blockMsg) {
+func (p *peer) onBlock(c *proto.Conn, bm *blockMsg) {
 	sp, ok := c.State(p.node).(*senderPeer)
 	if !ok || sp.closed {
 		return
@@ -493,11 +489,6 @@ func (p *peer) onBlock(c *proto.Conn, m proto.Message, bm *blockMsg) {
 	sp.lastArrival = now
 	p.unclaim(bm.id)
 	sp.meter.Add(now, p.s.cfg.BlockSize)
-	if sp.est != nil && m.SentAt > 0 {
-		// One-way delay measured from the sender's enqueue time: it
-		// includes sender-side queueing, the delay-gradient signal.
-		sp.est.Observe(float64(now), float64(now-m.SentAt), m.Size)
-	}
 	p.s.BlocksPulled++
 	p.manageOutstanding(sp, bm)
 	p.acceptBlock(bm.id)
@@ -831,28 +822,15 @@ func (t *peerTarget) step() int {
 	return 1
 }
 
-// senderSignal is the bandwidth score a sender is ranked by: the realized
-// per-epoch rate under SelectLoss, or the delay-gradient estimate under
-// SelectDelay once the estimator has enough arrivals (falling back to the
-// realized rate until then, so young senders are judged the same way in
-// both modes).
-func (p *peer) senderSignal(sp *senderPeer) float64 {
-	if sp.est != nil && sp.est.Ready() {
-		return sp.est.Estimate()
-	}
-	return sp.rate
-}
-
 // enforcePeerTargets sheds peers when an adaptive target moved below the
 // current set size: without this, a lowered MAX_SENDERS would never take
 // effect. The slowest sender / lowest-ratio receiver goes first.
 func (p *peer) enforcePeerTargets() {
 	for len(p.senders) > p.maxSenders.n {
 		var worst *senderPeer
-		var worstSig float64
 		for _, sp := range p.senders {
-			if sig := p.senderSignal(sp); worst == nil || sig < worstSig {
-				worst, worstSig = sp, sig
+			if worst == nil || sp.rate < worst.rate {
+				worst = sp
 			}
 		}
 		if worst == nil {
@@ -906,7 +884,8 @@ func sigmaOutliers[P interface{ nodeID() netem.NodeID }](set idList[P], floor in
 // partial-epoch rates are not comparable yet.
 func (p *peer) trimSenders(now sim.Time) {
 	young := func(sp *senderPeer) bool { return float64(now-sp.addedAt) < p.s.cfg.RanSubPeriod }
-	for _, sp := range sigmaOutliers(p.senders, p.trimFloor(), p.senderSignal, young) {
+	rate := func(sp *senderPeer) float64 { return sp.rate }
+	for _, sp := range sigmaOutliers(p.senders, p.trimFloor(), rate, young) {
 		if len(p.senders) <= p.trimFloor() {
 			break
 		}

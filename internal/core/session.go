@@ -7,7 +7,6 @@ import (
 	"bulletprime/internal/proto"
 	"bulletprime/internal/ransub"
 	"bulletprime/internal/sim"
-	"bulletprime/internal/stream"
 	"bulletprime/internal/trace"
 	"bulletprime/internal/tree"
 )
@@ -257,11 +256,6 @@ type senderPeer struct {
 	// exhausted senders are replaced when fresher candidates exist.
 	lastUseful sim.Time
 
-	// est is the per-sender delay-gradient bandwidth estimator, allocated
-	// only under Config.Selection == SelectDelay and fed on every block
-	// arrival (DESIGN.md §11).
-	est *stream.Estimator
-
 	closed bool
 }
 
@@ -285,8 +279,6 @@ type receiverPeer struct {
 	// diffCursor indexes our arrival log: everything before it has been
 	// advertised to this receiver (each block advertised exactly once).
 	diffCursor int
-	// pendingReqs counts block requests accepted but not yet served.
-	pendingReqs int
 
 	// totalInBW and perSenderBW are the receiver's piggybacked reports.
 	totalInBW   float64

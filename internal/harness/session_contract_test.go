@@ -87,10 +87,6 @@ func TestSessionContract(t *testing.T) {
 			"36bd2737a99c2d254d1f36e269afcf1efdfdfa96f0ca0f5fd698b1bfc093fe36"},
 		{"SplitStream", "SplitStream", nil, nil,
 			"028f86fa40447a9f021950f3503545e10c1b866e95441ee39f263eb497c2364a"},
-		// A run this short ends before the delay estimator ranks any sender,
-		// so Bullet' arrives the same way under either selection signal.
-		{"BulletPrimeDelay", "BulletPrimeDelay", nil, nil,
-			"d8212b294ad3a508b2c2b194cb7553a910761b1073d4a4b20c8f578c5aa5bbbe"},
 		{"BulletPrime/stream", "BulletPrime", stream, nil,
 			"ab9213ef298e89da4727ad3c8c510c3987ddbd428bb8687c375eac1a78f47a71"},
 		{"Bullet/stream", "Bullet", stream, nil,

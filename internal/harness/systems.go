@@ -120,10 +120,6 @@ func init() {
 	RegisterSystem(KindBullet.String(), SystemEntry{Build: buildBullet, Streams: true})
 	RegisterSystem(KindBitTorrent.String(), SystemEntry{Build: buildBitTorrent})
 	RegisterSystem(KindSplitStream.String(), SystemEntry{Build: buildSplitStream})
-	// Bullet' with delay-gradient sender selection (DESIGN.md §11): same
-	// session, Config.Selection flipped before CoreMut so experiments can
-	// still override it.
-	RegisterSystem("BulletPrimeDelay", SystemEntry{Build: buildBulletPrimeDelay, Streams: true})
 }
 
 func buildBulletPrime(ctx BuildCtx) System {
@@ -132,17 +128,6 @@ func buildBulletPrime(ctx BuildCtx) System {
 		ctx.CoreMut(&cfg)
 	}
 	return core.NewSession(ctx.Rig.RT, cfg, ctx.Rig.Master.Stream("bulletprime"+ctx.StreamSuffix))
-}
-
-func buildBulletPrimeDelay(ctx BuildCtx) System {
-	mut := ctx.CoreMut
-	ctx.CoreMut = func(cfg *core.Config) {
-		cfg.Selection = core.SelectDelay
-		if mut != nil {
-			mut(cfg)
-		}
-	}
-	return buildBulletPrime(ctx)
 }
 
 func buildBullet(ctx BuildCtx) System {

@@ -2,6 +2,7 @@ package lab
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -32,6 +33,41 @@ func FuzzParseFilter(f *testing.F) {
 		}
 		if !flt.Match(m) {
 			t.Fatalf("ParseFilter(%q) = %+v matches no manifest, not even its own values", s, flt)
+		}
+	})
+}
+
+// FuzzDecodeRecord: record.jsonl bytes the process did not write give an
+// error or a run, never a panic, and a run it accepts re-encodes through
+// encodeRecord and decodes back to an equal run.
+func FuzzDecodeRecord(f *testing.F) {
+	record, err := encodeRecord(&Run{
+		CompletionTimes: map[int]float64{1: 12.5, 2: 30.25},
+		Series:          []Sample{{Time: 2, Completed: 1, Receivers: 2, GoodputBps: 4096, StreamLagP50: 1.5, Rebuffering: 1}},
+		Annotations:     []Annotation{{At: 20, Text: "bandwidth change"}},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(record)
+	f.Add(record[:len(record)-9]) // a last line cut short by a partial write
+	f.Add([]byte(`{"kind":"checkpoint","at":3}` + "\n"))
+	f.Add([]byte(`{"kind":"sample"}` + "\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var run Run
+		if decodeRecord(data, &run) != nil {
+			return
+		}
+		again, err := encodeRecord(&run)
+		if err != nil {
+			t.Fatalf("accepted run does not re-encode: %v", err)
+		}
+		var back Run
+		if err := decodeRecord(again, &back); err != nil {
+			t.Fatalf("re-encoded record does not decode: %v\n%s", err, again)
+		}
+		if !reflect.DeepEqual(run, back) {
+			t.Fatalf("round trip changed the run:\n%+v\n%+v", run, back)
 		}
 	})
 }

@@ -47,14 +47,6 @@ type Message struct {
 	Kind    int
 	Size    float64
 	Payload any
-
-	// SentAt is stamped by the runtime when the sender enqueues the
-	// message (not when it reaches the wire), so now-SentAt at delivery
-	// is the full one-way delay including sender-side queueing — the
-	// congestion signal delay-based bandwidth estimators
-	// (stream.Estimator, DESIGN.md §11) are built on. Zero means
-	// unstamped (e.g. a transport backend that does not carry it).
-	SentAt sim.Time
 }
 
 // MsgOverhead is the per-message framing overhead in bytes charged on the
@@ -405,7 +397,6 @@ func (c *Conn) Send(n *Node, m Message) {
 	if m.Size < MsgOverhead {
 		m.Size += MsgOverhead
 	}
-	m.SentAt = c.rt.Eng.Now()
 	h := c.dir(n)
 	h.queuedBytes += m.Size
 	if tr := c.rt.Transport; tr != nil {
@@ -414,7 +405,7 @@ func (c *Conn) Send(n *Node, m Message) {
 		// direction until the peer acknowledges it (WireAcked).
 		h.inflight++
 		h.idleSince = -1
-		n.OutMeter.Add(m.SentAt, m.Size)
+		n.OutMeter.Add(c.rt.Eng.Now(), m.Size)
 		tr.Send(c, n.ID, c.Peer(n).ID, m)
 		return
 	}

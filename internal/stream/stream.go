@@ -6,9 +6,7 @@
 // running dry is a rebuffer event. The Tracker turns block arrivals into
 // the streaming quality metrics the paper's "maintaining high bandwidth"
 // claim is really about — lag behind the live edge, inter-block jitter,
-// sustained goodput, and rebuffer counts — and the Estimator (estimator.go)
-// provides the receiver-side delay-gradient bandwidth signal Bullet' can
-// rank senders by instead of its loss/throughput signal.
+// sustained goodput, and rebuffer counts.
 //
 // The package is engine-passive: it schedules no events and only observes
 // block arrivals, so attaching a Tracker never perturbs a simulation.

@@ -61,34 +61,6 @@ func (t *Tree) Join(id netem.NodeID, rng *sim.RNG) {
 	}
 }
 
-// Leave removes a leaf node. Removing an interior node re-parents its
-// children to the node's parent (splitting them across grandparent slots is
-// not needed for the static experiments in this repository).
-func (t *Tree) Leave(id netem.NodeID) {
-	if id == t.root {
-		panic("tree: root cannot leave")
-	}
-	p, ok := t.parent[id]
-	if !ok {
-		return
-	}
-	// Detach from parent.
-	kids := t.children[p]
-	for i, k := range kids {
-		if k == id {
-			t.children[p] = append(kids[:i], kids[i+1:]...)
-			break
-		}
-	}
-	// Re-parent orphans.
-	for _, c := range t.children[id] {
-		t.parent[c] = p
-		t.children[p] = append(t.children[p], c)
-	}
-	delete(t.children, id)
-	delete(t.parent, id)
-}
-
 // Root returns the tree root.
 func (t *Tree) Root() netem.NodeID { return t.root }
 

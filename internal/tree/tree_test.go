@@ -74,67 +74,6 @@ func TestJoinDuplicatePanics(t *testing.T) {
 	tr.Join(3, rng)
 }
 
-func TestLeaveLeaf(t *testing.T) {
-	rng := sim.NewRNG(5)
-	tr := Build(ids(20), 0, 3, rng)
-	// Find a leaf.
-	var leaf netem.NodeID = -1
-	tr.Walk(func(id netem.NodeID) {
-		if id != 0 && tr.IsLeaf(id) && leaf == -1 {
-			leaf = id
-		}
-	})
-	parent := tr.Parent(leaf)
-	tr.Leave(leaf)
-	if tr.Contains(leaf) {
-		t.Fatal("left node still present")
-	}
-	for _, c := range tr.Children(parent) {
-		if c == leaf {
-			t.Fatal("left node still a child")
-		}
-	}
-	if tr.Size() != 19 {
-		t.Fatalf("size = %d, want 19", tr.Size())
-	}
-}
-
-func TestLeaveInteriorReparents(t *testing.T) {
-	rng := sim.NewRNG(6)
-	tr := Build(ids(30), 0, 2, rng)
-	// Find an interior non-root node.
-	var mid netem.NodeID = -1
-	tr.Walk(func(id netem.NodeID) {
-		if id != 0 && !tr.IsLeaf(id) && mid == -1 {
-			mid = id
-		}
-	})
-	orphans := append([]netem.NodeID(nil), tr.Children(mid)...)
-	grand := tr.Parent(mid)
-	tr.Leave(mid)
-	for _, o := range orphans {
-		if tr.Parent(o) != grand {
-			t.Fatalf("orphan %d parent = %d, want %d", o, tr.Parent(o), grand)
-		}
-	}
-	// Still fully connected.
-	count := 0
-	tr.Walk(func(id netem.NodeID) { count++ })
-	if count != 29 {
-		t.Fatalf("walk = %d nodes after leave, want 29", count)
-	}
-}
-
-func TestRootLeavePanics(t *testing.T) {
-	tr := Build(ids(3), 0, 2, sim.NewRNG(7))
-	defer func() {
-		if recover() == nil {
-			t.Error("root leave did not panic")
-		}
-	}()
-	tr.Leave(0)
-}
-
 func TestDeterministicBuild(t *testing.T) {
 	a := Build(ids(40), 0, 4, sim.NewRNG(9))
 	b := Build(ids(40), 0, 4, sim.NewRNG(9))

@@ -126,10 +126,6 @@ func init() {
 	} {
 		protocols[name] = sys.String()
 	}
-	// ProtocolStream is Bullet' with delay-gradient sender selection; the
-	// harness registers the system itself (it is a core.Config flip, not a
-	// new session type).
-	protocols[ProtocolStream] = "BulletPrimeDelay"
 	// The sharded engine's reference workload keeps its harness name.
 	protocols[ProtocolScalefill] = string(ProtocolScalefill)
 	networks[NetworkModelNet] = func(n int) TopologyFn { return harness.ModelNetTopology(n) }
