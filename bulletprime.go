@@ -180,33 +180,16 @@ type TraceOptions struct {
 // BlockSize/BitrateBps seconds for Duration seconds instead of holding a
 // complete file at t=0, and every receiver is tracked as a viewer playing
 // the stream behind the live edge — Sample gains lag/rebuffer fields and
-// Result.Stream reports per-viewer aggregates. FileBytes must be left zero
-// (it is derived as BitrateBps × Duration rounded up to whole blocks);
+// Result.Stream reports per-viewer aggregates. FileBytes is derived as
+// BitrateBps × Duration rounded up to whole blocks, so leave it zero;
 // streaming requires a stream-capable protocol (ProtocolBulletPrime or
-// ProtocolBullet) on the sequential emulated engine. See
-// DESIGN.md §11.
+// ProtocolBullet) on the sequential emulated engine. See DESIGN.md §11.
 //
-// The fields are harness.StreamSpec's, in its order, so a normalized
-// StreamOptions converts to one; it is a type of its own because Warmup reads
-// differently here (0 picks the default, negative switches it off) than in
-// the harness (negative picks the default, 0 is off — the form that
-// normalizing twice leaves alone). The JSON names are the archive's: a
-// normalized StreamOptions is the "stream" block of a run's fingerprint.
-type StreamOptions struct {
-	// BitrateBps is the source emission rate in bytes per second.
-	BitrateBps float64 `json:"bitrate_bps,omitempty"`
-	// Duration is how long the source emits, in virtual seconds.
-	Duration float64 `json:"duration,omitempty"`
-	// PlayoutDepth is the viewer buffer depth in seconds of content a
-	// viewer must accumulate before (re)starting playback; 0 picks 4.
-	PlayoutDepth float64 `json:"playout_depth,omitempty"`
-	// Warmup excludes the startup transient from steady-state goodput:
-	// 0 picks min(Duration/4, 10), negative disables the warmup window.
-	Warmup float64 `json:"warmup,omitempty"`
-	// Drain is how long the run may continue past the last block's emission
-	// so trailing viewers catch up; 0 picks 15.
-	Drain float64 `json:"drain,omitempty"`
-}
+// It re-exports stream.Options (harness.StreamSpec), the one declaration of
+// a stream's settings: PlayoutDepth 0 picks 4, Drain 0 picks 15, Warmup 0
+// picks min(Duration/4, 10) and a negative Warmup switches the steady-state
+// window off. Its JSON form is the "stream" block of a run's fingerprint.
+type StreamOptions = stream.Options
 
 // RequestStrategy re-exports the §3.3.2 request orderings.
 type RequestStrategy = core.RequestStrategy
@@ -288,8 +271,8 @@ type RunConfig struct {
 
 	// Stream, when non-nil, makes the run a live stream (see StreamOptions):
 	// paced source emission, per-viewer lag/rebuffer tracking, and the
-	// Result.Stream report. FileBytes must then be zero — it is derived
-	// from the stream geometry.
+	// Result.Stream report. FileBytes is then derived from the stream
+	// geometry: leave it zero (a normalized config carries the derived size).
 	Stream *StreamOptions
 
 	// Trace, when non-nil, records structured protocol-decision spans into
@@ -324,24 +307,18 @@ func (cfg RunConfig) normalized() (RunConfig, error) {
 		cfg.BlockSize = 16 * 1024
 	}
 	if cfg.Stream != nil {
-		if cfg.FileBytes != 0 {
+		s := cfg.Stream.Normalized()
+		cfg.Stream = &s
+		// A stream derives its content size from rate × duration; a
+		// normalized config carries it.
+		content := stream.Config{Options: s, BlockSize: cfg.BlockSize}.ContentBytes()
+		if cfg.FileBytes != 0 && cfg.FileBytes != content {
 			return cfg, fmt.Errorf("bulletprime: a streaming run derives FileBytes from BitrateBps × Duration; leave it zero")
 		}
+		cfg.FileBytes = content
 		if cfg.Encoded {
 			return cfg, fmt.Errorf("bulletprime: Stream and Encoded both redefine the source emission; pick one")
 		}
-		// The harness applies the defaults; only Warmup's reading differs.
-		sp := harness.StreamSpec(*cfg.Stream)
-		switch {
-		case sp.Warmup == 0:
-			sp.Warmup = -1
-		case sp.Warmup < 0:
-			sp.Warmup = 0
-		}
-		s := StreamOptions(sp.Normalized())
-		cfg.Stream = &s
-		// A stream derives its content size from rate × duration.
-		cfg.FileBytes = stream.Config{BitrateBps: s.BitrateBps, BlockSize: cfg.BlockSize, Duration: s.Duration}.ContentBytes()
 	}
 	if cfg.FileBytes <= 0 {
 		return cfg, fmt.Errorf("bulletprime: FileBytes must be positive")
@@ -380,10 +357,15 @@ func (cfg RunConfig) normalized() (RunConfig, error) {
 		if cfg.Testbed.DropProb < 0 || cfg.Testbed.DropProb >= 1 {
 			return cfg, fmt.Errorf("bulletprime: Testbed DropProb must be in [0, 1), got %v", cfg.Testbed.DropProb)
 		}
+		tb := cfg.Testbed.Normalized()
+		cfg.Testbed = &tb
 	} else if cfg.Testbed != nil {
 		return cfg, fmt.Errorf("bulletprime: Testbed options require Network: NetworkTestbedUDP, got %q", cfg.Network)
 	}
-	if cfg.Engine != EngineSharded && (cfg.Shards != 0 || cfg.ShardWorkers != 0) {
+	switch {
+	case cfg.Engine == EngineSharded && cfg.Shards <= 0:
+		cfg.Shards = harness.DefaultShards
+	case cfg.Engine != EngineSharded && (cfg.Shards != 0 || cfg.ShardWorkers != 0):
 		return cfg, fmt.Errorf("bulletprime: Shards/ShardWorkers are sharded-engine knobs; set Engine: EngineSharded")
 	}
 	if _, ok := lookupProtocol(cfg.Protocol); !ok {
@@ -437,7 +419,7 @@ func buildSpec(cfg RunConfig) (harness.SweepSpec, error) {
 		Shards:   cfg.Shards,
 		Workers:  cfg.ShardWorkers,
 		Testbed:  cfg.Testbed, // non-nil exactly on NetworkTestbedUDP (normalized)
-		Stream:   (*harness.StreamSpec)(cfg.Stream),
+		Stream:   cfg.Stream,
 		Tracer:   tracer,
 	}
 	if cfg.DynamicBandwidth {

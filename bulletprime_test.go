@@ -1,6 +1,8 @@
 package bulletprime_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -139,36 +141,52 @@ func TestRunBulletPrimeKnobs(t *testing.T) {
 	}
 }
 
+// TestSweepCrossProductMatchesRun: every sweep cell is Run of the same single
+// config, a live stream's report included. The stream's warmup window is off,
+// the setting a second reading of its defaults used to switch back on.
 func TestSweepCrossProductMatchesRun(t *testing.T) {
-	base := bulletprime.RunConfig{Nodes: 10, FileBytes: 1 << 20, Parallel: 4}
-	runs, err := bulletprime.Sweep(bulletprime.SweepConfig{
-		Base:      base,
-		Seeds:     []int64{1, 2},
-		Protocols: []bulletprime.Protocol{bulletprime.ProtocolBulletPrime, bulletprime.ProtocolBitTorrent},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(runs) != 4 {
-		t.Fatalf("%d runs, want 4 (2 protocols x 2 seeds)", len(runs))
-	}
-	for _, r := range runs {
-		cfg := base
-		cfg.Protocol = r.Protocol
-		cfg.Network = r.Network
-		cfg.Seed = r.Seed
-		solo, err := bulletprime.Run(cfg)
+	for _, sweep := range []bulletprime.SweepConfig{
+		{
+			Base:      bulletprime.RunConfig{Nodes: 10, FileBytes: 1 << 20, Parallel: 4},
+			Seeds:     []int64{1, 2},
+			Protocols: []bulletprime.Protocol{bulletprime.ProtocolBulletPrime, bulletprime.ProtocolBitTorrent},
+		},
+		{
+			Base: bulletprime.RunConfig{Nodes: 8, Network: bulletprime.NetworkModelNetClean,
+				Stream: &bulletprime.StreamOptions{BitrateBps: 64 * 1024, Duration: 10, Warmup: -1}},
+			Seeds: []int64{1, 2},
+		},
+	} {
+		runs, err := bulletprime.Sweep(sweep)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(solo.CompletionTimes) != len(r.Result.CompletionTimes) {
-			t.Fatalf("%s seed %d: sweep found %d completions, solo run %d",
-				r.Protocol, r.Seed, len(r.Result.CompletionTimes), len(solo.CompletionTimes))
+		if want := max(len(sweep.Protocols), 1) * len(sweep.Seeds); len(runs) != want {
+			t.Fatalf("%d runs, want %d", len(runs), want)
 		}
-		for id, at := range solo.CompletionTimes {
-			if r.Result.CompletionTimes[id] != at {
-				t.Fatalf("%s seed %d node %d: sweep %v, solo %v",
-					r.Protocol, r.Seed, id, r.Result.CompletionTimes[id], at)
+		for _, r := range runs {
+			cfg := sweep.Base
+			cfg.Protocol = r.Protocol
+			cfg.Network = r.Network
+			cfg.Seed = r.Seed
+			solo, err := bulletprime.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(solo.CompletionTimes) != len(r.Result.CompletionTimes) {
+				t.Fatalf("%s seed %d: sweep found %d completions, solo run %d",
+					r.Protocol, r.Seed, len(r.Result.CompletionTimes), len(solo.CompletionTimes))
+			}
+			for id, at := range solo.CompletionTimes {
+				if r.Result.CompletionTimes[id] != at {
+					t.Fatalf("%s seed %d node %d: sweep %v, solo %v",
+						r.Protocol, r.Seed, id, r.Result.CompletionTimes[id], at)
+				}
+			}
+			swept, _ := json.Marshal(r.Result.Stream)
+			single, _ := json.Marshal(solo.Stream)
+			if !bytes.Equal(swept, single) {
+				t.Fatalf("%s seed %d: sweep's stream report\n%s\nsolo run's\n%s", r.Protocol, r.Seed, swept, single)
 			}
 		}
 	}

@@ -1,7 +1,9 @@
 package bulletprime_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"slices"
@@ -92,9 +94,33 @@ func TestRunGoldenEquivalence(t *testing.T) {
 
 // TestObservedSessionBitIdentical pins the observer contract: a session
 // with a subscribed, per-node, fine-grained observer produces exactly the
-// completion times of the unobserved one-shot Run.
+// completion times of the unobserved one-shot Run, and a live stream exactly
+// its StreamReport. The stream rows sample at cadences that once split a
+// viewer's playhead sum into different float increments.
 func TestObservedSessionBitIdentical(t *testing.T) {
-	cfg := bulletprime.RunConfig{Nodes: 10, FileBytes: 1 << 20, Seed: 1, SampleEvery: 0.5}
+	live := func(seed int64) bulletprime.RunConfig {
+		return bulletprime.RunConfig{Nodes: 40, Seed: seed, Strategy: bulletprime.RarestRandom,
+			Stream: &bulletprime.StreamOptions{BitrateBps: 64 * 1024, Duration: 30}}
+	}
+	for _, tc := range []struct {
+		name  string
+		cfg   bulletprime.RunConfig
+		every float64
+	}{
+		{"file", bulletprime.RunConfig{Nodes: 10, FileBytes: 1 << 20, Seed: 1}, 0.5},
+		{"stream seed 1 every 0.37s", live(1), 0.37},
+		{"stream seed 4 every 1s", live(4), 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.SampleEvery = tc.every
+			checkObservedBitIdentical(t, cfg, tc.every)
+		})
+	}
+}
+
+func checkObservedBitIdentical(t *testing.T, cfg bulletprime.RunConfig, every float64) {
+	t.Helper()
 	plain, err := bulletprime.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +129,7 @@ func TestObservedSessionBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs, err := exp.Subscribe(bulletprime.ObserverConfig{Every: 0.5, PerNode: true})
+	obs, err := exp.Subscribe(bulletprime.ObserverConfig{Every: every, PerNode: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,6 +156,11 @@ func TestObservedSessionBitIdentical(t *testing.T) {
 		if got := res.CompletionTimes[id]; got != want {
 			t.Fatalf("node %d: observed %.17g, unobserved %.17g", id, got, want)
 		}
+	}
+	observed, _ := json.Marshal(res.Stream)
+	unobserved, _ := json.Marshal(plain.Stream)
+	if !bytes.Equal(observed, unobserved) {
+		t.Fatalf("stream report observed\n%s\nunobserved\n%s", observed, unobserved)
 	}
 	if len(res.Series) == 0 {
 		t.Fatal("observed session recorded no time-series")

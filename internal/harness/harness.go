@@ -321,13 +321,13 @@ func RunSpec(s SweepSpec) *RunResult {
 	if s.Stream != nil {
 		sp := s.Stream.Normalized()
 		s.Stream = &sp
-		if end := sp.endTime(s.Scenario); end < deadline || deadline <= 0 {
+		if end := streamEnd(sp, s.Scenario); end < deadline || deadline <= 0 {
 			deadline = end
 		}
 		if s.Workload.FileBytes <= 0 {
 			// Convenience for direct harness callers: derive the file from
 			// the stream geometry (the façade always sets it explicitly).
-			s.Workload.FileBytes = sp.config(s.Workload.BlockSize).ContentBytes()
+			s.Workload.FileBytes = stream.Config{Options: sp, BlockSize: s.Workload.BlockSize}.ContentBytes()
 		}
 	}
 	topo := s.TopoFn(sim.NewRNG(s.Seed).Stream("topo"))

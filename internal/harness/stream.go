@@ -13,64 +13,15 @@ import (
 // is tracked as a viewer playing the stream behind the live edge
 // (stream.Tracker). The run ends when every viewer holds the full stream or
 // the drain window after the last emission expires, whichever comes first —
-// not at SweepSpec.Deadline, which stays a hard upper bound.
-type StreamSpec struct {
-	// BitrateBps is the source emission rate in bytes per second.
-	BitrateBps float64
-	// Duration is how long the source emits, in virtual seconds.
-	Duration float64
-	// PlayoutDepth is the viewer buffer depth in seconds of content;
-	// <= 0 picks defaultPlayoutDepth.
-	PlayoutDepth float64
-	// Warmup excludes the startup transient from steady-state goodput;
-	// < 0 picks min(Duration/4, defaultWarmupCap). 0 means no warmup.
-	Warmup float64
-	// Drain is how long the run may continue past the last block's emission
-	// so trailing viewers catch up; <= 0 picks defaultDrain.
-	Drain float64
-}
+// not at SweepSpec.Deadline, which stays a hard upper bound. It is
+// stream.Options, the one declaration of a stream's settings and their
+// defaults; the façade's StreamOptions is the same type.
+type StreamSpec = stream.Options
 
-// Streaming defaults; see StreamSpec field docs.
-const (
-	defaultPlayoutDepth = 4.0
-	defaultWarmupCap    = 10.0
-	defaultDrain        = 15.0
-)
-
-// Normalized returns the spec with defaults applied, the one place they
-// live; normalizing twice changes nothing. SweepSpec.Check refuses a rate
-// or duration that cannot describe a stream.
-func (sp StreamSpec) Normalized() StreamSpec {
-	if sp.PlayoutDepth <= 0 {
-		sp.PlayoutDepth = defaultPlayoutDepth
-	}
-	if sp.Warmup < 0 {
-		sp.Warmup = sp.Duration / 4
-		if sp.Warmup > defaultWarmupCap {
-			sp.Warmup = defaultWarmupCap
-		}
-	}
-	if sp.Drain <= 0 {
-		sp.Drain = defaultDrain
-	}
-	return sp
-}
-
-// config converts the (normalized) spec to the tracker's model config.
-func (sp StreamSpec) config(blockSize float64) stream.Config {
-	return stream.Config{
-		BitrateBps:   sp.BitrateBps,
-		BlockSize:    blockSize,
-		Duration:     sp.Duration,
-		PlayoutDepth: sp.PlayoutDepth,
-		Warmup:       sp.Warmup,
-	}
-}
-
-// endTime is the natural end bound of a streaming run: emission plus drain,
-// pushed out by the latest flash-crowd wave start when the scenario staggers
-// sessions (each wave streams its own copy from its own start time).
-func (sp StreamSpec) endTime(prog *scenario.Program) sim.Time {
+// streamEnd is the natural end bound of a streaming run: emission plus
+// drain, pushed out by the latest flash-crowd wave start when the scenario
+// staggers sessions (each wave streams its own copy from its own start time).
+func streamEnd(sp StreamSpec, prog *scenario.Program) sim.Time {
 	end := sp.Duration + sp.Drain
 	if prog != nil {
 		for _, w := range prog.Waves() {
@@ -87,7 +38,7 @@ func (sp StreamSpec) endTime(prog *scenario.Program) sim.Time {
 // arrival, annotations ride the rig's annotation hook, and rebuffer spans go
 // to the tracer when there is one.
 func installStream(rig *Rig, sp StreamSpec, blockSize float64, tracer *obs.Tracer) {
-	tr := stream.NewTracker(sp.config(blockSize), func() float64 {
+	tr := stream.NewTracker(stream.Config{Options: sp, BlockSize: blockSize}, func() float64 {
 		return float64(rig.Eng.Now())
 	})
 	tr.Annotate = rig.Annotate

@@ -282,6 +282,12 @@ func (a *Archive) loadMeta(id string) (*Meta, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lab: run %s: %w", id, err)
 	}
+	return decodeManifest(data, id)
+}
+
+// decodeManifest parses the manifest bytes of run id and verifies them: the
+// manifest must claim id, and its key inputs must hash to it.
+func decodeManifest(data []byte, id string) (*Meta, error) {
 	var m Meta
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("lab: run %s: corrupt manifest: %w", id, err)

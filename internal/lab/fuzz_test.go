@@ -1,7 +1,11 @@
 package lab
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -70,6 +74,67 @@ func FuzzDecodeRecord(f *testing.F) {
 			t.Fatalf("round trip changed the run:\n%+v\n%+v", run, back)
 		}
 	})
+}
+
+// FuzzDecodeManifest: manifest.json bytes the process did not write give an
+// error or a manifest, never a panic. A manifest it accepts claims the id it
+// was read under, its key inputs hash to that id, and it re-marshals as Put
+// writes it and decodes back to an equal manifest.
+func FuzzDecodeManifest(f *testing.F) {
+	arch, err := Open(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	id, _, err := arch.Put(&Run{
+		Meta:            Meta{Config: []byte(`{"protocol":"bulletprime","nodes":8}`), Seed: 7, Protocol: "bulletprime", Nodes: 8},
+		CompletionTimes: map[int]float64{1: 12.5, 2: 30.25},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	manifest, err := os.ReadFile(filepath.Join(arch.runDir(id), "manifest.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	edited := bytes.Replace(manifest, []byte(`"seed": 7`), []byte(`"seed": 8`), 1)
+	if bytes.Equal(edited, manifest) {
+		f.Fatal("the written manifest has no seed to edit")
+	}
+	f.Add(manifest, id)
+	f.Add(manifest[:len(manifest)/2], id)         // cut short by a partial write
+	f.Add(manifest, strings.Repeat("0", len(id))) // read under another run's id
+	f.Add(edited, id)                             // a key input edited
+	f.Fuzz(func(t *testing.T, data []byte, id string) {
+		m, err := decodeManifest(data, id)
+		if err != nil {
+			return
+		}
+		if m.ID != id || Key(m.Config, m.Scenario, m.Seed, m.Version) != id {
+			t.Fatalf("accepted a manifest that is not run %s: %+v", id, m)
+		}
+		again, err := json.MarshalIndent(m, "", "  ")
+		if err != nil {
+			t.Fatalf("accepted manifest does not re-marshal: %v", err)
+		}
+		back, err := decodeManifest(again, id)
+		if err != nil {
+			t.Fatalf("re-marshalled manifest does not decode: %v\n%s", err, again)
+		}
+		// Config is raw JSON: re-marshalling re-spaces it, which its key ignores.
+		m.Config, back.Config = compactJSON(t, m.Config), compactJSON(t, back.Config)
+		if !reflect.DeepEqual(m, back) {
+			t.Fatalf("round trip changed the manifest:\n%+v\n%+v", m, back)
+		}
+	})
+}
+
+func compactJSON(t *testing.T, raw []byte) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := json.Compact(&b, raw); err != nil {
+		t.Fatalf("manifest config is not JSON: %v", err)
+	}
+	return b.Bytes()
 }
 
 // FuzzParseBenchOutput: `go test -bench` text the process did not write

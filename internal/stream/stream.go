@@ -21,26 +21,53 @@ import (
 	"bulletprime/internal/trace"
 )
 
-// Config parameterizes a live stream. All rates are bytes per second
-// (matching GoodputBps elsewhere in the repo) and all times are virtual
-// seconds.
+// Options are a live stream's settings as a caller states them, declared
+// once: the façade's StreamOptions and the harness's StreamSpec are this
+// type, and its JSON form is the "stream" block of an archived run's
+// fingerprint. Rates are bytes per second and times virtual seconds.
+type Options struct {
+	// BitrateBps is the source emission rate in bytes per second.
+	BitrateBps float64 `json:"bitrate_bps,omitempty"`
+	// Duration is how long the source emits, in virtual seconds.
+	Duration float64 `json:"duration,omitempty"`
+	// PlayoutDepth is the viewer buffer depth in seconds of content:
+	// playback starts (and resumes after a stall) once this much
+	// contiguous content beyond the playhead is buffered. <= 0 picks 4.
+	PlayoutDepth float64 `json:"playout_depth,omitempty"`
+	// Warmup starts the steady-state metric window: bytes received within
+	// Warmup seconds of a node's join are excluded from its steady
+	// goodput. 0 picks min(Duration/4, 10); negative switches the window
+	// off.
+	Warmup float64 `json:"warmup,omitempty"`
+	// Drain is how long the run may continue past the last block's
+	// emission so trailing viewers catch up. <= 0 picks 15.
+	Drain float64 `json:"drain,omitempty"`
+}
+
+// Normalized returns the options with the defaults the field docs name
+// applied, the one place they live. A switched-off warmup window normalizes
+// to -1, so normalized options normalize to themselves.
+func (o Options) Normalized() Options {
+	if o.PlayoutDepth <= 0 {
+		o.PlayoutDepth = 4
+	}
+	switch {
+	case o.Warmup == 0:
+		o.Warmup = min(o.Duration/4, 10)
+	case o.Warmup < 0:
+		o.Warmup = -1
+	}
+	if o.Drain <= 0 {
+		o.Drain = 15
+	}
+	return o
+}
+
+// Config is a live stream as the tracker models it: the stream's options
+// and its block size in bytes.
 type Config struct {
-	// BitrateBps is the source emission rate in bytes/second: one
-	// BlockSize block is released every BlockSize/BitrateBps seconds.
-	BitrateBps float64
-	// BlockSize is the stream block size in bytes.
+	Options
 	BlockSize float64
-	// Duration is how long the source emits, in seconds; it emits Blocks()
-	// blocks and stops.
-	Duration float64
-	// PlayoutDepth is the playout buffer depth in seconds: playback
-	// starts (and resumes after a stall) once this much contiguous
-	// content beyond the playhead is buffered.
-	PlayoutDepth float64
-	// Warmup starts the steady-state metric window: bytes received
-	// within Warmup seconds of a node's join are excluded from its
-	// steady goodput.
-	Warmup float64
 }
 
 // Interval is the block emission period in seconds; one block also
@@ -57,6 +84,9 @@ func (c Config) Blocks() int {
 	}
 	return n
 }
+
+// warmup is the steady-state window's length; a switched-off window is 0.
+func (c Config) warmup() float64 { return max(c.Warmup, 0) }
 
 // ContentBytes is the total stream payload, Blocks()*BlockSize.
 func (c Config) ContentBytes() float64 { return float64(c.Blocks()) * c.BlockSize }
@@ -110,9 +140,8 @@ type Receiver struct {
 	peakLag     float64
 
 	// Annotation drain cursors: rebuffer/resume transitions are detected
-	// lazily (possibly during a sampling advance), but annotations are
-	// emitted only from arrival events so observed and unobserved runs
-	// produce identical annotation streams.
+	// lazily, and annotations are emitted only from arrival events, so
+	// observed and unobserved runs produce identical annotation streams.
 	annRebuf  int
 	annResume int
 
@@ -133,10 +162,9 @@ func (r *Receiver) lag(now float64) float64 {
 
 // advance moves the playhead from lastAdvance to now, registering a stall
 // at the exact instant the buffer ran dry and resuming once PlayoutDepth
-// seconds (or whatever content remains) are buffered again. Transitions
-// only ever fire inside arrival-driven advances — between arrivals the
-// buffer can only shrink — so sampling-driven advances never change the
-// trajectory.
+// seconds (or whatever content remains) are buffered again. Sampling
+// advances a copy (Tracker.Sample), so a receiver moves only on arrivals,
+// on failure and in the final report.
 func (r *Receiver) advance(now float64) {
 	if r.dead || now < r.lastAdvance {
 		return
@@ -246,7 +274,7 @@ func (t *Tracker) OnBlock(node netem.NodeID, blockID int, _ int) {
 		r.have[blockID] = true
 		r.novel++
 		r.bytes += t.cfg.BlockSize
-		if now-r.joinAt >= t.cfg.Warmup {
+		if now-r.joinAt >= t.cfg.warmup() {
 			r.steadyBytes += t.cfg.BlockSize
 		}
 		if r.arrived {
@@ -292,7 +320,9 @@ type LiveStats struct {
 }
 
 // Sample computes the instantaneous snapshot at time now over receivers
-// that have joined and are still alive.
+// that have joined and are still alive. It advances a copy of each
+// receiver, never the receiver itself: the playhead's sum then takes the
+// same float increments whether or not the run is sampled.
 func (t *Tracker) Sample(now float64) LiveStats {
 	var st LiveStats
 	lags := make([]float64, 0, len(t.order))
@@ -304,13 +334,14 @@ func (t *Tracker) Sample(now float64) LiveStats {
 		if r.dead || now < r.joinAt {
 			continue
 		}
-		r.advance(now)
+		v := *r
+		v.advance(now)
 		live++
-		lags = append(lags, r.lag(now))
-		if el := now - r.joinAt; el > 0 {
-			goodput += r.bytes / el
+		lags = append(lags, v.lag(now))
+		if el := now - v.joinAt; el > 0 {
+			goodput += v.bytes / el
 		}
-		if r.started && !r.playing {
+		if v.started && !v.playing {
 			st.Rebuffering++
 		}
 	}
@@ -390,7 +421,7 @@ func (t *Tracker) Report(end float64) *Report {
 		}
 		if el := at - r.joinAt; el > 0 {
 			nr.GoodputBps = r.bytes / el
-			if sl := el - t.cfg.Warmup; sl > 0 {
+			if sl := el - t.cfg.warmup(); sl > 0 {
 				nr.SteadyGoodputBps = r.steadyBytes / sl
 			}
 		}

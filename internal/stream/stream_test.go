@@ -9,7 +9,7 @@ import (
 
 func cfg() Config {
 	// 16 KB blocks at 32 KB/s: one block every 0.5 s, 20 s of content.
-	return Config{BitrateBps: 32 * 1024, BlockSize: 16 * 1024, Duration: 20, PlayoutDepth: 2}
+	return Config{Options: Options{BitrateBps: 32 * 1024, Duration: 20, PlayoutDepth: 2}, BlockSize: 16 * 1024}
 }
 
 type clock struct{ t float64 }

@@ -47,10 +47,15 @@ type Config struct {
 	DropSeed int64 `json:"drop_seed,omitempty"`
 }
 
-// withDefaults fills the zero values.
-func (c Config) withDefaults() Config {
+// Normalized returns the config with its defaults filled, the one place
+// they live: the façade hashes the result and New runs it. Normalized
+// options normalize to themselves.
+func (c Config) Normalized() Config {
 	if c.ListenHost == "" {
 		c.ListenHost = "127.0.0.1"
+	}
+	if c.Rate <= 0 {
+		c.Rate = 1
 	}
 	if c.RTO <= 0 {
 		c.RTO = 0.05
@@ -151,7 +156,7 @@ type Transport struct {
 // clock converts measured wall RTTs into the virtual seconds Conn.RTT
 // reports. Callers must Stop the transport when the run ends.
 func New(clock *Clock, cfg Config, nodes []netem.NodeID) (*Transport, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.Normalized()
 	t := &Transport{
 		cfg:      cfg,
 		rto:      time.Duration(cfg.RTO * float64(time.Second)),

@@ -9,22 +9,24 @@ import (
 	"bulletprime/internal/harness"
 )
 
-// TestNewSurfacesHarnessRules is the façade twin of the harness's
-// TestRunSpecRules: for every feature combination no backend can run, New
-// must refuse with exactly the words harness.RunSpec returns for the lowered
-// spec, so the two layers state each rule once and cannot drift apart.
-func TestNewSurfacesHarnessRules(t *testing.T) {
+// ruleCase is one row of the rule table: a base config valid on its own and
+// a mutation that makes a feature combination no backend can run, refused
+// with an error that mentions want.
+type ruleCase struct {
+	name string
+	base RunConfig
+	mut  func(*RunConfig)
+	want string
+}
+
+// harnessRuleCases is the rule table.
+func harnessRuleCases() []ruleCase {
 	emulated := RunConfig{Nodes: 8, FileBytes: 64 * 1024, Seed: 1}
 	stream := RunConfig{Nodes: 8, Seed: 1, Stream: &StreamOptions{BitrateBps: 64 * 1024, Duration: 10}}
 	testbed := RunConfig{Nodes: 8, FileBytes: 64 * 1024, Seed: 1, Network: NetworkTestbedUDP}
 	sharded := RunConfig{Nodes: 100, FileBytes: 1e6, Seed: 1, Protocol: ProtocolScalefill,
 		Network: NetworkClustered, Engine: EngineSharded}
-	cases := []struct {
-		name string
-		base RunConfig
-		mut  func(*RunConfig)
-		want string
-	}{
+	return []ruleCase{
 		{"stream on shards", stream, func(c *RunConfig) { c.Engine = EngineSharded }, "sequential engine"},
 		{"stream on sockets", stream, func(c *RunConfig) { c.Network = NetworkTestbedUDP }, "testbed"},
 		{"stream on a one-shot protocol", stream, func(c *RunConfig) { c.Protocol = ProtocolBitTorrent }, "does not support live streaming"},
@@ -38,7 +40,14 @@ func TestNewSurfacesHarnessRules(t *testing.T) {
 		{"single-rig protocol on shards", sharded, func(c *RunConfig) { c.Protocol = ProtocolBulletPrime }, "not registered for sharded"},
 		{"sharded protocol on one rig", emulated, func(c *RunConfig) { c.Protocol = ProtocolScalefill }, "not registered for sequential"},
 	}
-	for _, tc := range cases {
+}
+
+// TestNewSurfacesHarnessRules is the façade twin of the harness's
+// TestRunSpecRules: for every feature combination no backend can run, New
+// must refuse with exactly the words harness.RunSpec returns for the lowered
+// spec, so the two layers state each rule once and cannot drift apart.
+func TestNewSurfacesHarnessRules(t *testing.T) {
+	for _, tc := range harnessRuleCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.base
 			tc.mut(&cfg)

@@ -112,8 +112,7 @@ func TestStreamBlockCountOneFormula(t *testing.T) {
 			t.Fatal(err)
 		}
 		session := spec.Workload.NumBlocks()
-		model := stream.Config{BitrateBps: spec.Stream.BitrateBps, BlockSize: spec.Workload.BlockSize,
-			Duration: spec.Stream.Duration}.Blocks()
+		model := stream.Config{Options: *spec.Stream, BlockSize: spec.Workload.BlockSize}.Blocks()
 		if session != model {
 			t.Fatalf("%v B/s × %v s: the session sends %d blocks, the tracker models %d", rate, duration, session, model)
 		}
@@ -144,7 +143,7 @@ func TestStreamViewerBlocksMatchModel(t *testing.T) {
 	if !res.Finished || res.Stream == nil {
 		t.Fatalf("stream did not finish (elapsed %.1fs)", res.Elapsed)
 	}
-	model := stream.Config{BitrateBps: opts.BitrateBps, BlockSize: 16 * 1024, Duration: opts.Duration}.Blocks()
+	model := stream.Config{Options: opts, BlockSize: 16 * 1024}.Blocks()
 	for _, v := range res.Stream.Nodes {
 		if v.Blocks != model {
 			t.Errorf("viewer %d reports %d blocks, the model %d", v.Node, v.Blocks, model)
