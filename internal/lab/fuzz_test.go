@@ -139,13 +139,14 @@ func compactJSON(t *testing.T, raw []byte) []byte {
 
 // FuzzParseBenchOutput: `go test -bench` text the process did not write
 // gives an error or a non-empty result, never a panic, and every entry it
-// accepts has a finite, non-negative ns/op and allocs/op.
+// accepts has a finite, non-negative ns/op, allocs/op and B/op.
 func FuzzParseBenchOutput(f *testing.F) {
 	f.Add(sampleBenchOutput)
 	for _, s := range []string{
 		"", "PASS\nok x 0.1s\n", "BenchmarkX-4 100 50.0 ns/op\n",
 		"BenchmarkX-4 100 NaN ns/op 0 allocs/op\n", "BenchmarkX 1 -5 ns/op 0 allocs/op\n",
 		"BenchmarkX 1 1 ns/op +Inf allocs/op\n", "Benchmark- 1 2 ns/op 3 allocs/op 4\n",
+		"BenchmarkX-2 100000 174.3 ns/op 24 B/op 0 allocs/op\n", "BenchmarkX 1 1 ns/op NaN B/op 0 allocs/op\n",
 	} {
 		f.Add(s)
 	}
@@ -158,7 +159,8 @@ func FuzzParseBenchOutput(f *testing.F) {
 			t.Fatalf("ParseBenchOutput(%q) accepted an input with no results", s)
 		}
 		for name, e := range got {
-			if !(e.NsPerOp >= 0 && e.AllocsPerOp >= 0) || math.IsInf(e.NsPerOp, 1) || math.IsInf(e.AllocsPerOp, 1) {
+			if !(e.NsPerOp >= 0 && e.AllocsPerOp >= 0 && e.bytesPerOp >= 0) ||
+				math.IsInf(e.NsPerOp, 1) || math.IsInf(e.AllocsPerOp, 1) || math.IsInf(e.bytesPerOp, 1) {
 				t.Fatalf("ParseBenchOutput(%q) accepted %s = %+v", s, name, e)
 			}
 		}

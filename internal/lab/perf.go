@@ -32,6 +32,11 @@ type PerfEntry struct {
 	// recorded wall time. Ceilings are set by hand in BENCH_PERF.json;
 	// `perfgate -write` carries them over to the regenerated baseline.
 	NsCeiling float64 `json:"ns_ceiling,omitempty"`
+
+	// bytesPerOp is the measured B/op. Go rounds allocs/op down, so a run
+	// that allocated less than once per op reads 0 allocs/op; its bytes
+	// still show, and the gate fails a row pinned at 0 allocs/op on them.
+	bytesPerOp float64
 }
 
 // PerfBaseline is the committed benchmark baseline (BENCH_PERF.json).
@@ -51,9 +56,9 @@ type PerfBaseline struct {
 }
 
 // ParseBenchOutput extracts per-benchmark metrics from `go test -bench
-// -benchmem` text. Benchmark names have their -cpu suffix stripped; lines
-// that are not benchmark results are ignored. A benchmark appearing twice
-// keeps the last measurement.
+// -benchmem` text: ns/op, allocs/op and B/op. Benchmark names have their
+// -cpu suffix stripped; lines that are not benchmark results are ignored.
+// A benchmark appearing twice keeps the last measurement.
 func ParseBenchOutput(r io.Reader) (map[string]PerfEntry, error) {
 	out := map[string]PerfEntry{}
 	sc := bufio.NewScanner(r)
@@ -81,6 +86,8 @@ func ParseBenchOutput(r io.Reader) (map[string]PerfEntry, error) {
 				entry.NsPerOp = v
 			case "allocs/op":
 				entry.AllocsPerOp = v
+			case "B/op":
+				entry.bytesPerOp = v
 			}
 		}
 		if !isCost(entry.NsPerOp) {
@@ -88,6 +95,9 @@ func ParseBenchOutput(r io.Reader) (map[string]PerfEntry, error) {
 		}
 		if !isCost(entry.AllocsPerOp) {
 			return nil, fmt.Errorf("lab: bench line %q: no finite, non-negative allocs/op (run with -benchmem)", sc.Text())
+		}
+		if !isCost(entry.bytesPerOp) {
+			return nil, fmt.Errorf("lab: bench line %q: B/op is not finite and non-negative", sc.Text())
 		}
 		out[name] = entry
 	}
@@ -100,17 +110,24 @@ func ParseBenchOutput(r io.Reader) (map[string]PerfEntry, error) {
 	return out, nil
 }
 
-// isCost reports whether v can be a pinned ns/op or allocs/op. ParseFloat
-// accepts "NaN" and "Inf", which no gate comparison can judge.
+// isCost reports whether v can be a measured ns/op, allocs/op or B/op.
+// ParseFloat accepts "NaN" and "Inf", which no gate comparison can judge.
 func isCost(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
 
-// PerfBaselineFrom captures measured results as a new baseline.
+// PerfBaselineFrom captures measured results as a new baseline. A row that
+// reads 0 allocs/op beside a positive B/op allocated less than once per op,
+// so it is pinned at 1 allocs/op, the whole ceiling of its count: only a row
+// that allocated nothing is pinned at 0, and every baseline passes the
+// measurements it was captured from.
 func PerfBaselineFrom(measured map[string]PerfEntry, nsTolerance float64) (*PerfBaseline, error) {
 	if nsTolerance < 0 {
 		return nil, fmt.Errorf("lab: negative perf tolerance %v", nsTolerance)
 	}
 	b := &PerfBaseline{NsTolerance: nsTolerance, Benchmarks: map[string]PerfEntry{}}
 	for name, e := range measured {
+		if e.AllocsPerOp == 0 && e.bytesPerOp > 0 {
+			e.AllocsPerOp = 1
+		}
 		b.Benchmarks[name] = e
 	}
 	return b, nil
@@ -156,16 +173,17 @@ type PerfGateResult struct {
 	// At most one of these is set; a result with none set passed.
 	Missing         bool // baseline benchmark absent from the input
 	NsRegressed     bool // ns/op beyond the tolerated limit
-	AllocRegressed  bool // allocs/op above the exact pinned value
+	AllocRegressed  bool // allocs/op above the exact pinned value, or bytes on a row pinned at 0
 	CeilingExceeded bool // ns/op above the absolute ns_ceiling (no tolerance)
 	New             bool // measured benchmark absent from the baseline (informational)
 }
 
 // Gate evaluates measured results against the baseline: every pinned
 // benchmark must be present, its allocs/op must not exceed the pinned value
-// (exact comparison — this is the allocation-free regression tripwire), and
-// its ns/op must stay within the fractional tolerance. New benchmarks are
-// reported but never fail; they become entries on the next -write.
+// (exact comparison — this is the allocation-free regression tripwire; a
+// row pinned at 0 must also measure 0 B/op), and its ns/op must stay within
+// the fractional tolerance. New benchmarks are reported but never fail;
+// they become entries on the next -write.
 func (b *PerfBaseline) Gate(measured map[string]PerfEntry) ([]PerfGateResult, bool) {
 	names := map[string]bool{}
 	for n := range b.Benchmarks {
@@ -193,7 +211,7 @@ func (b *PerfBaseline) Gate(measured map[string]PerfEntry) ([]PerfGateResult, bo
 		case !inCur:
 			r.Missing = true
 			ok = false
-		case cur.AllocsPerOp > base.AllocsPerOp:
+		case cur.AllocsPerOp > base.AllocsPerOp, base.AllocsPerOp == 0 && cur.bytesPerOp > 0:
 			r.AllocRegressed = true
 			ok = false
 		case base.NsCeiling > 0 && cur.NsPerOp > base.NsCeiling:
@@ -217,6 +235,8 @@ func RenderPerfGate(results []PerfGateResult, ok bool) string {
 	for _, r := range results {
 		verdict := "ok"
 		switch {
+		case r.AllocRegressed && r.Current.AllocsPerOp == 0:
+			verdict = fmt.Sprintf("ALLOCS REGRESSED (%g B/op)", r.Current.bytesPerOp)
 		case r.AllocRegressed:
 			verdict = "ALLOCS REGRESSED"
 		case r.CeilingExceeded:

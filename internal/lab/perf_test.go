@@ -89,6 +89,58 @@ func TestPerfGateVerdicts(t *testing.T) {
 	}
 }
 
+// TestPerfGateZeroAllocRowsSeeBytes: Go rounds allocs/op down, so an
+// engine whose wheel slots grew now and then read "0 allocs/op" beside
+// 24 B/op. A row pinned at 0 allocs/op fails on those bytes, and passes
+// once they are gone.
+func TestPerfGateZeroAllocRowsSeeBytes(t *testing.T) {
+	base := &PerfBaseline{NsTolerance: 1.5, Benchmarks: map[string]PerfEntry{
+		"BenchmarkEngineWheel":    {NsPerOp: 84.33},
+		"BenchmarkAllocsPerEvent": {NsPerOp: 93.35},
+	}}
+	const growing = `BenchmarkEngineWheel-2      	  100000	       174.3 ns/op	      24 B/op	       0 allocs/op
+BenchmarkAllocsPerEvent-2   	  100000	       172.3 ns/op	      24 B/op	       0 allocs/op
+`
+	measured, err := ParseBenchOutput(strings.NewReader(growing))
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, ok := base.Gate(measured)
+	if ok {
+		t.Fatalf("gate passed two 0-alloc rows measuring 24 B/op:\n%s", RenderPerfGate(results, ok))
+	}
+	for _, r := range results {
+		if !r.AllocRegressed {
+			t.Fatalf("%s: 24 B/op on a row pinned at 0 allocs/op not flagged: %+v", r.Name, r)
+		}
+	}
+	if rendered := RenderPerfGate(results, ok); !strings.Contains(rendered, "ALLOCS REGRESSED (24 B/op)") {
+		t.Fatalf("rendered gate does not name the bytes:\n%s", rendered)
+	}
+	measured, err = ParseBenchOutput(strings.NewReader(strings.ReplaceAll(growing, "24 B/op", "0 B/op")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if results, ok := base.Gate(measured); !ok {
+		t.Fatalf("gate failed 0 B/op rows:\n%s", RenderPerfGate(results, ok))
+	}
+	// Captured as a baseline, the growing rows are pinned at 1 allocs/op,
+	// and a row pinned above 0 is judged on allocs/op alone.
+	measured, _ = ParseBenchOutput(strings.NewReader(growing))
+	captured, err := PerfBaselineFrom(measured, 1.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, e := range captured.Benchmarks {
+		if e.AllocsPerOp != 1 {
+			t.Fatalf("%s captured at %v allocs/op beside 24 B/op, want 1", name, e.AllocsPerOp)
+		}
+	}
+	if results, ok := captured.Gate(measured); !ok {
+		t.Fatalf("gate failed the rows it was captured from:\n%s", RenderPerfGate(results, ok))
+	}
+}
+
 func TestPerfGateNsRegression(t *testing.T) {
 	base := &PerfBaseline{
 		NsTolerance: 0.5,

@@ -118,6 +118,13 @@ func (s *BlockStore) Add(i int, t sim.Time) bool {
 	if !s.bm.Set(i) {
 		return false
 	}
+	if s.arrivals == nil {
+		// The first arrival sizes the log for a complete store, which is no
+		// more than appending would grow it to. Sizing it here, not in
+		// NewBlockStore, keeps a run's set-up from paying for it.
+		s.arrivals = make([]int, 0, s.bm.Len())
+		s.times = make([]sim.Time, 0, s.bm.Len())
+	}
 	s.arrivals = append(s.arrivals, i)
 	s.times = append(s.times, t)
 	return true

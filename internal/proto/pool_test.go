@@ -141,3 +141,76 @@ func TestMsgPoolSurvivesCrash(t *testing.T) {
 		t.Fatal("closed conn delivered")
 	}
 }
+
+// TestDeepQueueStaysFIFO interleaves bursts of sends with partial runs so
+// one direction's queue stays deep while the pump drains it: delivery stays
+// in send order, and QueueLen always equals the messages sent minus those
+// fully serialized (which the sender's OutMeter counts).
+func TestDeepQueueStaysFIFO(t *testing.T) {
+	eng, _, a, b := poolRig(t)
+	const size = 16 * 1024
+	var got []int
+	b.OnMessage = func(c *Conn, m Message) { got = append(got, m.Payload.(int)) }
+	conn := a.Dial(b.ID)
+	rng := sim.NewRNG(3)
+	sent, deepest := 0, 0
+	for round := 0; round < 60; round++ {
+		for k := rng.Intn(12); k > 0; k-- {
+			conn.Send(a, Message{Kind: 1, Size: size, Payload: sent})
+			sent++
+		}
+		eng.RunUntil(eng.Now() + sim.Time(rng.Float64()*0.1))
+		serialized := int(a.OutMeter.Total() / size)
+		if q := conn.QueueLen(a); q != sent-serialized {
+			t.Fatalf("round %d: QueueLen = %d, want %d sent - %d serialized", round, q, sent, serialized)
+		}
+		deepest = max(deepest, sent-serialized)
+	}
+	if deepest < 50 {
+		t.Fatalf("queue never got deep: at most %d messages waiting", deepest)
+	}
+	eng.RunUntil(eng.Now() + 60)
+	if len(got) != sent || conn.QueueLen(a) != 0 {
+		t.Fatalf("delivered %d of %d, QueueLen %d after draining", len(got), sent, conn.QueueLen(a))
+	}
+	for i, id := range got {
+		if id != i {
+			t.Fatalf("delivery %d carried message %d: queue reordered", i, id)
+		}
+	}
+}
+
+// TestCloseReturnsEveryQueuedNode fills both directions of a connection
+// from a warm pool and closes it before anything is on the wire: every
+// queued node goes back to the pool exactly once (the pool's double-free
+// guard panics on a second return, and a lost link returns too few).
+func TestCloseReturnsEveryQueuedNode(t *testing.T) {
+	eng, rt, a, b := poolRig(t)
+	warm := a.Dial(b.ID)
+	for i := 0; i < 300; i++ {
+		warm.Send(a, Message{Kind: 1, Size: 1000})
+	}
+	eng.RunUntil(10)
+	start := rt.msgLen
+	if start != 300 {
+		t.Fatalf("pool holds %d nodes after delivering 300 messages", start)
+	}
+	conn := a.Dial(b.ID)
+	for i := 0; i < 200; i++ {
+		conn.Send(a, Message{Kind: 1, Size: 1000})
+	}
+	for i := 0; i < 100; i++ {
+		conn.Send(b, Message{Kind: 1, Size: 1000})
+	}
+	if conn.QueueLen(a) != 200 || conn.QueueLen(b) != 100 || rt.msgLen != 0 {
+		t.Fatalf("queued %d and %d with %d nodes pooled, want 200, 100 and 0",
+			conn.QueueLen(a), conn.QueueLen(b), rt.msgLen)
+	}
+	conn.Close(a)
+	if rt.msgLen != start {
+		t.Fatalf("pool holds %d nodes after close, want %d", rt.msgLen, start)
+	}
+	if conn.QueueLen(a) != 0 || conn.QueueLen(b) != 0 {
+		t.Fatalf("QueueLen %d and %d after close, want 0", conn.QueueLen(a), conn.QueueLen(b))
+	}
+}

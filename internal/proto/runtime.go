@@ -13,7 +13,8 @@
 //
 // The send/deliver hot path is allocation-free in the steady state: queued
 // messages live in per-runtime pooled nodes (returned to the pool at
-// delivery), each half's queue is a reusable ring, and serialization and
+// delivery, and allocated a chunk at a time when the pool runs dry), each
+// half's queue is a list linked through those nodes, and serialization and
 // delivery are typed engine events rather than closures. Ownership rule:
 // the runtime owns message nodes from Send until the delivery callback is
 // entered, and handlers receive a value copy of the Message. The runtime
@@ -57,8 +58,13 @@ const MsgOverhead = 48
 type msgNode struct {
 	m      Message
 	pooled bool // double-free guard
-	next   *msgNode
+	// next links the node into the pool while pooled and into its half's
+	// queue while queued; it is nil while the message is on the wire.
+	next *msgNode
 }
+
+// msgChunk is how many message nodes one pool miss allocates at once.
+const msgChunk = 256
 
 // Node is a protocol endpoint. Protocol packages set the three callbacks
 // and attach their own per-node state via State.
@@ -130,8 +136,9 @@ type Runtime struct {
 	// mystery into a diagnosis.
 	OwnershipHint func(netem.NodeID) string
 
-	msgFree *msgNode // message-node pool
-	msgLen  int
+	msgFree  *msgNode // message-node pool
+	msgLen   int
+	msgChunk []msgNode // nodes not yet handed out, carved on pool misses
 }
 
 // NewRuntime creates a runtime over the given emulated network.
@@ -154,7 +161,11 @@ func (rt *Runtime) getMsg(m Message) *msgNode {
 		n.next = nil
 		n.pooled = false
 	} else {
-		n = &msgNode{}
+		if len(rt.msgChunk) == 0 {
+			rt.msgChunk = make([]msgNode, msgChunk)
+		}
+		n = &rt.msgChunk[0]
+		rt.msgChunk = rt.msgChunk[1:]
 	}
 	n.m = m
 	return n
@@ -260,8 +271,9 @@ type half struct {
 	conn        *Conn
 	from, to    *Node
 	flow        *netem.Flow
-	queue       []*msgNode // ring: live elements are queue[qHead:]
-	qHead       int
+	qHead       *msgNode // FIFO of queued messages, linked through next
+	qTail       *msgNode
+	qLen        int
 	queuedBytes float64
 
 	lastDelivery sim.Time // in-order delivery floor
@@ -413,41 +425,34 @@ func (c *Conn) Send(n *Node, m Message) {
 	h.pump()
 }
 
-// pushMsg appends to the ring, compacting the drained prefix when the ring
-// empties so steady-state traffic reuses one backing array.
+// pushMsg appends n to the queue.
 func (h *half) pushMsg(n *msgNode) {
-	h.queue = append(h.queue, n)
+	if h.qTail == nil {
+		h.qHead = n
+	} else {
+		h.qTail.next = n
+	}
+	h.qTail = n
+	h.qLen++
 }
 
-// popMsg removes and returns the head of the ring. The drained prefix is
-// compacted away once it dominates the backing array, so a queue that never
-// fully empties still reuses one allocation.
+// popMsg removes and returns the head of a non-empty queue.
 func (h *half) popMsg() *msgNode {
-	n := h.queue[h.qHead]
-	h.queue[h.qHead] = nil
-	h.qHead++
-	switch {
-	case h.qHead == len(h.queue):
-		h.queue = h.queue[:0]
-		h.qHead = 0
-	case h.qHead > 32 && h.qHead*2 > len(h.queue):
-		live := copy(h.queue, h.queue[h.qHead:])
-		for i := live; i < len(h.queue); i++ {
-			h.queue[i] = nil
-		}
-		h.queue = h.queue[:live]
-		h.qHead = 0
+	n := h.qHead
+	h.qHead = n.next
+	if h.qHead == nil {
+		h.qTail = nil
 	}
+	n.next = nil
+	h.qLen--
 	return n
 }
-
-func (h *half) qLen() int { return len(h.queue) - h.qHead }
 
 // QueueLen returns the number of messages queued (not yet fully serialized)
 // in the direction from n, including the one in service.
 func (c *Conn) QueueLen(n *Node) int {
 	h := c.dir(n)
-	q := h.qLen() + h.inflight
+	q := h.qLen + h.inflight
 	if h.flow != nil && h.flow.Busy() {
 		q++
 	}
@@ -526,7 +531,7 @@ func (c *Conn) teardown() bool {
 
 // drainQueue reclaims the pooled nodes of all queued messages.
 func (h *half) drainQueue() {
-	for h.qLen() > 0 {
+	for h.qLen > 0 {
 		h.conn.rt.putMsg(h.popMsg())
 	}
 	h.queuedBytes = 0
@@ -546,7 +551,7 @@ func (h *half) OnEvent(kind int32, payload any) {
 
 func (h *half) pump() {
 	c := h.conn
-	if c.closed || h.flow.Busy() || h.qLen() == 0 || h.pumpPending {
+	if c.closed || h.flow.Busy() || h.qLen == 0 || h.pumpPending {
 		return
 	}
 	now := c.rt.Eng.Now()
@@ -584,7 +589,7 @@ func (h *half) serialized(n *msgNode) {
 	h.lastDelivery = at
 	rt.Eng.ScheduleEvent(at, h, evDeliver, n)
 
-	if h.qLen() == 0 {
+	if h.qLen == 0 {
 		h.idleSince = now
 	}
 	h.pump()

@@ -6,14 +6,15 @@
 // reproducible for a fixed seed and schedule.
 //
 // The hot path is allocation-free: event nodes come from an engine-local
-// free list and are recycled when they fire or are retired after
-// cancellation, and the typed-event API (ScheduleEvent/AfterEvent plus the
-// Handler interface) lets schedulers dispatch without per-event closures.
-// Near-future events live in a bucketed timer wheel; only events beyond the
-// wheel horizon fall back to a binary heap. Both structures order events by
-// exactly the same (time, sequence) key, so the wheel engine executes
-// bit-for-bit the same schedule as the classic heap engine (see
-// equivalence_test.go).
+// free list (refilled a chunk of nodes at a time) and are recycled when they
+// fire or are retired after cancellation, and the typed-event API
+// (ScheduleEvent/AfterEvent plus the Handler interface) lets schedulers
+// dispatch without per-event closures. Near-future events live in a
+// bucketed timer wheel whose slots are lists linked through the nodes
+// themselves; only events beyond the wheel horizon fall back to a binary
+// heap. Both structures order events by exactly the same (time, sequence)
+// key, so the wheel engine executes bit-for-bit the same schedule as the
+// classic heap engine (see equivalence_test.go).
 //
 // All of the overlay protocols and the network emulator in this repository
 // run on top of a single Engine per experiment. Nothing in the engine is
@@ -74,7 +75,10 @@ type Event struct {
 	where   uint8 // placement | the cancelled flag
 	payload any
 
-	next *Event // free-list link
+	// next links the node into the free list while it is free and into its
+	// wheel slot while it waits there (where says which); it is nil while
+	// the node sits in the heap or the drain buffer.
+	next *Event
 }
 
 // Node placement states; eventCancelled is OR'ed onto the placement, which
@@ -163,6 +167,22 @@ const (
 
 func bucketOf(t Time) int64 { return int64(float64(t) * wheelTickInv) }
 
+// nodeChunk is how many event nodes one free-list miss allocates at once.
+const nodeChunk = 256
+
+// eventList is a wheel slot: a FIFO of events linked through Event.next.
+type eventList struct{ head, tail *Event }
+
+func (l *eventList) push(ev *Event) {
+	ev.next = nil
+	if l.tail == nil {
+		l.head = ev
+	} else {
+		l.tail.next = ev
+	}
+	l.tail = ev
+}
+
 // Engine is a discrete-event simulator. The zero value is not usable; create
 // one with NewEngine (timer-wheel queue) or NewEngineWithQueue.
 type Engine struct {
@@ -174,10 +194,10 @@ type Engine struct {
 	// Overflow heap ordered by (at, seq); the only queue in QueueHeap mode.
 	heap []*Event
 
-	// Timer wheel: slots accumulate unsorted events per bucket and occ is
-	// the slot-occupancy bitmap. cur is the sorted drain buffer holding
+	// Timer wheel: slots accumulate unsorted events per bucket, linked
+	// through Event.next, and occ is the slot-occupancy bitmap. cur is the sorted drain buffer holding
 	// bucket curBucket (-1 when unloaded), consumed from curIdx.
-	slots     [][]*Event
+	slots     []eventList
 	occ       []uint64
 	wheelLen  int
 	cur       []*Event
@@ -186,6 +206,7 @@ type Engine struct {
 
 	free    *Event
 	freeLen int
+	chunk   []Event // nodes not yet handed out, carved on free-list misses
 
 	cancelledPending int
 	wallStart        time.Time
@@ -205,7 +226,7 @@ func NewEngine() *Engine { return NewEngineWithQueue(QueueWheel) }
 func NewEngineWithQueue(q QueueKind) *Engine {
 	e := &Engine{queue: q, curBucket: -1, wallStart: time.Now()}
 	if q == QueueWheel {
-		e.slots = make([][]*Event, wheelBuckets)
+		e.slots = make([]eventList, wheelBuckets)
 		e.occ = make([]uint64, wheelBuckets/64)
 	}
 	return e
@@ -258,7 +279,8 @@ func (e *Engine) Pending() int {
 // Stop makes Run return after the currently executing event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
-// newNode takes a node from the free list (or allocates one) and stamps the
+// newNode takes a node from the free list (or carves one from the current
+// chunk, allocating a new chunk when that is used up) and stamps the
 // ordering key.
 func (e *Engine) newNode(at Time) *Event {
 	ev := e.free
@@ -267,7 +289,12 @@ func (e *Engine) newNode(at Time) *Event {
 		e.freeLen--
 		ev.next = nil
 	} else {
-		ev = &Event{eng: e}
+		if len(e.chunk) == 0 {
+			e.chunk = make([]Event, nodeChunk)
+		}
+		ev = &e.chunk[0]
+		e.chunk = e.chunk[1:]
+		ev.eng = e
 	}
 	e.seq++
 	ev.at = at
@@ -409,7 +436,7 @@ func (e *Engine) push(ev *Event) {
 	}
 	slot := b & wheelMask
 	ev.where = eventInWheel
-	e.slots[slot] = append(e.slots[slot], ev)
+	e.slots[slot].push(ev)
 	e.occ[slot>>6] |= 1 << (slot & 63)
 	e.wheelLen++
 }
@@ -492,10 +519,10 @@ func (e *Engine) unloadCur() {
 	slot := e.curBucket & wheelMask
 	for _, ev := range e.cur[e.curIdx:] {
 		ev.where = eventInWheel | (ev.where & eventCancelled)
-		e.slots[slot] = append(e.slots[slot], ev)
+		e.slots[slot].push(ev)
 		e.wheelLen++
 	}
-	if len(e.slots[slot]) > 0 {
+	if e.slots[slot].head != nil {
 		e.occ[slot>>6] |= 1 << (slot & 63)
 	}
 	e.cur = e.cur[:0]
@@ -525,16 +552,19 @@ func (e *Engine) loadNextBucket() {
 			off += skip - 1 // the loop increment adds the final step
 			continue
 		}
-		s := e.slots[slot]
-		e.slots[slot] = s[:0]
+		e.cur = e.cur[:0]
+		for ev := e.slots[slot].head; ev != nil; {
+			next := ev.next
+			ev.next = nil
+			ev.where = eventInCur | (ev.where & eventCancelled)
+			e.cur = append(e.cur, ev)
+			ev = next
+		}
+		e.slots[slot] = eventList{}
 		e.occ[slot>>6] &^= 1 << (slot & 63)
-		e.wheelLen -= len(s)
-		e.cur = append(e.cur[:0], s...)
+		e.wheelLen -= len(e.cur)
 		e.curIdx = 0
 		e.curBucket = start + off
-		for _, ev := range e.cur {
-			ev.where = eventInCur | (ev.where & eventCancelled)
-		}
 		slices.SortFunc(e.cur, compareEvents)
 		return
 	}
@@ -639,28 +669,28 @@ func (e *Engine) maybeCompact() {
 	for i := len(e.heap)/2 - 1; i >= 0; i-- {
 		e.heapSiftDown(i)
 	}
-	// Wheel slots: filter each occupied slot in place.
+	// Wheel slots: relink each occupied slot's live events in place. next
+	// is read before recycle, which overwrites it with the free-list link.
 	if e.wheelLen > 0 {
 		for slot := range e.slots {
-			s := e.slots[slot]
-			if len(s) == 0 {
+			ev := e.slots[slot].head
+			if ev == nil {
 				continue
 			}
-			live := s[:0]
-			for _, ev := range s {
+			var live eventList
+			for ev != nil {
+				next := ev.next
 				if ev.cancelled() {
 					e.cancelledPending--
 					e.wheelLen--
 					e.recycle(ev)
-					continue
+				} else {
+					live.push(ev)
 				}
-				live = append(live, ev)
-			}
-			for i := len(live); i < len(s); i++ {
-				s[i] = nil
+				ev = next
 			}
 			e.slots[slot] = live
-			if len(live) == 0 {
+			if live.head == nil {
 				e.occ[slot>>6] &^= 1 << (slot & 63)
 			}
 		}

@@ -481,6 +481,41 @@ func TestFreeListReuse(t *testing.T) {
 	})
 }
 
+// TestWheelSlotsAllocateNothing pins that wheel slots take their storage
+// from the events they hold: with the free list warm, scheduling one event
+// into every bucket of the wheel and draining them allocates nothing. Each
+// measured run gets an engine whose slots have never held an event, so a
+// slot that grew storage of its own on first use would count.
+func TestWheelSlotsAllocateNothing(t *testing.T) {
+	const runs = 2
+	h := handlerFunc(func(int32, any) {})
+	engines := make([]*Engine, runs+1) // AllocsPerRun adds one warm-up run
+	for i := range engines {
+		e := NewEngine()
+		// Warm the free list and the drain buffer through one bucket.
+		for j := 0; j < wheelBuckets; j++ {
+			e.AfterEvent(0, h, 0, nil)
+		}
+		e.Run()
+		engines[i] = e
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		e := engines[next]
+		next++
+		for b := 0; b < wheelBuckets; b++ {
+			e.AfterEvent((float64(b)+0.5)/wheelTickInv, h, 0, nil)
+		}
+		if e.wheelLen != wheelBuckets {
+			t.Fatalf("wheel holds %d events, want one in each of its %d buckets", e.wheelLen, wheelBuckets)
+		}
+		e.Run()
+	})
+	if allocs != 0 {
+		t.Fatalf("scheduling into every wheel bucket allocates %v per pass, want 0", allocs)
+	}
+}
+
 func TestRNGDeterminism(t *testing.T) {
 	a := NewRNG(42).Stream("x")
 	b := NewRNG(42).Stream("x")

@@ -147,3 +147,84 @@ func TestEngineEquivalenceRunUntil(t *testing.T) {
 		}
 	}
 }
+
+// TestEngineEquivalenceCompactAndUnload drives both engines through the two
+// wheel paths that relink slot lists in place, which the workloads above
+// never reach with more than one event at stake: unloadCur returning a
+// drain buffer of several events to its slot, and maybeCompact filtering
+// slots that each hold a list of events.
+func TestEngineEquivalenceCompactAndUnload(t *testing.T) {
+	for seed := int64(1); seed <= 10; seed++ {
+		run := func(kind QueueKind) []fireRec {
+			e := NewEngineWithQueue(kind)
+			rng := rand.New(rand.NewSource(seed))
+			var trace []fireRec
+			var refs []EventRef
+			id := 0
+			schedule := func(at Time) {
+				myID := id
+				id++
+				refs = append(refs, e.Schedule(at, func() { trace = append(trace, fireRec{myID, e.Now()}) }))
+			}
+			for round := 0; round < 8; round++ {
+				base := e.Now()
+				// About eight events per bucket over 256 buckets starting
+				// eight ticks ahead (the first of them sure to hold four),
+				// plus a few beyond the wheel horizon.
+				for i := 0; i < 2000; i++ {
+					b := 8 + rng.Intn(256)
+					if i < 4 {
+						b = 8
+					}
+					schedule(base + Time(float64(b)+rng.Float64())/wheelTickInv)
+				}
+				for i := 0; i < 50; i++ {
+					schedule(base + 10 + Time(rng.Float64()*5))
+				}
+				e.NextEventAt() // loads the earliest bucket into the drain buffer
+				if kind == QueueWheel && len(e.cur)-e.curIdx < 2 {
+					t.Fatalf("seed %d round %d: drain buffer holds %d events, want several", seed, round, len(e.cur)-e.curIdx)
+				}
+				schedule(base + Time(rng.Intn(4))/wheelTickInv) // before it: unloadCur
+				if kind == QueueWheel {
+					if e.curBucket != -1 {
+						t.Fatalf("seed %d round %d: early insert did not unload the drain buffer", seed, round)
+					}
+					linked := 0
+					for _, l := range e.slots {
+						if l.head != nil && l.head.next != nil {
+							linked++
+						}
+					}
+					if linked == 0 {
+						t.Fatalf("seed %d round %d: no slot holds a list to compact", seed, round)
+					}
+				}
+				compactions := e.Compactions
+				for _, r := range refs {
+					if rng.Intn(4) != 0 {
+						r.Cancel()
+					}
+				}
+				refs = refs[:0]
+				if e.Compactions == compactions {
+					t.Fatalf("seed %d round %d: cancelling three in four events never compacted", seed, round)
+				}
+				e.RunUntil(base + 300/wheelTickInv) // past every bucket of the round
+			}
+			e.RunUntil(1e6)
+			return trace
+		}
+		heapTrace := run(QueueHeap)
+		wheelTrace := run(QueueWheel)
+		if len(heapTrace) != len(wheelTrace) {
+			t.Fatalf("seed %d: heap fired %d, wheel %d", seed, len(heapTrace), len(wheelTrace))
+		}
+		for i := range heapTrace {
+			if heapTrace[i] != wheelTrace[i] {
+				t.Fatalf("seed %d: diverge at %d: heap %+v, wheel %+v",
+					seed, i, heapTrace[i], wheelTrace[i])
+			}
+		}
+	}
+}

@@ -20,9 +20,15 @@ import (
 // drive Bullet' peering decisions.
 type RateMeter struct {
 	bucketW float64
-	buckets []float64
-	times   []int64 // bucket index each slot currently holds
+	slots   []meterSlot
 	total   float64
+}
+
+// meterSlot is one bucket of a RateMeter: the bytes recorded in it and the
+// bucket index it currently holds.
+type meterSlot struct {
+	bytes float64
+	at    int64
 }
 
 // NewRateMeter creates a meter with the given bucket width in seconds; the
@@ -31,26 +37,22 @@ func NewRateMeter(bucketWidth float64, slots int) *RateMeter {
 	if slots < 2 {
 		slots = 2
 	}
-	return &RateMeter{
-		bucketW: bucketWidth,
-		buckets: make([]float64, slots),
-		times:   make([]int64, slots),
-	}
+	return &RateMeter{bucketW: bucketWidth, slots: make([]meterSlot, slots)}
 }
 
 func (m *RateMeter) slot(t sim.Time) (int, int64) {
 	bi := int64(float64(t) / m.bucketW)
-	return int(bi % int64(len(m.buckets))), bi
+	return int(bi % int64(len(m.slots))), bi
 }
 
 // Add records n bytes at virtual time t.
 func (m *RateMeter) Add(t sim.Time, n float64) {
-	s, bi := m.slot(t)
-	if m.times[s] != bi {
-		m.buckets[s] = 0
-		m.times[s] = bi
+	i, bi := m.slot(t)
+	s := &m.slots[i]
+	if s.at != bi {
+		*s = meterSlot{at: bi}
 	}
-	m.buckets[s] += n
+	s.bytes += n
 	m.total += n
 }
 
@@ -63,7 +65,7 @@ func (m *RateMeter) Rate(t sim.Time, window float64) float64 {
 	if window <= 0 {
 		return 0
 	}
-	maxW := m.bucketW * float64(len(m.buckets)-1)
+	maxW := m.bucketW * float64(len(m.slots)-1)
 	if window > maxW {
 		window = maxW
 	}
@@ -75,9 +77,8 @@ func (m *RateMeter) Rate(t sim.Time, window float64) float64 {
 		if bi < 0 {
 			break
 		}
-		s := int(bi % int64(len(m.buckets)))
-		if m.times[s] == bi {
-			sum += m.buckets[s]
+		if s := m.slots[bi%int64(len(m.slots))]; s.at == bi {
+			sum += s.bytes
 		}
 	}
 	return sum / window
