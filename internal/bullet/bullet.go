@@ -155,7 +155,6 @@ type bPeer struct {
 	senders   map[netem.NodeID]*sender
 	receivers map[netem.NodeID]*receiver
 	claimed   map[int]netem.NodeID
-	cands     []ransub.Candidate
 
 	// Tree push state.
 	treeChildren []*proto.Conn
@@ -321,9 +320,9 @@ func (p *bPeer) onPush(bm blockMsg) {
 // ---------------------------------------------------------------------------
 // Mesh pull
 
-// onDistribute refreshes candidates and maintains the fixed-size sender set.
+// onDistribute maintains the fixed-size sender set from the epoch's
+// candidates.
 func (p *bPeer) onDistribute(epoch int, set []ransub.Candidate) {
-	p.cands = set
 	if p.complete {
 		return
 	}

@@ -218,7 +218,7 @@ func testPeerForController(t *testing.T) (*peer, *senderPeer) {
 	t.Helper()
 	r := buildRig(4, 20, nil, nil)
 	p := r.sess.peers[1]
-	sp := &senderPeer{id: 2, desired: 3, markBlock: -2, meter: trace.NewRateMeter(0.5, 24)}
+	sp := &senderPeer{id: 2, desired: 3, markBlock: -2, meter: *trace.NewRateMeter(0.5, 24)}
 	p.senders.insert(sp)
 	// Simulate measured bandwidth: 10 blocks over the last seconds.
 	for i := 0; i < 10; i++ {
@@ -282,7 +282,7 @@ func TestManageOutstandingMarkFreezes(t *testing.T) {
 func TestManageOutstandingStaticPinned(t *testing.T) {
 	r := buildRig(4, 21, func(c *Config) { c.StaticOutstanding = 7 }, nil)
 	p := r.sess.peers[1]
-	sp := &senderPeer{id: 2, desired: 7, markBlock: -2, meter: trace.NewRateMeter(0.5, 24)}
+	sp := &senderPeer{id: 2, desired: 7, markBlock: -2, meter: *trace.NewRateMeter(0.5, 24)}
 	p.senders.insert(sp)
 	p.manageOutstanding(sp, &blockMsg{id: 0, inFront: 0, wasted: -10})
 	if sp.desired != 7 {
@@ -421,7 +421,7 @@ func TestEnforcePeerTargetsSheds(t *testing.T) {
 	// Give each synthetic sender a conn so dropSender can close it.
 	for _, sp := range p.senders {
 		sp.conn = p.node.Dial(2)
-		sp.advertised = proto.NewBitmap(p.s.maxBlockID())
+		sp.advertised = *proto.NewBitmap(p.s.maxBlockID())
 	}
 	p.maxSenders.n = 7
 	p.enforcePeerTargets()

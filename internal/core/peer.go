@@ -73,8 +73,9 @@ type peer struct {
 	lastOutTotal float64
 	firstEpoch   bool
 
-	// candidates is the latest RanSub distribute set.
-	candidates []ransub.Candidate
+	// unpushed is what the source advertises until it has pushed the whole
+	// file: an empty summary, made once.
+	unpushed *proto.Summary
 
 	complete    bool
 	completedAt sim.Time
@@ -134,7 +135,10 @@ func newPeer(s *Session, id netem.NodeID) *peer {
 // only advertises itself once it has pushed the entire file (§3.3.5).
 func (p *peer) summarize() ransub.Candidate {
 	if p.isSource && !p.pushedOnce {
-		return ransub.Candidate{ID: p.node.ID, Summary: proto.NewSummary(proto.NewBlockStore(1))}
+		if p.unpushed == nil {
+			p.unpushed = proto.NewSummary(proto.NewBlockStore(1))
+		}
+		return ransub.Candidate{ID: p.node.ID, Summary: p.unpushed}
 	}
 	return ransub.Candidate{ID: p.node.ID, Summary: proto.NewSummary(p.store)}
 }
@@ -230,8 +234,8 @@ func (p *peer) addSender(id netem.NodeID) {
 	sp := &senderPeer{
 		id:          id,
 		conn:        c,
-		advertised:  proto.NewBitmap(p.s.maxBlockID()),
-		meter:       trace.NewRateMeter(0.5, 24),
+		advertised:  *proto.NewBitmap(p.s.maxBlockID()),
+		meter:       *trace.NewRateMeter(0.5, 24),
 		desired:     float64(InitialOutstanding),
 		markBlock:   -2,
 		lastArrival: p.s.rt.Now(),
@@ -725,8 +729,8 @@ func (p *peer) onConnClose(c *proto.Conn) {
 // Epoch processing: the Figure 2 hill climb, trimming, and peer acquisition
 
 // onDistribute is the heart of adaptive peering: runs every RanSub epoch.
+// The candidate set is valid only during the call.
 func (p *peer) onDistribute(epoch int, set []ransub.Candidate) {
-	p.candidates = set
 	now := p.s.rt.Now()
 
 	inTotal := p.node.InMeter.Total()
@@ -750,7 +754,7 @@ func (p *peer) onDistribute(epoch int, set []ransub.Candidate) {
 
 	if !p.complete {
 		p.reapStaleSenders(now)
-		p.replaceExhaustedSenders(now)
+		p.replaceExhaustedSenders(now, set)
 	}
 
 	// The hill climb on peer-set size is what StaticPeers pins; trimming
@@ -769,7 +773,7 @@ func (p *peer) onDistribute(epoch int, set []ransub.Candidate) {
 	p.trimSenders(now)
 	p.trimReceivers()
 	if !p.complete {
-		p.acquireSenders()
+		p.acquireSenders(set)
 	}
 
 	p.maxSenders.prevNum, p.maxSenders.prevBW = len(p.senders), inBW
@@ -946,13 +950,13 @@ func (p *peer) reapStaleSenders(now sim.Time) {
 // candidate set offers a useful replacement. This is the data-driven side
 // of Bullet's peering: a peer with no useful blocks is dead weight no
 // matter how fast its link is.
-func (p *peer) replaceExhaustedSenders(now sim.Time) {
-	if len(p.candidates) == 0 || p.store.Missing() == 0 {
+func (p *peer) replaceExhaustedSenders(now sim.Time, set []ransub.Candidate) {
+	if len(set) == 0 || p.store.Missing() == 0 {
 		return
 	}
 	// Is there at least one non-sender candidate with useful data?
 	anyUseful := false
-	for _, c := range p.candidates {
+	for _, c := range set {
 		if c.ID == p.node.ID || c.Summary == nil {
 			continue
 		}
@@ -975,15 +979,15 @@ func (p *peer) replaceExhaustedSenders(now sim.Time) {
 	}
 }
 
-// acquireSenders fills the sender set up to MAX_SENDERS from the current
+// acquireSenders fills the sender set up to MAX_SENDERS from the epoch's
 // candidate set, preferring candidates with the most useful blocks.
-func (p *peer) acquireSenders() {
+func (p *peer) acquireSenders(set []ransub.Candidate) {
 	need := p.maxSenders.n - len(p.senders)
-	if need <= 0 || len(p.candidates) == 0 {
+	if need <= 0 || len(set) == 0 {
 		return
 	}
 	cands := p.scored[:0]
-	for _, c := range p.candidates {
+	for _, c := range set {
 		if c.ID == p.node.ID {
 			continue
 		}

@@ -225,10 +225,10 @@ type senderPeer struct {
 	avail []int32
 	// advertised has a bit for every id this sender ever advertised (for
 	// rarity bookkeeping on disconnect): maxBlockID()/8 bytes per sender.
-	advertised *proto.Bitmap
+	advertised proto.Bitmap
 	// meter measures arrival bandwidth from this sender for the
 	// flow-control formula ("bandwidth measured at the receiver", §3.3.3).
-	meter *trace.RateMeter
+	meter trace.RateMeter
 
 	outstanding int
 	// desired is the ManageOutstanding controller state (float; ceiling

@@ -18,7 +18,7 @@ func strategyPeer(t *testing.T, strat RequestStrategy) *peer {
 func newSyntheticSender(p *peer, id netem.NodeID, avail []int) *senderPeer {
 	sp := &senderPeer{
 		id:         id,
-		advertised: proto.NewBitmap(p.s.maxBlockID()),
+		advertised: *proto.NewBitmap(p.s.maxBlockID()),
 		desired:    3,
 		markBlock:  -2,
 	}

@@ -37,7 +37,7 @@ type Network struct {
 	// come due before the recomputation the new value allows.
 	RecomputeInterval float64
 
-	// Owns, when set, restricts NewFlow to endpoints this network instance
+	// Owns, when set, restricts opened flows to endpoints this network instance
 	// is responsible for. Sharded runs give each shard its own Network over
 	// a shared topology; every flow must stay inside one shard, because the
 	// waterfill only sees the flows of its own instance. Cross-shard
@@ -162,6 +162,15 @@ type Flow struct {
 // NewFlow opens a unidirectional flow src→dst. The slow-start ramp starts
 // now (connection establishment).
 func (n *Network) NewFlow(src, dst NodeID) *Flow {
+	f := new(Flow)
+	n.OpenFlow(f, src, dst)
+	return f
+}
+
+// OpenFlow opens a unidirectional flow src→dst in f, which must be unused,
+// so a caller can keep its flows inside its own structures. The slow-start
+// ramp starts now (connection establishment).
+func (n *Network) OpenFlow(f *Flow, src, dst NodeID) {
 	if src == dst {
 		panic("netem: flow endpoints must differ")
 	}
@@ -170,7 +179,7 @@ func (n *Network) NewFlow(src, dst NodeID) *Flow {
 			"cross-shard traffic must travel as timestamped shard posts, not flows", src, dst))
 	}
 	n.nextID++
-	f := &Flow{
+	*f = Flow{
 		net:         n,
 		id:          n.nextID,
 		src:         src,
@@ -179,7 +188,6 @@ func (n *Network) NewFlow(src, dst NodeID) *Flow {
 		established: n.Eng.Now(),
 	}
 	f.samplePath()
-	return f
 }
 
 // samplePath reads the flow's path constants from the topology.

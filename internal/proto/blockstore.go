@@ -90,6 +90,10 @@ type BlockStore struct {
 	bm       *Bitmap
 	arrivals []int      // block ids in the order received
 	times    []sim.Time // arrival time per arrivals entry
+	// summary is the last snapshot NewSummary took, and sketch the Bloom
+	// filter over the summary.Count earliest arrivals it copied.
+	sketch  [summaryWords]uint64
+	summary *Summary
 }
 
 // NewBlockStore creates an empty store for n blocks.
@@ -153,30 +157,44 @@ func (s *BlockStore) Bitmap() *Bitmap { return s.bm }
 // RanSub (§3.1 "file info"): the node's identity is carried alongside, the
 // sketch is a small Bloom filter over held block ids plus the exact count.
 // Receivers use it to estimate how many useful (missing-here) blocks a
-// candidate sender holds.
+// candidate sender holds. A Summary is an immutable snapshot, shared by
+// every holder of the pointer.
 type Summary struct {
 	Count int
 	Total int
-	bits  []uint64
-	k     int
+	bits  [summaryWords]uint64
 }
 
 // summaryBits is the Bloom filter size in bits. 2048 bits ≈ 256 bytes per
 // advertised node, matching the paper's "compact summaries" goal.
-const summaryBits = 2048
+const (
+	summaryBits   = 2048
+	summaryWords  = summaryBits / 64
+	summaryHashes = 3
+)
 
-// NewSummary builds a sketch of the store's current contents.
+// NewSummary returns a sketch of the store's current contents: the last
+// snapshot while no block has arrived since, otherwise a new one, made by
+// ORing the blocks that arrived since into the store's running sketch and
+// copying it. An OR does not depend on order, so every block is hashed once
+// and the bits equal a sketch rebuilt from the whole arrival log.
 func NewSummary(s *BlockStore) *Summary {
-	sum := &Summary{
-		Count: s.Count(),
-		Total: s.NumBlocks(),
-		bits:  make([]uint64, summaryBits/64),
-		k:     3,
+	last := s.summary
+	if last != nil && last.Count == s.Count() {
+		return last
 	}
-	for _, b := range s.arrivals {
-		sum.insert(b)
+	from := 0
+	if last != nil {
+		from = last.Count
 	}
-	return sum
+	for _, b := range s.arrivals[from:] {
+		for i := range summaryHashes {
+			h := summaryHash(b, i) % summaryBits
+			s.sketch[h>>6] |= 1 << (h & 63)
+		}
+	}
+	s.summary = &Summary{Count: s.Count(), Total: s.NumBlocks(), bits: s.sketch}
+	return s.summary
 }
 
 func summaryHash(b, i int) uint64 {
@@ -187,17 +205,10 @@ func summaryHash(b, i int) uint64 {
 	return h
 }
 
-func (s *Summary) insert(b int) {
-	for i := 0; i < s.k; i++ {
-		h := summaryHash(b, i) % summaryBits
-		s.bits[h>>6] |= 1 << (h & 63)
-	}
-}
-
 // MayHave reports whether block b may be in the summarized set (Bloom
 // semantics: false negatives never occur).
 func (s *Summary) MayHave(b int) bool {
-	for i := 0; i < s.k; i++ {
+	for i := range summaryHashes {
 		h := summaryHash(b, i) % summaryBits
 		if s.bits[h>>6]&(1<<(h&63)) == 0 {
 			return false

@@ -270,8 +270,8 @@ func (n *Node) Dead() bool { return n.dead }
 type half struct {
 	conn        *Conn
 	from, to    *Node
-	flow        *netem.Flow
-	qHead       *msgNode // FIFO of queued messages, linked through next
+	flow        netem.Flow // unopened in transport mode
+	qHead       *msgNode   // FIFO of queued messages, linked through next
 	qTail       *msgNode
 	qLen        int
 	queuedBytes float64
@@ -343,8 +343,8 @@ func (n *Node) Dial(to netem.NodeID) *Conn {
 		return c
 	}
 	c.readyAt += sim.Time(n.rt.Net.Topo.RTT(n.ID, to))
-	c.h[0].flow = n.rt.Net.NewFlow(n.ID, to)
-	c.h[1].flow = n.rt.Net.NewFlow(to, n.ID)
+	n.rt.Net.OpenFlow(&c.h[0].flow, n.ID, to)
+	n.rt.Net.OpenFlow(&c.h[1].flow, to, n.ID)
 	n.rt.Eng.AfterEvent(n.rt.Net.Topo.OneWayDelay(n.ID, to), c, evAccept, nil)
 	return c
 }
@@ -453,7 +453,7 @@ func (h *half) popMsg() *msgNode {
 func (c *Conn) QueueLen(n *Node) int {
 	h := c.dir(n)
 	q := h.qLen + h.inflight
-	if h.flow != nil && h.flow.Busy() {
+	if h.flow.Busy() {
 		q++
 	}
 	return q

@@ -13,6 +13,13 @@
 // set with samples drawn from the *other* subtrees and the node itself —
 // the "non-descendants" flavor Bullet uses so nodes mostly learn about
 // peers outside their own subtree.
+//
+// A candidate set in flight belongs to the agent that sent it and goes back
+// to that agent's free list once read: a distribute set as soon as the
+// receiver has delivered and forwarded it, a collect sample when the next
+// epoch's sample from the same child replaces it (at once if it is stale).
+// The set OnDistribute receives is valid only during the call; a caller
+// that keeps candidates copies them.
 package ransub
 
 import (
@@ -43,15 +50,29 @@ type Candidate struct {
 	Summary *proto.Summary
 }
 
-type distributeMsg struct {
-	epoch int
-	set   []Candidate
+// setMsg is a candidate set in flight, a distribute set or a collect
+// sample (subtreeSize is the collect's weight). It comes from its owner's
+// free list, with room for fanout candidates, and release returns it there.
+type setMsg struct {
+	owner       *Agent
+	epoch       int
+	set         []Candidate
+	subtreeSize int
+	pooled      bool    // double-return guard
+	next        *setMsg // free-list link while pooled
 }
 
-type collectMsg struct {
-	epoch       int
-	sample      []Candidate
-	subtreeSize int
+// release returns m to its owner's free list. Returning a set twice would
+// hand one set to two messages, so it panics.
+func (m *setMsg) release() {
+	if m.pooled {
+		panic("ransub: candidate set returned to its free list twice")
+	}
+	m.pooled = true
+	clear(m.set)
+	m.set = m.set[:0]
+	m.next = m.owner.free
+	m.owner.free = m
 }
 
 // Agent runs RanSub at one node. The owning protocol routes messages with
@@ -65,7 +86,8 @@ type Agent struct {
 	// Summarize produces this node's current candidate (called each epoch
 	// as the collect phase passes through).
 	Summarize func() Candidate
-	// OnDistribute delivers each epoch's random candidate set.
+	// OnDistribute delivers each epoch's random candidate set. The set is
+	// valid only during the call: it returns to its sender afterwards.
 	OnDistribute func(epoch int, set []Candidate)
 
 	isRoot   bool
@@ -76,16 +98,21 @@ type Agent struct {
 	// deterministic per seed.
 	childIDs []netem.NodeID
 
-	epoch        int
-	collectFrom  map[netem.NodeID]collectMsg
-	childSamples map[netem.NodeID][]Candidate // last completed collect, per child
-	pool         []Candidate                  // root: merged sample from last collect
+	epoch int
+	// childSamples is each child's last collect sample, held until the
+	// next one replaces it; collected counts the children whose sample is
+	// of the current epoch.
+	childSamples map[netem.NodeID]*setMsg
+	collected    int
+	pool         []Candidate // root: merged sample from last collect
 	started      bool
 
+	free *setMsg // sets this agent sends, back from their receivers
+
 	// Scratch for mixFor and mergeCollect, reused across epochs; nothing in it
-	// outlives the call that filled it. The candidate slices those two
-	// return ride in messages and are freshly allocated every time.
+	// outlives the call that filled it.
 	self    [1]Candidate
+	local   []Candidate // root: its own epoch's set
 	cands   []Candidate
 	byID    map[netem.NodeID]Candidate
 	order   []netem.NodeID
@@ -114,8 +141,7 @@ func New(n *proto.Node, rng *sim.RNG, period float64, fanout int) *Agent {
 		period:       period,
 		fanout:       fanout,
 		children:     make(map[netem.NodeID]*proto.Conn),
-		collectFrom:  make(map[netem.NodeID]collectMsg),
-		childSamples: make(map[netem.NodeID][]Candidate),
+		childSamples: make(map[netem.NodeID]*setMsg),
 		byID:         make(map[netem.NodeID]Candidate),
 		seen:         make(map[netem.NodeID]bool),
 	}
@@ -186,17 +212,37 @@ func (a *Agent) Start() {
 
 func (a *Agent) runEpoch() {
 	a.epoch++
-	clear(a.collectFrom)
-	set := a.mixFor(-1, a.pool, nil)
+	a.collected = 0
+	a.local = a.mixFor(-1, a.pool, nil, a.local[:0])
 	if a.OnDistribute != nil {
-		a.OnDistribute(a.epoch, set)
+		a.OnDistribute(a.epoch, a.local)
 	}
 	if len(a.children) == 0 {
 		// Degenerate single-node tree: collect completes immediately.
 		a.finishCollect()
 	}
 	a.forward(a.pool)
-	a.node.Runtime().After(a.period, a.runEpoch)
+	a.node.Runtime().AfterEvent(a.period, a, evEpoch, nil)
+}
+
+// evEpoch is the root's epoch timer, the one typed event an agent schedules.
+const evEpoch int32 = 0
+
+// OnEvent runs the root's next epoch when its timer fires; engine plumbing,
+// not public API.
+func (a *Agent) OnEvent(int32, any) { a.runEpoch() }
+
+// getSet takes a set from the free list, or makes one when it is empty.
+func (a *Agent) getSet() *setMsg {
+	m := a.free
+	if m == nil {
+		return &setMsg{owner: a, epoch: a.epoch, set: make([]Candidate, 0, a.fanout)}
+	}
+	a.free = m.next
+	m.next = nil
+	m.pooled = false
+	m.epoch = a.epoch
+	return m
 }
 
 // forward sends every child its mix of the epoch's incoming set. The node's
@@ -208,11 +254,12 @@ func (a *Agent) forward(incoming []Candidate) {
 	}
 	own := a.own()
 	for _, id := range a.childIDs {
-		msg := distributeMsg{epoch: a.epoch, set: a.mixFor(id, incoming, own)}
+		m := a.getSet()
+		m.set = a.mixFor(id, incoming, own, m.set)
 		a.children[id].Send(a.node, proto.Message{
 			Kind:    KindDistribute,
-			Size:    candidateWire(len(msg.set)),
-			Payload: msg,
+			Size:    candidateWire(len(m.set)),
+			Payload: m,
 		})
 	}
 }
@@ -232,18 +279,20 @@ func (a *Agent) own() []Candidate {
 func (a *Agent) Handle(c *proto.Conn, m proto.Message) bool {
 	switch m.Kind {
 	case KindDistribute:
-		a.onDistribute(m.Payload.(distributeMsg))
+		d := m.Payload.(*setMsg)
+		a.onDistribute(d)
+		d.release()
 		return true
 	case KindCollect:
-		a.onCollect(c.Peer(a.node).ID, m.Payload.(collectMsg))
+		a.onCollect(c.Peer(a.node).ID, m.Payload.(*setMsg))
 		return true
 	}
 	return false
 }
 
-func (a *Agent) onDistribute(d distributeMsg) {
+func (a *Agent) onDistribute(d *setMsg) {
 	a.epoch = d.epoch
-	clear(a.collectFrom)
+	a.collected = 0
 	if a.OnDistribute != nil {
 		a.OnDistribute(d.epoch, d.set)
 	}
@@ -254,13 +303,22 @@ func (a *Agent) onDistribute(d distributeMsg) {
 	a.forward(d.set)
 }
 
-func (a *Agent) onCollect(from netem.NodeID, cm collectMsg) {
+// onCollect keeps a child's sample of the current epoch in place of its
+// last one, which goes back to the child; a stale sample goes back at once.
+func (a *Agent) onCollect(from netem.NodeID, cm *setMsg) {
 	if cm.epoch != a.epoch {
-		return // stale epoch
+		cm.release()
+		return
 	}
-	a.collectFrom[from] = cm
-	a.childSamples[from] = cm.sample
-	if len(a.collectFrom) == len(a.children) {
+	prev := a.childSamples[from]
+	if prev == nil || prev.epoch != a.epoch {
+		a.collected++
+	}
+	if prev != nil {
+		prev.release()
+	}
+	a.childSamples[from] = cm
+	if a.collected == len(a.children) {
 		if a.isRoot {
 			a.finishCollect()
 		} else {
@@ -272,41 +330,42 @@ func (a *Agent) onCollect(from netem.NodeID, cm collectMsg) {
 // sendCollect merges child samples with this node's own candidate and
 // forwards a compacted uniform sample up the tree.
 func (a *Agent) sendCollect() {
-	sample, size := a.mergeCollect()
-	msg := collectMsg{epoch: a.epoch, sample: sample, subtreeSize: size}
-	if a.parent != nil {
-		a.parent.Send(a.node, proto.Message{
-			Kind:    KindCollect,
-			Size:    candidateWire(len(sample)),
-			Payload: msg,
-		})
+	m := a.getSet()
+	m.set, m.subtreeSize = a.mergeCollect(m.set)
+	if a.parent == nil {
+		m.release()
+		return
 	}
+	a.parent.Send(a.node, proto.Message{
+		Kind:    KindCollect,
+		Size:    candidateWire(len(m.set)),
+		Payload: m,
+	})
 }
 
 // finishCollect (root) installs the merged sample as the next epoch's pool.
 func (a *Agent) finishCollect() {
-	sample, _ := a.mergeCollect()
-	a.pool = sample
+	a.pool, _ = a.mergeCollect(a.pool[:0])
 }
 
-// mergeCollect draws a weighted uniform sample over this node's subtree:
-// each child contributes proportionally to its subtree size, plus self.
-func (a *Agent) mergeCollect() ([]Candidate, int) {
+// mergeCollect draws a weighted uniform sample over this node's subtree
+// into out: each child of the current epoch contributes proportionally to
+// its subtree size, plus self.
+func (a *Agent) mergeCollect(out []Candidate) ([]Candidate, int) {
 	sources := a.sources[:0]
 	total := 1 // self
 	if own := a.own(); own != nil {
 		sources = append(sources, collectSource{sample: own, size: 1})
 	}
 	for _, id := range a.childIDs {
-		cm, ok := a.collectFrom[id]
-		if !ok || len(cm.sample) == 0 {
+		cm := a.childSamples[id]
+		if cm == nil || cm.epoch != a.epoch || len(cm.set) == 0 {
 			continue
 		}
-		sources = append(sources, collectSource{sample: cm.sample, size: cm.subtreeSize})
+		sources = append(sources, collectSource{sample: cm.set, size: cm.subtreeSize})
 		total += cm.subtreeSize
 	}
 	a.sources = sources
-	out := make([]Candidate, 0, a.fanout)
 	seen := a.seen
 	clear(seen)
 	// Weighted draws with rejection of duplicates; bounded attempts keep it
@@ -336,17 +395,19 @@ func (a *Agent) mergeCollect() ([]Candidate, int) {
 	return out, total
 }
 
-// mixFor assembles the distribute set for one child (or for local delivery
-// when child == -1): the incoming set blended with samples from other
-// subtrees and own (this node's candidate; nil for local delivery),
+// mixFor appends to out the distribute set for one child (or for local
+// delivery when child == -1): the incoming set blended with samples from
+// other subtrees and own (this node's candidate; nil for local delivery),
 // excluding the child itself, compacted to fanout.
-func (a *Agent) mixFor(child netem.NodeID, incoming, own []Candidate) []Candidate {
+func (a *Agent) mixFor(child netem.NodeID, incoming, own, out []Candidate) []Candidate {
 	cands := append(a.cands[:0], incoming...)
 	for _, id := range a.childIDs {
 		if id == child {
 			continue // non-descendants flavor
 		}
-		cands = append(cands, a.childSamples[id]...)
+		if cm := a.childSamples[id]; cm != nil {
+			cands = append(cands, cm.set...)
+		}
 	}
 	cands = append(cands, own...)
 	a.cands = cands
@@ -376,7 +437,6 @@ func (a *Agent) mixFor(child netem.NodeID, incoming, own []Candidate) []Candidat
 	if len(order) > a.fanout {
 		order = order[:a.fanout]
 	}
-	out := make([]Candidate, 0, len(order))
 	for _, id := range order {
 		out = append(out, byID[id])
 	}

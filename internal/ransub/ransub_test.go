@@ -1,6 +1,7 @@
 package ransub
 
 import (
+	"slices"
 	"testing"
 
 	"bulletprime/internal/netem"
@@ -10,7 +11,8 @@ import (
 )
 
 // rig builds n nodes in a fast uniform network, a random control tree, and
-// a started RanSub agent per node, recording every distribute delivery.
+// a started RanSub agent per node, recording a copy of every distribute
+// delivery (a delivered set is valid only during OnDistribute).
 type rig struct {
 	eng      *sim.Engine
 	rt       *proto.Runtime
@@ -60,7 +62,7 @@ func newRig(t *testing.T, n int, period float64) *rig {
 			return Candidate{ID: id, Summary: proto.NewSummary(stores[id])}
 		}
 		ag.OnDistribute = func(epoch int, set []Candidate) {
-			r.received[id] = append(r.received[id], set)
+			r.received[id] = append(r.received[id], slices.Clone(set))
 		}
 		r.agents[id] = ag
 		node.OnMessage = func(c *proto.Conn, m proto.Message) {
@@ -182,10 +184,48 @@ func TestStaleCollectIgnored(t *testing.T) {
 	r.eng.RunUntil(3)
 	ag := r.agents[r.tr.Root()]
 	before := len(ag.pool)
-	// Inject a stale-epoch collect; it must not corrupt state.
-	ag.onCollect(1, collectMsg{epoch: -5, sample: []Candidate{{ID: 1}}, subtreeSize: 1})
+	// Inject a stale-epoch collect; it must not corrupt state, and its set
+	// goes straight back to the agent that sent it.
+	child := r.agents[1]
+	stale := child.getSet()
+	stale.epoch = -5
+	stale.set = append(stale.set, Candidate{ID: 1})
+	stale.subtreeSize = 1
+	ag.onCollect(1, stale)
 	if len(ag.pool) != before {
 		t.Fatal("stale collect mutated root pool")
+	}
+	if child.free != stale || !stale.pooled || len(stale.set) != 0 {
+		t.Fatal("stale collect was not returned to its owner's free list")
+	}
+}
+
+func TestSetReturnedTwicePanics(t *testing.T) {
+	r := newRig(t, 3, 1000)
+	m := r.agents[0].getSet()
+	m.release()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second release of one candidate set did not panic")
+		}
+	}()
+	m.release()
+}
+
+// TestEpochAllocatesNothing pins the ownership of candidate sets: once every
+// agent's free list, the message pools and the scratch maps have warmed up,
+// a whole epoch — distribute down a 200-node tree, collect back up, the
+// root's timer re-armed — allocates nothing when OnDistribute keeps nothing.
+func TestEpochAllocatesNothing(t *testing.T) {
+	const period = 1.0
+	r := newRig(t, 200, period)
+	for _, ag := range r.agents {
+		ag.OnDistribute = func(int, []Candidate) {}
+	}
+	r.eng.RunUntil(5 * period)
+	allocs := testing.AllocsPerRun(10, func() { r.eng.RunUntil(r.eng.Now() + period) })
+	if allocs != 0 {
+		t.Fatalf("a warm RanSub epoch allocates %v objects, want 0", allocs)
 	}
 }
 

@@ -38,8 +38,8 @@ func TestMixForExcludesChildAndKeepsSelfWhenForwarding(t *testing.T) {
 	r := newRig(t, 6, 1000) // huge period: no epochs fire on their own
 	ag := r.agents[0]       // root
 	// Give the root some child samples.
-	ag.childSamples[1] = []Candidate{{ID: 3}, {ID: 4}}
-	set := ag.mixFor(3, nil, ag.own()) // forwarding to child 3
+	ag.childSamples[1] = &setMsg{owner: r.agents[1], set: []Candidate{{ID: 3}, {ID: 4}}}
+	set := ag.mixFor(3, nil, ag.own(), nil) // forwarding to child 3
 	for _, c := range set {
 		if c.ID == 3 {
 			t.Fatal("child advertised to itself")
@@ -55,7 +55,7 @@ func TestMixForExcludesChildAndKeepsSelfWhenForwarding(t *testing.T) {
 		t.Fatal("forwarding node's own candidacy missing from the forwarded set")
 	}
 	// Local delivery must exclude self.
-	local := ag.mixFor(-1, []Candidate{{ID: 0}, {ID: 2}}, nil)
+	local := ag.mixFor(-1, []Candidate{{ID: 0}, {ID: 2}}, nil, nil)
 	for _, c := range local {
 		if c.ID == 0 {
 			t.Fatal("node delivered itself as its own candidate")
