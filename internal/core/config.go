@@ -116,11 +116,6 @@ type Config struct {
 	// ablation (see BenchmarkAblationDiffClocking).
 	PeriodicDiffs float64
 
-	// RanSubPeriod is the epoch length in seconds (default 5).
-	RanSubPeriod float64
-	// TreeDegree bounds control-tree fanout (default 10).
-	TreeDegree int
-
 	// Encoded enables source fountain coding: the source pushes a
 	// continuous stream of encoded blocks and receivers finish after
 	// collecting NumBlocks*(1+EncodingOverhead) distinct blocks (§2.2,
@@ -128,6 +123,13 @@ type Config struct {
 	Encoded          bool
 	EncodingOverhead float64
 }
+
+// ranSubPeriod is the RanSub epoch length in seconds, and treeDegree bounds
+// the control tree's fanout.
+const (
+	ranSubPeriod = 5.0
+	treeDegree   = 10
+)
 
 // maxStaticPeers bounds Config.StaticPeers: a peer counts the senders
 // advertising each block in one byte (peer.rarity).
@@ -141,12 +143,6 @@ var errStaticPeersRange = errors.New("core: StaticPeers must be in [0, 255]")
 func (c Config) withDefaults() (Config, error) {
 	if c.StaticPeers < 0 || c.StaticPeers > maxStaticPeers {
 		return c, fmt.Errorf("%w, got %d", errStaticPeersRange, c.StaticPeers)
-	}
-	if c.RanSubPeriod <= 0 {
-		c.RanSubPeriod = 5.0
-	}
-	if c.TreeDegree <= 0 {
-		c.TreeDegree = 10
 	}
 	if c.BlockSize <= 0 {
 		c.BlockSize = 16 * 1024

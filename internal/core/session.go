@@ -144,7 +144,7 @@ func NewSession(rt *proto.Runtime, cfg Config, rng *sim.RNG) *Session {
 		peers: make(map[netem.NodeID]*peer),
 	}
 	s.Swarm = &s.cfg.Swarm
-	s.Tree = tree.Build(cfg.Members, cfg.Source, cfg.TreeDegree, rng.Stream("tree"))
+	s.Tree = tree.Build(cfg.Members, cfg.Source, treeDegree, rng.Stream("tree"))
 	for _, id := range cfg.Members {
 		s.peers[id] = newPeer(s, id)
 	}

@@ -46,7 +46,7 @@ func checkDeferral(net *Network, all []*Flow) error {
 // TestNoDeferredCompletionOverdue runs the partition oracle's churn workload
 // — starts, closes, link changes, access links dropping to zero and coming
 // back, slow-start ramps on every replaced flow — and checks the deferral
-// contract after every engine event. Taking RecomputeInterval out of
+// contract after every engine event. Taking DefaultRecomputeInterval out of
 // armComponent's horizon fails it.
 func TestNoDeferredCompletionOverdue(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {

@@ -12,7 +12,11 @@ import (
 // recomputations. Flow churn within an interval is coalesced into one
 // recomputation, bounding emulator cost; newly started transfers run at a
 // conservative provisional rate until the next recomputation, which mirrors
-// the convergence time of real TCP after cross-traffic changes.
+// the convergence time of real TCP after cross-traffic changes. It is also
+// how far past a component's earliest completion a refill arms completion
+// events (see armComponent), which is why it is a constant: raised while
+// flows are in service, an event left unarmed under the old value could come
+// due before the recomputation the new value allows.
 const DefaultRecomputeInterval = 0.025
 
 // Typed-event kinds dispatched through Network.OnEvent. The network is the
@@ -29,13 +33,6 @@ const (
 type Network struct {
 	Eng  *sim.Engine
 	Topo *Topology
-
-	// RecomputeInterval throttles fair-share recomputation (seconds). It is
-	// also how far past a component's earliest completion a refill arms
-	// completion events (see armComponent), so it must not be raised while
-	// flows are in service: an event left unarmed under the old value could
-	// come due before the recomputation the new value allows.
-	RecomputeInterval float64
 
 	// Owns, when set, restricts opened flows to endpoints this network instance
 	// is responsible for. Sharded runs give each shard its own Network over
@@ -95,12 +92,11 @@ type Network struct {
 // drives loss-induced latency jitter; pass a dedicated stream.
 func New(eng *sim.Engine, topo *Topology, rng *sim.RNG) *Network {
 	return &Network{
-		Eng:               eng,
-		Topo:              topo,
-		RecomputeInterval: DefaultRecomputeInterval,
-		rng:               rng,
-		busyOut:           make([]int32, topo.N),
-		busyIn:            make([]int32, topo.N),
+		Eng:     eng,
+		Topo:    topo,
+		rng:     rng,
+		busyOut: make([]int32, topo.N),
+		busyIn:  make([]int32, topo.N),
 	}
 }
 
@@ -431,7 +427,7 @@ func (n *Network) provisionalRate(f *Flow) float64 {
 }
 
 // markDirty schedules a fair-share recomputation, coalescing requests within
-// RecomputeInterval of the previous one.
+// DefaultRecomputeInterval of the previous one.
 func (n *Network) markDirty() {
 	if n.dirty {
 		return
@@ -439,7 +435,7 @@ func (n *Network) markDirty() {
 	n.dirty = true
 	at := n.Eng.Now()
 	if n.haveRun {
-		if earliest := n.lastRun + sim.Time(n.RecomputeInterval); earliest > at {
+		if earliest := n.lastRun + sim.Time(DefaultRecomputeInterval); earliest > at {
 			at = earliest
 		}
 	}
@@ -609,19 +605,20 @@ func (n *Network) fairShare(active []*Flow, now sim.Time) (rates []float64, anyS
 
 // armComponent schedules the completions of one freshly refilled component
 // that can fire before the component is refilled again: those due no later
-// than RecomputeInterval after its earliest. The rest get no engine event.
-// That is safe because the earliest completion — or any start, close or link
-// change that comes sooner — dirties an endpoint of the component, markDirty
-// then runs a recomputation no later than RecomputeInterval after it, and
-// that recomputation refills every flow the component still has (whichever
-// components they are in by then, each is reached from a dirtied endpoint).
+// than DefaultRecomputeInterval after its earliest. The rest get no engine
+// event. That is safe because the earliest completion — or any start, close
+// or link change that comes sooner — dirties an endpoint of the component,
+// markDirty then runs a recomputation no later than DefaultRecomputeInterval
+// after it, and that recomputation refills every flow the component still
+// has (whichever components they are in by then, each is reached from a
+// dirtied endpoint).
 // DESIGN.md §3 has the contract.
 func (n *Network) armComponent(flows []*Flow, due []sim.Time) {
 	first := never
 	for _, d := range due {
 		first = min(first, d)
 	}
-	horizon := first + sim.Time(n.RecomputeInterval)
+	horizon := first + sim.Time(DefaultRecomputeInterval)
 	for i, f := range flows {
 		switch {
 		case due[i] == never:

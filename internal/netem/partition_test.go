@@ -418,7 +418,7 @@ func benchChurn(b *testing.B, eng *sim.Engine, net *Network, flows []*Flow) func
 		}
 		idle = f
 		before := net.Recomputes
-		eng.RunUntil(eng.Now() + sim.Time(net.RecomputeInterval))
+		eng.RunUntil(eng.Now() + sim.Time(DefaultRecomputeInterval))
 		if net.Recomputes != before+1 {
 			b.Fatalf("%d recomputations in one interval, want 1", net.Recomputes-before)
 		}

@@ -66,6 +66,13 @@ type msgNode struct {
 // msgChunk is how many message nodes one pool miss allocates at once.
 const msgChunk = 256
 
+// meterBucket (seconds) and meterSlots shape every node's rate meters: they
+// resolve rates over windows up to ~30 s at 1 s granularity.
+const (
+	meterBucket = 1.0
+	meterSlots  = 32
+)
+
 // Node is a protocol endpoint. Protocol packages set the three callbacks
 // and attach their own per-node state via State.
 type Node struct {
@@ -98,11 +105,6 @@ type Runtime struct {
 	Eng   *sim.Engine
 	Net   *netem.Network
 	nodes map[netem.NodeID]*Node
-
-	// MeterBucket and MeterSlots configure node rate meters; the defaults
-	// resolve rates over windows up to ~30 s at 1 s granularity.
-	MeterBucket float64
-	MeterSlots  int
 
 	// MessagesDelivered counts every delivered message (all nodes).
 	MessagesDelivered uint64
@@ -144,11 +146,9 @@ type Runtime struct {
 // NewRuntime creates a runtime over the given emulated network.
 func NewRuntime(eng *sim.Engine, net *netem.Network) *Runtime {
 	return &Runtime{
-		Eng:         eng,
-		Net:         net,
-		nodes:       make(map[netem.NodeID]*Node),
-		MeterBucket: 1.0,
-		MeterSlots:  32,
+		Eng:   eng,
+		Net:   net,
+		nodes: make(map[netem.NodeID]*Node),
 	}
 }
 
@@ -193,8 +193,8 @@ func (rt *Runtime) NewNode(id netem.NodeID) *Node {
 	n := &Node{
 		rt:       rt,
 		ID:       id,
-		InMeter:  trace.NewRateMeter(rt.MeterBucket, rt.MeterSlots),
-		OutMeter: trace.NewRateMeter(rt.MeterBucket, rt.MeterSlots),
+		InMeter:  trace.NewRateMeter(meterBucket, meterSlots),
+		OutMeter: trace.NewRateMeter(meterBucket, meterSlots),
 		conns:    make(map[*Conn]struct{}),
 	}
 	rt.nodes[id] = n

@@ -192,27 +192,42 @@ func ComputeDelta(sig Signature, newData []byte) Delta {
 	return d
 }
 
-// Apply reconstructs the new file from the old file and the delta.
+// Apply reconstructs the new file from the old file and the delta. A
+// decoded delta is input Apply did not write: every op is checked against
+// old and d.NewLen before anything is multiplied or allocated, and the
+// output is sized by what the ops produce, not by what NewLen claims.
 func Apply(old []byte, d Delta) ([]byte, error) {
-	out := make([]byte, 0, d.NewLen)
+	if d.NewLen < 0 {
+		return nil, fmt.Errorf("rsyncx: negative new length %d", d.NewLen)
+	}
 	bs := d.BlockSize
+	n := 0 // bytes the ops produce
 	for _, op := range d.Ops {
 		switch op.Kind {
 		case OpCopy:
-			lo := op.Index * bs
-			hi := lo + bs
-			if lo < 0 || hi > len(old) {
+			if bs <= 0 {
+				return nil, fmt.Errorf("rsyncx: copy block %d with block size %d", op.Index, bs)
+			}
+			if op.Index < 0 || op.Index >= len(old)/bs {
 				return nil, fmt.Errorf("rsyncx: copy block %d out of range", op.Index)
 			}
-			out = append(out, old[lo:hi]...)
+			n += bs
 		case OpLiteral:
-			out = append(out, op.Data...)
+			n += len(op.Data)
 		default:
 			return nil, fmt.Errorf("rsyncx: unknown op kind %d", op.Kind)
 		}
 	}
-	if len(out) != d.NewLen {
-		return nil, fmt.Errorf("rsyncx: reconstructed %d bytes, want %d", len(out), d.NewLen)
+	if n != d.NewLen {
+		return nil, fmt.Errorf("rsyncx: reconstructed %d bytes, want %d", n, d.NewLen)
+	}
+	out := make([]byte, 0, n)
+	for _, op := range d.Ops {
+		if op.Kind == OpCopy {
+			out = append(out, old[op.Index*bs:(op.Index+1)*bs]...)
+		} else {
+			out = append(out, op.Data...)
+		}
 	}
 	return out, nil
 }

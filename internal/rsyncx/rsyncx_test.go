@@ -2,7 +2,10 @@ package rsyncx
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -156,6 +159,59 @@ func TestApplyBadCopy(t *testing.T) {
 	d := Delta{BlockSize: 512, NewLen: 512, Ops: []Op{{Kind: OpCopy, Index: 99}}}
 	if _, err := Apply(make([]byte, 1024), d); err == nil {
 		t.Fatal("out-of-range copy accepted")
+	}
+}
+
+// TestApplyRefusesLyingDelta feeds Apply deltas whose header or ops lie
+// about the old image or the output length. Each must be refused with its
+// own error, without a panic and without allocating for the claimed length.
+func TestApplyRefusesLyingDelta(t *testing.T) {
+	old := randomBytes(4096, 14)
+	rows := []struct {
+		name    string
+		d       Delta
+		wantErr string
+	}{
+		{"negative NewLen",
+			Delta{BlockSize: 2048, NewLen: -1},
+			"negative new length -1"},
+		// Decode accepts any 32-bit NewLen, so this header arrives as is.
+		{"NewLen beyond the ops",
+			Delta{BlockSize: 2048, NewLen: 0x7fffffff, Ops: []Op{{Kind: OpLiteral, Data: []byte("x")}}},
+			"reconstructed 1 bytes, want 2147483647"},
+		// Index*2048 is 2^63-2048: the block's end wraps negative.
+		{"copy index whose end overflows",
+			Delta{BlockSize: 2048, NewLen: 2048, Ops: []Op{{Kind: OpCopy, Index: 1<<52 - 1}}},
+			"copy block 4503599627370495 out of range"},
+		// Index*2048 is 2^64, which wraps to block 0's offset.
+		{"copy index that wraps to block 0",
+			Delta{BlockSize: 2048, NewLen: 2048, Ops: []Op{{Kind: OpCopy, Index: 1 << 53}}},
+			"copy block 9007199254740992 out of range"},
+		{"copy with a negative block size",
+			Delta{BlockSize: -1, NewLen: 0, Ops: []Op{{Kind: OpCopy, Index: 0}}},
+			"copy block 0 with block size -1"},
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := func() (err error) {
+				defer func() {
+					if p := recover(); p != nil {
+						err = fmt.Errorf("panic: %v", p)
+					}
+				}()
+				_, err = Apply(old, r.d)
+				return err
+			}()
+			runtime.ReadMemStats(&after)
+			if err == nil || !strings.Contains(err.Error(), r.wantErr) {
+				t.Fatalf("Apply error = %v, want %q", err, r.wantErr)
+			}
+			if n := after.TotalAlloc - before.TotalAlloc; n > 64<<10 {
+				t.Fatalf("Apply allocated %d bytes before refusing", n)
+			}
+		})
 	}
 }
 

@@ -1,62 +1,12 @@
 package trace
 
 import (
-	"bufio"
+	"bytes"
 	"fmt"
 	"math"
 	"sort"
 	"strings"
 )
-
-// ParseFigure reads the text format produced by Figure.Render (and by
-// cmd/bulletctl): a header, then "## series: LABEL" sections of "x y"
-// pairs. Summary-table lines before the first '#' are ignored.
-func ParseFigure(text string) (*Figure, error) {
-	fig := &Figure{}
-	var cur *Series
-	sc := bufio.NewScanner(strings.NewReader(text))
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		switch {
-		case line == "":
-		case strings.HasPrefix(line, "## series:"):
-			if cur != nil {
-				fig.Series = append(fig.Series, *cur)
-			}
-			cur = &Series{Label: strings.TrimSpace(strings.TrimPrefix(line, "## series:"))}
-		case strings.HasPrefix(line, "# x:"):
-			rest := strings.TrimPrefix(line, "# x:")
-			if i := strings.Index(rest, ", y:"); i >= 0 {
-				fig.XLabel = strings.TrimSpace(rest[:i])
-				fig.YLabel = strings.TrimSpace(rest[i+4:])
-			}
-		case strings.HasPrefix(line, "#"):
-			if fig.Title == "" {
-				fig.Title = strings.TrimSpace(strings.TrimPrefix(line, "#"))
-			}
-		default:
-			if cur == nil {
-				continue // summary-table rows
-			}
-			var x, y float64
-			if _, err := fmt.Sscanf(line, "%f %f", &x, &y); err != nil {
-				continue
-			}
-			cur.Points = append(cur.Points, [2]float64{x, y})
-		}
-	}
-	if cur != nil {
-		fig.Series = append(fig.Series, *cur)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if len(fig.Series) == 0 {
-		return nil, fmt.Errorf("trace: no series found")
-	}
-	return fig, nil
-}
 
 // plotGlyphs distinguish series in ASCII plots.
 var plotGlyphs = []byte{'*', 'o', '+', 'x', '#', '@', '%', '&'}
@@ -94,7 +44,7 @@ func (f *Figure) AsciiPlot(width, height int) string {
 
 	grid := make([][]byte, height)
 	for i := range grid {
-		grid[i] = bytes_Repeat(' ', width)
+		grid[i] = bytes.Repeat([]byte{' '}, width)
 	}
 	for si, s := range f.Series {
 		g := plotGlyphs[si%len(plotGlyphs)]
@@ -131,12 +81,4 @@ func (f *Figure) AsciiPlot(width, height int) string {
 		fmt.Fprintf(&b, "%s\n", l)
 	}
 	return b.String()
-}
-
-func bytes_Repeat(c byte, n int) []byte {
-	out := make([]byte, n)
-	for i := range out {
-		out[i] = c
-	}
-	return out
 }

@@ -19,48 +19,6 @@ func sampleFigure() *Figure {
 	}
 }
 
-func TestParseFigureRoundTrip(t *testing.T) {
-	fig := sampleFigure()
-	parsed, err := ParseFigure(fig.Render())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parsed.Title != "sample" {
-		t.Fatalf("title = %q", parsed.Title)
-	}
-	if parsed.XLabel != "time" || parsed.YLabel != "fraction" {
-		t.Fatalf("axes = %q/%q", parsed.XLabel, parsed.YLabel)
-	}
-	if len(parsed.Series) != 2 {
-		t.Fatalf("%d series", len(parsed.Series))
-	}
-	for i, s := range parsed.Series {
-		if len(s.Points) != len(fig.Series[i].Points) {
-			t.Fatalf("series %d: %d points, want %d", i, len(s.Points), len(fig.Series[i].Points))
-		}
-		if s.Label != fig.Series[i].Label {
-			t.Fatalf("series %d label %q", i, s.Label)
-		}
-	}
-}
-
-func TestParseFigureSkipsSummaryTable(t *testing.T) {
-	text := "header row      best  median\nsysA   1.0  2.0\n" + sampleFigure().Render()
-	parsed, err := ParseFigure(text)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(parsed.Series) != 2 {
-		t.Fatalf("%d series (summary rows leaked in?)", len(parsed.Series))
-	}
-}
-
-func TestParseFigureEmpty(t *testing.T) {
-	if _, err := ParseFigure("nothing here"); err == nil {
-		t.Fatal("accepted input without series")
-	}
-}
-
 func TestAsciiPlotContainsSeriesAndAxes(t *testing.T) {
 	out := sampleFigure().AsciiPlot(60, 15)
 	for _, want := range []string{"sample", "fast", "slow", "x: time", "*", "o", "|"} {
