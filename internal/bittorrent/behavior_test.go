@@ -11,9 +11,9 @@ func TestChokeReleasesClaims(t *testing.T) {
 	p := s.peers[1]
 	bc := &btConn{id: 2, remotePieces: s.peers[2].pieces.Clone()}
 	p.conns[2] = bc
-	p.claimed[5] = 2
-	p.claimed[6] = 2
-	p.claimed[7] = 3 // claimed elsewhere: untouched
+	p.claim(5, 2)
+	p.claim(6, 2)
+	p.claim(7, 3) // claimed elsewhere: untouched
 	bc.outstanding = 2
 	// Deliver a choke through the dispatch path.
 	c := p.node.Dial(2)
@@ -22,10 +22,10 @@ func TestChokeReleasesClaims(t *testing.T) {
 	if bc.outstanding != 0 {
 		t.Fatalf("outstanding = %d after choke, want 0", bc.outstanding)
 	}
-	if _, still := p.claimed[5]; still {
+	if p.claimed[5] != 0 {
 		t.Fatal("claim on choked peer not released")
 	}
-	if owner := p.claimed[7]; owner != 3 {
+	if owner := p.claimed[7]; owner != claimTag(3) {
 		t.Fatal("unrelated claim disturbed")
 	}
 }
@@ -109,8 +109,8 @@ func TestEndgameAllowsReRequest(t *testing.T) {
 	for b := 0; b < 30; b++ {
 		p.blocks.Add(b, 0)
 	}
-	p.claimed[30] = 2
-	p.claimed[31] = 2
+	p.claim(30, 2)
+	p.claim(31, 2)
 	bc3 := &btConn{id: 3, remotePieces: proto.NewBitmap(s.numPieces)}
 	for i := 0; i < s.numPieces; i++ {
 		bc3.remotePieces.Set(i)

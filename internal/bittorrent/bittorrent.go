@@ -50,10 +50,11 @@ const (
 	kindUnchoke
 )
 
+// A handshake carries a snapshot of the sender's piece bitmap. HAVE,
+// request and piece messages name one index (a piece or a block), carried
+// as a pointer into the session's immutable index table (Session.ref), so
+// sending one allocates nothing.
 type handshakeMsg struct{ pieces *proto.Bitmap }
-type haveMsg struct{ piece int }
-type requestMsg struct{ block int }
-type pieceMsg struct{ block int }
 
 // Config parameterizes a BitTorrent swarm.
 type Config struct {
@@ -72,6 +73,10 @@ type Session struct {
 	tracker   *tracker
 	peers     map[netem.NodeID]*btPeer
 	numPieces int
+	// index[i] == i for every block (and so every piece) index: the
+	// payloads that name one index point into it, and nothing writes it
+	// after NewSession.
+	index []int32
 
 	// Stats.
 	RequestsSent int
@@ -88,6 +93,10 @@ func NewSession(rt *proto.Runtime, cfg Config, rng *sim.RNG) *Session {
 		rng:       rng,
 		peers:     make(map[netem.NodeID]*btPeer),
 		numPieces: (cfg.NumBlocks + BlocksPerPiece - 1) / BlocksPerPiece,
+		index:     make([]int32, cfg.NumBlocks),
+	}
+	for i := range s.index {
+		s.index[i] = int32(i)
 	}
 	s.Swarm = &s.cfg.Swarm
 	s.tracker = &tracker{rng: rng.Stream("tracker")}
@@ -112,6 +121,11 @@ func (s *Session) memberOrder() []netem.NodeID {
 	return out
 }
 
+// ref is the payload naming index i; indexOf reads it back.
+func (s *Session) ref(i int) *int32 { return &s.index[i] }
+
+func indexOf(payload any) int { return int(*payload.(*int32)) }
+
 func (s *Session) pieceOf(block int) int { return block / BlocksPerPiece }
 
 func (s *Session) pieceBlocks(piece int) (lo, hi int) {
@@ -131,6 +145,7 @@ func (s *Session) pieceBlocks(piece int) (lo, hi int) {
 type tracker struct {
 	rng   *sim.RNG
 	known []netem.NodeID
+	pool  []netem.NodeID // sample's scratch
 }
 
 func (t *tracker) announce(id netem.NodeID) {
@@ -142,15 +157,17 @@ func (t *tracker) announce(id netem.NodeID) {
 	t.known = append(t.known, id)
 }
 
-// sample returns up to n random known peers excluding self.
+// sample returns up to n random known peers excluding self, valid until
+// the next call.
 func (t *tracker) sample(self netem.NodeID, n int) []netem.NodeID {
-	var pool []netem.NodeID
+	pool := t.pool[:0]
 	for _, k := range t.known {
 		if k != self {
 			pool = append(pool, k)
 		}
 	}
 	t.rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
+	t.pool = pool
 	if len(pool) > n {
 		pool = pool[:n]
 	}
@@ -194,12 +211,23 @@ type btPeer struct {
 	// (local-rarest-first state).
 	pieceAvail []int
 
-	// claimed maps sub-piece -> peer currently asked (endgame relaxes it).
-	claimed map[int]netem.NodeID
+	// claimed[b] is claimTag of the peer sub-piece b is currently asked
+	// from, 0 when it is asked from nobody (endgame relaxes it); nclaimed
+	// counts the nonzero entries. claim sizes it at the first claim, so a
+	// run's set-up does not pay for it, and nothing reads it while
+	// nclaimed is 0.
+	claimed  []int32
+	nclaimed int
 
-	// activePieces are partially downloaded pieces, preferred before
+	// activePieces[i] marks piece i partially downloaded, preferred before
 	// starting new pieces (strict priority, as in mainline BT).
-	activePieces map[int]bool
+	activePieces []bool
+
+	// Scratch reused for the life of the peer: pickBlock's rarest ties,
+	// connOrder's ids and rotateOptimistic's choked set.
+	ties   []int
+	ids    []netem.NodeID
+	choked []netem.NodeID
 
 	optimistic netem.NodeID
 	complete   bool
@@ -215,8 +243,7 @@ func newBTPeer(s *Session, id netem.NodeID) *btPeer {
 		pieces:       proto.NewBitmap(s.numPieces),
 		conns:        make(map[netem.NodeID]*btConn),
 		pieceAvail:   make([]int, s.numPieces),
-		claimed:      make(map[int]netem.NodeID),
-		activePieces: make(map[int]bool),
+		activePieces: make([]bool, s.numPieces),
 		optimistic:   -1,
 	}
 	if id == s.cfg.Source {
@@ -322,11 +349,7 @@ func (p *btPeer) onConnClose(c *proto.Conn) {
 			p.pieceAvail[i]--
 		}
 	}
-	for b, owner := range p.claimed {
-		if owner == bc.id {
-			delete(p.claimed, b)
-		}
-	}
+	p.releaseClaims(bc.id)
 }
 
 func (p *btPeer) onMessage(c *proto.Conn, m proto.Message) {
@@ -345,10 +368,10 @@ func (p *btPeer) onMessage(c *proto.Conn, m proto.Message) {
 		}
 		p.requestMore(bc)
 	case kindHave:
-		hv := m.Payload.(haveMsg)
-		if !bc.remotePieces.Get(hv.piece) {
-			bc.remotePieces.Set(hv.piece)
-			p.pieceAvail[hv.piece]++
+		piece := indexOf(m.Payload)
+		if !bc.remotePieces.Get(piece) {
+			bc.remotePieces.Set(piece)
+			p.pieceAvail[piece]++
 		}
 		p.requestMore(bc)
 	case kindChoke:
@@ -356,18 +379,14 @@ func (p *btPeer) onMessage(c *proto.Conn, m proto.Message) {
 		// Outstanding requests are implicitly cancelled by a choke; free
 		// the claims so the blocks can be fetched elsewhere.
 		bc.outstanding = 0
-		for b, owner := range p.claimed {
-			if owner == bc.id {
-				delete(p.claimed, b)
-			}
-		}
+		p.releaseClaims(bc.id)
 	case kindUnchoke:
 		bc.peerChoking = false
 		p.requestMore(bc)
 	case kindRequest:
-		p.serve(bc, m.Payload.(requestMsg).block)
+		p.serve(bc, indexOf(m.Payload))
 	case kindPiece:
-		p.onPiece(bc, m.Payload.(pieceMsg).block)
+		p.onPiece(bc, indexOf(m.Payload))
 	}
 }
 
@@ -382,7 +401,7 @@ func (p *btPeer) serve(bc *btConn, block int) {
 	bc.conn.Send(p.node, proto.Message{
 		Kind:    kindPiece,
 		Size:    p.s.cfg.BlockSize + 13,
-		Payload: pieceMsg{block: block},
+		Payload: p.s.ref(block),
 	})
 }
 
@@ -391,7 +410,7 @@ func (p *btPeer) onPiece(bc *btConn, block int) {
 	if bc.outstanding > 0 {
 		bc.outstanding--
 	}
-	delete(p.claimed, block)
+	p.unclaim(block)
 	now := p.s.rt.Now()
 	if !p.s.Arrived(p.node.ID, block, p.blocks, p.blocks.Add(block, now)) {
 		p.requestMore(bc)
@@ -401,11 +420,11 @@ func (p *btPeer) onPiece(bc *btConn, block int) {
 	p.activePieces[piece] = true
 	if p.pieceComplete(piece) {
 		p.pieces.Set(piece)
-		delete(p.activePieces, piece)
+		p.activePieces[piece] = false
 		// Announce to everyone (HAVE flood, as in the real protocol).
 		for _, id := range p.connOrder() {
 			other := p.conns[id]
-			other.conn.Send(p.node, proto.Message{Kind: kindHave, Size: 9, Payload: haveMsg{piece: piece}})
+			other.conn.Send(p.node, proto.Message{Kind: kindHave, Size: 9, Payload: p.s.ref(piece)})
 		}
 	}
 	if !p.complete && p.blocks.Complete() {
@@ -426,13 +445,15 @@ func (p *btPeer) pieceComplete(piece int) bool {
 	return true
 }
 
-// connOrder returns connection ids sorted (deterministic iteration).
+// connOrder returns connection ids sorted (deterministic iteration), valid
+// until the next call.
 func (p *btPeer) connOrder() []netem.NodeID {
-	ids := make([]netem.NodeID, 0, len(p.conns))
+	ids := p.ids[:0]
 	for id := range p.conns {
 		ids = append(ids, id)
 	}
 	slices.Sort(ids)
+	p.ids = ids
 	return ids
 }
 
@@ -447,36 +468,31 @@ func (p *btPeer) requestMore(bc *btConn) {
 		if !ok {
 			break
 		}
-		p.claimed[block] = bc.id
+		p.claim(block, bc.id)
 		bc.outstanding++
 		p.s.RequestsSent++
-		bc.conn.Send(p.node, proto.Message{Kind: kindRequest, Size: 17, Payload: requestMsg{block: block}})
+		bc.conn.Send(p.node, proto.Message{Kind: kindRequest, Size: 17, Payload: p.s.ref(block)})
 	}
 }
 
 // pickBlock chooses the next sub-piece to request from bc.
 func (p *btPeer) pickBlock(bc *btConn) (int, bool) {
 	endgame := p.inEndgame()
+	self := claimTag(bc.id)
 	usable := func(b int) bool {
 		if p.blocks.Have(b) {
 			return false
 		}
-		if owner, taken := p.claimed[b]; taken {
-			// Endgame mode: re-request in-flight blocks from other peers.
-			if !endgame || owner == bc.id {
-				return false
-			}
+		if p.nclaimed == 0 {
+			return true
 		}
-		return true
+		// Endgame mode: re-request in-flight blocks from other peers.
+		owner := p.claimed[b]
+		return owner == 0 || endgame && owner != self
 	}
-	// 1. Finish active pieces the remote has.
-	var actives []int
-	for piece := range p.activePieces {
-		actives = append(actives, piece)
-	}
-	slices.Sort(actives)
-	for _, piece := range actives {
-		if !bc.remotePieces.Get(piece) {
+	// 1. Finish active pieces the remote has, in piece order.
+	for piece, active := range p.activePieces {
+		if !active || !bc.remotePieces.Get(piece) {
 			continue
 		}
 		lo, hi := p.s.pieceBlocks(piece)
@@ -488,7 +504,7 @@ func (p *btPeer) pickBlock(bc *btConn) (int, bool) {
 	}
 	// 2. Start the rarest new piece the remote has.
 	bestPiece, bestAvail := -1, 1<<30
-	var ties []int
+	ties := p.ties[:0]
 	for piece := 0; piece < p.s.numPieces; piece++ {
 		if p.pieces.Get(piece) || p.activePieces[piece] || !bc.remotePieces.Get(piece) {
 			continue
@@ -514,6 +530,7 @@ func (p *btPeer) pickBlock(bc *btConn) (int, bool) {
 			ties = append(ties, piece)
 		}
 	}
+	p.ties = ties
 	if bestPiece == -1 {
 		return 0, false
 	}
@@ -532,7 +549,45 @@ func (p *btPeer) pickBlock(bc *btConn) (int, bool) {
 // inEndgame reports whether every missing block is already in flight.
 func (p *btPeer) inEndgame() bool {
 	missing := p.blocks.Missing()
-	return missing > 0 && missing <= len(p.claimed)+2
+	return missing > 0 && missing <= p.nclaimed+2
+}
+
+// claimTag is what claimed[b] holds while sub-piece b is asked from the
+// peer with the given id.
+func claimTag(id netem.NodeID) int32 { return int32(id) + 1 }
+
+// claim marks sub-piece b asked from the given peer; in endgame it moves a
+// claim already held by another.
+func (p *btPeer) claim(b int, from netem.NodeID) {
+	if p.claimed == nil {
+		p.claimed = make([]int32, p.s.cfg.NumBlocks)
+	}
+	if p.claimed[b] == 0 {
+		p.nclaimed++
+	}
+	p.claimed[b] = claimTag(from)
+}
+
+// unclaim marks sub-piece b asked from nobody.
+func (p *btPeer) unclaim(b int) {
+	if p.nclaimed > 0 && p.claimed[b] != 0 {
+		p.claimed[b] = 0
+		p.nclaimed--
+	}
+}
+
+// releaseClaims forgets every claim on the given peer, in one pass.
+func (p *btPeer) releaseClaims(from netem.NodeID) {
+	if p.nclaimed == 0 {
+		return
+	}
+	tag := claimTag(from)
+	for b, owner := range p.claimed {
+		if owner == tag {
+			p.claimed[b] = 0
+			p.nclaimed--
+		}
+	}
 }
 
 // rechoke runs the 10-second tit-for-tat choker.
@@ -586,13 +641,13 @@ func (p *btPeer) setChoke(bc *btConn, choke bool) {
 // rotateOptimistic picks a new optimistic unchoke every 30 s, giving choked
 // peers a chance to prove themselves (and cold-starting new leechers).
 func (p *btPeer) rotateOptimistic() {
-	ids := p.connOrder()
-	var choked []netem.NodeID
-	for _, id := range ids {
+	choked := p.choked[:0]
+	for _, id := range p.connOrder() {
 		if p.conns[id].amChoking {
 			choked = append(choked, id)
 		}
 	}
+	p.choked = choked
 	if len(choked) > 0 {
 		p.optimistic = choked[p.rng.Pick(len(choked))]
 		p.setChoke(p.conns[p.optimistic], false)

@@ -152,8 +152,8 @@ func TestEndgameDetection(t *testing.T) {
 	for b := 0; b < 30; b++ {
 		p.blocks.Add(b, 0)
 	}
-	p.claimed[30] = 2
-	p.claimed[31] = 2
+	p.claim(30, 2)
+	p.claim(31, 2)
 	if !p.inEndgame() {
 		t.Fatal("endgame not detected with all missing blocks in flight")
 	}

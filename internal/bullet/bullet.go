@@ -36,6 +36,9 @@ const (
 	pushQueueDepth = 3
 	// pushPumpInterval is the source/interior push pump period (s).
 	pushPumpInterval = 0.05
+	// availLimit caps the ids in one availability answer: plenty per
+	// period.
+	availLimit = 4 * MaxOutstanding * int(ReconcilePeriod)
 )
 
 // Message kinds (RanSub kinds >= 1000 pass through).
@@ -49,10 +52,51 @@ const (
 	kindBlock             // pulled block
 )
 
+// A recon carries a bitmap snapshot that nobody writes (bPeer.snapshot),
+// so every recon sent while the store is unchanged shares one. Requests,
+// pushed and pulled blocks name one block id, carried as a pointer into
+// the session's immutable index table (Session.ref), so sending one
+// allocates nothing.
 type reconMsg struct{ have *proto.Bitmap }
-type availMsg struct{ ids []int }
-type reqMsg struct{ id int }
-type blockMsg struct{ id int }
+
+// availMsg is a sender's availability answer. Answers are recycled through
+// the session's availList: onMessage puts one back once onAvail has copied
+// its ids.
+type availMsg struct {
+	ids  []int
+	live bool
+}
+
+// availList recycles availability answers for the life of a session, so
+// an answer reuses the id slice of one already read. An answer is live
+// from get until put. One that is never delivered — queued on a connection
+// that closed, addressed to a failed node — is never put back and falls to
+// the collector, so a dropped answer never corrupts a later one.
+type availList struct{ free []*availMsg }
+
+// get hands out an empty answer marked live.
+func (f *availList) get() *availMsg {
+	var m *availMsg
+	if n := len(f.free); n > 0 {
+		m = f.free[n-1]
+		f.free = f.free[:n-1]
+	} else {
+		m = new(availMsg)
+	}
+	m.live = true
+	return m
+}
+
+// put takes a delivered answer back. Returning one that is not live would
+// let two in-flight answers share it, so that panics.
+func (f *availList) put(m *availMsg) {
+	if !m.live {
+		panic("bullet: availability answer returned to its free list twice")
+	}
+	m.live = false
+	m.ids = m.ids[:0]
+	f.free = append(f.free, m)
+}
 
 // Config parameterizes a Bullet session.
 type Config struct {
@@ -76,6 +120,11 @@ type Session struct {
 	Tree  *tree.Tree
 	peers map[netem.NodeID]*bPeer
 
+	// index[i] == i for every block id: the payloads that name one block
+	// point into it, and nothing writes it after NewSession.
+	index  []int32
+	avails availList
+
 	// Stats.
 	RequestsSent int
 	TreeDropped  int // pushed blocks dropped for lack of child capacity
@@ -98,6 +147,10 @@ func NewSession(rt *proto.Runtime, cfg Config, rng *sim.RNG) *Session {
 		cfg:   cfg,
 		rng:   rng,
 		peers: make(map[netem.NodeID]*bPeer),
+		index: make([]int32, cfg.NumBlocks),
+	}
+	for i := range s.index {
+		s.index[i] = int32(i)
 	}
 	s.Swarm = &s.cfg.Swarm
 	s.Tree = tree.Build(cfg.Members, cfg.Source, cfg.TreeDegree, rng.Stream("tree"))
@@ -122,6 +175,11 @@ func (s *Session) Start() {
 		src.pushPump()
 	}
 }
+
+// ref is the payload naming block id; indexOf reads it back.
+func (s *Session) ref(id int) *int32 { return &s.index[id] }
+
+func indexOf(payload any) int { return int(*payload.(*int32)) }
 
 func isDataKind(kind int) bool { return kind == kindBlock || kind == kindPush }
 
@@ -154,7 +212,20 @@ type bPeer struct {
 
 	senders   map[netem.NodeID]*sender
 	receivers map[netem.NodeID]*receiver
-	claimed   map[int]netem.NodeID
+	// claimed[b] is claimTag of the sender block b is requested from, 0
+	// when it is requested from nobody. addSender sizes it for the first
+	// sender, so a run's set-up does not pay for it.
+	claimed []int32
+
+	// snap is the last snapshot of the store's bitmap, taken when the store
+	// held snapCount blocks; recons share it until the store grows.
+	snap      *proto.Bitmap
+	snapCount int
+
+	// Scratch reused for the life of the peer: sortedSenders' result and
+	// onDistribute's ranked candidates.
+	sorted []*sender
+	cs     []scoredCandidate
 
 	// Tree push state.
 	treeChildren []*proto.Conn
@@ -174,7 +245,6 @@ func newBPeer(s *Session, id netem.NodeID) *bPeer {
 		isSource:  id == s.cfg.Source,
 		senders:   make(map[netem.NodeID]*sender),
 		receivers: make(map[netem.NodeID]*receiver),
-		claimed:   make(map[int]netem.NodeID),
 	}
 	if p.isSource {
 		if s.cfg.StreamBps <= 0 {
@@ -239,7 +309,7 @@ func (p *bPeer) onMessage(c *proto.Conn, m proto.Message) {
 	}
 	switch m.Kind {
 	case kindPush:
-		p.onPush(m.Payload.(blockMsg))
+		p.onPush(indexOf(m.Payload))
 	case kindHello:
 		p.onHello(c)
 	case kindReject:
@@ -249,11 +319,16 @@ func (p *bPeer) onMessage(c *proto.Conn, m proto.Message) {
 	case kindRecon:
 		p.onRecon(c, m.Payload.(reconMsg))
 	case kindAvail:
-		p.onAvail(c, m.Payload.(availMsg))
+		am := m.Payload.(*availMsg)
+		if !am.live {
+			panic("bullet: availability answer delivered after it was returned to its free list")
+		}
+		p.onAvail(c, am)
+		p.s.avails.put(am)
 	case kindReq:
-		p.onReq(c, m.Payload.(reqMsg))
+		p.onReq(c, indexOf(m.Payload))
 	case kindBlock:
-		p.onBlockArrival(c, m.Payload.(blockMsg))
+		p.onBlockArrival(c, indexOf(m.Payload))
 	}
 }
 
@@ -296,7 +371,7 @@ func (p *bPeer) forwardToOneChild(id int) bool {
 		c.Send(p.node, proto.Message{
 			Kind:    kindPush,
 			Size:    p.s.cfg.BlockSize + 12,
-			Payload: blockMsg{id: id},
+			Payload: p.s.ref(id),
 		})
 		p.s.PushesSent++
 		return true
@@ -308,10 +383,10 @@ func (p *bPeer) forwardToOneChild(id int) bool {
 // nodes keep the stream flowing down, disjointly). If all child pipes are
 // full the forward is dropped: the mesh will recover it — that lossy
 // forwarding is Bullet's core design point.
-func (p *bPeer) onPush(bm blockMsg) {
-	p.accept(bm.id)
+func (p *bPeer) onPush(id int) {
+	p.accept(id)
 	if len(p.treeChildren) > 0 {
-		if !p.forwardToOneChild(bm.id) {
+		if !p.forwardToOneChild(id) {
 			p.s.TreeDropped++
 		}
 	}
@@ -334,11 +409,7 @@ func (p *bPeer) onDistribute(epoch int, set []ransub.Candidate) {
 		}
 	}
 	// Fill up to the fixed target, preferring useful candidates.
-	type scored struct {
-		id netem.NodeID
-		u  float64
-	}
-	var cs []scored
+	cs := p.cs[:0]
 	for _, c := range set {
 		if c.ID == p.node.ID || c.Summary == nil || c.Summary.Count == 0 {
 			continue
@@ -350,10 +421,11 @@ func (p *bPeer) onDistribute(epoch int, set []ransub.Candidate) {
 		if u <= 0 {
 			continue
 		}
-		cs = append(cs, scored{c.ID, u})
+		cs = append(cs, scoredCandidate{c.ID, u})
 	}
+	p.cs = cs
 	// A total order (candidate ids are distinct), so any sort agrees.
-	slices.SortFunc(cs, func(a, b scored) int {
+	slices.SortFunc(cs, func(a, b scoredCandidate) int {
 		return cmp.Or(cmp.Compare(b.u, a.u), cmp.Compare(a.id, b.id))
 	})
 	for _, c := range cs {
@@ -364,16 +436,27 @@ func (p *bPeer) onDistribute(epoch int, set []ransub.Candidate) {
 	}
 }
 
+// scoredCandidate is one onDistribute ranking entry.
+type scoredCandidate struct {
+	id netem.NodeID
+	u  float64
+}
+
+// sortedSenders returns the senders in id order, valid until the next call.
 func (p *bPeer) sortedSenders() []*sender {
-	out := make([]*sender, 0, len(p.senders))
+	out := p.sorted[:0]
 	for _, sp := range p.senders {
 		out = append(out, sp)
 	}
 	slices.SortFunc(out, func(a, b *sender) int { return cmp.Compare(a.id, b.id) })
+	p.sorted = out
 	return out
 }
 
 func (p *bPeer) addSender(id netem.NodeID) {
+	if p.claimed == nil {
+		p.claimed = make([]int32, p.s.cfg.NumBlocks)
+	}
 	c := p.node.Dial(id)
 	c.IsData = isDataKind
 	sp := &sender{id: id, conn: c, gotUseful: p.s.rt.Now()}
@@ -381,11 +464,22 @@ func (p *bPeer) addSender(id netem.NodeID) {
 	c.SetState(p.node, sp)
 	c.Send(p.node, proto.Message{Kind: kindHello, Size: 16})
 	// Kick off reconciliation for this sender immediately.
-	c.Send(p.node, proto.Message{
-		Kind:    kindRecon,
-		Size:    p.store.Bitmap().WireSize() + 16,
-		Payload: reconMsg{have: p.store.Bitmap().Clone()},
-	})
+	p.sendRecon(sp)
+}
+
+// sendRecon sends the store's bitmap to a sender: "what do you have for me?"
+func (p *bPeer) sendRecon(sp *sender) {
+	have := p.snapshot()
+	sp.conn.Send(p.node, proto.Message{Kind: kindRecon, Size: have.WireSize() + 16, Payload: reconMsg{have: have}})
+}
+
+// snapshot returns an immutable copy of the store's bitmap, taken afresh
+// only when the store has grown since the last one (a store only adds).
+func (p *bPeer) snapshot() *proto.Bitmap {
+	if p.snap == nil || p.snapCount != p.store.Count() {
+		p.snap, p.snapCount = p.store.Bitmap().Clone(), p.store.Count()
+	}
+	return p.snap
 }
 
 // dropSender ends a mesh peering and releases the blocks claimed from the
@@ -396,9 +490,10 @@ func (p *bPeer) dropSender(sp *sender, closeConn bool) {
 	}
 	sp.closed = true
 	delete(p.senders, sp.id)
+	tag := claimTag(sp.id)
 	for id, owner := range p.claimed {
-		if owner == sp.id {
-			delete(p.claimed, id)
+		if owner == tag {
+			p.claimed[id] = 0
 		}
 	}
 	if closeConn {
@@ -414,11 +509,7 @@ func (p *bPeer) reconcile() {
 		return
 	}
 	for _, sp := range p.sortedSenders() {
-		sp.conn.Send(p.node, proto.Message{
-			Kind:    kindRecon,
-			Size:    p.store.Bitmap().WireSize() + 16,
-			Payload: reconMsg{have: p.store.Bitmap().Clone()},
-		})
+		p.sendRecon(sp)
 	}
 	if p.s.rt.Tracer != nil {
 		p.s.rt.Trace("reconcile", p.node.ID, -1, fmt.Sprintf("%d senders", len(p.senders)))
@@ -444,25 +535,32 @@ func (p *bPeer) onHello(c *proto.Conn) {
 
 // onRecon answers with the ids the requester is missing that we hold.
 func (p *bPeer) onRecon(c *proto.Conn, rm reconMsg) {
-	var ids []int
-	limit := 4 * MaxOutstanding * int(ReconcilePeriod) // plenty per period
+	am := p.s.avails.get()
+	if am.ids == nil {
+		am.ids = make([]int, 0, availLimit) // kept while the answer is recycled
+	}
+	ids := am.ids
 	held, _ := p.store.ArrivalsSince(0)
 	for _, b := range held {
 		if b < rm.have.Len() && !rm.have.Get(b) {
 			ids = append(ids, b)
-			if len(ids) >= limit {
+			if len(ids) >= availLimit {
 				break
 			}
 		}
 	}
-	c.Send(p.node, proto.Message{Kind: kindAvail, Size: float64(float64(len(ids))*4) + 16, Payload: availMsg{ids: ids}})
+	am.ids = ids
+	c.Send(p.node, proto.Message{Kind: kindAvail, Size: float64(float64(len(ids))*4) + 16, Payload: am})
 }
 
 // onAvail merges an availability answer and issues requests.
-func (p *bPeer) onAvail(c *proto.Conn, am availMsg) {
+func (p *bPeer) onAvail(c *proto.Conn, am *availMsg) {
 	sp, ok := c.State(p.node).(*sender)
 	if !ok || sp.closed {
 		return
+	}
+	if sp.avail == nil {
+		sp.avail = make([]int, 0, availLimit)
 	}
 	sp.avail = sp.avail[:0]
 	for _, id := range am.ids {
@@ -487,26 +585,26 @@ func (p *bPeer) fill(sp *sender) {
 		if p.store.Have(id) {
 			continue
 		}
-		if _, taken := p.claimed[id]; taken {
+		if p.claimed[id] != 0 {
 			continue
 		}
-		p.claimed[id] = sp.id
+		p.claimed[id] = claimTag(sp.id)
 		sp.outstanding++
 		p.s.RequestsSent++
-		sp.conn.Send(p.node, proto.Message{Kind: kindReq, Size: 16, Payload: reqMsg{id: id}})
+		sp.conn.Send(p.node, proto.Message{Kind: kindReq, Size: 16, Payload: p.s.ref(id)})
 	}
 }
 
 // onReq serves a block.
-func (p *bPeer) onReq(c *proto.Conn, rm reqMsg) {
-	if !p.store.Have(rm.id) {
+func (p *bPeer) onReq(c *proto.Conn, id int) {
+	if !p.store.Have(id) {
 		return
 	}
-	c.Send(p.node, proto.Message{Kind: kindBlock, Size: p.s.cfg.BlockSize + 12, Payload: blockMsg{id: rm.id}})
+	c.Send(p.node, proto.Message{Kind: kindBlock, Size: p.s.cfg.BlockSize + 12, Payload: p.s.ref(id)})
 }
 
 // onBlockArrival handles a pulled block.
-func (p *bPeer) onBlockArrival(c *proto.Conn, bm blockMsg) {
+func (p *bPeer) onBlockArrival(c *proto.Conn, id int) {
 	sp, ok := c.State(p.node).(*sender)
 	if !ok || sp.closed {
 		return
@@ -514,8 +612,8 @@ func (p *bPeer) onBlockArrival(c *proto.Conn, bm blockMsg) {
 	if sp.outstanding > 0 {
 		sp.outstanding--
 	}
-	delete(p.claimed, bm.id)
-	if p.accept(bm.id) {
+	p.claimed[id] = 0
+	if p.accept(id) {
 		sp.gotUseful = p.s.rt.Now()
 	}
 	p.fill(sp)
@@ -534,6 +632,10 @@ func (p *bPeer) accept(id int) bool {
 	}
 	return true
 }
+
+// claimTag is what claimed[b] holds while block b is requested from the
+// sender with the given id.
+func claimTag(id netem.NodeID) int32 { return int32(id) + 1 }
 
 func (p *bPeer) onConnClose(c *proto.Conn) {
 	switch st := c.State(p.node).(type) {

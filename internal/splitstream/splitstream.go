@@ -27,12 +27,10 @@ const pushQueueDepth = 4
 // pumpInterval is the source/interior push pump period in seconds.
 const pumpInterval = 0.05
 
-const kindBlock = 1 // stripe data block
-
-type blockMsg struct {
-	stripe int
-	id     int
-}
+// kindBlock is a stripe data block. Its payload names the block id as a
+// pointer into the session's immutable index table (Session.ref), so
+// sending one allocates nothing; the stripe is stripeOf(id).
+const kindBlock = 1
 
 // Config parameterizes a SplitStream session.
 type Config struct {
@@ -69,6 +67,10 @@ type Session struct {
 	peers map[netem.NodeID]*ssPeer
 	trees []*stripeTree
 
+	// index[i] == i for every block id: block payloads point into it, and
+	// nothing writes it after NewSession.
+	index []int32
+
 	// BlocksForwarded counts interior-node forwards (stats).
 	BlocksForwarded int
 }
@@ -97,6 +99,10 @@ func NewSession(rt *proto.Runtime, cfg Config, rng *sim.RNG) *Session {
 		cfg:   cfg,
 		rng:   rng,
 		peers: make(map[netem.NodeID]*ssPeer),
+		index: make([]int32, cfg.NumBlocks),
+	}
+	for i := range s.index {
+		s.index[i] = int32(i)
 	}
 	s.Swarm = &s.cfg.Swarm
 	s.buildTrees()
@@ -200,6 +206,9 @@ func (s *Session) Start() {
 // stripeOf maps a block to its stripe (blocks striped round-robin).
 func (s *Session) stripeOf(block int) int { return block % s.cfg.Stripes }
 
+// ref is the payload naming block id.
+func (s *Session) ref(id int) *int32 { return &s.index[id] }
+
 // childLink is one downstream edge in one stripe tree, with an independent
 // cursor into the stripe's forward log so a slow child never head-of-line
 // blocks its siblings.
@@ -248,15 +257,15 @@ func (p *ssPeer) onMessage(c *proto.Conn, m proto.Message) {
 	if m.Kind != kindBlock {
 		return
 	}
-	bm := m.Payload.(blockMsg)
+	id := int(*m.Payload.(*int32))
 	now := p.s.rt.Now()
-	if p.s.Arrived(p.node.ID, bm.id, p.store, p.store.Add(bm.id, now)) && !p.complete && p.store.Complete() {
+	if p.s.Arrived(p.node.ID, id, p.store, p.store.Add(id, now)) && !p.complete && p.store.Complete() {
 		p.complete = true
 		p.s.Completed(p.node.ID, now)
 	}
 	// Forward down this stripe's tree if we are interior in it.
-	if len(p.out[bm.stripe]) > 0 {
-		p.fwdLog[bm.stripe] = append(p.fwdLog[bm.stripe], bm.id)
+	if st := p.s.stripeOf(id); len(p.out[st]) > 0 {
+		p.fwdLog[st] = append(p.fwdLog[st], id)
 		p.pump()
 	}
 }
@@ -300,7 +309,7 @@ func (p *ssPeer) pump() {
 				link.conn.Send(p.node, proto.Message{
 					Kind:    kindBlock,
 					Size:    p.s.cfg.BlockSize + 12,
-					Payload: blockMsg{stripe: st, id: id},
+					Payload: p.s.ref(id),
 				})
 				if p.node.ID != p.s.cfg.Source {
 					p.s.BlocksForwarded++
