@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"bulletprime/internal/netem"
+	"bulletprime/internal/ransub"
 	"bulletprime/internal/sim"
 )
 
@@ -125,6 +126,66 @@ func TestGoldenDigests(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			if got := goldenDigest(t, tc.mut, tc.during, tc.deadline); got != tc.want {
 				t.Fatalf("digest %s, want %s", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestSenderBytesGolden pins the per-block memory Bullet' senders hold
+// (senderBytes: availability arrays by capacity, advertised bitmaps and
+// rate meters), live and spare, on two runs of the TestGoldenDigests rig:
+// one without failures and one with its two waves of sender crashes. Each
+// count is taken at the end of the run and at its peak over every peer's
+// RanSub distribute, the step that trims, reaps and replaces senders. The
+// counts are pure functions of the run, so memory a change adds shows here
+// as a number.
+func TestSenderBytesGolden(t *testing.T) {
+	crash := func(r *rig) {
+		for _, wave := range []struct {
+			at  sim.Time
+			ids []netem.NodeID
+		}{{6, []netem.NodeID{5, 11, 17, 23}}, {14, []netem.NodeID{8, 29, 35}}} {
+			r.eng.Schedule(wave.at, func() {
+				for _, id := range wave.ids {
+					r.rt.Node(id).Fail()
+				}
+			})
+		}
+	}
+	cases := []struct {
+		name   string
+		during func(*rig)
+		digest string
+		// live and spare bytes at the end, then the peak of each.
+		want [4]int
+	}{
+		{"static", nil, "c7a27c9ae22ad2254e0974726380287fe3de8345fcd83a67439b04129c00901b", [4]int{141248, 40336, 181584, 40336}},
+		{"churn", crash, "5d04549332b73f613406a233b84975d43810c39d55e7e54a906cce465884f937", [4]int{112328, 18776, 131104, 18776}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var s *Session
+			var peakLive, peakSpare int
+			during := func(r *rig) {
+				s = r.sess
+				for _, p := range s.peers {
+					distribute := p.rs.OnDistribute
+					p.rs.OnDistribute = func(epoch int, set []ransub.Candidate) {
+						distribute(epoch, set)
+						live, spare := s.senderBytes()
+						peakLive, peakSpare = max(peakLive, live), max(peakSpare, spare)
+					}
+				}
+				if tc.during != nil {
+					tc.during(r)
+				}
+			}
+			if got := goldenDigest(t, nil, during, 600); got != tc.digest {
+				t.Fatalf("digest %s, want %s", got, tc.digest)
+			}
+			live, spare := s.senderBytes()
+			if got := [4]int{live, spare, peakLive, peakSpare}; got != tc.want {
+				t.Fatalf("sender bytes (live, spare at the end; peak live, peak spare) = %v, want %v", got, tc.want)
 			}
 		})
 	}

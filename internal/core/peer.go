@@ -59,11 +59,15 @@ type peer struct {
 
 	// Scratch reused for the life of the peer, so the per-message and
 	// per-epoch loops build no containers: pickBlock's tie list, the sender
-	// snapshot of the loops that drop as they go, and acquireSenders'
-	// ranking.
-	ties   []int
-	sweep  []*senderPeer
-	scored []scoredCandidate
+	// snapshot of the loops that drop as they go, acquireSenders' ranking
+	// and the two trim rankings. No loop over one reaches the function that
+	// fills it again: dropSender and dropReceiver deliver nothing
+	// synchronously.
+	ties         []int
+	sweep        []*senderPeer
+	scored       []scoredCandidate
+	outSenders   []*senderPeer
+	outReceivers []*receiverPeer
 
 	// The Figure 2 hill climb, once per side: MAX_SENDERS climbs on
 	// incoming bandwidth, MAX_RECEIVERS on outgoing.
@@ -231,11 +235,13 @@ func (p *peer) addSender(id netem.NodeID) {
 	}
 	c := p.node.Dial(id)
 	c.IsData = isDataKind
+	spare := p.s.takeSpare()
 	sp := &senderPeer{
 		id:          id,
 		conn:        c,
-		advertised:  *proto.NewBitmap(p.s.maxBlockID()),
-		meter:       *trace.NewRateMeter(0.5, 24),
+		avail:       spare.avail,
+		advertised:  spare.advertised,
+		meter:       spare.meter,
 		desired:     float64(InitialOutstanding),
 		markBlock:   -2,
 		lastArrival: p.s.rt.Now(),
@@ -250,7 +256,8 @@ func (p *peer) addSender(id netem.NodeID) {
 	c.Send(p.node, proto.Message{Kind: kindHello, Size: 16})
 }
 
-// dropSender closes the peering and reclaims its outstanding requests.
+// dropSender closes the peering, reclaims its outstanding requests and
+// gives its per-block memory to the session's spares.
 func (p *peer) dropSender(sp *senderPeer, closeConn bool) {
 	if sp.closed {
 		return
@@ -268,6 +275,7 @@ func (p *peer) dropSender(sp *senderPeer, closeConn bool) {
 			p.unclaim(id)
 		}
 	})
+	p.s.putSpare(sp)
 	if closeConn {
 		sp.conn.Close(p.node)
 	}
@@ -284,13 +292,16 @@ func (p *peer) onReject(c *proto.Conn) {
 	}
 }
 
-// onDiff merges newly advertised blocks into the sender's availability.
+// onDiff merges newly advertised blocks into the sender's availability. The
+// ids it adds are collected first and appended in one call, so that a long
+// diff grows the list at most once, and by what it adds, not by its length.
 func (p *peer) onDiff(c *proto.Conn, d *diffMsg) {
 	sp, ok := c.State(p.node).(*senderPeer)
 	if !ok || sp.closed {
 		return
 	}
 	added := 0
+	fresh := p.s.fresh[:0]
 	for _, id := range d.ids {
 		if id >= p.store.NumBlocks() || !sp.advertised.Set(id) {
 			continue
@@ -303,9 +314,11 @@ func (p *peer) onDiff(c *proto.Conn, d *diffMsg) {
 		p.rarity[id]++
 		added++
 		if !p.store.Have(id) {
-			sp.avail = append(sp.avail, int32(id))
+			fresh = append(fresh, int32(id))
 		}
 	}
+	sp.avail = append(sp.avail, fresh...)
+	p.s.fresh = fresh
 	if added > 0 {
 		sp.lastUseful = p.s.rt.Now()
 	}
@@ -861,19 +874,21 @@ func (p *peer) enforcePeerTargets() {
 // lowest score first, exempt members (when there is such a rule) left out;
 // nobody when the set is already at its floor or the scores are all
 // approximately equal.
-func sigmaOutliers[P interface{ nodeID() netem.NodeID }](set idList[P], floor int, score func(P) float64, exempt func(P) bool) []P {
+//
+// The result is out's array refilled from the start.
+func sigmaOutliers[P interface{ nodeID() netem.NodeID }](out []P, set idList[P], floor int, score func(P) float64, exempt func(P) bool) []P {
+	out = out[:0]
 	if len(set) <= floor {
-		return nil
+		return out
 	}
 	var st trace.Stats
 	for _, x := range set {
 		st.Add(score(x))
 	}
 	if st.Std() <= 0 {
-		return nil
+		return out
 	}
 	cut := st.Mean() - float64(TrimSigma*st.Std())
-	var out []P
 	for _, x := range set {
 		if score(x) < cut && (exempt == nil || !exempt(x)) {
 			out = append(out, x)
@@ -889,7 +904,8 @@ func sigmaOutliers[P interface{ nodeID() netem.NodeID }](set idList[P], floor in
 func (p *peer) trimSenders(now sim.Time) {
 	young := func(sp *senderPeer) bool { return float64(now-sp.addedAt) < ranSubPeriod }
 	rate := func(sp *senderPeer) float64 { return sp.rate }
-	for _, sp := range sigmaOutliers(p.senders, p.trimFloor(), rate, young) {
+	p.outSenders = sigmaOutliers(p.outSenders, p.senders, p.trimFloor(), rate, young)
+	for _, sp := range p.outSenders {
 		if len(p.senders) <= p.trimFloor() {
 			break
 		}
@@ -923,7 +939,8 @@ func (p *peer) trimReceivers() {
 		}
 		return rp.rate / total
 	}
-	for _, rp := range sigmaOutliers(p.receivers, p.trimFloor(), ratio, nil) {
+	p.outReceivers = sigmaOutliers(p.outReceivers, p.receivers, p.trimFloor(), ratio, nil)
+	for _, rp := range p.outReceivers {
 		if len(p.receivers) <= p.trimFloor() {
 			break
 		}

@@ -112,6 +112,13 @@ type Session struct {
 	reqs   freeList[reqMsg, *reqMsg]
 	blocks freeList[blockMsg, *blockMsg]
 
+	// spares is the per-block memory of dropped senders, cleared, for the
+	// next addSender anywhere in the session to take before it allocates.
+	spares []senderSpare
+	// fresh is onDiff's scratch: the ids one diff adds to a sender's
+	// availability list, collected so that the list grows at most once.
+	fresh []int32
+
 	// Stats aggregated across all nodes.
 	RequestsSent int
 	DiffsSent    int
@@ -212,6 +219,68 @@ func (s *Session) String() string {
 		len(s.cfg.Members), s.cfg.NumBlocks, s.cfg.BlockSize, s.cfg.Strategy)
 }
 
+// A sender's rate meter has meterSlots buckets of meterBucket seconds, each
+// meterSlotBytes bytes (a float64 and an int64).
+const (
+	meterBucket    = 0.5
+	meterSlots     = 24
+	meterSlotBytes = 16
+)
+
+// senderSpare is the per-block memory a dropped sender gives back: its
+// availability array emptied, its advertised bitmap and its meter cleared.
+type senderSpare struct {
+	avail      []int32
+	advertised proto.Bitmap
+	meter      trace.RateMeter
+}
+
+// takeSpare hands out the memory putSpare took back most recently, or new
+// memory when none is spare. Either way it reads as freshly made.
+func (s *Session) takeSpare() senderSpare {
+	n := len(s.spares)
+	if n == 0 {
+		return senderSpare{
+			advertised: *proto.NewBitmap(s.maxBlockID()),
+			meter:      *trace.NewRateMeter(meterBucket, meterSlots),
+		}
+	}
+	sp := s.spares[n-1]
+	s.spares[n-1] = senderSpare{}
+	s.spares = s.spares[:n-1]
+	return sp
+}
+
+// putSpare takes a dropped sender's per-block memory back, cleared, and
+// leaves the sender holding none of it. Every reader of the three fields
+// returns on sp.closed first; one that did not would panic on the zero
+// bitmap or meter rather than read memory another sender has taken over.
+func (s *Session) putSpare(sp *senderPeer) {
+	sp.advertised.Reset()
+	sp.meter.Reset()
+	s.spares = append(s.spares, senderSpare{avail: sp.avail[:0], advertised: sp.advertised, meter: sp.meter})
+	sp.avail, sp.advertised, sp.meter = nil, proto.Bitmap{}, trace.RateMeter{}
+}
+
+// senderBytes is the per-block memory Bullet' senders hold, counted from
+// len and cap: four bytes per availability slot, eight per bitmap word and
+// meterSlotBytes per meter slot, for the live senders of every peer and for
+// the session's spares.
+func (s *Session) senderBytes() (live, spare int) {
+	size := func(avail []int32, advertised *proto.Bitmap) int {
+		return cap(avail)*4 + int(advertised.WireSize()) + meterSlots*meterSlotBytes
+	}
+	for _, p := range s.peers {
+		for _, sp := range p.senders {
+			live += size(sp.avail, &sp.advertised)
+		}
+	}
+	for i := range s.spares {
+		spare += size(s.spares[i].avail, &s.spares[i].advertised)
+	}
+	return live, spare
+}
+
 // senderPeer is the receiver-side state for one mesh sender (a node we
 // pull blocks from).
 type senderPeer struct {
@@ -229,6 +298,9 @@ type senderPeer struct {
 	// meter measures arrival bandwidth from this sender for the
 	// flow-control formula ("bandwidth measured at the receiver", §3.3.3).
 	meter trace.RateMeter
+	// All three come from the session's spares and go back to them when
+	// the sender is dropped, which leaves a closed sender holding none:
+	// nil avail, a zero bitmap and a zero meter.
 
 	outstanding int
 	// desired is the ManageOutstanding controller state (float; ceiling

@@ -80,6 +80,9 @@ func (b *Bitmap) Clone() *Bitmap {
 	return &Bitmap{n: b.n, words: w}
 }
 
+// Reset clears every bit, keeping the words for reuse.
+func (b *Bitmap) Reset() { clear(b.words) }
+
 // WireSize returns the serialized size of the bitmap in bytes.
 func (b *Bitmap) WireSize() float64 { return float64(len(b.words) * 8) }
 

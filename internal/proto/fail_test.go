@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -26,6 +27,34 @@ func TestFailClosesConnsAndNotifiesPeers(t *testing.T) {
 	}
 	if a.Conns() != 0 {
 		t.Fatalf("failed node still has %d conns", a.Conns())
+	}
+}
+
+// TestFailClosesInDialOrder checks that a failing node's peers hear of it
+// in the order the connections were dialed, whichever side dialed, and not
+// in the order of a map walk: with equal delays the notifications are due
+// at one instant, and the engine runs them in the order they were made.
+func TestFailClosesInDialOrder(t *testing.T) {
+	want := []netem.NodeID{5, 3, 1, 4, 2}
+	for trial := 0; trial < 20; trial++ {
+		eng, rt := newRig(6)
+		var got []netem.NodeID
+		for id := netem.NodeID(1); id < 6; id++ {
+			n := rt.Node(id)
+			n.OnClose = func(*Conn) { got = append(got, n.ID) }
+		}
+		a := rt.Node(0)
+		a.Dial(5)
+		a.Dial(3)
+		a.Dial(1)
+		rt.Node(4).Dial(0)
+		rt.Node(2).Dial(0)
+		eng.RunUntil(0.1)
+		a.Fail()
+		eng.Run()
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: peers notified in order %v, want the dial order %v", trial, got, want)
+		}
 	}
 }
 

@@ -33,7 +33,9 @@
 package proto
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"bulletprime/internal/netem"
 	"bulletprime/internal/obs"
@@ -141,6 +143,9 @@ type Runtime struct {
 	msgFree  *msgNode // message-node pool
 	msgLen   int
 	msgChunk []msgNode // nodes not yet handed out, carved on pool misses
+
+	dials   uint64  // connections dialed so far: the next Conn.seq
+	failing []*Conn // Fail's scratch: the failing node's connections
 }
 
 // NewRuntime creates a runtime over the given emulated network.
@@ -256,9 +261,18 @@ func (n *Node) Fail() {
 	n.OnMessage = nil
 	n.OnAccept = nil
 	n.OnClose = nil
+	// Close in dial order, not the map's: each close schedules its peer's
+	// callback, and nothing in a run may follow map iteration order.
+	cs := n.rt.failing[:0]
 	for c := range n.conns {
+		cs = append(cs, c)
+	}
+	slices.SortFunc(cs, func(a, b *Conn) int { return cmp.Compare(a.seq, b.seq) })
+	for _, c := range cs {
 		c.Close(n)
 	}
+	clear(cs)
+	n.rt.failing = cs
 }
 
 // Dead reports whether Fail has been called.
@@ -295,6 +309,7 @@ const (
 // Conn is a bidirectional reliable connection between two nodes.
 type Conn struct {
 	rt      *Runtime
+	seq     uint64 // dial order within the runtime
 	dialer  *Node
 	target  *Node
 	h       [2]half // [0] dialer->target, [1] target->dialer
@@ -331,7 +346,8 @@ func (n *Node) Dial(to netem.NodeID) *Conn {
 		return c
 	}
 	now := n.rt.Eng.Now()
-	c := &Conn{rt: n.rt, dialer: n, target: remote, readyAt: now}
+	n.rt.dials++
+	c := &Conn{rt: n.rt, seq: n.rt.dials, dialer: n, target: remote, readyAt: now}
 	c.h[0] = half{conn: c, from: n, to: remote, idleSince: now}
 	c.h[1] = half{conn: c, from: remote, to: n, idleSince: now}
 	n.conns[c] = struct{}{}

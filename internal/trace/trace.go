@@ -56,6 +56,10 @@ func (m *RateMeter) Add(t sim.Time, n float64) {
 	m.total += n
 }
 
+// Reset forgets everything recorded, keeping the slots for reuse: the meter
+// then reads as a new one of its width and slot count does.
+func (m *RateMeter) Reset() { clear(m.slots); m.total = 0 }
+
 // Total returns all bytes ever recorded.
 func (m *RateMeter) Total() float64 { return m.total }
 
