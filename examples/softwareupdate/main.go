@@ -23,7 +23,9 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"maps"
 	"math/rand"
+	"slices"
 
 	"bulletprime"
 	"bulletprime/internal/harness"
@@ -41,10 +43,12 @@ func main() {
 		rng.Read(data)
 		v1[fmt.Sprintf("bin/module%02d.so", i)] = data
 	}
+	// The edits draw from rng, so v1 is walked in key order: map order would
+	// make the edits, and every number below, differ from run to run.
 	v2 := make(map[string][]byte, len(v1))
 	total := 0
-	for p, d := range v1 {
-		nd := append([]byte(nil), d...)
+	for _, p := range slices.Sorted(maps.Keys(v1)) {
+		nd := append([]byte(nil), v1[p]...)
 		if rng.Intn(4) == 0 {
 			for k := 0; k < 3; k++ {
 				off := rng.Intn(len(nd) - 64)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"bulletprime/internal/netem"
@@ -415,18 +416,38 @@ func TestHillClimbProbesWhenQuiescent(t *testing.T) {
 	}
 }
 
+// TestEnforcePeerTargetsSheds holds enforcePeerTargets to shedding the
+// slowest peerings: of ten senders and ten receivers with distinct rates, in
+// no order of id, the seven fastest of each survive.
 func TestEnforcePeerTargetsSheds(t *testing.T) {
 	p := hillClimbPeer(t)
+	rates := []float64{30, 90, 10, 70, 50, 20, 100, 60, 40, 80}
+	survivors := []netem.NodeID{101, 103, 104, 106, 107, 108, 109} // all but rates 30, 10, 20
 	fillSenders(p, 10)
-	// Give each synthetic sender a conn so dropSender can close it.
-	for _, sp := range p.senders {
+	// Give each synthetic peering a conn so enforcement can close it.
+	for i, sp := range p.senders {
 		sp.conn = p.node.Dial(2)
 		sp.advertised = *proto.NewBitmap(p.s.maxBlockID())
+		sp.rate = rates[i]
+	}
+	for i, rate := range rates {
+		p.receivers.insert(&receiverPeer{id: netem.NodeID(100 + i), conn: p.node.Dial(2), rate: rate})
 	}
 	p.maxSenders.n = 7
+	p.maxReceivers.n = 7
 	p.enforcePeerTargets()
 	if len(p.senders) != 7 {
 		t.Fatalf("senders = %d after enforcement, want 7", len(p.senders))
+	}
+	var senders, receivers []netem.NodeID
+	for _, sp := range p.senders {
+		senders = append(senders, sp.id)
+	}
+	for _, rp := range p.receivers {
+		receivers = append(receivers, rp.id)
+	}
+	if !slices.Equal(senders, survivors) || !slices.Equal(receivers, survivors) {
+		t.Fatalf("senders %v and receivers %v survive, want the seven fastest %v", senders, receivers, survivors)
 	}
 }
 

@@ -29,8 +29,19 @@ type filler struct {
 	pairSeen []pairMark
 	pairNext []int32
 	capOrder []capEntry
+	capTmp   []capEntry // the radix sort's second buffer; see sortCaps
 	grp      []int32
 	satHeap  []satEntry
+
+	work fillWork // what the last call did
+}
+
+// fillWork counts the work of one call of rates: the cap entries it ordered,
+// the saturation-heap entries it popped because their resource was dead and
+// re-sifted because their resource's sat had risen, and its heap rebuilds
+// with the entries they visited.
+type fillWork struct {
+	capsOrdered, deadPopped, staleResifts, rebuilds, rebuildVisits uint64
 }
 
 // resource is one shared link of a fill: an access link (out or in), or a
@@ -71,6 +82,20 @@ type capEntry struct {
 	fi  int32
 }
 
+// capKey maps a cap to a key whose unsigned order is the caps' numeric
+// order: a negative cap's bits flipped, a non-negative one's sign bit set,
+// and −0 keyed as +0, which capCmp holds equal to it. No NaN reaches it.
+func capKey(c float64) uint64 {
+	if c == 0 {
+		return 1 << 63
+	}
+	b := math.Float64bits(c)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
+}
+
 func capCmp(a, b capEntry) int {
 	switch {
 	case a.cap < b.cap:
@@ -100,6 +125,7 @@ const fillEps = 1e-9
 // saturation event is the live resource with the lowest (sat, ord).
 func (fl *filler) rates(flows []fillFlow, accessOut, accessIn []float64) []float64 {
 	nf := len(flows)
+	fl.work = fillWork{}
 	rates := sized(&fl.out, nf)
 	frozen := sized(&fl.frozen, nf)
 	clear(frozen)
@@ -126,14 +152,17 @@ func (fl *filler) rates(flows []fillFlow, accessOut, accessIn []float64) []float
 	}
 
 	// Access resources, in first-encounter order, and the cap order's flows.
+	negCap := false
 	for i, f := range flows {
 		outCap, inCap := accessOut[f.src], accessIn[f.dst]
 		// A cap event needs cap <= minSat+eps, and it takes along the flows
-		// whose caps are within eps of the event's; no sat exceeds its
-		// link's capacity. A cap further than that above either access
-		// link never freezes its flow and stays out of the cap order.
+		// whose caps are within eps of the event's; while no rate is
+		// negative, no sat exceeds its link's capacity. A cap further than
+		// that above either access link never freezes its flow and stays
+		// out of the cap order.
 		if f.cap <= max(0, min(outCap, inCap))+fillEps+fillEps {
 			order = append(order, capEntry{f.cap, int32(i)})
+			negCap = negCap || f.cap < 0
 		}
 		out := access(int32(f.src), outCap, 3*i)
 		in := access(int32(len(accessOut))+int32(f.dst), inCap, 3*i+1)
@@ -142,6 +171,16 @@ func (fl *filler) rates(flows []fillFlow, accessOut, accessIn []float64) []float
 		flowRes[3*i], flowRes[3*i+1], flowRes[3*i+2] = out, in, -1
 	}
 	nAccess := len(res)
+	if negCap {
+		// A flow frozen at a negative cap adds headroom to its links, so
+		// their sats can pass their capacities: every finite cap may bind.
+		order = order[:0]
+		for i, f := range flows {
+			if f.cap <= math.MaxFloat64 {
+				order = append(order, capEntry{f.cap, int32(i)})
+			}
+		}
+	}
 
 	// Their flow lists: counts to offsets, then one scatter in flow order,
 	// which leaves every list ascending.
@@ -214,7 +253,13 @@ func (fl *filler) rates(flows []fillFlow, accessOut, accessIn []float64) []float
 	// a freeze inside the eps band above sat, or one whose rounding goes the
 	// other way, lowers a sat; then a second, lower entry is pushed. Either
 	// way the top entry, once it matches its resource, is the lowest
-	// (sat, ord) among live resources.
+	// (sat, ord) among live resources. dead counts the resources that died
+	// since the heap was last built, and is not lowered as their entries
+	// pop: once it passes half the heap's entries (and 16, so a small heap
+	// just pops them), the heap is rebuilt from its live entries with fresh
+	// keys (see rebuildSat), whether or not the dead ones have surfaced.
+	// A rebuild also spares the stale re-sifts, so it pays even when many
+	// dead entries are already gone; DESIGN.md §3.2 has the numbers.
 	heap := sized(&fl.satHeap, len(res))
 	for ri := range res {
 		r := &res[ri]
@@ -225,7 +270,7 @@ func (fl *filler) rates(flows []fillFlow, accessOut, accessIn []float64) []float
 		satDown(heap, i)
 	}
 
-	unfrozen := nf
+	unfrozen, dead := nf, 0
 	freeze := func(fi int32, rate float64) {
 		frozen[fi] = true
 		rates[fi] = rate
@@ -241,6 +286,7 @@ func (fl *filler) rates(flows []fillFlow, accessOut, accessIn []float64) []float
 			r.nUnfrozen--
 			r.frozenUse += rate
 			if r.nUnfrozen == 0 {
+				dead++
 				continue // its entry is dropped when it surfaces
 			}
 			sat := r.level()
@@ -251,8 +297,7 @@ func (fl *filler) rates(flows []fillFlow, accessOut, accessIn []float64) []float
 		}
 	}
 
-	slices.SortFunc(order, capCmp)
-	fl.capOrder = order
+	order = fl.sortCaps(order)
 	capPtr := 0
 
 	for unfrozen > 0 {
@@ -266,15 +311,23 @@ func (fl *filler) rates(flows []fillFlow, accessOut, accessIn []float64) []float
 		}
 		// Next saturation event: the top entry, once it is neither dead nor
 		// behind its resource.
+		if dead > 16 && 2*dead > len(heap) {
+			fl.work.rebuilds++
+			fl.work.rebuildVisits += uint64(len(heap))
+			heap = rebuildSat(heap, res)
+			dead = 0
+		}
 		minSat, satRes := math.Inf(1), int32(-1)
 		for len(heap) > 0 {
 			top := &heap[0]
 			r := &res[top.ri]
 			if r.nUnfrozen == 0 {
+				fl.work.deadPopped++
 				heap = satPop(heap)
 				continue
 			}
 			if top.sat != r.sat {
+				fl.work.staleResifts++
 				top.sat = r.sat
 				satDown(heap, 0)
 				continue
@@ -305,6 +358,7 @@ func (fl *filler) rates(flows []fillFlow, accessOut, accessIn []float64) []float
 			// and rounding would lower that sat (and push) every other time.
 			r := &res[satRes]
 			r.nUnfrozen = 0
+			dead++
 			for _, fi := range resFlows[r.start:r.end] {
 				if !frozen[fi] {
 					freeze(fi, min(minSat, flows[fi].cap))
@@ -321,6 +375,86 @@ func (fl *filler) rates(flows []fillFlow, accessOut, accessIn []float64) []float
 	}
 	fl.satHeap = heap
 	return rates
+}
+
+// radixMin is the shortest cap order sortCaps radix-sorts: below it a
+// comparison sort is faster, because a radix sort's fixed cost (clearing and
+// summing 8×256 counts) outweighs its per-entry saving. On uniform random
+// caps the comparison sort took 8.8 µs against 10.2 at 192 entries, and 13.5
+// against 11.8 at 256.
+const radixMin = 256
+
+// sortCaps sorts order, which lists its flows in ascending index, into
+// (cap, index) order and keeps it as the filler's cap order. Its radix sort
+// is a stable LSD sort on capKey alone, one byte per pass, skipping every
+// byte all keys share; stability on index-ordered input is exactly capCmp's
+// index tie-break.
+func (fl *filler) sortCaps(order []capEntry) []capEntry {
+	n := len(order)
+	fl.work.capsOrdered += uint64(n)
+	if n < radixMin {
+		slices.SortFunc(order, capCmp)
+		fl.capOrder = order
+		return order
+	}
+	if cap(fl.capTmp) < cap(order) {
+		fl.capTmp = make([]capEntry, cap(order))
+	}
+	var count [8][256]int32
+	for _, e := range order {
+		k := capKey(e.cap)
+		count[0][byte(k)]++
+		count[1][byte(k>>8)]++
+		count[2][byte(k>>16)]++
+		count[3][byte(k>>24)]++
+		count[4][byte(k>>32)]++
+		count[5][byte(k>>40)]++
+		count[6][byte(k>>48)]++
+		count[7][byte(k>>56)]++
+	}
+	src, dst := order, fl.capTmp[:n]
+	first := capKey(order[0].cap)
+	for b := range count {
+		c := &count[b]
+		shift := 8 * b
+		if c[byte(first>>shift)] == int32(n) {
+			continue
+		}
+		sum := int32(0)
+		for d, k := range c {
+			c[d] = sum
+			sum += k
+		}
+		for _, e := range src {
+			d := byte(capKey(e.cap) >> shift)
+			dst[c[d]] = e
+			c[d]++
+		}
+		src, dst = dst, src
+	}
+	// The sorted entries are in src; dst, the other buffer, is the next
+	// sort's second one.
+	fl.capOrder, fl.capTmp = src, dst[:cap(dst)]
+	return src
+}
+
+// rebuildSat drops every entry of the saturation heap whose resource has no
+// unfrozen flow, raises each other to its resource's current sat and
+// heapifies. The next saturation event is the live resource with the lowest
+// (sat, ord) among the heap's entries, whatever their order, and a raised key
+// still holds stored sat <= current sat, so no event changes.
+func rebuildSat(h []satEntry, res []resource) []satEntry {
+	live := h[:0]
+	for _, e := range h {
+		if r := &res[e.ri]; r.nUnfrozen > 0 {
+			e.sat = r.sat
+			live = append(live, e)
+		}
+	}
+	for i := len(live)/2 - 1; i >= 0; i-- {
+		satDown(live, i)
+	}
+	return live
 }
 
 // satEntry is one saturation-heap entry; see rates.

@@ -149,9 +149,11 @@ func fillValue(b []byte) float64 {
 	return fillLevels[b[1]%4]/float64(1+b[2]%6) + fillNudges[b[3]%8]
 }
 
-// decodeFillInput reads a fill input as the network would build it: the
+// decodeFillInput reads a fill input much as the network would build it: the
 // flows of one ordered pair see one core bandwidth (the first one named), an
 // unset bandwidth is no cap, and a flow's cap is no higher than its link's.
+// Unlike the network's, a cap may be zero, −0 or negative: the fill orders
+// whatever caps it is given.
 func decodeFillInput(data []byte) (in fillInput, ok bool) {
 	if len(data) == 0 {
 		return in, false
@@ -179,9 +181,6 @@ func decodeFillInput(data []byte) (in fillInput, ok bool) {
 			pairBW[[2]NodeID{src, dst}] = bw
 		}
 		cap := fillValue(data[2:])
-		if cap <= 0 {
-			cap = math.Inf(1)
-		}
 		if bw > 0 {
 			cap = min(cap, bw)
 		}
@@ -313,14 +312,66 @@ func craftedFillCase(pairs [][2]NodeID, bw []float64) fillCase {
 	return fillCase{net, flows, 1000}
 }
 
+// craftedCapOrders returns fill inputs the network never builds, each with
+// more than radixMin caps in its cap order so that the radix sort orders
+// them: equal caps on flows far apart, −0 caps beside +0 caps, and negative
+// caps among positive and infinite ones — plus the smallest input on which
+// leaving a cap above its links out of the cap order is wrong once a
+// negative cap has freed headroom there.
+func craftedCapOrders() []fillInput {
+	const n, nFlows = 16, fillMaxFlows
+	build := func(capOf func(k int) float64) fillInput {
+		in := fillInput{accessOut: make([]float64, n), accessIn: make([]float64, n)}
+		for i := range in.accessOut {
+			in.accessOut[i], in.accessIn[i] = 600000, 600000
+		}
+		rng := sim.NewRNG(n)
+		for k := 0; k < nFlows; k++ {
+			src, dst := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
+			if src == dst {
+				dst = (dst + 1) % n
+			}
+			in.flows = append(in.flows, fillFlow{src, dst, capOf(k), 0})
+		}
+		return in
+	}
+	// With every flow unfrozen a link saturates at 30000, so which caps
+	// bind depends on what froze first.
+	levels := [5]float64{10000, 40000, 40000 + 5e-10, 80000, 120000}
+	return []fillInput{
+		build(func(k int) float64 { return levels[k%len(levels)] }),
+		build(func(k int) float64 {
+			return [4]float64{math.Copysign(0, -1), 0, levels[k%len(levels)], 0}[k%4]
+		}),
+		build(func(k int) float64 {
+			switch k % 4 {
+			case 0:
+				return -1234.567 * float64(1+k%50) // some below −10000
+			case 1:
+				return math.Inf(1)
+			}
+			return levels[k%len(levels)]
+		}),
+		{
+			accessOut: []float64{100, 1000, 1000, 1000, 1000},
+			accessIn:  []float64{1000, 1000, 1000, 1000, 1000},
+			flows:     []fillFlow{{0, 1, -200, 0}, {0, 3, 120, 0}, {0, 4, math.Inf(1), 0}},
+		},
+	}
+}
+
 // FuzzFillMatchesScan pins the production fill to the scan-per-round filler:
 // every rate has the same bits, on inputs that tie, sit inside the eps band,
 // share core links, starve and are uncapped — and a second fill over the same
-// scratch does not remember the first. Its seeds are three crafted inputs
-// and sixty generated ones (genFillCase); on those alone, dropping the heap
-// push for a lowered saturation level, ranking resources by node id, freezing
-// a band in cap order, or leaving a cap out of the cap order that is less
-// than two eps above its access links each fail it.
+// scratch does not remember the first. Its seeds are three crafted inputs,
+// sixty generated ones (genFillCase) and craftedCapOrders; at least one must
+// take the radix cap sort and one must rebuild the saturation heap. On those
+// seeds alone, dropping the heap push for a lowered saturation level, ranking
+// resources by node id, freezing a band in cap order, leaving a cap out of
+// the cap order that is less than two eps above its access links, keying a
+// negative cap without flipping its bits or a non-negative one without its
+// sign bit, skipping a byte not all keys share, and a heap rebuild that drops
+// a live entry each fail it.
 func FuzzFillMatchesScan(f *testing.F) {
 	seeds := []fillCase{
 		// Alone on both links, the cap a hair above them: the cap event
@@ -335,9 +386,29 @@ func FuzzFillMatchesScan(f *testing.F) {
 	for seed := int64(1); seed <= 60; seed++ {
 		seeds = append(seeds, genFillCase(seed))
 	}
-	var ssCases, sharedPairs, infCaps int
-	for k, c := range seeds {
+	type seedInput struct {
+		in    fillInput
+		anySS bool
+	}
+	var inputs []seedInput
+	for _, c := range seeds {
 		in, anySS := c.input()
+		inputs = append(inputs, seedInput{in, anySS})
+	}
+	for _, in := range craftedCapOrders() {
+		inputs = append(inputs, seedInput{in, false})
+	}
+	var ssCases, sharedPairs, infCaps, radixCases, rebuildCases int
+	for k, s := range inputs {
+		in, anySS := s.in, s.anySS
+		var fl filler
+		fl.rates(in.flows, in.accessOut, in.accessIn)
+		if fl.work.capsOrdered >= radixMin {
+			radixCases++
+		}
+		if fl.work.rebuilds > 0 {
+			rebuildCases++
+		}
 		data := encodeFillInput(in)
 		if back, _ := decodeFillInput(data); !reflect.DeepEqual(back, in) {
 			f.Fatalf("seed input %d (%d flows on %d nodes) does not survive its encoding", k, len(in.flows), len(in.accessOut))
@@ -361,6 +432,9 @@ func FuzzFillMatchesScan(f *testing.F) {
 		f.Fatalf("generator lost coverage: %d slow-start cases, %d flows on an already used pair, %d uncapped flows",
 			ssCases, sharedPairs, infCaps)
 	}
+	if radixCases == 0 || rebuildCases == 0 {
+		f.Fatalf("seeds lost coverage: %d radix-sorted cap orders, %d heap rebuilds", radixCases, rebuildCases)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in, ok := decodeFillInput(data)
@@ -380,4 +454,23 @@ func FuzzFillMatchesScan(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestFillWorkGolden pins the fill's work counters, as Network sums them, on
+// BenchmarkWaterfillGiant's rig: its set-up run and twenty churn steps, each
+// refilling the ≈ 3.7 k-flow component. Every count is a pure function of
+// the run, so a change to the cap sort or the saturation heap that moves one
+// shows here, exactly.
+func TestFillWorkGolden(t *testing.T) {
+	eng, net, flows := giantFill(t)
+	churn := benchChurn(t, eng, net, flows)
+	for i := 0; i < 20; i++ {
+		churn(i)
+	}
+	got := [...]uint64{net.Recomputes, net.FlowRatesRecomputed, net.FillCapsOrdered,
+		net.FillDeadPopped, net.FillStaleResifts, net.FillHeapRebuilds, net.FillRebuildVisited}
+	want := [...]uint64{91, 342327, 143000, 111179, 70590, 908, 546594}
+	if got != want {
+		t.Fatalf("recomputes, rates, caps ordered, dead pops, stale re-sifts, rebuilds, rebuild visits = %v, want %v", got, want)
+	}
 }

@@ -79,6 +79,14 @@ type Network struct {
 	// quantify how much work incremental recomputation avoids.
 	FlowRatesRecomputed uint64
 	FlowRatesSkipped    uint64
+	// The fill's work across all recomputations: cap-order entries sorted,
+	// saturation-heap entries popped dead and re-sifted stale, and heap
+	// rebuilds with the entries they visited (DESIGN.md §3.2).
+	FillCapsOrdered    uint64
+	FillDeadPopped     uint64
+	FillStaleResifts   uint64
+	FillHeapRebuilds   uint64
+	FillRebuildVisited uint64
 	// CompletionsArmed counts the completion events refills scheduled;
 	// CompletionsDeferred counts the busy, unstarved flows a refill left
 	// without one because a later refill is certain to come first.
@@ -577,6 +585,12 @@ func (n *Network) waterfillGroup(flows []*Flow, now sim.Time) (due []sim.Time, a
 	}
 	rates, anySS := n.fairShare(flows, now)
 	n.FlowRatesRecomputed += uint64(len(flows))
+	w := &n.fill.work
+	n.FillCapsOrdered += w.capsOrdered
+	n.FillDeadPopped += w.deadPopped
+	n.FillStaleResifts += w.staleResifts
+	n.FillHeapRebuilds += w.rebuilds
+	n.FillRebuildVisited += w.rebuildVisits
 	due = sized(&n.due, len(flows))
 	for i, f := range flows {
 		f.rate = rates[i]

@@ -406,7 +406,7 @@ func TestPartitionMatchesFromScratchUnderChurn(t *testing.T) {
 // benchChurn returns the netem benchmarks' unit of work: finish one of the
 // flows (all mid-transfer, far from done), restart the one that finished an
 // interval earlier, and run the one recomputation that follows.
-func benchChurn(b *testing.B, eng *sim.Engine, net *Network, flows []*Flow) func(i int) {
+func benchChurn(b testing.TB, eng *sim.Engine, net *Network, flows []*Flow) func(i int) {
 	var idle *Flow
 	return func(i int) {
 		f := flows[(i*7919)%len(flows)]
