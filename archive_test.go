@@ -96,6 +96,10 @@ func TestArchiveRecordRoundTripDedupe(t *testing.T) {
 	if !strings.Contains(rep1, "seed1 vs seed2") {
 		t.Fatalf("comparison report malformed:\n%s", rep1)
 	}
+	all := append(runsA, runsB...)
+	if rep := bulletprime.ArchiveReport(all); !strings.Contains(rep, "2 run(s) in 1 group(s)") || !strings.Contains(rep, "bulletprime") {
+		t.Fatalf("archive report does not pool the two runs into one group:\n%s", rep)
+	}
 }
 
 // TestArchiveSeriesPersisted pins that a session's sampled time-series

@@ -10,8 +10,10 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"io"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -20,6 +22,7 @@ import (
 	"testing"
 	"time"
 
+	"bulletprime"
 	"bulletprime/internal/lab"
 )
 
@@ -209,6 +212,45 @@ func TestFarmStatusOffline(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "cells 2: 0 done, 2 pending") {
 		t.Fatalf("offline status output:\n%s", out.String())
+	}
+}
+
+// TestRunFarmCellSettlesItsLease runs the two cells of an in-process
+// farm through the worker's cell step: a cell that runs completes its
+// lease and lands one archive record, and a cell whose configuration the
+// runner rejects fails its lease for good.
+func TestRunFarmCellSettlesItsLease(t *testing.T) {
+	spec := lab.FarmSpec{Nodes: 8, FileMB: 0.25, Protocols: []string{"bulletprime", "no-such-protocol"},
+		Networks: []string{"modelnet"}, Seeds: []int64{1}}
+	farm, err := lab.NewFarm(spec, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(&lab.FarmServer{Farm: farm})
+	defer srv.Close()
+	cl := &lab.FarmClient{Base: srv.URL, Worker: "w1"}
+	arch, err := bulletprime.OpenArchive(filepath.Join(t.TempDir(), "archive"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var errb strings.Builder
+	ran := map[string]bool{}
+	for range 2 {
+		cell, lease, ttl, verdict, err := cl.Claim()
+		if err != nil || verdict != lab.ClaimGranted {
+			t.Fatalf("claim: %v %v", verdict, err)
+		}
+		ran[cell.Protocol] = runFarmCell(context.Background(), cl, arch, spec, cell, lease, ttl, "w1", &errb)
+	}
+	if !ran["bulletprime"] || ran["no-such-protocol"] {
+		t.Fatalf("cells completed: %v\n%s", ran, errb.String())
+	}
+	st := farm.Status()
+	if !st.Complete() || st.Done != 1 || st.Failed != 1 || len(st.Failures) != 1 {
+		t.Fatalf("farm status %+v", st)
+	}
+	if metas, err := arch.List(); err != nil || len(metas) != 1 {
+		t.Fatalf("archive holds %d records (%v), want 1", len(metas), err)
 	}
 }
 

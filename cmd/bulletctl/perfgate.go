@@ -15,9 +15,12 @@ import (
 // the baseline's generous fractional tolerance. Exit 0 within bounds, 1 on
 // regression (or missing benchmark, or -write failure). -write captures
 // the input as the new baseline instead of checking; regenerate with the
-// exact benchmark command CI runs (see .github/workflows/ci.yml) so
-// -benchtime effects match, and commit the result alongside the change
-// that moved the numbers — the same flow as `bulletctl gate -write`.
+// exact benchmark commands CI runs (see .github/workflows/ci.yml) so
+// -benchtime effects match, each with -count 5 added: the repeated lines of
+// one benchmark merge into its lowest ns/op and highest allocs/op and B/op
+// (lab.ParseBenchOutput), so one noisy minute does not set a row's ns/op.
+// Commit the result alongside the change that moved the numbers — the same
+// flow as `bulletctl gate -write`. The gate itself reads one run per name.
 func runPerfGate(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("perfgate", flag.ContinueOnError)
 	input := fs.String("input", "-", "benchmark output file, or - for stdin")

@@ -233,6 +233,28 @@ func TestSessionCancelMidFlight(t *testing.T) {
 	}
 }
 
+// TestSessionStopAndDone: Stop cancels a started run as cancelling its
+// context would, and Done closes when the run has ended.
+func TestSessionStopAndDone(t *testing.T) {
+	exp, err := bulletprime.New(bulletprime.RunConfig{Nodes: 10, FileBytes: 16 << 20, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp.Stop() // before Start: nothing to cancel
+	if err := exp.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	exp.Stop()
+	<-exp.Done()
+	res, err := exp.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Cancelled || res.Finished {
+		t.Fatalf("stopped run: Cancelled %v, Finished %v", res.Cancelled, res.Finished)
+	}
+}
+
 // oracleSystem is the third-party protocol for the registry round-trip
 // test: every receiver "completes" at a deterministic offset without
 // moving any bytes.

@@ -16,7 +16,7 @@ func warmedLeecher(t *testing.T) (*btPeer, *btConn) {
 	c := p.node.Dial(0)
 	c.Close(p.node)
 	bc := &btConn{id: 0, conn: c, remotePieces: s.peers[0].pieces.Clone()}
-	p.conns[0] = bc
+	p.conns.Insert(bc)
 	c.SetState(p.node, bc)
 	for b := 20 * BlocksPerPiece; b < 22*BlocksPerPiece; b += 3 {
 		p.blocks.Add(b, 0)
@@ -35,7 +35,7 @@ func TestPickBlockDoesNotAllocate(t *testing.T) {
 		if !ok {
 			t.Fatal("nothing left to pick")
 		}
-		p.claim(b, bc.id)
+		p.claims.Claim(b, bc.id)
 	})
 	if allocs != 0 {
 		t.Fatalf("pickBlock allocates %v objects per call, want 0", allocs)
@@ -49,7 +49,7 @@ func TestRequestMoreDoesNotAllocate(t *testing.T) {
 	p, bc := warmedLeecher(t)
 	before := p.s.RequestsSent
 	allocs := testing.AllocsPerRun(100, func() {
-		p.releaseClaims(bc.id)
+		p.claims.Release(bc.id)
 		bc.outstanding = 0
 		p.requestMore(bc)
 	})
@@ -58,29 +58,5 @@ func TestRequestMoreDoesNotAllocate(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("requestMore allocates %v objects per window, want 0", allocs)
-	}
-}
-
-// TestClaimsCountAndRelease holds nclaimed to the dense claims: an endgame
-// re-request moves a claim without counting it twice, and releasing one
-// peer's claims leaves the others'.
-func TestClaimsCountAndRelease(t *testing.T) {
-	_, s := buildSwarm(4, 64, 22)
-	p := s.peers[1]
-	p.claim(3, 2)
-	p.claim(4, 2)
-	p.claim(5, 3)
-	p.claim(4, 3) // endgame: asked again elsewhere
-	if p.nclaimed != 3 {
-		t.Fatalf("nclaimed = %d after three distinct claims, want 3", p.nclaimed)
-	}
-	p.releaseClaims(3)
-	if p.nclaimed != 1 || p.claimed[3] != claimTag(2) || p.claimed[4] != 0 || p.claimed[5] != 0 {
-		t.Fatalf("after releasing peer 3: nclaimed %d, claims %v", p.nclaimed, p.claimed[3:6])
-	}
-	p.unclaim(3)
-	p.unclaim(3)
-	if p.nclaimed != 0 {
-		t.Fatalf("nclaimed = %d after every claim went, want 0", p.nclaimed)
 	}
 }

@@ -10,10 +10,10 @@ func TestChokeReleasesClaims(t *testing.T) {
 	_, s := buildSwarm(4, 32, 10)
 	p := s.peers[1]
 	bc := &btConn{id: 2, remotePieces: s.peers[2].pieces.Clone()}
-	p.conns[2] = bc
-	p.claim(5, 2)
-	p.claim(6, 2)
-	p.claim(7, 3) // claimed elsewhere: untouched
+	p.conns.Insert(bc)
+	p.claims.Claim(5, 2)
+	p.claims.Claim(6, 2)
+	p.claims.Claim(7, 3) // claimed elsewhere: untouched
 	bc.outstanding = 2
 	// Deliver a choke through the dispatch path.
 	c := p.node.Dial(2)
@@ -22,10 +22,10 @@ func TestChokeReleasesClaims(t *testing.T) {
 	if bc.outstanding != 0 {
 		t.Fatalf("outstanding = %d after choke, want 0", bc.outstanding)
 	}
-	if p.claimed[5] != 0 {
+	if p.claims.Held(5) {
 		t.Fatal("claim on choked peer not released")
 	}
-	if owner := p.claimed[7]; owner != claimTag(3) {
+	if !p.claims.HeldBy(7, 3) {
 		t.Fatal("unrelated claim disturbed")
 	}
 }
@@ -35,7 +35,7 @@ func TestServeRefusesWhenChoking(t *testing.T) {
 	src := s.peers[0]
 	c := src.node.Dial(1)
 	bc := &btConn{id: 1, conn: c, remotePieces: src.pieces.Clone(), amChoking: true}
-	src.conns[1] = bc
+	src.conns.Insert(bc)
 	c.SetState(src.node, bc)
 	before := c.QueueLen(src.node)
 	src.serve(bc, 0)
@@ -55,7 +55,7 @@ func TestServeIgnoresMissingBlocks(t *testing.T) {
 	p := s.peers[1] // leecher: has nothing yet
 	c := p.node.Dial(2)
 	bc := &btConn{id: 2, conn: c, remotePieces: p.pieces.Clone()}
-	p.conns[2] = bc
+	p.conns.Insert(bc)
 	c.SetState(p.node, bc)
 	before := c.QueueLen(p.node)
 	p.serve(bc, 0)
@@ -73,7 +73,7 @@ func TestRarestFirstPieceSelection(t *testing.T) {
 	// Remote has pieces 1 and 3.
 	bc.remotePieces.Set(1)
 	bc.remotePieces.Set(3)
-	p.conns[2] = bc
+	p.conns.Insert(bc)
 	// Piece 1 is common (3 holders), piece 3 is rare (1 holder).
 	p.pieceAvail[1] = 3
 	p.pieceAvail[3] = 1
@@ -93,7 +93,7 @@ func TestActivePiecePriority(t *testing.T) {
 	for i := 0; i < s.numPieces; i++ {
 		bc.remotePieces.Set(i)
 	}
-	p.conns[2] = bc
+	p.conns.Insert(bc)
 	// Piece 2 is partially downloaded: strict priority over new pieces.
 	p.blocks.Add(32, 0)
 	p.activePieces[2] = true
@@ -109,13 +109,13 @@ func TestEndgameAllowsReRequest(t *testing.T) {
 	for b := 0; b < 30; b++ {
 		p.blocks.Add(b, 0)
 	}
-	p.claim(30, 2)
-	p.claim(31, 2)
+	p.claims.Claim(30, 2)
+	p.claims.Claim(31, 2)
 	bc3 := &btConn{id: 3, remotePieces: proto.NewBitmap(s.numPieces)}
 	for i := 0; i < s.numPieces; i++ {
 		bc3.remotePieces.Set(i)
 	}
-	p.conns[3] = bc3
+	p.conns.Insert(bc3)
 	p.activePieces[1] = true
 	block, ok := p.pickBlock(bc3)
 	if !ok {

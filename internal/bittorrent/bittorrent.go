@@ -52,8 +52,8 @@ const (
 
 // A handshake carries a snapshot of the sender's piece bitmap. HAVE,
 // request and piece messages name one index (a piece or a block), carried
-// as a pointer into the session's immutable index table (Session.ref), so
-// sending one allocates nothing.
+// as a pointer into the session's immutable index table (proto.IndexTable),
+// so sending one allocates nothing.
 type handshakeMsg struct{ pieces *proto.Bitmap }
 
 // Config parameterizes a BitTorrent swarm.
@@ -73,10 +73,8 @@ type Session struct {
 	tracker   *tracker
 	peers     map[netem.NodeID]*btPeer
 	numPieces int
-	// index[i] == i for every block (and so every piece) index: the
-	// payloads that name one index point into it, and nothing writes it
-	// after NewSession.
-	index []int32
+	// index covers every block, and so every piece.
+	index proto.IndexTable
 
 	// Stats.
 	RequestsSent int
@@ -93,10 +91,7 @@ func NewSession(rt *proto.Runtime, cfg Config, rng *sim.RNG) *Session {
 		rng:       rng,
 		peers:     make(map[netem.NodeID]*btPeer),
 		numPieces: (cfg.NumBlocks + BlocksPerPiece - 1) / BlocksPerPiece,
-		index:     make([]int32, cfg.NumBlocks),
-	}
-	for i := range s.index {
-		s.index[i] = int32(i)
+		index:     proto.NewIndexTable(cfg.NumBlocks),
 	}
 	s.Swarm = &s.cfg.Swarm
 	s.tracker = &tracker{rng: rng.Stream("tracker")}
@@ -120,11 +115,6 @@ func (s *Session) memberOrder() []netem.NodeID {
 	slices.Sort(out)
 	return out
 }
-
-// ref is the payload naming index i; indexOf reads it back.
-func (s *Session) ref(i int) *int32 { return &s.index[i] }
-
-func indexOf(payload any) int { return int(*payload.(*int32)) }
 
 func (s *Session) pieceOf(block int) int { return block / BlocksPerPiece }
 
@@ -196,6 +186,8 @@ type btConn struct {
 	closed bool
 }
 
+func (bc *btConn) NodeID() netem.NodeID { return bc.id }
+
 // btPeer is one BitTorrent node.
 type btPeer struct {
 	s    *Session
@@ -205,29 +197,25 @@ type btPeer struct {
 	blocks *proto.BlockStore // sub-piece granularity
 	pieces *proto.Bitmap     // completed pieces (shareable/announced)
 
-	conns map[netem.NodeID]*btConn
+	conns proto.IDList[*btConn]
 
 	// pieceAvail[p] counts how many connected peers have piece p
 	// (local-rarest-first state).
 	pieceAvail []int
 
-	// claimed[b] is claimTag of the peer sub-piece b is currently asked
-	// from, 0 when it is asked from nobody (endgame relaxes it); nclaimed
-	// counts the nonzero entries. claim sizes it at the first claim, so a
-	// run's set-up does not pay for it, and nothing reads it while
-	// nclaimed is 0.
-	claimed  []int32
-	nclaimed int
+	// claims holds, per sub-piece, the peer it is currently asked from
+	// (endgame moves a claim to a second peer).
+	claims proto.Claims
 
 	// activePieces[i] marks piece i partially downloaded, preferred before
 	// starting new pieces (strict priority, as in mainline BT).
 	activePieces []bool
 
 	// Scratch reused for the life of the peer: pickBlock's rarest ties,
-	// connOrder's ids and rotateOptimistic's choked set.
+	// rechoke's ranking and rotateOptimistic's choked set.
 	ties   []int
-	ids    []netem.NodeID
-	choked []netem.NodeID
+	ranked []*btConn
+	choked []*btConn
 
 	optimistic netem.NodeID
 	complete   bool
@@ -241,7 +229,7 @@ func newBTPeer(s *Session, id netem.NodeID) *btPeer {
 		rng:          s.rng.Stream(fmt.Sprintf("bt-%d", id)),
 		blocks:       proto.NewBlockStore(s.cfg.NumBlocks),
 		pieces:       proto.NewBitmap(s.numPieces),
-		conns:        make(map[netem.NodeID]*btConn),
+		claims:       proto.NewClaims(s.cfg.NumBlocks),
 		pieceAvail:   make([]int, s.numPieces),
 		activePieces: make([]bool, s.numPieces),
 		optimistic:   -1,
@@ -302,7 +290,7 @@ func (p *btPeer) refreshPeers() {
 		if len(p.conns) >= PeerSetSize {
 			break
 		}
-		if _, dup := p.conns[id]; dup {
+		if p.conns.Has(id) {
 			continue
 		}
 		c := p.node.Dial(id)
@@ -312,7 +300,7 @@ func (p *btPeer) refreshPeers() {
 
 func (p *btPeer) attach(c *proto.Conn, id netem.NodeID) *btConn {
 	bc := &btConn{id: id, conn: c, remotePieces: proto.NewBitmap(p.s.numPieces), amChoking: true, peerChoking: true}
-	p.conns[id] = bc
+	p.conns.Insert(bc)
 	c.SetState(p.node, bc)
 	c.IsData = func(kind int) bool { return kind == kindPiece }
 	c.Send(p.node, proto.Message{
@@ -326,7 +314,7 @@ func (p *btPeer) attach(c *proto.Conn, id netem.NodeID) *btConn {
 // onAccept registers incoming connections (the dialer's handshake follows).
 func (p *btPeer) onAccept(c *proto.Conn) {
 	id := c.Peer(p.node).ID
-	if _, dup := p.conns[id]; dup {
+	if p.conns.Has(id) {
 		c.Close(p.node) // simultaneous-open tie-break: keep the older conn
 		return
 	}
@@ -343,13 +331,13 @@ func (p *btPeer) onConnClose(c *proto.Conn) {
 		return
 	}
 	bc.closed = true
-	delete(p.conns, bc.id)
+	p.conns.Remove(bc.id)
 	for i := 0; i < p.s.numPieces; i++ {
 		if bc.remotePieces.Get(i) && p.pieceAvail[i] > 0 {
 			p.pieceAvail[i]--
 		}
 	}
-	p.releaseClaims(bc.id)
+	p.claims.Release(bc.id)
 }
 
 func (p *btPeer) onMessage(c *proto.Conn, m proto.Message) {
@@ -368,7 +356,7 @@ func (p *btPeer) onMessage(c *proto.Conn, m proto.Message) {
 		}
 		p.requestMore(bc)
 	case kindHave:
-		piece := indexOf(m.Payload)
+		piece := proto.IndexOf(m.Payload)
 		if !bc.remotePieces.Get(piece) {
 			bc.remotePieces.Set(piece)
 			p.pieceAvail[piece]++
@@ -379,14 +367,14 @@ func (p *btPeer) onMessage(c *proto.Conn, m proto.Message) {
 		// Outstanding requests are implicitly cancelled by a choke; free
 		// the claims so the blocks can be fetched elsewhere.
 		bc.outstanding = 0
-		p.releaseClaims(bc.id)
+		p.claims.Release(bc.id)
 	case kindUnchoke:
 		bc.peerChoking = false
 		p.requestMore(bc)
 	case kindRequest:
-		p.serve(bc, indexOf(m.Payload))
+		p.serve(bc, proto.IndexOf(m.Payload))
 	case kindPiece:
-		p.onPiece(bc, indexOf(m.Payload))
+		p.onPiece(bc, proto.IndexOf(m.Payload))
 	}
 }
 
@@ -401,7 +389,7 @@ func (p *btPeer) serve(bc *btConn, block int) {
 	bc.conn.Send(p.node, proto.Message{
 		Kind:    kindPiece,
 		Size:    p.s.cfg.BlockSize + 13,
-		Payload: p.s.ref(block),
+		Payload: p.s.index.Ref(block),
 	})
 }
 
@@ -410,7 +398,7 @@ func (p *btPeer) onPiece(bc *btConn, block int) {
 	if bc.outstanding > 0 {
 		bc.outstanding--
 	}
-	p.unclaim(block)
+	p.claims.Unclaim(block)
 	now := p.s.rt.Now()
 	if !p.s.Arrived(p.node.ID, block, p.blocks, p.blocks.Add(block, now)) {
 		p.requestMore(bc)
@@ -422,9 +410,8 @@ func (p *btPeer) onPiece(bc *btConn, block int) {
 		p.pieces.Set(piece)
 		p.activePieces[piece] = false
 		// Announce to everyone (HAVE flood, as in the real protocol).
-		for _, id := range p.connOrder() {
-			other := p.conns[id]
-			other.conn.Send(p.node, proto.Message{Kind: kindHave, Size: 9, Payload: p.s.ref(piece)})
+		for _, other := range p.conns {
+			other.conn.Send(p.node, proto.Message{Kind: kindHave, Size: 9, Payload: p.s.index.Ref(piece)})
 		}
 	}
 	if !p.complete && p.blocks.Complete() {
@@ -445,18 +432,6 @@ func (p *btPeer) pieceComplete(piece int) bool {
 	return true
 }
 
-// connOrder returns connection ids sorted (deterministic iteration), valid
-// until the next call.
-func (p *btPeer) connOrder() []netem.NodeID {
-	ids := p.ids[:0]
-	for id := range p.conns {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	p.ids = ids
-	return ids
-}
-
 // requestMore fills the peer's outstanding window using strict-priority
 // active pieces then local-rarest-first new pieces.
 func (p *btPeer) requestMore(bc *btConn) {
@@ -468,27 +443,22 @@ func (p *btPeer) requestMore(bc *btConn) {
 		if !ok {
 			break
 		}
-		p.claim(block, bc.id)
+		p.claims.Claim(block, bc.id)
 		bc.outstanding++
 		p.s.RequestsSent++
-		bc.conn.Send(p.node, proto.Message{Kind: kindRequest, Size: 17, Payload: p.s.ref(block)})
+		bc.conn.Send(p.node, proto.Message{Kind: kindRequest, Size: 17, Payload: p.s.index.Ref(block)})
 	}
 }
 
 // pickBlock chooses the next sub-piece to request from bc.
 func (p *btPeer) pickBlock(bc *btConn) (int, bool) {
 	endgame := p.inEndgame()
-	self := claimTag(bc.id)
 	usable := func(b int) bool {
 		if p.blocks.Have(b) {
 			return false
 		}
-		if p.nclaimed == 0 {
-			return true
-		}
 		// Endgame mode: re-request in-flight blocks from other peers.
-		owner := p.claimed[b]
-		return owner == 0 || endgame && owner != self
+		return !p.claims.Held(b) || endgame && !p.claims.HeldBy(b, bc.id)
 	}
 	// 1. Finish active pieces the remote has, in piece order.
 	for piece, active := range p.activePieces {
@@ -549,52 +519,13 @@ func (p *btPeer) pickBlock(bc *btConn) (int, bool) {
 // inEndgame reports whether every missing block is already in flight.
 func (p *btPeer) inEndgame() bool {
 	missing := p.blocks.Missing()
-	return missing > 0 && missing <= p.nclaimed+2
-}
-
-// claimTag is what claimed[b] holds while sub-piece b is asked from the
-// peer with the given id.
-func claimTag(id netem.NodeID) int32 { return int32(id) + 1 }
-
-// claim marks sub-piece b asked from the given peer; in endgame it moves a
-// claim already held by another.
-func (p *btPeer) claim(b int, from netem.NodeID) {
-	if p.claimed == nil {
-		p.claimed = make([]int32, p.s.cfg.NumBlocks)
-	}
-	if p.claimed[b] == 0 {
-		p.nclaimed++
-	}
-	p.claimed[b] = claimTag(from)
-}
-
-// unclaim marks sub-piece b asked from nobody.
-func (p *btPeer) unclaim(b int) {
-	if p.nclaimed > 0 && p.claimed[b] != 0 {
-		p.claimed[b] = 0
-		p.nclaimed--
-	}
-}
-
-// releaseClaims forgets every claim on the given peer, in one pass.
-func (p *btPeer) releaseClaims(from netem.NodeID) {
-	if p.nclaimed == 0 {
-		return
-	}
-	tag := claimTag(from)
-	for b, owner := range p.claimed {
-		if owner == tag {
-			p.claimed[b] = 0
-			p.nclaimed--
-		}
-	}
+	return missing > 0 && missing <= p.claims.Len()+2
 }
 
 // rechoke runs the 10-second tit-for-tat choker.
 func (p *btPeer) rechoke() {
 	// Refresh rates.
-	for _, id := range p.connOrder() {
-		bc := p.conns[id]
+	for _, bc := range p.conns {
 		down := bc.conn.DeliveredFrom(bc.conn.Peer(p.node))
 		bc.downRate = (down - bc.downEpoch) / RechokeInterval
 		bc.downEpoch = down
@@ -603,18 +534,17 @@ func (p *btPeer) rechoke() {
 		bc.upEpoch = up
 	}
 	// Rank: leechers reciprocate downloaders; seeds reward fast takers.
-	ids := p.connOrder()
-	slices.SortStableFunc(ids, func(i, j netem.NodeID) int {
-		a, b := p.conns[i], p.conns[j]
+	ranked := append(p.ranked[:0], p.conns...)
+	p.ranked = ranked
+	slices.SortStableFunc(ranked, func(a, b *btConn) int {
 		if p.seed {
 			return cmp.Compare(b.upRate, a.upRate)
 		}
 		return cmp.Compare(b.downRate, a.downRate)
 	})
 	unchoked := 0
-	for _, id := range ids {
-		bc := p.conns[id]
-		want := unchoked < UnchokeSlots || id == p.optimistic
+	for _, bc := range ranked {
+		want := unchoked < UnchokeSlots || bc.id == p.optimistic
 		if want {
 			unchoked++
 		}
@@ -642,15 +572,16 @@ func (p *btPeer) setChoke(bc *btConn, choke bool) {
 // peers a chance to prove themselves (and cold-starting new leechers).
 func (p *btPeer) rotateOptimistic() {
 	choked := p.choked[:0]
-	for _, id := range p.connOrder() {
-		if p.conns[id].amChoking {
-			choked = append(choked, id)
+	for _, bc := range p.conns {
+		if bc.amChoking {
+			choked = append(choked, bc)
 		}
 	}
 	p.choked = choked
 	if len(choked) > 0 {
-		p.optimistic = choked[p.rng.Pick(len(choked))]
-		p.setChoke(p.conns[p.optimistic], false)
+		bc := choked[p.rng.Pick(len(choked))]
+		p.optimistic = bc.id
+		p.setChoke(bc, false)
 	}
 	p.s.rt.AfterEvent(OptimisticInterval, p, evOptimistic, nil)
 }

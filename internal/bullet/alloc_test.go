@@ -25,7 +25,7 @@ func TestFillDoesNotAllocate(t *testing.T) {
 	_, s := buildB(4, 1024, 31)
 	p := s.peers[1]
 	p.addSender(2)
-	sp := p.senders[2]
+	sp := p.senders[0]
 	sp.conn = closedConn(p, 3)
 	var ids []int
 	for id := 300; id < 1024; id++ {
@@ -33,7 +33,7 @@ func TestFillDoesNotAllocate(t *testing.T) {
 	}
 	before := s.RequestsSent
 	allocs := testing.AllocsPerRun(100, func() {
-		clear(p.claimed)
+		p.claims.Clear()
 		sp.outstanding = 0
 		sp.avail = append(sp.avail[:0], ids...)
 		p.fill(sp)
@@ -58,35 +58,9 @@ func TestOnReqDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestAvailListReusesAndGuards holds the answer free list to its contract:
-// a returned answer is reset and handed out again with its id slice, and
-// returning one twice panics.
-func TestAvailListReusesAndGuards(t *testing.T) {
-	var f availList
-	a, b := f.get(), f.get()
-	if a == b || !a.live || !b.live {
-		t.Fatal("answers not distinct and live when handed out")
-	}
-	a.ids = append(a.ids, 7, 8, 9)
-	f.put(a)
-	if a.live || len(a.ids) != 0 || cap(a.ids) < 3 {
-		t.Fatalf("returned answer not reset with its slice kept: live=%v ids=%v cap=%d", a.live, a.ids, cap(a.ids))
-	}
-	if c := f.get(); c != a || !c.live {
-		t.Fatal("returned answer not reused")
-	}
-	f.put(a)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("second put of one answer did not panic")
-		}
-	}()
-	f.put(a)
-}
-
 // TestAvailAnswersRecycle audits every delivery of a whole run: an
 // arriving answer is live and on no free list, and it is back on the list,
-// reset, once the handler returns.
+// reset and keeping its id slice, once the handler returns.
 func TestAvailAnswersRecycle(t *testing.T) {
 	eng, s := buildB(12, 96, 33)
 	delivered := 0
@@ -94,14 +68,14 @@ func TestAvailAnswersRecycle(t *testing.T) {
 		inner := p.node.OnMessage
 		p.node.OnMessage = func(c *proto.Conn, m proto.Message) {
 			am, ok := m.Payload.(*availMsg)
-			if ok && (!am.live || slices.Contains(s.avails.free, am)) {
-				t.Fatalf("answer delivered while on the free list (live=%v)", am.live)
+			if ok && (!am.Live() || slices.Contains(s.avails.Idle(), am)) {
+				t.Fatalf("answer delivered while on the free list (live=%v)", am.Live())
 			}
 			inner(c, m)
 			if ok {
 				delivered++
-				if am.live || len(am.ids) != 0 || !slices.Contains(s.avails.free, am) {
-					t.Fatalf("answer not returned at delivery (live=%v)", am.live)
+				if am.Live() || len(am.ids) != 0 || cap(am.ids) < availLimit || !slices.Contains(s.avails.Idle(), am) {
+					t.Fatalf("answer not returned at delivery with its id slice (live=%v, cap %d)", am.Live(), cap(am.ids))
 				}
 			}
 		}
@@ -111,7 +85,7 @@ func TestAvailAnswersRecycle(t *testing.T) {
 	if !s.Complete() {
 		t.Fatal("incomplete")
 	}
-	if delivered == 0 || len(s.avails.free) >= delivered {
-		t.Fatalf("%d answers delivered and %d on the free list at the end: not recycled", delivered, len(s.avails.free))
+	if delivered == 0 || len(s.avails.Idle()) >= delivered {
+		t.Fatalf("%d answers delivered and %d on the free list at the end: not recycled", delivered, len(s.avails.Idle()))
 	}
 }

@@ -55,48 +55,20 @@ const (
 // A recon carries a bitmap snapshot that nobody writes (bPeer.snapshot),
 // so every recon sent while the store is unchanged shares one. Requests,
 // pushed and pulled blocks name one block id, carried as a pointer into
-// the session's immutable index table (Session.ref), so sending one
+// the session's immutable index table (proto.IndexTable), so sending one
 // allocates nothing.
 type reconMsg struct{ have *proto.Bitmap }
 
 // availMsg is a sender's availability answer. Answers are recycled through
-// the session's availList: onMessage puts one back once onAvail has copied
-// its ids.
+// the session's free list: onMessage puts one back once onAvail has copied
+// its ids, and the next answer reuses the id slice.
 type availMsg struct {
-	ids  []int
-	live bool
+	proto.Pooled
+	ids []int
 }
 
-// availList recycles availability answers for the life of a session, so
-// an answer reuses the id slice of one already read. An answer is live
-// from get until put. One that is never delivered — queued on a connection
-// that closed, addressed to a failed node — is never put back and falls to
-// the collector, so a dropped answer never corrupts a later one.
-type availList struct{ free []*availMsg }
-
-// get hands out an empty answer marked live.
-func (f *availList) get() *availMsg {
-	var m *availMsg
-	if n := len(f.free); n > 0 {
-		m = f.free[n-1]
-		f.free = f.free[:n-1]
-	} else {
-		m = new(availMsg)
-	}
-	m.live = true
-	return m
-}
-
-// put takes a delivered answer back. Returning one that is not live would
-// let two in-flight answers share it, so that panics.
-func (f *availList) put(m *availMsg) {
-	if !m.live {
-		panic("bullet: availability answer returned to its free list twice")
-	}
-	m.live = false
-	m.ids = m.ids[:0]
-	f.free = append(f.free, m)
-}
+// Reset empties the answer and keeps its id slice.
+func (m *availMsg) Reset() { m.ids = m.ids[:0] }
 
 // Config parameterizes a Bullet session.
 type Config struct {
@@ -120,10 +92,8 @@ type Session struct {
 	Tree  *tree.Tree
 	peers map[netem.NodeID]*bPeer
 
-	// index[i] == i for every block id: the payloads that name one block
-	// point into it, and nothing writes it after NewSession.
-	index  []int32
-	avails availList
+	index  proto.IndexTable
+	avails proto.FreeList[availMsg, *availMsg]
 
 	// Stats.
 	RequestsSent int
@@ -147,10 +117,7 @@ func NewSession(rt *proto.Runtime, cfg Config, rng *sim.RNG) *Session {
 		cfg:   cfg,
 		rng:   rng,
 		peers: make(map[netem.NodeID]*bPeer),
-		index: make([]int32, cfg.NumBlocks),
-	}
-	for i := range s.index {
-		s.index[i] = int32(i)
+		index: proto.NewIndexTable(cfg.NumBlocks),
 	}
 	s.Swarm = &s.cfg.Swarm
 	s.Tree = tree.Build(cfg.Members, cfg.Source, cfg.TreeDegree, rng.Stream("tree"))
@@ -176,11 +143,6 @@ func (s *Session) Start() {
 	}
 }
 
-// ref is the payload naming block id; indexOf reads it back.
-func (s *Session) ref(id int) *int32 { return &s.index[id] }
-
-func indexOf(payload any) int { return int(*payload.(*int32)) }
-
 func isDataKind(kind int) bool { return kind == kindBlock || kind == kindPush }
 
 // sender is receiver-side mesh state.
@@ -192,6 +154,8 @@ type sender struct {
 	gotUseful   sim.Time // last time this sender gave a novel block
 	closed      bool
 }
+
+func (sp *sender) NodeID() netem.NodeID { return sp.id }
 
 // receiver is sender-side mesh state.
 type receiver struct {
@@ -210,22 +174,20 @@ type bPeer struct {
 
 	isSource bool
 
-	senders   map[netem.NodeID]*sender
+	senders   proto.IDList[*sender]
 	receivers map[netem.NodeID]*receiver
-	// claimed[b] is claimTag of the sender block b is requested from, 0
-	// when it is requested from nobody. addSender sizes it for the first
-	// sender, so a run's set-up does not pay for it.
-	claimed []int32
+	// claims holds, per block, the sender it is requested from.
+	claims proto.Claims
 
 	// snap is the last snapshot of the store's bitmap, taken when the store
 	// held snapCount blocks; recons share it until the store grows.
 	snap      *proto.Bitmap
 	snapCount int
 
-	// Scratch reused for the life of the peer: sortedSenders' result and
-	// onDistribute's ranked candidates.
-	sorted []*sender
-	cs     []scoredCandidate
+	// Scratch reused for the life of the peer: onDistribute's sender
+	// snapshot (it drops senders as it goes) and its ranked candidates.
+	sweep []*sender
+	cs    []scoredCandidate
 
 	// Tree push state.
 	treeChildren []*proto.Conn
@@ -243,8 +205,8 @@ func newBPeer(s *Session, id netem.NodeID) *bPeer {
 		store:     proto.NewBlockStore(s.cfg.NumBlocks),
 		rng:       s.rng.Stream(fmt.Sprintf("bullet-%d", id)),
 		isSource:  id == s.cfg.Source,
-		senders:   make(map[netem.NodeID]*sender),
 		receivers: make(map[netem.NodeID]*receiver),
+		claims:    proto.NewClaims(s.cfg.NumBlocks),
 	}
 	if p.isSource {
 		if s.cfg.StreamBps <= 0 {
@@ -309,7 +271,7 @@ func (p *bPeer) onMessage(c *proto.Conn, m proto.Message) {
 	}
 	switch m.Kind {
 	case kindPush:
-		p.onPush(indexOf(m.Payload))
+		p.onPush(proto.IndexOf(m.Payload))
 	case kindHello:
 		p.onHello(c)
 	case kindReject:
@@ -319,16 +281,13 @@ func (p *bPeer) onMessage(c *proto.Conn, m proto.Message) {
 	case kindRecon:
 		p.onRecon(c, m.Payload.(reconMsg))
 	case kindAvail:
-		am := m.Payload.(*availMsg)
-		if !am.live {
-			panic("bullet: availability answer delivered after it was returned to its free list")
-		}
+		am := p.s.avails.Delivered(m.Payload)
 		p.onAvail(c, am)
-		p.s.avails.put(am)
+		p.s.avails.Put(am)
 	case kindReq:
-		p.onReq(c, indexOf(m.Payload))
+		p.onReq(c, proto.IndexOf(m.Payload))
 	case kindBlock:
-		p.onBlockArrival(c, indexOf(m.Payload))
+		p.onBlockArrival(c, proto.IndexOf(m.Payload))
 	}
 }
 
@@ -371,7 +330,7 @@ func (p *bPeer) forwardToOneChild(id int) bool {
 		c.Send(p.node, proto.Message{
 			Kind:    kindPush,
 			Size:    p.s.cfg.BlockSize + 12,
-			Payload: p.s.ref(id),
+			Payload: p.s.index.Ref(id),
 		})
 		p.s.PushesSent++
 		return true
@@ -403,7 +362,8 @@ func (p *bPeer) onDistribute(epoch int, set []ransub.Candidate) {
 	}
 	// Replace senders that produced nothing useful for two periods.
 	now := p.s.rt.Now()
-	for _, sp := range p.sortedSenders() {
+	p.sweep = append(p.sweep[:0], p.senders...)
+	for _, sp := range p.sweep {
 		if now-sp.gotUseful > sim.Time(2*p.s.cfg.RanSubPeriod) {
 			p.dropSender(sp, true)
 		}
@@ -414,7 +374,7 @@ func (p *bPeer) onDistribute(epoch int, set []ransub.Candidate) {
 		if c.ID == p.node.ID || c.Summary == nil || c.Summary.Count == 0 {
 			continue
 		}
-		if _, dup := p.senders[c.ID]; dup {
+		if p.senders.Has(c.ID) {
 			continue
 		}
 		u := c.Summary.UsefulTo(p.store, 64)
@@ -442,25 +402,11 @@ type scoredCandidate struct {
 	u  float64
 }
 
-// sortedSenders returns the senders in id order, valid until the next call.
-func (p *bPeer) sortedSenders() []*sender {
-	out := p.sorted[:0]
-	for _, sp := range p.senders {
-		out = append(out, sp)
-	}
-	slices.SortFunc(out, func(a, b *sender) int { return cmp.Compare(a.id, b.id) })
-	p.sorted = out
-	return out
-}
-
 func (p *bPeer) addSender(id netem.NodeID) {
-	if p.claimed == nil {
-		p.claimed = make([]int32, p.s.cfg.NumBlocks)
-	}
 	c := p.node.Dial(id)
 	c.IsData = isDataKind
 	sp := &sender{id: id, conn: c, gotUseful: p.s.rt.Now()}
-	p.senders[id] = sp
+	p.senders.Insert(sp)
 	c.SetState(p.node, sp)
 	c.Send(p.node, proto.Message{Kind: kindHello, Size: 16})
 	// Kick off reconciliation for this sender immediately.
@@ -489,13 +435,8 @@ func (p *bPeer) dropSender(sp *sender, closeConn bool) {
 		return
 	}
 	sp.closed = true
-	delete(p.senders, sp.id)
-	tag := claimTag(sp.id)
-	for id, owner := range p.claimed {
-		if owner == tag {
-			p.claimed[id] = 0
-		}
-	}
+	p.senders.Remove(sp.id)
+	p.claims.Release(sp.id)
 	if closeConn {
 		sp.conn.Close(p.node)
 	}
@@ -508,7 +449,7 @@ func (p *bPeer) reconcile() {
 	if p.complete {
 		return
 	}
-	for _, sp := range p.sortedSenders() {
+	for _, sp := range p.senders {
 		p.sendRecon(sp)
 	}
 	if p.s.rt.Tracer != nil {
@@ -535,7 +476,7 @@ func (p *bPeer) onHello(c *proto.Conn) {
 
 // onRecon answers with the ids the requester is missing that we hold.
 func (p *bPeer) onRecon(c *proto.Conn, rm reconMsg) {
-	am := p.s.avails.get()
+	am := p.s.avails.Get()
 	if am.ids == nil {
 		am.ids = make([]int, 0, availLimit) // kept while the answer is recycled
 	}
@@ -585,13 +526,13 @@ func (p *bPeer) fill(sp *sender) {
 		if p.store.Have(id) {
 			continue
 		}
-		if p.claimed[id] != 0 {
+		if p.claims.Held(id) {
 			continue
 		}
-		p.claimed[id] = claimTag(sp.id)
+		p.claims.Claim(id, sp.id)
 		sp.outstanding++
 		p.s.RequestsSent++
-		sp.conn.Send(p.node, proto.Message{Kind: kindReq, Size: 16, Payload: p.s.ref(id)})
+		sp.conn.Send(p.node, proto.Message{Kind: kindReq, Size: 16, Payload: p.s.index.Ref(id)})
 	}
 }
 
@@ -600,7 +541,7 @@ func (p *bPeer) onReq(c *proto.Conn, id int) {
 	if !p.store.Have(id) {
 		return
 	}
-	c.Send(p.node, proto.Message{Kind: kindBlock, Size: p.s.cfg.BlockSize + 12, Payload: p.s.ref(id)})
+	c.Send(p.node, proto.Message{Kind: kindBlock, Size: p.s.cfg.BlockSize + 12, Payload: p.s.index.Ref(id)})
 }
 
 // onBlockArrival handles a pulled block.
@@ -612,7 +553,7 @@ func (p *bPeer) onBlockArrival(c *proto.Conn, id int) {
 	if sp.outstanding > 0 {
 		sp.outstanding--
 	}
-	p.claimed[id] = 0
+	p.claims.Unclaim(id)
 	if p.accept(id) {
 		sp.gotUseful = p.s.rt.Now()
 	}
@@ -632,10 +573,6 @@ func (p *bPeer) accept(id int) bool {
 	}
 	return true
 }
-
-// claimTag is what claimed[b] holds while block b is requested from the
-// sender with the given id.
-func claimTag(id netem.NodeID) int32 { return int32(id) + 1 }
 
 func (p *bPeer) onConnClose(c *proto.Conn) {
 	switch st := c.State(p.node).(type) {

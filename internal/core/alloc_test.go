@@ -96,13 +96,14 @@ func mallocs(f func()) uint64 {
 	return after.Mallocs - before.Mallocs
 }
 
-// initialDiff is a delivered initial diff advertising blocks 0..n-1.
+// initialDiff is an initial diff advertising blocks 0..n-1, handed to
+// onDiff directly.
 func initialDiff(n int) *diffMsg {
 	ids := make([]int, n)
 	for i := range ids {
 		ids[i] = i
 	}
-	return &diffMsg{ids: ids, initial: true, live: true}
+	return &diffMsg{ids: ids, initial: true}
 }
 
 // TestReAddedSenderReusesState drops a sender that holds an availability
@@ -170,10 +171,10 @@ func TestInitialDiffGrowsOnce(t *testing.T) {
 	p.onDiff(p.senders[0].conn, d)
 	var reqs [2 * InitialOutstanding]*reqMsg
 	for i := range reqs {
-		reqs[i] = r.sess.reqs.get()
+		reqs[i] = r.sess.reqs.Get()
 	}
 	for _, rm := range reqs {
-		r.sess.reqs.put(rm)
+		r.sess.reqs.Put(rm)
 	}
 	p.addSender(3)
 	sp := p.senders[1]

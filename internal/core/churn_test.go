@@ -63,10 +63,12 @@ func TestSenderFailureReclaimsClaims(t *testing.T) {
 		if p.complete {
 			continue
 		}
-		for _, owner := range p.claimed {
-			if owner > 1 { // claimed, and not from the source (don't kill it)
-				victim = netem.NodeID(owner - 1)
-				break
+		for b := 0; b < r.sess.maxBlockID() && victim < 0; b++ {
+			for owner := netem.NodeID(1); owner < 10; owner++ { // not the source (don't kill it)
+				if p.claims.HeldBy(b, owner) {
+					victim = owner
+					break
+				}
 			}
 		}
 	}
@@ -83,8 +85,8 @@ func TestSenderFailureReclaimsClaims(t *testing.T) {
 		if !p.complete {
 			t.Fatalf("node %d incomplete after sender %d failed", id, victim)
 		}
-		for b, owner := range p.claimed {
-			if owner == claimTag(victim) {
+		for b := 0; b < r.sess.maxBlockID(); b++ {
+			if p.claims.HeldBy(b, victim) {
 				t.Fatalf("node %d still has block %d claimed on dead sender", id, b)
 			}
 		}

@@ -220,7 +220,7 @@ func testPeerForController(t *testing.T) (*peer, *senderPeer) {
 	r := buildRig(4, 20, nil, nil)
 	p := r.sess.peers[1]
 	sp := &senderPeer{id: 2, desired: 3, markBlock: -2, meter: *trace.NewRateMeter(0.5, 24)}
-	p.senders.insert(sp)
+	p.senders.Insert(sp)
 	// Simulate measured bandwidth: 10 blocks over the last seconds.
 	for i := 0; i < 10; i++ {
 		sp.meter.Add(r.eng.Now(), 16*1024)
@@ -284,7 +284,7 @@ func TestManageOutstandingStaticPinned(t *testing.T) {
 	r := buildRig(4, 21, func(c *Config) { c.StaticOutstanding = 7 }, nil)
 	p := r.sess.peers[1]
 	sp := &senderPeer{id: 2, desired: 7, markBlock: -2, meter: *trace.NewRateMeter(0.5, 24)}
-	p.senders.insert(sp)
+	p.senders.Insert(sp)
 	p.manageOutstanding(sp, &blockMsg{id: 0, inFront: 0, wasted: -10})
 	if sp.desired != 7 {
 		t.Fatalf("static outstanding changed to %v", sp.desired)
@@ -313,7 +313,7 @@ func hillClimbPeer(t *testing.T) *peer {
 func fillSenders(p *peer, n int) {
 	for i := 0; i < n; i++ {
 		id := netem.NodeID(100 + i)
-		p.senders.insert(&senderPeer{id: id})
+		p.senders.Insert(&senderPeer{id: id})
 	}
 }
 
@@ -431,7 +431,7 @@ func TestEnforcePeerTargetsSheds(t *testing.T) {
 		sp.rate = rates[i]
 	}
 	for i, rate := range rates {
-		p.receivers.insert(&receiverPeer{id: netem.NodeID(100 + i), conn: p.node.Dial(2), rate: rate})
+		p.receivers.Insert(&receiverPeer{id: netem.NodeID(100 + i), conn: p.node.Dial(2), rate: rate})
 	}
 	p.maxSenders.n = 7
 	p.maxReceivers.n = 7
@@ -485,5 +485,13 @@ func TestConfigDefaults(t *testing.T) {
 	c.Encoded = true
 	if got := c.goalBlocks(); got != 104 {
 		t.Fatalf("encoded goal = %d, want 104", got)
+	}
+}
+
+// TestSessionString names the system, its size and its strategy.
+func TestSessionString(t *testing.T) {
+	r := buildRig(4, 50, func(c *Config) { c.NumBlocks = 70 }, nil)
+	if got, want := r.sess.String(), "bullet'(4 nodes, 70 blocks x 16384B, "+r.sess.cfg.Strategy.String()+")"; got != want {
+		t.Fatalf("String() = %q, want %q", got, want)
 	}
 }

@@ -10,44 +10,6 @@ import (
 	"bulletprime/internal/testbed"
 )
 
-func TestFreeListReusesAndGuards(t *testing.T) {
-	var f freeList[reqMsg, *reqMsg]
-	a, b := f.get(), f.get()
-	if a == b {
-		t.Fatal("one payload handed out twice")
-	}
-	if !a.live || !b.live {
-		t.Fatal("handed-out payload not marked live")
-	}
-	a.id, a.totalInBW = 7, 3.5
-	f.put(a)
-	if a.live || a.id != 0 || a.totalInBW != 0 {
-		t.Fatalf("returned payload not reset: %+v", *a)
-	}
-	if c := f.get(); c != a || !c.live {
-		t.Fatal("returned payload not reused")
-	}
-	f.put(a)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("second put of one payload did not panic")
-		}
-	}()
-	f.put(a)
-}
-
-func TestDeliveredRejectsReturnedPayload(t *testing.T) {
-	var f freeList[blockMsg, *blockMsg]
-	bm := f.get()
-	f.put(bm)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("delivery of a payload already on the free list did not panic")
-		}
-	}()
-	delivered(bm)
-}
-
 // auditFreeLists wraps every peer's message handler with the free-list
 // invariant, checked at each delivery: the payload arriving is live and on
 // no free list (so it cannot have been handed to another message while in
@@ -57,24 +19,23 @@ func auditFreeLists(t *testing.T, s *Session) {
 	for _, p := range s.peers {
 		inner := p.node.OnMessage
 		p.node.OnMessage = func(c *proto.Conn, m proto.Message) {
-			var onList func() bool
-			var live *bool
+			var onList, live func() bool
 			switch pl := m.Payload.(type) {
 			case *reqMsg:
-				onList, live = func() bool { return slices.Contains(s.reqs.free, pl) }, &pl.live
+				onList, live = func() bool { return slices.Contains(s.reqs.Idle(), pl) }, pl.Live
 			case *blockMsg:
-				onList, live = func() bool { return slices.Contains(s.blocks.free, pl) }, &pl.live
+				onList, live = func() bool { return slices.Contains(s.blocks.Idle(), pl) }, pl.Live
 			case *diffMsg:
-				onList, live = func() bool { return slices.Contains(s.diffs.free, pl) }, &pl.live
+				onList, live = func() bool { return slices.Contains(s.diffs.Idle(), pl) }, pl.Live
 			}
-			if onList != nil && (!*live || onList()) {
-				t.Fatalf("kind %d payload delivered while on its free list (live=%v)", m.Kind, *live)
+			if onList != nil && (!live() || onList()) {
+				t.Fatalf("kind %d payload delivered while on its free list (live=%v)", m.Kind, live())
 			}
 			inner(c, m)
-			if onList != nil && (*live || !onList()) {
-				t.Fatalf("kind %d payload not returned at delivery (live=%v)", m.Kind, *live)
+			if onList != nil && (live() || !onList()) {
+				t.Fatalf("kind %d payload not returned at delivery (live=%v)", m.Kind, live())
 			}
-			if hasDup(s.reqs.free) || hasDup(s.blocks.free) || hasDup(s.diffs.free) {
+			if hasDup(s.reqs.Idle()) || hasDup(s.blocks.Idle()) || hasDup(s.diffs.Idle()) {
 				t.Fatal("a free list holds one payload twice")
 			}
 		}
@@ -105,16 +66,16 @@ func TestFreeListInvariantUnderChurn(t *testing.T) {
 		}
 	})
 	r.eng.RunUntil(300)
-	if r.sess.RequestsSent == 0 || len(r.sess.reqs.free) == 0 || len(r.sess.blocks.free) == 0 || len(r.sess.diffs.free) == 0 {
+	if r.sess.RequestsSent == 0 || len(r.sess.reqs.Idle()) == 0 || len(r.sess.blocks.Idle()) == 0 || len(r.sess.diffs.Idle()) == 0 {
 		t.Fatalf("run did not exercise the free lists: %d requests, lists %d/%d/%d", r.sess.RequestsSent,
-			len(r.sess.reqs.free), len(r.sess.blocks.free), len(r.sess.diffs.free))
+			len(r.sess.reqs.Idle()), len(r.sess.blocks.Idle()), len(r.sess.diffs.Idle()))
 	}
 }
 
 // sendPooledRequest queues one pooled request from p on c, as fillRequests
 // does.
 func sendPooledRequest(p *peer, c *proto.Conn) *reqMsg {
-	rm := p.s.reqs.get()
+	rm := p.s.reqs.Get()
 	rm.id = 5
 	c.Send(p.node, proto.Message{Kind: kindRequest, Size: 24, Payload: rm})
 	return rm
@@ -125,14 +86,14 @@ func sendPooledRequest(p *peer, c *proto.Conn) *reqMsg {
 // out is a different object.
 func checkLeaked(t *testing.T, s *Session, rm *reqMsg, how string) {
 	t.Helper()
-	if !rm.live || slices.Contains(s.reqs.free, rm) {
+	if !rm.Live() || slices.Contains(s.reqs.Idle(), rm) {
 		t.Fatalf("%s: dropped payload went back to the free list", how)
 	}
-	next := s.reqs.get()
+	next := s.reqs.Get()
 	if next == rm {
 		t.Fatalf("%s: dropped payload handed out again", how)
 	}
-	s.reqs.put(next)
+	s.reqs.Put(next)
 }
 
 // TestDroppedPayloadLeaksOnEmulatedPath: a message discarded by Conn.Close
@@ -157,7 +118,7 @@ func TestDroppedPayloadLeaksOnEmulatedPath(t *testing.T) {
 	c = p.node.Dial(2)
 	rm = sendPooledRequest(p, c)
 	r.eng.RunUntil(r.eng.Now() + 5)
-	if rm.live || !slices.Contains(r.sess.reqs.free, rm) {
+	if rm.Live() || !slices.Contains(r.sess.reqs.Idle(), rm) {
 		t.Fatal("delivered payload was not returned to the free list")
 	}
 }

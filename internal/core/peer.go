@@ -35,8 +35,8 @@ type peer struct {
 	// senders and receivers are kept in id order, the order every loop over
 	// them must take for the simulation to stay deterministic per seed. A
 	// loop that drops senders as it goes walks a snapshot (sweepSenders).
-	senders   idList[*senderPeer]
-	receivers idList[*receiverPeer]
+	senders   proto.IDList[*senderPeer]
+	receivers proto.IDList[*receiverPeer]
 
 	// Per-block state is dense: one maxBlockID()-long slice each, sized
 	// once for the life of the peer, and as narrow as its values allow —
@@ -47,11 +47,11 @@ type peer struct {
 	// rarest strategies minimize it. A byte is enough: the sender set is at
 	// most MaxPeers, or Config.StaticPeers ≤ maxStaticPeers.
 	rarity []uint8
-	// claimed[b] is 1 + the id of the sender block b is currently requested
-	// from, 0 when it is requested from nobody; it prevents duplicate pulls
+	// claims holds, per block, the sender it is currently requested from
+	// (its table is sized at the first claim); it prevents duplicate pulls
 	// (§2.4). Block selection reads want instead; dropSender needs the
 	// owner.
-	claimed []int32
+	claims proto.Claims
 	// want has bit b set iff block b is neither held nor claimed — the one
 	// test block selection makes per candidate. It changes only where they
 	// do: in claim, unclaim, hold and releaseClaims.
@@ -100,7 +100,7 @@ func newPeer(s *Session, id netem.NodeID) *peer {
 		rng:        s.rng.Stream(fmt.Sprintf("peer-%d", id)),
 		isSource:   id == s.cfg.Source,
 		rarity:     make([]uint8, s.maxBlockID()),
-		claimed:    make([]int32, s.maxBlockID()),
+		claims:     proto.NewClaims(s.maxBlockID()),
 		want:       make([]uint64, (s.maxBlockID()+63)/64),
 		ties:       make([]int, 0, rarestSample),
 		firstEpoch: true,
@@ -147,30 +147,6 @@ func (p *peer) summarize() ransub.Candidate {
 	return ransub.Candidate{ID: p.node.ID, Summary: proto.NewSummary(p.store)}
 }
 
-// idList is a set of mesh peers kept in node-id order.
-type idList[P interface{ nodeID() netem.NodeID }] []P
-
-// index returns where the peer with the given id is, or would be inserted.
-func (l idList[P]) index(id netem.NodeID) (int, bool) {
-	return slices.BinarySearchFunc(l, id, func(p P, id netem.NodeID) int { return cmp.Compare(p.nodeID(), id) })
-}
-
-func (l idList[P]) has(id netem.NodeID) bool {
-	_, ok := l.index(id)
-	return ok
-}
-
-func (l *idList[P]) insert(p P) {
-	i, _ := l.index(p.nodeID())
-	*l = slices.Insert(*l, i, p)
-}
-
-func (l *idList[P]) remove(id netem.NodeID) {
-	if i, ok := l.index(id); ok {
-		*l = slices.Delete(*l, i, i+1)
-	}
-}
-
 // sweepSenders snapshots the sender list into peer-owned scratch for a loop
 // that drops senders as it goes; dropSender edits the live list in place.
 func (p *peer) sweepSenders() []*senderPeer {
@@ -192,34 +168,24 @@ func (p *peer) onMessage(c *proto.Conn, m proto.Message) {
 	case kindReject:
 		p.onReject(c)
 	case kindDiff:
-		d := delivered(m.Payload.(*diffMsg))
+		d := p.s.diffs.Delivered(m.Payload)
 		p.onDiff(c, d)
-		p.s.diffs.put(d)
+		p.s.diffs.Put(d)
 	case kindDiffReq:
 		p.onDiffReq(c)
 	case kindRequest:
-		rm := delivered(m.Payload.(*reqMsg))
+		rm := p.s.reqs.Delivered(m.Payload)
 		p.onRequest(c, rm)
-		p.s.reqs.put(rm)
+		p.s.reqs.Put(rm)
 	case kindBlock:
-		bm := delivered(m.Payload.(*blockMsg))
+		bm := p.s.blocks.Delivered(m.Payload)
 		p.onBlock(c, bm)
-		p.s.blocks.put(bm)
+		p.s.blocks.Put(bm)
 	case kindPush:
-		bm := delivered(m.Payload.(*blockMsg))
+		bm := p.s.blocks.Delivered(m.Payload)
 		p.onPush(c, bm)
-		p.s.blocks.put(bm)
+		p.s.blocks.Put(bm)
 	}
-}
-
-// delivered checks a pooled payload on arrival: one that is not live went
-// back to its free list while still in flight, and may since have been
-// handed to another message.
-func delivered[P interface{ inFlight() *bool }](m P) P {
-	if !*m.inFlight() {
-		panic("core: payload delivered after it was returned to its free list")
-	}
-	return m
 }
 
 // ---------------------------------------------------------------------------
@@ -230,7 +196,7 @@ func (p *peer) addSender(id netem.NodeID) {
 	if id == p.node.ID {
 		return
 	}
-	if p.senders.has(id) {
+	if p.senders.Has(id) {
 		return
 	}
 	c := p.node.Dial(id)
@@ -251,7 +217,7 @@ func (p *peer) addSender(id netem.NodeID) {
 	if p.s.cfg.StaticOutstanding > 0 {
 		sp.desired = float64(p.s.cfg.StaticOutstanding)
 	}
-	p.senders.insert(sp)
+	p.senders.Insert(sp)
 	c.SetState(p.node, sp)
 	c.Send(p.node, proto.Message{Kind: kindHello, Size: 16})
 }
@@ -263,15 +229,14 @@ func (p *peer) dropSender(sp *senderPeer, closeConn bool) {
 		return
 	}
 	sp.closed = true
-	p.senders.remove(sp.id)
+	p.senders.Remove(sp.id)
 	// A block is only ever claimed at a sender that advertised it, so one
 	// pass over the advertised bits hands back both rarity and claims.
-	owner := claimTag(sp.id)
 	sp.advertised.ForEachSet(func(id int) {
 		if p.rarity[id] > 0 {
 			p.rarity[id]--
 		}
-		if p.claimed[id] == owner {
+		if p.claims.HeldBy(id, sp.id) {
 			p.unclaim(id)
 		}
 	})
@@ -350,7 +315,7 @@ func (p *peer) fillRequests(sp *senderPeer) {
 		if sp.markPending && sp.markBlock == -1 {
 			sp.markBlock = id // the marked request (§3.3.3 settling)
 		}
-		rm := p.s.reqs.get()
+		rm := p.s.reqs.Get()
 		rm.id = id
 		rm.totalInBW = p.inRate()
 		rm.perSenderBW = sp.meter.Rate(now, 5)
@@ -366,13 +331,13 @@ func (p *peer) fillRequests(sp *senderPeer) {
 
 // claim marks block id requested from the given sender.
 func (p *peer) claim(id int, sender netem.NodeID) {
-	p.claimed[id] = claimTag(sender)
+	p.claims.Claim(id, sender)
 	p.want[id>>6] &^= 1 << (uint(id) & 63)
 }
 
 // unclaim marks block id requested from nobody.
 func (p *peer) unclaim(id int) {
-	p.claimed[id] = 0
+	p.claims.Unclaim(id)
 	if !p.store.Have(id) {
 		p.want[id>>6] |= 1 << (uint(id) & 63)
 	}
@@ -390,11 +355,11 @@ func (p *peer) hold(id int, now sim.Time) bool {
 // releaseClaims forgets every claim at once, which leaves wanted exactly
 // the blocks not held.
 func (p *peer) releaseClaims() {
-	clear(p.claimed)
+	p.claims.Clear()
 	for i := range p.want {
 		p.want[i] = ^uint64(0)
 	}
-	if tail := len(p.claimed) & 63; tail != 0 {
+	if tail := p.store.NumBlocks() & 63; tail != 0 {
 		p.want[len(p.want)-1] = 1<<uint(tail) - 1
 	}
 	held, _ := p.store.ArrivalsSince(0)
@@ -602,12 +567,12 @@ func (p *peer) onHello(c *proto.Conn) {
 		return
 	}
 	peerID := c.Peer(p.node).ID
-	if i, dup := p.receivers.index(peerID); dup {
+	if i, dup := p.receivers.Index(peerID); dup {
 		// Stale peering replaced by a fresh dial.
 		p.dropReceiver(p.receivers[i], true)
 	}
 	rp := &receiverPeer{id: peerID, conn: c}
-	p.receivers.insert(rp)
+	p.receivers.Insert(rp)
 	c.SetState(p.node, rp)
 	p.sendDiff(rp, true)
 	if period := p.s.cfg.PeriodicDiffs; period > 0 {
@@ -661,7 +626,7 @@ func (p *peer) sendDiff(rp *receiverPeer, initial bool) {
 		size = p.store.Bitmap().WireSize() + 16
 	}
 	p.s.DiffsSent++
-	d := p.s.diffs.get()
+	d := p.s.diffs.Get()
 	d.ids, d.initial = ids[:len(ids):len(ids)], initial
 	rp.conn.Send(p.node, proto.Message{Kind: kindDiff, Size: size, Payload: d})
 }
@@ -676,7 +641,7 @@ func (p *peer) onDiffReq(c *proto.Conn) {
 	ids, cursor := p.store.ArrivalsSince(rp.diffCursor)
 	rp.diffCursor = cursor
 	p.s.DiffsSent++
-	d := p.s.diffs.get()
+	d := p.s.diffs.Get()
 	d.ids = ids[:len(ids):len(ids)]
 	c.Send(p.node, proto.Message{Kind: kindDiff, Size: float64(float64(len(ids))*4) + 16, Payload: d})
 }
@@ -707,7 +672,7 @@ func (p *peer) onRequest(c *proto.Conn, rm *reqMsg) {
 		}
 		wasted = c.QueueBytes(p.node) / rate
 	}
-	bm := p.s.blocks.get()
+	bm := p.s.blocks.Get()
 	bm.id, bm.inFront, bm.wasted = rm.id, inFront, wasted
 	c.Send(p.node, proto.Message{Kind: kindBlock, Size: p.s.cfg.BlockSize + 16, Payload: bm})
 }
@@ -718,7 +683,7 @@ func (p *peer) dropReceiver(rp *receiverPeer, closeConn bool) {
 		return
 	}
 	rp.closed = true
-	p.receivers.remove(rp.id)
+	p.receivers.Remove(rp.id)
 	if closeConn {
 		rp.conn.Close(p.node)
 	}
@@ -876,7 +841,7 @@ func (p *peer) enforcePeerTargets() {
 // approximately equal.
 //
 // The result is out's array refilled from the start.
-func sigmaOutliers[P interface{ nodeID() netem.NodeID }](out []P, set idList[P], floor int, score func(P) float64, exempt func(P) bool) []P {
+func sigmaOutliers[P any](out []P, set []P, floor int, score func(P) float64, exempt func(P) bool) []P {
 	out = out[:0]
 	if len(set) <= floor {
 		return out
@@ -977,7 +942,7 @@ func (p *peer) replaceExhaustedSenders(now sim.Time, set []ransub.Candidate) {
 		if c.ID == p.node.ID || c.Summary == nil {
 			continue
 		}
-		if p.senders.has(c.ID) {
+		if p.senders.Has(c.ID) {
 			continue
 		}
 		if c.Summary.UsefulTo(p.store, 64) > 0 {
@@ -1008,7 +973,7 @@ func (p *peer) acquireSenders(set []ransub.Candidate) {
 		if c.ID == p.node.ID {
 			continue
 		}
-		if p.senders.has(c.ID) {
+		if p.senders.Has(c.ID) {
 			continue
 		}
 		if c.Summary == nil || c.Summary.Count == 0 {
@@ -1031,10 +996,6 @@ func (p *peer) acquireSenders(set []ransub.Candidate) {
 		need--
 	}
 }
-
-// claimTag is what claimed[b] holds while block b is requested from the
-// sender with the given id.
-func claimTag(id netem.NodeID) int32 { return int32(id) + 1 }
 
 // scoredCandidate is one acquireSenders ranking entry.
 type scoredCandidate struct {

@@ -15,9 +15,9 @@ func checkWant(t *testing.T, s *Session) {
 	for id, p := range s.peers {
 		for b := 0; b < s.maxBlockID(); b++ {
 			got := p.want[b>>6]&(1<<(uint(b)&63)) != 0
-			if want := !p.store.Have(b) && p.claimed[b] == 0; got != want {
-				t.Fatalf("t=%v node %d block %d: want bit %v, but held=%v claimed=%d",
-					s.rt.Now(), id, b, got, p.store.Have(b), p.claimed[b])
+			if want := !p.store.Have(b) && !p.claims.Held(b); got != want {
+				t.Fatalf("t=%v node %d block %d: want bit %v, but held=%v claimed=%v",
+					s.rt.Now(), id, b, got, p.store.Have(b), p.claims.Held(b))
 			}
 		}
 		for b := s.maxBlockID(); b < len(p.want)*64; b++ {
@@ -41,15 +41,16 @@ func TestWantFollowsClaimsAndArrivals(t *testing.T) {
 	sp, other := p.senders[0], p.senders[1]
 	p.onDiff(other.conn, &diffMsg{ids: []int{3, 65}, initial: true})
 	p.onDiff(sp.conn, &diffMsg{ids: []int{3, 65, 69}, initial: true})
-	if p.claimed[3] != claimTag(other.id) || p.claimed[65] != claimTag(other.id) || p.claimed[69] != claimTag(sp.id) {
-		t.Fatalf("claims after the two diffs: 3→%d 65→%d 69→%d", p.claimed[3], p.claimed[65], p.claimed[69])
+	if !p.claims.HeldBy(3, other.id) || !p.claims.HeldBy(65, other.id) || !p.claims.HeldBy(69, sp.id) {
+		t.Fatalf("claims after the two diffs: 3 by %d %v, 65 by %d %v, 69 by %d %v",
+			other.id, p.claims.HeldBy(3, other.id), other.id, p.claims.HeldBy(65, other.id), sp.id, p.claims.HeldBy(69, sp.id))
 	}
 	checkWant(t, r.sess)
 	p.acceptBlock(3) // pushed while claimed
 	checkWant(t, r.sess)
 	p.dropSender(other, false) // hands back 3 (held) and 65 (wanted again)
-	if p.claimed[3] != 0 || p.claimed[65] != 0 {
-		t.Fatalf("claims after the drop: 3→%d 65→%d", p.claimed[3], p.claimed[65])
+	if p.claims.Held(3) || p.claims.Held(65) {
+		t.Fatalf("claims after the drop: 3 held %v, 65 held %v", p.claims.Held(3), p.claims.Held(65))
 	}
 	checkWant(t, r.sess)
 	for b := 0; b < 70; b++ {

@@ -24,20 +24,20 @@ const (
 )
 
 // The three per-block payloads travel as pointers drawn from the session's
-// free lists (see freeList): whoever sends one gets it from the list, and
+// free lists (proto.FreeList): whoever sends one gets it from the list, and
 // peer.onMessage puts it back when the handler it was delivered to returns.
 
 type diffMsg struct {
+	proto.Pooled
 	// ids aliases the sender's append-only arrival log (capacity clipped to
 	// length), so a diff costs no copy; receivers only read it.
 	ids     []int
 	initial bool
-	live    bool
 }
 
 type reqMsg struct {
-	live bool
-	id   int
+	proto.Pooled
+	id int
 	// totalInBW is the receiver's total incoming bandwidth, piggybacked for
 	// the sender's ManageReceivers ratio rule (§3.3.1).
 	totalInBW float64
@@ -47,8 +47,8 @@ type reqMsg struct {
 }
 
 type blockMsg struct {
-	live bool
-	id   int
+	proto.Pooled
+	id int
 	// inFront and wasted are the sender-side measurements reported with
 	// every block (§3.3.3): queued blocks ahead of this one, and idle
 	// (negative) or queue-service (positive) time.
@@ -56,46 +56,11 @@ type blockMsg struct {
 	wasted  float64
 }
 
-func (m *diffMsg) inFlight() *bool  { return &m.live }
-func (m *reqMsg) inFlight() *bool   { return &m.live }
-func (m *blockMsg) inFlight() *bool { return &m.live }
-
-// freeList recycles one payload type for the life of a session, so the
-// request → block → diff loop boxes no fresh object per message. A payload
-// is live from get until put. One that is never delivered — queued on a
-// connection that closed, addressed to a failed node, lost with a testbed
-// link — is simply never put back and falls to the collector; it cannot be
-// handed out again, so a dropped message never corrupts a later one.
-type freeList[T any, P interface {
-	*T
-	inFlight() *bool
-}] struct {
-	free []P
-}
-
-// get hands out a zeroed payload marked live.
-func (f *freeList[T, P]) get() P {
-	var m P
-	if n := len(f.free); n > 0 {
-		m = f.free[n-1]
-		f.free = f.free[:n-1]
-	} else {
-		m = new(T)
-	}
-	*m.inFlight() = true
-	return m
-}
-
-// put takes a delivered payload back. Returning one that is not live would
-// let two in-flight messages share it, so that panics.
-func (f *freeList[T, P]) put(m P) {
-	if !*m.inFlight() {
-		panic("core: payload returned to its free list twice")
-	}
-	var zero T
-	*m = zero // also drops a diff's reference into the sender's arrival log
-	f.free = append(f.free, m)
-}
+// A payload is zeroed whole when it returns to its list, which also drops a
+// diff's reference into the sender's arrival log.
+func (m *diffMsg) Reset()  { *m = diffMsg{} }
+func (m *reqMsg) Reset()   { *m = reqMsg{} }
+func (m *blockMsg) Reset() { *m = blockMsg{} }
 
 // Session is one Bullet' dissemination run over an existing proto.Runtime.
 type Session struct {
@@ -108,9 +73,9 @@ type Session struct {
 	Tree  *tree.Tree
 	peers map[netem.NodeID]*peer
 
-	diffs  freeList[diffMsg, *diffMsg]
-	reqs   freeList[reqMsg, *reqMsg]
-	blocks freeList[blockMsg, *blockMsg]
+	diffs  proto.FreeList[diffMsg, *diffMsg]
+	reqs   proto.FreeList[reqMsg, *reqMsg]
+	blocks proto.FreeList[blockMsg, *blockMsg]
 
 	// spares is the per-block memory of dropped senders, cleared, for the
 	// next addSender anywhere in the session to take before it allocates.
@@ -331,8 +296,8 @@ type senderPeer struct {
 	closed bool
 }
 
-func (sp *senderPeer) nodeID() netem.NodeID   { return sp.id }
-func (rp *receiverPeer) nodeID() netem.NodeID { return rp.id }
+func (sp *senderPeer) NodeID() netem.NodeID   { return sp.id }
+func (rp *receiverPeer) NodeID() netem.NodeID { return rp.id }
 
 func (sp *senderPeer) limit() int {
 	l := int(sp.desired + 1e-9)

@@ -88,7 +88,7 @@ func (p *peer) pushPump() {
 			if p.s.cfg.Encoded && !p.store.Have(id) {
 				p.hold(id, p.s.rt.Now()) // generate on demand
 			}
-			bm := p.s.blocks.get()
+			bm := p.s.blocks.Get()
 			bm.id = id
 			c.Send(p.node, proto.Message{Kind: kindPush, Size: p.s.cfg.BlockSize + 16, Payload: bm})
 			p.s.BlocksPushed++

@@ -27,7 +27,7 @@ func newSyntheticSender(p *peer, id netem.NodeID, avail []int) *senderPeer {
 		sp.advertised.Set(b)
 		p.rarity[b]++
 	}
-	p.senders.insert(sp)
+	p.senders.Insert(sp)
 	return sp
 }
 
@@ -94,7 +94,7 @@ func TestRarestRandomSpreadsTies(t *testing.T) {
 		for _, b := range []int{40, 41, 42, 43} {
 			p.rarity[b]--
 		}
-		p.senders.remove(sp.id)
+		p.senders.Remove(sp.id)
 	}
 	if len(seen) < 2 {
 		t.Fatalf("rarest-random never varied its tie-break: %v", seen)
@@ -143,7 +143,7 @@ func TestDiffSelfClockingSkipsBusyReceivers(t *testing.T) {
 	_ = conn
 	c2 := p.node.Dial(2)
 	rp := &receiverPeer{id: 2, conn: c2}
-	p.receivers.insert(rp)
+	p.receivers.Insert(rp)
 	c2.SetState(p.node, rp)
 	// Make the queue busy with a large message.
 	c2.Send(p.node, proto.Message{Kind: 1, Size: 1e7})
@@ -159,7 +159,7 @@ func TestDiffGoesToIdleReceivers(t *testing.T) {
 	p := r.sess.peers[1]
 	c2 := p.node.Dial(2)
 	rp := &receiverPeer{id: 2, conn: c2}
-	p.receivers.insert(rp)
+	p.receivers.Insert(rp)
 	c2.SetState(p.node, rp)
 	diffsBefore := r.sess.DiffsSent
 	p.acceptBlock(7)
@@ -173,7 +173,7 @@ func TestIncrementalDiffNeverRepeats(t *testing.T) {
 	p := r.sess.peers[1]
 	c2 := p.node.Dial(2)
 	rp := &receiverPeer{id: 2, conn: c2}
-	p.receivers.insert(rp)
+	p.receivers.Insert(rp)
 	c2.SetState(p.node, rp)
 
 	p.hold(1, 0)

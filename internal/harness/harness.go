@@ -277,9 +277,12 @@ type backend interface {
 	advance(sys System, deadline sim.Time, stop func() bool) (stopped bool)
 	// collect fills the result's clock, counters and per-node outcome.
 	collect(res *RunResult)
-	// close releases what the rig holds outside the process's memory.
-	close()
 }
+
+// A backend whose rig holds something outside the process's memory (the
+// testbed's sockets) releases it in close; RunSpec calls it when the run
+// ends.
+type closer interface{ close() }
 
 // newBackend builds the spec's rig on the drawn topology and installs the
 // tracer and the rig-level hooks on it.
@@ -335,7 +338,9 @@ func RunSpec(s SweepSpec) *RunResult {
 	if err != nil {
 		return errResult(&s, err)
 	}
-	defer b.close()
+	if c, ok := b.(closer); ok {
+		defer c.close()
+	}
 	sys := b.build(&s, entry)
 	b.observe(h, sys, deadline)
 	sys.Start()
@@ -413,8 +418,6 @@ func (b rigBackend) collect(res *RunResult) {
 		res.Stream = b.rig.Stream.Report(float64(res.EndedAt))
 	}
 }
-
-func (b rigBackend) close() {}
 
 // setCounters copies a final reading into the result.
 func (r *RunResult) setCounters(c Counters) {

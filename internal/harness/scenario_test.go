@@ -176,13 +176,18 @@ func TestWaveSystemStaggersSessions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var sys System
 	res := RunSpec(SweepSpec{
 		Label: "crowd", Seed: 9, TopoFn: LosslessModelNetTopology(12),
 		Workload: Workload{FileBytes: 1e6, BlockSize: 16 * 1024},
 		Deadline: 1200, Scenario: prog,
+		Hooks: &Hooks{OnStart: func(_ *Rig, s System) { sys = s }},
 	})
 	if !res.Finished {
 		t.Fatal("flash crowd did not finish on a calm network")
+	}
+	if got, want := sys.DoneAt(), lastCompletion(res); got != want {
+		t.Fatalf("DoneAt() = %v, want the last wave's last completion %v", got, want)
 	}
 	// 12 members, two waves, one source per wave: 10 completions.
 	if len(res.PerNode) != 10 {

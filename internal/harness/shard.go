@@ -298,5 +298,3 @@ func (b *shardBackend) collect(res *RunResult) {
 		}
 	}
 }
-
-func (b *shardBackend) close() {}

@@ -177,10 +177,25 @@ func TestShardedShardCountChangesResults(t *testing.T) {
 // TestShardedSingleShard pins the degenerate K=1 case: everything local, no
 // cross posts, still a valid run.
 func TestShardedSingleShard(t *testing.T) {
-	res := RunSpec(shardedSpec(3, 1, 0))
+	spec := shardedSpec(3, 1, 0)
+	var sys ShardSystem
+	spec.Hooks = &Hooks{OnShardStart: func(_ *ShardedRig, s ShardSystem) { sys = s }}
+	res := RunSpec(spec)
 	if !res.Finished || len(res.PerNode) != 200 {
 		t.Fatalf("K=1 sharded run: finished=%v completions=%d", res.Finished, len(res.PerNode))
 	}
+	if got, want := sys.DoneAt(), lastCompletion(res); got != want {
+		t.Fatalf("DoneAt() = %v, want the last completion %v", got, want)
+	}
+}
+
+// lastCompletion is the latest completion time of a run.
+func lastCompletion(res *RunResult) sim.Time {
+	var last sim.Time
+	for _, at := range res.PerNode {
+		last = max(last, at)
+	}
+	return last
 }
 
 // TestShardedRunRejectsSequentialFeatures: what the sharded engine cannot

@@ -298,3 +298,14 @@ func TestKeyDeterminismAndSeparation(t *testing.T) {
 		}
 	}
 }
+
+// TestDigest pins Digest to the short-hex form Key uses: the first 16 hex
+// digits of the blob's SHA-256.
+func TestDigest(t *testing.T) {
+	if got := Digest([]byte("abc")); got != "ba7816bf8f01cfea" {
+		t.Fatalf("Digest(abc) = %s, want the first 16 hex digits of its SHA-256", got)
+	}
+	if Digest([]byte(`{"name":"a"}`)) == Digest([]byte(`{"name":"b"}`)) {
+		t.Fatal("Digest ignores its input")
+	}
+}

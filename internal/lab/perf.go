@@ -58,7 +58,9 @@ type PerfBaseline struct {
 // ParseBenchOutput extracts per-benchmark metrics from `go test -bench
 // -benchmem` text: ns/op, allocs/op and B/op. Benchmark names have their
 // -cpu suffix stripped; lines that are not benchmark results are ignored.
-// A benchmark appearing twice keeps the last measurement.
+// The lines of one benchmark repeated (`-count N`) merge into one entry:
+// the lowest ns/op, which is the least disturbed by a noisy host, and the
+// highest allocs/op and B/op, so a pin never rests on a lucky run.
 func ParseBenchOutput(r io.Reader) (map[string]PerfEntry, error) {
 	out := map[string]PerfEntry{}
 	sc := bufio.NewScanner(r)
@@ -98,6 +100,11 @@ func ParseBenchOutput(r io.Reader) (map[string]PerfEntry, error) {
 		}
 		if !isCost(entry.bytesPerOp) {
 			return nil, fmt.Errorf("lab: bench line %q: B/op is not finite and non-negative", sc.Text())
+		}
+		if prev, ok := out[name]; ok {
+			entry.NsPerOp = min(entry.NsPerOp, prev.NsPerOp)
+			entry.AllocsPerOp = max(entry.AllocsPerOp, prev.AllocsPerOp)
+			entry.bytesPerOp = max(entry.bytesPerOp, prev.bytesPerOp)
 		}
 		out[name] = entry
 	}

@@ -35,6 +35,29 @@ func TestParseBenchOutput(t *testing.T) {
 	}
 }
 
+// TestParseBenchOutputMergesRepeats reads `-count 3` output: one entry per
+// benchmark, with the lowest ns/op and the highest allocs/op and B/op of
+// its lines, whichever line each came from.
+func TestParseBenchOutputMergesRepeats(t *testing.T) {
+	const repeated = `BenchmarkEngineHeap-8 	100000	       250.5 ns/op	       0 B/op	       0 allocs/op
+BenchmarkPickBlock-8 	100000	       90.0 ns/op	       0 B/op	       0 allocs/op
+BenchmarkEngineHeap-8 	100000	       210.2 ns/op	      24 B/op	       0 allocs/op
+BenchmarkPickBlock-8 	100000	       95.0 ns/op	       0 B/op	       1 allocs/op
+BenchmarkEngineHeap-8 	100000	       230.0 ns/op	       8 B/op	       0 allocs/op
+`
+	got, err := ParseBenchOutput(strings.NewReader(repeated))
+	if err != nil {
+		t.Fatal(err)
+	}
+	heap, pick := got["BenchmarkEngineHeap"], got["BenchmarkPickBlock"]
+	if len(got) != 2 || heap.NsPerOp != 210.2 || heap.AllocsPerOp != 0 || heap.bytesPerOp != 24 {
+		t.Fatalf("EngineHeap = %+v (B/op %v), want 210.2 ns/op, 0 allocs/op, 24 B/op", heap, heap.bytesPerOp)
+	}
+	if pick.NsPerOp != 90 || pick.AllocsPerOp != 1 {
+		t.Fatalf("PickBlock = %+v, want 90 ns/op, 1 allocs/op", pick)
+	}
+}
+
 func TestParseBenchOutputErrors(t *testing.T) {
 	if _, err := ParseBenchOutput(strings.NewReader("PASS\nok x 0.1s\n")); err == nil {
 		t.Fatal("no-benchmark input must error")

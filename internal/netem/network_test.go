@@ -375,3 +375,16 @@ func TestUnitHelpers(t *testing.T) {
 		t.Fatalf("MS(250) = %v, want 0.25", MS(250))
 	}
 }
+
+// TestPairOutOfRangePanics: a pair outside the topology panics with an
+// error that names the pair and the node count.
+func TestPairOutOfRangePanics(t *testing.T) {
+	topo := NewTopology(3)
+	defer func() {
+		err, ok := recover().(error)
+		if !ok || err.Error() != "netem: pair (0,5) out of range for 3 nodes" {
+			t.Fatalf("CoreBW(0, 5) on 3 nodes panicked with %v", err)
+		}
+	}()
+	topo.CoreBW(0, 5)
+}

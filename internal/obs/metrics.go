@@ -39,14 +39,6 @@ func (r *Registry) Counter(name, help string, labels map[string]string, value fl
 	r.metrics = append(r.metrics, Metric{Name: name, Help: help, Type: "counter", Labels: labels, Value: value})
 }
 
-// Metrics returns the registry's metrics in render order.
-func (r *Registry) Metrics() []Metric {
-	r.sorted()
-	out := make([]Metric, len(r.metrics))
-	copy(out, r.metrics)
-	return out
-}
-
 // sorted orders metrics by (name, rendered label set) in place.
 func (r *Registry) sorted() {
 	sort.SliceStable(r.metrics, func(i, j int) bool {

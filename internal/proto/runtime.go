@@ -232,9 +232,6 @@ func (rt *Runtime) AddData(at sim.Time, n float64) {
 	}
 }
 
-// After schedules fn after d seconds of virtual time.
-func (rt *Runtime) After(d float64, fn func()) sim.EventRef { return rt.Eng.After(d, fn) }
-
 // AfterEvent schedules a typed event after d seconds of virtual time; the
 // allocation-free timer form protocols use for their periodic work.
 func (rt *Runtime) AfterEvent(d float64, h sim.Handler, kind int32, payload any) sim.EventRef {

@@ -42,12 +42,6 @@ type Time float64
 // panic rather than silently corrupting the queue — see Schedule.
 type Duration = float64
 
-// Seconds returns t as a float64 number of seconds.
-func (t Time) Seconds() float64 { return float64(t) }
-
-// Std converts a virtual time to a time.Duration for display purposes.
-func (t Time) Std() time.Duration { return time.Duration(float64(t) * float64(time.Second)) }
-
 func (t Time) String() string { return fmt.Sprintf("%.3fs", float64(t)) }
 
 // Forever is a time later than any event the engine will ever execute.
@@ -101,15 +95,6 @@ func (ev *Event) cancelled() bool { return ev.where&eventCancelled != 0 }
 type EventRef struct {
 	ev  *Event
 	gen uint64
-}
-
-// At returns the virtual time the event is scheduled to fire, or 0 if the
-// reference is stale (the event already fired or was retired).
-func (r EventRef) At() Time {
-	if r.ev == nil || r.ev.gen != r.gen {
-		return 0
-	}
-	return r.ev.at
 }
 
 // Pending reports whether the event is still scheduled to fire.

@@ -75,9 +75,6 @@ func NewGroup(engines []*Engine, lookahead float64) *Group {
 	return g
 }
 
-// Len returns the number of shards.
-func (g *Group) Len() int { return len(g.shards) }
-
 // Shard returns the i-th shard.
 func (g *Group) Shard(i int) *Shard { return g.shards[i] }
 

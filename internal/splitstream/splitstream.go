@@ -28,7 +28,7 @@ const pushQueueDepth = 4
 const pumpInterval = 0.05
 
 // kindBlock is a stripe data block. Its payload names the block id as a
-// pointer into the session's immutable index table (Session.ref), so
+// pointer into the session's immutable index table (proto.IndexTable), so
 // sending one allocates nothing; the stripe is stripeOf(id).
 const kindBlock = 1
 
@@ -67,9 +67,7 @@ type Session struct {
 	peers map[netem.NodeID]*ssPeer
 	trees []*stripeTree
 
-	// index[i] == i for every block id: block payloads point into it, and
-	// nothing writes it after NewSession.
-	index []int32
+	index proto.IndexTable
 
 	// BlocksForwarded counts interior-node forwards (stats).
 	BlocksForwarded int
@@ -99,10 +97,7 @@ func NewSession(rt *proto.Runtime, cfg Config, rng *sim.RNG) *Session {
 		cfg:   cfg,
 		rng:   rng,
 		peers: make(map[netem.NodeID]*ssPeer),
-		index: make([]int32, cfg.NumBlocks),
-	}
-	for i := range s.index {
-		s.index[i] = int32(i)
+		index: proto.NewIndexTable(cfg.NumBlocks),
 	}
 	s.Swarm = &s.cfg.Swarm
 	s.buildTrees()
@@ -206,9 +201,6 @@ func (s *Session) Start() {
 // stripeOf maps a block to its stripe (blocks striped round-robin).
 func (s *Session) stripeOf(block int) int { return block % s.cfg.Stripes }
 
-// ref is the payload naming block id.
-func (s *Session) ref(id int) *int32 { return &s.index[id] }
-
 // childLink is one downstream edge in one stripe tree, with an independent
 // cursor into the stripe's forward log so a slow child never head-of-line
 // blocks its siblings.
@@ -257,7 +249,7 @@ func (p *ssPeer) onMessage(c *proto.Conn, m proto.Message) {
 	if m.Kind != kindBlock {
 		return
 	}
-	id := int(*m.Payload.(*int32))
+	id := proto.IndexOf(m.Payload)
 	now := p.s.rt.Now()
 	if p.s.Arrived(p.node.ID, id, p.store, p.store.Add(id, now)) && !p.complete && p.store.Complete() {
 		p.complete = true
@@ -309,7 +301,7 @@ func (p *ssPeer) pump() {
 				link.conn.Send(p.node, proto.Message{
 					Kind:    kindBlock,
 					Size:    p.s.cfg.BlockSize + 12,
-					Payload: p.s.ref(id),
+					Payload: p.s.index.Ref(id),
 				})
 				if p.node.ID != p.s.cfg.Source {
 					p.s.BlocksForwarded++

@@ -58,9 +58,6 @@ func (c *Clock) Start(base sim.Time) {
 	c.base = base
 }
 
-// Rate returns the configured virtual-seconds-per-wall-second rate.
-func (c *Clock) Rate() float64 { return c.rate }
-
 // Now returns the virtual time the wall clock has reached.
 func (c *Clock) Now() sim.Time {
 	return c.base + sim.Time(time.Since(c.epoch).Seconds()*c.rate)

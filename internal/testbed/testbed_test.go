@@ -54,11 +54,17 @@ func TestLoopbackDeliveryInOrder(t *testing.T) {
 	b.OnMessage = func(c *proto.Conn, m proto.Message) { got = append(got, m.Payload.(int)) }
 
 	c := a.Dial(1)
+	if rto := clock.Virtual(tr.rto); c.RTT() != rto || tr.RTT(0, 1) != rto {
+		t.Fatalf("RTT before any ack = %v, want the RTO's %v virtual seconds", c.RTT(), rto)
+	}
 	const N = 40
 	for i := 0; i < N; i++ {
 		c.Send(a, proto.Message{Kind: 1, Size: 500, Payload: i})
 	}
 	Run(eng, tr, clock, 30, func() bool { return len(got) == N && c.QueueLen(a) == 0 }, nil)
+	if srtt := tr.links[pair{0, 1}].srtt; srtt <= 0 || c.RTT() != clock.Virtual(srtt) {
+		t.Fatalf("RTT after acks = %v, want the measured %v in virtual seconds", c.RTT(), srtt)
+	}
 	if !accepted {
 		t.Fatal("SYN never fired OnAccept")
 	}

@@ -211,9 +211,6 @@ func (t *Transport) Stop() {
 // feeds HandleDatagram.
 func (t *Transport) Inbox() <-chan []byte { return t.inbox }
 
-// Addr returns the bound address of a node's socket.
-func (t *Transport) Addr(id netem.NodeID) *net.UDPAddr { return t.addrs[id] }
-
 // Stats returns a snapshot of the transport counters; call it from the
 // run-loop goroutine (or after Run returns).
 func (t *Transport) Stats() Stats { return t.stats }
