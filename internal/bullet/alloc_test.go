@@ -58,6 +58,32 @@ func TestOnReqDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestAvailListReusesAndGuards holds the answer free list to its contract:
+// a returned answer is reset and handed out again with its id slice, and
+// returning one twice panics.
+func TestAvailListReusesAndGuards(t *testing.T) {
+	var f proto.FreeList[availMsg, *availMsg]
+	a, b := f.Get(), f.Get()
+	if a == b || !a.Live() || !b.Live() {
+		t.Fatal("answers not distinct and live when handed out")
+	}
+	a.ids = append(a.ids, 7, 8, 9)
+	f.Put(a)
+	if a.Live() || len(a.ids) != 0 || cap(a.ids) < 3 {
+		t.Fatalf("returned answer not reset with its slice kept: live=%v ids=%v cap=%d", a.Live(), a.ids, cap(a.ids))
+	}
+	if c := f.Get(); c != a || !c.Live() {
+		t.Fatal("returned answer not reused")
+	}
+	f.Put(a)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second put of one answer did not panic")
+		}
+	}()
+	f.Put(a)
+}
+
 // TestAvailAnswersRecycle audits every delivery of a whole run: an
 // arriving answer is live and on no free list, and it is back on the list,
 // reset and keeping its id slice, once the handler returns.

@@ -10,6 +10,60 @@ import (
 	"bulletprime/internal/testbed"
 )
 
+// TestFreeListReusesAndGuards holds core's request payload to the free-list
+// contract: handed out live and distinct, zeroed whole when returned,
+// reused, and a second put panics.
+func TestFreeListReusesAndGuards(t *testing.T) {
+	var f proto.FreeList[reqMsg, *reqMsg]
+	a, b := f.Get(), f.Get()
+	if a == b {
+		t.Fatal("one payload handed out twice")
+	}
+	if !a.Live() || !b.Live() {
+		t.Fatal("handed-out payload not marked live")
+	}
+	a.id, a.totalInBW = 7, 3.5
+	f.Put(a)
+	if a.Live() || a.id != 0 || a.totalInBW != 0 {
+		t.Fatalf("returned payload not reset: %+v", *a)
+	}
+	if c := f.Get(); c != a || !c.Live() {
+		t.Fatal("returned payload not reused")
+	}
+	f.Put(a)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second put of one payload did not panic")
+		}
+	}()
+	f.Put(a)
+}
+
+// TestDeliveredRejectsReturnedPayload: a diff returned to its list drops its
+// reference into the sender's arrival log, and delivering a block payload
+// already back on its list panics.
+func TestDeliveredRejectsReturnedPayload(t *testing.T) {
+	var diffs proto.FreeList[diffMsg, *diffMsg]
+	d := diffs.Get()
+	d.ids, d.initial = []int{1, 2}, true
+	diffs.Put(d)
+	if d.ids != nil || d.initial {
+		t.Fatalf("returned diff still holds the arrival log: %+v", *d)
+	}
+	var f proto.FreeList[blockMsg, *blockMsg]
+	bm := f.Get()
+	if f.Delivered(any(bm)) != bm {
+		t.Fatal("delivery check did not return the live payload")
+	}
+	f.Put(bm)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("delivery of a payload already on the free list did not panic")
+		}
+	}()
+	f.Delivered(any(bm))
+}
+
 // auditFreeLists wraps every peer's message handler with the free-list
 // invariant, checked at each delivery: the payload arriving is live and on
 // no free list (so it cannot have been handed to another message while in
