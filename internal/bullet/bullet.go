@@ -77,7 +77,6 @@ type Config struct {
 	// stream never run ahead of the released prefix.
 	proto.Swarm
 
-	TreeDegree   int
 	RanSubPeriod float64
 }
 
@@ -103,11 +102,8 @@ type Session struct {
 
 // NewSession builds the control/data tree and nodes.
 func NewSession(rt *proto.Runtime, cfg Config, rng *sim.RNG) *Session {
-	if cfg.TreeDegree <= 0 {
-		cfg.TreeDegree = 10
-	}
 	if cfg.RanSubPeriod <= 0 {
-		cfg.RanSubPeriod = 5.0
+		cfg.RanSubPeriod = ransub.DefaultPeriod
 	}
 	if cfg.BlockSize <= 0 {
 		cfg.BlockSize = 16 * 1024
@@ -120,7 +116,7 @@ func NewSession(rt *proto.Runtime, cfg Config, rng *sim.RNG) *Session {
 		index: proto.NewIndexTable(cfg.NumBlocks),
 	}
 	s.Swarm = &s.cfg.Swarm
-	s.Tree = tree.Build(cfg.Members, cfg.Source, cfg.TreeDegree, rng.Stream("tree"))
+	s.Tree = tree.Build(cfg.Members, cfg.Source, ransub.TreeDegree, rng.Stream("tree"))
 	for _, id := range cfg.Members {
 		s.peers[id] = newBPeer(s, id)
 	}
@@ -131,9 +127,7 @@ func NewSession(rt *proto.Runtime, cfg Config, rng *sim.RNG) *Session {
 func (s *Session) Start() {
 	// Bullet dials a node's children in ascending id order and forwards
 	// pushed blocks over them in that order.
-	ransub.WireTree(s.Tree, true, isDataKind,
-		func(id netem.NodeID) *ransub.Agent { return s.peers[id].rs },
-		func(id netem.NodeID, children []*proto.Conn) { s.peers[id].treeChildren = children })
+	ransub.WireTree(s.Tree, true, isDataKind, func(id netem.NodeID) *ransub.Agent { return s.peers[id].rs })
 	src := s.peers[s.cfg.Source]
 	src.rs.Start()
 	if s.cfg.StreamBps > 0 {
@@ -190,10 +184,9 @@ type bPeer struct {
 	cs    []scoredCandidate
 
 	// Tree push state.
-	treeChildren []*proto.Conn
-	srcNext      int  // source: next block to push
-	fwdChild     int  // interior: round-robin forward pointer
-	pumpPending  bool // source pump scheduled
+	srcNext     int  // source: next block to push
+	fwdChild    int  // interior: round-robin forward pointer
+	pumpPending bool // source pump scheduled
 
 	complete bool
 }
@@ -216,7 +209,7 @@ func newBPeer(s *Session, id netem.NodeID) *bPeer {
 		}
 		p.complete = true
 	}
-	p.rs = ransub.New(p.node, s.rng.Stream(fmt.Sprintf("bullet-rs-%d", id)), s.cfg.RanSubPeriod, ransub.DefaultFanout)
+	p.rs = ransub.New(p.node, s.rng.Stream(fmt.Sprintf("bullet-rs-%d", id)), s.cfg.RanSubPeriod)
 	p.rs.Summarize = func() ransub.Candidate {
 		return ransub.Candidate{ID: id, Summary: proto.NewSummary(p.store)}
 	}
@@ -317,12 +310,13 @@ func (p *bPeer) pushPump() {
 // forwardToOneChild sends the block to the next child with queue room; it
 // returns false if every child pipe is full.
 func (p *bPeer) forwardToOneChild(id int) bool {
-	n := len(p.treeChildren)
+	children := p.rs.Children()
+	n := len(children)
 	if n == 0 {
 		return true
 	}
 	for try := 0; try < n; try++ {
-		c := p.treeChildren[p.fwdChild]
+		c := children[p.fwdChild]
 		p.fwdChild = (p.fwdChild + 1) % n
 		if c.Closed() || c.QueueLen(p.node) >= pushQueueDepth {
 			continue
@@ -344,7 +338,7 @@ func (p *bPeer) forwardToOneChild(id int) bool {
 // forwarding is Bullet's core design point.
 func (p *bPeer) onPush(id int) {
 	p.accept(id)
-	if len(p.treeChildren) > 0 {
+	if len(p.rs.Children()) > 0 {
 		if !p.forwardToOneChild(id) {
 			p.s.TreeDropped++
 		}

@@ -124,13 +124,6 @@ type Config struct {
 	EncodingOverhead float64
 }
 
-// ranSubPeriod is the RanSub epoch length in seconds, and treeDegree bounds
-// the control tree's fanout.
-const (
-	ranSubPeriod = 5.0
-	treeDegree   = 10
-)
-
 // maxStaticPeers bounds Config.StaticPeers: a peer counts the senders
 // advertising each block in one byte (peer.rarity).
 const maxStaticPeers = 255

@@ -86,10 +86,9 @@ type peer struct {
 	duplicates  int
 
 	// Source push state (source node only).
-	pushChildren []*proto.Conn
-	nextPush     int
-	pushedOnce   bool
-	pushEvent    sim.EventRef
+	nextPush   int
+	pushedOnce bool
+	pushEvent  sim.EventRef
 }
 
 func newPeer(s *Session, id netem.NodeID) *peer {
@@ -126,7 +125,7 @@ func newPeer(s *Session, id netem.NodeID) *peer {
 	}
 	p.releaseClaims() // nothing is claimed yet: want starts as the blocks not held
 
-	p.rs = ransub.New(p.node, s.rng.Stream(fmt.Sprintf("ransub-%d", id)), ranSubPeriod, ransub.DefaultFanout)
+	p.rs = ransub.New(p.node, s.rng.Stream(fmt.Sprintf("ransub-%d", id)), ransub.DefaultPeriod)
 	p.rs.Summarize = p.summarize
 	p.rs.OnDistribute = p.onDistribute
 
@@ -713,20 +712,20 @@ func (p *peer) onDistribute(epoch int, set []ransub.Candidate) {
 
 	inTotal := p.node.InMeter.Total()
 	outTotal := p.node.OutMeter.Total()
-	inBW := (inTotal - p.lastInTotal) / ranSubPeriod
-	outBW := (outTotal - p.lastOutTotal) / ranSubPeriod
+	inBW := (inTotal - p.lastInTotal) / ransub.DefaultPeriod
+	outBW := (outTotal - p.lastOutTotal) / ransub.DefaultPeriod
 	p.lastInTotal = inTotal
 	p.lastOutTotal = outTotal
 
 	// Refresh per-peer epoch rates.
 	for _, sp := range p.senders {
 		got := sp.conn.DeliveredFrom(sp.conn.Peer(p.node))
-		sp.rate = (got - sp.epochBytes) / ranSubPeriod
+		sp.rate = (got - sp.epochBytes) / ransub.DefaultPeriod
 		sp.epochBytes = got
 	}
 	for _, rp := range p.receivers {
 		sent := rp.conn.DeliveredFrom(p.node)
-		rp.rate = (sent - rp.epochBytes) / ranSubPeriod
+		rp.rate = (sent - rp.epochBytes) / ransub.DefaultPeriod
 		rp.epochBytes = sent
 	}
 
@@ -806,7 +805,9 @@ func (t *peerTarget) step() int {
 
 // enforcePeerTargets sheds peers when an adaptive target moved below the
 // current set size: without this, a lowered MAX_SENDERS would never take
-// effect. The slowest sender / lowest-ratio receiver goes first.
+// effect. The slowest sender / lowest-ratio receiver goes first. Each loop
+// ends only because a drop leaves its set; a dropped peer still listed
+// (a set that lost its id order, say) would spin here forever, so it panics.
 func (p *peer) enforcePeerTargets() {
 	for len(p.senders) > p.maxSenders.n {
 		var worst *senderPeer
@@ -815,8 +816,8 @@ func (p *peer) enforcePeerTargets() {
 				worst = sp
 			}
 		}
-		if worst == nil {
-			break
+		if worst.closed {
+			panic(fmt.Sprintf("core: at %.3f s node %d still lists sender %d after dropping it", float64(p.s.rt.Now()), p.node.ID, worst.id))
 		}
 		p.dropSender(worst, true)
 	}
@@ -827,8 +828,8 @@ func (p *peer) enforcePeerTargets() {
 				worst = rp
 			}
 		}
-		if worst == nil {
-			break
+		if worst.closed {
+			panic(fmt.Sprintf("core: at %.3f s node %d still lists receiver %d after dropping it", float64(p.s.rt.Now()), p.node.ID, worst.id))
 		}
 		p.dropReceiver(worst, true)
 	}
@@ -867,7 +868,7 @@ func sigmaOutliers[P any](out []P, set []P, floor int, score func(P) float64, ex
 // below the trim floor. Senders younger than one epoch are exempt: their
 // partial-epoch rates are not comparable yet.
 func (p *peer) trimSenders(now sim.Time) {
-	young := func(sp *senderPeer) bool { return float64(now-sp.addedAt) < ranSubPeriod }
+	young := func(sp *senderPeer) bool { return float64(now-sp.addedAt) < ransub.DefaultPeriod }
 	rate := func(sp *senderPeer) float64 { return sp.rate }
 	p.outSenders = sigmaOutliers(p.outSenders, p.senders, p.trimFloor(), rate, young)
 	for _, sp := range p.outSenders {
@@ -919,7 +920,7 @@ func (p *peer) trimReceivers() {
 // backstop that reclaims blocks claimed on a dead or drastically slowed
 // connection.
 func (p *peer) reapStaleSenders(now sim.Time) {
-	staleAfter := sim.Time(3 * ranSubPeriod)
+	staleAfter := sim.Time(3 * ransub.DefaultPeriod)
 	for _, sp := range p.sweepSenders() {
 		if sp.outstanding > 0 && now-sp.lastArrival > staleAfter {
 			p.dropSender(sp, true)
@@ -953,7 +954,7 @@ func (p *peer) replaceExhaustedSenders(now sim.Time, set []ransub.Candidate) {
 	if !anyUseful {
 		return
 	}
-	idleCut := sim.Time(2 * ranSubPeriod)
+	idleCut := sim.Time(2 * ransub.DefaultPeriod)
 	for _, sp := range p.sweepSenders() {
 		if len(sp.avail) == 0 && sp.outstanding == 0 && now-sp.lastUseful > idleCut {
 			p.dropSender(sp, true)

@@ -116,7 +116,7 @@ func NewSession(rt *proto.Runtime, cfg Config, rng *sim.RNG) *Session {
 		peers: make(map[netem.NodeID]*peer),
 	}
 	s.Swarm = &s.cfg.Swarm
-	s.Tree = tree.Build(cfg.Members, cfg.Source, treeDegree, rng.Stream("tree"))
+	s.Tree = tree.Build(cfg.Members, cfg.Source, ransub.TreeDegree, rng.Stream("tree"))
 	for _, id := range cfg.Members {
 		s.peers[id] = newPeer(s, id)
 	}
@@ -125,13 +125,7 @@ func NewSession(rt *proto.Runtime, cfg Config, rng *sim.RNG) *Session {
 
 // Start wires the control tree and begins pushing and epoch processing.
 func (s *Session) Start() {
-	ransub.WireTree(s.Tree, false, isDataKind,
-		func(id netem.NodeID) *ransub.Agent { return s.peers[id].rs },
-		func(id netem.NodeID, children []*proto.Conn) {
-			if id == s.cfg.Source {
-				s.peers[id].pushChildren = children
-			}
-		})
+	ransub.WireTree(s.Tree, false, isDataKind, func(id netem.NodeID) *ransub.Agent { return s.peers[id].rs })
 	s.peers[s.cfg.Source].rs.Start()
 	s.peers[s.cfg.Source].startPushing()
 }

@@ -29,7 +29,7 @@ func (p *peer) startPushing() {
 		p.releaseStreamBlock()
 		return
 	}
-	if len(p.pushChildren) == 0 {
+	if len(p.rs.Children()) == 0 {
 		p.pushedOnce = true
 		return
 	}
@@ -66,7 +66,8 @@ func (p *peer) pushPump() {
 	if p.s.Complete() {
 		return // every receiver is done; stop generating events
 	}
-	if len(p.pushChildren) == 0 {
+	children := p.rs.Children()
+	if len(children) == 0 {
 		return
 	}
 	total := p.s.Pushable()
@@ -78,9 +79,9 @@ func (p *peer) pushPump() {
 	child := 0
 	for p.nextPush < total {
 		sent := false
-		for try := 0; try < len(p.pushChildren); try++ {
-			c := p.pushChildren[child]
-			child = (child + 1) % len(p.pushChildren)
+		for try := 0; try < len(children); try++ {
+			c := children[child]
+			child = (child + 1) % len(children)
 			if c.Closed() || c.QueueLen(p.node) >= pushQueueDepth {
 				continue
 			}

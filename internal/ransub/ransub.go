@@ -43,6 +43,9 @@ const DefaultPeriod = 5.0
 // DefaultFanout is the number of candidates carried per distribute set.
 const DefaultFanout = 10
 
+// TreeDegree bounds the control tree's fanout, for Bullet' and Bullet alike.
+const TreeDegree = 10
+
 // Candidate is one advertised member: its identity and its application
 // state (for Bullet', a block-availability summary).
 type Candidate struct {
@@ -52,36 +55,33 @@ type Candidate struct {
 
 // setMsg is a candidate set in flight, a distribute set or a collect
 // sample (subtreeSize is the collect's weight). It comes from its owner's
-// free list, with room for fanout candidates, and release returns it there.
+// free list, with room for DefaultFanout candidates, and release returns it
+// there.
 type setMsg struct {
+	proto.Pooled
 	owner       *Agent
 	epoch       int
 	set         []Candidate
 	subtreeSize int
-	pooled      bool    // double-return guard
-	next        *setMsg // free-list link while pooled
+}
+
+// Reset empties the set and keeps its capacity and owner.
+func (m *setMsg) Reset() {
+	clear(m.set)
+	m.set = m.set[:0]
 }
 
 // release returns m to its owner's free list. Returning a set twice would
 // hand one set to two messages, so it panics.
-func (m *setMsg) release() {
-	if m.pooled {
-		panic("ransub: candidate set returned to its free list twice")
-	}
-	m.pooled = true
-	clear(m.set)
-	m.set = m.set[:0]
-	m.next = m.owner.free
-	m.owner.free = m
-}
+func (m *setMsg) release() { m.owner.free.Put(m) }
 
 // Agent runs RanSub at one node. The owning protocol routes messages with
-// ransub kinds to Handle and provides the tree links.
+// ransub kinds to Handle; WireTree gives it its tree links, which it alone
+// holds.
 type Agent struct {
 	node   *proto.Node
 	rng    *sim.RNG
 	period float64
-	fanout int
 
 	// Summarize produces this node's current candidate (called each epoch
 	// as the collect phase passes through).
@@ -90,24 +90,23 @@ type Agent struct {
 	// valid only during the call: it returns to its sender afterwards.
 	OnDistribute func(epoch int, set []Candidate)
 
-	isRoot   bool
-	parent   *proto.Conn
-	children map[netem.NodeID]*proto.Conn
-	// childIDs is the children's ids in ascending order, fixed by SetLinks:
-	// Go randomizes map iteration and the simulation must stay
-	// deterministic per seed.
+	parent *proto.Conn // nil at the root
+	// children are the connections to this node's tree children in
+	// ascending child id, the order every loop over them takes; childIDs
+	// holds their ids, index for index.
+	children []*proto.Conn
 	childIDs []netem.NodeID
 
 	epoch int
-	// childSamples is each child's last collect sample, held until the
-	// next one replaces it; collected counts the children whose sample is
-	// of the current epoch.
-	childSamples map[netem.NodeID]*setMsg
+	// childSamples is each child's last collect sample, indexed like
+	// childIDs and held until the next one replaces it; collected counts
+	// the children whose sample is of the current epoch.
+	childSamples []*setMsg
 	collected    int
 	pool         []Candidate // root: merged sample from last collect
 	started      bool
 
-	free *setMsg // sets this agent sends, back from their receivers
+	free proto.FreeList[setMsg, *setMsg] // sets this agent sends, back from their receivers
 
 	// Scratch for mixFor and mergeCollect, reused across epochs; nothing in it
 	// outlives the call that filled it.
@@ -126,84 +125,57 @@ type collectSource struct {
 	size   int
 }
 
-// New creates an agent for node n. Wire up links with SetLinks and start the
-// root with Start.
-func New(n *proto.Node, rng *sim.RNG, period float64, fanout int) *Agent {
+// New creates an agent for node n. Wire up links with WireTree and start
+// the root with Start.
+func New(n *proto.Node, rng *sim.RNG, period float64) *Agent {
 	if period <= 0 {
 		period = DefaultPeriod
 	}
-	if fanout <= 0 {
-		fanout = DefaultFanout
-	}
 	return &Agent{
-		node:         n,
-		rng:          rng,
-		period:       period,
-		fanout:       fanout,
-		children:     make(map[netem.NodeID]*proto.Conn),
-		childSamples: make(map[netem.NodeID]*setMsg),
-		byID:         make(map[netem.NodeID]Candidate),
-		seen:         make(map[netem.NodeID]bool),
+		node:   n,
+		rng:    rng,
+		period: period,
+		byID:   make(map[netem.NodeID]Candidate),
+		seen:   make(map[netem.NodeID]bool),
 	}
 }
 
-// SetLinks provides the control-tree connections. parent is nil at the
-// root. The same connections may carry other protocol traffic (Bullet'
-// multiplexes source pushes over them).
-func (a *Agent) SetLinks(isRoot bool, parent *proto.Conn, children map[netem.NodeID]*proto.Conn) {
-	a.isRoot = isRoot
-	a.parent = parent
-	a.children = children
-	a.childIDs = a.childIDs[:0]
-	for id := range children {
-		a.childIDs = append(a.childIDs, id)
-	}
-	slices.Sort(a.childIDs)
-}
-
-// WireTree builds the control tree's connections and hands every agent its
-// links: it dials each link parent→child — nodes in tr.Walk order, a node's
-// children in tree order, or in ascending id order when sortDial is set —
-// marks which message kinds count as data on it, calls SetLinks on the agent
-// at(id) of every node, and reports each node's child connections in
-// ascending child-id order, the order a pusher round-robins over.
-func WireTree(tr *tree.Tree, sortDial bool, isData func(kind int) bool,
-	at func(netem.NodeID) *Agent, linked func(id netem.NodeID, children []*proto.Conn)) {
-	type link [2]netem.NodeID
-	conns := make(map[link]*proto.Conn)
+// WireTree dials the control tree and hands every agent its links: it dials
+// each link parent→child — nodes in tr.Walk order, a node's children in
+// tree order, or in ascending id order when sortDial is set — marks which
+// message kinds count as data on it, and gives the agent at(id) of every
+// node its parent link and its child links in ascending child id. The same
+// connections may carry other protocol traffic (source pushes, read through
+// Children).
+func WireTree(tr *tree.Tree, sortDial bool, isData func(kind int) bool, at func(netem.NodeID) *Agent) {
 	tr.Walk(func(id netem.NodeID) {
+		a := at(id)
 		kids := tr.Children(id)
 		if sortDial {
 			kids = slices.Sorted(slices.Values(kids))
 		}
+		a.children = make([]*proto.Conn, 0, len(kids))
+		a.childIDs = make([]netem.NodeID, 0, len(kids))
+		a.childSamples = make([]*setMsg, len(kids))
 		for _, cid := range kids {
-			c := at(id).node.Dial(cid)
+			c := a.node.Dial(cid)
 			c.IsData = isData
-			conns[link{id, cid}] = c
+			at(cid).parent = c
+			i, _ := slices.BinarySearch(a.childIDs, cid)
+			a.childIDs = slices.Insert(a.childIDs, i, cid)
+			a.children = slices.Insert(a.children, i, c)
 		}
-	})
-	tr.Walk(func(id netem.NodeID) {
-		a := at(id)
-		children := make(map[netem.NodeID]*proto.Conn)
-		for _, cid := range tr.Children(id) {
-			children[cid] = conns[link{id, cid}]
-		}
-		var parent *proto.Conn
-		if id != tr.Root() {
-			parent = conns[link{tr.Parent(id), id}]
-		}
-		a.SetLinks(id == tr.Root(), parent, children)
-		ordered := make([]*proto.Conn, len(a.childIDs))
-		for i, cid := range a.childIDs {
-			ordered[i] = children[cid]
-		}
-		linked(id, ordered)
 	})
 }
 
+// Children returns the connections to this node's tree children in
+// ascending child id, the order a pusher round-robins over. The caller must
+// not change the slice.
+func (a *Agent) Children() []*proto.Conn { return a.children }
+
 // Start begins periodic epochs; call at the root only.
 func (a *Agent) Start() {
-	if !a.isRoot || a.started {
+	if a.parent != nil || a.started {
 		return
 	}
 	a.started = true
@@ -232,15 +204,13 @@ const evEpoch int32 = 0
 // not public API.
 func (a *Agent) OnEvent(int32, any) { a.runEpoch() }
 
-// getSet takes a set from the free list, or makes one when it is empty.
+// getSet takes a set of the current epoch from the free list; a new one
+// gets its owner and room for DefaultFanout candidates.
 func (a *Agent) getSet() *setMsg {
-	m := a.free
-	if m == nil {
-		return &setMsg{owner: a, epoch: a.epoch, set: make([]Candidate, 0, a.fanout)}
+	m := a.free.Get()
+	if m.owner == nil {
+		m.owner, m.set = a, make([]Candidate, 0, DefaultFanout)
 	}
-	a.free = m.next
-	m.next = nil
-	m.pooled = false
 	m.epoch = a.epoch
 	return m
 }
@@ -253,10 +223,10 @@ func (a *Agent) forward(incoming []Candidate) {
 		return
 	}
 	own := a.own()
-	for _, id := range a.childIDs {
+	for i, id := range a.childIDs {
 		m := a.getSet()
 		m.set = a.mixFor(id, incoming, own, m.set)
-		a.children[id].Send(a.node, proto.Message{
+		a.children[i].Send(a.node, proto.Message{
 			Kind:    KindDistribute,
 			Size:    candidateWire(len(m.set)),
 			Payload: m,
@@ -310,16 +280,17 @@ func (a *Agent) onCollect(from netem.NodeID, cm *setMsg) {
 		cm.release()
 		return
 	}
-	prev := a.childSamples[from]
+	i, _ := slices.BinarySearch(a.childIDs, from)
+	prev := a.childSamples[i]
 	if prev == nil || prev.epoch != a.epoch {
 		a.collected++
 	}
 	if prev != nil {
 		prev.release()
 	}
-	a.childSamples[from] = cm
+	a.childSamples[i] = cm
 	if a.collected == len(a.children) {
-		if a.isRoot {
+		if a.parent == nil {
 			a.finishCollect()
 		} else {
 			a.sendCollect()
@@ -332,10 +303,6 @@ func (a *Agent) onCollect(from netem.NodeID, cm *setMsg) {
 func (a *Agent) sendCollect() {
 	m := a.getSet()
 	m.set, m.subtreeSize = a.mergeCollect(m.set)
-	if a.parent == nil {
-		m.release()
-		return
-	}
 	a.parent.Send(a.node, proto.Message{
 		Kind:    KindCollect,
 		Size:    candidateWire(len(m.set)),
@@ -357,8 +324,7 @@ func (a *Agent) mergeCollect(out []Candidate) ([]Candidate, int) {
 	if own := a.own(); own != nil {
 		sources = append(sources, collectSource{sample: own, size: 1})
 	}
-	for _, id := range a.childIDs {
-		cm := a.childSamples[id]
+	for _, cm := range a.childSamples {
 		if cm == nil || cm.epoch != a.epoch || len(cm.set) == 0 {
 			continue
 		}
@@ -370,8 +336,8 @@ func (a *Agent) mergeCollect(out []Candidate) ([]Candidate, int) {
 	clear(seen)
 	// Weighted draws with rejection of duplicates; bounded attempts keep it
 	// cheap while approximating a uniform subtree sample.
-	attempts := a.fanout * 4
-	for len(out) < a.fanout && attempts > 0 && len(sources) > 0 {
+	attempts := DefaultFanout * 4
+	for len(out) < DefaultFanout && attempts > 0 && len(sources) > 0 {
 		attempts--
 		r := a.rng.Intn(total)
 		var chosen *collectSource
@@ -398,14 +364,14 @@ func (a *Agent) mergeCollect(out []Candidate) ([]Candidate, int) {
 // mixFor appends to out the distribute set for one child (or for local
 // delivery when child == -1): the incoming set blended with samples from
 // other subtrees and own (this node's candidate; nil for local delivery),
-// excluding the child itself, compacted to fanout.
+// excluding the child itself, compacted to DefaultFanout.
 func (a *Agent) mixFor(child netem.NodeID, incoming, own, out []Candidate) []Candidate {
 	cands := append(a.cands[:0], incoming...)
-	for _, id := range a.childIDs {
+	for i, id := range a.childIDs {
 		if id == child {
 			continue // non-descendants flavor
 		}
-		if cm := a.childSamples[id]; cm != nil {
+		if cm := a.childSamples[i]; cm != nil {
 			cands = append(cands, cm.set...)
 		}
 	}
@@ -432,10 +398,10 @@ func (a *Agent) mixFor(child netem.NodeID, incoming, own, out []Candidate) []Can
 		byID[c.ID] = c
 	}
 	a.order = order
-	// Uniformly subsample to fanout.
+	// Uniformly subsample to DefaultFanout.
 	a.rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-	if len(order) > a.fanout {
-		order = order[:a.fanout]
+	if len(order) > DefaultFanout {
+		order = order[:DefaultFanout]
 	}
 	for _, id := range order {
 		out = append(out, byID[id])

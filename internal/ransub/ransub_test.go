@@ -57,7 +57,7 @@ func newRig(t *testing.T, n int, period float64) *rig {
 		stores[id] = proto.NewBlockStore(100)
 		// Give each node a distinct availability set so summaries differ.
 		stores[id].Add(int(id)%100, 0)
-		ag := New(node, master.Stream("rs"), period, DefaultFanout)
+		ag := New(node, master.Stream("rs"), period)
 		ag.Summarize = func() Candidate {
 			return Candidate{ID: id, Summary: proto.NewSummary(stores[id])}
 		}
@@ -69,9 +69,7 @@ func newRig(t *testing.T, n int, period float64) *rig {
 			ag.Handle(c, m)
 		}
 	}
-	WireTree(r.tr, false, nil,
-		func(id netem.NodeID) *Agent { return r.agents[id] },
-		func(netem.NodeID, []*proto.Conn) {})
+	WireTree(r.tr, false, nil, func(id netem.NodeID) *Agent { return r.agents[id] })
 	r.agents[r.tr.Root()].Start()
 	return r
 }
@@ -195,8 +193,77 @@ func TestStaleCollectIgnored(t *testing.T) {
 	if len(ag.pool) != before {
 		t.Fatal("stale collect mutated root pool")
 	}
-	if child.free != stale || !stale.pooled || len(stale.set) != 0 {
+	if idle := child.free.Idle(); len(idle) == 0 || idle[len(idle)-1] != stale || stale.Live() || len(stale.set) != 0 {
 		t.Fatal("stale collect was not returned to its owner's free list")
+	}
+}
+
+// TestSetsReturnToTheirOwner runs epochs and then checks where every set
+// is: each one idle on a free list belongs to that list's agent, and each
+// child sample an agent holds was sent by the child it is filed under.
+func TestSetsReturnToTheirOwner(t *testing.T) {
+	r := newRig(t, 40, 1.0)
+	r.eng.RunUntil(10.5)
+	for id, ag := range r.agents {
+		for _, m := range ag.free.Idle() {
+			if m.owner != ag {
+				t.Fatalf("node %d's free list holds a set of node %d", id, m.owner.node.ID)
+			}
+		}
+		for i, cm := range ag.childSamples {
+			if cm == nil || cm.owner != r.agents[ag.childIDs[i]] {
+				t.Fatalf("node %d files child %d's sample as %v", id, ag.childIDs[i], cm)
+			}
+		}
+	}
+}
+
+// TestChildrenInAscendingID wires a tree whose child lists run in
+// descending id, as they do when members join in that order: whatever the
+// dial order, every agent's Children are its tree children in ascending id,
+// index for index with the ids its samples are filed under, and each child
+// agent's parent link is the same connection.
+func TestChildrenInAscendingID(t *testing.T) {
+	const n = 12
+	for _, sortDial := range []bool{false, true} {
+		eng := sim.NewEngine()
+		topo := netem.NewTopology(n)
+		topo.SetUniformAccess(netem.Mbps(100), netem.Mbps(100), netem.MS(1))
+		rt := proto.NewRuntime(eng, netem.New(eng, topo, sim.NewRNG(3).Stream("net")))
+		var ids []netem.NodeID
+		for i := n - 1; i >= 0; i-- {
+			ids = append(ids, netem.NodeID(i))
+		}
+		tr := tree.Build(ids, 0, 3, sim.NewRNG(3).Stream("tree"))
+		agents := make(map[netem.NodeID]*Agent)
+		for _, id := range ids {
+			agents[id] = New(rt.NewNode(id), sim.NewRNG(3).Stream("rs"), 1)
+		}
+		WireTree(tr, sortDial, nil, func(id netem.NodeID) *Agent { return agents[id] })
+		unsorted := false
+		for _, id := range ids {
+			ag := agents[id]
+			kids := tr.Children(id)
+			unsorted = unsorted || !slices.IsSorted(kids)
+			if got := len(ag.Children()); got != len(kids) {
+				t.Fatalf("node %d has %d child links, want %d", id, got, len(kids))
+			}
+			if !slices.IsSorted(ag.childIDs) || !slices.Equal(ag.childIDs, slices.Sorted(slices.Values(kids))) {
+				t.Fatalf("node %d child ids %v, want %v in ascending order", id, ag.childIDs, kids)
+			}
+			for i, c := range ag.Children() {
+				cid := c.Peer(ag.node).ID
+				if cid != ag.childIDs[i] {
+					t.Fatalf("sortDial %v: node %d child link %d leads to %d, want %d", sortDial, id, i, cid, ag.childIDs[i])
+				}
+				if agents[cid].parent != c {
+					t.Fatalf("node %d's parent link is not its parent's link to it", cid)
+				}
+			}
+		}
+		if !unsorted {
+			t.Fatal("the tree's child lists are already in id order; the test shows nothing")
+		}
 	}
 }
 

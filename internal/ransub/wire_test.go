@@ -29,6 +29,9 @@ func TestDefaultConstants(t *testing.T) {
 	if DefaultFanout != 10 {
 		t.Fatalf("fanout %v, want 10", DefaultFanout)
 	}
+	if TreeDegree != 10 {
+		t.Fatalf("tree degree %v, want 10", TreeDegree)
+	}
 	if KindDistribute < 1000 || KindCollect < 1000 {
 		t.Fatal("ransub kinds must live above the protocol kind range")
 	}
@@ -37,8 +40,8 @@ func TestDefaultConstants(t *testing.T) {
 func TestMixForExcludesChildAndKeepsSelfWhenForwarding(t *testing.T) {
 	r := newRig(t, 6, 1000) // huge period: no epochs fire on their own
 	ag := r.agents[0]       // root
-	// Give the root some child samples.
-	ag.childSamples[1] = &setMsg{owner: r.agents[1], set: []Candidate{{ID: 3}, {ID: 4}}}
+	// Give the root's first child a sample.
+	ag.childSamples[0] = &setMsg{owner: r.agents[1], set: []Candidate{{ID: 3}, {ID: 4}}}
 	set := ag.mixFor(3, nil, ag.own(), nil) // forwarding to child 3
 	for _, c := range set {
 		if c.ID == 3 {

@@ -36,7 +36,6 @@ var mapRangeAllowlist = map[string]string{
 	"internal/harness/shard.go collect(slot.Done)":          "collects the ids and sorts them before reading the times",
 	"internal/harness/systems.go SystemNames(systems)":      "collects the names and sorts them",
 	"internal/proto/runtime.go Fail(n.conns)":               "collects the connections and sorts them into dial order before closing any",
-	"internal/ransub/ransub.go SetLinks(children)":          "collects the child ids and sorts them",
 	"internal/splitstream/splitstream.go moreToSend(p.out)": "an any-of test: the answer does not depend on which stripe is seen first",
 }
 
