@@ -171,18 +171,20 @@ func BenchmarkExtensionChurnResilience(b *testing.B) {
 
 		// Churn run: the same spec, with five leaves failing at t=15s. The
 		// start hook steers here rather than observes: only it sees the
-		// session's control tree before the run begins.
+		// session, whose agents hold the control tree once it starts.
 		churn := ablationSpec(benchSeed, nil)
 		churn.Hooks = &harness.Hooks{OnStart: func(rig *harness.Rig, sys harness.System) {
 			sess := sys.(*core.Session)
 			rig.Eng.Schedule(15, func() {
 				failed := 0
-				sess.Tree.Walk(func(id netem.NodeID) {
-					if id != 0 && sess.Tree.IsLeaf(id) && failed < 5 {
-						rig.RT.Node(id).Fail()
+				for walk := []netem.NodeID{0}; len(walk) > 0 && failed < 5; walk = walk[1:] {
+					kids := sess.Agent(walk[0]).ChildIDs()
+					if walk[0] != 0 && len(kids) == 0 {
+						rig.RT.Node(walk[0]).Fail()
 						failed++
 					}
-				})
+					walk = append(walk, kids...)
+				}
 			})
 		}}
 		b.ReportMetric(harness.RunSpec(churn).CDF.Median(), "churn_median_s")

@@ -137,18 +137,39 @@ func TestFarmEndToEndKillWorker(t *testing.T) {
 	}
 
 	// Worker 2 drives the rest of the sweep to completion, including the
-	// victim's reissued cell.
+	// victim's reissued cell. It exits cleanly only on the coordinator's
+	// done verdict; if it dies first, nothing else would finish the farm,
+	// so the test stops the coordinator and fails at once instead of
+	// waiting out its -wall bound.
+	var finisherLog syncBuffer
 	finisher := bulletctlCmd("farm", "work", "-coordinator", base,
 		"-worker", "finisher", "-archive", arch)
-	finisher.Stderr = io.Discard
+	finisher.Stderr = &finisherLog
 	if err := finisher.Start(); err != nil {
 		t.Fatal(err)
 	}
 	defer finisher.Process.Kill()
-
-	outData, _ := io.ReadAll(coordOut)
-	if err := coord.Wait(); err != nil {
-		t.Fatalf("coordinator failed: %v\n%s", err, outData)
+	finisherExit := make(chan error, 1)
+	go func() { finisherExit <- finisher.Wait() }()
+	coordExit := make(chan error, 1)
+	var outData []byte
+	go func() {
+		outData, _ = io.ReadAll(coordOut)
+		coordExit <- coord.Wait()
+	}()
+	select {
+	case err := <-finisherExit:
+		if err != nil || !strings.Contains(finisherLog.String(), "farm complete") {
+			coord.Process.Kill()
+			t.Fatalf("finisher exited (%v) before the farm was done; finisher log:\n%s", err, finisherLog.String())
+		}
+		if err := <-coordExit; err != nil {
+			t.Fatalf("coordinator failed: %v\n%s", err, outData)
+		}
+	case err := <-coordExit:
+		if err != nil {
+			t.Fatalf("coordinator failed: %v\n%s\nfinisher log:\n%s", err, outData, finisherLog.String())
+		}
 	}
 	summary := string(outData)
 	if !strings.Contains(summary, fmt.Sprintf("cells %d: %d done, 0 pending, 0 leased, 0 failed", cells, cells)) {
@@ -177,7 +198,6 @@ func TestFarmEndToEndKillWorker(t *testing.T) {
 			t.Fatalf("record %s unreadable after the kill/resume cycle: %v", m.ID, err)
 		}
 	}
-	_ = finisher.Wait()
 
 	// Resuming the finished farm is a no-op: every cell is already
 	// archived, no worker is needed, and the record count is unchanged.

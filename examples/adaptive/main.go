@@ -15,12 +15,17 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"bulletprime"
 )
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run writes the peer-set table for both environments to w.
+func run(w io.Writer) {
 	ctx := context.Background()
 	type env struct {
 		name    string
@@ -32,8 +37,8 @@ func main() {
 		{"constrained access (800 Kbps)", bulletprime.NetworkConstrained, 2 << 20},
 	}
 	for _, e := range envs {
-		fmt.Printf("\n=== %s ===\n", e.name)
-		fmt.Printf("%-28s %10s %10s\n", "peer-set policy", "median(s)", "worst(s)")
+		fmt.Fprintf(w, "\n=== %s ===\n", e.name)
+		fmt.Fprintf(w, "%-28s %10s %10s\n", "peer-set policy", "median(s)", "worst(s)")
 		for _, static := range []int{6, 14, 0} {
 			label := fmt.Sprintf("static %d senders/receivers", static)
 			if static == 0 {
@@ -55,9 +60,9 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			fmt.Printf("%-28s %10.1f %10.1f\n", label, res.Median(), res.Worst())
+			fmt.Fprintf(w, "%-28s %10.1f %10.1f\n", label, res.Median(), res.Worst())
 		}
 	}
-	fmt.Println("\nThe adaptive policy should track the better static choice in BOTH")
-	fmt.Println("environments — no single static size does (paper §4.4, Figures 7-9).")
+	fmt.Fprintln(w, "\nThe adaptive policy should track the better static choice in BOTH")
+	fmt.Fprintln(w, "environments — no single static size does (paper §4.4, Figures 7-9).")
 }

@@ -16,6 +16,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -26,11 +27,16 @@ import (
 
 func main() {
 	dir := filepath.Join(os.TempDir(), "bulletprime-compare-archive")
+	fmt.Printf("archive: %s\n", dir)
+	run(os.Stdout, dir)
+}
+
+// run archives both protocols' runs in dir and writes their comparison to w.
+func run(w io.Writer, dir string) {
 	arch, err := bulletprime.OpenArchive(dir)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("archive: %s\n", dir)
 
 	// One shared scenario: 20 s in, a looping congestion trace squeezes a
 	// fifth of the receivers' inbound links, and at 60 s a tenth of the
@@ -68,7 +74,7 @@ func main() {
 			if _, err := exp.Run(context.Background()); err != nil {
 				log.Fatal(err)
 			}
-			fmt.Printf("  recorded %s seed %d as %s\n", p, seed, exp.RunID())
+			fmt.Fprintf(w, "  recorded %s seed %d as %s\n", p, seed, exp.RunID())
 		}
 	}
 
@@ -81,6 +87,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println()
-	fmt.Print(bulletprime.CompareArchived("bulletprime", prime, "bittorrent", torrent).Report())
+	fmt.Fprintln(w)
+	fmt.Fprint(w, bulletprime.CompareArchived("bulletprime", prime, "bittorrent", torrent).Report())
 }

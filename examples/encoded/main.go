@@ -27,15 +27,20 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
+	"os"
 
 	"bulletprime"
 	"bulletprime/internal/fountain"
 	"bulletprime/internal/harness"
 )
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run writes what each of the four parts measures to w.
+func run(w io.Writer) {
 	// --- 1. Real encode/decode round trip with losses ---
 	// Reception overhead shrinks with the number of source blocks k; the
 	// paper's 3-5% holds for tens-of-MB files (k in the thousands). 16 MB
@@ -47,7 +52,7 @@ func main() {
 
 	enc := fountain.NewEncoder(payload, blockSize, 99)
 	dec := fountain.NewDecoder(enc.K(), blockSize, 99)
-	fmt.Printf("file: %d bytes -> k = %d source blocks of %d B\n", len(payload), enc.K(), blockSize)
+	fmt.Fprintf(w, "file: %d bytes -> k = %d source blocks of %d B\n", len(payload), enc.K(), blockSize)
 
 	// Simulate 20% stream loss: skip every 5th encoded block.
 	sent, received := 0, 0
@@ -64,26 +69,26 @@ func main() {
 	if !bytes.Equal(dec.Reconstruct(len(payload)), payload) {
 		log.Fatal("reconstruction mismatch")
 	}
-	fmt.Printf("decoded after %d received encoded blocks (%d generated, 20%% lost)\n", received, sent)
-	fmt.Printf("reception overhead: %.1f%% (paper reports 3-5%% typical, 4%% assumed)\n",
+	fmt.Fprintf(w, "decoded after %d received encoded blocks (%d generated, 20%% lost)\n", received, sent)
+	fmt.Fprintf(w, "reception overhead: %.1f%% (paper reports 3-5%% typical, 4%% assumed)\n",
 		dec.Overhead()*100)
 
 	// --- 2. Nonlinear decode progress ---
 	dec2 := fountain.NewDecoder(enc.K(), blockSize, 99)
 	checkpoints := map[int]bool{enc.K() / 2: true, enc.K(): true}
-	fmt.Println("\ndecode progress (the pre-ripple plateau):")
+	fmt.Fprintln(w, "\ndecode progress (the pre-ripple plateau):")
 	for id, got := 0, 0; !dec2.Complete(); id++ {
 		dec2.Add(id, enc.Block(id))
 		got++
 		if checkpoints[got] {
-			fmt.Printf("  received %4d/%d blocks -> %4.0f%% of file reconstructed\n",
+			fmt.Fprintf(w, "  received %4d/%d blocks -> %4.0f%% of file reconstructed\n",
 				got, enc.K(), 100*float64(dec2.Recovered())/float64(enc.K()))
 		}
 	}
 
 	// --- 3. Both source modes through the session API ---
-	fmt.Println("\nsession runs, 15 nodes x 2 MB on the lossy mesh:")
-	fmt.Printf("  %-22s %10s %10s\n", "source mode", "median(s)", "worst(s)")
+	fmt.Fprintln(w, "\nsession runs, 15 nodes x 2 MB on the lossy mesh:")
+	fmt.Fprintf(w, "  %-22s %10s %10s\n", "source mode", "median(s)", "worst(s)")
 	for _, encoded := range []bool{false, true} {
 		label := "unencoded blocks"
 		if encoded {
@@ -104,18 +109,18 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("  %-22s %10.1f %10.1f\n", label, res.Median(), res.Worst())
+		fmt.Fprintf(w, "  %-22s %10.1f %10.1f\n", label, res.Median(), res.Worst())
 	}
 
 	// --- 4. The Figure 13 question: would encoding help Bullet'? ---
-	fmt.Println("\nFigure 13 analysis (reduced scale):")
+	fmt.Fprintln(w, "\nFigure 13 analysis (reduced scale):")
 	res := harness.Figure13(harness.Scale{Nodes: 0.2, File: 0.05}, 7)
-	fmt.Printf("  mean block inter-arrival tb : %.3f s\n", res.AvgInterArrival)
-	fmt.Printf("  last-20-block overage       : %.2f s\n", res.LastBlocksOverage)
-	fmt.Printf("  cost of 4%% encode overhead  : %.2f s\n", res.EncodingCost)
+	fmt.Fprintf(w, "  mean block inter-arrival tb : %.3f s\n", res.AvgInterArrival)
+	fmt.Fprintf(w, "  last-20-block overage       : %.2f s\n", res.LastBlocksOverage)
+	fmt.Fprintf(w, "  cost of 4%% encode overhead  : %.2f s\n", res.EncodingCost)
 	if res.LastBlocksOverage > res.EncodingCost {
-		fmt.Println("  -> encoding would have helped here")
+		fmt.Fprintln(w, "  -> encoding would have helped here")
 	} else {
-		fmt.Println("  -> encoding would NOT clearly help (the paper's conclusion, §4.6)")
+		fmt.Fprintln(w, "  -> encoding would NOT clearly help (the paper's conclusion, §4.6)")
 	}
 }

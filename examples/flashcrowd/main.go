@@ -13,13 +13,18 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"bulletprime"
 	"bulletprime/internal/scenario"
 )
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run writes every system's table, calm and under the crowd, to w.
+func run(w io.Writer) {
 	const (
 		nodes = 30
 		file  = 10 << 20 // 10 MB
@@ -59,8 +64,8 @@ func main() {
 			label = "flash-crowd scenario (waves + trace replay + churn)"
 			sc = crowd
 		}
-		fmt.Printf("\n=== flash crowd, %d nodes, 10 MB, %s ===\n", nodes, label)
-		fmt.Printf("%-14s %10s %10s %10s %12s\n", "system", "median(s)", "p90(s)", "worst(s)", "completions")
+		fmt.Fprintf(w, "\n=== flash crowd, %d nodes, 10 MB, %s ===\n", nodes, label)
+		fmt.Fprintf(w, "%-14s %10s %10s %10s %12s\n", "system", "median(s)", "p90(s)", "worst(s)", "completions")
 		var annotated *bulletprime.Result
 		for _, p := range protocols {
 			exp, err := bulletprime.New(bulletprime.RunConfig{
@@ -83,26 +88,26 @@ func main() {
 			if !res.Finished {
 				status = "  (INCOMPLETE)"
 			}
-			fmt.Printf("%-14s %10.1f %10.1f %10.1f %12d%s\n",
+			fmt.Fprintf(w, "%-14s %10.1f %10.1f %10.1f %12d%s\n",
 				p, res.Median(), res.Quantile(0.9), res.Worst(), len(res.CompletionTimes), status)
 			if p == bulletprime.ProtocolBulletPrime {
 				annotated = res
 			}
 		}
 		if dynamic && annotated != nil {
-			fmt.Printf("\nscenario timeline as observed by the Bullet' run (%d events):\n",
+			fmt.Fprintf(w, "\nscenario timeline as observed by the Bullet' run (%d events):\n",
 				len(annotated.Annotations))
 			for i, a := range annotated.Annotations {
 				if i == 6 {
-					fmt.Printf("  ... %d more\n", len(annotated.Annotations)-i)
+					fmt.Fprintf(w, "  ... %d more\n", len(annotated.Annotations)-i)
 					break
 				}
-				fmt.Printf("  t=%6.1fs  %s\n", a.At, a.Text)
+				fmt.Fprintf(w, "  t=%6.1fs  %s\n", a.At, a.Text)
 			}
 		}
 	}
-	fmt.Println("\nNote: under the scenario, churned nodes never finish (the run reports")
-	fmt.Println("INCOMPLETE) and wave-1 nodes cannot complete before t=60. Lint any")
-	fmt.Println("scenario file with: go run ./cmd/bulletctl scenario lint -nodes 30 file.json")
-	fmt.Println("Reproduce the paper's figures with: go run ./cmd/bulletctl -figure 4 -scale 1")
+	fmt.Fprintln(w, "\nNote: under the scenario, churned nodes never finish (the run reports")
+	fmt.Fprintln(w, "INCOMPLETE) and wave-1 nodes cannot complete before t=60. Lint any")
+	fmt.Fprintln(w, "scenario file with: go run ./cmd/bulletctl scenario lint -nodes 30 file.json")
+	fmt.Fprintln(w, "Reproduce the paper's figures with: go run ./cmd/bulletctl -figure 4 -scale 1")
 }

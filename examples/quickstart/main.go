@@ -8,12 +8,17 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"bulletprime"
 )
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run writes the distribution's progress and spread to w.
+func run(w io.Writer) {
 	exp, err := bulletprime.New(bulletprime.RunConfig{
 		Protocol:  bulletprime.ProtocolBulletPrime,
 		Nodes:     20,
@@ -34,7 +39,7 @@ func main() {
 	go func() {
 		defer close(done)
 		for s := range obs.Samples() {
-			fmt.Printf("  t=%4.0fs  %2d/%d receivers done, %6.2f Mbps aggregate goodput\n",
+			fmt.Fprintf(w, "  t=%4.0fs  %2d/%d receivers done, %6.2f Mbps aggregate goodput\n",
 				s.Time, s.Completed, s.Receivers, s.GoodputBps*8/1e6)
 		}
 	}()
@@ -47,10 +52,10 @@ func main() {
 	if !res.Finished {
 		log.Fatal("distribution did not finish before the deadline")
 	}
-	fmt.Printf("Bullet' distributed 5 MB to %d receivers\n", len(res.CompletionTimes))
-	fmt.Printf("  fastest node : %6.1f s\n", res.Best())
-	fmt.Printf("  median node  : %6.1f s\n", res.Median())
-	fmt.Printf("  slowest node : %6.1f s\n", res.Worst())
-	fmt.Printf("  control overhead: %.2f%% of delivered bytes\n", res.ControlOverhead*100)
-	fmt.Printf("  time-series: %d samples in res.Series\n", len(res.Series))
+	fmt.Fprintf(w, "Bullet' distributed 5 MB to %d receivers\n", len(res.CompletionTimes))
+	fmt.Fprintf(w, "  fastest node : %6.1f s\n", res.Best())
+	fmt.Fprintf(w, "  median node  : %6.1f s\n", res.Median())
+	fmt.Fprintf(w, "  slowest node : %6.1f s\n", res.Worst())
+	fmt.Fprintf(w, "  control overhead: %.2f%% of delivered bytes\n", res.ControlOverhead*100)
+	fmt.Fprintf(w, "  time-series: %d samples in res.Series\n", len(res.Series))
 }

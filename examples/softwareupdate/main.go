@@ -22,9 +22,11 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"log"
 	"maps"
 	"math/rand"
+	"os"
 	"slices"
 
 	"bulletprime"
@@ -33,7 +35,10 @@ import (
 	"bulletprime/internal/sim"
 )
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run writes the update's delta, check and dissemination times to w.
+func run(w io.Writer) {
 	// 1. Two software images: 60 files of 256 KB; v2 edits 1 in 4 files,
 	// adds one, deletes one.
 	rng := rand.New(rand.NewSource(42))
@@ -63,8 +68,8 @@ func main() {
 
 	// 2. Batch delta.
 	bundle := shotgun.BuildBundle(2, v1, v2, 2048)
-	fmt.Printf("image size: %.1f MB across %d files\n", float64(total)/1e6, len(v1))
-	fmt.Printf("delta bundle: %.2f MB (%d changed files, %d deleted)\n",
+	fmt.Fprintf(w, "image size: %.1f MB across %d files\n", float64(total)/1e6, len(v1))
+	fmt.Fprintf(w, "delta bundle: %.2f MB (%d changed files, %d deleted)\n",
 		float64(bundle.WireSize())/1e6, len(bundle.Files), len(bundle.Deleted))
 
 	// 3. Verify correctness.
@@ -80,7 +85,7 @@ func main() {
 			log.Fatalf("file %s differs after applying the bundle", p)
 		}
 	}
-	fmt.Println("bundle verified: applying v1+delta reproduces v2 bit-for-bit")
+	fmt.Fprintln(w, "bundle verified: applying v1+delta reproduces v2 bit-for-bit")
 
 	// 4. Dissemination: Shotgun vs a Bullet' session vs staggered parallel
 	// rsync, on the same PlanetLab-like 40-node topology.
@@ -92,9 +97,9 @@ func main() {
 	sg := shotgun.RunShotgun(rigA.Eng, rigA.RT, rigA.Members, 0, bundleBytes, 16*1024,
 		rigA.Master.Stream("shotgun"), 36000)
 
-	fmt.Printf("\n%-24s %12s %12s\n", "method", "median(s)", "worst(s)")
+	fmt.Fprintf(w, "\n%-24s %12s %12s\n", "method", "median(s)", "worst(s)")
 	sgT := sg.Times(true)
-	fmt.Printf("%-24s %12.1f %12.1f\n", "shotgun (dl+update)", sgT[len(sgT)/2], sgT[len(sgT)-1])
+	fmt.Fprintf(w, "%-24s %12.1f %12.1f\n", "shotgun (dl+update)", sgT[len(sgT)/2], sgT[len(sgT)-1])
 
 	// The same bundle through the public session API: a Bullet' mesh on
 	// the registered planetlab preset.
@@ -112,18 +117,18 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("%-24s %12.1f %12.1f\n", "bullet' mesh (session)", bp.Median(), bp.Worst())
+	fmt.Fprintf(w, "%-24s %12.1f %12.1f\n", "bullet' mesh (session)", bp.Median(), bp.Worst())
 
 	var rsyncWorst float64
 	for _, parallel := range []int{4, 16} {
 		rigB := harness.NewRig(topoFn(sim.NewRNG(7).Stream("topo")), 7)
 		rs := shotgun.RunParallelRsync(rigB.Eng, rigB.Net, rigB.Members, 0, bundleBytes, parallel, 360000)
 		t := rs.Times(true)
-		fmt.Printf("%-24s %12.1f %12.1f\n", fmt.Sprintf("%d parallel rsync", parallel), t[len(t)/2], t[len(t)-1])
+		fmt.Fprintf(w, "%-24s %12.1f %12.1f\n", fmt.Sprintf("%d parallel rsync", parallel), t[len(t)/2], t[len(t)-1])
 		if t[len(t)-1] > rsyncWorst {
 			rsyncWorst = t[len(t)-1]
 		}
 	}
-	fmt.Printf("\nshotgun finishes the slowest node %.0fx faster than the slowest rsync sweep\n",
+	fmt.Fprintf(w, "\nshotgun finishes the slowest node %.0fx faster than the slowest rsync sweep\n",
 		rsyncWorst/sgT[len(sgT)-1])
 }

@@ -18,7 +18,6 @@ import (
 	"bulletprime/internal/proto"
 	"bulletprime/internal/ransub"
 	"bulletprime/internal/sim"
-	"bulletprime/internal/tree"
 )
 
 // Fixed Bullet parameters (the released system's defaults per §3.3.1).
@@ -88,7 +87,6 @@ type Session struct {
 	cfg Config
 	rng *sim.RNG
 
-	Tree  *tree.Tree
 	peers map[netem.NodeID]*bPeer
 
 	index  proto.IndexTable
@@ -100,7 +98,7 @@ type Session struct {
 	PushesSent   int // push transmissions (source + interior forwards)
 }
 
-// NewSession builds the control/data tree and nodes.
+// NewSession builds the nodes and their RanSub agents.
 func NewSession(rt *proto.Runtime, cfg Config, rng *sim.RNG) *Session {
 	if cfg.RanSubPeriod <= 0 {
 		cfg.RanSubPeriod = ransub.DefaultPeriod
@@ -116,18 +114,15 @@ func NewSession(rt *proto.Runtime, cfg Config, rng *sim.RNG) *Session {
 		index: proto.NewIndexTable(cfg.NumBlocks),
 	}
 	s.Swarm = &s.cfg.Swarm
-	s.Tree = tree.Build(cfg.Members, cfg.Source, ransub.TreeDegree, rng.Stream("tree"))
 	for _, id := range cfg.Members {
 		s.peers[id] = newBPeer(s, id)
 	}
 	return s
 }
 
-// Start wires tree links and begins pushing and reconciliation.
+// Start builds the control/data tree and begins pushing and reconciliation.
 func (s *Session) Start() {
-	// Bullet dials a node's children in ascending id order and forwards
-	// pushed blocks over them in that order.
-	ransub.WireTree(s.Tree, true, isDataKind, func(id netem.NodeID) *ransub.Agent { return s.peers[id].rs })
+	ransub.Build(s.cfg.Members, s.cfg.Source, ransub.TreeDegree, s.rng.Stream("tree"), isDataKind, func(id netem.NodeID) *ransub.Agent { return s.peers[id].rs })
 	src := s.peers[s.cfg.Source]
 	src.rs.Start()
 	if s.cfg.StreamBps > 0 {

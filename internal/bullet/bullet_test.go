@@ -84,7 +84,7 @@ func TestTreePushIsDisjoint(t *testing.T) {
 	s.Start()
 	eng.RunUntil(60)
 
-	kids := s.Tree.Children(0)
+	kids := s.peers[0].rs.ChildIDs()
 	if len(kids) < 2 {
 		t.Fatalf("tree too narrow: %d direct children", len(kids))
 	}

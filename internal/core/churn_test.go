@@ -19,11 +19,13 @@ func TestSurvivesLeafFailures(t *testing.T) {
 
 	// Pick up to 3 control-tree leaves (not the source) to crash at t=15s.
 	var victims []netem.NodeID
-	r.sess.Tree.Walk(func(id netem.NodeID) {
-		if id != 0 && r.sess.Tree.IsLeaf(id) && len(victims) < 3 {
-			victims = append(victims, id)
+	for walk := []netem.NodeID{0}; len(walk) > 0 && len(victims) < 3; walk = walk[1:] {
+		kids := r.sess.Agent(walk[0]).ChildIDs()
+		if walk[0] != 0 && len(kids) == 0 {
+			victims = append(victims, walk[0])
 		}
-	})
+		walk = append(walk, kids...)
+	}
 	if len(victims) == 0 {
 		t.Skip("tree has no leaves to fail")
 	}

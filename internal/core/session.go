@@ -8,7 +8,6 @@ import (
 	"bulletprime/internal/ransub"
 	"bulletprime/internal/sim"
 	"bulletprime/internal/trace"
-	"bulletprime/internal/tree"
 )
 
 // Message kinds used by Bullet'. RanSub kinds (>= 1000) pass through to the
@@ -70,7 +69,6 @@ type Session struct {
 	cfg Config
 	rng *sim.RNG
 
-	Tree  *tree.Tree
 	peers map[netem.NodeID]*peer
 
 	diffs  proto.FreeList[diffMsg, *diffMsg]
@@ -92,7 +90,7 @@ type Session struct {
 	Rejects      int
 }
 
-// NewSession builds the control tree, nodes, and RanSub agents for one run.
+// NewSession builds the nodes and RanSub agents for one run.
 // Call Start to begin dissemination. All members must already exist in the
 // runtime's topology; the session registers proto nodes for them.
 func NewSession(rt *proto.Runtime, cfg Config, rng *sim.RNG) *Session {
@@ -116,16 +114,15 @@ func NewSession(rt *proto.Runtime, cfg Config, rng *sim.RNG) *Session {
 		peers: make(map[netem.NodeID]*peer),
 	}
 	s.Swarm = &s.cfg.Swarm
-	s.Tree = tree.Build(cfg.Members, cfg.Source, ransub.TreeDegree, rng.Stream("tree"))
 	for _, id := range cfg.Members {
 		s.peers[id] = newPeer(s, id)
 	}
 	return s
 }
 
-// Start wires the control tree and begins pushing and epoch processing.
+// Start builds the control tree and begins pushing and epoch processing.
 func (s *Session) Start() {
-	ransub.WireTree(s.Tree, false, isDataKind, func(id netem.NodeID) *ransub.Agent { return s.peers[id].rs })
+	ransub.Build(s.cfg.Members, s.cfg.Source, ransub.TreeDegree, s.rng.Stream("tree"), isDataKind, s.Agent)
 	s.peers[s.cfg.Source].rs.Start()
 	s.peers[s.cfg.Source].startPushing()
 }
@@ -148,6 +145,10 @@ func (s *Session) Peer(id netem.NodeID) *PeerInfo {
 		DuplicateCount: p.duplicates,
 	}
 }
+
+// Agent returns the RanSub agent of one member, which holds its control-tree
+// links from Start on (for tests and harness).
+func (s *Session) Agent(id netem.NodeID) *ransub.Agent { return s.peers[id].rs }
 
 // PeerInfo is a read-only snapshot of one node's progress.
 type PeerInfo struct {

@@ -28,7 +28,6 @@ import (
 	"bulletprime/internal/netem"
 	"bulletprime/internal/proto"
 	"bulletprime/internal/sim"
-	"bulletprime/internal/tree"
 )
 
 // Message kinds, allocated in a range protocols leave to RanSub.
@@ -76,7 +75,7 @@ func (m *setMsg) Reset() {
 func (m *setMsg) release() { m.owner.free.Put(m) }
 
 // Agent runs RanSub at one node. The owning protocol routes messages with
-// ransub kinds to Handle; WireTree gives it its tree links, which it alone
+// ransub kinds to Handle; Build gives it its tree links, which it alone
 // holds.
 type Agent struct {
 	node   *proto.Node
@@ -125,8 +124,8 @@ type collectSource struct {
 	size   int
 }
 
-// New creates an agent for node n. Wire up links with WireTree and start
-// the root with Start.
+// New creates an agent for node n. Build gives it its tree links, and
+// Start starts the root.
 func New(n *proto.Node, rng *sim.RNG, period float64) *Agent {
 	if period <= 0 {
 		period = DefaultPeriod
@@ -140,38 +139,48 @@ func New(n *proto.Node, rng *sim.RNG, period float64) *Agent {
 	}
 }
 
-// WireTree dials the control tree and hands every agent its links: it dials
-// each link parent→child — nodes in tr.Walk order, a node's children in
-// tree order, or in ascending id order when sortDial is set — marks which
-// message kinds count as data on it, and gives the agent at(id) of every
-// node its parent link and its child links in ascending child id. The same
-// connections may carry other protocol traffic (source pushes, read through
-// Children).
-func WireTree(tr *tree.Tree, sortDial bool, isData func(kind int) bool, at func(netem.NodeID) *Agent) {
-	tr.Walk(func(id netem.NodeID) {
-		a := at(id)
-		kids := tr.Children(id)
-		if sortDial {
-			kids = slices.Sorted(slices.Values(kids))
+// Build joins members into a random control tree under root and dials it
+// into the agents at(id), its one holder. Members join in ascending id, each
+// by random descent (from the root, step to a child picked by rng until a
+// node has fewer than degree children); a member listed twice panics. Links
+// are dialed parent→child, breadth-first, children in ascending id, with
+// isData classifying their message kinds.
+func Build(members []netem.NodeID, root netem.NodeID, degree int, rng *sim.RNG, isData func(kind int) bool, at func(netem.NodeID) *Agent) {
+	ids := slices.Sorted(slices.Values(members))
+	for i, id := range ids {
+		if id == root {
+			continue
 		}
-		a.children = make([]*proto.Conn, 0, len(kids))
-		a.childIDs = make([]netem.NodeID, 0, len(kids))
-		a.childSamples = make([]*setMsg, len(kids))
-		for _, cid := range kids {
-			c := a.node.Dial(cid)
-			c.IsData = isData
-			at(cid).parent = c
-			i, _ := slices.BinarySearch(a.childIDs, cid)
-			a.childIDs = slices.Insert(a.childIDs, i, cid)
-			a.children = slices.Insert(a.children, i, c)
+		if i > 0 && ids[i-1] == id {
+			panic("ransub: a member joins the tree twice")
 		}
-	})
+		cur := at(root)
+		for len(cur.childIDs) >= degree {
+			cur = at(cur.childIDs[rng.Pick(len(cur.childIDs))])
+		}
+		cur.childIDs = append(cur.childIDs, id)
+	}
+	for queue := []netem.NodeID{root}; len(queue) > 0; {
+		a := at(queue[0])
+		queue = append(queue[1:], a.childIDs...)
+		a.children = make([]*proto.Conn, len(a.childIDs))
+		a.childSamples = make([]*setMsg, len(a.childIDs))
+		for i, cid := range a.childIDs {
+			a.children[i] = a.node.Dial(cid)
+			a.children[i].IsData = isData
+			at(cid).parent = a.children[i]
+		}
+	}
 }
 
 // Children returns the connections to this node's tree children in
 // ascending child id, the order a pusher round-robins over. The caller must
 // not change the slice.
 func (a *Agent) Children() []*proto.Conn { return a.children }
+
+// ChildIDs returns the ids of this node's tree children in ascending order,
+// index for index with Children. The caller must not change the slice.
+func (a *Agent) ChildIDs() []netem.NodeID { return a.childIDs }
 
 // Start begins periodic epochs; call at the root only.
 func (a *Agent) Start() {

@@ -7,16 +7,15 @@ import (
 	"bulletprime/internal/netem"
 	"bulletprime/internal/proto"
 	"bulletprime/internal/sim"
-	"bulletprime/internal/tree"
 )
 
-// rig builds n nodes in a fast uniform network, a random control tree, and
-// a started RanSub agent per node, recording a copy of every distribute
+// rig builds n nodes in a fast uniform network, a RanSub agent per node,
+// and a random control tree rooted at node 0 and started, recording a copy of every distribute
 // delivery (a delivered set is valid only during OnDistribute).
 type rig struct {
 	eng      *sim.Engine
 	rt       *proto.Runtime
-	tr       *tree.Tree
+	root     netem.NodeID
 	agents   map[netem.NodeID]*Agent
 	received map[netem.NodeID][][]Candidate
 }
@@ -48,7 +47,6 @@ func newRig(t *testing.T, n int, period float64) *rig {
 	for i := 0; i < n; i++ {
 		ids = append(ids, netem.NodeID(i))
 	}
-	r.tr = tree.Build(ids, 0, 4, master.Stream("tree"))
 
 	stores := make(map[netem.NodeID]*proto.BlockStore)
 	for _, id := range ids {
@@ -69,8 +67,8 @@ func newRig(t *testing.T, n int, period float64) *rig {
 			ag.Handle(c, m)
 		}
 	}
-	WireTree(r.tr, false, nil, func(id netem.NodeID) *Agent { return r.agents[id] })
-	r.agents[r.tr.Root()].Start()
+	Build(ids, r.root, 4, master.Stream("tree"), nil, func(id netem.NodeID) *Agent { return r.agents[id] })
+	r.agents[r.root].Start()
 	return r
 }
 
@@ -180,7 +178,7 @@ func TestChangingSubsets(t *testing.T) {
 func TestStaleCollectIgnored(t *testing.T) {
 	r := newRig(t, 5, 1.0)
 	r.eng.RunUntil(3)
-	ag := r.agents[r.tr.Root()]
+	ag := r.agents[r.root]
 	before := len(ag.pool)
 	// Inject a stale-epoch collect; it must not corrupt state, and its set
 	// goes straight back to the agent that sent it.
@@ -218,51 +216,28 @@ func TestSetsReturnToTheirOwner(t *testing.T) {
 	}
 }
 
-// TestChildrenInAscendingID wires a tree whose child lists run in
-// descending id, as they do when members join in that order: whatever the
-// dial order, every agent's Children are its tree children in ascending id,
-// index for index with the ids its samples are filed under, and each child
-// agent's parent link is the same connection.
+// TestChildrenInAscendingID builds a tree from members listed in descending
+// id: every agent's Children are its tree children in ascending id, index
+// for index with ChildIDs (the ids its samples are filed under), and each
+// child agent's parent link is the same connection. Members joining in the
+// caller's order instead would file children in descending id.
 func TestChildrenInAscendingID(t *testing.T) {
-	const n = 12
-	for _, sortDial := range []bool{false, true} {
-		eng := sim.NewEngine()
-		topo := netem.NewTopology(n)
-		topo.SetUniformAccess(netem.Mbps(100), netem.Mbps(100), netem.MS(1))
-		rt := proto.NewRuntime(eng, netem.New(eng, topo, sim.NewRNG(3).Stream("net")))
-		var ids []netem.NodeID
-		for i := n - 1; i >= 0; i-- {
-			ids = append(ids, netem.NodeID(i))
+	agents := buildTree(descending(12), 0, 3, 3)
+	for id, ag := range agents {
+		if !slices.IsSorted(ag.ChildIDs()) {
+			t.Fatalf("node %d child ids %v, want ascending order", id, ag.ChildIDs())
 		}
-		tr := tree.Build(ids, 0, 3, sim.NewRNG(3).Stream("tree"))
-		agents := make(map[netem.NodeID]*Agent)
-		for _, id := range ids {
-			agents[id] = New(rt.NewNode(id), sim.NewRNG(3).Stream("rs"), 1)
+		if len(ag.Children()) != len(ag.ChildIDs()) {
+			t.Fatalf("node %d has %d child links for %d children", id, len(ag.Children()), len(ag.ChildIDs()))
 		}
-		WireTree(tr, sortDial, nil, func(id netem.NodeID) *Agent { return agents[id] })
-		unsorted := false
-		for _, id := range ids {
-			ag := agents[id]
-			kids := tr.Children(id)
-			unsorted = unsorted || !slices.IsSorted(kids)
-			if got := len(ag.Children()); got != len(kids) {
-				t.Fatalf("node %d has %d child links, want %d", id, got, len(kids))
+		for i, c := range ag.Children() {
+			cid := c.Peer(ag.node).ID
+			if cid != ag.ChildIDs()[i] {
+				t.Fatalf("node %d child link %d leads to %d, want %d", id, i, cid, ag.ChildIDs()[i])
 			}
-			if !slices.IsSorted(ag.childIDs) || !slices.Equal(ag.childIDs, slices.Sorted(slices.Values(kids))) {
-				t.Fatalf("node %d child ids %v, want %v in ascending order", id, ag.childIDs, kids)
+			if agents[cid].parent != c {
+				t.Fatalf("node %d's parent link is not its parent's link to it", cid)
 			}
-			for i, c := range ag.Children() {
-				cid := c.Peer(ag.node).ID
-				if cid != ag.childIDs[i] {
-					t.Fatalf("sortDial %v: node %d child link %d leads to %d, want %d", sortDial, id, i, cid, ag.childIDs[i])
-				}
-				if agents[cid].parent != c {
-					t.Fatalf("node %d's parent link is not its parent's link to it", cid)
-				}
-			}
-		}
-		if !unsorted {
-			t.Fatal("the tree's child lists are already in id order; the test shows nothing")
 		}
 	}
 }
