@@ -164,7 +164,7 @@ func TestRunDynamicOnCompactClusters(t *testing.T) {
 	}
 	code, stdout, stderr := ctl(t, "run", "-nodes", "100", "-filemb", "1", "-dynamic", "-network", "clustered")
 	const want = "protocol       network        seed     best_s   median_s    worst_s  finished completions\n" +
-		"bulletprime    clustered         1       13.1       16.7       19.0      true          99\n"
+		"bulletprime    clustered         1       13.1       16.8       20.8      true          99\n"
 	if code != 0 || stdout != want {
 		t.Fatalf("clustered: exit %d (stderr %q), stdout\n%s\nwant\n%s", code, stderr, stdout, want)
 	}

@@ -1,5 +1,5 @@
 // Livestream: Bullet' as a live-streaming transport (DESIGN.md §11). A
-// source emits a 1 Mbps stream for one virtual minute while a flash crowd
+// source emits a 1 Mbps stream for two virtual minutes while a flash crowd
 // joins mid-broadcast: 60% of the overlay watches from the start, the rest
 // piles in at t=30s and has to catch up to its own live edge through the
 // mesh. Bullet' and Bullet run on the identical topology and scenario
@@ -28,7 +28,7 @@ func run(w io.Writer) {
 		nodes    = 24
 		seed     = 7
 		bitrate  = 1e6 / 8 // 1 Mbps in bytes/s
-		duration = 60.0
+		duration = 120.0
 	)
 	// The crowd joins a broadcast already in progress; wave viewers measure
 	// lag against their own join time.

@@ -25,11 +25,11 @@ var goldenRuns = []struct {
 }{
 	{
 		cfg:      bulletprime.RunConfig{Nodes: 10, FileBytes: 1 << 20, Seed: 1},
-		overhead: 0.036867077379345331,
+		overhead: 0.029406325134085445,
 		times: map[int]float64{
-			1: 12.642215794746878, 2: 12.789660605820695, 3: 12.012932521170322,
-			4: 12.130504002713066, 5: 11.070072039402357, 6: 12.385343710848243,
-			7: 11.627424747591888, 8: 12.834874323735965, 9: 11.376074303948585,
+			1: 12.80768969529981, 2: 12.789660605820695, 3: 12.012932521170322,
+			4: 12.130504002713066, 5: 11.070072039402357, 6: 12.998388481600028,
+			7: 11.627424747591888, 8: 12.369675404834004, 9: 11.376074303948585,
 		},
 	},
 	{

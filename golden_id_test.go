@@ -28,7 +28,7 @@ var goldenRecords = []struct {
 			Nodes: 10, FileBytes: 8e6, Seed: 1, SampleEvery: 2, DynamicBandwidth: true,
 		},
 		id:      "6cb0abbcb31806f8",
-		sha:     "e1d9a8216f2de1f5102107ce9ecea5fc88722acbc65b1b315ba8d65cc0741a76",
+		sha:     "1cb6082f37cb5b226326e439c0a01e379302fc63c31e020aa5449cf77a875c2e",
 		samples: 13,
 	},
 	{
@@ -36,7 +36,7 @@ var goldenRecords = []struct {
 		cfg:     RunConfig{Nodes: 10, FileBytes: 1 << 20, Seed: 1, SampleEvery: 5},
 		wrapper: true,
 		id:      "5e5b9720f1432626",
-		sha:     "059ce3a301bc40cea4c493106f1c730ff1fa2a4adfd13e741a126dbd5ab5f7d1",
+		sha:     "f3fe3214fbc5837ddbb90ac65ed5c6050048559d094f25826bd3f607fd71e2ed",
 	},
 	{
 		name: "streamed",
@@ -45,7 +45,7 @@ var goldenRecords = []struct {
 			SampleEvery: 2, Stream: &StreamOptions{BitrateBps: 64 * 1024, Duration: 16},
 		},
 		id:      "c5688a2d5d12b217",
-		sha:     "b5b656cc9bd89c92e5a3922ba6e043fbe97c6e95be1a2d57bfc46937ffda05cd",
+		sha:     "07f9ff23ec8d0711aedc6c55e099af180612bd8707a70e385417ddc6551ed81f",
 		samples: 9,
 	},
 	{

@@ -40,7 +40,7 @@ const (
 	availLimit = 4 * MaxOutstanding * int(ReconcilePeriod)
 )
 
-// Message kinds (RanSub kinds >= 1000 pass through).
+// Message kinds (RanSub kinds, from proto.ControlKindBase up, pass through).
 const (
 	kindPush   = iota + 1 // tree push of a block
 	kindHello             // mesh peering request
@@ -253,7 +253,7 @@ func (p *bPeer) releaseStreamBlock() {
 }
 
 func (p *bPeer) onMessage(c *proto.Conn, m proto.Message) {
-	if m.Kind >= 1000 {
+	if m.Kind >= proto.ControlKindBase {
 		p.rs.Handle(c, m)
 		return
 	}

@@ -45,16 +45,16 @@ func TestPickBlockDoesNotAllocate(t *testing.T) {
 // diff, request, block, and the diff that block triggers one hop on — down
 // a three-node chain fed by a live source, and checks that once the free
 // lists, queues and availability lists have warmed up a second of it (four
-// blocks, two hops each) allocates nothing.
+// blocks, two hops each) allocates nothing. The heap engine is used because
+// the timer wheel allocates each of its 8192 slots on first use, a
+// simulator cost kept out of the measurement.
 //
-// Two simulator costs are kept out of the measurement. The heap engine is
-// used because the timer wheel allocates each of its 8192 slots on first
-// use. And the engine's event free list is filled beforehand, because the
-// number of pending events itself grows here, by eight a second: every
-// empty answer to a diff request starts a diffReqBackoff timer that re-arms
-// itself while the stream keeps starting new ones (a protocol finding, see
-// ROADMAP), and each needs an event node.
+// The chain is also bounded: the events pending at t = 60 s are no more than
+// at t = 30 s plus pendingSlack, the few a snapshot can catch in flight or
+// not. Were a diff request answered empty and re-asked after a timer, each
+// empty answer would leave one more timer pending as the stream went on.
 func TestSteadyStateRoundTripDoesNotAllocate(t *testing.T) {
+	const pendingSlack = 4
 	r := buildRigOn(sim.NewEngineWithQueue(sim.QueueHeap), 3, 60, func(c *Config) {
 		c.NumBlocks = 4096
 		c.StreamBps = 64 * 1024 // four 16 KB blocks a second
@@ -65,14 +65,15 @@ func TestSteadyStateRoundTripDoesNotAllocate(t *testing.T) {
 	mid.addSender(0)
 	leaf.addSender(1)
 	src.releaseStreamBlock()
+	r.eng.RunUntil(30)
+	at30 := r.eng.Pending()
 	r.eng.RunUntil(60)
 	if leaf.store.Count() < 200 {
 		t.Fatalf("chain is not carrying the stream: leaf holds %d blocks at t=60", leaf.store.Count())
 	}
-	for i := 0; i < 4096; i++ {
-		r.eng.After(0, func() {})
+	if at60 := r.eng.Pending(); at60 > at30+pendingSlack {
+		t.Fatalf("pending events grow with the stream: %d at t=30 s, %d at t=60 s (slack %d)", at30, at60, pendingSlack)
 	}
-	r.eng.RunUntil(r.eng.Now())
 
 	before := leaf.store.Count()
 	allocs := testing.AllocsPerRun(50, func() { r.eng.RunUntil(r.eng.Now() + 1) })

@@ -131,7 +131,7 @@ func TestFreeListInvariantUnderChurn(t *testing.T) {
 func sendPooledRequest(p *peer, c *proto.Conn) *reqMsg {
 	rm := p.s.reqs.Get()
 	rm.id = 5
-	c.Send(p.node, proto.Message{Kind: kindRequest, Size: 24, Payload: rm})
+	c.Send(p.node, proto.Message{Kind: KindRequest, Size: 24, Payload: rm})
 	return rm
 }
 

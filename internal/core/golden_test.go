@@ -4,10 +4,13 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"bulletprime/internal/netem"
+	"bulletprime/internal/proto"
 	"bulletprime/internal/ransub"
 	"bulletprime/internal/sim"
 )
@@ -75,57 +78,148 @@ func goldenDigest(t *testing.T, mut func(*Config), during func(*rig), deadline s
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// goldenRow is one configuration of the TestGoldenDigests rig.
+type goldenRow struct {
+	name     string
+	mut      func(*Config)
+	during   func(*rig)
+	deadline sim.Time
+	digest   string
+}
+
+// failAt crashes the given nodes at virtual time at.
+func failAt(at sim.Time, ids ...netem.NodeID) func(*rig) {
+	return func(r *rig) {
+		r.eng.Schedule(at, func() {
+			for _, id := range ids {
+				r.rt.Node(id).Fail()
+			}
+		})
+	}
+}
+
+var goldenRows = []goldenRow{
+	{"first", func(c *Config) { c.Strategy = FirstEncountered }, nil, 600,
+		"0edaaa21064a35270f023ebba29750183fbd6ba74f27fe4fd684489343490b5c"},
+	{"random", func(c *Config) { c.Strategy = Random }, nil, 600,
+		"2393e0d93a402368b8218993e90ad6a283d56ac7387aa69049acce0dda3942d6"},
+	{"rarest", func(c *Config) { c.Strategy = Rarest }, nil, 600,
+		"c6d86a5d634010680da52137abd29223c52098e4b43711e4ee953855de464185"},
+	{"rarest-random", func(c *Config) { c.Strategy = RarestRandom }, nil, 600,
+		"bed8e365bc8b493c133de3ad3ac30c728d3c0024572e6dc641323149a4737607"},
+	{"periodic-diffs", func(c *Config) { c.PeriodicDiffs = 2 }, nil, 600,
+		"b749764ea541f8518563a593df9f66d1fd18347856671452831c9450dea51ee0"},
+	{"encoded", func(c *Config) { c.Encoded = true }, nil, 600,
+		"5dfd90790b7369201975e9e4c65d3ad6d005f3b26db261f19c30c873008bbda7"},
+	{"stream", func(c *Config) { c.StreamBps = 64 * 1024; c.NumBlocks = 160 }, nil, 120,
+		"f5c956ba96a7e6400df214342fdea083ea4bb026af5aceb5abe41d1e05f48a69"},
+	// Senders crash in two waves while claims are outstanding on them:
+	// dropSender must hand their claims and rarity counts back.
+	{"churn", nil, func(r *rig) {
+		failAt(6, 5, 11, 17, 23)(r)
+		failAt(14, 8, 29, 35)(r)
+	}, 600,
+		"a46a3861870bbd42077d82c8aeffe19b266be8dc0a69ba7b5077140141c5b76a"},
+	// A pinned peer-set size small enough that hellos are refused.
+	{"static-peers", func(c *Config) { c.StaticPeers = 3 }, nil, 600,
+		"7e4ce0d4fd0ce0d642dabbde57a5fc7513e21043d561a1d9d1f462cfe59ee04f"},
+}
+
+// goldenRowNamed returns the TestGoldenDigests row with the given name.
+func goldenRowNamed(t *testing.T, name string) goldenRow {
+	for _, row := range goldenRows {
+		if row.name == name {
+			return row
+		}
+	}
+	t.Fatalf("no golden row %q", name)
+	return goldenRow{}
+}
+
 // TestGoldenDigests pins the request/diff loops' behaviour bit for bit. The
 // digests were recorded on the commit before core.peer's per-block state
 // went from maps to dense slices and its messages onto free lists; every
 // one of those changes is order-preserving, so they must never move. A
 // change that is meant to alter protocol behaviour re-records them.
 func TestGoldenDigests(t *testing.T) {
-	failAt := func(at sim.Time, ids ...netem.NodeID) func(*rig) {
-		return func(r *rig) {
-			r.eng.Schedule(at, func() {
-				for _, id := range ids {
-					r.rt.Node(id).Fail()
-				}
-			})
-		}
+	for _, tc := range goldenRows {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := goldenDigest(t, tc.mut, tc.during, tc.deadline); got != tc.digest {
+				t.Fatalf("digest %s, want %s", got, tc.digest)
+			}
+		})
 	}
+}
+
+// kindNames names Bullet′'s message kinds and the RanSub kinds it carries,
+// in the order TestTrafficGolden lists them.
+var kindNames = []struct {
+	kind int
+	name string
+}{
+	{KindHello, "hello"}, {KindReject, "reject"}, {KindDiff, "diff"}, {KindDiffReq, "diff-req"},
+	{KindRequest, "request"}, {KindBlock, "block"}, {KindPush, "push"},
+	{ransub.KindDistribute, "distribute"}, {ransub.KindCollect, "collect"},
+}
+
+// TestTrafficGolden pins, on four rows of the TestGoldenDigests rig, the
+// messages and wire bytes delivered per message kind. Digests say that a
+// run changed; these counts say which exchange changed and by how much, so
+// a change to the diff clock states its effect here in numbers. Every
+// message the runtime delivered is one of the kinds listed.
+func TestTrafficGolden(t *testing.T) {
+	type counts struct{ msgs, bytes uint64 }
 	cases := []struct {
-		name     string
-		mut      func(*Config)
-		during   func(*rig)
-		deadline sim.Time
-		want     string
+		row  string
+		want [9]counts // in kindNames order
 	}{
-		{"first", func(c *Config) { c.Strategy = FirstEncountered }, nil, 600,
-			"d883a3636554dcded53bd42e8f1ad3177a3e9a1427e85e000799e4cc46dd2587"},
-		{"random", func(c *Config) { c.Strategy = Random }, nil, 600,
-			"fe7273dfe3c3cde3e0893cb0a911fdb62b30b162abbfbe350ba4d8d03a01ff07"},
-		{"rarest", func(c *Config) { c.Strategy = Rarest }, nil, 600,
-			"c0273e88db25f969f48c634dc88cc7dc4d2ad59ada29dcea8ba6697c70e83cbc"},
-		{"rarest-random", func(c *Config) { c.Strategy = RarestRandom }, nil, 600,
-			"c7a27c9ae22ad2254e0974726380287fe3de8345fcd83a67439b04129c00901b"},
-		{"periodic-diffs", func(c *Config) { c.PeriodicDiffs = 2 }, nil, 600,
-			"f31e56051dfcb0772e01868221c6bc1fb35ccbb9edeca9d7adf9e1963e573b93"},
-		{"encoded", func(c *Config) { c.Encoded = true }, nil, 600,
-			"d2bd8430d7a58d0bb8de5869d7380f43bb58202194fd41dd8767364a90874d2c"},
-		{"stream", func(c *Config) { c.StreamBps = 64 * 1024; c.NumBlocks = 160 }, nil, 120,
-			"0cc78f2ced6c61ef971450e59ce74bc4e1068990dea78a1fb1df176c7ce4e9c9"},
-		// Senders crash in two waves while claims are outstanding on them:
-		// dropSender must hand their claims and rarity counts back.
-		{"churn", nil, func(r *rig) {
-			failAt(6, 5, 11, 17, 23)(r)
-			failAt(14, 8, 29, 35)(r)
-		}, 600,
-			"5d04549332b73f613406a233b84975d43810c39d55e7e54a906cce465884f937"},
-		// A pinned peer-set size small enough that hellos are refused.
-		{"static-peers", func(c *Config) { c.StaticPeers = 3 }, nil, 600,
-			"192b3ab79b6b8b19dd284146d545ce626abebd62368ae8dd5c44a84703e7b1d7"},
+		// (messages, bytes) of hello, reject, diff, diff-req, request;
+		// then block, push, distribute, collect.
+		{"first", [9]counts{
+			{305, 19520}, {0, 0}, {10762, 786224}, {7008, 448512}, {7328, 527616},
+			{7296, 119654400}, {192, 3148800}, {4680, 13088720}, {4680, 2358560}}},
+		{"rarest-random", [9]counts{
+			{299, 19136}, {0, 0}, {9004, 666696}, {4313, 276032}, {7331, 527832},
+			{7296, 119654400}, {192, 3148800}, {4680, 13088720}, {4680, 2358560}}},
+		{"stream", [9]counts{
+			{184, 11776}, {0, 0}, {8482, 581924}, {7964, 509696}, {6099, 439128},
+			{6080, 99712000}, {160, 2624000}, {936, 2545616}, {936, 471936}}},
+		{"churn", [9]counts{
+			{207, 13248}, {0, 0}, {5626, 423384}, {2747, 175808}, {6245, 449640},
+			{6205, 101762000}, {192, 3148800}, {3505, 9779920}, {3152, 1346832}}},
 	}
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := goldenDigest(t, tc.mut, tc.during, tc.deadline); got != tc.want {
-				t.Fatalf("digest %s, want %s", got, tc.want)
+		t.Run(tc.row, func(t *testing.T) {
+			row := goldenRowNamed(t, tc.row)
+			var rt *proto.Runtime
+			during := func(r *rig) {
+				rt = r.rt
+				if row.during != nil {
+					row.during(r)
+				}
+			}
+			if got := goldenDigest(t, row.mut, during, row.deadline); got != row.digest {
+				t.Fatalf("digest %s, want %s", got, row.digest)
+			}
+			var got [9]counts
+			var msgs uint64
+			for i, k := range kindNames {
+				kt := rt.Traffic.Kind(k.kind)
+				if kt.Bytes != math.Trunc(kt.Bytes) {
+					t.Fatalf("%s: %v bytes, not a whole number", k.name, kt.Bytes)
+				}
+				got[i] = counts{kt.Messages, uint64(kt.Bytes)}
+				msgs += kt.Messages
+			}
+			if msgs != rt.MessagesDelivered {
+				t.Fatalf("the listed kinds carry %d of %d delivered messages", msgs, rt.MessagesDelivered)
+			}
+			if got != tc.want {
+				var b strings.Builder
+				for i, k := range kindNames {
+					fmt.Fprintf(&b, "\n  %-10s %9d msgs %12d B (want %d, %d)", k.name, got[i].msgs, got[i].bytes, tc.want[i].msgs, tc.want[i].bytes)
+				}
+				t.Fatalf("traffic by kind moved:%s\nas a literal: %v", b.String(), got)
 			}
 		})
 	}
@@ -140,30 +234,18 @@ func TestGoldenDigests(t *testing.T) {
 // counts are pure functions of the run, so memory a change adds shows here
 // as a number.
 func TestSenderBytesGolden(t *testing.T) {
-	crash := func(r *rig) {
-		for _, wave := range []struct {
-			at  sim.Time
-			ids []netem.NodeID
-		}{{6, []netem.NodeID{5, 11, 17, 23}}, {14, []netem.NodeID{8, 29, 35}}} {
-			r.eng.Schedule(wave.at, func() {
-				for _, id := range wave.ids {
-					r.rt.Node(id).Fail()
-				}
-			})
-		}
-	}
 	cases := []struct {
-		name   string
-		during func(*rig)
-		digest string
+		name string
+		row  string // the TestGoldenDigests row that runs
 		// live and spare bytes at the end, then the peak of each.
 		want [4]int
 	}{
-		{"static", nil, "c7a27c9ae22ad2254e0974726380287fe3de8345fcd83a67439b04129c00901b", [4]int{141248, 40336, 181584, 40336}},
-		{"churn", crash, "5d04549332b73f613406a233b84975d43810c39d55e7e54a906cce465884f937", [4]int{112328, 18776, 131104, 18776}},
+		{"static", "rarest-random", [4]int{138704, 39856, 178560, 39856}},
+		{"churn", "churn", [4]int{113088, 17944, 131032, 17944}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			row := goldenRowNamed(t, tc.row)
 			var s *Session
 			var peakLive, peakSpare int
 			during := func(r *rig) {
@@ -176,12 +258,12 @@ func TestSenderBytesGolden(t *testing.T) {
 						peakLive, peakSpare = max(peakLive, live), max(peakSpare, spare)
 					}
 				}
-				if tc.during != nil {
-					tc.during(r)
+				if row.during != nil {
+					row.during(r)
 				}
 			}
-			if got := goldenDigest(t, nil, during, 600); got != tc.digest {
-				t.Fatalf("digest %s, want %s", got, tc.digest)
+			if got := goldenDigest(t, row.mut, during, row.deadline); got != row.digest {
+				t.Fatalf("digest %s, want %s", got, row.digest)
 			}
 			live, spare := s.senderBytes()
 			if got := [4]int{live, spare, peakLive, peakSpare}; got != tc.want {

@@ -17,11 +17,6 @@ import (
 // examine per pick (and so the length of the tie list).
 const rarestSample = 64
 
-// diffReqBackoff is how long a receiver waits before re-asking a sender for
-// a diff after receiving an empty one, bounding control chatter when a
-// sender has nothing new (the self-clocking of §3.3.4 plus damping).
-const diffReqBackoff = 1.0
-
 // peer is the Bullet' state machine at one node.
 type peer struct {
 	s     *Session
@@ -157,30 +152,30 @@ func (p *peer) sweepSenders() []*senderPeer {
 // Message dispatch
 
 func (p *peer) onMessage(c *proto.Conn, m proto.Message) {
-	if m.Kind >= 1000 {
+	if m.Kind >= proto.ControlKindBase {
 		p.rs.Handle(c, m)
 		return
 	}
 	switch m.Kind {
-	case kindHello:
+	case KindHello:
 		p.onHello(c)
-	case kindReject:
+	case KindReject:
 		p.onReject(c)
-	case kindDiff:
+	case KindDiff:
 		d := p.s.diffs.Delivered(m.Payload)
 		p.onDiff(c, d)
 		p.s.diffs.Put(d)
-	case kindDiffReq:
+	case KindDiffReq:
 		p.onDiffReq(c)
-	case kindRequest:
+	case KindRequest:
 		rm := p.s.reqs.Delivered(m.Payload)
 		p.onRequest(c, rm)
 		p.s.reqs.Put(rm)
-	case kindBlock:
+	case KindBlock:
 		bm := p.s.blocks.Delivered(m.Payload)
 		p.onBlock(c, bm)
 		p.s.blocks.Put(bm)
-	case kindPush:
+	case KindPush:
 		bm := p.s.blocks.Delivered(m.Payload)
 		p.onPush(c, bm)
 		p.s.blocks.Put(bm)
@@ -218,7 +213,7 @@ func (p *peer) addSender(id netem.NodeID) {
 	}
 	p.senders.Insert(sp)
 	c.SetState(p.node, sp)
-	c.Send(p.node, proto.Message{Kind: kindHello, Size: 16})
+	c.Send(p.node, proto.Message{Kind: KindHello, Size: 16})
 }
 
 // dropSender closes the peering, reclaims its outstanding requests and
@@ -286,13 +281,11 @@ func (p *peer) onDiff(c *proto.Conn, d *diffMsg) {
 	if added > 0 {
 		sp.lastUseful = p.s.rt.Now()
 	}
+	// Any diff answers the request in flight: the sender holds a request it
+	// has no news for and answers it with its next arrival, so a diff after
+	// the initial one always carries something, and asking again at once
+	// costs one held request, not a ping-pong of empty diffs.
 	sp.diffReqPending = false
-	if added == 0 && !d.initial && !p.complete {
-		// Sender had nothing new: back off before asking again instead of
-		// ping-ponging empty diffs at wire speed.
-		sp.diffReqPending = true
-		p.s.rt.AfterEvent(diffReqBackoff, p, evDiffBackoff, sp)
-	}
 	p.fillRequests(sp)
 }
 
@@ -318,13 +311,13 @@ func (p *peer) fillRequests(sp *senderPeer) {
 		rm.id = id
 		rm.totalInBW = p.inRate()
 		rm.perSenderBW = sp.meter.Rate(now, 5)
-		sp.conn.Send(p.node, proto.Message{Kind: kindRequest, Size: 24, Payload: rm})
+		sp.conn.Send(p.node, proto.Message{Kind: KindRequest, Size: 24, Payload: rm})
 	}
 	// Nearly out of known blocks at this sender: ask for a fresh diff
 	// before going idle (§3.3.4 self-clocking).
 	if len(sp.avail) <= sp.limit() && !sp.diffReqPending && !p.complete {
 		sp.diffReqPending = true
-		sp.conn.Send(p.node, proto.Message{Kind: kindDiffReq, Size: 16})
+		sp.conn.Send(p.node, proto.Message{Kind: KindDiffReq, Size: 16})
 	}
 }
 
@@ -538,14 +531,20 @@ func (p *peer) acceptBlock(id int) {
 		p.releaseClaims()
 		p.s.Completed(p.node.ID, now)
 	}
-	// Self-clocked diffs: receivers with nothing queued from us hear about
-	// new blocks immediately (§3.3.4). In the periodic-diff ablation the
-	// per-receiver timers handle propagation instead.
+	// In the periodic-diff ablation the per-receiver timers propagate
+	// arrivals instead.
 	if p.s.cfg.PeriodicDiffs > 0 {
 		return
 	}
+	p.tellReceivers()
+}
+
+// tellReceivers is the self-clocked diff push after an arrival (§3.3.4):
+// receivers with nothing queued from us, and those whose diff request we
+// hold, hear about new blocks immediately.
+func (p *peer) tellReceivers() {
 	for _, rp := range p.receivers {
-		if rp.conn.QueueLen(p.node) == 0 {
+		if rp.held || rp.conn.QueueLen(p.node) == 0 {
 			p.sendDiff(rp, false)
 		}
 	}
@@ -562,7 +561,7 @@ func (p *peer) onHello(c *proto.Conn) {
 	}
 	if len(p.receivers) >= hardMax {
 		p.s.Rejects++
-		c.Send(p.node, proto.Message{Kind: kindReject, Size: 16})
+		c.Send(p.node, proto.Message{Kind: KindReject, Size: 16})
 		return
 	}
 	peerID := c.Peer(p.node).ID
@@ -581,8 +580,7 @@ func (p *peer) onHello(c *proto.Conn) {
 
 // Typed timer kinds dispatched through peer.OnEvent.
 const (
-	evDiffBackoff int32 = iota
-	evPeriodicDiff
+	evPeriodicDiff int32 = iota
 	evPushPump
 	evStreamRelease
 )
@@ -590,13 +588,6 @@ const (
 // OnEvent dispatches the peer's typed timers (engine plumbing).
 func (p *peer) OnEvent(kind int32, payload any) {
 	switch kind {
-	case evDiffBackoff:
-		sp := payload.(*senderPeer)
-		if sp.closed || p.complete {
-			return
-		}
-		sp.diffReqPending = false
-		p.fillRequests(sp)
 	case evPeriodicDiff:
 		rp := payload.(*receiverPeer)
 		if rp.closed {
@@ -611,15 +602,17 @@ func (p *peer) OnEvent(kind int32, payload any) {
 	}
 }
 
-// sendDiff advertises arrivals since the receiver's cursor. The initial
-// diff after a hello describes everything held so far (sent as a bitmap on
-// the wire); increments are id lists.
+// sendDiff advertises arrivals since the receiver's cursor, which answers a
+// held diff request. The initial diff after a hello describes everything
+// held so far (sent as a bitmap on the wire); increments are id lists, and
+// never empty.
 func (p *peer) sendDiff(rp *receiverPeer, initial bool) {
 	ids, cursor := p.store.ArrivalsSince(rp.diffCursor)
 	if len(ids) == 0 && !initial {
 		return
 	}
 	rp.diffCursor = cursor
+	rp.held = false
 	size := float64(float64(len(ids))*4) + 16
 	if initial {
 		size = p.store.Bitmap().WireSize() + 16
@@ -627,22 +620,20 @@ func (p *peer) sendDiff(rp *receiverPeer, initial bool) {
 	p.s.DiffsSent++
 	d := p.s.diffs.Get()
 	d.ids, d.initial = ids[:len(ids):len(ids)], initial
-	rp.conn.Send(p.node, proto.Message{Kind: kindDiff, Size: size, Payload: d})
+	rp.conn.Send(p.node, proto.Message{Kind: KindDiff, Size: size, Payload: d})
 }
 
-// onDiffReq answers an explicit diff request even when empty, so the
-// receiver's backoff logic can engage.
+// onDiffReq answers an explicit diff request with the arrivals since the
+// receiver's cursor. With none, it holds the request instead of answering
+// empty: the next arrival answers it (tellReceivers), or in the
+// periodic-diff ablation the receiver's next timer that has news.
 func (p *peer) onDiffReq(c *proto.Conn) {
 	rp, ok := c.State(p.node).(*receiverPeer)
 	if !ok {
 		return
 	}
-	ids, cursor := p.store.ArrivalsSince(rp.diffCursor)
-	rp.diffCursor = cursor
-	p.s.DiffsSent++
-	d := p.s.diffs.Get()
-	d.ids = ids[:len(ids):len(ids)]
-	c.Send(p.node, proto.Message{Kind: kindDiff, Size: float64(float64(len(ids))*4) + 16, Payload: d})
+	rp.held = true
+	p.sendDiff(rp, false)
 }
 
 // onRequest serves one block, measuring the in_front and wasted values the
@@ -673,7 +664,7 @@ func (p *peer) onRequest(c *proto.Conn, rm *reqMsg) {
 	}
 	bm := p.s.blocks.Get()
 	bm.id, bm.inFront, bm.wasted = rm.id, inFront, wasted
-	c.Send(p.node, proto.Message{Kind: kindBlock, Size: p.s.cfg.BlockSize + 16, Payload: bm})
+	c.Send(p.node, proto.Message{Kind: KindBlock, Size: p.s.cfg.BlockSize + 16, Payload: bm})
 }
 
 // dropReceiver tears down a receiver peering.

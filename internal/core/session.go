@@ -10,16 +10,17 @@ import (
 	"bulletprime/internal/trace"
 )
 
-// Message kinds used by Bullet'. RanSub kinds (>= 1000) pass through to the
-// embedded agents.
+// Message kinds used by Bullet', exported so that traffic counts
+// (proto.Runtime.Traffic) can be read by kind. RanSub kinds (from
+// proto.ControlKindBase up) pass through to the embedded agents.
 const (
-	kindHello   = iota + 1 // receiver→sender: establish a peering link
-	kindReject             // sender→receiver: at capacity, go away
-	kindDiff               // sender→receiver: availability diff
-	kindDiffReq            // receiver→sender: send me a diff now
-	kindRequest            // receiver→sender: request one block
-	kindBlock              // sender→receiver: a pulled block
-	kindPush               // source→tree child: a pushed block
+	KindHello   = iota + 1 // receiver→sender: establish a peering link
+	KindReject             // sender→receiver: at capacity, go away
+	KindDiff               // sender→receiver: availability diff
+	KindDiffReq            // receiver→sender: send me a diff now
+	KindRequest            // receiver→sender: request one block
+	KindBlock              // sender→receiver: a pulled block
+	KindPush               // source→tree child: a pushed block
 )
 
 // The three per-block payloads travel as pointers drawn from the session's
@@ -163,7 +164,7 @@ type PeerInfo struct {
 	DuplicateCount int
 }
 
-func isDataKind(kind int) bool { return kind == kindBlock || kind == kindPush }
+func isDataKind(kind int) bool { return kind == KindBlock || kind == KindPush }
 
 // maxBlockID returns the store capacity needed: the exact file size when
 // unencoded, or the goal plus slack for the encoded stream.
@@ -311,6 +312,9 @@ type receiverPeer struct {
 	// diffCursor indexes our arrival log: everything before it has been
 	// advertised to this receiver (each block advertised exactly once).
 	diffCursor int
+	// held is set while we hold the receiver's diff request: it asked when
+	// we had nothing past its cursor, and our next arrival answers it.
+	held bool
 
 	// totalInBW and perSenderBW are the receiver's piggybacked reports.
 	totalInBW   float64

@@ -46,14 +46,10 @@ func (p *peer) releaseStreamBlock() {
 		return
 	}
 	p.hold(id, p.s.rt.Now())
-	// Self-clocked diffs (§3.3.4): idle receivers hear about the new
-	// block immediately; in the periodic-diff ablation the timers do it.
+	// Receivers hear about the new block through the self-clocked diff
+	// push; in the periodic-diff ablation the timers do it.
 	if p.s.cfg.PeriodicDiffs <= 0 {
-		for _, rp := range p.receivers {
-			if rp.conn.QueueLen(p.node) == 0 {
-				p.sendDiff(rp, false)
-			}
-		}
+		p.tellReceivers()
 	}
 	if next > 0 {
 		p.s.rt.AfterEvent(next, p, evStreamRelease, nil)
@@ -76,7 +72,7 @@ func (p *peer) pushPump() {
 		// only by store capacity (§2.2 digital-fountain behaviour).
 		total = p.s.maxBlockID()
 	}
-	child := 0
+	child, generated := 0, false
 	for p.nextPush < total {
 		sent := false
 		for try := 0; try < len(children); try++ {
@@ -88,10 +84,11 @@ func (p *peer) pushPump() {
 			id := p.nextPush
 			if p.s.cfg.Encoded && !p.store.Have(id) {
 				p.hold(id, p.s.rt.Now()) // generate on demand
+				generated = true
 			}
 			bm := p.s.blocks.Get()
 			bm.id = id
-			c.Send(p.node, proto.Message{Kind: kindPush, Size: p.s.cfg.BlockSize + 16, Payload: bm})
+			c.Send(p.node, proto.Message{Kind: KindPush, Size: p.s.cfg.BlockSize + 16, Payload: bm})
 			p.s.BlocksPushed++
 			p.nextPush++
 			sent = true
@@ -100,6 +97,10 @@ func (p *peer) pushPump() {
 		if !sent {
 			break // all pipes full; retry next pump
 		}
+	}
+	if generated && p.s.cfg.PeriodicDiffs <= 0 {
+		// Generated blocks are arrivals: they answer held diff requests.
+		p.tellReceivers()
 	}
 	if p.nextPush >= p.s.cfg.NumBlocks && !p.pushedOnce {
 		// Entire file handed out once: advertise in RanSub (§3.3.5).

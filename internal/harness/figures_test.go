@@ -20,19 +20,19 @@ func TestGoldenFigures(t *testing.T) {
 		scale Scale
 		want  string
 	}{
-		{4, TestScale, "37b3d94b928b9b5fc6ca512513221b9db0f367d17959ca75223598c4940659c5"},
-		{5, TestScale, "67148789502f3b03a63ebf4c81ed949f6ab9887b13a87665919623d4a9272c20"},
-		{6, TestScale, "9aeefeb1bb8b7201fd03b104b42937ea0b74fb4e81fc910371b02b86127eb6e7"},
-		{7, TestScale, "d991b690189759c3fd05c0eeae3bd0a1d98701f48f0c7ad53e4957586705d6b5"},
-		{8, TestScale, "128a981f77f09de619d389576a46dd9732fa2ad600d21952faabb20fab8d29b3"},
-		{9, TestScale, "9e7cd35d74f4b55103e7700404c6626603eab4505ae03f7217e1a1be2ada63c3"},
+		{4, TestScale, "8f1edb25695020a3b890d977e88377216969c0e44f97d4135e291b1cd370ceb5"},
+		{5, TestScale, "e6f3685fcbdb7cedaeefa9c09430ab3d55c288e637f0180a13ebdc148e67511a"},
+		{6, TestScale, "9bfaee1ddd26d436a79a5ab21301deea6b9167ab5e7821781d182e8a0721dc0d"},
+		{7, TestScale, "cde6a7091cdeaf592732a038c04f50c0b11285425d2b01997f664e3fc92e0538"},
+		{8, TestScale, "8533e1a1565297124146322c7178a280f5e9193262fc5dc2302ac94cda4d72c3"},
+		{9, TestScale, "277d173a132e8952749497069094b9facb593cf3a8bdae5db2927c3cdcd65f74"},
 		{10, TestScale, "e15e225947b9809d16e71aae2c0f418ca73ac99bcb5f41e868235768f22aef86"},
-		{11, TestScale, "7ecb48640feadd74a4aafd51b85096289953fcbf91e3ae695b54f09febf1efec"},
-		{12, TestScale, "b4810b93b68ce24a96e52c08171ffeeefb178c9939be99fd0a49f01f2c0c7e49"},
-		{13, TestScale, "b51216364063baf61c8a3c00c1392f03288bedacee2ae1b90aa55aceed109419"},
-		{14, TestScale, "f685ac3a14ffb6b3d92e91abab01ac8db5e8e634a5d000d1b5f3e210b030fa41"},
-		{15, TestScale, "bbf5152772adb43d3c83fe6ecc5d4798b03b5bede45c3f65f6acf67da9b459cf"},
-		{12, FullScale, "014a2fb00f5f3b913a230d22c59b68025b2d4f5b544306f89376897f2af4aa40"},
+		{11, TestScale, "7b338751ce11f1656f470e59b6e50eecae1d70157cb1838993def3fc577a09f7"},
+		{12, TestScale, "d9ffd6ade6159772d5c192693bbe110eef4f24607e0c55709750dd90d1966421"},
+		{13, TestScale, "016c3987eb9b2475e2139fa95cae4525d01407a577a72365aadb5d768d019ca6"},
+		{14, TestScale, "25647663d0287f703840173279a856e9e13044f349643e3816e61f3f36375642"},
+		{15, TestScale, "9ed99dfe2fa5d49a158d96fb28cd119bfb18bb06b79c788552da0f7e3a617c7d"},
+		{12, FullScale, "b890382e8ceb0f179a88b390efb4a09de64ea5450b1253d676e2efbe2a130a7d"},
 	}
 	for _, c := range cases {
 		if c.scale == FullScale && testing.Short() {

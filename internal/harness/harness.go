@@ -166,9 +166,11 @@ type RunResult struct {
 	Stopped bool
 	// EndedAt is the virtual clock when the run ended.
 	EndedAt sim.Time
-	// Overheads from the runtime's accounting.
+	// Overheads from the runtime's accounting, in total and per message
+	// kind.
 	ControlBytes float64
 	DataBytes    float64
+	Traffic      proto.Traffic
 	// Err reports a run that could not execute at all — a spec SweepSpec.Check
 	// refuses, or a rig that could not be built (socket bind, a topology the
 	// sharded engine cannot partition). The other fields are then empty,
@@ -243,6 +245,8 @@ type Counters struct {
 	// Delivered wire bytes from the runtime's accounting.
 	ControlBytes float64
 	DataBytes    float64
+	// Traffic is the runtime's delivered messages and bytes per kind.
+	Traffic proto.Traffic
 }
 
 // Counters reads the rig's clock and cumulative counters.
@@ -252,6 +256,7 @@ func (r *Rig) Counters() Counters {
 		Completed:    len(r.Done),
 		ControlBytes: r.RT.ControlBytes,
 		DataBytes:    r.RT.DataBytes,
+		Traffic:      r.RT.Traffic,
 	}
 }
 
@@ -421,7 +426,7 @@ func (b rigBackend) collect(res *RunResult) {
 
 // setCounters copies a final reading into the result.
 func (r *RunResult) setCounters(c Counters) {
-	r.EndedAt, r.ControlBytes, r.DataBytes = c.Now, c.ControlBytes, c.DataBytes
+	r.EndedAt, r.ControlBytes, r.DataBytes, r.Traffic = c.Now, c.ControlBytes, c.DataBytes, c.Traffic
 }
 
 // scheduleTicks runs the hook's sampling clock as a self-rescheduling

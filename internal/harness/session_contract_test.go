@@ -80,7 +80,7 @@ func TestSessionContract(t *testing.T) {
 		digest       string
 	}{
 		{"BulletPrime", "BulletPrime", nil, nil,
-			"d8212b294ad3a508b2c2b194cb7553a910761b1073d4a4b20c8f578c5aa5bbbe"},
+			"4c5681252d7831fa021f20084e555640adcdf15c15dac13c407f6bb7706985ee"},
 		{"Bullet", "Bullet", nil, nil,
 			"75ff777a571f2e97db9f69c26554ee403fbf62a9f9fe1a265a8677d0c49e7ce3"},
 		{"BitTorrent", "BitTorrent", nil, nil,
@@ -88,11 +88,11 @@ func TestSessionContract(t *testing.T) {
 		{"SplitStream", "SplitStream", nil, nil,
 			"028f86fa40447a9f021950f3503545e10c1b866e95441ee39f263eb497c2364a"},
 		{"BulletPrime/stream", "BulletPrime", stream, nil,
-			"ab9213ef298e89da4727ad3c8c510c3987ddbd428bb8687c375eac1a78f47a71"},
+			"5bf762e0f1e5dc80985e888ad84095f5ef6528cb99d29fb9bed7b1305b5123fb"},
 		{"Bullet/stream", "Bullet", stream, nil,
 			"e74f6e8f9f5e6f3fc11eee9a1dfab52d890ceaa0f115ee196b8ad5940b036d77"},
 		{"BulletPrime/crowd", "BulletPrime", nil, crowd,
-			"3df282ca984188119ca4d7758298c695f3618a87dd72a570ef8af80cf8f9a08f"},
+			"12c17ae65a3c2dda0fa123f8ba20b0f075648e1ef6a3f3ae525a90f0b57524f6"},
 		{"Bullet/crowd", "Bullet", nil, crowd,
 			"e11ce4764aa1ed6d92854f200e2beb82a9a1f90e8dd419fdf6927fba6a1ddb92"},
 	}

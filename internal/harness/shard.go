@@ -197,6 +197,7 @@ func (r *ShardedRig) Counters() Counters {
 		c.Completed += len(slot.Done)
 		c.ControlBytes += slot.RT.ControlBytes
 		c.DataBytes += slot.RT.DataBytes
+		c.Traffic.Add(&slot.RT.Traffic)
 	}
 	return c
 }

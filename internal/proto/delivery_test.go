@@ -3,6 +3,7 @@ package proto
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"bulletprime/internal/trace"
@@ -55,6 +56,7 @@ type deliveryTotals struct {
 	messages                 uint64
 	control, data, dataMeter float64
 	inMeter                  [2]float64
+	traffic                  Traffic
 }
 
 func totalsOf(rt *Runtime) deliveryTotals {
@@ -64,6 +66,7 @@ func totalsOf(rt *Runtime) deliveryTotals {
 		data:      rt.DataBytes,
 		inMeter:   [2]float64{rt.Node(0).InMeter.Total(), rt.Node(1).InMeter.Total()},
 		dataMeter: rt.DataMeter.Total(),
+		traffic:   rt.Traffic,
 	}
 }
 
@@ -125,7 +128,59 @@ func TestDeliveryMatchesAcrossBackends(t *testing.T) {
 		inMeter:   [2]float64{200 + 4096, 100 + 16384 + 68 + 1000},
 		dataMeter: 16384 + 1000 + 4096,
 	}
+	wantTotals.traffic[1] = KindTraffic{Messages: 2, Bytes: 100 + 200}
+	wantTotals.traffic[2] = KindTraffic{Messages: 3, Bytes: 16384 + 1000 + 4096}
+	wantTotals.traffic[3] = KindTraffic{Messages: 1, Bytes: 68}
 	if emuTotals != wantTotals {
 		t.Fatalf("delivery accounting %+v, want %+v", emuTotals, wantTotals)
+	}
+}
+
+// TestTrafficByKind checks the per-kind counts at both ends of both kind
+// ranges, that they add up to the runtime's totals, and that a kind outside
+// the ranges panics with its number in the message.
+func TestTrafficByKind(t *testing.T) {
+	eng, rt := newRig(2)
+	a, b := rt.Node(0), rt.Node(1)
+	c := a.Dial(b.ID)
+	kinds := []int{0, ProtocolKinds - 1, ControlKindBase, ControlKindBase + ControlKinds - 1}
+	for i, k := range kinds {
+		for j := 0; j <= i; j++ {
+			c.Send(a, Message{Kind: k, Size: 100})
+		}
+	}
+	eng.Run()
+	var msgs uint64
+	var bytes float64
+	for i, k := range kinds {
+		if got, want := rt.Traffic.Kind(k), (KindTraffic{Messages: uint64(i + 1), Bytes: float64(100 * (i + 1))}); got != want {
+			t.Errorf("kind %d: %+v, want %+v", k, got, want)
+		}
+	}
+	for _, kt := range rt.Traffic {
+		msgs += kt.Messages
+		bytes += kt.Bytes
+	}
+	if msgs != rt.MessagesDelivered || bytes != rt.ControlBytes+rt.DataBytes {
+		t.Fatalf("per-kind sums %d messages, %v bytes; runtime %d, %v", msgs, bytes, rt.MessagesDelivered, rt.ControlBytes+rt.DataBytes)
+	}
+	var sum Traffic
+	sum.Add(&rt.Traffic)
+	sum.Add(&rt.Traffic)
+	if k := kinds[3]; sum.Kind(k).Messages != 2*rt.Traffic.Kind(k).Messages {
+		t.Fatalf("Add: %+v from %+v twice", sum.Kind(k), rt.Traffic.Kind(k))
+	}
+
+	for _, k := range []int{-1, ProtocolKinds, ControlKindBase - 1, ControlKindBase + ControlKinds} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, fmt.Sprintf("message kind %d ", k)) {
+					t.Errorf("kind %d: panic %q, want one naming the kind", k, msg)
+				}
+			}()
+			c.Send(a, Message{Kind: k, Size: 100})
+			eng.Run()
+		}()
 	}
 }

@@ -52,6 +52,51 @@ type Message struct {
 	Payload any
 }
 
+// Message kinds share one numbering across the stack: a protocol numbers its
+// own from 0 up to ProtocolKinds-1, and the control plane every protocol
+// embeds (RanSub) numbers its own from ControlKindBase up to
+// ControlKindBase+ControlKinds-1. The runtime counts delivered traffic per
+// kind in a fixed array over those two ranges; a kind outside both panics.
+const (
+	ProtocolKinds   = 16
+	ControlKindBase = 1000
+	ControlKinds    = 8
+)
+
+// KindTraffic is the delivered messages and wire bytes of one message kind.
+type KindTraffic struct {
+	Messages uint64
+	Bytes    float64
+}
+
+// Traffic is delivered traffic per message kind, one slot per kind of the
+// two ranges: protocol kinds first, then control-plane kinds. Read one kind
+// through Kind.
+type Traffic [ProtocolKinds + ControlKinds]KindTraffic
+
+// kindSlot maps a message kind to its Traffic slot.
+func kindSlot(kind int) int {
+	switch {
+	case kind >= 0 && kind < ProtocolKinds:
+		return kind
+	case kind >= ControlKindBase && kind < ControlKindBase+ControlKinds:
+		return ProtocolKinds + kind - ControlKindBase
+	}
+	panic(fmt.Sprintf("proto: message kind %d is outside the counted ranges [0, %d) and [%d, %d)",
+		kind, ProtocolKinds, ControlKindBase, ControlKindBase+ControlKinds))
+}
+
+// Kind returns the traffic of one message kind.
+func (t *Traffic) Kind(kind int) KindTraffic { return t[kindSlot(kind)] }
+
+// Add accumulates another reading slot by slot.
+func (t *Traffic) Add(o *Traffic) {
+	for i := range t {
+		t[i].Messages += o[i].Messages
+		t[i].Bytes += o[i].Bytes
+	}
+}
+
 // MsgOverhead is the per-message framing overhead in bytes charged on the
 // wire (type, length, and protocol header fields).
 const MsgOverhead = 48
@@ -108,8 +153,10 @@ type Runtime struct {
 	Net   *netem.Network
 	nodes map[netem.NodeID]*Node
 
-	// MessagesDelivered counts every delivered message (all nodes).
+	// MessagesDelivered counts every delivered message (all nodes), and
+	// Traffic the same messages and their wire bytes per message kind.
 	MessagesDelivered uint64
+	Traffic           Traffic
 	// ControlBytes and DataBytes split delivered wire bytes by IsData.
 	ControlBytes float64
 	DataBytes    float64
@@ -630,6 +677,9 @@ func (h *half) receive(m Message) {
 	h.delivered += m.Size
 	h.to.InMeter.Add(at, m.Size)
 	rt.MessagesDelivered++
+	kt := &rt.Traffic[kindSlot(m.Kind)]
+	kt.Messages++
+	kt.Bytes += m.Size
 	if c.IsData != nil && c.IsData(m.Kind) {
 		rt.DataBytes += m.Size
 		if rt.DataMeter != nil {

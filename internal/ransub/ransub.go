@@ -30,9 +30,10 @@ import (
 	"bulletprime/internal/sim"
 )
 
-// Message kinds, allocated in a range protocols leave to RanSub.
+// Message kinds, allocated in the range protocols leave to the control
+// plane.
 const (
-	KindDistribute = 1000 + iota
+	KindDistribute = proto.ControlKindBase + iota
 	KindCollect
 )
 
