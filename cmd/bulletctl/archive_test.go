@@ -3,16 +3,14 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"bulletprime/internal/golden"
 	"bulletprime/internal/lab"
 )
-
-var update = flag.Bool("update", false, "rewrite golden files")
 
 // ctl invokes the dispatcher the way main does and captures the streams.
 func ctl(t *testing.T, args ...string) (code int, stdout, stderr string) {
@@ -166,8 +164,7 @@ func TestArchiveCLIWorkflow(t *testing.T) {
 
 // TestCompareGolden pins `bulletctl compare` output for a two-protocol
 // sweep byte-for-byte: the deterministic simulation plus the
-// deterministic archive make the whole report reproducible. Regenerate
-// with `go test ./cmd/bulletctl -run CompareGolden -update`.
+// deterministic archive make the whole report reproducible.
 func TestCompareGolden(t *testing.T) {
 	dir := buildTestArchive(t)
 	code, out, stderr := ctl(t, "compare", "-archive", dir,
@@ -176,22 +173,7 @@ func TestCompareGolden(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("compare exited %d: %s", code, stderr)
 	}
-	golden := filepath.Join("testdata", "compare_golden.md")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(out), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (regenerate with -update)", err)
-	}
-	if out != string(want) {
-		t.Fatalf("compare output drifted from golden (regenerate with -update if intended)\n--- got ---\n%s\n--- want ---\n%s", out, want)
-	}
+	golden.File(t, "compare_golden.md", []byte(out))
 
 	// An empty side is a runtime error, not an empty report.
 	if code, _, _ := ctl(t, "compare", "-archive", dir,

@@ -1,30 +1,11 @@
 package main
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
-)
 
-// checkGolden compares got with testdata/name byte for byte; -update
-// rewrites the file instead.
-func checkGolden(t *testing.T, name, got string) {
-	t.Helper()
-	path := filepath.Join("testdata", name)
-	if *update {
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (regenerate with -update)", err)
-	}
-	if got != string(want) {
-		t.Fatalf("%s drifted from golden (regenerate with -update if intended)\n--- got ---\n%s\n--- want ---\n%s", name, got, want)
-	}
-}
+	"bulletprime/internal/golden"
+)
 
 // TestGoldenHelp pins the -h text of every subcommand that takes the shared
 // single-run or sweep-geometry flags: names, defaults and help strings are
@@ -38,7 +19,7 @@ func TestGoldenHelp(t *testing.T) {
 		if code != 0 || stdout != "" {
 			t.Fatalf("%v -h: exit %d, stdout %q", cmd, code, stdout)
 		}
-		checkGolden(t, "help_"+strings.Join(cmd, "_")+".txt", stderr)
+		golden.File(t, "help_"+strings.Join(cmd, "_")+".txt", []byte(stderr))
 	}
 }
 
@@ -61,6 +42,6 @@ func TestGoldenTrace(t *testing.T) {
 		if code != 0 {
 			t.Fatalf("%v: exit %d, stderr %q", g.args, code, stderr)
 		}
-		checkGolden(t, g.file, stdout)
+		golden.File(t, g.file, []byte(stdout))
 	}
 }

@@ -4,89 +4,51 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"testing"
 
 	"bulletprime"
+	"bulletprime/internal/golden"
 	"bulletprime/internal/harness"
 	"bulletprime/internal/netem"
 	"bulletprime/internal/sim"
 )
 
-// goldenRuns pins Run's per-node completion times, captured from the
-// pre-session-API implementation (the buildSpec switch statements), so the
-// registry + session redesign is provably bit-identical for equal seeds.
-var goldenRuns = []struct {
-	cfg      bulletprime.RunConfig
-	overhead float64
-	times    map[int]float64
-}{
-	{
-		cfg:      bulletprime.RunConfig{Nodes: 10, FileBytes: 1 << 20, Seed: 1},
-		overhead: 0.029406325134085445,
-		times: map[int]float64{
-			1: 12.80768969529981, 2: 12.789660605820695, 3: 12.012932521170322,
-			4: 12.130504002713066, 5: 11.070072039402357, 6: 12.998388481600028,
-			7: 11.627424747591888, 8: 12.369675404834004, 9: 11.376074303948585,
-		},
-	},
-	{
-		cfg: bulletprime.RunConfig{Nodes: 12, FileBytes: 1 << 20, Seed: 3,
-			Protocol: bulletprime.ProtocolBitTorrent},
-		overhead: 0.0073983908342408044,
-		times: map[int]float64{
-			1: 23.569697495116507, 2: 24.0245737363656, 3: 23.478300133290254,
-			4: 49.55160054880028, 5: 76.443139550543677, 6: 34.43761598366946,
-			7: 45.79373124602759, 8: 37.718445488641933, 9: 45.724132212853092,
-			10: 51.078683310652011, 11: 39.715232717764152,
-		},
-	},
-	{
-		cfg: bulletprime.RunConfig{Nodes: 10, FileBytes: 1 << 20, Seed: 5,
-			Network: bulletprime.NetworkConstrained, Protocol: bulletprime.ProtocolSplitStream},
-		overhead: 0,
-		times: map[int]float64{
-			1: 13.128803330715998, 2: 13.128803557185334, 3: 13.128803096746767,
-			4: 13.128803253389851, 5: 13.12880268575994, 6: 13.128802748457996,
-			7: 13.125231418581873, 8: 13.128802996059669, 9: 13.128802703526585,
-		},
-	},
-	{
-		cfg: bulletprime.RunConfig{Nodes: 14, FileBytes: 1 << 20, Seed: 2,
-			DynamicBandwidth: true, Protocol: bulletprime.ProtocolBullet, Deadline: 1800},
-		overhead: 0.01235856917686508,
-		times: map[int]float64{
-			1: 9.9754175313513169, 2: 10.153397664103366, 3: 12.930091812050515,
-			4: 9.8767955939868202, 5: 10.979322972625848, 6: 11.704201591240215,
-			7: 10.342137791493002, 8: 11.574820335600569, 9: 10.652642137182243,
-			10: 12.000119490895512, 11: 10.607904963796299, 12: 10.167237621827422,
-			13: 10.821067321772315,
-		},
-	},
+// goldenRuns are the configs whose per-node completion times and control
+// overhead are pinned, captured from the pre-session-API implementation (the
+// buildSpec switch statements), so the registry + session redesign is
+// provably bit-identical for equal seeds.
+var goldenRuns = []bulletprime.RunConfig{
+	{Nodes: 10, FileBytes: 1 << 20, Seed: 1},
+	{Nodes: 12, FileBytes: 1 << 20, Seed: 3, Protocol: bulletprime.ProtocolBitTorrent},
+	{Nodes: 10, FileBytes: 1 << 20, Seed: 5, Network: bulletprime.NetworkConstrained,
+		Protocol: bulletprime.ProtocolSplitStream},
+	{Nodes: 14, FileBytes: 1 << 20, Seed: 2, DynamicBandwidth: true, Protocol: bulletprime.ProtocolBullet,
+		Deadline: 1800},
 }
 
 // TestRunGoldenEquivalence is the redesign's compat pin: Run must produce
 // bit-identical CompletionTimes to the pre-redesign façade.
 func TestRunGoldenEquivalence(t *testing.T) {
-	for gi, g := range goldenRuns {
-		res, err := bulletprime.Run(g.cfg)
+	float := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	for gi, cfg := range goldenRuns {
+		res, err := bulletprime.Run(cfg)
 		if err != nil {
 			t.Fatalf("golden %d: %v", gi, err)
 		}
 		if !res.Finished {
 			t.Fatalf("golden %d did not finish", gi)
 		}
-		if res.ControlOverhead != g.overhead {
-			t.Fatalf("golden %d: overhead %.17g, want %.17g", gi, res.ControlOverhead, g.overhead)
-		}
-		if len(res.CompletionTimes) != len(g.times) {
-			t.Fatalf("golden %d: %d completions, want %d", gi, len(res.CompletionTimes), len(g.times))
-		}
-		for id, want := range g.times {
-			if got := res.CompletionTimes[id]; got != want {
-				t.Fatalf("golden %d node %d: %.17g, want %.17g", gi, id, got, want)
+		pin := fmt.Sprintf("%s/%d/", t.Name(), gi)
+		golden.Check(t, pin+"overhead", float(res.ControlOverhead))
+		golden.Check(t, pin+"completions", strconv.Itoa(len(res.CompletionTimes)))
+		for id := range cfg.Nodes {
+			if at, ok := res.CompletionTimes[id]; ok {
+				golden.Check(t, fmt.Sprintf("%snode%d", pin, id), float(at))
 			}
 		}
 	}

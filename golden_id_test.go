@@ -4,39 +4,36 @@ import (
 	"context"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"testing"
+
+	"bulletprime/internal/golden"
 )
 
 // goldenRecords are four archive records whose content address and payload
 // hash DESIGN.md §7 promises reproduce: the id is a hash of the config
-// fingerprint, the RecordSHA a hash of record.jsonl. Recorded on amd64 at the
-// commit before the façade's Sample, Annotation, TraceSpan and TestbedOptions
-// became aliases; a refactor of how a run is described or recorded leaves
-// this table unedited. A change that means to re-key the archive edits it and
-// says so. The first run crosses the §4.1 process's first change at t = 20 s, so
-// its record carries an annotation line and a sample that reported it.
+// fingerprint, the RecordSHA a hash of record.jsonl. Their pins were recorded
+// on amd64 at the commit before the façade's Sample, Annotation, TraceSpan
+// and TestbedOptions became aliases; a refactor of how a run is described or
+// recorded leaves them unmoved. A change that means to re-key the archive
+// re-records them and says so. The first run crosses the §4.1 process's first
+// change at t = 20 s, so its record carries an annotation line and a sample
+// that reported it.
 var goldenRecords = []struct {
 	name    string
 	cfg     RunConfig
 	wrapper bool // through Run(), not New().Run()
-	id, sha string
-	samples int
 }{
 	{
 		name: "one-shot with a series and annotations",
 		cfg: RunConfig{
 			Nodes: 10, FileBytes: 8e6, Seed: 1, SampleEvery: 2, DynamicBandwidth: true,
 		},
-		id:      "6cb0abbcb31806f8",
-		sha:     "1cb6082f37cb5b226326e439c0a01e379302fc63c31e020aa5449cf77a875c2e",
-		samples: 13,
 	},
 	{
 		name:    "Run wrapper, no series",
 		cfg:     RunConfig{Nodes: 10, FileBytes: 1 << 20, Seed: 1, SampleEvery: 5},
 		wrapper: true,
-		id:      "5e5b9720f1432626",
-		sha:     "f3fe3214fbc5837ddbb90ac65ed5c6050048559d094f25826bd3f607fd71e2ed",
 	},
 	{
 		name: "streamed",
@@ -44,9 +41,6 @@ var goldenRecords = []struct {
 			Protocol: ProtocolBulletPrime, Nodes: 8, Network: NetworkModelNetClean, Seed: 7,
 			SampleEvery: 2, Stream: &StreamOptions{BitrateBps: 64 * 1024, Duration: 16},
 		},
-		id:      "c5688a2d5d12b217",
-		sha:     "07f9ff23ec8d0711aedc6c55e099af180612bd8707a70e385417ddc6551ed81f",
-		samples: 9,
 	},
 	{
 		name: "sharded scalefill",
@@ -54,9 +48,6 @@ var goldenRecords = []struct {
 			Protocol: ProtocolScalefill, Nodes: 100, FileBytes: 1.5e6, Network: NetworkClustered,
 			Seed: 7, Deadline: 60, Engine: EngineSharded, Shards: 4, SampleEvery: 5,
 		},
-		id:      "76f56859d6c3d06f",
-		sha:     "867d1c0879edc78467e00552875b0bc90e0e2c46e9804892c5696109aed10fd6",
-		samples: 12,
 	},
 }
 
@@ -86,10 +77,9 @@ func TestGoldenArchiveIDs(t *testing.T) {
 				t.Fatalf("archive lists %d records (%v), want 1", len(metas), err)
 			}
 			m := metas[0]
-			if m.ID != g.id || m.RecordSHA != g.sha || m.Samples != g.samples {
-				t.Fatalf("record is\n  id %q sha %q samples %d, want\n  id %q sha %q samples %d",
-					m.ID, m.RecordSHA, m.Samples, g.id, g.sha, g.samples)
-			}
+			golden.Check(t, t.Name()+"/id", m.ID)
+			golden.Check(t, t.Name()+"/sha", m.RecordSHA)
+			golden.Check(t, t.Name()+"/samples", strconv.Itoa(m.Samples))
 		})
 	}
 }
@@ -112,10 +102,7 @@ func TestGoldenTestbedFingerprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = `{"protocol":"bulletprime","nodes":8,"file_bytes":262144,"block_size":16384,"network":"testbed-udp","seed":3,"deadline":3600,"sample_every":-1,"strategy":0,"testbed":{"rate":50,"rto":0.01,"max_retries":4,"drop_prob":0.02,"drop_seed":9}}`
-	if string(js) != want {
-		t.Fatalf("testbed fingerprint is\n%s\nwant\n%s", js, want)
-	}
+	golden.Check(t, t.Name(), string(js))
 }
 
 // TestRunWrapperIsUnsampledSession pins what the one-shot wrapper is: a

@@ -6,9 +6,11 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
-	"strings"
+	"slices"
+	"strconv"
 	"testing"
 
+	"bulletprime/internal/golden"
 	"bulletprime/internal/netem"
 	"bulletprime/internal/proto"
 	"bulletprime/internal/ransub"
@@ -84,7 +86,6 @@ type goldenRow struct {
 	mut      func(*Config)
 	during   func(*rig)
 	deadline sim.Time
-	digest   string
 }
 
 // failAt crashes the given nodes at virtual time at.
@@ -99,41 +100,42 @@ func failAt(at sim.Time, ids ...netem.NodeID) func(*rig) {
 }
 
 var goldenRows = []goldenRow{
-	{"first", func(c *Config) { c.Strategy = FirstEncountered }, nil, 600,
-		"0edaaa21064a35270f023ebba29750183fbd6ba74f27fe4fd684489343490b5c"},
-	{"random", func(c *Config) { c.Strategy = Random }, nil, 600,
-		"2393e0d93a402368b8218993e90ad6a283d56ac7387aa69049acce0dda3942d6"},
-	{"rarest", func(c *Config) { c.Strategy = Rarest }, nil, 600,
-		"c6d86a5d634010680da52137abd29223c52098e4b43711e4ee953855de464185"},
-	{"rarest-random", func(c *Config) { c.Strategy = RarestRandom }, nil, 600,
-		"bed8e365bc8b493c133de3ad3ac30c728d3c0024572e6dc641323149a4737607"},
-	{"periodic-diffs", func(c *Config) { c.PeriodicDiffs = 2 }, nil, 600,
-		"b749764ea541f8518563a593df9f66d1fd18347856671452831c9450dea51ee0"},
-	{"encoded", func(c *Config) { c.Encoded = true }, nil, 600,
-		"5dfd90790b7369201975e9e4c65d3ad6d005f3b26db261f19c30c873008bbda7"},
-	{"stream", func(c *Config) { c.StreamBps = 64 * 1024; c.NumBlocks = 160 }, nil, 120,
-		"f5c956ba96a7e6400df214342fdea083ea4bb026af5aceb5abe41d1e05f48a69"},
+	{"first", func(c *Config) { c.Strategy = FirstEncountered }, nil, 600},
+	{"random", func(c *Config) { c.Strategy = Random }, nil, 600},
+	{"rarest", func(c *Config) { c.Strategy = Rarest }, nil, 600},
+	{"rarest-random", func(c *Config) { c.Strategy = RarestRandom }, nil, 600},
+	{"periodic-diffs", func(c *Config) { c.PeriodicDiffs = 2 }, nil, 600},
+	{"encoded", func(c *Config) { c.Encoded = true }, nil, 600},
+	{"stream", func(c *Config) { c.StreamBps = 64 * 1024; c.NumBlocks = 160 }, nil, 120},
 	// Senders crash in two waves while claims are outstanding on them:
 	// dropSender must hand their claims and rarity counts back.
 	{"churn", nil, func(r *rig) {
 		failAt(6, 5, 11, 17, 23)(r)
 		failAt(14, 8, 29, 35)(r)
-	}, 600,
-		"a46a3861870bbd42077d82c8aeffe19b266be8dc0a69ba7b5077140141c5b76a"},
+	}, 600},
 	// A pinned peer-set size small enough that hellos are refused.
-	{"static-peers", func(c *Config) { c.StaticPeers = 3 }, nil, 600,
-		"7e4ce0d4fd0ce0d642dabbde57a5fc7513e21043d561a1d9d1f462cfe59ee04f"},
+	{"static-peers", func(c *Config) { c.StaticPeers = 3 }, nil, 600},
 }
 
-// goldenRowNamed returns the TestGoldenDigests row with the given name.
-func goldenRowNamed(t *testing.T, name string) goldenRow {
-	for _, row := range goldenRows {
-		if row.name == name {
-			return row
+// runGoldenRow runs the TestGoldenDigests row called name, calling during
+// (if any) before the row's own, and checks the run's digest against that
+// row's pin.
+func runGoldenRow(t *testing.T, name string, during func(*rig)) {
+	t.Helper()
+	i := slices.IndexFunc(goldenRows, func(row goldenRow) bool { return row.name == name })
+	if i < 0 {
+		t.Fatalf("no golden row %q", name)
+	}
+	row := goldenRows[i]
+	both := func(r *rig) {
+		if during != nil {
+			during(r)
+		}
+		if row.during != nil {
+			row.during(r)
 		}
 	}
-	t.Fatalf("no golden row %q", name)
-	return goldenRow{}
+	golden.Check(t, "TestGoldenDigests/"+name, goldenDigest(t, row.mut, both, row.deadline))
 }
 
 // TestGoldenDigests pins the request/diff loops' behaviour bit for bit. The
@@ -142,17 +144,12 @@ func goldenRowNamed(t *testing.T, name string) goldenRow {
 // one of those changes is order-preserving, so they must never move. A
 // change that is meant to alter protocol behaviour re-records them.
 func TestGoldenDigests(t *testing.T) {
-	for _, tc := range goldenRows {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := goldenDigest(t, tc.mut, tc.during, tc.deadline); got != tc.digest {
-				t.Fatalf("digest %s, want %s", got, tc.digest)
-			}
-		})
+	for _, row := range goldenRows {
+		t.Run(row.name, func(t *testing.T) { runGoldenRow(t, row.name, nil) })
 	}
 }
 
-// kindNames names Bullet′'s message kinds and the RanSub kinds it carries,
-// in the order TestTrafficGolden lists them.
+// kindNames names Bullet′'s message kinds and the RanSub kinds it carries.
 var kindNames = []struct {
 	kind int
 	name string
@@ -163,63 +160,27 @@ var kindNames = []struct {
 }
 
 // TestTrafficGolden pins, on four rows of the TestGoldenDigests rig, the
-// messages and wire bytes delivered per message kind. Digests say that a
-// run changed; these counts say which exchange changed and by how much, so
-// a change to the diff clock states its effect here in numbers. Every
-// message the runtime delivered is one of the kinds listed.
+// messages and wire bytes delivered per message kind, one pin per row and
+// kind. Digests say that a run changed; these counts say which exchange
+// changed and by how much, so a change to the diff clock states its effect
+// here in numbers. Every message the runtime delivered is one of the kinds
+// listed.
 func TestTrafficGolden(t *testing.T) {
-	type counts struct{ msgs, bytes uint64 }
-	cases := []struct {
-		row  string
-		want [9]counts // in kindNames order
-	}{
-		// (messages, bytes) of hello, reject, diff, diff-req, request;
-		// then block, push, distribute, collect.
-		{"first", [9]counts{
-			{305, 19520}, {0, 0}, {10762, 786224}, {7008, 448512}, {7328, 527616},
-			{7296, 119654400}, {192, 3148800}, {4680, 13088720}, {4680, 2358560}}},
-		{"rarest-random", [9]counts{
-			{299, 19136}, {0, 0}, {9004, 666696}, {4313, 276032}, {7331, 527832},
-			{7296, 119654400}, {192, 3148800}, {4680, 13088720}, {4680, 2358560}}},
-		{"stream", [9]counts{
-			{184, 11776}, {0, 0}, {8482, 581924}, {7964, 509696}, {6099, 439128},
-			{6080, 99712000}, {160, 2624000}, {936, 2545616}, {936, 471936}}},
-		{"churn", [9]counts{
-			{207, 13248}, {0, 0}, {5626, 423384}, {2747, 175808}, {6245, 449640},
-			{6205, 101762000}, {192, 3148800}, {3505, 9779920}, {3152, 1346832}}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.row, func(t *testing.T) {
-			row := goldenRowNamed(t, tc.row)
+	for _, name := range []string{"first", "rarest-random", "stream", "churn"} {
+		t.Run(name, func(t *testing.T) {
 			var rt *proto.Runtime
-			during := func(r *rig) {
-				rt = r.rt
-				if row.during != nil {
-					row.during(r)
-				}
-			}
-			if got := goldenDigest(t, row.mut, during, row.deadline); got != row.digest {
-				t.Fatalf("digest %s, want %s", got, row.digest)
-			}
-			var got [9]counts
+			runGoldenRow(t, name, func(r *rig) { rt = r.rt })
 			var msgs uint64
-			for i, k := range kindNames {
+			for _, k := range kindNames {
 				kt := rt.Traffic.Kind(k.kind)
 				if kt.Bytes != math.Trunc(kt.Bytes) {
 					t.Fatalf("%s: %v bytes, not a whole number", k.name, kt.Bytes)
 				}
-				got[i] = counts{kt.Messages, uint64(kt.Bytes)}
+				golden.Check(t, t.Name()+"/"+k.name, fmt.Sprintf("msgs=%d bytes=%d", kt.Messages, uint64(kt.Bytes)))
 				msgs += kt.Messages
 			}
 			if msgs != rt.MessagesDelivered {
 				t.Fatalf("the listed kinds carry %d of %d delivered messages", msgs, rt.MessagesDelivered)
-			}
-			if got != tc.want {
-				var b strings.Builder
-				for i, k := range kindNames {
-					fmt.Fprintf(&b, "\n  %-10s %9d msgs %12d B (want %d, %d)", k.name, got[i].msgs, got[i].bytes, tc.want[i].msgs, tc.want[i].bytes)
-				}
-				t.Fatalf("traffic by kind moved:%s\nas a literal: %v", b.String(), got)
 			}
 		})
 	}
@@ -234,21 +195,11 @@ func TestTrafficGolden(t *testing.T) {
 // counts are pure functions of the run, so memory a change adds shows here
 // as a number.
 func TestSenderBytesGolden(t *testing.T) {
-	cases := []struct {
-		name string
-		row  string // the TestGoldenDigests row that runs
-		// live and spare bytes at the end, then the peak of each.
-		want [4]int
-	}{
-		{"static", "rarest-random", [4]int{138704, 39856, 178560, 39856}},
-		{"churn", "churn", [4]int{113088, 17944, 131032, 17944}},
-	}
-	for _, tc := range cases {
+	for _, tc := range []struct{ name, row string }{{"static", "rarest-random"}, {"churn", "churn"}} {
 		t.Run(tc.name, func(t *testing.T) {
-			row := goldenRowNamed(t, tc.row)
 			var s *Session
 			var peakLive, peakSpare int
-			during := func(r *rig) {
+			runGoldenRow(t, tc.row, func(r *rig) {
 				s = r.sess
 				for _, p := range s.peers {
 					distribute := p.rs.OnDistribute
@@ -258,16 +209,13 @@ func TestSenderBytesGolden(t *testing.T) {
 						peakLive, peakSpare = max(peakLive, live), max(peakSpare, spare)
 					}
 				}
-				if row.during != nil {
-					row.during(r)
-				}
-			}
-			if got := goldenDigest(t, row.mut, during, row.deadline); got != row.digest {
-				t.Fatalf("digest %s, want %s", got, row.digest)
-			}
+			})
 			live, spare := s.senderBytes()
-			if got := [4]int{live, spare, peakLive, peakSpare}; got != tc.want {
-				t.Fatalf("sender bytes (live, spare at the end; peak live, peak spare) = %v, want %v", got, tc.want)
+			for _, pin := range []struct {
+				name  string
+				bytes int
+			}{{"live", live}, {"spare", spare}, {"peak-live", peakLive}, {"peak-spare", peakSpare}} {
+				golden.Check(t, t.Name()+"/"+pin.name, strconv.Itoa(pin.bytes))
 			}
 		})
 	}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -10,7 +11,9 @@ import (
 
 	"bulletprime/internal/bittorrent"
 	"bulletprime/internal/bullet"
+	"bulletprime/internal/golden"
 	"bulletprime/internal/netem"
+	"bulletprime/internal/ransub"
 	"bulletprime/internal/scenario"
 	"bulletprime/internal/splitstream"
 )
@@ -19,7 +22,10 @@ import (
 // row's SHA-256 covers every novel block arrival in event order, every
 // node's completion time in node order, the session's Duplicates and its
 // protocol counters (RequestsSent for Bullet and BitTorrent, plus Bullet's
-// push counters and SplitStream's forwards).
+// push counters and SplitStream's forwards). Each static row also pins the
+// messages and wire bytes delivered per message kind, named by number where
+// the protocol exports no kind name, and every delivered message is one of
+// the kinds listed.
 // At 30 nodes and 4 MB BitTorrent has 16 pieces, enough to reach rarest
 // ties, endgame and claim release; the failure rows crash three receivers
 // mid-run, which closes their connections at every survivor, so
@@ -36,23 +42,20 @@ func TestBaselineGolden(t *testing.T) {
 		}
 		return prog
 	}
+	// Bullet's own kinds, then the RanSub kinds it carries.
+	bulletKinds := []int{1, 2, 3, 4, 5, 6, 7, ransub.KindDistribute, ransub.KindCollect}
+	kindName := map[int]string{ransub.KindDistribute: "distribute", ransub.KindCollect: "collect"}
 	cases := []struct {
 		name, system string
 		scenario     *scenario.Program
-		digest       string
+		kinds        []int // pinned per kind on the static rows
 	}{
-		{"Bullet", "Bullet", nil,
-			"0d37bdf3e5f5f6d6b69375b76e4206de20f9cab044ac1151c8cf2027d65eea16"},
-		{"Bullet/fail", "Bullet", fail(12),
-			"1e4d9d86939fb39e5df51480223703069dd77822aa41f27182a9a19d8c12c82b"},
-		{"BitTorrent", "BitTorrent", nil,
-			"ad353cfd1186d18936072c3b382bc914d20b9010ead4344c119c822768c9e789"},
-		{"BitTorrent/fail", "BitTorrent", fail(47.5),
-			"29b4e4db481ab52891d44cb0eaf3390afe96e88f748bcbc27cb60c1296113bf7"},
-		{"SplitStream", "SplitStream", nil,
-			"946e812196cd631a30be4bf167ce983d00378e5e63e7bf4a8bb52a1d836a5f06"},
-		{"SplitStream/fail", "SplitStream", fail(6),
-			"2bfe93f1dd5ab36d5261f3bfb03d70a8b9e30db9c1f1d3143f5b255efd2bf733"},
+		{"Bullet", "Bullet", nil, bulletKinds},
+		{"Bullet/fail", "Bullet", fail(12), nil},
+		{"BitTorrent", "BitTorrent", nil, []int{1, 2, 3, 4, 5, 6}},
+		{"BitTorrent/fail", "BitTorrent", fail(47.5), nil},
+		{"SplitStream", "SplitStream", nil, []int{1}},
+		{"SplitStream/fail", "SplitStream", fail(6), nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -105,9 +108,19 @@ func TestBaselineGolden(t *testing.T) {
 				binary.LittleEndian.PutUint64(rec[0:], uint64(c))
 				digest.Write(rec[:8])
 			}
-			got := fmt.Sprintf("%x", digest.Sum(nil))
-			if got != tc.digest {
-				t.Errorf("digest %s, want %s", got, tc.digest)
+			golden.Check(t, t.Name()+"/digest", fmt.Sprintf("%x", digest.Sum(nil)))
+			var msgs uint64
+			for _, k := range tc.kinds {
+				kt := rig.RT.Traffic.Kind(k)
+				if kt.Bytes != math.Trunc(kt.Bytes) {
+					t.Fatalf("kind %d: %v bytes, not a whole number", k, kt.Bytes)
+				}
+				name := cmp.Or(kindName[k], fmt.Sprintf("kind%d", k))
+				golden.Check(t, t.Name()+"/"+name, fmt.Sprintf("msgs=%d bytes=%d", kt.Messages, uint64(kt.Bytes)))
+				msgs += kt.Messages
+			}
+			if tc.kinds != nil && msgs != rig.RT.MessagesDelivered {
+				t.Errorf("the listed kinds carry %d of %d delivered messages", msgs, rig.RT.MessagesDelivered)
 			}
 		})
 	}

@@ -7,6 +7,7 @@ import (
 	"math"
 	"testing"
 
+	"bulletprime/internal/golden"
 	"bulletprime/internal/netem"
 	"bulletprime/internal/scenario"
 	"bulletprime/internal/sim"
@@ -77,24 +78,15 @@ func TestSessionContract(t *testing.T) {
 		name, system string
 		stream       *StreamSpec
 		crowd        *scenario.Program
-		digest       string
 	}{
-		{"BulletPrime", "BulletPrime", nil, nil,
-			"4c5681252d7831fa021f20084e555640adcdf15c15dac13c407f6bb7706985ee"},
-		{"Bullet", "Bullet", nil, nil,
-			"75ff777a571f2e97db9f69c26554ee403fbf62a9f9fe1a265a8677d0c49e7ce3"},
-		{"BitTorrent", "BitTorrent", nil, nil,
-			"36bd2737a99c2d254d1f36e269afcf1efdfdfa96f0ca0f5fd698b1bfc093fe36"},
-		{"SplitStream", "SplitStream", nil, nil,
-			"028f86fa40447a9f021950f3503545e10c1b866e95441ee39f263eb497c2364a"},
-		{"BulletPrime/stream", "BulletPrime", stream, nil,
-			"5bf762e0f1e5dc80985e888ad84095f5ef6528cb99d29fb9bed7b1305b5123fb"},
-		{"Bullet/stream", "Bullet", stream, nil,
-			"e74f6e8f9f5e6f3fc11eee9a1dfab52d890ceaa0f115ee196b8ad5940b036d77"},
-		{"BulletPrime/crowd", "BulletPrime", nil, crowd,
-			"12c17ae65a3c2dda0fa123f8ba20b0f075648e1ef6a3f3ae525a90f0b57524f6"},
-		{"Bullet/crowd", "Bullet", nil, crowd,
-			"e11ce4764aa1ed6d92854f200e2beb82a9a1f90e8dd419fdf6927fba6a1ddb92"},
+		{"BulletPrime", "BulletPrime", nil, nil},
+		{"Bullet", "Bullet", nil, nil},
+		{"BitTorrent", "BitTorrent", nil, nil},
+		{"SplitStream", "SplitStream", nil, nil},
+		{"BulletPrime/stream", "BulletPrime", stream, nil},
+		{"Bullet/stream", "Bullet", stream, nil},
+		{"BulletPrime/crowd", "BulletPrime", nil, crowd},
+		{"Bullet/crowd", "Bullet", nil, crowd},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -191,9 +183,7 @@ func TestSessionContract(t *testing.T) {
 					}
 				}
 			}
-			if got := fmt.Sprintf("%x", digest.Sum(nil)); got != tc.digest {
-				t.Errorf("arrival digest %s, want %s", got, tc.digest)
-			}
+			golden.Check(t, t.Name(), fmt.Sprintf("%x", digest.Sum(nil)))
 		})
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"bulletprime/internal/golden"
 )
 
 // The bootstrap uses a fixed-seed deterministic PRNG over sorted input,
@@ -103,16 +105,8 @@ func TestRenderCIBarGolden(t *testing.T) {
 	b := []float64{11.0, 11.4, 11.8, 12.3, 12.9}
 	ciA := BootstrapMedianCI(a, 0.95, 0)
 	ciB := BootstrapMedianCI(b, 0.95, 0)
-	gotA := renderCIBar("A", sortedMedian(a), ciA, 9.5, 13.0, 40)
-	gotB := renderCIBar("B", sortedMedian(b), ciB, 9.5, 13.0, 40)
-	wantA := "A                ------===========|===========-----------  11.0 [10.0, 12.0]"
-	wantB := "B                -----------------=========|============-  11.8 [11.0, 12.9]"
-	if gotA != wantA {
-		t.Fatalf("CI bar A drifted:\n got %q\nwant %q", gotA, wantA)
-	}
-	if gotB != wantB {
-		t.Fatalf("CI bar B drifted:\n got %q\nwant %q", gotB, wantB)
-	}
+	golden.Check(t, t.Name()+"/A", renderCIBar("A", sortedMedian(a), ciA, 9.5, 13.0, 40))
+	golden.Check(t, t.Name()+"/B", renderCIBar("B", sortedMedian(b), ciB, 9.5, 13.0, 40))
 }
 
 func TestPerRunMetricSortedSkipsEmpty(t *testing.T) {

@@ -4,8 +4,10 @@ import (
 	"encoding/binary"
 	"math"
 	"reflect"
+	"strconv"
 	"testing"
 
+	"bulletprime/internal/golden"
 	"bulletprime/internal/sim"
 )
 
@@ -467,10 +469,15 @@ func TestFillWorkGolden(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		churn(i)
 	}
-	got := [...]uint64{net.Recomputes, net.FlowRatesRecomputed, net.FillCapsOrdered,
-		net.FillDeadPopped, net.FillStaleResifts, net.FillHeapRebuilds, net.FillRebuildVisited}
-	want := [...]uint64{91, 342327, 143000, 111179, 70590, 908, 546594}
-	if got != want {
-		t.Fatalf("recomputes, rates, caps ordered, dead pops, stale re-sifts, rebuilds, rebuild visits = %v, want %v", got, want)
+	for _, c := range []struct {
+		name  string
+		count uint64
+	}{
+		{"recomputes", net.Recomputes}, {"rates-recomputed", net.FlowRatesRecomputed},
+		{"caps-ordered", net.FillCapsOrdered}, {"dead-popped", net.FillDeadPopped},
+		{"stale-resifts", net.FillStaleResifts}, {"heap-rebuilds", net.FillHeapRebuilds},
+		{"rebuild-visited", net.FillRebuildVisited},
+	} {
+		golden.Check(t, t.Name()+"/"+c.name, strconv.FormatUint(c.count, 10))
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"bulletprime/internal/golden"
 	"bulletprime/internal/netem"
 	"bulletprime/internal/proto"
 	"bulletprime/internal/sim"
@@ -102,31 +103,14 @@ func descendants(agents map[netem.NodeID]*Agent, id netem.NodeID) []netem.NodeID
 // rng. Members are listed here in descending id, so a Build that joined
 // them in the caller's order would build other trees.
 func TestTreeShapeGolden(t *testing.T) {
-	for _, g := range []struct {
-		n, degree int
-		seed      int64
-		hash      string
-	}{
-		{40, 4, 1, "86efb94c3941c4f8"},
-		{40, 4, 7, "963cf9888b9e3dac"},
-		{40, 4, 29, "b2da13195fb85af6"},
-		{100, 4, 1, "15db1f20a85b1e41"},
-		{100, 4, 7, "74671b13cd6d1c2c"},
-		{100, 4, 29, "65d64b8fabccad0b"},
-		{100, 10, 1, "c7206016139645dd"},
-		{100, 10, 7, "463d541de6adb583"},
-		{100, 10, 29, "f8cf040441296beb"},
-		{500, 10, 1, "f7696c7f15695b53"},
-		{500, 10, 7, "be630b4ce58f0dbb"},
-		{500, 10, 29, "c2017041e7893e48"},
-	} {
-		agents := buildTree(descending(g.n), 0, g.degree, g.seed)
-		h := sha256.New()
-		for i := 0; i < g.n; i++ {
-			fmt.Fprintf(h, "%d>%d\n", i, parentOf(agents, netem.NodeID(i)))
-		}
-		if got := fmt.Sprintf("%x", h.Sum(nil)[:8]); got != g.hash {
-			t.Errorf("n %d degree %d seed %d: tree shape hash %s, want %s", g.n, g.degree, g.seed, got, g.hash)
+	for _, g := range []struct{ n, degree int }{{40, 4}, {100, 4}, {100, 10}, {500, 10}} {
+		for _, seed := range []int64{1, 7, 29} {
+			agents := buildTree(descending(g.n), 0, g.degree, seed)
+			h := sha256.New()
+			for i := 0; i < g.n; i++ {
+				fmt.Fprintf(h, "%d>%d\n", i, parentOf(agents, netem.NodeID(i)))
+			}
+			golden.Check(t, fmt.Sprintf("%s/n%d-degree%d-seed%d", t.Name(), g.n, g.degree, seed), fmt.Sprintf("%x", h.Sum(nil)[:8]))
 		}
 	}
 }

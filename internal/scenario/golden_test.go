@@ -7,6 +7,7 @@ import (
 	"math"
 	"testing"
 
+	"bulletprime/internal/golden"
 	"bulletprime/internal/netem"
 )
 
@@ -92,49 +93,16 @@ func (g *digestEnv) fold() {
 func TestGoldenScenario(t *testing.T) {
 	const n = 12
 	p := compileOn(t, goldenScenario(), n)
-	for seed, want := range map[int64]string{
-		1: "d23e63cd0bb0a75c6080bcb0a4dde2f738a36bbd3903223d739ba83a2be8ca02",
-		2: "3862eb94dc752b1406d267943e61e418b0eee94397d448e768a2084dc2957ef3",
-	} {
+	for _, seed := range []int64{1, 2} {
 		env := &digestEnv{testEnv: newTestEnv(n, seed), h: sha256.New()}
 		p.Apply(env)
 		env.eng.RunUntil(120)
-		if got := fmt.Sprintf("%x", env.h.Sum(nil)); got != want {
-			t.Errorf("seed %d: digest %s, want %s", seed, got, want)
-		}
+		golden.Check(t, fmt.Sprintf("%s/seed%d", t.Name(), seed), fmt.Sprintf("%x", env.h.Sum(nil)))
 	}
-	if got := p.Timeline(); got != goldenTimeline {
-		t.Errorf("golden timeline:\n%s\nwant:\n%s", got, goldenTimeline)
-	}
+	golden.File(t, "golden_timeline.txt", []byte(p.Timeline()))
 	s, err := LoadFile("testdata/mixed.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := compileOn(t, s, 20).Timeline(); got != mixedTimeline {
-		t.Errorf("mixed.json timeline:\n%s\nwant:\n%s", got, mixedTimeline)
-	}
+	golden.File(t, "mixed_timeline.txt", []byte(compileOn(t, s, 20).Timeline()))
 }
-
-const goldenTimeline = `scenario "golden" compiled for 12 nodes, 12 events
-  t=    1.00s  replay inline trace (3 points, looping every 18.0s) onto core links of a sampled 25% of members as Kbps, stretch 1.5, scale 1
-  t=    2.00s  scale core links (out) of 2 nodes by 0.5, every 3.0s forever, floor 0.2× original
-  t=    3.00s  set 2 explicit core links to 500 Kbps
-  t=    4.00s  set core links (in) of 1 nodes to 800 Kbps, every 7.0s 3 times
-  t=    5.00s  degrade: every 5.0s 6 rounds, 50% victims × 50% sources, ×0.5 cumulative, floor 0.0625 (stream "dynamics")
-  t=    6.00s  replay inline trace (2 points, looping every 2.5s) onto access-in links of all members as × original, stretch 0.5, scale 1.2
-  t=    8.00s  outage on access-both links of 2 nodes: up ~Exp(6.0s), down ~Exp(2.0s) at 64 Kbps (stream "outage")
-  t=    9.00s  set access-out links of 1 nodes to 1000 Kbps
-  t=   10.00s  scale core links (both) of 1 nodes by 0.7
-  t=   12.00s  scale all core links by 0.9
-  t=   15.00s  churn: 30% of non-source members fail after Exp(mean 20s) lifetimes (stream "churn")
-  t=   25.00s  fail nodes [10 11]
-`
-
-const mixedTimeline = `scenario "evening-rush" compiled for 20 nodes, 4 events
-  DSL trace replay on three receivers' inbound links, 15% churn with exponential lifetimes, a brief recurring outage on one pair, and a two-wave flash crowd.
-  t=    0.00s  flash-crowd wave 0: session over 60% of members (cohort sizes [12 8] at n=20)
-  t=    5.00s  replay dsl-evening.trace (6 points, looping every 120.0s) onto core links (in) of 3 nodes as Kbps, stretch 1, scale 1
-  t=   10.00s  outage on 2 explicit core links: up ~Exp(40.0s), down ~Exp(6.0s) at 64 Kbps (stream "outage")
-  t=   20.00s  churn: 15% of non-source members fail after Exp(mean 60s) lifetimes (stream "churn")
-  t=   45.00s  flash-crowd wave 1: session over the remainder
-`

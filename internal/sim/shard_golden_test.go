@@ -4,7 +4,10 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"testing"
+
+	"bulletprime/internal/golden"
 )
 
 // TestGroupGolden pins the group's per-shard schedule to recorded digests,
@@ -13,16 +16,10 @@ import (
 // fail here. For each shard count K, every seed's run folds each shard's
 // program hash and event count plus its Executed, Posted, CrossExecuted and
 // Compactions into one SHA-256, and three ways of reaching the 2 s horizon
-// must all give the recorded digest: workers=1, workers=0, and a run split
+// must all give the pinned digest: workers=1, workers=0, and a run split
 // at 0.7 s and 1.3 s that changes mode between parts.
 func TestGroupGolden(t *testing.T) {
 	const horizon = Time(2.0)
-	want := map[int]string{
-		1: "bde19ad8e5447994016c3b7d06c72cc34d1842b2b477ded2508196847a498fff",
-		2: "beb09231d6a945687cf4fdd247eda76a8b4c2beeffe04123e813e57cf3b071a4",
-		4: "69178cf07bb39743ac6937ed8e98859c359e95b35a5d13378fdac8bb84ec877c",
-		7: "62ca4e51b9ba90f9177cef16b89ce710ce04e531eb2c9aba0ea78daed8220c53",
-	}
 	modes := []struct {
 		name string
 		run  func(*Group)
@@ -48,9 +45,7 @@ func TestGroupGolden(t *testing.T) {
 					})
 				}
 			}
-			if got := hex.EncodeToString(h.Sum(nil)); got != want[k] {
-				t.Errorf("K=%d %s: digest %s, want %s", k, m.name, got, want[k])
-			}
+			golden.Check(t, fmt.Sprintf("%s/K%d", t.Name(), k), hex.EncodeToString(h.Sum(nil)))
 		}
 	}
 }
