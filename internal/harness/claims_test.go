@@ -2,6 +2,8 @@ package harness
 
 import (
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"bulletprime/internal/lab"
@@ -117,5 +119,39 @@ func TestFigureClaims(t *testing.T) {
 					row.claim, row.stat, fast, row.faster, slow, row.slower, mw.POneSided, claimAlpha)
 			}
 		})
+	}
+}
+
+// TestShotgunBeatsParallelRsync holds Figure 15's claim across seeds, on the
+// figure's own curves: Shotgun's slowest node has downloaded and replayed
+// the update before the slowest node of the fastest parallel-rsync sweep
+// (the one of 2, 4, 8 and 16 sessions whose slowest node finishes first)
+// has.
+func TestShotgunBeatsParallelRsync(t *testing.T) {
+	var shotgun, rsync, diff []float64
+	for _, seed := range claimSeeds(151) {
+		fig, err := RunFigure(15, claimScale, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs := math.Inf(1)
+		for _, s := range fig.Series {
+			worst := s.Points[len(s.Points)-1][0]
+			switch {
+			case s.Label == "Shotgun (Download + Update)":
+				shotgun = append(shotgun, worst)
+			case strings.HasSuffix(s.Label, "parallel rsync"):
+				rs = min(rs, worst)
+			}
+		}
+		rsync, diff = append(rsync, rs), append(diff, rs-shotgun[len(shotgun)-1])
+	}
+	mw := lab.MannWhitney(shotgun, rsync)
+	ci := lab.BootstrapMedianCI(diff, 0.95, 0)
+	t.Logf("worst Shotgun (download + update) %.1f vs fastest parallel rsync %.1f s; one-sided p = %.4f; Shotgun lead, median of per-seed differences, 95%% CI %v s",
+		shotgun, rsync, mw.POneSided, ci)
+	if mw.POneSided >= claimAlpha {
+		t.Errorf("claim does not hold: per-seed worst %.1f (Shotgun) vs %.1f (fastest parallel rsync), one-sided p = %.4f ≥ %v",
+			shotgun, rsync, mw.POneSided, claimAlpha)
 	}
 }

@@ -33,14 +33,14 @@ func interArrivals(sc Scale, seed int64) []figSeries {
 			last[id] = now
 		},
 	}
-	return []figSeries{{spec: s, curve: func() trace.Series {
+	return []figSeries{{spec: s, curves: func(*RunResult) []trace.Series {
 		avg := trace.Series{Label: s.Label}
 		for k := 1; k < n; k++ {
 			if cnt[k] > 0 {
 				avg.Points = append(avg.Points, [2]float64{float64(k), sum[k] / float64(cnt[k])})
 			}
 		}
-		return avg
+		return []trace.Series{avg}
 	}}}
 }
 

@@ -36,9 +36,10 @@ const (
 // (SweepSpec.Label) with the curve's legend entry.
 type figSeries struct {
 	spec SweepSpec
-	// curve, when set, draws the series from what the spec's hooks saw
-	// instead of from the completion CDF (Figure 13).
-	curve func() trace.Series
+	// curves, when set, draws the run's curves instead of its completion
+	// CDF: from what the spec's hooks saw (Figure 13), or from the result
+	// (Figure 15's Shotgun).
+	curves func(res *RunResult) []trace.Series
 }
 
 // figureRow is one figure of the paper's evaluation section.
@@ -51,7 +52,7 @@ type figureRow struct {
 	// figure shares the seed, hence the topology draw.
 	series func(sc Scale, seed int64) []figSeries
 	// fixed draws the curves that are not System runs, ahead of the others:
-	// Figure 4's analytic reference lines, Figure 15's Shotgun and rsync.
+	// Figure 4's analytic reference lines, Figure 15's parallel rsync.
 	fixed func(sc Scale, seed int64) []trace.Series
 	// note is the row's post-processing: text Render appends to the figure.
 	note func(fig *trace.Figure, sc Scale) string
@@ -122,7 +123,7 @@ var figureTable = []figureRow{
 		}},
 	{num: 15, desc: "Shotgun vs parallel rsync", env: "PlanetLab-like WAN: 40 nodes, 24 MB of deltas",
 		title: "Shotgun vs parallel rsync (24 MB of deltas)", xlabel: wallTime, ylabel: nodeFraction,
-		fixed: shotgunVsRsync},
+		fixed: parallelRsync, series: shotgunDownload},
 }
 
 // paperSystems are the four systems of Figures 4 and 5, in legend order.
@@ -199,27 +200,39 @@ func outstanding(base SweepSpec, staticPeers int, fixed ...int) []figSeries {
 	return append(out, variant(base, "BulletPrime , dyn  outst", mut(0)))
 }
 
-// shotgunVsRsync compares Shotgun dissemination of an update bundle against
-// staggered parallel rsync from the central server. These runs are not
-// Systems, so the figure drives its rigs itself.
-func shotgunVsRsync(sc Scale, seed int64) []trace.Series {
-	bundle := sc.file(24e6)
-	newRig := func() *Rig {
-		return NewRig(PlanetLabTopology(sc.nodes(40))(sim.NewRNG(seed).Stream("topo")), seed)
-	}
+// updateBundle is Figure 15's network and workload: the 24 MB of deltas
+// on a 40-node PlanetLab-like WAN.
+func updateBundle(sc Scale, seed int64) SweepSpec {
+	return baseSpec(seed, PlanetLabTopology(sc.nodes(40)), sc.file(24e6))
+}
 
-	// Shotgun: download-only and download+update lines.
-	rig := newRig()
-	res := shotgun.RunShotgun(rig.Eng, rig.RT, rig.Members, 0, bundle, 16*1024,
-		rig.Master.Stream("shotgun"), rsyncBaseDDL)
-	out := []trace.Series{
-		cdfSeries("Shotgun (Download Only)", res.Times(false)),
-		cdfSeries("Shotgun (Download + Update)", res.Times(true)),
-	}
+// shotgunDownload is Shotgun (§4.8): the bundle as one Bullet' download,
+// drawn as downloaded and with each receiver's local replay of the deltas
+// after it.
+func shotgunDownload(sc Scale, seed int64) []figSeries {
+	s := updateBundle(sc, seed)
+	s.Label = "Shotgun (Download Only)"
+	return []figSeries{{spec: s, curves: func(res *RunResult) []trace.Series {
+		download := trace.FromCDF(s.Label, res.CDF)
+		var updates []float64
+		for _, p := range download.Points {
+			updates = append(updates, shotgun.Replay(0, p[0]))
+		}
+		return []trace.Series{download, cdfSeries("Shotgun (Download + Update)", updates)}
+	}}}
+}
+
+// parallelRsync is Figure 15's baseline: staggered rsync sessions from the
+// central server, 2, 4, 8 and 16 at a time, each on a fresh rig of the
+// Shotgun run's network. They are a flow model, not Systems, so the row
+// draws them itself.
+func parallelRsync(sc Scale, seed int64) []trace.Series {
+	s := updateBundle(sc, seed)
+	var out []trace.Series
 	for _, parallel := range []int{2, 4, 8, 16} {
-		rig := newRig()
-		rr := shotgun.RunParallelRsync(rig.Eng, rig.Net, rig.Members, 0, bundle, parallel, rsyncBaseDDL)
-		out = append(out, cdfSeries(fmt.Sprintf("%d parallel rsync", parallel), rr.Times(true)))
+		rig := NewRig(s.TopoFn(sim.NewRNG(seed).Stream("topo")), seed)
+		updates := shotgun.RunParallelRsync(rig.Eng, rig.Net, rig.Members, 0, s.Workload.FileBytes, parallel, rsyncBaseDDL)
+		out = append(out, cdfSeries(fmt.Sprintf("%d parallel rsync", parallel), updates))
 	}
 	return out
 }
@@ -302,8 +315,8 @@ func RunFigure(figure int, sc Scale, seed int64) (*trace.Figure, error) {
 		if res.Err != nil {
 			return nil, fmt.Errorf("figure %d, %q: %w", row.num, s.spec.Label, res.Err)
 		}
-		if s.curve != nil {
-			fig.Series = append(fig.Series, s.curve())
+		if s.curves != nil {
+			fig.Series = append(fig.Series, s.curves(res)...)
 		} else {
 			fig.Series = append(fig.Series, trace.FromCDF(s.spec.Label, res.CDF))
 		}

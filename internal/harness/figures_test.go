@@ -4,11 +4,13 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
 	"bulletprime/internal/golden"
+	"bulletprime/internal/shotgun"
 )
 
 // TestGoldenFigures pins every figure's rendered text bit for bit, by its
@@ -69,5 +71,40 @@ func TestFigureTableMatchesDesignIndex(t *testing.T) {
 		if len(got) != 4 || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] || !strings.HasPrefix(got[3], want[3]) {
 			t.Errorf("DESIGN.md §1 row %d = %q, want %q with the series column opening %q", i, got, want[:3], want[3])
 		}
+	}
+}
+
+// TestShotgunRunEndsAtLastDownload pins Figure 15's Shotgun series: one
+// Bullet' run that ends when its slowest receiver completes, not at the
+// rsync baseline's deadline, and an update curve that is shotgun.Replay of
+// every receiver's download time.
+func TestShotgunRunEndsAtLastDownload(t *testing.T) {
+	row, _ := figureRowFor(15)
+	series := row.series(TestScale, 11)
+	if len(series) != 1 {
+		t.Fatalf("figure 15 has %d System runs, want 1", len(series))
+	}
+	res := RunSpec(series[0].spec)
+	if !res.Finished {
+		t.Fatal("the Shotgun download did not finish")
+	}
+	if float64(res.EndedAt) != res.CDF.Worst() {
+		t.Errorf("run ended at %v s, its slowest download at %v s", res.EndedAt, res.CDF.Worst())
+	}
+	var want []float64
+	for _, done := range res.PerNode {
+		want = append(want, shotgun.Replay(0, float64(done)))
+	}
+	slices.Sort(want)
+	curves := series[0].curves(res)
+	if len(curves) != 2 || curves[1].Label != "Shotgun (Download + Update)" {
+		t.Fatalf("curves %v, want the download then the update", curves)
+	}
+	var got []float64
+	for _, p := range curves[1].Points {
+		got = append(got, p[0])
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("update times %v, want the replay of each download %v", got, want)
 	}
 }

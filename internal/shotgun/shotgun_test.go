@@ -3,10 +3,10 @@ package shotgun
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"bulletprime/internal/netem"
-	"bulletprime/internal/proto"
 	"bulletprime/internal/sim"
 )
 
@@ -126,7 +126,7 @@ func TestBundleWireSizeTracksChanges(t *testing.T) {
 	}
 }
 
-func buildNet(n int, seed int64) (*sim.Engine, *netem.Network, *proto.Runtime, []netem.NodeID, *sim.RNG) {
+func buildNet(n int, seed int64) (*sim.Engine, *netem.Network, []netem.NodeID) {
 	eng := sim.NewEngine()
 	topo := netem.NewTopology(n)
 	topo.SetUniformAccess(netem.Mbps(10), netem.Mbps(10), netem.MS(1))
@@ -138,75 +138,36 @@ func buildNet(n int, seed int64) (*sim.Engine, *netem.Network, *proto.Runtime, [
 			}
 		}
 	}
-	master := sim.NewRNG(seed)
-	net := netem.New(eng, topo, master.Stream("net"))
-	rt := proto.NewRuntime(eng, net)
+	net := netem.New(eng, topo, sim.NewRNG(seed).Stream("net"))
 	members := make([]netem.NodeID, n)
 	for i := range members {
 		members[i] = netem.NodeID(i)
 	}
-	return eng, net, rt, members, master
-}
-
-func TestRunShotgunCompletes(t *testing.T) {
-	eng, _, rt, members, master := buildNet(10, 6)
-	res := RunShotgun(eng, rt, members, 0, 2e6, 16*1024, master.Stream("sess"), 600)
-	if len(res.DownloadDone) != 9 {
-		t.Fatalf("%d downloads done, want 9", len(res.DownloadDone))
-	}
-	if len(res.UpdateDone) != 9 {
-		t.Fatalf("%d updates done, want 9", len(res.UpdateDone))
-	}
-	for id, d := range res.DownloadDone {
-		u := res.UpdateDone[id]
-		if u <= d {
-			t.Fatalf("node %d update (%v) not after download (%v)", id, u, d)
-		}
-	}
+	return eng, net, members
 }
 
 func TestRunParallelRsyncCompletes(t *testing.T) {
-	eng, net, _, members, _ := buildNet(10, 7)
-	res := RunParallelRsync(eng, net, members, 0, 2e6, 4, 3600)
-	if len(res.UpdateDone) != 9 {
-		t.Fatalf("%d updates done, want 9", len(res.UpdateDone))
+	eng, net, members := buildNet(10, 7)
+	updates := RunParallelRsync(eng, net, members, 0, 2e6, 4, 3600)
+	if len(updates) != 9 {
+		t.Fatalf("%d updates done, want 9", len(updates))
+	}
+	if !slices.IsSorted(updates) {
+		t.Fatalf("update times unsorted: %v", updates)
 	}
 }
 
-func TestShotgunBeatsParallelRsync(t *testing.T) {
-	// The headline Figure 15 shape: Shotgun's worst node finishes far
-	// sooner than the parallel-rsync worst node, because N point-to-point
-	// transfers serialize on the source uplink.
-	bundle := 3e6
-	engA, _, rtA, membersA, masterA := buildNet(16, 8)
-	sg := RunShotgun(engA, rtA, membersA, 0, bundle, 16*1024, masterA.Stream("sess"), 3600)
-
-	engB, netB, _, membersB, _ := buildNet(16, 8)
-	rs := RunParallelRsync(engB, netB, membersB, 0, bundle, 4, 36000)
-
-	sgT := sg.Times(true)
-	rsT := rs.Times(true)
-	if len(sgT) == 0 || len(rsT) == 0 {
-		t.Fatal("missing results")
-	}
-	sgWorst := sgT[len(sgT)-1]
-	rsWorst := rsT[len(rsT)-1]
-	if sgWorst*2 > rsWorst {
-		t.Fatalf("shotgun worst %.1fs not clearly faster than rsync worst %.1fs", sgWorst, rsWorst)
-	}
-}
-
-func TestTimesSorted(t *testing.T) {
-	r := &SimResult{
-		DownloadDone: map[netem.NodeID]sim.Time{1: 5, 2: 3, 3: 9},
-		UpdateDone:   map[netem.NodeID]sim.Time{1: 10, 2: 6, 3: 18},
-	}
-	d := r.Times(false)
-	if d[0] != 3 || d[2] != 9 {
-		t.Fatalf("download times unsorted: %v", d)
-	}
-	u := r.Times(true)
-	if u[0] != 6 || u[2] != 18 {
-		t.Fatalf("update times unsorted: %v", u)
+// TestReplayTakesTwiceTheDownload pins §4.8's measurement: replaying the
+// deltas takes DiskFactor times as long as downloading them did, over the
+// node's own download span, and never less than a second.
+func TestReplayTakesTwiceTheDownload(t *testing.T) {
+	for _, c := range []struct{ start, done, want float64 }{
+		{0, 10, 30},     // a Shotgun download, from time 0
+		{5, 15, 35},     // an rsync session opened at 5 s
+		{0, 0.25, 1.25}, // the one-second floor
+	} {
+		if got := Replay(c.start, c.done); got != c.want {
+			t.Errorf("Replay(%v, %v) = %v, want %v", c.start, c.done, got, c.want)
+		}
 	}
 }

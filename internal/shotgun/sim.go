@@ -3,15 +3,15 @@ package shotgun
 import (
 	"sort"
 
-	"bulletprime/internal/core"
 	"bulletprime/internal/netem"
-	"bulletprime/internal/proto"
 	"bulletprime/internal/sim"
 )
 
-// Simulation of the Figure 15 experiment: one 24 MB update bundle pushed to
-// a PlanetLab-like node set, Shotgun (bundle over Bullet') versus N
-// staggered parallel rsync sessions from the central server.
+// The Figure 15 experiment: one 24 MB update bundle pushed to a
+// PlanetLab-like node set, Shotgun (the bundle as a Bullet' download, then a
+// local replay) versus N staggered parallel rsync sessions from the central
+// server. Shotgun's download is an ordinary Bullet' run; this file holds what
+// is Shotgun's own: the replay both legs pay, and the rsync baseline.
 
 // DiskFactor is the replay-to-download time ratio the paper measured ("most
 // nodes spent twice as much time replaying the rsync logs locally than they
@@ -22,77 +22,30 @@ const DiskFactor = 2.0
 // scan, in seconds.
 const rsyncStartupCost = 2.0
 
-// SimResult holds per-node timings for one synchronization run.
-type SimResult struct {
-	DownloadDone map[netem.NodeID]sim.Time // data fully received
-	UpdateDone   map[netem.NodeID]sim.Time // deltas replayed to disk
+// Replay returns when a node whose download of the deltas ran from start to
+// done has replayed them to disk: DiskFactor times the download span later,
+// and at least a second. A Shotgun download starts at 0; an rsync session
+// starts when the server opens it.
+func Replay(start, done float64) float64 {
+	replay := float64((done - start) * DiskFactor)
+	if replay < 1 {
+		replay = 1
+	}
+	return done + replay
 }
 
-// Times returns the sorted completion times for CDF plotting, using update
-// completion when withUpdate is set and bare download completion otherwise.
-func (r *SimResult) Times(withUpdate bool) []float64 {
-	src := r.DownloadDone
-	if withUpdate {
-		src = r.UpdateDone
-	}
-	out := make([]float64, 0, len(src))
-	for _, t := range src {
-		out = append(out, float64(t))
-	}
-	sort.Float64s(out)
-	return out
-}
-
-// RunShotgun disseminates a bundle of the given size with Bullet' and
-// models local replay at DiskFactor times each node's download duration.
-// The engine is run to completion internally.
-func RunShotgun(eng *sim.Engine, rt *proto.Runtime, members []netem.NodeID, source netem.NodeID,
-	bundleBytes float64, blockSize float64, rng *sim.RNG, deadline sim.Time) *SimResult {
-
-	res := &SimResult{
-		DownloadDone: make(map[netem.NodeID]sim.Time),
-		UpdateDone:   make(map[netem.NodeID]sim.Time),
-	}
-	numBlocks := int(bundleBytes/blockSize) + 1
-	cfg := core.Config{Swarm: proto.Swarm{
-		Source:    source,
-		Members:   members,
-		NumBlocks: numBlocks,
-		BlockSize: blockSize,
-		OnComplete: func(id netem.NodeID) {
-			now := eng.Now()
-			res.DownloadDone[id] = now
-			// Replay cost scales with download time per the paper's
-			// measurement; apply it as a local disk-bound phase.
-			replay := float64(now) * (DiskFactor - 1)
-			if replay < 1 {
-				replay = 1
-			}
-			eng.After(replay, func() {
-				res.UpdateDone[id] = eng.Now()
-			})
-		},
-	}, Strategy: core.RarestRandom}
-	sess := core.NewSession(rt, cfg, rng)
-	sess.Start()
-	eng.RunUntil(deadline)
-	return res
-}
-
-// RunParallelRsync models the baseline: the source runs at most `parallel`
-// simultaneous rsync sessions; each session transfers the bundle bytes
-// (deltas plus signature exchange) point-to-point, then the node replays
-// locally. Sessions are started in node-id order as slots free up
-// (the staggered approach of §4.8). Server-side CPU/disk contention is
+// RunParallelRsync models the baseline and returns the sorted update times
+// of the nodes whose download finished by the deadline: the source runs at
+// most `parallel` simultaneous rsync sessions; each session transfers the
+// bundle bytes (deltas plus signature exchange) point-to-point, then the
+// node replays locally. Sessions are started in node-id order as slots free
+// up (the staggered approach of §4.8). Server-side CPU/disk contention is
 // modelled by scaling each session's startup cost with the number of
 // concurrently running sessions.
 func RunParallelRsync(eng *sim.Engine, net *netem.Network, members []netem.NodeID, source netem.NodeID,
-	bundleBytes float64, parallel int, deadline sim.Time) *SimResult {
+	bundleBytes float64, parallel int, deadline sim.Time) []float64 {
 
-	res := &SimResult{
-		DownloadDone: make(map[netem.NodeID]sim.Time),
-		UpdateDone:   make(map[netem.NodeID]sim.Time),
-	}
+	var updates []float64
 	var queue []netem.NodeID
 	for _, id := range members {
 		if id != source {
@@ -120,15 +73,7 @@ func RunParallelRsync(eng *sim.Engine, net *netem.Network, members []netem.NodeI
 				f.Start(bundleBytes, func() {
 					prop := net.Topo.OneWayDelay(source, target)
 					eng.After(prop, func() {
-						now := eng.Now()
-						res.DownloadDone[target] = now
-						replay := float64(now-start) * (DiskFactor - 1)
-						if replay < 1 {
-							replay = 1
-						}
-						eng.After(replay, func() {
-							res.UpdateDone[target] = eng.Now()
-						})
+						updates = append(updates, Replay(float64(start), float64(eng.Now())))
 						f.Close()
 						running--
 						startNext()
@@ -139,5 +84,6 @@ func RunParallelRsync(eng *sim.Engine, net *netem.Network, members []netem.NodeI
 	}
 	startNext()
 	eng.RunUntil(deadline)
-	return res
+	sort.Float64s(updates)
+	return updates
 }
