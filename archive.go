@@ -12,9 +12,9 @@ import (
 // keyed by a deterministic hash of (normalized config, scenario digest,
 // seed, code version), so identical reruns dedupe and changed configs
 // never collide. Set RunConfig.Archive to record every completed run and
-// sweep cell automatically, or call Experiment.Record explicitly; query
-// and diff the results with Archive.Select, CompareArchived, and
-// bulletctl's ls/show/compare/report/gate subcommands. See DESIGN.md §7.
+// sweep cell; query and diff the results with Archive.Select,
+// CompareArchived, and bulletctl's ls/show/compare/report/gate
+// subcommands. See DESIGN.md §7.
 type Archive = lab.Archive
 
 // ArchivedRun is one run loaded back from an Archive: manifest metadata
@@ -47,12 +47,11 @@ func ArchiveReport(runs []*ArchivedRun) string { return lab.Report(runs) }
 // configFingerprint is the canonical form of a normalized RunConfig that
 // the archive hashes into a run's identity. Execution-only knobs
 // (Parallel, the Archive pointer itself) are excluded: they cannot change
-// a run's results. SampleEvery holds the run's *effective* recorded
-// series cadence — -1 when the run persisted no time-series (the one-shot
-// Run/Sweep wrappers, or a disabled series), the possibly observer-refined
-// cadence otherwise — so two records whose payloads differ never share an
-// id, and identical reruns through the same path always dedupe. Field
-// order is fixed — changing it would re-key every archived run.
+// a run's results. SampleEvery is the normalized series cadence — -1 when
+// the run keeps no time-series (the one-shot Run/Sweep wrappers, or a
+// disabled series) — so a record with a series never shares an id with one
+// without, and identical reruns dedupe. Field order is fixed — changing it
+// would re-key every archived run.
 type configFingerprint struct {
 	Protocol          Protocol        `json:"protocol"`
 	Nodes             int             `json:"nodes"`
@@ -86,9 +85,8 @@ type configFingerprint struct {
 }
 
 // fingerprint renders a normalized config's canonical JSON plus the
-// scenario digest and name; seriesEvery is the effective recorded series
-// cadence (see configFingerprint.SampleEvery).
-func fingerprint(cfg RunConfig, seriesEvery float64) (configJSON []byte, scenarioDigest, scenarioName string, err error) {
+// scenario digest and name.
+func fingerprint(cfg RunConfig) (configJSON []byte, scenarioDigest, scenarioName string, err error) {
 	if cfg.Scenario != nil {
 		blob, err := json.Marshal(cfg.Scenario)
 		if err != nil {
@@ -108,7 +106,7 @@ func fingerprint(cfg RunConfig, seriesEvery float64) (configJSON []byte, scenari
 		ScenarioName:      scenarioName,
 		Seed:              cfg.Seed,
 		Deadline:          cfg.Deadline,
-		SampleEvery:       seriesEvery,
+		SampleEvery:       cfg.SampleEvery,
 		Strategy:          cfg.Strategy,
 		StaticPeers:       cfg.StaticPeers,
 		StaticOutstanding: cfg.StaticOutstanding,
@@ -126,8 +124,8 @@ func fingerprint(cfg RunConfig, seriesEvery float64) (configJSON []byte, scenari
 }
 
 // recordRun archives one completed run under its content address.
-func recordRun(a *Archive, cfg RunConfig, res *Result, seriesEvery float64) (string, error) {
-	configJSON, digest, scenarioName, err := fingerprint(cfg, seriesEvery)
+func recordRun(a *Archive, cfg RunConfig, res *Result) (string, error) {
+	configJSON, digest, scenarioName, err := fingerprint(cfg)
 	if err != nil {
 		return "", err
 	}
@@ -153,33 +151,7 @@ func recordRun(a *Archive, cfg RunConfig, res *Result, seriesEvery float64) (str
 	return id, err
 }
 
-// Record archives the session's completed run into a and returns the run
-// id. It is an error to Record before the run ends or to archive a
-// cancelled (partial) run; re-recording an identical run dedupes to the
-// same id. Sessions whose RunConfig.Archive is set record automatically.
-func (e *Experiment) Record(a *Archive) (string, error) {
-	if a == nil {
-		return "", fmt.Errorf("bulletprime: Record into a nil archive")
-	}
-	select {
-	case <-e.done:
-	default:
-		return "", fmt.Errorf("bulletprime: Record before the run completed")
-	}
-	if e.res.Cancelled {
-		return "", fmt.Errorf("bulletprime: refusing to archive a cancelled (partial) run")
-	}
-	return recordRun(a, e.cfg, e.res, e.seriesEvery)
-}
-
 // RunID returns the archive id the session's automatic record landed
-// under: empty until the run ends, and empty for runs without
-// RunConfig.Archive or cancelled runs (which are never archived).
-func (e *Experiment) RunID() string {
-	select {
-	case <-e.done:
-		return e.runID
-	default:
-		return ""
-	}
-}
+// under, once Run has returned: empty for runs without RunConfig.Archive and
+// for cancelled runs (which are never archived).
+func (e *Experiment) RunID() string { return e.runID }

@@ -201,42 +201,28 @@ func TestArchiveKeyCoversSeriesShape(t *testing.T) {
 	}
 }
 
-// TestRecordErrors pins Record's guard rails: no nil archive, no
-// unfinished session, no cancelled run.
+// TestRecordErrors pins the automatic record's guard rail: a cancelled
+// (partial) run is never archived, and its session reports no RunID.
 func TestRecordErrors(t *testing.T) {
 	arch, err := bulletprime.OpenArchive(filepath.Join(t.TempDir(), "archive"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	exp, err := bulletprime.New(bulletprime.RunConfig{Nodes: 10, FileBytes: 1 << 20, Seed: 1})
+	exp, err := bulletprime.New(bulletprime.RunConfig{Nodes: 10, FileBytes: 1 << 20, Seed: 1, Archive: arch})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := exp.Record(arch); err == nil {
-		t.Fatal("Record before the run completed should fail")
-	}
-	if _, err := exp.Record(nil); err == nil {
-		t.Fatal("Record into a nil archive should fail")
-	}
-	if exp.RunID() != "" {
-		t.Fatal("RunID before completion should be empty")
-	}
-
-	// A cancelled run must never be archived.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := exp.Start(ctx); err != nil {
-		t.Fatal(err)
-	}
-	res, err := exp.Wait()
+	res, err := exp.Run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Cancelled {
 		t.Fatal("test needs a cancelled run")
 	}
-	if _, err := exp.Record(arch); err == nil {
-		t.Fatal("Record of a cancelled run should fail")
+	if id := exp.RunID(); id != "" {
+		t.Fatalf("cancelled run reports RunID %q", id)
 	}
 	metas, err := arch.List()
 	if err != nil {

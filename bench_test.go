@@ -639,8 +639,8 @@ func init() {
 // BenchmarkObserverOverhead costs the session API's streaming path against
 // the unobserved one-shot Run on the 500-node clustered scenario
 // benchmark: same topology, same looping trace replay, 30 virtual seconds,
-// with the observed arm sampling every virtual second (per-node progress
-// included) through a subscribed channel. It reports the wall-time ratio
+// with the observed arm sampling every virtual second through a subscribed
+// channel. It reports the wall-time ratio
 // as overhead_ratio; the sampling hooks are read-only, so the target is
 // ~1.05 (within ~5%), asserted here with headroom for CI timer noise.
 func BenchmarkObserverOverhead(b *testing.B) {
@@ -672,7 +672,7 @@ func BenchmarkObserverOverhead(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		obs, err := exp.Subscribe(bulletprime.ObserverConfig{Every: 1, PerNode: true})
+		obs, err := exp.Subscribe()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -749,7 +749,7 @@ func BenchmarkObserverOverheadSharded(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		obs, err := exp.Subscribe(bulletprime.ObserverConfig{Every: 1})
+		obs, err := exp.Subscribe()
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -8,27 +8,29 @@
 //
 // This file is the public façade. The unit of work is an experiment
 // session: New validates a RunConfig into an Experiment handle, Subscribe
-// attaches live metric observers (per-node block progress, instantaneous
-// goodput, control overhead, scenario-event annotations), and Start/Wait —
-// or the one-call Run method — execute it under a context, which can cancel
-// the run mid-flight and still return the partial time-series.
+// attaches live metric observers (completions, instantaneous goodput,
+// control overhead, scenario-event annotations), each of which receives
+// every sample the run takes at RunConfig.SampleEvery, and Run executes it
+// under a context, which can cancel the run mid-flight and still return the
+// partial time-series.
 //
 //	exp, err := bulletprime.New(bulletprime.RunConfig{
-//	    Protocol:  bulletprime.ProtocolBulletPrime,
-//	    Nodes:     50,
-//	    FileBytes: 20 << 20,
-//	    Network:   bulletprime.NetworkModelNet,
-//	    Seed:      1,
+//	    Protocol:    bulletprime.ProtocolBulletPrime,
+//	    Nodes:       50,
+//	    FileBytes:   20 << 20,
+//	    Network:     bulletprime.NetworkModelNet,
+//	    Seed:        1,
+//	    SampleEvery: 5,
 //	})
 //	if err != nil { ... }
-//	obs, _ := exp.Subscribe(bulletprime.ObserverConfig{Every: 5})
+//	obs, _ := exp.Subscribe()
 //	go func() {
 //	    for s := range obs.Samples() {
 //	        fmt.Printf("t=%.0fs %d/%d done, %.1f Mbps\n",
 //	            s.Time, s.Completed, s.Receivers, s.GoodputBps*8/1e6)
 //	    }
 //	}()
-//	res, err := exp.Run(ctx) // == Start(ctx) + Wait()
+//	res, err := exp.Run(ctx)
 //
 // Protocols and network presets are open registries (RegisterProtocol,
 // RegisterNetwork): the paper's four systems and six environments
@@ -233,11 +235,11 @@ type RunConfig struct {
 	// of a Sweep; 0 means one worker per CPU, negative is rejected. A
 	// single run ignores it.
 	Parallel int
-	// SampleEvery is the session time-series cadence in virtual seconds
-	// (default 1). An Experiment samples Result.Series at this rate — or
-	// finer, when an observer subscribes with a smaller Every. Negative
-	// disables Result.Series entirely (subscribed observers still stream
-	// at their own cadence). The one-shot Run/Sweep wrappers set it
+	// SampleEvery is the session's sampling cadence in virtual seconds
+	// (default 1). An Experiment samples Result.Series at this rate, and
+	// every subscribed observer receives exactly those samples. Negative
+	// disables Result.Series (subscribed observers then receive a sample
+	// every virtual second). The one-shot Run/Sweep wrappers set it
 	// negative.
 	SampleEvery float64
 	// Engine selects the execution engine: EngineSequential (the zero
@@ -451,13 +453,11 @@ func topologyFor(cfg RunConfig) (fn TopologyFn, err error) {
 }
 
 // Sample is one tick of an experiment's metric stream, Annotation a
-// timestamped timeline marker inside it, NodeProgress one node's download
-// state at the sample instant. They re-export the archive layer's types: the
-// sample an observer receives is the sample a record stores.
+// timestamped timeline marker inside it. They re-export the archive layer's
+// types: the sample an observer receives is the sample a record stores.
 type (
-	Sample       = lab.Sample
-	Annotation   = lab.Annotation
-	NodeProgress = lab.NodeProgress
+	Sample     = lab.Sample
+	Annotation = lab.Annotation
 )
 
 // Result reports a run's outcome.

@@ -6,15 +6,14 @@ import (
 	"testing"
 )
 
-// canonicalFingerprint is the archive fingerprint of cfg once normalized,
-// recorded at the config's own series cadence.
+// canonicalFingerprint is the archive fingerprint of cfg once normalized.
 func canonicalFingerprint(t *testing.T, cfg RunConfig) string {
 	t.Helper()
 	norm, err := cfg.normalized()
 	if err != nil {
 		t.Fatal(err)
 	}
-	js, _, _, err := fingerprint(norm, norm.SampleEvery)
+	js, _, _, err := fingerprint(norm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,8 +113,8 @@ func TestNewOfConfigKeepsFingerprint(t *testing.T) {
 			if err != nil {
 				t.Fatalf("New(exp.Config()): %v", err)
 			}
-			a, _, _, _ := fingerprint(exp.cfg, exp.cfg.SampleEvery)
-			b, _, _, _ := fingerprint(again.cfg, again.cfg.SampleEvery)
+			a, _, _, _ := fingerprint(exp.cfg)
+			b, _, _, _ := fingerprint(again.cfg)
 			if !bytes.Equal(a, b) {
 				t.Fatalf("fingerprint moved:\n%s\n%s", a, b)
 			}

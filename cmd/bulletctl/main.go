@@ -325,11 +325,11 @@ func runSingle(args []string, stdout, stderr io.Writer) int {
 	if cfg.Archive, ok = openArchiveFlag(*archDir, *version, stderr); !ok {
 		return 1
 	}
-	// The CLI prints aggregates and streams -progress through an observer,
-	// never Result.Series — but an archived run records a series at the
-	// -every cadence so show/metrics can render it later.
+	// The CLI prints aggregates, never Result.Series, but whatever samples
+	// the run — -progress lines, -metrics-addr scrapes, an archived series
+	// that show/metrics render later — samples at the -every cadence.
 	cfg.SampleEvery = -1
-	if cfg.Archive != nil {
+	if cfg.Archive != nil || *progress || *metrics != "" {
 		cfg.SampleEvery = *every
 	}
 
@@ -341,7 +341,7 @@ func runSingle(args []string, stdout, stderr io.Writer) int {
 	}
 	streamed := make(chan struct{})
 	if *progress {
-		obs, err := exp.Subscribe(bulletprime.ObserverConfig{Every: *every})
+		obs, err := exp.Subscribe()
 		if err != nil {
 			fmt.Fprintln(stderr, "bulletctl:", err)
 			return 1
@@ -386,7 +386,7 @@ func runSingle(args []string, stdout, stderr io.Writer) int {
 			"network":  run.network,
 			"seed":     fmt.Sprintf("%d", run.seed),
 		}
-		msrv, err = serveMetrics(*metrics, exp, labels, *every, stderr)
+		msrv, err = serveMetrics(*metrics, exp, labels, stderr)
 		if err != nil {
 			fmt.Fprintln(stderr, "bulletctl:", err)
 			return 1
@@ -629,7 +629,7 @@ func runSweep(args []string, stdout, stderr io.Writer) int {
 		defer stop()
 	}
 	cfg.Base.SampleEvery = -1
-	ch, err := bulletprime.SweepStream(ctx, cfg, nil)
+	ch, err := bulletprime.SweepStream(ctx, cfg)
 	if err != nil {
 		prof.stop(stderr)
 		fmt.Fprintln(stderr, "bulletctl:", err)

@@ -157,8 +157,8 @@ type metricsServer struct {
 // sample at /metrics (Prometheus text format) and /metrics.json. Must be
 // called before the run starts; addr may use port 0 to pick a free port —
 // the bound address is reported on stderr.
-func serveMetrics(addr string, exp *bulletprime.Experiment, labels map[string]string, every float64, stderr io.Writer) (*metricsServer, error) {
-	o, err := exp.Subscribe(bulletprime.ObserverConfig{Every: every})
+func serveMetrics(addr string, exp *bulletprime.Experiment, labels map[string]string, stderr io.Writer) (*metricsServer, error) {
+	o, err := exp.Subscribe()
 	if err != nil {
 		return nil, err
 	}

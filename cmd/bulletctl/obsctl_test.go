@@ -227,7 +227,7 @@ func TestServeMetricsLive(t *testing.T) {
 	}
 	var errb bytes.Buffer
 	labels := map[string]string{"protocol": "bulletprime", "network": "modelnet", "seed": "3"}
-	m, err := serveMetrics("127.0.0.1:0", exp, labels, 1, &errb)
+	m, err := serveMetrics("127.0.0.1:0", exp, labels, &errb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,12 +248,10 @@ func TestServeMetricsLive(t *testing.T) {
 		return string(body)
 	}
 	prom := get("/metrics")
-	// The endpoint serves the last emitted sample (the closing flush sits
-	// below the observer cadence gate), so assert the stable facts: the
-	// family exists with the run's labels, and the receiver count is exact.
+	// The endpoint serves the run's closing sample: every receiver is done.
 	for _, want := range []string{
 		"# TYPE bullet_completed_receivers gauge",
-		`bullet_completed_receivers{network="modelnet",protocol="bulletprime",seed="3"} `,
+		`bullet_completed_receivers{network="modelnet",protocol="bulletprime",seed="3"} 9`,
 		`bullet_receivers{network="modelnet",protocol="bulletprime",seed="3"} 9`,
 	} {
 		if !strings.Contains(prom, want) {

@@ -43,11 +43,13 @@ func run(w io.Writer) {
 			Scenario: crowd,
 			Seed:     seed,
 			Stream:   &bulletprime.StreamOptions{BitrateBps: bitrate, Duration: duration},
+			// One sample every 20 virtual seconds, the closing one included.
+			SampleEvery: 20,
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		obs, err := exp.Subscribe(bulletprime.ObserverConfig{Every: 20})
+		obs, err := exp.Subscribe()
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -25,13 +25,16 @@ func run(w io.Writer) {
 		FileBytes: 5 << 20, // 5 MB
 		Network:   bulletprime.NetworkModelNet,
 		Seed:      1,
+		// Sample every 5 virtual seconds: the observer's lines and the
+		// kept time-series are the same samples.
+		SampleEvery: 5,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	// Subscribe before Start; the stream closes when the run ends.
-	obs, err := exp.Subscribe(bulletprime.ObserverConfig{Every: 5})
+	// Subscribe before Run; the stream closes when the run ends.
+	obs, err := exp.Subscribe()
 	if err != nil {
 		log.Fatal(err)
 	}

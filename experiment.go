@@ -8,17 +8,14 @@ import (
 
 	"bulletprime/internal/harness"
 	"bulletprime/internal/lab"
-	"bulletprime/internal/netem"
 	"bulletprime/internal/proto"
 	"bulletprime/internal/trace"
 )
 
 // Experiment is one dissemination experiment session: a validated
-// configuration plus the machinery to observe and steer its run. New
-// builds it, Subscribe attaches metric streams, Start launches the run
-// under a context (cancel the context — or call Stop — to end it early
-// with partial results), and Wait returns the Result. Run bundles
-// Start+Wait.
+// configuration plus the machinery to observe its run. New builds it,
+// Subscribe attaches metric streams, and Run executes it under a context
+// (cancel the context to end it early with partial results).
 //
 // An Experiment runs exactly once; results are bit-identical to the
 // one-shot Run wrapper for the same RunConfig, observed or not, because
@@ -31,17 +28,10 @@ type Experiment struct {
 	mu        sync.Mutex
 	observers []*Observer
 	started   bool
-	cancel    context.CancelFunc
 
-	done chan struct{}
-	res  *Result
-	// runID and recordErr report the automatic archive record made when
-	// cfg.Archive is set; seriesEvery is the effective cadence of the
-	// recorded Result.Series (-1 when the run kept none), part of the
-	// archive key. All three are published by the close of done.
-	runID       string
-	recordErr   error
-	seriesEvery float64
+	// runID is the archive id of the automatic record made when cfg.Archive
+	// is set; Run writes it before it returns.
+	runID string
 }
 
 // New validates cfg (defaults filled, registries consulted, the scenario
@@ -68,42 +58,25 @@ func New(cfg RunConfig) (*Experiment, error) {
 			receivers = norm.Nodes - len(waves)
 		}
 	}
-	return &Experiment{
-		cfg:       norm,
-		spec:      spec,
-		receivers: receivers,
-		done:      make(chan struct{}),
-	}, nil
+	return &Experiment{cfg: norm, spec: spec, receivers: receivers}, nil
 }
 
 // Config returns the normalized configuration the session will run.
 func (e *Experiment) Config() RunConfig { return e.cfg }
 
-// ObserverConfig parameterizes one metric stream.
-type ObserverConfig struct {
-	// Every is the stream's cadence in virtual seconds; it defaults to
-	// the session's SampleEvery and may be finer (which also refines
-	// Result.Series).
-	Every float64
-	// Buffer is the stream's channel capacity (default 64). The stream
-	// never stalls the simulation: when the buffer is full, the oldest
-	// buffered sample is discarded to make room for the newest
-	// (drop-oldest), and Observer.Dropped counts the losses. A stalled
-	// consumer therefore always finds the most recent Buffer samples when
-	// it resumes, not the most ancient.
-	Buffer int
-	// PerNode includes per-node progress (blocks held, incoming rate,
-	// done) in every streamed sample.
-	PerNode bool
-}
+// observerBuffer is every stream's channel capacity: a consumer may fall a
+// minute behind the default 1 s cadence before it loses a sample. A stream
+// never stalls the simulation: when the buffer is full, the oldest buffered
+// sample is discarded to make room for the newest (drop-oldest), and
+// Observer.Dropped counts the losses. A stalled consumer therefore always
+// finds the newest observerBuffer samples when it resumes, not the most
+// ancient.
+const observerBuffer = 64
 
 // Observer is one live metric stream over an experiment's run.
 type Observer struct {
-	every    float64
-	perNode  bool
-	ch       chan Sample
-	lastEmit float64
-	dropped  atomic.Int64
+	ch      chan Sample
+	dropped atomic.Int64
 }
 
 // Samples returns the stream; it is closed when the run ends, making
@@ -131,106 +104,44 @@ func (o *Observer) send(s Sample) {
 	o.ch <- s
 }
 
-// Subscribe attaches a metric stream to the session. It must be called
-// before Start.
-func (e *Experiment) Subscribe(oc ObserverConfig) (*Observer, error) {
+// Subscribe attaches a metric stream to the session. The stream receives
+// every sample the run takes, at RunConfig.SampleEvery (every virtual second
+// when the run keeps no series), closing sample included: with SampleEvery
+// > 0 it is exactly Result.Series. It must be called before Run.
+func (e *Experiment) Subscribe() (*Observer, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.started {
-		return nil, fmt.Errorf("bulletprime: Subscribe after Start")
+		return nil, fmt.Errorf("bulletprime: Subscribe after Run")
 	}
-	if oc.PerNode && e.cfg.Engine == EngineSharded {
-		return nil, fmt.Errorf("bulletprime: sharded runs do not support PerNode observers (per-node meters live on shard-private runtimes)")
-	}
-	if oc.Every < 0 {
-		return nil, fmt.Errorf("bulletprime: observer Every must be >= 0, got %v", oc.Every)
-	}
-	every := oc.Every
-	if every == 0 {
-		every = e.cfg.SampleEvery
-		if every <= 0 { // series sampling disabled; streams default to 1 s
-			every = 1
-		}
-	}
-	buffer := oc.Buffer
-	if buffer <= 0 {
-		buffer = 64
-	}
-	o := &Observer{every: every, perNode: oc.PerNode, ch: make(chan Sample, buffer)}
+	o := &Observer{ch: make(chan Sample, observerBuffer)}
 	e.observers = append(e.observers, o)
 	return o, nil
 }
 
-// Start launches the run in the background. A nil ctx means Background;
-// cancelling the context stops the run at the next event boundary, and
-// Wait then returns the partial Result with Cancelled set. Starting twice
-// is an error.
-func (e *Experiment) Start(ctx context.Context) error {
+// Run executes the session on the caller's goroutine and returns its Result.
+// A nil ctx means Background; cancelling ctx stops the run at the next event
+// boundary, and Run returns the partial Result with Cancelled set. Every
+// observer stream is closed by the time Run returns. A run whose rig cannot
+// be built returns an empty Result with the error. When RunConfig.Archive is
+// set, the completed run is archived before Run returns, and a failure to
+// archive it comes back beside the Result. A session runs once.
+func (e *Experiment) Run(ctx context.Context) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.started {
-		return fmt.Errorf("bulletprime: experiment already started")
-	}
-	e.started = true
-	runCtx, cancel := context.WithCancel(ctx)
-	e.cancel = cancel
-	go e.run(runCtx)
-	return nil
-}
-
-// Stop requests early termination, equivalent to cancelling Start's
-// context. It is safe to call at any time after Start.
-func (e *Experiment) Stop() {
-	e.mu.Lock()
-	cancel := e.cancel
-	e.mu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
-}
-
-// Done is closed when the run ends (complete, deadline, or cancelled).
-func (e *Experiment) Done() <-chan struct{} { return e.done }
-
-// Wait blocks until the run ends and returns its Result. It is an error
-// to Wait on a session that was never started. When RunConfig.Archive is
-// set, Wait also surfaces a failure to archive the completed run — the
-// Result is still returned alongside the error.
-func (e *Experiment) Wait() (*Result, error) {
-	e.mu.Lock()
 	started := e.started
+	e.started = true
 	e.mu.Unlock()
-	if !started {
-		return nil, fmt.Errorf("bulletprime: Wait before Start")
+	if started {
+		return nil, fmt.Errorf("bulletprime: experiment already ran")
 	}
-	<-e.done
-	return e.res, e.recordErr
-}
-
-// Run is Start followed by Wait.
-func (e *Experiment) Run(ctx context.Context) (*Result, error) {
-	if err := e.Start(ctx); err != nil {
-		return nil, err
-	}
-	return e.Wait()
-}
-
-// run executes the session on its own goroutine: it assembles the harness
-// hooks (sampling ticks, annotation capture, cancellation poll), runs the
-// spec, and publishes the result.
-func (e *Experiment) run(ctx context.Context) {
-	defer e.cancel()
-	// Whatever the outcome, publishing it ends every stream and then the
-	// session; seriesEvery stays -1 unless a series was recorded.
-	e.seriesEvery = -1
+	// Subscribe refuses once started is set, so the observers are fixed.
 	defer func() {
 		for _, o := range e.observers {
 			close(o.ch)
 		}
-		close(e.done)
 	}()
 	spec := e.spec
 	var rec *recorder
@@ -253,13 +164,9 @@ func (e *Experiment) run(ctx context.Context) {
 			}
 			hooks.OnTick = func(*harness.Rig, harness.System) { rec.tick() }
 			hooks.Annotate = rec.annotate
-			if rec.perNode {
-				hooks.OnBlock = rec.onBlock
-			}
 		}
 	}
-	// The cancellation poll is always installed: Start wraps every caller
-	// context in a cancellable one, and Stop depends on it.
+	// Cancelling ctx ends the run at the harness's next poll.
 	hooks.Stop = func() bool {
 		select {
 		case <-ctx.Done():
@@ -271,17 +178,15 @@ func (e *Experiment) run(ctx context.Context) {
 	spec.Hooks = &hooks
 	hres := harness.RunSpec(spec)
 	res := toResult(hres)
-	e.res = res
 	if hres.Err != nil {
-		// The run never executed (its rig could not be built); surface it through
-		// Wait alongside the empty result, and never archive it.
-		e.recordErr = hres.Err
-		return
+		// The run never executed (its rig could not be built): return the
+		// empty result beside the error, and never archive it.
+		return res, hres.Err
 	}
 	if rec != nil && rec.probe != nil {
-		// Flush a closing sample so the series covers the tail (or, for a
+		// Take a closing sample so the series covers the tail (or, for a
 		// cancelled run, the stop instant).
-		if n := len(rec.series); n == 0 || rec.series[n-1].Time < res.Elapsed {
+		if rec.last < res.Elapsed {
 			rec.tick()
 		}
 		res.Series = rec.series
@@ -290,19 +195,15 @@ func (e *Experiment) run(ctx context.Context) {
 	if e.spec.Tracer != nil {
 		res.Trace = traceReport(e.spec.Tracer)
 	}
-	// The archive key covers what was actually persisted: a run that kept
-	// a time-series (possibly at an observer-refined cadence) must never
-	// share an id — and thus dedupe — with an unobserved run of the same
-	// config whose record has no series.
-	if rec != nil && rec.recordSeries {
-		e.seriesEvery = rec.every
-	}
 	// Automatic archival: every completed run with an archive configured
-	// persists before the session reports done. Cancelled runs are partial
-	// and never archived.
-	if e.cfg.Archive != nil && !res.Cancelled {
-		e.runID, e.recordErr = recordRun(e.cfg.Archive, e.cfg, res, e.seriesEvery)
+	// persists before Run returns. Cancelled runs are partial and never
+	// archived.
+	if e.cfg.Archive == nil || res.Cancelled {
+		return res, nil
 	}
+	var err error
+	e.runID, err = recordRun(e.cfg.Archive, e.cfg, res)
+	return res, err
 }
 
 // rigProbe is what the recorder reads of a rig, whichever shape it has: a
@@ -322,19 +223,18 @@ type recorder struct {
 	blockSize float64
 	receivers int
 	observers []*Observer
-	perNode   bool
 	// recordSeries gates Result.Series; false when RunConfig.SampleEvery
 	// is negative and only subscribed streams want samples.
 	recordSeries bool
+	// last is the time of the newest sample taken (-1 before the first).
+	last float64
 
 	probe  rigProbe
 	sys    harness.System
 	meters []*trace.RateMeter
 	// rig is the single rig of a sequential or testbed run, where the
-	// stream tracker, per-node progress and the annotation clock live; nil
-	// on a sharded run.
-	rig    *harness.Rig
-	blocks []int
+	// stream tracker and the annotation clock live; nil on a sharded run.
+	rig *harness.Rig
 	// gauger is the transport's live-state probe (testbed runs only); it
 	// is called from tick events on the run-loop goroutine, the only place
 	// transport state mutates.
@@ -346,28 +246,18 @@ type recorder struct {
 }
 
 func newRecorder(e *Experiment) *recorder {
-	every := e.cfg.SampleEvery // negative (series disabled) defers to observers
-	perNode := false
-	for _, o := range e.observers {
-		if every <= 0 || o.every < every {
-			every = o.every
-		}
-		if o.perNode {
-			perNode = true
-		}
+	every := e.cfg.SampleEvery
+	if every <= 0 { // the run keeps no series; its observers sample every second
+		every = 1
 	}
-	rec := &recorder{
+	return &recorder{
 		every:        every,
 		blockSize:    e.cfg.BlockSize,
 		receivers:    e.receivers,
 		observers:    e.observers,
-		perNode:      perNode,
 		recordSeries: e.cfg.SampleEvery > 0,
+		last:         -1,
 	}
-	if perNode {
-		rec.blocks = make([]int, e.cfg.Nodes)
-	}
-	return rec
 }
 
 // start runs before the protocol starts: it keeps the rig and system to
@@ -377,13 +267,6 @@ func (rec *recorder) start(p rigProbe, sys harness.System) {
 	rec.probe = p
 	rec.sys = sys
 	rec.meters = p.InstallMeters(rec.every/4, 16)
-}
-
-// onBlock tracks per-node block counts (novel arrivals only).
-func (rec *recorder) onBlock(id netem.NodeID, blockID, count int) {
-	if int(id) < len(rec.blocks) {
-		rec.blocks[id] = count
-	}
 }
 
 // annotate timestamps a scenario-event marker and queues it for the next
@@ -407,28 +290,9 @@ func (rec *recorder) takePending() []Annotation {
 	return p
 }
 
-// nodeProgress snapshots every member's download state.
-func (rec *recorder) nodeProgress() []NodeProgress {
-	rig := rec.rig
-	now := rig.Eng.Now()
-	out := make([]NodeProgress, 0, len(rig.Members))
-	for _, id := range rig.Members {
-		np := NodeProgress{Node: int(id)}
-		if rec.blocks != nil && int(id) < len(rec.blocks) {
-			np.Blocks = rec.blocks[id]
-		}
-		if n := rig.RT.Node(id); n != nil {
-			np.Bps = n.InMeter.Rate(now, rec.every)
-		}
-		_, np.Done = rig.Done[id]
-		out = append(out, np)
-	}
-	return out
-}
-
 // tick is the sampling clock: it assembles one Sample from the rig's
-// counter snapshot, appends it to the series, and fans it out to every
-// observer whose cadence is due.
+// counter snapshot, appends it to the series, and sends it to every
+// observer.
 func (rec *recorder) tick() {
 	c := rec.probe.Counters()
 	now := float64(c.Now)
@@ -468,29 +332,12 @@ func (rec *recorder) tick() {
 		s.TestbedRetransmits = g.Retransmits
 		s.TestbedInjectedDrops = g.InjectedDrops
 	}
-	rec.emit(s)
-}
-
-// emit appends one assembled sample to the series and fans it out to every
-// observer whose cadence is due.
-func (rec *recorder) emit(s Sample) {
+	rec.last = now
 	if rec.recordSeries {
 		rec.series = append(rec.series, s)
 	}
-	var nodes []NodeProgress
 	for _, o := range rec.observers {
-		if s.Time-o.lastEmit < o.every-1e-9 {
-			continue
-		}
-		o.lastEmit = s.Time
-		out := s
-		if o.perNode && rec.rig != nil {
-			if nodes == nil {
-				nodes = rec.nodeProgress()
-			}
-			out.Nodes = nodes
-		}
-		o.send(out)
+		o.send(s)
 	}
 }
 
@@ -535,8 +382,8 @@ type SweepRun struct {
 	// RunID is the archive id the cell recorded under when
 	// Base.Archive is set (empty otherwise, and for cancelled cells).
 	RunID string
-	// Err reports a per-cell archival failure; the cell's Result is still
-	// delivered.
+	// Err reports the cell's own failure (a rig that could not be built, or
+	// a failed archive record); the cell's Result is still delivered.
 	Err error
 }
 
@@ -573,17 +420,13 @@ func expandSweep(cfg SweepConfig) ([]SweepCell, []RunConfig, error) {
 
 // SweepStream runs the sweep as one session per cell over a worker pool
 // and streams each cell's result as it completes (completion order, not
-// index order — use SweepRun.Index to reorder). The observe callback, when
-// non-nil, runs just before each cell starts and may Subscribe to the
-// cell's session for live per-cell progress; it is invoked concurrently
-// from up to Parallel worker goroutines, so callbacks touching shared
-// state must synchronize. Cancelling ctx stops running
+// index order — use SweepRun.Index to reorder). Cancelling ctx stops running
 // cells mid-flight and skips the runs of unstarted ones; every cell still
 // emits exactly one SweepRun (stopped and skipped cells carry
 // Result.Cancelled), so the consumer MUST drain the channel until it
 // closes. Every completed cell is bit-identical to Run with the same
 // single config.
-func SweepStream(ctx context.Context, cfg SweepConfig, observe func(SweepCell, *Experiment)) (<-chan SweepRun, error) {
+func SweepStream(ctx context.Context, cfg SweepConfig) (<-chan SweepRun, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -608,34 +451,22 @@ func SweepStream(ctx context.Context, cfg SweepConfig, observe func(SweepCell, *
 		defer close(out)
 		// expandSweep always yields at least one cell.
 		harness.Parallel(len(exps), cfgs[0].Parallel, func(i int) {
-			var res *Result
-			var runID string
-			var recErr error
+			run := SweepRun{SweepCell: cells[i]}
 			if ctx.Err() != nil {
 				// The sweep was cancelled before this cell started; report
 				// it without paying for rig construction.
-				res = &Result{CompletionTimes: map[int]float64{}, Cancelled: true}
+				run.Result = &Result{CompletionTimes: map[int]float64{}, Cancelled: true}
 			} else {
-				if observe != nil {
-					observe(cells[i], exps[i])
-				}
-				// Start may fail only when the observe callback already
-				// started the cell itself; Wait covers both.
-				_ = exps[i].Start(ctx)
-				// Wait's error is the cell's archival failure (when
-				// Base.Archive is set); it rides along in SweepRun.Err.
-				res, recErr = exps[i].Wait()
-				runID = exps[i].RunID()
-				if res == nil {
-					// Unreachable after a Start attempt, but a nil Result
-					// must never reach the stream's consumers.
-					res, recErr = &Result{CompletionTimes: map[int]float64{}, Cancelled: true}, nil
-				}
+				// Run's error is the cell's own failure (its rig, or its
+				// archive record when Base.Archive is set); it rides along
+				// in SweepRun.Err beside the Result.
+				run.Result, run.Err = exps[i].Run(ctx)
+				run.RunID = exps[i].RunID()
 			}
 			// Delivery blocks: the consumer contract is to drain until
 			// close, and a cancelled run's partial result is exactly what
 			// the consumer cancelled to get.
-			out <- SweepRun{SweepCell: cells[i], Result: res, RunID: runID, Err: recErr}
+			out <- run
 		})
 	}()
 	return out, nil
@@ -647,7 +478,7 @@ func SweepStream(ctx context.Context, cfg SweepConfig, observe func(SweepCell, *
 // Every cell is bit-identical to Run with the same single config.
 func Sweep(cfg SweepConfig) ([]SweepRun, error) {
 	cfg.Base.SampleEvery = -1
-	ch, err := SweepStream(context.Background(), cfg, nil)
+	ch, err := SweepStream(context.Background(), cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -55,7 +56,7 @@ func TestRunGoldenEquivalence(t *testing.T) {
 }
 
 // TestObservedSessionBitIdentical pins the observer contract: a session
-// with a subscribed, per-node, fine-grained observer produces exactly the
+// with a subscribed observer at a fine cadence produces exactly the
 // completion times of the unobserved one-shot Run, and a live stream exactly
 // its StreamReport. The stream rows sample at cadences that once split a
 // viewer's playhead sum into different float increments.
@@ -76,12 +77,12 @@ func TestObservedSessionBitIdentical(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg
 			cfg.SampleEvery = tc.every
-			checkObservedBitIdentical(t, cfg, tc.every)
+			checkObservedBitIdentical(t, cfg)
 		})
 	}
 }
 
-func checkObservedBitIdentical(t *testing.T, cfg bulletprime.RunConfig, every float64) {
+func checkObservedBitIdentical(t *testing.T, cfg bulletprime.RunConfig) {
 	t.Helper()
 	plain, err := bulletprime.Run(cfg)
 	if err != nil {
@@ -91,7 +92,7 @@ func checkObservedBitIdentical(t *testing.T, cfg bulletprime.RunConfig, every fl
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs, err := exp.Subscribe(bulletprime.ObserverConfig{Every: every, PerNode: true})
+	obs, err := exp.Subscribe()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,23 +157,25 @@ func TestSessionCancelMidFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs, err := exp.Subscribe(bulletprime.ObserverConfig{})
+	obs, err := exp.Subscribe()
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	if err := exp.Start(ctx); err != nil {
-		t.Fatal(err)
-	}
-	seen := 0
-	for range obs.Samples() {
-		seen++
-		if seen == 4 {
-			cancel()
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		seen := 0
+		for range obs.Samples() {
+			seen++
+			if seen == 4 {
+				cancel()
+			}
 		}
-	}
-	res, err := exp.Wait()
+	}()
+	res, err := exp.Run(ctx)
+	<-drained
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,25 +198,28 @@ func TestSessionCancelMidFlight(t *testing.T) {
 	}
 }
 
-// TestSessionStopAndDone: Stop cancels a started run as cancelling its
-// context would, and Done closes when the run has ended.
-func TestSessionStopAndDone(t *testing.T) {
+// TestSessionCancelBeforeRun: a context cancelled before Run stops the run
+// at its first poll; Run returns the Cancelled result and closes every
+// observer stream.
+func TestSessionCancelBeforeRun(t *testing.T) {
 	exp, err := bulletprime.New(bulletprime.RunConfig{Nodes: 10, FileBytes: 16 << 20, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	exp.Stop() // before Start: nothing to cancel
-	if err := exp.Start(context.Background()); err != nil {
+	obs, err := exp.Subscribe()
+	if err != nil {
 		t.Fatal(err)
 	}
-	exp.Stop()
-	<-exp.Done()
-	res, err := exp.Wait()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := exp.Run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Cancelled || res.Finished {
-		t.Fatalf("stopped run: Cancelled %v, Finished %v", res.Cancelled, res.Finished)
+		t.Fatalf("cancelled run: Cancelled %v, Finished %v", res.Cancelled, res.Finished)
+	}
+	for range obs.Samples() {
 	}
 }
 
@@ -316,11 +322,10 @@ func TestThirdPartyRegistryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSweepStreamPerCellProgress exercises the streaming sweep: results
-// arrive per cell with correct indices, the observe callback can subscribe
-// to individual cells, and the reassembled results match the blocking
-// Sweep wrapper bit-for-bit.
-func TestSweepStreamPerCellProgress(t *testing.T) {
+// TestSweepStreamMatchesSweep exercises the streaming sweep: results
+// arrive once per cell with correct indices, and the reassembled results
+// match the blocking Sweep wrapper bit-for-bit.
+func TestSweepStreamMatchesSweep(t *testing.T) {
 	cfg := bulletprime.SweepConfig{
 		Base:  bulletprime.RunConfig{Nodes: 10, FileBytes: 1 << 20, Parallel: 2},
 		Seeds: []int64{1, 2},
@@ -328,22 +333,7 @@ func TestSweepStreamPerCellProgress(t *testing.T) {
 			bulletprime.ProtocolBulletPrime, bulletprime.ProtocolBitTorrent,
 		},
 	}
-	sampleCount := make(chan int, 16)
-	ch, err := bulletprime.SweepStream(context.Background(), cfg,
-		func(cell bulletprime.SweepCell, exp *bulletprime.Experiment) {
-			obs, err := exp.Subscribe(bulletprime.ObserverConfig{Every: 2})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			go func() {
-				n := 0
-				for range obs.Samples() {
-					n++
-				}
-				sampleCount <- n
-			}()
-		})
+	ch, err := bulletprime.SweepStream(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,11 +349,6 @@ func TestSweepStreamPerCellProgress(t *testing.T) {
 	}
 	if n != 4 {
 		t.Fatalf("streamed %d cells, want 4", n)
-	}
-	for i := 0; i < 4; i++ {
-		if c := <-sampleCount; c == 0 {
-			t.Fatal("a cell's observer saw no samples")
-		}
 	}
 	plain, err := bulletprime.Sweep(cfg)
 	if err != nil {
@@ -392,20 +377,14 @@ func TestSessionStateErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := exp.Wait(); err == nil {
-		t.Fatal("Wait before Start succeeded")
-	}
-	if err := exp.Start(context.Background()); err != nil {
+	if _, err := exp.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := exp.Start(context.Background()); err == nil {
-		t.Fatal("double Start succeeded")
+	if res, err := exp.Run(context.Background()); err == nil || res != nil {
+		t.Fatalf("second Run: %v, %v; want no result and an error", res, err)
 	}
-	if _, err := exp.Subscribe(bulletprime.ObserverConfig{}); err == nil {
-		t.Fatal("Subscribe after Start succeeded")
-	}
-	if _, err := exp.Wait(); err != nil {
-		t.Fatal(err)
+	if _, err := exp.Subscribe(); err == nil {
+		t.Fatal("Subscribe after Run succeeded")
 	}
 }
 
@@ -426,31 +405,41 @@ func TestParallelValidation(t *testing.T) {
 
 // TestSampleEveryDisablesSeries pins the public sampling opt-out: a
 // negative SampleEvery session records no Result.Series, while subscribed
-// observers still stream.
+// observers still stream, one sample per virtual second.
 func TestSampleEveryDisablesSeries(t *testing.T) {
 	cfg := bulletprime.RunConfig{Nodes: 10, FileBytes: 1 << 20, Seed: 1, SampleEvery: -1}
 	exp, err := bulletprime.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs, err := exp.Subscribe(bulletprime.ObserverConfig{Every: 2})
+	obs, err := exp.Subscribe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	drained := make(chan int)
+	drained := make(chan []bulletprime.Sample)
 	go func() {
-		n := 0
-		for range obs.Samples() {
-			n++
+		var got []bulletprime.Sample
+		for s := range obs.Samples() {
+			got = append(got, s)
 		}
-		drained <- n
+		drained <- got
 	}()
 	res, err := exp.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := <-drained; n == 0 {
-		t.Fatal("observer saw no samples with SampleEvery < 0")
+	got := <-drained
+	if len(got) < 2 {
+		t.Fatalf("observer saw %d samples with SampleEvery < 0", len(got))
+	}
+	// Every sample but the closing one is on the 1 s clock.
+	for i := 1; i < len(got)-1; i++ {
+		if d := got[i].Time - got[i-1].Time; math.Abs(d-1) > 1e-9 {
+			t.Fatalf("samples %d and %d are %v s apart, want 1", i-1, i, d)
+		}
+	}
+	if last := got[len(got)-1]; last.Time != res.Elapsed {
+		t.Fatalf("closing sample at t=%v, run ended at %v", last.Time, res.Elapsed)
 	}
 	if len(res.Series) != 0 {
 		t.Fatalf("SampleEvery < 0 still recorded %d series samples", len(res.Series))

@@ -89,7 +89,7 @@ func TestGoldenArchiveIDs(t *testing.T) {
 // are not. No socket is opened.
 func TestGoldenTestbedFingerprint(t *testing.T) {
 	cfg, err := RunConfig{
-		Nodes: 8, FileBytes: 1 << 18, Network: NetworkTestbedUDP, Seed: 3,
+		Nodes: 8, FileBytes: 1 << 18, Network: NetworkTestbedUDP, Seed: 3, SampleEvery: -1,
 		Testbed: &TestbedOptions{
 			ListenHost: "127.0.0.1", Peers: map[int]string{1: "127.0.0.1:9001"},
 			Rate: 50, RTO: 0.01, MaxRetries: 4, DropProb: 0.02, DropSeed: 9,
@@ -98,7 +98,7 @@ func TestGoldenTestbedFingerprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	js, _, _, err := fingerprint(cfg, -1)
+	js, _, _, err := fingerprint(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

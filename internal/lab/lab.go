@@ -124,29 +124,12 @@ type Sample struct {
 	TestbedUnackedBytes  float64 `json:"testbed_unacked_bytes,omitempty"`
 	TestbedRetransmits   int     `json:"testbed_retransmits,omitempty"`
 	TestbedInjectedDrops int     `json:"testbed_injected_drops,omitempty"`
-	// Nodes holds per-node progress, only on streams subscribed with
-	// ObserverConfig.PerNode (Result.Series omits it). Annotations lists
-	// the scenario events that fired since the previous sample. Both are
-	// live-only: a record keeps a run's annotations as lines of their own
-	// and no per-node detail, so neither is part of a sample's JSON form —
-	// record.jsonl, RecordSHA and every archive id are what they were
-	// before these fields existed.
-	Nodes       []NodeProgress `json:"-"`
-	Annotations []Annotation   `json:"-"`
-}
-
-// NodeProgress is one node's download state at a sample instant.
-type NodeProgress struct {
-	// Node is the topology address (the source holds everything and never
-	// appears in CompletionTimes).
-	Node int
-	// Blocks is the number of distinct blocks the node holds.
-	Blocks int
-	// Bps is the node's delivered incoming byte rate over the last sample
-	// window (wire bytes, control included).
-	Bps float64
-	// Done reports the node finished its download.
-	Done bool
+	// Annotations lists the scenario events that fired since the previous
+	// sample. It is live-only: a record keeps a run's annotations as lines
+	// of their own, so it is not part of a sample's JSON form — record.jsonl,
+	// RecordSHA and every archive id are what they were before the field
+	// existed.
+	Annotations []Annotation `json:"-"`
 }
 
 // Annotation is a timestamped timeline marker: a scenario event firing, a

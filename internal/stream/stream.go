@@ -15,7 +15,6 @@ package stream
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"bulletprime/internal/netem"
 	"bulletprime/internal/trace"
@@ -87,6 +86,11 @@ func (c Config) Blocks() int {
 
 // warmup is the steady-state window's length; a switched-off window is 0.
 func (c Config) warmup() float64 { return max(c.Warmup, 0) }
+
+// goodputSpan is the window a viewer's goodput is measured over at time t:
+// from its join to t, but never past its join plus the broadcast's
+// Duration, so the drain after the broadcast does not dilute it.
+func (c Config) goodputSpan(join, t float64) float64 { return min(t, join+c.Duration) - join }
 
 // ContentBytes is the total stream payload, Blocks()*BlockSize.
 func (c Config) ContentBytes() float64 { return float64(c.Blocks()) * c.BlockSize }
@@ -325,7 +329,7 @@ type LiveStats struct {
 // same float increments whether or not the run is sampled.
 func (t *Tracker) Sample(now float64) LiveStats {
 	var st LiveStats
-	lags := make([]float64, 0, len(t.order))
+	var lags trace.CDF
 	var goodput float64
 	var live int
 	for _, id := range t.order {
@@ -337,8 +341,8 @@ func (t *Tracker) Sample(now float64) LiveStats {
 		v := *r
 		v.advance(now)
 		live++
-		lags = append(lags, v.lag(now))
-		if el := now - v.joinAt; el > 0 {
+		lags.Add(v.lag(now))
+		if el := t.cfg.goodputSpan(v.joinAt, now); el > 0 {
 			goodput += v.bytes / el
 		}
 		if v.started && !v.playing {
@@ -348,9 +352,8 @@ func (t *Tracker) Sample(now float64) LiveStats {
 	if live == 0 {
 		return st
 	}
-	sort.Float64s(lags)
-	st.LagP50 = lags[live/2]
-	st.LagMax = lags[live-1]
+	st.LagP50 = lags.Median()
+	st.LagMax = lags.Worst()
 	st.GoodputBps = goodput / float64(live)
 	return st
 }
@@ -373,7 +376,9 @@ type NodeReport struct {
 
 // Report is the end-of-run streaming summary: per-receiver rows plus
 // aggregate quantiles over the receivers that were still alive at the
-// end. Steady goodput is measured over the post-Warmup window.
+// end. A receiver's goodput is measured from its join to its join plus
+// Duration (or its end, if sooner), and steady goodput over the
+// post-Warmup part of that window.
 type Report struct {
 	TargetBps        float64      `json:"target_bps"`
 	Duration         float64      `json:"duration"`
@@ -419,7 +424,7 @@ func (t *Tracker) Report(end float64) *Report {
 			Blocks:    r.novel,
 			Dead:      r.dead,
 		}
-		if el := at - r.joinAt; el > 0 {
+		if el := t.cfg.goodputSpan(r.joinAt, at); el > 0 {
 			nr.GoodputBps = r.bytes / el
 			if sl := el - t.cfg.warmup(); sl > 0 {
 				nr.SteadyGoodputBps = r.steadyBytes / sl

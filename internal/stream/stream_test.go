@@ -236,3 +236,60 @@ func TestTrackerIgnoresUnknownNodes(t *testing.T) {
 		t.Fatalf("unknown/out-of-range arrivals counted: %d", got)
 	}
 }
+
+// A viewer that holds the whole broadcast reports its goodput over its
+// broadcast (join to join + Duration), not over the drain after it: a
+// long-drained run and a late joiner still read the target rate.
+func TestGoodputEndsWithTheBroadcast(t *testing.T) {
+	ck := &clock{}
+	c := cfg()
+	c.Warmup = 2
+	tr := NewTracker(c, ck.now)
+	tr.Join(1, 0)
+	tr.Join(2, 5)
+	for i := 0; i < c.Blocks(); i++ {
+		ck.t = float64(i) * c.Interval()
+		tr.OnBlock(1, i, i+1)
+		ck.t += 5
+		tr.OnBlock(2, i, i+1)
+	}
+	end := c.Duration + 5 + 30 // the run drains 30 s past the joiner's broadcast
+	want := c.ContentBytes() / c.Duration
+	if st := tr.Sample(end); st.GoodputBps != want {
+		t.Fatalf("live goodput %v, want %v", st.GoodputBps, want)
+	}
+	rep := tr.Report(end)
+	for _, n := range rep.Nodes {
+		if n.GoodputBps != want || n.GoodputBps < rep.TargetBps {
+			t.Fatalf("node %d goodput %v, want %v (target %v)", n.Node, n.GoodputBps, want, rep.TargetBps)
+		}
+		// The first 2 s of each viewer's blocks (4 of them) fall in its warmup.
+		if wantSteady := float64(c.Blocks()-4) * c.BlockSize / (c.Duration - 2); math.Abs(n.SteadyGoodputBps-wantSteady) > 1e-9 {
+			t.Fatalf("node %d steady goodput %v, want %v", n.Node, n.SteadyGoodputBps, wantSteady)
+		}
+	}
+	if rep.GoodputBps != want {
+		t.Fatalf("report goodput %v, want %v", rep.GoodputBps, want)
+	}
+}
+
+// The live median lag and the report's take one rule, trace.CDF's nearest
+// rank: with four viewers it is the lower of the two middle lags.
+func TestSampleLagMedianMatchesReport(t *testing.T) {
+	ck := &clock{}
+	tr := NewTracker(cfg(), ck.now)
+	// Viewers that joined at 0, 1, 2 and 3 s and received nothing trail
+	// their live edges by 5.5, 4.5, 3.5 and 2.5 s at t = 5.
+	for i := range 4 {
+		tr.Join(netem.NodeID(i), float64(i))
+	}
+	now := 5.0
+	st := tr.Sample(now)
+	rep := tr.Report(now)
+	if st.LagP50 != 3.5 || rep.LagP50 != 3.5 {
+		t.Fatalf("lag p50: sample %v, report %v; want both 3.5", st.LagP50, rep.LagP50)
+	}
+	if st.LagMax != 5.5 || rep.LagMax != 5.5 {
+		t.Fatalf("lag max: sample %v, report %v; want both 5.5", st.LagMax, rep.LagMax)
+	}
+}

@@ -2,6 +2,7 @@ package bulletprime_test
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -10,20 +11,20 @@ import (
 
 // TestObserverDropOldestStalledReader pins the slow-consumer policy: a
 // consumer that never reads while the run executes must not stall the
-// simulation, and when it finally drains it finds the most recent Buffer
-// samples — drop-oldest, with Dropped() counting the losses.
+// simulation, and when it finally drains it finds exactly the newest 64
+// samples of the run — drop-oldest, with Dropped() counting the losses.
 func TestObserverDropOldestStalledReader(t *testing.T) {
 	exp, err := bulletprime.New(bulletprime.RunConfig{
 		Nodes:       10,
 		FileBytes:   1e6,
 		Seed:        3,
 		Deadline:    3600,
-		SampleEvery: 1,
+		SampleEvery: 0.1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := exp.Subscribe(bulletprime.ObserverConfig{Every: 1, Buffer: 4})
+	o, err := exp.Subscribe()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,28 +38,66 @@ func TestObserverDropOldestStalledReader(t *testing.T) {
 	for s := range o.Samples() {
 		kept = append(kept, s)
 	}
-	if len(kept) != 4 {
-		t.Fatalf("stalled reader drained %d samples, want exactly the Buffer 4", len(kept))
+	const buffer = 64
+	n := len(res.Series)
+	if n <= buffer {
+		t.Fatalf("the run took %d samples; the test needs more than the %d-sample buffer", n, buffer)
 	}
-	if o.Dropped() == 0 {
-		t.Fatal("Dropped() = 0 after overrunning a 4-sample buffer")
+	if !reflect.DeepEqual(kept, res.Series[n-buffer:]) {
+		t.Fatalf("stalled reader drained %d samples (t=%.2f..%.2f), want the newest %d of the series (t=%.2f..%.2f)",
+			len(kept), kept[0].Time, kept[len(kept)-1].Time, buffer, res.Series[n-buffer].Time, res.Series[n-1].Time)
 	}
-	// Drop-oldest retains the newest window: the drained head is well past
-	// the run's first sample, and the drained tail sits within one cadence
-	// of the series tail (the closing flush itself is below the observer's
-	// cadence gate, so the last on-cadence sample is the newest emitted).
-	tail := res.Series[len(res.Series)-1]
-	if kept[0].Time <= res.Series[0].Time {
-		t.Fatalf("first drained sample t=%.2f: the oldest samples were not the ones dropped", kept[0].Time)
+	if got := o.Dropped(); got != int64(n-buffer) {
+		t.Fatalf("Dropped() = %d, want %d", got, n-buffer)
 	}
-	if kept[3].Time < tail.Time-1 {
-		t.Fatalf("last drained sample t=%.2f is stale (series tail t=%.2f): newest samples were dropped",
-			kept[3].Time, tail.Time)
-	}
-	for i := 1; i < len(kept); i++ {
-		if kept[i].Time <= kept[i-1].Time {
-			t.Fatalf("drained samples out of order: %.2f after %.2f", kept[i].Time, kept[i-1].Time)
-		}
+}
+
+// TestObserversReceiveTheSeries pins the one sample stream: every observer
+// of a session, sequential or sharded, receives in order exactly the
+// samples of Result.Series, closing sample included.
+func TestObserversReceiveTheSeries(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  bulletprime.RunConfig
+	}{
+		{"sequential", bulletprime.RunConfig{Nodes: 10, FileBytes: 1 << 20, Seed: 1, DynamicBandwidth: true}},
+		{"sharded", shardedCfg(5, 0)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.SampleEvery = 2
+			exp, err := bulletprime.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			streams := make([]chan []bulletprime.Sample, 2)
+			for i := range streams {
+				o, err := exp.Subscribe()
+				if err != nil {
+					t.Fatal(err)
+				}
+				streams[i] = make(chan []bulletprime.Sample, 1)
+				go func(out chan<- []bulletprime.Sample) {
+					var got []bulletprime.Sample
+					for s := range o.Samples() {
+						got = append(got, s)
+					}
+					out <- got
+				}(streams[i])
+			}
+			res, err := exp.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Series) < 2 {
+				t.Fatalf("the run took %d samples; the test needs a series", len(res.Series))
+			}
+			for i, ch := range streams {
+				if got := <-ch; !reflect.DeepEqual(got, res.Series) {
+					t.Fatalf("observer %d received %d samples, the series holds %d, or they differ", i, len(got), len(res.Series))
+				}
+			}
+		})
 	}
 }
 
@@ -69,20 +108,21 @@ func TestObserverDropOldestStalledReader(t *testing.T) {
 // send-on-closed or close-vs-send race in the teardown path.
 func TestObserverCtxCancelTeardown(t *testing.T) {
 	exp, err := bulletprime.New(bulletprime.RunConfig{
-		Nodes:     60,
-		FileBytes: 20e6,
-		Seed:      5,
-		Deadline:  3600,
+		Nodes:       60,
+		FileBytes:   20e6,
+		Seed:        5,
+		Deadline:    3600,
+		SampleEvery: 0.5,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Two observers, so teardown closes more than one stream.
-	first, err := exp.Subscribe(bulletprime.ObserverConfig{Every: 0.5})
+	first, err := exp.Subscribe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := exp.Subscribe(bulletprime.ObserverConfig{Every: 2})
+	second, err := exp.Subscribe()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +172,7 @@ func TestTestbedObserverGauges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := exp.Subscribe(bulletprime.ObserverConfig{Every: 5})
+	o, err := exp.Subscribe()
 	if err != nil {
 		t.Fatalf("Subscribe on a testbed session: %v", err)
 	}

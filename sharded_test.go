@@ -129,7 +129,7 @@ func TestShardedObserverEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := exp.Subscribe(bulletprime.ObserverConfig{Every: 2})
+	o, err := exp.Subscribe()
 	if err != nil {
 		t.Fatalf("Subscribe on a sharded session: %v", err)
 	}
@@ -178,18 +178,5 @@ func TestShardedObserverEquivalence(t *testing.T) {
 	}
 	if tail := observed.Series[len(observed.Series)-1]; tail.Completed != 1000 || tail.DataBytes <= 0 {
 		t.Fatalf("final sample: completed=%d dataBytes=%v, want 1000 and > 0", tail.Completed, tail.DataBytes)
-	}
-}
-
-// Per-node progress meters live on shard-private runtimes; the PerNode
-// observer option stays sequential-only.
-func TestShardedPerNodeObserverRejected(t *testing.T) {
-	exp, err := bulletprime.New(shardedCfg(1, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := exp.Subscribe(bulletprime.ObserverConfig{PerNode: true}); err == nil ||
-		!strings.Contains(err.Error(), "PerNode") {
-		t.Fatalf("PerNode Subscribe on a sharded session: error %v, want PerNode rejection", err)
 	}
 }

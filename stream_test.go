@@ -157,11 +157,11 @@ func TestStreamViewerBlocksMatchModel(t *testing.T) {
 // never shares an id with — and so can never dedupe into — the one-shot run
 // of the same derived file size.
 func TestStreamFingerprintStability(t *testing.T) {
-	oneShot, err := RunConfig{Nodes: 8, FileBytes: 1 << 20}.normalized()
+	oneShot, err := RunConfig{Nodes: 8, FileBytes: 1 << 20, SampleEvery: -1}.normalized()
 	if err != nil {
 		t.Fatal(err)
 	}
-	js, _, _, err := fingerprint(oneShot, -1)
+	js, _, _, err := fingerprint(oneShot)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,8 +170,9 @@ func TestStreamFingerprintStability(t *testing.T) {
 	}
 
 	streamed, err := RunConfig{
-		Nodes:  8,
-		Stream: &StreamOptions{BitrateBps: 64 * 1024, Duration: 16},
+		Nodes:       8,
+		SampleEvery: -1,
+		Stream:      &StreamOptions{BitrateBps: 64 * 1024, Duration: 16},
 	}.normalized()
 	if err != nil {
 		t.Fatal(err)
@@ -180,7 +181,7 @@ func TestStreamFingerprintStability(t *testing.T) {
 		t.Fatalf("test needs matching file sizes (stream derived %v, one-shot %v)",
 			streamed.FileBytes, oneShot.FileBytes)
 	}
-	js2, _, _, err := fingerprint(streamed, -1)
+	js2, _, _, err := fingerprint(streamed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,22 +230,24 @@ func TestStreamCancelMidStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs, err := exp.Subscribe(ObserverConfig{})
+	obs, err := exp.Subscribe()
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	if err := exp.Start(ctx); err != nil {
-		t.Fatal(err)
-	}
-	seen := 0
-	for range obs.Samples() {
-		if seen++; seen == 10 {
-			cancel()
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		seen := 0
+		for range obs.Samples() {
+			if seen++; seen == 10 {
+				cancel()
+			}
 		}
-	}
-	res, err := exp.Wait()
+	}()
+	res, err := exp.Run(ctx)
+	<-drained
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,5 +318,43 @@ func TestStreamChurnBoundedLag(t *testing.T) {
 	}
 	if rep.PeakLagMax >= 30 {
 		t.Errorf("peak lag %.1fs unbounded (>= half the 60s stream)", rep.PeakLagMax)
+	}
+}
+
+// TestStreamGoodputMeetsTarget: every live viewer that holds the whole
+// broadcast reports goodput at or above the stream's target, however long
+// the run drains after the broadcast ends. The configuration is
+// examples/livestream's: a 1 Mbps, 120 s broadcast with a flash crowd
+// joining at t = 30 s, on Bullet′ and on Bullet.
+func TestStreamGoodputMeetsTarget(t *testing.T) {
+	for _, p := range []Protocol{ProtocolBulletPrime, ProtocolBullet} {
+		exp, err := New(RunConfig{
+			Protocol: p, Nodes: 24, Network: NetworkModelNet, Seed: 7, SampleEvery: -1,
+			Scenario: scenario.LiveFlashCrowd(30, 0.4),
+			Stream:   &StreamOptions{BitrateBps: 1e6 / 8, Duration: 120},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := exp.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := exp.Config()
+		blocks := stream.Config{Options: *cfg.Stream, BlockSize: cfg.BlockSize}.Blocks()
+		whole := 0
+		for _, n := range res.Stream.Nodes {
+			if n.Dead || n.Blocks < blocks {
+				continue
+			}
+			whole++
+			if n.GoodputBps < res.Stream.TargetBps {
+				t.Errorf("%s: viewer %d holds all %d blocks but reports goodput %.0f B/s under the %.0f B/s target",
+					p, n.Node, blocks, n.GoodputBps, res.Stream.TargetBps)
+			}
+		}
+		if whole == 0 {
+			t.Fatalf("%s: no viewer received the whole broadcast; the test checks nothing", p)
+		}
 	}
 }
