@@ -124,10 +124,10 @@ func fingerprint(cfg RunConfig) (configJSON []byte, scenarioDigest, scenarioName
 }
 
 // recordRun archives one completed run under its content address.
-func recordRun(a *Archive, cfg RunConfig, res *Result) (string, error) {
+func recordRun(a *Archive, cfg RunConfig, res *Result) error {
 	configJSON, digest, scenarioName, err := fingerprint(cfg)
 	if err != nil {
-		return "", err
+		return err
 	}
 	run := &lab.Run{
 		Meta: lab.Meta{
@@ -147,11 +147,23 @@ func recordRun(a *Archive, cfg RunConfig, res *Result) (string, error) {
 		Series:          res.Series,
 		Annotations:     res.Annotations,
 	}
-	id, _, err := a.Put(run)
-	return id, err
+	_, _, err = a.Put(run)
+	return err
 }
 
-// RunID returns the archive id the session's automatic record landed
-// under, once Run has returned: empty for runs without RunConfig.Archive and
-// for cancelled runs (which are never archived).
-func (e *Experiment) RunID() string { return e.runID }
+// RunID returns the session's content address in RunConfig.Archive: the
+// id its record has, or would have, from the normalized config, the
+// scenario digest, the seed and the archive's Version. It is known as soon
+// as New returns, so a caller can ask Archive.Has before running; it is
+// empty without an archive. Whether Run wrote the record is Run's error and
+// Result.Cancelled: a cancelled or failed run is never archived.
+func (e *Experiment) RunID() string {
+	if e.cfg.Archive == nil {
+		return ""
+	}
+	configJSON, digest, _, err := fingerprint(e.cfg)
+	if err != nil {
+		return ""
+	}
+	return lab.Key(configJSON, digest, e.cfg.Seed, e.cfg.Archive.Version())
+}

@@ -202,15 +202,22 @@ func TestArchiveKeyCoversSeriesShape(t *testing.T) {
 }
 
 // TestRecordErrors pins the automatic record's guard rail: a cancelled
-// (partial) run is never archived, and its session reports no RunID.
+// (partial) run is never archived. RunID is the session's address from the
+// moment New returns, whether or not Run records under it: a completed
+// rerun of the same config lands exactly there.
 func TestRecordErrors(t *testing.T) {
 	arch, err := bulletprime.OpenArchive(filepath.Join(t.TempDir(), "archive"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	exp, err := bulletprime.New(bulletprime.RunConfig{Nodes: 10, FileBytes: 1 << 20, Seed: 1, Archive: arch})
+	cfg := bulletprime.RunConfig{Nodes: 10, FileBytes: 1 << 20, Seed: 1, Archive: arch}
+	exp, err := bulletprime.New(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	id := exp.RunID()
+	if id == "" || arch.Has(id) {
+		t.Fatalf("a new session's RunID %q (held: %v), want its unrecorded address", id, arch.Has(id))
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -221,15 +228,30 @@ func TestRecordErrors(t *testing.T) {
 	if !res.Cancelled {
 		t.Fatal("test needs a cancelled run")
 	}
-	if id := exp.RunID(); id != "" {
-		t.Fatalf("cancelled run reports RunID %q", id)
-	}
 	metas, err := arch.List()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(metas) != 0 {
+	if len(metas) != 0 || arch.Has(id) {
 		t.Fatalf("cancelled run leaked %d records into the archive", len(metas))
+	}
+	rerun, err := bulletprime.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rerun.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if metas, err = arch.List(); err != nil || len(metas) != 1 || metas[0].ID != id || rerun.RunID() != id {
+		t.Fatalf("completed rerun left %d records (%v), want the one id %s", len(metas), err, id)
+	}
+	cfg.Archive = nil
+	plain, err := bulletprime.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id := plain.RunID(); id != "" {
+		t.Fatalf("a session without an archive has the address %q", id)
 	}
 }
 

@@ -48,9 +48,9 @@
 // and the CI bench gate.
 //
 // The cmd/bulletctl tool regenerates every figure of the paper's
-// evaluation; see DESIGN.md for the experiment index (§6 documents the
-// session API, §7 the experiment archive) and EXPERIMENTS.md for measured
-// results.
+// evaluation; DESIGN.md §1 is the experiment index (§6 documents the
+// session API, §7 the experiment archive), and README.md's Performance
+// section holds the measured tables.
 package bulletprime
 
 import (

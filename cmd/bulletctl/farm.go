@@ -5,12 +5,12 @@ package main
 // cells and serves them over the lab claim protocol; any number of
 // `farm work` processes (same machine or not) claim cells, execute them
 // with the ordinary session runner, and record into the shared archive.
-// Content-hash dedupe makes every retry idempotent, so killing a worker
-// mid-cell and re-running the farm converges on exactly one archive
-// record per cell. `farm status` reports progress from a live
-// coordinator or offline from the archive alone; `farm resume` is
-// coordinate by another name — resuming IS coordinating over an archive
-// that already holds some of the cells. See DESIGN.md §13.
+// A cell is done when its record exists: a worker that claims a cell whose
+// archive id is already recorded settles it without running it, so
+// killing a worker mid-cell and re-running the farm over the same archive
+// converges on exactly one archive record per cell. The coordinator holds
+// only leases. `farm status` reports progress from a live coordinator or
+// offline from the archive alone. See DESIGN.md §13.
 
 import (
 	"context"
@@ -29,19 +29,19 @@ import (
 
 func runFarm(args []string, stdout, stderr io.Writer) int {
 	if len(args) == 0 {
-		fmt.Fprintln(stderr, "usage: bulletctl farm <coordinate|work|status|resume> [flags]")
+		fmt.Fprintln(stderr, "usage: bulletctl farm <coordinate|work|status> [flags]")
 		return 2
 	}
 	switch args[0] {
-	case "coordinate", "resume":
-		return farmCoordinate(args[0], args[1:], stdout, stderr)
+	case "coordinate":
+		return farmCoordinate(args[1:], stdout, stderr)
 	case "work":
 		return farmWork(args[1:], stdout, stderr)
 	case "status":
 		return farmStatus(args[1:], stdout, stderr)
 	}
 	fmt.Fprintf(stderr, "bulletctl farm: unknown verb %q\n", args[0])
-	fmt.Fprintln(stderr, "usage: bulletctl farm <coordinate|work|status|resume> [flags]")
+	fmt.Fprintln(stderr, "usage: bulletctl farm <coordinate|work|status> [flags]")
 	return 2
 }
 
@@ -57,44 +57,26 @@ func farmGeometry(fs *flag.FlagSet) *sweepFlags {
 	return geom
 }
 
-// farmCoordinate serves the claim protocol until every cell is settled.
-// It first resumes from the archive — cells whose runs are already
-// recorded are never served — which makes re-running the coordinator
-// over a partially-filled archive the entire resume story.
-func farmCoordinate(verb string, args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("farm "+verb, flag.ContinueOnError)
+// farmCoordinate serves the claim protocol until every cell is settled. It
+// never reads the archive: workers skip the cells already recorded there.
+func farmCoordinate(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("farm coordinate", flag.ContinueOnError)
 	geom := farmGeometry(fs)
 	var (
-		addr    = fs.String("addr", "127.0.0.1:0", "address to serve the claim protocol on")
-		archDir = fs.String("archive", "", "shared experiment archive directory (required)")
-		ttl     = fs.Float64("ttl", 15, "lease TTL in seconds; a dead worker's cell is reissued after this")
-		wall    = fs.Float64("wall", 0, "wall-clock bound in seconds; on expiry the farm stops and exits 1 (0 = none)")
-		linger  = fs.Float64("linger", 1.5, "seconds to keep serving after completion so workers see the done verdict")
+		addr   = fs.String("addr", "127.0.0.1:0", "address to serve the claim protocol on")
+		ttl    = fs.Float64("ttl", 15, "lease TTL in seconds; a dead worker's cell is reissued after this")
+		wall   = fs.Float64("wall", 0, "wall-clock bound in seconds; on expiry the farm stops and exits 1 (0 = none)")
+		linger = fs.Float64("linger", 1.5, "seconds to keep serving after completion so workers see the done verdict")
 	)
 	if code := parseOnlyFlags(fs, args, stderr); code >= 0 {
 		return code
-	}
-	if *archDir == "" {
-		fmt.Fprintf(stderr, "usage: bulletctl farm %s -archive DIR [flags]\n", verb)
-		return 2
-	}
-	arch, err := bulletprime.OpenArchive(*archDir)
-	if err != nil {
-		fmt.Fprintln(stderr, "bulletctl:", err)
-		return 1
 	}
 	farm, err := lab.NewFarm(geom.farmSpec(), time.Duration(*ttl*float64(time.Second)))
 	if err != nil {
 		fmt.Fprintln(stderr, "bulletctl:", err)
 		return 1
 	}
-	resumed, err := farm.ResumeFromArchive(arch)
-	if err != nil {
-		fmt.Fprintln(stderr, "bulletctl:", err)
-		return 1
-	}
-	total := farm.Status().Total
-	fmt.Fprintf(stderr, "[farm] %d cell(s), %d already archived\n", total, resumed)
+	fmt.Fprintf(stderr, "[farm] %d cell(s)\n", farm.Status().Total)
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -169,7 +151,7 @@ poll:
 		}
 	}
 	fmt.Fprintf(stdout, "distinct archived runs: %d\n", distinct)
-	fmt.Fprintf(stderr, "[farm %s, %.1fs wall]\n", verb, time.Since(start).Seconds())
+	fmt.Fprintf(stderr, "[farm coordinate, %.1fs wall]\n", time.Since(start).Seconds())
 	if code != 0 {
 		return code
 	}
@@ -256,12 +238,12 @@ func farmWork(args []string, stdout, stderr io.Writer) int {
 	}
 }
 
-// runFarmCell executes one leased cell: session run, archive record,
-// lease settle, with a background renewer keeping the lease alive for
-// the duration. Returns true when the cell completed under this lease.
-func runFarmCell(ctx context.Context, cl *lab.FarmClient, arch *bulletprime.Archive,
-	spec lab.FarmSpec, cell lab.Cell, lease string, ttl time.Duration, name string, stderr io.Writer) bool {
-	exp, err := bulletprime.New(bulletprime.RunConfig{
+// cellConfig is the run a farm cell is: the spec's geometry at the cell's
+// protocol, network and seed, unsampled, recorded into arch. A worker runs
+// it and `farm status` reads its archive id, so the two agree on which
+// cells are done.
+func cellConfig(spec lab.FarmSpec, cell lab.Cell, arch *bulletprime.Archive) bulletprime.RunConfig {
+	return bulletprime.RunConfig{
 		Protocol:    bulletprime.Protocol(cell.Protocol),
 		Nodes:       spec.Nodes,
 		FileBytes:   spec.FileMB * 1e6,
@@ -270,28 +252,66 @@ func runFarmCell(ctx context.Context, cl *lab.FarmClient, arch *bulletprime.Arch
 		Deadline:    spec.Deadline,
 		SampleEvery: -1,
 		Archive:     arch,
-	})
+	}
+}
+
+// runFarmCell settles one leased cell: a cell whose record the archive
+// already holds completes under that id without running; any other runs,
+// is archived, and completes. Returns true when the cell ran and completed
+// under this lease.
+func runFarmCell(ctx context.Context, cl *lab.FarmClient, arch *bulletprime.Archive,
+	spec lab.FarmSpec, cell lab.Cell, lease string, ttl time.Duration, name string, stderr io.Writer) bool {
+	tag := fmt.Sprintf("[%s] cell %d", name, cell.Index)
+	exp, err := bulletprime.New(cellConfig(spec, cell, arch))
 	if err != nil {
 		// The runner rejects this configuration deterministically; every
 		// reissue would too, so settle it as failed rather than letting
 		// it bounce between workers until someone notices.
-		fmt.Fprintf(stderr, "[%s] cell %d (%s/%s/%d) rejected: %v\n",
-			name, cell.Index, cell.Protocol, cell.Network, cell.Seed, err)
+		fmt.Fprintf(stderr, "%s (%s/%s/%d) rejected: %v\n", tag, cell.Protocol, cell.Network, cell.Seed, err)
 		_, _ = cl.Fail(lease, err.Error())
 		return false
 	}
-	// The renewer keeps the lease alive while the run executes; losing
-	// the lease (coordinator restarted, TTL missed under load) cancels
-	// the run — the cell belongs to someone else now.
+	// Has is the check Put dedupes on: running a recorded cell would write
+	// nothing, so it settles under the id it already has.
+	id := exp.RunID()
+	ran := !arch.Has(id)
+	var res *bulletprime.Result
+	if ran {
+		if res = runLeased(ctx, cl, exp, lease, ttl, tag, stderr); res == nil {
+			return false
+		}
+	}
+	ok, err := cl.Complete(lease, id)
+	switch {
+	case err != nil:
+		fmt.Fprintf(stderr, "%s: completing lease: %v\n", tag, err)
+	case !ok:
+		// Settled late: the lease expired and the cell was reissued. The
+		// record stands, and the reissue finds it, so nothing is lost and
+		// nothing is duplicated.
+		fmt.Fprintf(stderr, "%s archived as %s but the lease had expired\n", tag, id)
+	case !ran:
+		fmt.Fprintf(stderr, "%s (%s/%s/%d rep %d) already archived as %s\n",
+			tag, cell.Protocol, cell.Network, cell.Seed, cell.Rep, id)
+	default:
+		fmt.Fprintf(stderr, "%s (%s/%s/%d rep %d) done: %s, median %.1fs\n",
+			tag, cell.Protocol, cell.Network, cell.Seed, cell.Rep, id, res.Median())
+	}
+	return err == nil && ok && ran
+}
+
+// runLeased runs and archives a leased cell's session with a background
+// renewer keeping the lease alive for the duration. It returns nil, with
+// the reason on stderr, when the run produced no record to settle.
+func runLeased(ctx context.Context, cl *lab.FarmClient, exp *bulletprime.Experiment,
+	lease string, ttl time.Duration, tag string, stderr io.Writer) *bulletprime.Result {
+	// Losing the lease (coordinator restarted, TTL missed under load)
+	// cancels the run — the cell belongs to someone else now.
 	runCtx, cancel := context.WithCancel(ctx)
 	renewDone := make(chan struct{})
 	go func() {
 		defer close(renewDone)
-		period := ttl / 3
-		if period < 50*time.Millisecond {
-			period = 50 * time.Millisecond
-		}
-		t := time.NewTicker(period)
+		t := time.NewTicker(max(ttl/3, 50*time.Millisecond))
 		defer t.Stop()
 		for {
 			select {
@@ -308,44 +328,27 @@ func runFarmCell(ctx context.Context, cl *lab.FarmClient, arch *bulletprime.Arch
 	res, err := exp.Run(runCtx)
 	cancel()
 	<-renewDone
-	if err != nil && res == nil {
-		fmt.Fprintf(stderr, "[%s] cell %d failed to run: %v\n", name, cell.Index, err)
+	switch {
+	case err != nil && res == nil:
+		fmt.Fprintf(stderr, "%s failed to run: %v\n", tag, err)
 		_, _ = cl.Fail(lease, err.Error())
-		return false
-	}
-	if res.Cancelled {
+	case res.Cancelled:
 		// Lease lost or SIGINT: no settle. If the lease expired the cell
 		// is already reissued; the partial run was never archived.
-		fmt.Fprintf(stderr, "[%s] cell %d abandoned (lease lost or interrupted)\n", name, cell.Index)
-		return false
-	}
-	if err != nil {
+		fmt.Fprintf(stderr, "%s abandoned (lease lost or interrupted)\n", tag)
+	case err != nil:
 		// The run completed but archiving it failed; leave the lease to
 		// expire so another worker (or a retry here) lands the record.
-		fmt.Fprintf(stderr, "[%s] cell %d: %v\n", name, cell.Index, err)
-		return false
+		fmt.Fprintf(stderr, "%s: %v\n", tag, err)
+	default:
+		return res
 	}
-	ok, err := cl.Complete(lease, exp.RunID())
-	if err != nil {
-		fmt.Fprintf(stderr, "[%s] cell %d: completing lease: %v\n", name, cell.Index, err)
-		return false
-	}
-	if !ok {
-		// Settled late: the lease expired and the cell was reissued. Our
-		// archive record stands — the reissued run dedupes against it —
-		// so nothing is lost and nothing is duplicated.
-		fmt.Fprintf(stderr, "[%s] cell %d archived as %s but the lease had expired\n",
-			name, cell.Index, exp.RunID())
-		return false
-	}
-	fmt.Fprintf(stderr, "[%s] cell %d (%s/%s/%d rep %d) done: %s, median %.1fs\n",
-		name, cell.Index, cell.Protocol, cell.Network, cell.Seed, cell.Rep, exp.RunID(), res.Median())
-	return true
+	return nil
 }
 
 // farmStatus reports progress: live from a coordinator's /status when
 // -coordinator is given, otherwise offline from the archive alone by
-// expanding the same spec and counting which cells it already holds.
+// counting the spec's cells whose archive id it holds.
 func farmStatus(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("farm status", flag.ContinueOnError)
 	geom := farmGeometry(fs)
@@ -374,16 +377,25 @@ func farmStatus(args []string, stdout, stderr io.Writer) int {
 	if code >= 0 {
 		return code
 	}
-	farm, err := lab.NewFarm(geom.farmSpec(), 0)
-	if err != nil {
+	spec := geom.farmSpec()
+	if err := spec.Validate(); err != nil {
 		fmt.Fprintln(stderr, "bulletctl:", err)
 		return 1
 	}
-	if _, err := farm.ResumeFromArchive(arch); err != nil {
-		fmt.Fprintln(stderr, "bulletctl:", err)
-		return 1
+	cells := spec.Cells()
+	st := lab.FarmStatus{Total: len(cells)}
+	for _, cell := range cells {
+		exp, err := bulletprime.New(cellConfig(spec, cell, arch))
+		if err != nil {
+			fmt.Fprintln(stderr, "bulletctl:", err)
+			return 1
+		}
+		if arch.Has(exp.RunID()) {
+			st.Done++
+		}
 	}
-	renderFarmStatus(stdout, farm.Status())
+	st.Pending = st.Total - st.Done
+	renderFarmStatus(stdout, st)
 	return 0
 }
 

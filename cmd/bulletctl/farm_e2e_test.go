@@ -71,7 +71,6 @@ func TestFarmEndToEndKillWorker(t *testing.T) {
 	// runs ~1s, so the kill below lands mid-cell rather than racing a
 	// near-instant run to completion.
 	specArgs := []string{
-		"-archive", arch,
 		"-nodes", "100", "-filemb", "8",
 		"-protocols", "bulletprime", "-seeds", "2", "-reps", "2",
 	}
@@ -80,36 +79,8 @@ func TestFarmEndToEndKillWorker(t *testing.T) {
 	// Coordinator with a short TTL so the killed worker's cell is
 	// reissued quickly, and a hard wall bound so a wedged farm fails the
 	// test instead of hanging it.
-	coord := bulletctlCmd(append([]string{"farm", "coordinate",
-		"-addr", "127.0.0.1:0", "-ttl", "2", "-wall", "120", "-linger", "2"},
-		specArgs...)...)
-	coordErr, err := coord.StderrPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	coordOut, err := coord.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := coord.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Process.Kill()
-
-	// The coordinator prints its resolved address; scrape it.
-	base := ""
-	scan := bufio.NewScanner(coordErr)
-	for scan.Scan() {
-		line := scan.Text()
-		if i := strings.Index(line, "coordinating on "); i >= 0 {
-			base = strings.TrimSpace(line[i+len("coordinating on "):])
-			break
-		}
-	}
-	if base == "" {
-		t.Fatal("coordinator never announced its address")
-	}
-	go io.Copy(io.Discard, coordErr) // keep the pipe drained
+	coord, coordOut, base := startCoordinator(t, append([]string{
+		"-ttl", "2", "-wall", "120", "-linger", "2"}, specArgs...)...)
 
 	// Worker 1: the victim. The worker announces each claim on stderr
 	// before running the cell; the moment the first claim lands, SIGKILL
@@ -199,39 +170,110 @@ func TestFarmEndToEndKillWorker(t *testing.T) {
 		}
 	}
 
-	// Resuming the finished farm is a no-op: every cell is already
-	// archived, no worker is needed, and the record count is unchanged.
-	resume := bulletctlCmd(append([]string{"farm", "resume",
-		"-addr", "127.0.0.1:0", "-wall", "30", "-linger", "0"}, specArgs...)...)
-	resumeOut, err := resume.CombinedOutput()
-	if err != nil {
-		t.Fatalf("farm resume over a complete archive failed: %v\n%s", err, resumeOut)
+	// Running the finished farm again runs nothing: its one worker finds
+	// every cell's record, settles it as already archived, and the archive
+	// keeps exactly its records.
+	var before []string
+	for _, m := range metas {
+		before = append(before, m.ID)
 	}
-	if !strings.Contains(string(resumeOut), fmt.Sprintf("cells %d: %d done", cells, cells)) {
-		t.Fatalf("resume did not report completion from the archive alone:\n%s", resumeOut)
+	again, againOut, againBase := startCoordinator(t, append([]string{
+		"-wall", "60", "-linger", "1"}, specArgs...)...)
+	workOut, err := bulletctlCmd("farm", "work", "-coordinator", againBase,
+		"-worker", "again", "-archive", arch).CombinedOutput()
+	if err != nil {
+		t.Fatalf("worker over the finished farm failed: %v\n%s", err, workOut)
+	}
+	summary2, _ := io.ReadAll(againOut)
+	if err := again.Wait(); err != nil {
+		t.Fatalf("coordinator over the finished farm failed: %v\n%s", err, summary2)
+	}
+	if !strings.Contains(string(summary2), fmt.Sprintf("cells %d: %d done", cells, cells)) {
+		t.Fatalf("second run did not complete:\n%s", summary2)
+	}
+	if n := strings.Count(string(workOut), "already archived"); n != cells || strings.Contains(string(workOut), "done:") {
+		t.Fatalf("worker over the finished farm ran cells (%d already archived, want %d):\n%s", n, cells, workOut)
 	}
 	metas, err = a.List()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(metas) != cells {
-		t.Fatalf("resume duplicated records: %d, want %d", len(metas), cells)
+	var after []string
+	for _, m := range metas {
+		after = append(after, m.ID)
+	}
+	if strings.Join(after, " ") != strings.Join(before, " ") {
+		t.Fatalf("running the finished farm again moved the records: %v → %v", before, after)
 	}
 }
 
+// startCoordinator starts `farm coordinate` on a free loopback port with the
+// given flags and returns the process, its stdout and its announced URL.
+func startCoordinator(t *testing.T, args ...string) (*exec.Cmd, io.ReadCloser, string) {
+	t.Helper()
+	coord := bulletctlCmd(append([]string{"farm", "coordinate", "-addr", "127.0.0.1:0"}, args...)...)
+	coordErr, err := coord.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	coordOut, err := coord.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { coord.Process.Kill() })
+	// The coordinator prints its resolved address; scrape it.
+	base := ""
+	scan := bufio.NewScanner(coordErr)
+	for scan.Scan() {
+		line := scan.Text()
+		if i := strings.Index(line, "coordinating on "); i >= 0 {
+			base = strings.TrimSpace(line[i+len("coordinating on "):])
+			break
+		}
+	}
+	if base == "" {
+		t.Fatal("coordinator never announced its address")
+	}
+	go io.Copy(io.Discard, coordErr) // keep the pipe drained
+	return coord, coordOut, base
+}
+
 // TestFarmStatusOffline pins that `farm status -archive` needs no
-// coordinator: it reconstructs progress from the archive and the spec.
+// coordinator: it counts the spec's cells whose record the archive holds.
 func TestFarmStatusOffline(t *testing.T) {
 	dir := t.TempDir()
-	// An empty archive: everything pending.
-	var out, errb strings.Builder
-	code := dispatch([]string{"farm", "status", "-archive", dir,
-		"-nodes", "8", "-filemb", "0.5", "-protocols", "bulletprime", "-seeds", "2"}, &out, &errb)
-	if code != 0 {
-		t.Fatalf("offline status exit %d: %s", code, errb.String())
+	status := func() string {
+		t.Helper()
+		var out, errb strings.Builder
+		code := dispatch([]string{"farm", "status", "-archive", dir,
+			"-nodes", "8", "-filemb", "0.5", "-protocols", "bulletprime", "-seeds", "2"}, &out, &errb)
+		if code != 0 {
+			t.Fatalf("offline status exit %d: %s", code, errb.String())
+		}
+		return out.String()
 	}
-	if !strings.Contains(out.String(), "cells 2: 0 done, 2 pending") {
-		t.Fatalf("offline status output:\n%s", out.String())
+	// An empty archive: everything pending.
+	if out := status(); !strings.Contains(out, "cells 2: 0 done, 2 pending") {
+		t.Fatalf("offline status output:\n%s", out)
+	}
+	// A worker records seed 1's cell: that cell, and only it, is done.
+	spec := lab.FarmSpec{Nodes: 8, FileMB: 0.5, Protocols: []string{"bulletprime"},
+		Networks: []string{"modelnet"}, Seeds: []int64{1}, Deadline: 3600}
+	farm, err := lab.NewFarm(spec, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(&lab.FarmServer{Farm: farm})
+	defer srv.Close()
+	var out, errb strings.Builder
+	if code := dispatch([]string{"farm", "work", "-coordinator", srv.URL, "-archive", dir}, &out, &errb); code != 0 {
+		t.Fatalf("farm work exit %d: %s", code, errb.String())
+	}
+	if out := status(); !strings.Contains(out, "cells 2: 1 done, 1 pending, 0 leased, 0 failed (0 reissues)") {
+		t.Fatalf("offline status output:\n%s", out)
 	}
 }
 
@@ -280,9 +322,10 @@ func TestFarmUsageErrors(t *testing.T) {
 	cases := [][]string{
 		{"farm"},
 		{"farm", "harvest"},
-		{"farm", "coordinate"},            // missing -archive
-		{"farm", "work", "-archive", "x"}, // missing -coordinator
-		{"farm", "status"},                // neither source
+		{"farm", "resume"},                      // not a verb: run coordinate again
+		{"farm", "coordinate", "-archive", "x"}, // the coordinator holds no archive
+		{"farm", "work", "-archive", "x"},       // missing -coordinator
+		{"farm", "status"},                      // neither source
 		{"farm", "status", "-coordinator", "u", "-archive", "d"}, // both sources
 	}
 	for _, args := range cases {
@@ -290,5 +333,106 @@ func TestFarmUsageErrors(t *testing.T) {
 		if code := dispatch(args, &out, &errb); code != 2 {
 			t.Fatalf("%v: exit %d, want 2", args, code)
 		}
+	}
+}
+
+// TestFarmCountsOnlyItsOwnRecord pins that a farm cell is done exactly when
+// the archive holds the record a farm worker would write for it. Two other
+// records of the cell's protocol, network, seed, nodes, file and deadline
+// are other runs: `run -archive` keeps a series at the 5 s cadence, and
+// `sweep -version v1` stamps another code version. Over either, `farm status
+// -archive` counts the cell pending, and `farm work` runs it under its own
+// id beside the foreign record. Over the farm's own record the cell is done,
+// and a worker settles it as already archived without running it.
+func TestFarmCountsOnlyItsOwnRecord(t *testing.T) {
+	geom := []string{"-nodes", "8", "-filemb", "0.25", "-deadline", "3600"}
+	spec := lab.FarmSpec{Nodes: 8, FileMB: 0.25, Protocols: []string{"bulletprime"},
+		Networks: []string{"modelnet"}, Seeds: []int64{1}, Deadline: 3600}
+	bulletctl := func(args ...string) string {
+		t.Helper()
+		var out, errb strings.Builder
+		if code := dispatch(args, &out, &errb); code != 0 {
+			t.Fatalf("bulletctl %v: exit %d\n%s%s", args, code, out.String(), errb.String())
+		}
+		return out.String() + errb.String()
+	}
+	// work serves the one-cell spec from an in-process coordinator and
+	// drains it with one `farm work` process image; it returns the log.
+	work := func(dir string) string {
+		t.Helper()
+		farm, err := lab.NewFarm(spec, time.Minute)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(&lab.FarmServer{Farm: farm})
+		defer srv.Close()
+		log := bulletctl("farm", "work", "-coordinator", srv.URL, "-worker", "w1", "-archive", dir)
+		if st := farm.Status(); st.Done != 1 {
+			t.Fatalf("farm work left %+v\n%s", st, log)
+		}
+		return log
+	}
+	ids := func(dir string) []string {
+		t.Helper()
+		a, err := lab.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		metas, err := a.List()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, m := range metas {
+			out = append(out, m.ID)
+		}
+		return out
+	}
+	cases := []struct {
+		name   string
+		record func(dir string)
+		own    bool
+	}{
+		{"run -archive", func(dir string) {
+			bulletctl(append([]string{"run", "-archive", dir, "-protocol", "bulletprime",
+				"-network", "modelnet", "-seed", "1"}, geom...)...)
+		}, false},
+		{"sweep -version v1", func(dir string) {
+			bulletctl(append([]string{"sweep", "-archive", dir, "-version", "v1",
+				"-protocols", "bulletprime", "-networks", "modelnet", "-seeds", "1"}, geom...)...)
+		}, false},
+		{"farm work", func(dir string) { work(dir) }, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "archive")
+			tc.record(dir)
+			before := ids(dir)
+			if len(before) != 1 {
+				t.Fatalf("recording left %d records, want 1", len(before))
+			}
+			status := bulletctl(append([]string{"farm", "status", "-archive", dir,
+				"-protocols", "bulletprime", "-seeds", "1"}, geom...)...)
+			want := "cells 1: 0 done, 1 pending"
+			if tc.own {
+				want = "cells 1: 1 done, 0 pending"
+			}
+			if !strings.Contains(status, want) {
+				t.Fatalf("farm status over a %s record:\n%swant %q", tc.name, status, want)
+			}
+			log := work(dir)
+			after := ids(dir)
+			if tc.own {
+				if !strings.Contains(log, "already archived") || strings.Contains(log, "done:") ||
+					strings.Join(after, " ") != strings.Join(before, " ") {
+					t.Fatalf("farm work over its own record ran the cell: records %v → %v\n%s", before, after, log)
+				}
+				return
+			}
+			if len(after) != 2 || !strings.Contains(log, "done:") {
+				t.Fatalf("farm work over a %s record did not run the cell under its own id: records %v → %v\n%s",
+					tc.name, before, after, log)
+			}
+		})
 	}
 }

@@ -13,7 +13,7 @@ import (
 func TestGoldenHelp(t *testing.T) {
 	for _, cmd := range [][]string{
 		{"run"}, {"sweep"}, {"trace"}, {"crosscheck"},
-		{"farm", "coordinate"}, {"farm", "resume"}, {"farm", "status"},
+		{"farm", "coordinate"}, {"farm", "status"},
 	} {
 		code, stdout, stderr := ctl(t, append(cmd, "-h")...)
 		if code != 0 || stdout != "" {

@@ -23,10 +23,10 @@
 //	bulletctl sweep -seeds 4 -reps 5 -protocols bulletprime -archive bench/
 //	bulletctl gate -archive bench/ -baseline BENCH_BASELINE.json
 //	bulletctl gate -archive bench/ -baseline BENCH_BASELINE.json -write -stats -alpha 0.05
-//	bulletctl farm coordinate -archive bench/ -addr 127.0.0.1:8844 -seeds 2 -reps 3
+//	bulletctl farm coordinate -addr 127.0.0.1:8844 -seeds 2 -reps 3
 //	bulletctl farm work -coordinator http://127.0.0.1:8844 -archive bench/
 //	bulletctl farm status -coordinator http://127.0.0.1:8844
-//	bulletctl farm resume -archive bench/ -addr 127.0.0.1:8844 -seeds 2 -reps 3
+//	bulletctl farm status -archive bench/ -seeds 2 -reps 3
 //	go test -run '^$' -bench ... -benchmem ./... | bulletctl perfgate -baseline BENCH_PERF.json
 //	bulletctl run -nodes 100 -engine sharded -network clustered -protocol scalefill -metrics-addr :9100
 //	bulletctl metrics -archive bench/ -format prom 1a2b3c4d
@@ -57,6 +57,7 @@ import (
 
 	"bulletprime"
 	"bulletprime/internal/harness"
+	"bulletprime/internal/trace"
 )
 
 func main() {
@@ -435,7 +436,7 @@ func runSingle(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "bulletctl: run exceeded -timeout %vs\n", *timeout)
 		return 1
 	}
-	if id := exp.RunID(); id != "" {
+	if id := exp.RunID(); id != "" && !res.Cancelled {
 		fmt.Fprintf(stderr, "archived as %s in %s\n", id, *archDir)
 	}
 	fmt.Fprintf(stderr, "[run, %.1fs wall]\n", time.Since(start).Seconds())
@@ -661,7 +662,7 @@ func runSweep(args []string, stdout, stderr io.Writer) int {
 		p bulletprime.Protocol
 		n bulletprime.NetworkPreset
 	}
-	pooled := make(map[key][]float64)
+	pooled := make(map[key]*trace.CDF)
 	var order []key
 	for _, r := range runs {
 		if r.Result.Cancelled {
@@ -676,8 +677,9 @@ func runSweep(args []string, stdout, stderr io.Writer) int {
 		k := key{r.Protocol, r.Network}
 		if _, ok := pooled[k]; !ok {
 			order = append(order, k)
+			pooled[k] = &trace.CDF{}
 		}
-		pooled[k] = append(pooled[k], r.Result.Median())
+		pooled[k].Add(r.Result.Median())
 	}
 	if cancelled > 0 {
 		fmt.Fprintf(stdout, "%d of %d cells cancelled; pooled statistics cover completed cells only\n",
@@ -685,10 +687,8 @@ func runSweep(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintln(stdout)
 	for _, k := range order {
-		meds := pooled[k]
-		sort.Float64s(meds)
 		fmt.Fprintf(stdout, "%-14s %-12s pooled median-of-medians over %d seeds: %.1f s\n",
-			k.p, k.n, len(meds), meds[len(meds)/2])
+			k.p, k.n, pooled[k].N(), pooled[k].Median())
 	}
 	fmt.Fprintf(stderr, "[%d runs, parallel=%d, %.1fs wall]\n",
 		len(runs), *parallel, time.Since(start).Seconds())

@@ -2,8 +2,11 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -169,4 +172,37 @@ func TestRunDynamicOnCompactClusters(t *testing.T) {
 		t.Fatalf("clustered: exit %d, stderr %q", code, stderr)
 	}
 	golden.File(t, "run_dynamic_clustered.txt", []byte(stdout))
+}
+
+// TestSweepPooledMedianIsNearestRank pins the sweep's pooled median to the
+// nearest-rank rule every other median in the repository uses: over an even
+// number of seeds it is the lower middle of the per-seed medians.
+func TestSweepPooledMedianIsNearestRank(t *testing.T) {
+	var out, errb bytes.Buffer
+	if code := runSweep([]string{"-nodes", "8", "-filemb", "0.25", "-seeds", "4"}, &out, &errb); code != 0 {
+		t.Fatalf("sweep: exit %d\n%s", code, errb.String())
+	}
+	var meds []float64
+	pooled := ""
+	for _, line := range strings.Split(out.String(), "\n") {
+		f := strings.Fields(line)
+		if len(f) == 7 && f[0] == "bulletprime" {
+			m, err := strconv.ParseFloat(f[4], 64)
+			if err != nil {
+				t.Fatalf("row %q: %v", line, err)
+			}
+			meds = append(meds, m)
+		}
+		if strings.Contains(line, "pooled median-of-medians") {
+			pooled = line
+		}
+	}
+	if len(meds) != 4 {
+		t.Fatalf("%d per-seed rows, want 4:\n%s", len(meds), out.String())
+	}
+	sort.Float64s(meds)
+	want := fmt.Sprintf("over 4 seeds: %.1f s", meds[1])
+	if !strings.Contains(pooled, want) {
+		t.Fatalf("pooled line %q, want %q (per-seed medians %v)", pooled, want, meds)
+	}
 }

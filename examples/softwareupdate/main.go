@@ -34,6 +34,7 @@ import (
 	"bulletprime/internal/harness"
 	"bulletprime/internal/shotgun"
 	"bulletprime/internal/sim"
+	"bulletprime/internal/trace"
 )
 
 func main() { run(os.Stdout) }
@@ -109,25 +110,25 @@ func run(w io.Writer) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var sgT []float64
+	var sgT trace.CDF
 	for _, t := range sg.CompletionTimes {
-		sgT = append(sgT, shotgun.Replay(0, t))
+		sgT.Add(shotgun.Replay(0, t))
 	}
-	slices.Sort(sgT)
 	fmt.Fprintf(w, "\n%-24s %12s %12s\n", "method", "median(s)", "worst(s)")
 	fmt.Fprintf(w, "%-24s %12.1f %12.1f\n", "shotgun (download)", sg.Median(), sg.Worst())
-	fmt.Fprintf(w, "%-24s %12.1f %12.1f\n", "shotgun (dl+update)", sgT[len(sgT)/2], sgT[len(sgT)-1])
+	fmt.Fprintf(w, "%-24s %12.1f %12.1f\n", "shotgun (dl+update)", sgT.Median(), sgT.Worst())
 
 	topoFn := harness.PlanetLabTopology(nodes)
 	var rsyncWorst float64
 	for _, parallel := range []int{4, 16} {
 		rig := harness.NewRig(topoFn(sim.NewRNG(7).Stream("topo")), 7)
-		t := shotgun.RunParallelRsync(rig.Eng, rig.Net, rig.Members, 0, bundleBytes, parallel, 360000)
-		fmt.Fprintf(w, "%-24s %12.1f %12.1f\n", fmt.Sprintf("%d parallel rsync", parallel), t[len(t)/2], t[len(t)-1])
-		if t[len(t)-1] > rsyncWorst {
-			rsyncWorst = t[len(t)-1]
+		var t trace.CDF
+		for _, at := range shotgun.RunParallelRsync(rig.Eng, rig.Net, rig.Members, 0, bundleBytes, parallel, 360000) {
+			t.Add(at)
 		}
+		fmt.Fprintf(w, "%-24s %12.1f %12.1f\n", fmt.Sprintf("%d parallel rsync", parallel), t.Median(), t.Worst())
+		rsyncWorst = max(rsyncWorst, t.Worst())
 	}
 	fmt.Fprintf(w, "\nshotgun finishes the slowest node %.0fx faster than the slowest rsync sweep\n",
-		rsyncWorst/sgT[len(sgT)-1])
+		rsyncWorst/sgT.Worst())
 }

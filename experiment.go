@@ -28,10 +28,6 @@ type Experiment struct {
 	mu        sync.Mutex
 	observers []*Observer
 	started   bool
-
-	// runID is the archive id of the automatic record made when cfg.Archive
-	// is set; Run writes it before it returns.
-	runID string
 }
 
 // New validates cfg (defaults filled, registries consulted, the scenario
@@ -201,9 +197,7 @@ func (e *Experiment) Run(ctx context.Context) (*Result, error) {
 	if e.cfg.Archive == nil || res.Cancelled {
 		return res, nil
 	}
-	var err error
-	e.runID, err = recordRun(e.cfg.Archive, e.cfg, res)
-	return res, err
+	return res, recordRun(e.cfg.Archive, e.cfg, res)
 }
 
 // rigProbe is what the recorder reads of a rig, whichever shape it has: a
@@ -379,8 +373,8 @@ type SweepCell struct {
 type SweepRun struct {
 	SweepCell
 	Result *Result
-	// RunID is the archive id the cell recorded under when
-	// Base.Archive is set (empty otherwise, and for cancelled cells).
+	// RunID is the archive id the cell recorded under when Base.Archive is
+	// set (empty otherwise, and for cancelled or failed cells).
 	RunID string
 	// Err reports the cell's own failure (a rig that could not be built, or
 	// a failed archive record); the cell's Result is still delivered.
@@ -461,7 +455,9 @@ func SweepStream(ctx context.Context, cfg SweepConfig) (<-chan SweepRun, error) 
 				// archive record when Base.Archive is set); it rides along
 				// in SweepRun.Err beside the Result.
 				run.Result, run.Err = exps[i].Run(ctx)
-				run.RunID = exps[i].RunID()
+				if run.Err == nil && !run.Result.Cancelled {
+					run.RunID = exps[i].RunID()
+				}
 			}
 			// Delivery blocks: the consumer contract is to drain until
 			// close, and a cancelled run's partial result is exactly what

@@ -57,6 +57,15 @@ func (a *Archive) SetVersion(v string) {
 
 func (a *Archive) runsDir() string         { return filepath.Join(a.root, "runs") }
 func (a *Archive) runDir(id string) string { return filepath.Join(a.runsDir(), id) }
+
+// Has reports whether the archive holds a record under id: the check Put
+// makes before it writes, so a caller that skips exactly when Has is true
+// skips exactly the runs Put would dedupe.
+func (a *Archive) Has(id string) bool {
+	_, err := os.Stat(filepath.Join(a.runDir(id), "manifest.json"))
+	return err == nil
+}
+
 func (a *Archive) lockPath(id string) string {
 	return filepath.Join(a.runsDir(), ".lock-"+id)
 }
@@ -221,8 +230,7 @@ func (a *Archive) put(run *Run, lock bool) (id string, created bool, err error) 
 	m.Completions = len(run.CompletionTimes)
 	m.Samples = len(run.Series)
 
-	dir := a.runDir(m.ID)
-	if _, statErr := os.Stat(filepath.Join(dir, "manifest.json")); statErr == nil {
+	if a.Has(m.ID) {
 		return m.ID, false, nil
 	}
 
@@ -247,7 +255,7 @@ func (a *Archive) put(run *Run, lock bool) (id string, created bool, err error) 
 			return "", false, err
 		}
 		defer release()
-		if _, statErr := os.Stat(filepath.Join(dir, "manifest.json")); statErr == nil {
+		if a.Has(m.ID) {
 			return m.ID, false, nil
 		}
 	}
@@ -262,13 +270,13 @@ func (a *Archive) put(run *Run, lock bool) (id string, created bool, err error) 
 	if err := os.WriteFile(filepath.Join(tmp, "manifest.json"), append(manifest, '\n'), 0o644); err != nil {
 		return "", false, fmt.Errorf("lab: %w", err)
 	}
-	if err := os.Rename(tmp, dir); err != nil {
+	if err := os.Rename(tmp, a.runDir(m.ID)); err != nil {
 		// Belt under the lock's suspenders: a writer that held a broken
 		// stale lock may still land the same id first; its payload is
 		// byte-equivalent by construction (the id keys everything the
 		// record contains; only the informational CreatedAt can differ),
 		// so dedupe.
-		if _, statErr := os.Stat(filepath.Join(dir, "manifest.json")); statErr == nil {
+		if a.Has(m.ID) {
 			return m.ID, false, nil
 		}
 		return "", false, fmt.Errorf("lab: committing record %s: %w", m.ID, err)

@@ -4,14 +4,15 @@ package lab
 // into cells, serves them to workers over a small HTTP work-claim
 // protocol, and tracks completion; workers execute cells with the
 // ordinary session runner and record into a shared content-addressed
-// archive. The archive's dedupe is what makes the whole control plane
-// forgiving: a worker that dies after archiving but before reporting, a
-// cell reissued on lease expiry, or a whole farm restarted over the same
-// archive all converge on exactly one record per cell — retries are
-// idempotent because a cell's archive id is a pure function of its
-// configuration. See DESIGN.md §13.
+// archive. A cell is done when its record exists: a cell's archive id is
+// a pure function of its configuration, so a worker that claims a cell the
+// archive already holds settles it without running it. That is what makes
+// the control plane forgiving: a worker that dies after archiving but
+// before reporting, a cell reissued on lease expiry, or a whole farm
+// restarted over the same archive all converge on exactly one record per
+// cell. The coordinator holds only leases. See DESIGN.md §13.
 //
-// Protocol (JSON over HTTP, all state on the coordinator):
+// Protocol (JSON over HTTP, all lease state on the coordinator):
 //
 //	GET  /spec      → FarmSpec — the run geometry workers execute
 //	POST /claim     {"worker":W}           → 200 {"cell":C,"lease":L,"ttl_ms":T}
@@ -27,7 +28,7 @@ package lab
 // is reissued to the next claimer with a fresh lease id — the old lease
 // is dead, and any late Complete/Fail on it is answered 410 and ignored
 // (the reissued execution owns the cell now; if the late worker already
-// archived the run, dedupe makes the reissue a cheap no-op rerun).
+// archived the run, the reissue finds the record and runs nothing).
 // Fail marks a cell permanently failed (a config the runner rejects
 // would otherwise bounce between workers forever); a farm with failed
 // cells finishes "complete" but unsuccessful.
@@ -184,61 +185,6 @@ func NewFarm(spec FarmSpec, ttl time.Duration) (*Farm, error) {
 
 // Spec returns the farm's sweep spec.
 func (f *Farm) Spec() FarmSpec { return f.spec }
-
-// ResumeFromArchive marks every cell already present in the archive as
-// done, keyed by (protocol, network, seed) among the records run at the
-// spec's geometry: its node count, file size and deadline, with no
-// scenario and no synthetic bandwidth changes, as a farm cell runs.
-// Returns how many cells were skipped. This is the whole resume story:
-// re-running a coordinator over the same archive re-serves only the
-// missing cells, and even a stale worker re-executing a done cell merely
-// dedupes.
-func (f *Farm) ResumeFromArchive(a *Archive) (int, error) {
-	metas, err := a.List()
-	if err != nil {
-		return 0, err
-	}
-	type doneKey struct {
-		protocol, network string
-		seed              int64
-	}
-	have := map[doneKey]string{}
-	for _, m := range metas {
-		if f.ranCell(&m) {
-			have[doneKey{m.Protocol, m.Network, m.Seed}] = m.ID
-		}
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	n := 0
-	for i, c := range f.cells {
-		if f.slots[i].phase == cellDone {
-			continue
-		}
-		if id, ok := have[doneKey{c.Protocol, c.Network, c.Seed}]; ok {
-			f.slots[i] = cellSlot{phase: cellDone, runID: id}
-			n++
-		}
-	}
-	return n, nil
-}
-
-// ranCell reports whether an archived run has the settings every cell of
-// the spec runs with; only its protocol, network and seed are left to name
-// the cell.
-func (f *Farm) ranCell(m *Meta) bool {
-	if m.Nodes != f.spec.Nodes || m.FileBytes != f.spec.FileMB*1e6 || m.Scenario != "" {
-		return false
-	}
-	var cfg struct {
-		Deadline         float64 `json:"deadline"`
-		DynamicBandwidth bool    `json:"dynamic_bandwidth"`
-	}
-	if json.Unmarshal(m.Config, &cfg) != nil {
-		return false
-	}
-	return cfg.Deadline == f.spec.Deadline && !cfg.DynamicBandwidth
-}
 
 // ClaimVerdict is the outcome of a claim attempt.
 type ClaimVerdict int
@@ -449,12 +395,20 @@ func writeJSON(w http.ResponseWriter, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// maxBody bounds every body the claim protocol decodes, in either
+// direction: no request or response it defines comes near 1 MiB.
+const maxBody = 1 << 20
+
+func decodeBody(r io.Reader, v any) error {
+	return json.NewDecoder(io.LimitReader(r, maxBody)).Decode(v)
+}
+
 func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return false
 	}
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(v); err != nil {
+	if err := decodeBody(r.Body, v); err != nil {
 		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
 		return false
 	}
@@ -542,45 +496,41 @@ func (c *FarmClient) post(path string, req, resp any) (int, error) {
 	}
 	defer r.Body.Close()
 	if r.StatusCode == http.StatusOK && resp != nil {
-		if err := json.NewDecoder(r.Body).Decode(resp); err != nil {
+		if err := decodeBody(r.Body, resp); err != nil {
 			return 0, fmt.Errorf("lab: farm client %s: decoding response: %w", path, err)
 		}
 	}
 	return r.StatusCode, nil
 }
 
-// Spec fetches the coordinator's sweep spec.
-func (c *FarmClient) Spec() (FarmSpec, error) {
-	var spec FarmSpec
-	r, err := c.client().Get(c.Base + "/spec")
+// get fetches one JSON document from the coordinator.
+func (c *FarmClient) get(path string, v any) error {
+	r, err := c.client().Get(c.Base + path)
 	if err != nil {
-		return spec, fmt.Errorf("lab: farm client /spec: %w", err)
+		return fmt.Errorf("lab: farm client %s: %w", path, err)
 	}
 	defer r.Body.Close()
 	if r.StatusCode != http.StatusOK {
-		return spec, fmt.Errorf("lab: farm client /spec: HTTP %d", r.StatusCode)
+		return fmt.Errorf("lab: farm client %s: HTTP %d", path, r.StatusCode)
 	}
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		return spec, fmt.Errorf("lab: farm client /spec: %w", err)
+	if err := decodeBody(r.Body, v); err != nil {
+		return fmt.Errorf("lab: farm client %s: %w", path, err)
 	}
-	return spec, nil
+	return nil
+}
+
+// Spec fetches the coordinator's sweep spec.
+func (c *FarmClient) Spec() (FarmSpec, error) {
+	var spec FarmSpec
+	err := c.get("/spec", &spec)
+	return spec, err
 }
 
 // Status fetches a progress snapshot.
 func (c *FarmClient) Status() (FarmStatus, error) {
 	var st FarmStatus
-	r, err := c.client().Get(c.Base + "/status")
-	if err != nil {
-		return st, fmt.Errorf("lab: farm client /status: %w", err)
-	}
-	defer r.Body.Close()
-	if r.StatusCode != http.StatusOK {
-		return st, fmt.Errorf("lab: farm client /status: HTTP %d", r.StatusCode)
-	}
-	if err := json.NewDecoder(r.Body).Decode(&st); err != nil {
-		return st, fmt.Errorf("lab: farm client /status: %w", err)
-	}
-	return st, nil
+	err := c.get("/status", &st)
+	return st, err
 }
 
 // Claim asks for a cell. The lease and TTL are only meaningful when the

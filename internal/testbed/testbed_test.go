@@ -184,3 +184,20 @@ func TestDeadlineBoundsVirtualTime(t *testing.T) {
 		t.Fatalf("engine ended at %v, want exactly the deadline 2", eng.Now())
 	}
 }
+
+// TestGaugesRTTMedianIsNearestRank pins the live RTT median to trace.CDF's
+// nearest rank, the repository's one median rule: over an even number of
+// measured links it is the lower middle.
+func TestGaugesRTTMedianIsNearestRank(t *testing.T) {
+	tr := &Transport{clock: NewClock(1), links: map[pair]*sendLink{
+		{0, 1}: {srtt: 40 * time.Millisecond},
+		{1, 0}: {srtt: 10 * time.Millisecond},
+		{0, 2}: {srtt: 30 * time.Millisecond},
+		{2, 0}: {srtt: 20 * time.Millisecond},
+		{1, 2}: {}, // no clean ack yet: not measured
+	}}
+	g := tr.Gauges()
+	if g.RTTp50 != 0.02 || g.RTTMax != 0.04 {
+		t.Fatalf("RTTp50 %v, RTTMax %v; want 0.02 and 0.04", g.RTTp50, g.RTTMax)
+	}
+}

@@ -4,12 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"sort"
 	"sync"
 	"time"
 
 	"bulletprime/internal/netem"
 	"bulletprime/internal/proto"
+	"bulletprime/internal/trace"
 	"bulletprime/internal/wire"
 )
 
@@ -281,19 +281,18 @@ func (t *Transport) Gauges() proto.TransportGauges {
 		Retransmits:   t.stats.Retransmits,
 		InjectedDrops: t.stats.InjectedDrops,
 	}
-	var rtts []float64
+	var rtts trace.CDF
 	for _, l := range t.links {
 		for _, p := range l.pending {
 			g.UnackedBytes += p.size
 		}
 		if l.srtt > 0 {
-			rtts = append(rtts, t.clock.Virtual(l.srtt))
+			rtts.Add(t.clock.Virtual(l.srtt))
 		}
 	}
-	if len(rtts) > 0 {
-		sort.Float64s(rtts)
-		g.RTTp50 = rtts[len(rtts)/2]
-		g.RTTMax = rtts[len(rtts)-1]
+	if rtts.N() > 0 {
+		g.RTTp50 = rtts.Median()
+		g.RTTMax = rtts.Worst()
 	}
 	return g
 }
