@@ -20,7 +20,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"sort"
 	"time"
 
 	"bulletprime"
@@ -403,14 +402,6 @@ func farmStatus(args []string, stdout, stderr io.Writer) int {
 func renderFarmStatus(w io.Writer, st lab.FarmStatus) {
 	fmt.Fprintf(w, "cells %d: %d done, %d pending, %d leased, %d failed (%d reissues)\n",
 		st.Total, st.Done, st.Pending, st.Leased, st.Failed, st.Reissues)
-	names := make([]string, 0, len(st.Workers))
-	for n := range st.Workers {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		fmt.Fprintf(w, "  worker %-20s %d cell(s)\n", n, st.Workers[n])
-	}
 	for _, f := range st.Failures {
 		fmt.Fprintf(w, "  failed: %s\n", f)
 	}

@@ -306,6 +306,7 @@ func (rec *recorder) tick() {
 		DuplicateBytes:  dupBytes,
 		UsefulBytes:     useful,
 		Annotations:     rec.takePending(),
+		Layers:          c.Layers,
 	}
 	for _, m := range rec.meters {
 		s.GoodputBps += m.Rate(c.Now, rec.every)

@@ -10,6 +10,7 @@ import (
 	"math"
 
 	"bulletprime/internal/netem"
+	"bulletprime/internal/obs"
 	"bulletprime/internal/proto"
 	"bulletprime/internal/scenario"
 	"bulletprime/internal/sim"
@@ -247,17 +248,34 @@ type Counters struct {
 	DataBytes    float64
 	// Traffic is the runtime's delivered messages and bytes per kind.
 	Traffic proto.Traffic
+	// Layers is the engine, network and runtime work done so far.
+	Layers obs.LayerCounters
 }
 
 // Counters reads the rig's clock and cumulative counters.
 func (r *Rig) Counters() Counters {
-	return Counters{
+	c := Counters{
 		Now:          r.Eng.Now(),
 		Completed:    len(r.Done),
 		ControlBytes: r.RT.ControlBytes,
 		DataBytes:    r.RT.DataBytes,
 		Traffic:      r.RT.Traffic,
 	}
+	addLayers(&c.Layers, r.Eng, r.Net, r.RT)
+	return c
+}
+
+// addLayers adds one engine's, network's and runtime's work counters to l.
+// It reads the engine's fields, not Engine.Stats, which also reads the wall
+// clock.
+func addLayers(l *obs.LayerCounters, eng *sim.Engine, net *netem.Network, rt *proto.Runtime) {
+	l.Events += eng.Executed
+	l.Compactions += eng.Compactions
+	l.Recomputes += net.Recomputes
+	l.RatesRecomputed += net.FlowRatesRecomputed
+	l.RatesSkipped += net.FlowRatesSkipped
+	l.BytesServed += net.BytesServed
+	l.Messages += rt.MessagesDelivered
 }
 
 // InstallMeters hangs a data-rate meter on the rig's runtime and returns

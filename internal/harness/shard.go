@@ -198,6 +198,7 @@ func (r *ShardedRig) Counters() Counters {
 		c.ControlBytes += slot.RT.ControlBytes
 		c.DataBytes += slot.RT.DataBytes
 		c.Traffic.Add(&slot.RT.Traffic)
+		addLayers(&c.Layers, slot.Eng, slot.Net, slot.RT)
 	}
 	return c
 }

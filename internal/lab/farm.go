@@ -142,7 +142,6 @@ const (
 type cellSlot struct {
 	phase   cellPhase
 	lease   string
-	worker  string
 	expiry  time.Time
 	runID   string
 	failure string
@@ -235,7 +234,6 @@ func (f *Farm) Claim(worker string) (Cell, string, ClaimVerdict) {
 	f.slots[claimable] = cellSlot{
 		phase:    cellLeased,
 		lease:    lease,
-		worker:   worker,
 		expiry:   now.Add(f.ttl),
 		reissues: re,
 	}
@@ -310,8 +308,6 @@ type FarmStatus struct {
 	Pending  int `json:"pending"`
 	Failed   int `json:"failed"`
 	Reissues int `json:"reissues"`
-	// Workers maps worker names to completed-cell counts.
-	Workers map[string]int `json:"workers,omitempty"`
 	// Failures lists failed cells as "protocol/network/seed: reason".
 	Failures []string `json:"failures,omitempty"`
 }
@@ -325,7 +321,7 @@ func (f *Farm) Status() FarmStatus {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	now := f.now()
-	st := FarmStatus{Total: len(f.cells), Workers: map[string]int{}}
+	st := FarmStatus{Total: len(f.cells)}
 	for i := range f.slots {
 		s := &f.slots[i]
 		st.Reissues += s.reissues
@@ -340,9 +336,6 @@ func (f *Farm) Status() FarmStatus {
 			}
 		case cellDone:
 			st.Done++
-			if s.worker != "" {
-				st.Workers[s.worker]++
-			}
 		case cellFailed:
 			st.Failed++
 			c := f.cells[i]

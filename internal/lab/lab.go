@@ -36,6 +36,7 @@ import (
 	"encoding/json"
 	"runtime/debug"
 
+	"bulletprime/internal/obs"
 	"bulletprime/internal/trace"
 )
 
@@ -130,6 +131,10 @@ type Sample struct {
 	// RecordSHA and every archive id are what they were before the field
 	// existed.
 	Annotations []Annotation `json:"-"`
+	// Layers is the run's cumulative layer work at the sample instant
+	// (DESIGN.md §12). Like Annotations it is live-only: archived and
+	// reloaded samples hold zero.
+	Layers obs.LayerCounters `json:"-"`
 }
 
 // Annotation is a timestamped timeline marker: a scenario event firing, a

@@ -1,7 +1,8 @@
 // Package obs is the unified observability plane's leaf layer: structured
 // event tracing (typed protocol-decision spans in a bounded ring, exportable
-// as JSONL and Chrome trace_event JSON) and a small metrics registry that
-// renders run metrics as Prometheus text-format or JSON.
+// as JSONL and Chrome trace_event JSON), the layer counter block every
+// sample carries, and a small metrics registry that renders run metrics as
+// Prometheus text-format or JSON.
 //
 // Tracing is strictly read-only over the simulation: call sites record what
 // a protocol decided (a sender trimmed, a rechoke round, a testbed
@@ -16,6 +17,23 @@ import "sort"
 // DefaultCapacity is the span ring's bound when a Tracer is built with
 // capacity <= 0.
 const DefaultCapacity = 16384
+
+// LayerCounters is the layers' cumulative work on one run: what the
+// engines, the emulated network and the message runtime have done so far,
+// summed over shards in shard order. It is declared here once; a rig's
+// counter reading and every sample carry it.
+type LayerCounters struct {
+	// Events and Compactions are the engines' executed events and lazy
+	// queue compactions.
+	Events, Compactions uint64
+	// Recomputes counts fair-share recomputations; RatesRecomputed and
+	// RatesSkipped count the flow rates they assigned and left alone.
+	Recomputes, RatesRecomputed, RatesSkipped uint64
+	// BytesServed is the payload the network's flows fully serialized.
+	BytesServed float64
+	// Messages counts messages the runtime delivered.
+	Messages uint64
+}
 
 // Span is one recorded protocol decision: what happened (Kind), when (At),
 // where (Node, and the Peer it concerned) and a short free-form Note. It is

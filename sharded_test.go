@@ -1,6 +1,7 @@
 package bulletprime_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -59,6 +60,37 @@ func TestShardedFacadeWorkerEquivalence(t *testing.T) {
 	}
 	if serial.Elapsed != parallel.Elapsed {
 		t.Fatalf("Elapsed differs: %v vs %v", serial.Elapsed, parallel.Elapsed)
+	}
+}
+
+// TestShardedSampleLayersMatchAcrossWorkers: the layer counters a sharded
+// session samples are sums in shard order taken at horizon barriers, so one
+// goroutine per shard reports exactly what the single-goroutine oracle does.
+func TestShardedSampleLayersMatchAcrossWorkers(t *testing.T) {
+	run := func(workers int) []bulletprime.Sample {
+		cfg := shardedCfg(13, workers)
+		cfg.SampleEvery = 2
+		exp, err := bulletprime.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := exp.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Series
+	}
+	serial, parallel := run(1), run(0)
+	if len(serial) != len(parallel) || len(serial) < 2 {
+		t.Fatalf("%d samples serial, %d parallel", len(serial), len(parallel))
+	}
+	for i := range serial {
+		if serial[i].Layers != parallel[i].Layers {
+			t.Fatalf("sample %d at %vs: serial %+v, parallel %+v", i, serial[i].Time, serial[i].Layers, parallel[i].Layers)
+		}
+	}
+	if serial[len(serial)-1].Layers.Events == 0 {
+		t.Fatal("no events counted")
 	}
 }
 
