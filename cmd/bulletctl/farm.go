@@ -347,13 +347,15 @@ func runLeased(ctx context.Context, cl *lab.FarmClient, exp *bulletprime.Experim
 
 // farmStatus reports progress: live from a coordinator's /status when
 // -coordinator is given, otherwise offline from the archive alone by
-// counting the spec's cells whose archive id it holds.
+// counting the spec's cells whose archive id it holds. A cell's id is
+// computed under -version, as `farm work -version` archived it.
 func farmStatus(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("farm status", flag.ContinueOnError)
 	geom := farmGeometry(fs)
 	var (
 		coord   = fs.String("coordinator", "", "coordinator URL to query (live status)")
 		archDir = fs.String("archive", "", "archive directory for offline status (with the spec flags)")
+		version = fs.String("version", "", "code version the workers stamped onto archived runs")
 	)
 	if code := parseOnlyFlags(fs, args, stderr); code >= 0 {
 		return code
@@ -375,6 +377,9 @@ func farmStatus(args []string, stdout, stderr io.Writer) int {
 	arch, code := openArchiveArg(*archDir, stderr)
 	if code >= 0 {
 		return code
+	}
+	if *version != "" {
+		arch.SetVersion(*version)
 	}
 	spec := geom.farmSpec()
 	if err := spec.Validate(); err != nil {

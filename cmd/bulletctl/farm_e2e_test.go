@@ -277,6 +277,42 @@ func TestFarmStatusOffline(t *testing.T) {
 	}
 }
 
+// TestFarmStatusUnderVersion pins that offline `farm status` computes cell
+// ids under -version, as `farm work -version` archived them: a cell worked
+// under v1 reads done with -version v1 and pending without it.
+func TestFarmStatusUnderVersion(t *testing.T) {
+	dir := t.TempDir()
+	spec := lab.FarmSpec{Nodes: 8, FileMB: 0.25, Protocols: []string{"bulletprime"},
+		Networks: []string{"modelnet"}, Seeds: []int64{1}, Deadline: 3600}
+	farm, err := lab.NewFarm(spec, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(&lab.FarmServer{Farm: farm})
+	defer srv.Close()
+	var out, errb strings.Builder
+	if code := dispatch([]string{"farm", "work", "-coordinator", srv.URL, "-archive", dir, "-version", "v1"}, &out, &errb); code != 0 {
+		t.Fatalf("farm work exit %d: %s", code, errb.String())
+	}
+	for _, tc := range []struct {
+		flags []string
+		want  string
+	}{
+		{[]string{"-version", "v1"}, "cells 1: 1 done, 0 pending"},
+		{nil, "cells 1: 0 done, 1 pending"},
+	} {
+		var out, errb strings.Builder
+		args := append([]string{"farm", "status", "-archive", dir, "-nodes", "8", "-filemb", "0.25",
+			"-protocols", "bulletprime", "-seeds", "1"}, tc.flags...)
+		if code := dispatch(args, &out, &errb); code != 0 {
+			t.Fatalf("%v: exit %d: %s", args, code, errb.String())
+		}
+		if !strings.Contains(out.String(), tc.want) {
+			t.Fatalf("%v:\n%swant %q", args, out.String(), tc.want)
+		}
+	}
+}
+
 // TestRunFarmCellSettlesItsLease runs the two cells of an in-process
 // farm through the worker's cell step: a cell that runs completes its
 // lease and lands one archive record, and a cell whose configuration the

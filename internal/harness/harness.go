@@ -274,6 +274,7 @@ func addLayers(l *obs.LayerCounters, eng *sim.Engine, net *netem.Network, rt *pr
 	l.Recomputes += net.Recomputes
 	l.RatesRecomputed += net.FlowRatesRecomputed
 	l.RatesSkipped += net.FlowRatesSkipped
+	l.RatesReused += net.FlowRatesReused
 	l.BytesServed += net.BytesServed
 	l.Messages += rt.MessagesDelivered
 }

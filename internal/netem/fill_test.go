@@ -481,3 +481,60 @@ func TestFillWorkGolden(t *testing.T) {
 		golden.Check(t, t.Name()+"/"+c.name, strconv.FormatUint(c.count, 10))
 	}
 }
+
+// TestFillReuseGolden pins what fill reuse does on a small rig: 16 nodes, 24
+// transfers that start their next segment the instant one finishes, and at
+// 3 s one inbound access link cut by a tenth. Every count is a pure function
+// of the run. The fill's five work counters count only the fills that ran,
+// so a reused refill that added the last fill's work again shows here.
+func TestFillReuseGolden(t *testing.T) {
+	rng := sim.NewRNG(7)
+	eng := sim.NewEngine()
+	const n = 16
+	topo := NewTopology(n)
+	for i := 0; i < n; i++ {
+		topo.AccessIn[i] = rng.Uniform(2e5, 2e6)
+		topo.AccessOut[i] = rng.Uniform(2e5, 2e6)
+		for j := 0; j < n; j++ {
+			if i != j {
+				topo.SetCoreBW(NodeID(i), NodeID(j), rng.Uniform(1e5, 2e6))
+				topo.SetCoreDelay(NodeID(i), NodeID(j), rng.Uniform(0.001, 0.05))
+			}
+		}
+	}
+	net := New(eng, topo, rng.Stream("net"))
+	var cut NodeID
+	for k := 0; k < 24; k++ {
+		src, dst := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
+		if src == dst {
+			dst = (dst + 1) % n
+		}
+		if k == 0 {
+			cut = dst
+		}
+		fl := net.NewFlow(src, dst)
+		var next func()
+		next = func() { fl.Start(rng.Uniform(5e4, 5e5), next) }
+		next()
+	}
+	eng.Schedule(3, func() {
+		topo.AccessIn[cut] *= 0.9
+		net.LinksChanged([]LinkRef{InAccess(cut)})
+	})
+	eng.RunUntil(6)
+	if net.FillsReused == 0 || net.FillCapsOrdered == 0 {
+		t.Fatalf("%d refills reused, %d caps ordered; the rig must both reuse and fill", net.FillsReused, net.FillCapsOrdered)
+	}
+	for _, c := range []struct {
+		name  string
+		count uint64
+	}{
+		{"recomputes", net.Recomputes}, {"rates-recomputed", net.FlowRatesRecomputed},
+		{"rates-reused", net.FlowRatesReused}, {"fills-reused", net.FillsReused},
+		{"caps-ordered", net.FillCapsOrdered}, {"dead-popped", net.FillDeadPopped},
+		{"stale-resifts", net.FillStaleResifts}, {"heap-rebuilds", net.FillHeapRebuilds},
+		{"rebuild-visited", net.FillRebuildVisited},
+	} {
+		golden.Check(t, t.Name()+"/"+c.name, strconv.FormatUint(c.count, 10))
+	}
+}

@@ -73,13 +73,18 @@ type Network struct {
 
 	// Recomputes counts fair-share recomputations, for tests and profiling.
 	Recomputes uint64
-	// FlowRatesRecomputed counts flow rates assigned by the waterfiller
-	// across all recomputations; FlowRatesSkipped counts active flow rates
-	// left untouched because their component was clean. Together they
-	// quantify how much work incremental recomputation avoids.
+	// FlowRatesRecomputed counts flow rates assigned by refills across all
+	// recomputations; FlowRatesSkipped counts active flow rates left
+	// untouched because their component was clean. Together they quantify
+	// how much work incremental recomputation avoids. FlowRatesReused of the
+	// recomputed rates came from a reused fill: FillsReused counts the
+	// refills that found every fill input of their component as its last
+	// fill read it, and took that fill's rates (DESIGN.md §3.4).
 	FlowRatesRecomputed uint64
 	FlowRatesSkipped    uint64
-	// The fill's work across all recomputations: cap-order entries sorted,
+	FlowRatesReused     uint64
+	FillsReused         uint64
+	// The fill's work across all fills that ran: cap-order entries sorted,
 	// saturation-heap entries popped dead and re-sifted stale, and heap
 	// rebuilds with the entries they visited (DESIGN.md §3.2).
 	FillCapsOrdered    uint64
@@ -161,6 +166,12 @@ type Flow struct {
 
 	// Served is the total bytes fully serialized on this flow.
 	Served float64
+
+	// The fill input this flow had at its component's last refill, as bits,
+	// and the rate that fill gave it: what the component's next refill
+	// compares with and may reuse (DESIGN.md §3.4).
+	fillKey  fillKey
+	fillRate float64
 }
 
 // NewFlow opens a unidirectional flow src→dst. The slow-start ramp starts
@@ -562,7 +573,7 @@ func (n *Network) recompute() {
 		c := &part.comps[ci]
 		c.dirty = false
 		recomputed += len(c.flows)
-		due, ss := n.waterfillGroup(c.flows, now)
+		due, ss := n.waterfillGroup(c, now)
 		n.armComponent(c.flows, due)
 		anySS = anySS || ss
 	}
@@ -579,21 +590,46 @@ func (n *Network) recompute() {
 // endpoints so the ramp keeps advancing even without flow churn. Every flow
 // is left disarmed, its due time at the new rate in due (scratch, valid until
 // the next call); armComponent arms.
-func (n *Network) waterfillGroup(flows []*Flow, now sim.Time) (due []sim.Time, anySS bool) {
+//
+// A fresh component is filled and records nothing. Each refill of it after
+// that records every flow's fill input and rate on the flow, and one that
+// finds no input moved since the last record takes the recorded rates
+// instead of running the fill: the fill is a function of its input, and the
+// component holds the same flows in the same order (DESIGN.md §3.4).
+func (n *Network) waterfillGroup(c *component, now sim.Time) (due []sim.Time, anySS bool) {
+	flows := c.flows
 	for _, f := range flows {
 		f.advance(now)
 	}
-	rates, anySS := n.fairShare(flows, now)
+	record := c.fills > 0
+	in, anySS, moved := n.sample(flows, now, record)
+	reuse := c.fills == 2 && !moved
 	n.FlowRatesRecomputed += uint64(len(flows))
-	w := &n.fill.work
-	n.FillCapsOrdered += w.capsOrdered
-	n.FillDeadPopped += w.deadPopped
-	n.FillStaleResifts += w.staleResifts
-	n.FillHeapRebuilds += w.rebuilds
-	n.FillRebuildVisited += w.rebuildVisits
+	var rates []float64
+	if reuse {
+		n.FillsReused++
+		n.FlowRatesReused += uint64(len(flows))
+	} else {
+		rates = n.fill.rates(in, n.Topo.AccessOut, n.Topo.AccessIn)
+		c.fills = min(c.fills+1, 2)
+		w := &n.fill.work
+		n.FillCapsOrdered += w.capsOrdered
+		n.FillDeadPopped += w.deadPopped
+		n.FillStaleResifts += w.staleResifts
+		n.FillHeapRebuilds += w.rebuilds
+		n.FillRebuildVisited += w.rebuildVisits
+	}
 	due = sized(&n.due, len(flows))
 	for i, f := range flows {
-		f.rate = rates[i]
+		switch {
+		case reuse:
+			f.rate = f.fillRate
+		case record:
+			f.rate = rates[i]
+			f.fillRate = f.rate
+		default:
+			f.rate = rates[i]
+		}
 		f.disarm()
 		due[i] = f.dueAt(now)
 		if f.ssBinding {
@@ -603,18 +639,31 @@ func (n *Network) waterfillGroup(flows []*Flow, now sim.Time) (due []sim.Time, a
 	return due, anySS
 }
 
-// fairShare samples each flow's cap and core bandwidth at now and returns
-// the fill's max-min fair rates for them, valid until the next call, and
-// whether any slow-start cap was binding.
-func (n *Network) fairShare(active []*Flow, now sim.Time) (rates []float64, anySS bool) {
-	in := sized(&n.fill.in, len(active))
-	for i, f := range active {
+// fillKey is one flow's fill input as bits: its cap, its core bandwidth and
+// the capacities of its two access links. Bits, not values, so −0 and +0
+// count as a change.
+type fillKey [4]uint64
+
+// sample reads each flow's cap and core bandwidth at now into the fill's
+// input (valid until the next call) and reports whether any slow-start cap
+// was binding. With record set it also stores each flow's fillKey on the
+// flow and reports whether any differs from the one stored before.
+func (n *Network) sample(flows []*Flow, now sim.Time, record bool) (in []fillFlow, anySS, moved bool) {
+	in = sized(&n.fill.in, len(flows))
+	out, acc := n.Topo.AccessOut, n.Topo.AccessIn
+	for i, f := range flows {
 		c, bw, ss := f.capNow(now)
 		f.ssBinding = ss
 		anySS = anySS || ss
 		in[i] = fillFlow{f.src, f.dst, c, bw}
+		if record {
+			k := fillKey{math.Float64bits(c), math.Float64bits(bw),
+				math.Float64bits(out[f.src]), math.Float64bits(acc[f.dst])}
+			moved = moved || k != f.fillKey
+			f.fillKey = k
+		}
 	}
-	return n.fill.rates(in, n.Topo.AccessOut, n.Topo.AccessIn), anySS
+	return in, anySS, moved
 }
 
 // armComponent schedules the completions of one freshly refilled component

@@ -39,6 +39,10 @@ import "slices"
 type component struct {
 	flows []*Flow
 	dirty bool // queued in Network.dirtyComps for the current recomputation
+	// fills counts the component's fills since it was built, up to 2: a
+	// refill (fills ≥ 1) records each flow's fill input and rate on the Flow,
+	// and a refill after that (fills 2) may reuse them (DESIGN.md §3.4).
+	fills uint8
 }
 
 // partition is the maintained decomposition of the open-and-busy flows into
@@ -130,6 +134,7 @@ func (p *partition) dissolve(ci int32) {
 	}
 	clear(c.flows)
 	c.flows = c.flows[:0]
+	c.fills = 0
 	p.free = append(p.free, ci)
 }
 

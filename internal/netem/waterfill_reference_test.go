@@ -8,6 +8,16 @@ import (
 	"bulletprime/internal/sim"
 )
 
+// fairShare is a fresh fill of active at now: their max-min fair rates,
+// valid until the next fill, and whether any slow-start cap was binding. It
+// records nothing, so a check may call it mid-run without moving what the
+// network's next refill compares with; every refill, reused or not, must
+// return its rates bit for bit.
+func (n *Network) fairShare(active []*Flow, now sim.Time) (rates []float64, anySS bool) {
+	in, anySS, _ := n.sample(active, now, false)
+	return n.fill.rates(in, n.Topo.AccessOut, n.Topo.AccessIn), anySS
+}
+
 // Reference implementation: progressive filling by small increments. Slow
 // but transparently correct — every unfrozen flow's rate rises in lockstep;
 // a flow freezes when it hits its cap or any of its links saturates. The
@@ -238,6 +248,204 @@ func TestIncrementalMatchesOracleUnderChurn(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestReusedFillMatchesFreshFill is the oracle for fill reuse (DESIGN.md
+// §3.4): after every recomputation of a randomized run, each component it
+// refilled must hold, bit for bit, the rates a fresh fill over its flows
+// assigns, whether its refill reused the last fill or ran one. The run has
+// what can move a fill's input, each reported the way the harness reports
+// it: transfers that start their next segment the instant one finishes (the
+// reuse path) or after a pause (which dissolves their component), core
+// bandwidth changes through SetCoreBW and LinkChanged, inbound access
+// capacities written directly and reported through LinksChanged, SetCoreLoss
+// (a topology epoch, so Mathis caps move), and flows opened mid-run in slow
+// start. Three core links carry two transfers each on a lossy path, so their
+// shared core bandwidth binds below an unmoved Mathis cap: a change to it
+// moves rates and nothing else the fill reads.
+//
+// The test also predicts, from the records it saw after the previous
+// recomputation, which refills must reuse, and holds FillsReused and
+// FlowRatesReused to that; and it requires the seeds together to reuse fills
+// and to refill an undissolved component only because an access capacity
+// moved.
+func TestReusedFillMatchesFreshFill(t *testing.T) {
+	type record struct {
+		fills uint8
+		key   fillKey
+	}
+	var reusedTotal, accessOnly uint64
+	f := func(seed int64) bool {
+		rng := sim.NewRNG(seed)
+		eng := sim.NewEngine()
+		const n, general = 30, 24 // nodes 24..29 form the three lossy pairs
+		topo := NewTopology(n)
+		for i := 0; i < n; i++ {
+			topo.AccessIn[i] = rng.Uniform(2e5, 2e6)
+			topo.AccessOut[i] = rng.Uniform(2e5, 2e6)
+			if i >= general {
+				topo.AccessIn[i], topo.AccessOut[i] = 4e6, 4e6
+			}
+			for j := 0; j < n; j++ {
+				if i != j {
+					topo.SetCoreBW(NodeID(i), NodeID(j), rng.Uniform(1e5, 2e6))
+					topo.SetCoreDelay(NodeID(i), NodeID(j), rng.Uniform(0.001, 0.05))
+				}
+			}
+		}
+		type lossyPair struct {
+			src, dst NodeID
+			mathis   float64
+		}
+		var pairs []lossyPair
+		for src := NodeID(general); src < n; src += 2 {
+			dst := src + 1
+			topo.SetCoreDelay(src, dst, 0.02)
+			topo.SetCoreDelay(dst, src, 0.02)
+			topo.SetCoreLoss(src, dst, 0.01)
+			m := MathisCap(topo.RTT(src, dst), 0.01)
+			topo.SetCoreBW(src, dst, 1.5*m) // two flows get 0.75 m each
+			pairs = append(pairs, lossyPair{src, dst, m})
+		}
+		net := New(eng, topo, rng.Stream("net"))
+		generalPair := func() (NodeID, NodeID) {
+			src, dst := NodeID(rng.Intn(general)), NodeID(rng.Intn(general))
+			if src == dst {
+				dst = (dst + 1) % general
+			}
+			return src, dst
+		}
+
+		var streams []*Flow
+		for k := 0; k < 24+2*len(pairs); k++ {
+			var fl *Flow
+			if k < 24 {
+				fl = net.NewFlow(generalPair())
+			} else {
+				p := pairs[(k-24)/2]
+				fl = net.NewFlow(p.src, p.dst)
+			}
+			streams = append(streams, fl)
+			var next func()
+			next = func() {
+				if k < 24 && rng.Float64() < 0.1 {
+					eng.After(rng.Uniform(0.01, 0.3), func() { fl.Start(rng.Uniform(5e4, 5e5), next) })
+					return
+				}
+				fl.Start(rng.Uniform(5e4, 5e5), next)
+			}
+			fl.Start(rng.Uniform(5e4, 5e5), next)
+		}
+
+		var tick func()
+		tick = func() {
+			fl := streams[rng.Intn(24)]
+			switch rng.Intn(5) {
+			case 0:
+				factor := 0.5
+				if rng.Float64() < 0.5 {
+					factor = 1.5
+				}
+				topo.SetCoreBW(fl.src, fl.dst, topo.CoreBW(fl.src, fl.dst)*factor)
+				net.LinkChanged(fl.src, fl.dst)
+			case 1:
+				topo.AccessIn[fl.dst] *= 0.9
+				net.LinksChanged([]LinkRef{InAccess(fl.dst)})
+			case 2:
+				p := pairs[rng.Intn(len(pairs))]
+				bw := 1.5 * p.mathis
+				if topo.CoreBW(p.src, p.dst) == bw {
+					bw = 2.25 * p.mathis // two flows hit the Mathis cap instead
+				}
+				topo.SetCoreBW(p.src, p.dst, bw)
+				net.LinkChanged(p.src, p.dst)
+			case 3:
+				topo.SetCoreLoss(fl.src, fl.dst, rng.Uniform(0, 0.02))
+				net.LinkChanged(fl.src, fl.dst)
+			case 4:
+				g := net.NewFlow(generalPair())
+				left := 3
+				var next func()
+				next = func() {
+					if left--; left == 0 {
+						g.Close()
+						return
+					}
+					g.Start(rng.Uniform(5e4, 5e5), next)
+				}
+				next()
+			}
+			eng.After(0.1, tick)
+		}
+		eng.After(0.1, tick)
+
+		ok := true
+		records := map[*Flow]record{}
+		recomputes, reused, ratesReused := net.Recomputes, net.FillsReused, net.FlowRatesReused
+		stepUntil(eng, 10, func() {
+			if net.Recomputes == recomputes {
+				return
+			}
+			recomputes = net.Recomputes
+			now := eng.Now()
+			wantReused, wantRates := uint64(0), uint64(0)
+			for i := range net.part.comps {
+				c := &net.part.comps[i]
+				if len(c.flows) == 0 || c.flows[0].lastUpdate != now {
+					continue // a free slot, or a clean component
+				}
+				want, _ := net.fairShare(c.flows, now)
+				for j, fl := range c.flows {
+					if math.Float64bits(fl.rate) != math.Float64bits(want[j]) {
+						t.Logf("seed=%d t=%v flow %d→%d: refill %v, fresh fill %v",
+							seed, now, fl.src, fl.dst, fl.rate, want[j])
+						ok = false
+					}
+				}
+				// Refilled at fills 2, the component was not dissolved; it
+				// was recorded if it was at fills 2 before as well.
+				if prev, seen := records[c.flows[0]]; c.fills == 2 && seen && prev.fills == 2 {
+					moved, access := false, true
+					for _, fl := range c.flows {
+						if k := records[fl].key; k != fl.fillKey {
+							moved = true
+							access = access && k[0] == fl.fillKey[0] && k[1] == fl.fillKey[1]
+						}
+					}
+					switch {
+					case !moved:
+						wantReused++
+						wantRates += uint64(len(c.flows))
+					case access:
+						accessOnly++
+					}
+				}
+			}
+			if net.FillsReused-reused != wantReused || net.FlowRatesReused-ratesReused != wantRates {
+				t.Logf("seed=%d t=%v: %d fills and %d rates reused, want %d and %d", seed, now,
+					net.FillsReused-reused, net.FlowRatesReused-ratesReused, wantReused, wantRates)
+				ok = false
+			}
+			reused, ratesReused = net.FillsReused, net.FlowRatesReused
+			clear(records)
+			for i := range net.part.comps {
+				c := &net.part.comps[i]
+				for _, fl := range c.flows {
+					records[fl] = record{c.fills, fl.fillKey}
+				}
+			}
+		})
+		reusedTotal += net.FillsReused
+		return ok
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
+		t.Fatal(err)
+	}
+	if reusedTotal == 0 || accessOnly == 0 {
+		t.Fatalf("%d fills reused and %d undissolved components refilled for an access capacity alone; "+
+			"the run must exercise both", reusedTotal, accessOnly)
+	}
+	t.Logf("%d fills reused, %d refilled for an access capacity alone", reusedTotal, accessOnly)
 }
 
 // TestLinksChangedMatchesSequentialLinkChanged pins the batching contract:

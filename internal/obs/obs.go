@@ -27,8 +27,9 @@ type LayerCounters struct {
 	// queue compactions.
 	Events, Compactions uint64
 	// Recomputes counts fair-share recomputations; RatesRecomputed and
-	// RatesSkipped count the flow rates they assigned and left alone.
-	Recomputes, RatesRecomputed, RatesSkipped uint64
+	// RatesSkipped count the flow rates they assigned and left alone, and
+	// RatesReused those of the assigned rates a reused fill supplied.
+	Recomputes, RatesRecomputed, RatesSkipped, RatesReused uint64
 	// BytesServed is the payload the network's flows fully serialized.
 	BytesServed float64
 	// Messages counts messages the runtime delivered.

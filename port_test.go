@@ -125,6 +125,8 @@ func traceSpec(spec harness.SweepSpec, slice float64) (*harness.RunResult, []rea
 			r.Layers.Recomputes += p.net.Recomputes
 			r.Layers.RatesRecomputed += p.net.FlowRatesRecomputed
 			r.Layers.RatesSkipped += p.net.FlowRatesSkipped
+			// trace.go does not read this one yet; the block is compared whole.
+			r.Layers.RatesReused += p.net.FlowRatesReused
 			r.Layers.BytesServed += p.net.BytesServed
 			r.Layers.Messages += p.rt.MessagesDelivered
 			r.ControlBytes += p.rt.ControlBytes
