@@ -56,6 +56,7 @@ package bulletprime
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"bulletprime/internal/core"
 	"bulletprime/internal/harness"
@@ -336,6 +337,9 @@ func (cfg RunConfig) normalized() (RunConfig, error) {
 	}
 	if cfg.Network == "" {
 		cfg.Network = NetworkModelNet
+	}
+	if math.IsNaN(cfg.Deadline) || math.IsInf(cfg.Deadline, 0) {
+		return cfg, fmt.Errorf("bulletprime: Deadline must be finite, got %v", cfg.Deadline)
 	}
 	if cfg.Deadline <= 0 {
 		cfg.Deadline = 3600

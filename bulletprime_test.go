@@ -3,6 +3,7 @@ package bulletprime_test
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -92,6 +93,29 @@ func TestRunValidation(t *testing.T) {
 	}
 	if _, err := bulletprime.Run(bulletprime.RunConfig{Nodes: 10, FileBytes: 1e6, Network: "fddi"}); err == nil {
 		t.Fatal("accepted unknown network")
+	}
+}
+
+// TestNewRefusesNonFiniteValues holds New to refusing, by the field's name,
+// a Deadline or a stream Duration that is not a finite number: a NaN
+// deadline ran to t = 0 with no receiver done, and an infinite duration
+// became a one-block stream.
+func TestNewRefusesNonFiniteValues(t *testing.T) {
+	base := bulletprime.RunConfig{Nodes: 8, FileBytes: 256 * 1024, Seed: 1}
+	for _, d := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		cfg := base
+		cfg.Deadline = d
+		if _, err := bulletprime.New(cfg); err == nil || !strings.Contains(err.Error(), "Deadline") {
+			t.Errorf("Deadline %v: New returned %v, want an error naming Deadline", d, err)
+		}
+	}
+	for _, d := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		cfg := base
+		cfg.FileBytes = 0
+		cfg.Stream = &bulletprime.StreamOptions{BitrateBps: 64 * 1024, Duration: d}
+		if _, err := bulletprime.New(cfg); err == nil || !strings.Contains(err.Error(), "Duration") {
+			t.Errorf("Stream.Duration %v: New returned %v, want an error naming Duration", d, err)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -137,8 +138,8 @@ func (s *SweepSpec) check() (SystemEntry, error) {
 		return e, fmt.Errorf("harness: system %q does not support live streaming: its source cannot pace emission, so it would run one-shot and report meaningless lag", name)
 	case s.Stream != nil && !(s.Stream.BitrateBps > 0): // NaN included
 		return e, fmt.Errorf("harness: StreamSpec.BitrateBps must be positive, got %v", s.Stream.BitrateBps)
-	case s.Stream != nil && !(s.Stream.Duration > 0):
-		return e, fmt.Errorf("harness: StreamSpec.Duration must be positive, got %v", s.Stream.Duration)
+	case s.Stream != nil && !(s.Stream.Duration > 0 && s.Stream.Duration < math.Inf(1)):
+		return e, fmt.Errorf("harness: StreamSpec.Duration must be positive and finite, got %v", s.Stream.Duration)
 	}
 	return e, nil
 }

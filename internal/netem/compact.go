@@ -137,6 +137,7 @@ func CompactClusteredTopology(n, clusterSize int, seed int64) *Topology {
 		AccessOut:   make([]float64, n),
 		AccessDelay: make([]float64, n),
 		Clusters:    make([]int32, n),
+		gen:         make([]uint64, n),
 		compact: &compactCore{
 			n:            n,
 			clusterSize:  clusterSize,

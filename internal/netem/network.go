@@ -147,12 +147,12 @@ type Flow struct {
 	churned   bool // queued in net.churned
 	ssBinding bool // slow-start cap was binding at last recompute
 
-	// Path constants, sampled from the topology when the flow opens and
-	// again whenever Topology.epoch has moved past pathEpoch (samplePath).
-	pathEpoch uint32
-	rtt       float64
-	loss      float64
-	mathis    float64 // MathisCap(rtt, loss)
+	// Path constants, sampled from the topology with coreBW when the flow
+	// opens and again whenever its dst's generation has moved past pathGen
+	// (samplePath).
+	rtt    float64
+	loss   float64
+	mathis float64 // MathisCap(rtt, loss)
 
 	established sim.Time // connection birth, drives the slow-start ramp
 
@@ -172,6 +172,10 @@ type Flow struct {
 	// compares with and may reuse (DESIGN.md §3.4).
 	fillKey  fillKey
 	fillRate float64
+
+	// The rest of the path sample (samplePath).
+	pathGen uint64
+	coreBW  float64
 }
 
 // NewFlow opens a unidirectional flow src→dst. The slow-start ramp starts
@@ -208,11 +212,16 @@ func (n *Network) OpenFlow(f *Flow, src, dst NodeID) {
 // samplePath reads the flow's path constants from the topology.
 func (f *Flow) samplePath() {
 	t := f.net.Topo
-	f.pathEpoch = t.epoch
+	f.pathGen = t.gen[f.dst]
+	f.coreBW = t.CoreBW(f.src, f.dst)
 	f.rtt = t.RTT(f.src, f.dst)
 	f.loss = t.CoreLoss(f.src, f.dst)
 	f.mathis = MathisCap(f.rtt, f.loss)
 }
+
+// pathMoved reports whether a write since samplePath may have changed the
+// flow's path constants.
+func (f *Flow) pathMoved() bool { return f.pathGen != f.net.Topo.gen[f.dst] }
 
 // Src returns the sending endpoint.
 func (f *Flow) Src() NodeID { return f.src }
@@ -301,7 +310,7 @@ func (f *Flow) start(bytes float64) {
 // given size on this flow's path, modelling TCP retransmission stalls: with
 // probability equal to the path loss rate the message waits one RTO.
 func (f *Flow) DeliveryJitter(bytes float64) float64 {
-	if f.pathEpoch != f.net.Topo.epoch {
+	if f.pathMoved() {
 		f.samplePath()
 	}
 	if f.loss <= 0 {
@@ -314,14 +323,13 @@ func (f *Flow) DeliveryJitter(bytes float64) float64 {
 }
 
 // capNow returns the flow's current per-flow rate cap: dedicated core link
-// bandwidth (mutable at run time, so read per call, and returned as read),
-// Mathis loss cap, and slow-start ramp.
+// bandwidth (mutable at run time, and returned as sampled), Mathis loss cap,
+// and slow-start ramp.
 func (f *Flow) capNow(now sim.Time) (cap, coreBW float64, ssBinding bool) {
-	t := f.net.Topo
-	if f.pathEpoch != t.epoch {
+	if f.pathMoved() {
 		f.samplePath()
 	}
-	coreBW = t.CoreBW(f.src, f.dst)
+	coreBW = f.coreBW
 	cap = coreBW
 	if cap <= 0 {
 		cap = math.Inf(1)

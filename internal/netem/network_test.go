@@ -2,6 +2,7 @@ package netem
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -387,4 +388,64 @@ func TestPairOutOfRangePanics(t *testing.T) {
 		}
 	}()
 	topo.CoreBW(0, 5)
+}
+
+// TestWriteResamplesTheFlowsItReaches is the generation test: a write to a
+// path parameter moves the generation of each node whose inbound flows it
+// can change (a bandwidth or loss write its link's dst, a delay write both
+// ends, SetUniformAccess every node). Exactly the flows into those nodes
+// sample their path again, and every other flow's sample still equals the
+// topology, on a dense and on a compact topology.
+func TestWriteResamplesTheFlowsItReaches(t *testing.T) {
+	dense := NewTopology(20)
+	dense.SetUniformAccess(Mbps(6), Mbps(6), MS(1))
+	for _, tc := range []struct {
+		name string
+		topo *Topology
+	}{
+		{"dense", dense},
+		{"compact", CompactClusteredTopology(20, 10, 9)},
+	} {
+		topo := tc.topo
+		net := New(sim.NewEngine(), topo, sim.NewRNG(1).Stream("net"))
+		nodes := []NodeID{0, 1, 2, 3, 4, 12, 13}
+		var flows []*Flow
+		for _, src := range nodes {
+			for _, dst := range nodes {
+				if src != dst {
+					flows = append(flows, net.NewFlow(src, dst))
+				}
+			}
+		}
+		sampled := func(f *Flow) bool {
+			rtt, loss := topo.RTT(f.src, f.dst), topo.CoreLoss(f.src, f.dst)
+			return f.coreBW == topo.CoreBW(f.src, f.dst) && f.rtt == rtt && f.loss == loss &&
+				f.mathis == MathisCap(rtt, loss)
+		}
+		check := func(step string, into ...NodeID) {
+			t.Helper()
+			for _, f := range flows {
+				want := slices.Contains(into, f.dst)
+				if got := f.pathMoved(); got != want {
+					t.Fatalf("%s, after %s: flow %d→%d samples again %v, want %v", tc.name, step, f.src, f.dst, got, want)
+				}
+				if !want && !sampled(f) {
+					t.Fatalf("%s, after %s: flow %d→%d keeps a sample the write changed", tc.name, step, f.src, f.dst)
+				}
+				f.capNow(0)
+				if f.pathMoved() || !sampled(f) {
+					t.Fatalf("%s, after %s: flow %d→%d did not sample its path", tc.name, step, f.src, f.dst)
+				}
+			}
+		}
+		check("as opened")
+		topo.SetCoreBW(1, 2, Mbps(3))
+		check("SetCoreBW 1→2", 2)
+		topo.SetCoreLoss(3, 1, 0.01)
+		check("SetCoreLoss 3→1", 1)
+		topo.SetCoreDelay(2, 4, MS(40))
+		check("SetCoreDelay 2→4", 2, 4)
+		topo.SetUniformAccess(Mbps(6), Mbps(6), MS(3))
+		check("SetUniformAccess", nodes...)
+	}
 }

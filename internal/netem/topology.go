@@ -63,14 +63,14 @@ type Topology struct {
 	coreDelay []float64
 	coreLoss  []float64
 
-	// epoch counts delay and loss mutations. A Flow samples its path's RTT,
-	// loss and Mathis cap when it opens and re-samples when epoch has moved,
-	// so the waterfill reads the flow instead of two N*N slices. Only
-	// topology builders set delays and losses today; the setters are not
-	// safe to call while shards are running. Writes to AccessDelay elements
-	// do not bump it: set access delays before opening flows, or through
-	// SetUniformAccess.
-	epoch uint32
+	// gen is one write generation per destination node. SetCoreBW and
+	// SetCoreLoss move their link's dst, SetCoreDelay both ends (an RTT
+	// reads both directions), SetUniformAccess every node; a Flow samples
+	// its path again only when its dst's has moved (DESIGN.md §3.2). Only a
+	// node's own shard writes links into it, so shards need no lock. Writes
+	// to AccessDelay elements do not move it: set access delays before
+	// opening flows, or through SetUniformAccess.
+	gen []uint64
 
 	// compact, when non-nil, replaces the dense N*N core slices with an
 	// O(N) procedural backend (hash-derived parameters plus per-cluster
@@ -88,6 +88,7 @@ func NewTopology(n int) *Topology {
 		coreBW:      make([]float64, n*n),
 		coreDelay:   make([]float64, n*n),
 		coreLoss:    make([]float64, n*n),
+		gen:         make([]uint64, n),
 	}
 }
 
@@ -122,6 +123,7 @@ func (t *Topology) CoreBW(src, dst NodeID) float64 {
 // SetCoreBW sets the core-link bandwidth for the ordered pair src→dst.
 func (t *Topology) SetCoreBW(src, dst NodeID, bw float64) {
 	i := t.idx(src, dst)
+	t.gen[dst]++
 	if t.compact != nil {
 		t.compact.set(src, dst, overlayBW, bw)
 		return
@@ -171,7 +173,8 @@ func (t *Topology) CoreDelay(src, dst NodeID) float64 {
 // SetCoreDelay sets the one-way core propagation delay for src→dst.
 func (t *Topology) SetCoreDelay(src, dst NodeID, d float64) {
 	i := t.idx(src, dst)
-	t.epoch++
+	t.gen[src]++
+	t.gen[dst]++
 	if t.compact != nil {
 		t.compact.set(src, dst, overlayDelay, d)
 		return
@@ -191,7 +194,7 @@ func (t *Topology) CoreLoss(src, dst NodeID) float64 {
 // SetCoreLoss sets the random-loss probability on the core link src→dst.
 func (t *Topology) SetCoreLoss(src, dst NodeID, p float64) {
 	i := t.idx(src, dst)
-	t.epoch++
+	t.gen[dst]++
 	if t.compact != nil {
 		t.compact.set(src, dst, overlayLoss, p)
 		return
@@ -201,8 +204,8 @@ func (t *Topology) SetCoreLoss(src, dst NodeID, p float64) {
 
 // SetUniformAccess configures every node with the same access parameters.
 func (t *Topology) SetUniformAccess(in, out, delay float64) {
-	t.epoch++
 	for i := 0; i < t.N; i++ {
+		t.gen[i]++
 		t.AccessIn[i] = in
 		t.AccessOut[i] = out
 		t.AccessDelay[i] = delay

@@ -545,7 +545,7 @@ func resolveLinkSet(ls *LinkSet, env Env, stream string) []netem.LinkRef {
 // links lists the selector's links once its nodes are chosen: the explicit
 // pairs; or the chosen nodes' access links, every inbound one before every
 // outbound one; or each core link between a chosen node and a member, in
-// Dir, once.
+// Dir, once, in the order it first occurs. members are distinct.
 func (ls *LinkSet) links(nodes, members []netem.NodeID) []netem.LinkRef {
 	var out []netem.LinkRef
 	if len(ls.Pairs) > 0 {
@@ -567,23 +567,34 @@ func (ls *LinkSet) links(nodes, members []netem.NodeID) []netem.LinkRef {
 		}
 		return out
 	}
-	seen := make(map[netem.LinkRef]bool)
-	add := func(src, dst netem.NodeID) {
-		ref := netem.LinkRef{Src: src, Dst: dst}
-		if src != dst && !seen[ref] {
-			seen[ref] = true
-			out = append(out, ref)
-		}
+	// A link repeats only where a chosen node does, or, under "both",
+	// between two chosen nodes: the first of the two to be walked listed
+	// both directions. Every chosen node is a member (Compile bounds Nodes by
+	// the overlay size), so one mark per member finds both, where a set of
+	// links would hold every listed link again.
+	size := 0
+	for _, o := range members {
+		size = max(size, int(o)+1)
 	}
+	walked := make([]bool, size)
+	in := ls.Dir == "in" || ls.Dir == "both"
+	outward := ls.Dir == "out" || ls.Dir == "both"
 	for _, v := range nodes {
+		if walked[v] {
+			continue
+		}
 		for _, o := range members {
-			if ls.Dir == "in" || ls.Dir == "both" {
-				add(o, v)
+			if o == v || in && outward && walked[o] {
+				continue
 			}
-			if ls.Dir == "out" || ls.Dir == "both" {
-				add(v, o)
+			if in {
+				out = append(out, netem.LinkRef{Src: o, Dst: v})
+			}
+			if outward {
+				out = append(out, netem.LinkRef{Src: v, Dst: o})
 			}
 		}
+		walked[v] = true
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -418,6 +419,65 @@ func TestLinkSetFracSampling(t *testing.T) {
 	for i := range r {
 		if r[i] != r2[i] {
 			t.Fatal("frac link sampling not deterministic per seed")
+		}
+	}
+}
+
+// linksBySet is LinkSet.links's core-link walk as it was before it marked
+// nodes: every link in Dir between a chosen node and a member, kept the first
+// time a set of listed links has not seen it.
+func linksBySet(dir string, nodes, members []netem.NodeID) []netem.LinkRef {
+	var out []netem.LinkRef
+	seen := make(map[netem.LinkRef]bool)
+	add := func(src, dst netem.NodeID) {
+		ref := netem.LinkRef{Src: src, Dst: dst}
+		if src != dst && !seen[ref] {
+			seen[ref] = true
+			out = append(out, ref)
+		}
+	}
+	for _, v := range nodes {
+		for _, o := range members {
+			if dir == "in" || dir == "both" {
+				add(o, v)
+			}
+			if dir == "out" || dir == "both" {
+				add(v, o)
+			}
+		}
+	}
+	return out
+}
+
+// TestLinkSetListsEachLinkOnce holds the core-link walk to the set-based
+// reference above, order included: a node repeated in Nodes adds nothing,
+// and under "both" the links between two chosen nodes are listed once, where
+// the first of the two is walked.
+func TestLinkSetListsEachLinkOnce(t *testing.T) {
+	ids := func(v ...int) []netem.NodeID {
+		out := make([]netem.NodeID, len(v))
+		for i, x := range v {
+			out[i] = netem.NodeID(x)
+		}
+		return out
+	}
+	all := ids(0, 1, 2, 3, 4, 5, 6, 7)
+	for _, tc := range []struct {
+		name           string
+		nodes, members []netem.NodeID
+	}{
+		{"a repeated node", ids(3, 1, 3, 3), all},
+		{"overlapping nodes", ids(5, 2, 7, 2, 5, 0), all},
+		{"every member", all, all},
+		{"members apart", ids(2, 6, 4, 6, 2), ids(0, 2, 4, 6)},
+	} {
+		for _, dir := range []string{"in", "out", "both"} {
+			ls := &LinkSet{Dir: dir}
+			got := ls.links(tc.nodes, tc.members)
+			want := linksBySet(dir, tc.nodes, tc.members)
+			if !slices.Equal(got, want) {
+				t.Errorf("%s, dir %s: links %v, want %v", tc.name, dir, got, want)
+			}
 		}
 	}
 }
