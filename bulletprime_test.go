@@ -97,9 +97,10 @@ func TestRunValidation(t *testing.T) {
 }
 
 // TestNewRefusesNonFiniteValues holds New to refusing, by the field's name,
-// a Deadline or a stream Duration that is not a finite number: a NaN
-// deadline ran to t = 0 with no receiver done, and an infinite duration
-// became a one-block stream.
+// a Deadline, a stream Duration or a SampleEvery that is not a finite number,
+// and a positive SampleEvery below the wheel's tick: a NaN deadline ran to
+// t = 0 with no receiver done, and an infinite duration became a one-block
+// stream.
 func TestNewRefusesNonFiniteValues(t *testing.T) {
 	base := bulletprime.RunConfig{Nodes: 8, FileBytes: 256 * 1024, Seed: 1}
 	for _, d := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
@@ -115,6 +116,22 @@ func TestNewRefusesNonFiniteValues(t *testing.T) {
 		cfg.Stream = &bulletprime.StreamOptions{BitrateBps: 64 * 1024, Duration: d}
 		if _, err := bulletprime.New(cfg); err == nil || !strings.Contains(err.Error(), "Duration") {
 			t.Errorf("Stream.Duration %v: New returned %v, want an error naming Duration", d, err)
+		}
+	}
+	// A cadence that is not a number, or finer than the event wheel's 1/1024 s
+	// tick: 1e-9 s ran 3.9 s of wall for 2.3 ms of virtual time.
+	for _, every := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e-9, math.Nextafter(1.0/1024, 0)} {
+		cfg := base
+		cfg.SampleEvery = every
+		if _, err := bulletprime.New(cfg); err == nil || !strings.Contains(err.Error(), "SampleEvery") {
+			t.Errorf("SampleEvery %v: New returned %v, want an error naming SampleEvery", every, err)
+		}
+	}
+	for _, every := range []float64{1.0 / 1024, 0.5, 0, -1, -1e-9} {
+		cfg := base
+		cfg.SampleEvery = every
+		if _, err := bulletprime.New(cfg); err != nil {
+			t.Errorf("SampleEvery %v: New refused a valid cadence: %v", every, err)
 		}
 	}
 }

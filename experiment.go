@@ -291,7 +291,8 @@ func (rec *recorder) tick() {
 	c := rec.probe.Counters()
 	now := float64(c.Now)
 	dup := harness.SystemDuplicates(rec.sys)
-	dupBytes := float64(dup) * rec.blockSize
+	// Rounded before the difference: arm64 would fuse it into one FMSUBD.
+	dupBytes := float64(float64(dup) * rec.blockSize)
 	useful := c.DataBytes - dupBytes
 	if useful < 0 {
 		useful = 0

@@ -416,10 +416,14 @@ func (p *peer) pickBlock(sp *senderPeer) (int, bool) {
 		}
 		bestRarity := math.MaxInt
 		ties := p.ties[:0]
+		var draw sim.Sampler
+		if n > rarestSample {
+			draw = p.rng.Sampler(n)
+		}
 		for k := 0; k < sampleN; k++ {
 			i := k
 			if n > rarestSample {
-				i = p.rng.Pick(n)
+				i = draw.Draw()
 			}
 			r := int(p.rarity[avail[i]])
 			switch {

@@ -17,6 +17,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"bulletprime/internal/sim"
 )
 
 // Robust soliton parameters. C tunes the ripple size (smaller C trades
@@ -104,8 +106,8 @@ func (ds *Dist) DegreeOneProb() float64 { return ds.cdf[0] }
 // deterministically from (seed, id).
 func neighbors(k int, seed int64, id int, dist *Dist) []int {
 	mix := uint64(seed) ^ uint64(id)*0x9E3779B97F4A7C15
-	rng := rand.New(rand.NewSource(int64(mix)))
-	d := dist.Sample(rng)
+	rng := sim.NewRNG(int64(mix))
+	d := dist.Sample(rng.Rand)
 	if d > k {
 		d = k
 	}

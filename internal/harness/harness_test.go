@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -77,6 +78,97 @@ func TestTopologyBuilders(t *testing.T) {
 		for j := 0; j < 20; j++ {
 			if i != j && cases["lossless"].CoreLoss(netem.NodeID(i), netem.NodeID(j)) != 0 {
 				t.Fatal("lossless topology has loss")
+			}
+		}
+	}
+}
+
+// clusteredWithSetters and planetLabWithSetters are ClusteredTopology and
+// PlanetLabTopology as they were written before the one-pass builders: the
+// same draws through the per-pair setters.
+func clusteredWithSetters(n, clusterSize int, rng *sim.RNG) *netem.Topology {
+	t := netem.NewTopology(n)
+	t.SetUniformAccess(netem.Mbps(6), netem.Mbps(6), netem.MS(1))
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i == j {
+				continue
+			}
+			src, dst := netem.NodeID(i), netem.NodeID(j)
+			if i/clusterSize == j/clusterSize {
+				t.SetCoreBW(src, dst, netem.Mbps(10))
+				t.SetCoreDelay(src, dst, netem.MS(rng.Uniform(1, 5)))
+			} else {
+				t.SetCoreBW(src, dst, netem.Mbps(1.5))
+				t.SetCoreDelay(src, dst, netem.MS(rng.Uniform(20, 200)))
+				t.SetCoreLoss(src, dst, rng.Uniform(0, 0.02))
+			}
+		}
+	}
+	return t
+}
+
+func planetLabWithSetters(n int, rng *sim.RNG) *netem.Topology {
+	t := netem.NewTopology(n)
+	for i := 0; i < n; i++ {
+		var bw float64
+		switch {
+		case i == 0:
+			bw = netem.Mbps(10)
+		case rng.Float64() < 0.2:
+			bw = netem.Mbps(rng.Uniform(1.5, 4))
+		default:
+			bw = netem.Mbps(rng.Uniform(5, 20))
+		}
+		t.AccessIn[i], t.AccessOut[i], t.AccessDelay[i] = bw, bw, netem.MS(1)
+	}
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i == j {
+				continue
+			}
+			t.SetCoreBW(netem.NodeID(i), netem.NodeID(j), netem.Mbps(50))
+			t.SetCoreDelay(netem.NodeID(i), netem.NodeID(j), netem.MS(rng.Uniform(10, 120)))
+			t.SetCoreLoss(netem.NodeID(i), netem.NodeID(j), rng.Uniform(0, 0.008))
+		}
+	}
+	return t
+}
+
+// TestDenseBuildersMatchSetters holds the clustered and PlanetLab builders,
+// which write each core row in one pass, to the per-pair setters they
+// replaced: every link bit for bit, and the generator left in the same
+// state.
+func TestDenseBuildersMatchSetters(t *testing.T) {
+	bits := math.Float64bits
+	for _, tc := range []struct {
+		name      string
+		got, want func(*sim.RNG) *netem.Topology
+	}{
+		{"clustered 50/10", ClusteredTopology(50, 10), func(r *sim.RNG) *netem.Topology { return clusteredWithSetters(50, 10, r) }},
+		{"clustered 75/25", ClusteredTopology(75, 25), func(r *sim.RNG) *netem.Topology { return clusteredWithSetters(75, 25, r) }},
+		{"clustered 8/8", ClusteredTopology(8, 0), func(r *sim.RNG) *netem.Topology { return clusteredWithSetters(8, 8, r) }},
+		{"clustered 6/2", ClusteredTopology(6, 2), func(r *sim.RNG) *netem.Topology { return clusteredWithSetters(6, 2, r) }},
+		{"planetlab 41", PlanetLabTopology(41), func(r *sim.RNG) *netem.Topology { return planetLabWithSetters(41, r) }},
+	} {
+		for seed := int64(1); seed <= 3; seed++ {
+			gotRng, wantRng := sim.NewRNG(seed).Stream("topo"), sim.NewRNG(seed).Stream("topo")
+			got, want := tc.got(gotRng), tc.want(wantRng)
+			for i := 0; i < got.N; i++ {
+				if bits(got.AccessIn[i]) != bits(want.AccessIn[i]) || bits(got.AccessOut[i]) != bits(want.AccessOut[i]) ||
+					bits(got.AccessDelay[i]) != bits(want.AccessDelay[i]) {
+					t.Fatalf("%s seed %d: node %d's access links differ from the setters' build", tc.name, seed, i)
+				}
+				for j := 0; j < got.N; j++ {
+					s, d := netem.NodeID(i), netem.NodeID(j)
+					if bits(got.CoreBW(s, d)) != bits(want.CoreBW(s, d)) || bits(got.CoreDelay(s, d)) != bits(want.CoreDelay(s, d)) ||
+						bits(got.CoreLoss(s, d)) != bits(want.CoreLoss(s, d)) {
+						t.Fatalf("%s seed %d: core link %d→%d differs from the setters' build", tc.name, seed, i, j)
+					}
+				}
+			}
+			if gotRng.Int63() != wantRng.Int63() {
+				t.Fatalf("%s seed %d: the builder drew a different number of values", tc.name, seed)
 			}
 		}
 	}

@@ -198,22 +198,28 @@ func ClusteredTopology(n, clusterSize int) func(*sim.RNG) *netem.Topology {
 		// Cheapest cross-cluster interaction: 20 ms core floor + both
 		// access delays. This is the sharded engine's lookahead.
 		t.CrossLookahead = netem.MS(20) + 2*netem.MS(1)
+		// Row by row in ascending dst, one draw order: the clusters before
+		// i's, i's own (skipping i), then the clusters after.
+		inter := func(bw, delay, loss []float64) {
+			for j := range bw {
+				bw[j] = netem.Mbps(1.5)
+				delay[j] = netem.MS(rng.Uniform(20, 200))
+				loss[j] = rng.Uniform(0, 0.02)
+			}
+		}
 		for i := 0; i < n; i++ {
 			t.Clusters[i] = int32(i / clusterSize)
-			for j := 0; j < n; j++ {
-				if i == j {
-					continue
-				}
-				src, dst := netem.NodeID(i), netem.NodeID(j)
-				if i/clusterSize == j/clusterSize {
-					t.SetCoreBW(src, dst, netem.Mbps(10))
-					t.SetCoreDelay(src, dst, netem.MS(rng.Uniform(1, 5)))
-				} else {
-					t.SetCoreBW(src, dst, netem.Mbps(1.5))
-					t.SetCoreDelay(src, dst, netem.MS(rng.Uniform(20, 200)))
-					t.SetCoreLoss(src, dst, rng.Uniform(0, 0.02))
+			lo := i / clusterSize * clusterSize
+			hi := lo + clusterSize
+			bw, delay, loss := t.CoreRows(netem.NodeID(i))
+			inter(bw[:lo], delay[:lo], loss[:lo])
+			for j := lo; j < hi; j++ {
+				if j != i {
+					bw[j] = netem.Mbps(10)
+					delay[j] = netem.MS(rng.Uniform(1, 5))
 				}
 			}
+			inter(bw[hi:], delay[hi:], loss[hi:])
 		}
 		return t
 	}
@@ -256,13 +262,14 @@ func PlanetLabTopology(n int) func(*sim.RNG) *netem.Topology {
 			t.AccessDelay[i] = netem.MS(1)
 		}
 		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if i == j {
+			bw, delay, loss := t.CoreRows(netem.NodeID(i))
+			for j := range bw {
+				if j == i {
 					continue
 				}
-				t.SetCoreBW(netem.NodeID(i), netem.NodeID(j), netem.Mbps(50))
-				t.SetCoreDelay(netem.NodeID(i), netem.NodeID(j), netem.MS(rng.Uniform(10, 120)))
-				t.SetCoreLoss(netem.NodeID(i), netem.NodeID(j), rng.Uniform(0, 0.008))
+				bw[j] = netem.Mbps(50)
+				delay[j] = netem.MS(rng.Uniform(10, 120))
+				loss[j] = rng.Uniform(0, 0.008)
 			}
 		}
 		return t

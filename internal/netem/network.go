@@ -329,19 +329,28 @@ func (f *Flow) capNow(now sim.Time) (cap, coreBW float64, ssBinding bool) {
 	if f.pathMoved() {
 		f.samplePath()
 	}
-	coreBW = f.coreBW
+	cap, ssBinding = pathCap(f.coreBW, f.mathis, float64(now-f.established), f.rtt)
+	return cap, f.coreBW, ssBinding
+}
+
+// pathCap is capNow's arithmetic: the least of the core bandwidth (none when
+// not positive), the Mathis cap and the slow-start ramp of a flow age
+// seconds old, and whether the ramp is the binding one.
+func pathCap(coreBW, mathis, age, rtt float64) (cap float64, ssBinding bool) {
 	cap = coreBW
 	if cap <= 0 {
 		cap = math.Inf(1)
 	}
-	if f.mathis < cap {
-		cap = f.mathis
+	if mathis < cap {
+		cap = mathis
 	}
-	if ss := SlowStartCap(float64(now-f.established), f.rtt); ss < cap {
-		cap = ss
-		ssBinding = true
+	if slowStartMayBind(age, rtt, cap) {
+		if ss := SlowStartCap(age, rtt); ss < cap {
+			cap = ss
+			ssBinding = true
+		}
 	}
-	return cap, coreBW, ssBinding
+	return cap, ssBinding
 }
 
 // completeEps is the residual-byte threshold below which a transfer counts

@@ -151,6 +151,80 @@ func TestSlowStartCapGrows(t *testing.T) {
 	}
 }
 
+// TestSlowStartGuardIsExact holds pathCap, which skips math.Exp2 when the
+// slow-start ramp cannot bind, to the arithmetic without the guard: the cap
+// bit for bit and the same ramp flag. The flow's age is drawn next to whole
+// RTT multiples, next to the 40-doubling cut-off and below zero, the RTT
+// from tiny to large, and the other caps at, just below and just above the
+// guard's bound and the ramp itself.
+func TestSlowStartGuardIsExact(t *testing.T) {
+	unguarded := func(coreBW, mathis, age, rtt float64) (float64, bool) {
+		cap := coreBW
+		if cap <= 0 {
+			cap = math.Inf(1)
+		}
+		if mathis < cap {
+			cap = mathis
+		}
+		if ss := SlowStartCap(age, rtt); ss < cap {
+			return ss, true
+		}
+		return cap, false
+	}
+	check := func(coreBW, mathis, age, rtt float64) bool {
+		got, gotSS := pathCap(coreBW, mathis, age, rtt)
+		want, wantSS := unguarded(coreBW, mathis, age, rtt)
+		if math.Float64bits(got) != math.Float64bits(want) || gotSS != wantSS {
+			t.Errorf("pathCap(%v, %v, %v, %v) = %v, %v; without the guard %v, %v",
+				coreBW, mathis, age, rtt, got, gotSS, want, wantSS)
+			return false
+		}
+		return true
+	}
+	rtts := []float64{1e-300, 1e-9, 0.0123, 0.2, 3, 0, -1, math.Inf(1)}
+	near := func(x float64) []float64 {
+		return []float64{x, math.Nextafter(x, math.Inf(-1)), math.Nextafter(x, math.Inf(1)),
+			x * (1 - 1e-12), x * (1 + 1e-12), x / 2, x * 2}
+	}
+	for k := 0; k <= 42; k++ {
+		for _, rtt := range rtts {
+			for _, frac := range []float64{0, 1e-12, 0.5, 0.999999, 1 - 1e-15} {
+				for _, age := range near(float64(float64(k)+frac) * rtt) {
+					bound := float64(math.Ldexp(1, k)*MSS) / rtt
+					caps := append(near(bound), near(SlowStartCap(age, rtt))...)
+					caps = append(caps, 0, -1, math.Inf(1))
+					for _, c := range caps {
+						if !check(c, math.Inf(1), age, rtt) || !check(-1, c, age, rtt) {
+							return
+						}
+					}
+				}
+			}
+		}
+	}
+	for _, age := range []float64{-1, -1e-300, math.Inf(-1), math.Inf(1), math.NaN()} {
+		for _, rtt := range rtts {
+			check(1e6, math.Inf(1), age, rtt)
+		}
+	}
+	// Arbitrary values, shaped the same way.
+	f := func(core, mathis, frac float64, k, kind uint8) bool {
+		rtt := rtts[int(kind)%len(rtts)]
+		age := float64(float64(k%44)+math.Abs(math.Mod(frac, 1))) * rtt
+		if kind&8 != 0 {
+			age = -age
+		}
+		ss := SlowStartCap(age, rtt)
+		if kind&16 != 0 && !math.IsInf(ss, 0) {
+			core = ss * (1 + math.Mod(core, 1e-6))
+		}
+		return check(core, math.Abs(mathis), age, rtt)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestBandwidthChangeMidTransfer(t *testing.T) {
 	eng, net := testNet(2, Mbps(100), Mbps(8))
 	f := net.NewFlow(0, 1)

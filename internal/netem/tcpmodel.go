@@ -51,6 +51,24 @@ func SlowStartCap(age, rtt float64) float64 {
 	return window / rtt
 }
 
+// slowStartMayBind reports whether SlowStartCap(age, rtt) can be below cap,
+// without computing its math.Exp2. With d = age/rtt the ramp is
+// (initialWindow·Exp2(d))·MSS/rtt. The bound 2^⌊d⌋·MSS/rtt takes the same
+// two rounded steps from 2^⌊d⌋ = initialWindow·2^(⌊d⌋−1), which is below
+// initialWindow·Exp2(d) by a factor of at least 2, and IEEE multiply and
+// divide are monotone: when the bound reaches cap, the ramp does too. A false
+// answer is therefore exact; true means "compute the ramp".
+func slowStartMayBind(age, rtt, cap float64) bool {
+	if rtt <= 0 {
+		return false // SlowStartCap is +Inf
+	}
+	d := max(age, 0) / rtt
+	if !(d <= 40) {
+		return false // +Inf as well, or NaN, which is below nothing
+	}
+	return float64(float64(uint64(1)<<uint(d))*MSS)/rtt < cap
+}
+
 // RTO returns the retransmission timeout used to model control-message
 // latency spikes on lossy paths: max(minRTO, 2*RTT).
 func RTO(rtt float64) float64 {

@@ -202,6 +202,21 @@ func (t *Topology) SetCoreLoss(src, dst NodeID, p float64) {
 	t.coreLoss[i] = p
 }
 
+// CoreRows returns src's rows of the dense core matrices: the bandwidth,
+// delay and loss of the core link src→dst at index dst. They are for a
+// builder that writes the whole mesh in one pass. A write through them moves
+// no write generation (gen), so no flow may be open yet: a run changes a
+// link through SetCoreBW, SetCoreDelay or SetCoreLoss. It panics on a
+// compact topology, which has no dense rows.
+func (t *Topology) CoreRows(src NodeID) (bw, delay, loss []float64) {
+	if t.compact != nil {
+		panic("netem: CoreRows on a compact topology")
+	}
+	lo := t.idx(src, 0)
+	hi := lo + t.N
+	return t.coreBW[lo:hi:hi], t.coreDelay[lo:hi:hi], t.coreLoss[lo:hi:hi]
+}
+
 // SetUniformAccess configures every node with the same access parameters.
 func (t *Topology) SetUniformAccess(in, out, delay float64) {
 	for i := 0; i < t.N; i++ {
@@ -259,25 +274,28 @@ func PaperDefault() ModelNetConfig {
 }
 
 // Build draws a concrete topology from the configuration using rng. The
-// draw order is fixed, so a given seed always yields the same network.
+// draw order is fixed, so a given seed always yields the same network: row
+// by row, a delay then a loss for each ordered pair (i, j), i ≠ j (with
+// SymmetricRng, only for j > i; (i, j) with j < i copies (j, i)).
 func (c ModelNetConfig) Build(rng *sim.RNG) *Topology {
 	t := NewTopology(c.N)
 	t.SetUniformAccess(c.AccessBW, c.AccessBW, c.AccessDelay)
-	for i := 0; i < c.N; i++ {
-		for j := 0; j < c.N; j++ {
-			if i == j {
+	n := c.N
+	for i := 0; i < n; i++ {
+		bw, delay, loss := t.CoreRows(NodeID(i))
+		for j := range bw {
+			if j == i {
 				continue
 			}
+			bw[j] = c.CoreBW
 			if c.SymmetricRng && j < i {
 				// Mirror the draw made for (j, i).
-				t.SetCoreBW(NodeID(i), NodeID(j), t.CoreBW(NodeID(j), NodeID(i)))
-				t.SetCoreDelay(NodeID(i), NodeID(j), t.CoreDelay(NodeID(j), NodeID(i)))
-				t.SetCoreLoss(NodeID(i), NodeID(j), t.CoreLoss(NodeID(j), NodeID(i)))
+				delay[j] = t.coreDelay[j*n+i]
+				loss[j] = t.coreLoss[j*n+i]
 				continue
 			}
-			t.SetCoreBW(NodeID(i), NodeID(j), c.CoreBW)
-			t.SetCoreDelay(NodeID(i), NodeID(j), rng.Uniform(c.CoreDelayLo, c.CoreDelayHi))
-			t.SetCoreLoss(NodeID(i), NodeID(j), rng.Uniform(c.CoreLossLo, c.CoreLossHi))
+			delay[j] = rng.Uniform(c.CoreDelayLo, c.CoreDelayHi)
+			loss[j] = rng.Uniform(c.CoreLossLo, c.CoreLossHi)
 		}
 	}
 	return t

@@ -150,6 +150,11 @@ const (
 	maxBucketTime = 1e12
 )
 
+// WheelTick is the width of one timer-wheel bucket, 1/1024 virtual second:
+// the finest period a recurring event can keep without several firings
+// sharing a bucket.
+const WheelTick = 1 / wheelTickInv
+
 func bucketOf(t Time) int64 { return int64(float64(t) * wheelTickInv) }
 
 // nodeChunk is how many event nodes one free-list miss allocates at once.

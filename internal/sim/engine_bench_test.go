@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -90,5 +91,25 @@ func BenchmarkAllocsPerEvent(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Step()
+	}
+}
+
+// BenchmarkRNGStream is the cost of deriving one named stream — hashing the
+// name and seeding math/rand's 607-word generator — which a Bullet′ session
+// pays twice per peer (peer-%d, ransub-%d).
+func BenchmarkRNGStream(b *testing.B) {
+	master := NewRNG(1)
+	names := make([]string, 1024)
+	for i := range names {
+		names[i] = fmt.Sprintf("peer-%d", i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var sum int64
+	for i := 0; i < b.N; i++ {
+		sum += master.Stream(names[i%len(names)]).Int63()
+	}
+	if sum == 0 {
+		b.Fatal("streams drew nothing")
 	}
 }
