@@ -212,7 +212,10 @@ type RunConfig struct {
 	Protocol Protocol
 	// Nodes is the overlay size including the source (minimum 8).
 	Nodes int
-	// FileBytes is the file size; BlockSize defaults to 16 KB.
+	// FileBytes is the file size. BlockSize 0 picks 16 KB, and a block
+	// larger than the file is clamped to the file (BlockSize = FileBytes):
+	// a one-block file is sent at its own size. Both must otherwise be
+	// positive and finite.
 	FileBytes float64
 	BlockSize float64
 	// Network defaults to NetworkModelNet; any registered network name is
@@ -306,17 +309,17 @@ var (
 )
 
 // normalized is the single place RunConfig defaults live, together with the
-// rules about fields only the façade has (Nodes, FileBytes, Parallel,
-// Encoded, Testbed option ranges, shard knobs without the sharded engine,
-// registry names). Which features combine is the harness's one rule table,
-// harness.SweepSpec.Check, which New runs on the lowered spec; every entry
-// point (New, Run, Sweep cells) goes through both, so a misconfiguration
-// fails the same way everywhere.
+// rules about fields only the façade has (Nodes, a stream's FileBytes,
+// Parallel, Strategy, Encoded, Testbed option ranges, shard knobs without
+// the sharded engine, registry names). Which features combine, and the block
+// geometry, are the harness's one rule table, harness.SweepSpec.Check, which
+// New runs on the lowered spec; every entry point (New, Run, Sweep cells)
+// goes through both, so a misconfiguration fails the same way everywhere.
 func (cfg RunConfig) normalized() (RunConfig, error) {
 	if cfg.Nodes < 8 {
 		return cfg, fmt.Errorf("bulletprime: need at least 8 nodes, got %d", cfg.Nodes)
 	}
-	if cfg.BlockSize <= 0 {
+	if cfg.BlockSize == 0 {
 		cfg.BlockSize = 16 * 1024
 	}
 	if cfg.Stream != nil {
@@ -333,14 +336,20 @@ func (cfg RunConfig) normalized() (RunConfig, error) {
 			return cfg, fmt.Errorf("bulletprime: Stream and Encoded both redefine the source emission; pick one")
 		}
 	}
-	if cfg.FileBytes <= 0 {
-		return cfg, fmt.Errorf("bulletprime: FileBytes must be positive")
+	// The clamp leaves a non-finite block to the rule table, which names it;
+	// a bad file is named before the block it clamps.
+	if cfg.BlockSize > cfg.FileBytes && cfg.BlockSize < math.Inf(1) {
+		cfg.BlockSize = cfg.FileBytes
 	}
 	if cfg.Parallel < 0 {
 		return cfg, fmt.Errorf("bulletprime: Parallel must be >= 0, got %d", cfg.Parallel)
 	}
 	if cfg.StaticPeers < 0 || cfg.StaticPeers > 255 {
 		return cfg, fmt.Errorf("%w, got %d", errStaticPeersRange, cfg.StaticPeers)
+	}
+	if cfg.Strategy < FirstEncountered || cfg.Strategy > RarestRandom {
+		// An unknown ordering picks no block, so no receiver would finish.
+		return cfg, fmt.Errorf("bulletprime: unknown request Strategy %d", cfg.Strategy)
 	}
 	if cfg.Protocol == "" {
 		cfg.Protocol = ProtocolBulletPrime
@@ -371,11 +380,15 @@ func (cfg RunConfig) normalized() (RunConfig, error) {
 		if cfg.Testbed == nil {
 			cfg.Testbed = &TestbedOptions{}
 		}
-		if cfg.Testbed.Rate < 0 || cfg.Testbed.RTO < 0 || cfg.Testbed.MaxRetries < 0 {
-			return cfg, fmt.Errorf("bulletprime: Testbed Rate/RTO/MaxRetries must be >= 0")
-		}
-		if cfg.Testbed.DropProb < 0 || cfg.Testbed.DropProb >= 1 {
-			return cfg, fmt.Errorf("bulletprime: Testbed DropProb must be in [0, 1), got %v", cfg.Testbed.DropProb)
+		switch tb := cfg.Testbed; {
+		case !(tb.Rate >= 0 && tb.Rate < math.Inf(1)): // NaN included
+			return cfg, fmt.Errorf("bulletprime: Testbed Rate must be >= 0 and finite, got %v", tb.Rate)
+		case !(tb.RTO >= 0 && tb.RTO < math.Inf(1)):
+			return cfg, fmt.Errorf("bulletprime: Testbed RTO must be >= 0 and finite, got %v", tb.RTO)
+		case tb.MaxRetries < 0:
+			return cfg, fmt.Errorf("bulletprime: Testbed MaxRetries must be >= 0, got %d", tb.MaxRetries)
+		case !(tb.DropProb >= 0 && tb.DropProb < 1):
+			return cfg, fmt.Errorf("bulletprime: Testbed DropProb must be in [0, 1), got %v", tb.DropProb)
 		}
 		tb := cfg.Testbed.Normalized()
 		cfg.Testbed = &tb

@@ -134,6 +134,68 @@ func TestNewRefusesNonFiniteValues(t *testing.T) {
 			t.Errorf("SampleEvery %v: New refused a valid cadence: %v", every, err)
 		}
 	}
+	// The block geometry. A NaN block was accepted and Run panicked in the
+	// engine ("sim: schedule at NaN"); a NaN or infinite file was accepted,
+	// and an infinite one "completed" as a one-block file.
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		cfg := base
+		cfg.FileBytes = v
+		if _, err := bulletprime.New(cfg); err == nil || !strings.Contains(err.Error(), "FileBytes") {
+			t.Errorf("FileBytes %v: New returned %v, want an error naming FileBytes", v, err)
+		}
+		for _, live := range []bool{false, true} {
+			cfg := base
+			cfg.BlockSize = v
+			if live {
+				cfg.FileBytes = 0
+				cfg.Stream = &bulletprime.StreamOptions{BitrateBps: 64 * 1024, Duration: 10}
+			}
+			if _, err := bulletprime.New(cfg); err == nil || !strings.Contains(err.Error(), "BlockSize") {
+				t.Errorf("BlockSize %v (stream %v): New returned %v, want an error naming BlockSize", v, live, err)
+			}
+		}
+	}
+	// A stream's settings: a NaN playout depth started no viewer and reported
+	// 0 s of stall; NaN warm-up and drain windows were accepted.
+	for _, tc := range []struct {
+		field string
+		mut   func(*bulletprime.StreamOptions, float64)
+	}{
+		// An infinite rate ran as a one-block stream (FuzzNew found it).
+		{"BitrateBps", func(s *bulletprime.StreamOptions, v float64) { s.BitrateBps = v }},
+		{"PlayoutDepth", func(s *bulletprime.StreamOptions, v float64) { s.PlayoutDepth = v }},
+		{"Warmup", func(s *bulletprime.StreamOptions, v float64) { s.Warmup = v }},
+		{"Drain", func(s *bulletprime.StreamOptions, v float64) { s.Drain = v }},
+	} {
+		for _, v := range []float64{math.NaN(), math.Inf(1)} {
+			cfg := base
+			cfg.FileBytes = 0
+			cfg.Stream = &bulletprime.StreamOptions{BitrateBps: 64 * 1024, Duration: 10}
+			tc.mut(cfg.Stream, v)
+			if _, err := bulletprime.New(cfg); err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Errorf("Stream.%s %v: New returned %v, want an error naming %s", tc.field, v, err, tc.field)
+			}
+		}
+	}
+	// The testbed's clock rate, retransmission timeout and injected loss.
+	for _, tc := range []struct {
+		field string
+		mut   func(*bulletprime.TestbedOptions, float64)
+	}{
+		{"Rate", func(o *bulletprime.TestbedOptions, v float64) { o.Rate = v }},
+		{"RTO", func(o *bulletprime.TestbedOptions, v float64) { o.RTO = v }},
+		{"DropProb", func(o *bulletprime.TestbedOptions, v float64) { o.DropProb = v }},
+	} {
+		for _, v := range []float64{math.NaN(), math.Inf(1)} {
+			cfg := base
+			cfg.Network = bulletprime.NetworkTestbedUDP
+			cfg.Testbed = &bulletprime.TestbedOptions{}
+			tc.mut(cfg.Testbed, v)
+			if _, err := bulletprime.New(cfg); err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Errorf("Testbed.%s %v: New returned %v, want an error naming %s", tc.field, v, err, tc.field)
+			}
+		}
+	}
 }
 
 func TestRunDeterministic(t *testing.T) {

@@ -27,6 +27,7 @@ func canonicalFingerprint(t *testing.T, cfg RunConfig) string {
 // dedupes however it was written.
 func TestConfigIsCanonical(t *testing.T) {
 	file := RunConfig{Nodes: 8, FileBytes: 1 << 20, Seed: 1}
+	small := RunConfig{Nodes: 8, FileBytes: 256 * 1024, Seed: 1}
 	live := RunConfig{Nodes: 8, Seed: 1, Stream: &StreamOptions{BitrateBps: 64 * 1024, Duration: 16}}
 	socket := RunConfig{Nodes: 8, FileBytes: 1 << 20, Seed: 1, Network: NetworkTestbedUDP}
 	sharded := RunConfig{Nodes: 100, FileBytes: 1e6, Seed: 1, Protocol: ProtocolScalefill,
@@ -50,6 +51,9 @@ func TestConfigIsCanonical(t *testing.T) {
 		{"Protocol", file, with(file, func(c *RunConfig) { c.Protocol = ProtocolBulletPrime })},
 		{"Network", file, with(file, func(c *RunConfig) { c.Network = NetworkModelNet })},
 		{"BlockSize", file, with(file, func(c *RunConfig) { c.BlockSize = 16 * 1024 })},
+		// A block larger than the file is the file (RunConfig.BlockSize).
+		{"BlockSize above FileBytes", with(small, func(c *RunConfig) { c.BlockSize = 1 << 30 }),
+			with(small, func(c *RunConfig) { c.BlockSize = 256 * 1024 })},
 		{"Deadline", file, with(file, func(c *RunConfig) { c.Deadline = 3600 })},
 		{"SampleEvery", file, with(file, func(c *RunConfig) { c.SampleEvery = 1 })},
 		{"Stream.PlayoutDepth", live, stream(func(s *StreamOptions) { s.PlayoutDepth = 4 })},
@@ -119,5 +123,29 @@ func TestNewOfConfigKeepsFingerprint(t *testing.T) {
 				t.Fatalf("fingerprint moved:\n%s\n%s", a, b)
 			}
 		})
+	}
+}
+
+// TestOversizeBlockIsTheFile: a 1 GiB block on a 256 KiB file runs as the
+// file's one 256 KiB block and completes, the run of the explicit 256 KiB
+// block. Sent at its stated size, that block reached none of the 7
+// receivers by the 3,600 s deadline.
+func TestOversizeBlockIsTheFile(t *testing.T) {
+	small := RunConfig{Nodes: 8, FileBytes: 256 * 1024, Seed: 1}
+	run := func(block float64) *Result {
+		cfg := small
+		cfg.BlockSize = block
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	over, exact := run(1<<30), run(256*1024)
+	if !over.Finished || len(over.CompletionTimes) != 7 {
+		t.Fatalf("1 GiB block: finished %v, %d of 7 receivers complete", over.Finished, len(over.CompletionTimes))
+	}
+	if !reflect.DeepEqual(over.CompletionTimes, exact.CompletionTimes) {
+		t.Fatalf("1 GiB block completed at %v, the 256 KiB block at %v", over.CompletionTimes, exact.CompletionTimes)
 	}
 }

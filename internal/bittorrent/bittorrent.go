@@ -82,9 +82,6 @@ type Session struct {
 
 // NewSession builds the swarm; Start begins dissemination.
 func NewSession(rt *proto.Runtime, cfg Config, rng *sim.RNG) *Session {
-	if cfg.BlockSize <= 0 {
-		cfg.BlockSize = 16 * 1024
-	}
 	s := &Session{
 		rt:        rt,
 		cfg:       cfg,

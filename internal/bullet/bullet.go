@@ -103,9 +103,6 @@ func NewSession(rt *proto.Runtime, cfg Config, rng *sim.RNG) *Session {
 	if cfg.RanSubPeriod <= 0 {
 		cfg.RanSubPeriod = ransub.DefaultPeriod
 	}
-	if cfg.BlockSize <= 0 {
-		cfg.BlockSize = 16 * 1024
-	}
 	s := &Session{
 		rt:    rt,
 		cfg:   cfg,

@@ -137,9 +137,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.StaticPeers < 0 || c.StaticPeers > maxStaticPeers {
 		return c, fmt.Errorf("%w, got %d", errStaticPeersRange, c.StaticPeers)
 	}
-	if c.BlockSize <= 0 {
-		c.BlockSize = 16 * 1024
-	}
 	if c.EncodingOverhead <= 0 {
 		c.EncodingOverhead = 0.04
 	}

@@ -472,11 +472,13 @@ func TestPeriodicDiffsComplete(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	c, err := Config{Swarm: proto.Swarm{NumBlocks: 100}}.withDefaults()
+	c, err := Config{Swarm: proto.Swarm{NumBlocks: 100, BlockSize: 1000}}.withDefaults()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.BlockSize != 16*1024 {
+	// The block size is the caller's: the façade defaults it and the
+	// harness's rule table refuses a missing one.
+	if c.BlockSize != 1000 || c.EncodingOverhead != 0.04 {
 		t.Fatalf("defaults wrong: %+v", c)
 	}
 	if c.goalBlocks() != 100 {

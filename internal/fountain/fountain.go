@@ -16,7 +16,6 @@ package fountain
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"bulletprime/internal/sim"
 )
@@ -83,8 +82,8 @@ func NewDist(k int) *Dist {
 	return &Dist{K: k, cdf: cdf}
 }
 
-// Sample draws a degree in [1, k].
-func (ds *Dist) Sample(rng *rand.Rand) int {
+// Sample draws a degree in [1, k] from one uniform draw in [0, 1).
+func (ds *Dist) Sample(rng interface{ Float64() float64 }) int {
 	u := rng.Float64()
 	lo, hi := 0, len(ds.cdf)-1
 	for lo < hi {
@@ -107,7 +106,7 @@ func (ds *Dist) DegreeOneProb() float64 { return ds.cdf[0] }
 func neighbors(k int, seed int64, id int, dist *Dist) []int {
 	mix := uint64(seed) ^ uint64(id)*0x9E3779B97F4A7C15
 	rng := sim.NewRNG(int64(mix))
-	d := dist.Sample(rng.Rand)
+	d := dist.Sample(rng)
 	if d > k {
 		d = k
 	}

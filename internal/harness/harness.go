@@ -336,6 +336,11 @@ func errResult(s *SweepSpec, err error) *RunResult {
 // same spec. A spec that cannot run comes back as RunResult.Err, never as a
 // panic.
 func RunSpec(s SweepSpec) *RunResult {
+	if s.Stream != nil && s.Workload.FileBytes <= 0 {
+		// Convenience for direct harness callers: derive the file from the
+		// stream geometry (the façade always sets it explicitly).
+		s.Workload.FileBytes = stream.Config{Options: *s.Stream, BlockSize: s.Workload.BlockSize}.ContentBytes()
+	}
 	entry, err := s.check()
 	if err != nil {
 		return errResult(&s, err)
@@ -350,11 +355,6 @@ func RunSpec(s SweepSpec) *RunResult {
 		s.Stream = &sp
 		if end := streamEnd(sp, s.Scenario); end < deadline || deadline <= 0 {
 			deadline = end
-		}
-		if s.Workload.FileBytes <= 0 {
-			// Convenience for direct harness callers: derive the file from
-			// the stream geometry (the façade always sets it explicitly).
-			s.Workload.FileBytes = stream.Config{Options: sp, BlockSize: s.Workload.BlockSize}.ContentBytes()
 		}
 	}
 	topo := s.TopoFn(sim.NewRNG(s.Seed).Stream("topo"))

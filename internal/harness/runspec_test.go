@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"math"
 	"os"
 	"runtime"
 	"slices"
@@ -77,6 +78,26 @@ func TestRunSpecRules(t *testing.T) {
 			"BitrateBps must be positive", false},
 		{"sequential", "stream without a duration", func(s *SweepSpec) { s.Stream = &StreamSpec{BitrateBps: 1} },
 			"Duration must be positive", false},
+		{"sequential", "stream playout depth not a number", func(s *SweepSpec) { s.Stream = &StreamSpec{BitrateBps: 1, Duration: 5, PlayoutDepth: math.NaN()} },
+			"PlayoutDepth must be finite", false},
+		{"sequential", "stream warm-up not a number", func(s *SweepSpec) { s.Stream = &StreamSpec{BitrateBps: 1, Duration: 5, Warmup: math.NaN()} },
+			"Warmup must be finite", false},
+		{"sequential", "stream drain not a number", func(s *SweepSpec) { s.Stream = &StreamSpec{BitrateBps: 1, Duration: 5, Drain: math.Inf(1)} },
+			"Drain must be finite", false},
+		// A stream's file is derived from its block, so the block is named.
+		{"sequential", "stream block not a number", func(s *SweepSpec) {
+			s.Stream, s.Workload = stream, Workload{BlockSize: math.NaN()}
+		}, "Workload.BlockSize must be positive and finite, got NaN", false},
+
+		{"sequential", "unknown engine", func(s *SweepSpec) { s.Engine = -1 }, "unknown Engine -1", false},
+		{"sequential", "no file", func(s *SweepSpec) { s.Workload.FileBytes = 0 }, "Workload.FileBytes must be positive and finite, got 0", false},
+		{"sequential", "file not a number", func(s *SweepSpec) { s.Workload.FileBytes = math.NaN() }, "Workload.FileBytes must be positive and finite, got NaN", false},
+		{"sequential", "infinite file", func(s *SweepSpec) { s.Workload.FileBytes = math.Inf(1) }, "Workload.FileBytes must be positive and finite, got +Inf", false},
+		{"sequential", "no block", func(s *SweepSpec) { s.Workload.BlockSize = 0 }, "Workload.BlockSize must be positive and finite, got 0", false},
+		{"testbed", "no block", func(s *SweepSpec) { s.Workload.BlockSize = 0 }, "Workload.BlockSize must be positive and finite, got 0", false},
+		{"sharded", "no block", func(s *SweepSpec) { s.Workload.BlockSize = 0 }, "Workload.BlockSize must be positive and finite, got 0", false},
+		{"sequential", "block not a number", func(s *SweepSpec) { s.Workload.BlockSize = math.NaN() }, "Workload.BlockSize must be positive and finite, got NaN", false},
+		{"sequential", "infinite block", func(s *SweepSpec) { s.Workload.BlockSize = math.Inf(1) }, "Workload.BlockSize must be positive and finite, got +Inf", false},
 
 		{"testbed", "sharded", func(s *SweepSpec) { s.Engine = EngineSharded }, "sharded engine", false},
 		{"testbed", "scenario", func(s *SweepSpec) { s.Scenario = prog(8) }, "scenarios", false},

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -93,11 +94,25 @@ type SweepSpec struct {
 	Tracer *obs.Tracer
 }
 
+// The block geometry's refusals. A block or file size that is not a
+// positive, finite number has no run: a NaN block scheduled its transfers at
+// NaN, and an infinite file ran as one block.
+var (
+	errFileBytes = errors.New("harness: Workload.FileBytes must be positive and finite")
+	errBlockSize = errors.New("harness: Workload.BlockSize must be positive and finite")
+)
+
+// positiveFinite reports whether v is in (0, +Inf); NaN is not.
+func positiveFinite(v float64) bool { return v > 0 && v < math.Inf(1) }
+
 // Check is the one table of spec rules: which features combine, and why the
-// rest cannot. RunSpec returns its error as RunResult.Err before anything
-// is built, and the bulletprime façade's New returns it verbatim, so a
-// combination is refused with the same words at every entry point. The
-// first rule that applies wins.
+// rest cannot, and the block geometry every run needs. RunSpec returns its
+// error as RunResult.Err before anything is built, and the bulletprime
+// façade's New returns it verbatim, so a spec is refused with the same words
+// at every entry point. The first rule that applies wins. The file size is
+// checked before the block size, which the façade clamps to it; a stream's
+// file is derived from its block (RunSpec derives it before the rules run),
+// so a stream with a bad block is refused for its block.
 func (s *SweepSpec) Check() error {
 	_, err := s.check()
 	return err
@@ -122,6 +137,8 @@ func (s *SweepSpec) check() (SystemEntry, error) {
 	switch {
 	case !known:
 		return e, fmt.Errorf("harness: unknown system %q (registered: %v)", name, SystemNames())
+	case s.Engine != EngineSequential && !sharded:
+		return e, fmt.Errorf("harness: unknown Engine %d: pick EngineSequential or EngineSharded", s.Engine)
 	case s.Stream != nil && (sharded || testbed):
 		return e, fmt.Errorf("harness: stream mode requires the sequential engine on the emulated network, not the sharded engine or the testbed: viewer lag is read against one deterministic virtual clock; shards have many, and sockets follow the wall clock")
 	case testbed && sharded:
@@ -136,10 +153,20 @@ func (s *SweepSpec) check() (SystemEntry, error) {
 		return e, fmt.Errorf("harness: system %q is not registered for %s execution: it has no builder for that rig shape", name, s.Engine)
 	case s.Stream != nil && !e.Streams:
 		return e, fmt.Errorf("harness: system %q does not support live streaming: its source cannot pace emission, so it would run one-shot and report meaningless lag", name)
-	case s.Stream != nil && !(s.Stream.BitrateBps > 0): // NaN included
-		return e, fmt.Errorf("harness: StreamSpec.BitrateBps must be positive, got %v", s.Stream.BitrateBps)
-	case s.Stream != nil && !(s.Stream.Duration > 0 && s.Stream.Duration < math.Inf(1)):
+	case s.Stream != nil && !positiveFinite(s.Stream.BitrateBps):
+		return e, fmt.Errorf("harness: StreamSpec.BitrateBps must be positive and finite, got %v", s.Stream.BitrateBps)
+	case s.Stream != nil && !positiveFinite(s.Stream.Duration):
 		return e, fmt.Errorf("harness: StreamSpec.Duration must be positive and finite, got %v", s.Stream.Duration)
+	case s.Stream != nil && !(s.Stream.PlayoutDepth < math.Inf(1)): // NaN included
+		return e, fmt.Errorf("harness: StreamSpec.PlayoutDepth must be finite (<= 0 picks the default), got %v", s.Stream.PlayoutDepth)
+	case s.Stream != nil && !(s.Stream.Warmup < math.Inf(1)):
+		return e, fmt.Errorf("harness: StreamSpec.Warmup must be finite (0 picks the default, negative is off), got %v", s.Stream.Warmup)
+	case s.Stream != nil && !(s.Stream.Drain < math.Inf(1)):
+		return e, fmt.Errorf("harness: StreamSpec.Drain must be finite (<= 0 picks the default), got %v", s.Stream.Drain)
+	case !positiveFinite(s.Workload.FileBytes) && (s.Stream == nil || positiveFinite(s.Workload.BlockSize)):
+		return e, fmt.Errorf("%w, got %v", errFileBytes, s.Workload.FileBytes)
+	case !positiveFinite(s.Workload.BlockSize):
+		return e, fmt.Errorf("%w, got %v", errBlockSize, s.Workload.BlockSize)
 	}
 	return e, nil
 }

@@ -246,15 +246,14 @@ func (t *Topology) RTT(src, dst NodeID) float64 {
 // (§4.1): a fully interconnected mesh with symmetric access links and
 // randomly drawn per-core-link delay and loss.
 type ModelNetConfig struct {
-	N            int
-	AccessBW     float64 // inbound and outbound access bandwidth
-	AccessDelay  float64
-	CoreBW       float64
-	CoreDelayLo  float64 // core delay drawn uniformly from [lo, hi)
-	CoreDelayHi  float64
-	CoreLossLo   float64 // core loss drawn uniformly from [lo, hi)
-	CoreLossHi   float64
-	SymmetricRng bool // draw delay/loss once per unordered pair (both directions equal)
+	N           int
+	AccessBW    float64 // inbound and outbound access bandwidth
+	AccessDelay float64
+	CoreBW      float64
+	CoreDelayLo float64 // core delay drawn uniformly from [lo, hi)
+	CoreDelayHi float64
+	CoreLossLo  float64 // core loss drawn uniformly from [lo, hi)
+	CoreLossHi  float64
 }
 
 // PaperDefault returns the §4.1 configuration: 100 nodes, 6 Mbps access
@@ -275,25 +274,17 @@ func PaperDefault() ModelNetConfig {
 
 // Build draws a concrete topology from the configuration using rng. The
 // draw order is fixed, so a given seed always yields the same network: row
-// by row, a delay then a loss for each ordered pair (i, j), i ≠ j (with
-// SymmetricRng, only for j > i; (i, j) with j < i copies (j, i)).
+// by row, a delay then a loss for each ordered pair (i, j), i ≠ j.
 func (c ModelNetConfig) Build(rng *sim.RNG) *Topology {
 	t := NewTopology(c.N)
 	t.SetUniformAccess(c.AccessBW, c.AccessBW, c.AccessDelay)
-	n := c.N
-	for i := 0; i < n; i++ {
+	for i := 0; i < c.N; i++ {
 		bw, delay, loss := t.CoreRows(NodeID(i))
 		for j := range bw {
 			if j == i {
 				continue
 			}
 			bw[j] = c.CoreBW
-			if c.SymmetricRng && j < i {
-				// Mirror the draw made for (j, i).
-				delay[j] = t.coreDelay[j*n+i]
-				loss[j] = t.coreLoss[j*n+i]
-				continue
-			}
 			delay[j] = rng.Uniform(c.CoreDelayLo, c.CoreDelayHi)
 			loss[j] = rng.Uniform(c.CoreLossLo, c.CoreLossHi)
 		}

@@ -18,12 +18,6 @@ func buildWithSetters(c ModelNetConfig, rng *sim.RNG) *Topology {
 			if i == j {
 				continue
 			}
-			if c.SymmetricRng && j < i {
-				t.SetCoreBW(NodeID(i), NodeID(j), t.CoreBW(NodeID(j), NodeID(i)))
-				t.SetCoreDelay(NodeID(i), NodeID(j), t.CoreDelay(NodeID(j), NodeID(i)))
-				t.SetCoreLoss(NodeID(i), NodeID(j), t.CoreLoss(NodeID(j), NodeID(i)))
-				continue
-			}
 			t.SetCoreBW(NodeID(i), NodeID(j), c.CoreBW)
 			t.SetCoreDelay(NodeID(i), NodeID(j), rng.Uniform(c.CoreDelayLo, c.CoreDelayHi))
 			t.SetCoreLoss(NodeID(i), NodeID(j), rng.Uniform(c.CoreLossLo, c.CoreLossHi))
@@ -57,29 +51,27 @@ func sameTopology(a, b *Topology) string {
 
 // TestBuildMatchesSetters holds the one-pass ModelNet builder to the
 // per-pair setters it replaced: every link bit for bit and the generator
-// left in the same state, with and without the symmetric draw. After the
-// build every node's write generation is 1, SetUniformAccess's one move.
+// left in the same state. After the build every node's write generation is
+// 1, SetUniformAccess's one move.
 func TestBuildMatchesSetters(t *testing.T) {
 	lossless := PaperDefault()
 	lossless.CoreLossHi = 0
-	for _, sym := range []bool{false, true} {
-		for _, base := range []ModelNetConfig{PaperDefault(), lossless} {
-			for _, n := range []int{1, 2, 37} {
-				c := base
-				c.N, c.SymmetricRng = n, sym
-				for seed := int64(1); seed <= 3; seed++ {
-					gotRng, wantRng := sim.NewRNG(seed), sim.NewRNG(seed)
-					got, want := c.Build(gotRng), buildWithSetters(c, wantRng)
-					if diff := sameTopology(got, want); diff != "" {
-						t.Fatalf("N=%d symmetric=%v seed=%d: %s differs from the setters' build", n, sym, seed, diff)
-					}
-					if gotRng.Int63() != wantRng.Int63() {
-						t.Fatalf("N=%d symmetric=%v seed=%d: Build drew a different number of values", n, sym, seed)
-					}
-					for i, g := range got.gen {
-						if g != 1 {
-							t.Fatalf("N=%d: node %d's write generation is %d after the build, want 1", n, i, g)
-						}
+	for _, base := range []ModelNetConfig{PaperDefault(), lossless} {
+		for _, n := range []int{1, 2, 37} {
+			c := base
+			c.N = n
+			for seed := int64(1); seed <= 3; seed++ {
+				gotRng, wantRng := sim.NewRNG(seed), sim.NewRNG(seed)
+				got, want := c.Build(gotRng), buildWithSetters(c, wantRng)
+				if diff := sameTopology(got, want); diff != "" {
+					t.Fatalf("N=%d seed=%d: %s differs from the setters' build", n, seed, diff)
+				}
+				if gotRng.Int63() != wantRng.Int63() {
+					t.Fatalf("N=%d seed=%d: Build drew a different number of values", n, seed)
+				}
+				for i, g := range got.gen {
+					if g != 1 {
+						t.Fatalf("N=%d: node %d's write generation is %d after the build, want 1", n, i, g)
 					}
 				}
 			}

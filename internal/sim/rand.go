@@ -1,13 +1,10 @@
 package sim
 
-import (
-	"math/bits"
-	"math/rand"
-)
+import "math/bits"
 
-// RNG wraps math/rand with a stable interface and named substreams so each
-// subsystem (topology, protocol decisions, loss draws, dynamics) draws from
-// an independent deterministic stream. This keeps an experiment's random
+// RNG is math/rand's generator with a stable interface and named
+// substreams, so each subsystem (topology, protocol decisions, loss draws,
+// dynamics) draws from an independent deterministic stream. This keeps an experiment's random
 // topology identical across protocol variants: the same master seed yields
 // the same network for Bullet', BitTorrent, etc., which is how the paper's
 // "identical conditions" comparisons are made reproducible here.
@@ -15,12 +12,11 @@ import (
 // Every stream is math/rand's v1 stream for its seed, bit for bit
 // (DESIGN.md §8, "Random streams"): the generator is math/rand's own
 // additive lagged-Fibonacci source, held here so that seeding is a table of
-// multiplies instead of 1,841 chained steps and so that Intn, Pick, Int63,
-// Float64 and Uniform draw without an interface call. The other methods are
-// the embedded *rand.Rand's, over the same source, so any interleaving of
-// calls matches rand.New(rand.NewSource(seed)).
+// multiplies instead of 1,841 chained steps. Every method draws from that
+// one source as math/rand's method of the same name does (Perm and Shuffle
+// are copied from math/rand in rngperm.go), so any interleaving of calls
+// matches rand.New(rand.NewSource(seed)).
 type RNG struct {
-	*rand.Rand
 	src  source
 	seed int64
 }
@@ -29,7 +25,6 @@ type RNG struct {
 func NewRNG(seed int64) *RNG {
 	r := &RNG{seed: seed}
 	r.src.Seed(seed)
-	r.Rand = rand.New(&r.src)
 	return r
 }
 
@@ -142,7 +137,7 @@ func (r *RNG) SampleInts(n, k int) []int {
 	return perm[:k]
 }
 
-// Shuffle is re-exported for clarity at call sites using the embedded Rand.
+// ShuffleInts shuffles xs in place, as Shuffle(len(xs), swap) does.
 func (r *RNG) ShuffleInts(xs []int) {
 	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
 }

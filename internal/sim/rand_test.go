@@ -24,7 +24,7 @@ func rngStep(got *RNG, want *rand.Rand, op, arg byte) error {
 		}
 		return nil
 	}
-	switch op % 17 {
+	switch op % 16 {
 	case 0:
 		return same("Intn(1)", got.Intn(1), want.Intn(1))
 	case 1:
@@ -87,35 +87,6 @@ func rngStep(got *RNG, want *rand.Rand, op, arg byte) error {
 	case 14:
 		return same("Int63", got.Int63(), want.Int63())
 	case 15:
-		// The embedded *rand.Rand's own draws, over the shared source.
-		switch a % 10 {
-		case 0:
-			return same("Int31n", got.Int31n(int32(a+1)), want.Int31n(int32(a+1)))
-		case 1:
-			return same("Int63n", got.Int63n(int64(a+1)<<33+5), want.Int63n(int64(a+1)<<33+5))
-		case 2:
-			return same("Uint32", got.Uint32(), want.Uint32())
-		case 3:
-			return same("Uint64", got.Uint64(), want.Uint64())
-		case 4:
-			return same("Int", got.Int(), want.Int())
-		case 5:
-			return same("Int31", got.Int31(), want.Int31())
-		case 6:
-			return same("Float32", got.Float32(), want.Float32())
-		case 7:
-			return same("NormFloat64", got.NormFloat64(), want.NormFloat64())
-		case 8:
-			return same("ExpFloat64", got.ExpFloat64(), want.ExpFloat64())
-		case 9:
-			g, w := make([]byte, a%13), make([]byte, a%13)
-			got.Read(g)
-			want.Read(w)
-			if !slices.Equal(g, w) {
-				return fmt.Errorf("Read(%d): got %x, want %x", len(g), g, w)
-			}
-		}
-	case 16:
 		// A burst long enough to wrap the 607-word register.
 		for k := 0; k < 4*a; k++ {
 			if err := same(fmt.Sprintf("Int63 burst %d", k), got.Int63(), want.Int63()); err != nil {
@@ -189,7 +160,7 @@ func TestStreamsMatchMathRand(t *testing.T) {
 			ops[2*a+1], ops[2*b+1] = ops[2*b+1], ops[2*a+1]
 		})
 		if i%50 == 0 {
-			ops = append(ops, 16, 255) // one 1,020-draw burst: the register wraps
+			ops = append(ops, 15, 255) // one 1,020-draw burst: the register wraps
 		}
 		if err := rngMatches(seed, ops); err != nil {
 			t.Fatal(err)
@@ -204,7 +175,7 @@ func TestStreamsMatchMathRand(t *testing.T) {
 func FuzzRNGMatchesMathRand(f *testing.F) {
 	f.Add(int64(0), []byte{0, 0, 1, 31, 2, 0, 3, 1, 13, 2})
 	f.Add(int64(math.MinInt64), []byte{6, 0, 7, 9, 9, 39, 10, 5, 11, 17, 12, 8, 13, 11})
-	f.Add(int64(math.MaxInt32), []byte{16, 200, 13, 4, 15, 7, 15, 8, 15, 9, 14, 0})
+	f.Add(int64(math.MaxInt32), []byte{15, 200, 13, 4, 9, 7, 10, 8, 12, 9, 14, 0})
 	f.Add(int64(-89482311), []byte{13, 12, 13, 9, 5, 255, 4, 255, 8, 0})
 	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
 		if len(ops) > 512 {
@@ -228,5 +199,15 @@ func TestSamplerRefusesEmpty(t *testing.T) {
 			}()
 			NewRNG(1).Sampler(n)
 		}()
+	}
+}
+
+var rngSink *RNG
+
+// TestNewRNGAllocatesOnce: a stream is one allocation, the RNG with its
+// source inside it.
+func TestNewRNGAllocatesOnce(t *testing.T) {
+	if got := testing.AllocsPerRun(100, func() { rngSink = NewRNG(7) }); got != 1 {
+		t.Fatalf("NewRNG allocates %v times, want 1", got)
 	}
 }

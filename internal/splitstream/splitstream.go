@@ -86,9 +86,6 @@ func NewSession(rt *proto.Runtime, cfg Config, rng *sim.RNG) *Session {
 	if cfg.Stripes <= 0 {
 		cfg.Stripes = DefaultStripes
 	}
-	if cfg.BlockSize <= 0 {
-		cfg.BlockSize = 16 * 1024
-	}
 	if cfg.MaxSkew == 0 {
 		cfg.MaxSkew = DefaultMaxSkew
 	}

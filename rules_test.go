@@ -3,6 +3,7 @@ package bulletprime
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -39,6 +40,13 @@ func harnessRuleCases() []ruleCase {
 		{"sharded dynamics", sharded, func(c *RunConfig) { c.DynamicBandwidth = true }, "DynamicBandwidth"},
 		{"single-rig protocol on shards", sharded, func(c *RunConfig) { c.Protocol = ProtocolBulletPrime }, "not registered for sharded"},
 		{"sharded protocol on one rig", emulated, func(c *RunConfig) { c.Protocol = ProtocolScalefill }, "not registered for sequential"},
+		{"unknown engine", emulated, func(c *RunConfig) { c.Engine = 5 }, "unknown Engine 5"},
+		{"no file", emulated, func(c *RunConfig) { c.FileBytes = 0 }, "FileBytes must be positive and finite"},
+		{"infinite file", emulated, func(c *RunConfig) { c.FileBytes = math.Inf(1) }, "FileBytes must be positive and finite"},
+		{"negative block", emulated, func(c *RunConfig) { c.BlockSize = -1 }, "BlockSize must be positive and finite"},
+		{"infinite block", emulated, func(c *RunConfig) { c.BlockSize = math.Inf(1) }, "BlockSize must be positive and finite"},
+		{"infinite stream block", stream, func(c *RunConfig) { c.BlockSize = math.Inf(1) }, "BlockSize must be positive and finite"},
+		{"infinite playout depth", stream, func(c *RunConfig) { c.Stream = &StreamOptions{BitrateBps: 1, Duration: 10, PlayoutDepth: math.Inf(1)} }, "PlayoutDepth must be finite"},
 	}
 }
 
@@ -87,6 +95,18 @@ func TestStaticPeersOutOfRange(t *testing.T) {
 	cfg.StaticPeers = 255
 	if _, err := cfg.normalized(); err != nil {
 		t.Fatalf("StaticPeers: 255 refused: %v", err)
+	}
+}
+
+// TestUnknownStrategyRefused: a request ordering Bullet' does not know picks
+// no block, so its run would end at the deadline with no receiver done; New
+// refuses it by name.
+func TestUnknownStrategyRefused(t *testing.T) {
+	for _, s := range []RequestStrategy{-1, RarestRandom + 1} {
+		cfg := RunConfig{Nodes: 8, FileBytes: 64 * 1024, Seed: 1, Strategy: s}
+		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "Strategy") {
+			t.Fatalf("New(Strategy: %d) error = %v, want one naming Strategy", s, err)
+		}
 	}
 }
 
